@@ -64,6 +64,12 @@ def main(argv=None) -> int:
             overrides["input_mesh"] = args.input
         cfg = load_config(args.config, overrides)
         result = run(cfg)
+        traces = ([result["trace"]] if "trace" in result
+                  else [result[label]["trace"] for label in ("new", "original")])
+        for trace in traces:
+            if not trace.converged:
+                print(f"warning: relaxation stopped at the sweep cap ({trace.sweeps} sweeps)",
+                      file=sys.stderr)
         print(f"wrote artifacts to {result['out']}")
         return 0
     except PipelineError as exc:

@@ -157,19 +157,6 @@ def closest_point_on_segment(px, py, ax, ay, bx, by):
     return qx, qy, dx * dx + dy * dy
 
 
-def distance_to_polyline(px, py, pts) -> float:
-    """Distance from a point to a closed polyline."""
-    best = math.inf
-    n = len(pts)
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        _, _, d2 = closest_point_on_segment(px, py, ax, ay, bx, by)
-        if d2 < best:
-            best = d2
-    return math.sqrt(best)
-
-
 def hashed_unit_direction(i: int, j: int, seed: int = 0):
     """Deterministic pseudo-random unit vector from a pair of indices and a seed.
 

@@ -42,14 +42,6 @@ class Bubble:
     radius: float
     kind: str = MOBILE
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @property
-    def fixed(self) -> bool:
-        return self.kind == BOUNDARY
-
 
 @dataclass
 class PackingDomain:

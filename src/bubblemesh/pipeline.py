@@ -1,19 +1,23 @@
 """End-to-end pipelines: plane meshing, surface triangulation, re-meshing of
 mesh files, and the quantity-control comparison driver.
 
-Configuration is a flat key = value text file; every key has a documented
-default (see DEFAULTS) and CLI flags override file values. All randomness
-derives from the single seed, and a fixed config plus seed reproduces every
-artifact byte for byte (wall-clock columns in trace CSVs excepted).
+Configuration is a flat key = value text file whose keys and defaults are
+the fields of `PipelineConfig` (config.py); CLI flags override file values.
+All randomness derives from the single seed, and a fixed config plus seed
+reproduces every artifact byte for byte (wall-clock columns in trace CSVs
+excepted).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import (PipelineConfig, PipelineError, load_config,  # noqa: F401
+                     relax_params)
 from .delaunay import delaunay_triangulate
 from .conformal import flatten
 from .mapping import inverse_map
@@ -21,167 +25,10 @@ from .mesh import (TriangleMesh, load_mesh, quality_report, save_mesh,
                    write_svg)
 from .packing import (INTERIOR_ANCHOR, Bubble, PackingDomain,
                       pack_boundary, pack_interior_quadtree)
-from .relaxation import (ConvergenceTrace, DynamicsParams, ForceParams,
-                         relax_until_converged)
-from .remesh import remesh_planar
+from .relaxation import ConvergenceTrace, relax_until_converged
+from .remesh import reconstruct_bubbles, remesh_planar
 from .sizing import SizingParams, radius_bound_evaluator
 from .surfaces import make_surface
-
-
-class PipelineError(Exception):
-    """Stage-labeled pipeline failure."""
-
-
-DEFAULTS: dict[str, str] = {
-    "mode": "plane",
-    "seed": "0",
-    "out": "out",
-    # plane mode
-    "plane_width": "20",
-    "plane_height": "10",
-    "holes": "10,5,2",
-    "r_max": "0.5",
-    "r_min": "0.5",
-    "graded": "false",
-    "grade_band": "4.0",
-    "anchors_file": "",
-    # surface mode
-    "surface": "sphere",
-    "surface_params": "radius=1.0",
-    "epsilon": "0.01",
-    # remesh mode
-    "input_mesh": "",
-    # compare-qc mode: take initial bubbles from the plane packing or from a
-    # surface-pipeline flatten + reconstruction
-    "compare_source": "plane",
-    # relaxation / quantity control
-    "qc": "new",
-    "qc_threshold": "1.0",
-    "qc_low": "5.0",
-    "qc_high": "8.0",
-    "qc_period": "10",
-    "stiffness": "1.0",
-    "max_sweeps": "400",
-    "stall_window": "30",
-    "force_tol_factor": "0.01",
-}
-
-
-@dataclass
-class PipelineConfig:
-    mode: str = "plane"
-    seed: int = 0
-    out: Path = Path("out")
-    plane_width: float = 20.0
-    plane_height: float = 10.0
-    holes: list[tuple[float, float, float]] = field(default_factory=lambda: [(10.0, 5.0, 2.0)])
-    r_max: float = 0.5
-    r_min: float = 0.5
-    graded: bool = False
-    grade_band: float = 4.0
-    anchors_file: str = ""
-    surface: str = "sphere"
-    surface_params: dict = field(default_factory=lambda: {"radius": 1.0})
-    epsilon: float = 0.01
-    input_mesh: str = ""
-    compare_source: str = "plane"
-    qc: str = "new"
-    qc_threshold: float = 1.0
-    qc_low: float = 5.0
-    qc_high: float = 8.0
-    qc_period: int = 10
-    stiffness: float = 1.0
-    max_sweeps: int = 400
-    stall_window: int = 30
-    force_tol_factor: float = 0.01
-
-
-def _parse_bool(s: str) -> bool:
-    return s.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _parse_holes(s: str) -> list[tuple[float, float, float]]:
-    out = []
-    for part in s.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        nums = [float(t) for t in part.split(",")]
-        if len(nums) != 3:
-            raise PipelineError(f"[config] hole spec '{part}' is not cx,cy,r")
-        out.append(tuple(nums))
-    return out
-
-
-def _parse_params(s: str) -> dict:
-    out = {}
-    for part in s.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        out[key.strip()] = float(val)
-    return out
-
-
-def read_config_file(path) -> dict[str, str]:
-    values = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise PipelineError(f"[config] line {ln}: expected key = value")
-        values[key.strip()] = val.strip()
-    return values
-
-
-def load_config(path=None, overrides: dict[str, str] | None = None) -> PipelineConfig:
-    values = dict(DEFAULTS)
-    if path is not None:
-        file_values = read_config_file(path)
-        unknown = set(file_values) - set(DEFAULTS)
-        if unknown:
-            raise PipelineError(f"[config] unknown keys: {sorted(unknown)}")
-        values.update(file_values)
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        cfg = PipelineConfig(
-            mode=values["mode"],
-            seed=int(values["seed"]),
-            out=Path(values["out"]),
-            plane_width=float(values["plane_width"]),
-            plane_height=float(values["plane_height"]),
-            holes=_parse_holes(values["holes"]),
-            r_max=float(values["r_max"]),
-            r_min=float(values["r_min"]),
-            graded=_parse_bool(values["graded"]),
-            grade_band=float(values["grade_band"]),
-            anchors_file=values["anchors_file"],
-            surface=values["surface"],
-            surface_params=_parse_params(values["surface_params"]),
-            epsilon=float(values["epsilon"]),
-            input_mesh=values["input_mesh"],
-            compare_source=values["compare_source"],
-            qc=values["qc"],
-            qc_threshold=float(values["qc_threshold"]),
-            qc_low=float(values["qc_low"]),
-            qc_high=float(values["qc_high"]),
-            qc_period=int(values["qc_period"]),
-            stiffness=float(values["stiffness"]),
-            max_sweeps=int(values["max_sweeps"]),
-            stall_window=int(values["stall_window"]),
-            force_tol_factor=float(values["force_tol_factor"]),
-        )
-    except ValueError as exc:
-        raise PipelineError(f"[config] {exc}") from exc
-    if cfg.anchors_file and not Path(cfg.anchors_file).exists():
-        raise PipelineError(f"[config] anchors file not found: {cfg.anchors_file}")
-    if cfg.mode == "remesh" and cfg.input_mesh and not Path(cfg.input_mesh).exists():
-        raise PipelineError(f"[config] input mesh not found: {cfg.input_mesh}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -240,46 +87,22 @@ def pack_plane(cfg: PipelineConfig) -> tuple[PackingDomain, list[Bubble]]:
     return domain, anchors + interior
 
 
-def _force_dynamics(cfg: PipelineConfig, bubbles: list[Bubble]):
-    """Force and dynamics defaults scaled to the bubble population.
-
-    f0 = k * r_min keeps the cubic law repulsive below tangency and
-    attractive up to the cutoff for every pair scale in the population.
-    """
-    radii = [b.radius for b in bubbles]
-    r_min = min(radii)
-    r_mean = float(np.mean(radii))
-    force = ForceParams(k=cfg.stiffness, f0=cfg.stiffness * r_min)
-    dyn = DynamicsParams(
-        c=1.4 * math.sqrt(cfg.stiffness),
-        dt=0.2 / math.sqrt(cfg.stiffness),
-        force_tol=cfg.force_tol_factor * cfg.stiffness * r_mean,
-        max_sweeps=cfg.max_sweeps,
-        stall_window=cfg.stall_window,
-    )
-    return force, dyn
-
-
 def _relax(cfg: PipelineConfig, domain, bubbles, strategy=None):
-    force, dyn = _force_dynamics(cfg, bubbles)
-    strategy = strategy or ("original-qc" if cfg.qc == "original" else "new-qc")
-    return relax_until_converged(
-        bubbles, domain, force=force, dyn=dyn, strategy=strategy,
-        qc_threshold=cfg.qc_threshold, qc_low=cfg.qc_low, qc_high=cfg.qc_high,
-        qc_period=cfg.qc_period, seed=cfg.seed)
+    kwargs = relax_params(cfg, bubbles)
+    if strategy:
+        kwargs["strategy"] = strategy
+    return relax_until_converged(bubbles, domain, **kwargs)
 
 
+@contextmanager
 def _stage(name):
-    class _StageContext:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(f"[{name}] {exc}") from exc
-            return False
-
-    return _StageContext()
+    """Label any failure inside the block with the pipeline stage."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"[{name}] {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +144,27 @@ def initial_surface_mesh(cfg: PipelineConfig):
     return surface, param_mesh, mesh
 
 
+def remesh_and_lift(cfg: PipelineConfig, initial: TriangleMesh, out: Path) -> dict:
+    """Steps (b)-(d), shared by the surface and remesh pipelines: flatten the
+    initial mesh, re-mesh it in the plane, map the new mesh back onto it."""
+    with _stage("flatten"):
+        flat_result = flatten(initial)
+        write_svg(out / "flat_initial.svg", flat_result.flat)
+        save_mesh(out / "flat_initial.obj", flat_result.flat)
+    with _stage("remesh"):
+        new_flat, trace = remesh_planar(flat_result.flat, cfg)
+        trace.write_csv(out / "trace.csv")
+        write_svg(out / "flat_remeshed.svg", new_flat)
+    with _stage("inverse-map"):
+        final = inverse_map(new_flat, flat_result.flat, initial)
+        save_mesh(out / "final_surface.obj", final)
+        save_mesh(out / "final_surface.off", final)
+        final_report = quality_report(final)
+        (out / "final_report.txt").write_text(final_report.to_text())
+    return {"flatten": flat_result, "new_flat": new_flat, "trace": trace,
+            "final": final, "final_report": final_report}
+
+
 def run_surface_pipeline(cfg: PipelineConfig) -> dict:
     """Steps (a)-(d): initial discrete surface, flatten, re-mesh, inverse map."""
     out = Path(cfg.out)
@@ -331,29 +175,8 @@ def run_surface_pipeline(cfg: PipelineConfig) -> dict:
         write_svg(out / "parametric_mesh.svg", param_mesh)
         initial_report = quality_report(initial)
         (out / "initial_report.txt").write_text(initial_report.to_text())
-    with _stage("flatten"):
-        flat_result = flatten(initial)
-        write_svg(out / "flat_initial.svg", flat_result.flat)
-        save_mesh(out / "flat_initial.obj", flat_result.flat)
-    with _stage("remesh"):
-        new_flat, trace = remesh_planar(flat_result.flat, qc_threshold=cfg.qc_threshold,
-                                        seed=cfg.seed)
-        trace.write_csv(out / "trace.csv")
-        write_svg(out / "flat_remeshed.svg", new_flat)
-    with _stage("inverse-map"):
-        final = inverse_map(new_flat, flat_result.flat, initial)
-        save_mesh(out / "final_surface.obj", final)
-        save_mesh(out / "final_surface.off", final)
-        final_report = quality_report(final)
-        (out / "final_report.txt").write_text(final_report.to_text())
-    return {
-        "surface": surface,
-        "initial": initial, "initial_report": initial_report,
-        "flatten": flat_result,
-        "new_flat": new_flat, "trace": trace,
-        "final": final, "final_report": final_report,
-        "out": out,
-    }
+    return {"surface": surface, "initial": initial, "initial_report": initial_report,
+            "out": out, **remesh_and_lift(cfg, initial, out)}
 
 
 def run_remesh_pipeline(cfg: PipelineConfig) -> dict:
@@ -366,23 +189,8 @@ def run_remesh_pipeline(cfg: PipelineConfig) -> dict:
         initial = load_mesh(cfg.input_mesh)
         initial_report = quality_report(initial)
         (out / "initial_report.txt").write_text(initial_report.to_text())
-    with _stage("flatten"):
-        flat_result = flatten(initial)
-        write_svg(out / "flat_initial.svg", flat_result.flat)
-    with _stage("remesh"):
-        new_flat, trace = remesh_planar(flat_result.flat, qc_threshold=cfg.qc_threshold,
-                                        seed=cfg.seed)
-        trace.write_csv(out / "trace.csv")
-        write_svg(out / "flat_remeshed.svg", new_flat)
-    with _stage("inverse-map"):
-        final = inverse_map(new_flat, flat_result.flat, initial)
-        save_mesh(out / "final_surface.obj", final)
-        save_mesh(out / "final_surface.off", final)
-        final_report = quality_report(final)
-        (out / "final_report.txt").write_text(final_report.to_text())
     return {"initial": initial, "initial_report": initial_report,
-            "final": final, "final_report": final_report,
-            "trace": trace, "out": out}
+            "out": out, **remesh_and_lift(cfg, initial, out)}
 
 
 def compare_initial_bubbles(cfg: PipelineConfig):
@@ -396,14 +204,8 @@ def compare_initial_bubbles(cfg: PipelineConfig):
         return pack_plane(cfg)
     if cfg.compare_source != "surface":
         raise PipelineError(f"[config] unknown compare_source '{cfg.compare_source}'")
-    from .remesh import (fill_gaps, flat_domain, reconstruct_boundary_bubbles,
-                          reconstruct_interior_bubbles)
     _, _, initial = initial_surface_mesh(cfg)
-    flat_result = flatten(initial)
-    flat = flat_result.flat
-    anchors = reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
-    domain = flat_domain(flat, anchors)
-    return domain, anchors + fill_gaps(flat, anchors)
+    return reconstruct_bubbles(flatten(initial).flat)
 
 
 def run_compare_qc(cfg: PipelineConfig) -> dict:

@@ -89,13 +89,6 @@ class ConvergenceTrace:
     def elapsed(self) -> float:
         return self.rows[-1][4] if self.rows else 0.0
 
-    def time_to_reach_angle(self, angle: float) -> float | None:
-        """Wall time of the first sweep whose min angle reaches the target."""
-        for _, _, _, ang, elapsed in self.rows:
-            if ang >= angle:
-                return elapsed
-        return None
-
     def time_to_sustain_angle(self, angle: float) -> float | None:
         """Wall time of the first sweep from which the min angle never drops
         below the target again (transient spikes do not count)."""

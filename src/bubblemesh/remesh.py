@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import PipelineConfig, relax_params
 from .delaunay import delaunay_triangulate
 from .mesh import MeshError, PlanarMesh
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, Bubble, PackingDomain,
                       pack_interior_quadtree)
-from .relaxation import (ConvergenceTrace, DynamicsParams, ForceParams,
-                         relax_until_converged)
+from .relaxation import ConvergenceTrace, relax_until_converged
 
 
 def reconstruct_boundary_bubbles(flat: PlanarMesh) -> list[Bubble]:
@@ -103,28 +103,20 @@ def fill_gaps(flat: PlanarMesh, anchors: list[Bubble]) -> list[Bubble]:
                                   max_anchor_overlap=FILL_MAX_ANCHOR_OVERLAP)
 
 
-def remesh_planar(flat: PlanarMesh, qc_threshold: float = 1.0,
-                  dyn: DynamicsParams | None = None,
-                  force: ForceParams | None = None,
-                  seed: int = 0) -> tuple[PlanarMesh, ConvergenceTrace]:
-    """Full planar re-mesh: reconstruct, fill, prune near anchors, relax,
-    triangulate. Boundary bubbles never move; interior anchors move with
-    fixed radii."""
-    boundary = reconstruct_boundary_bubbles(flat)
-    interior = reconstruct_interior_bubbles(flat)
-    anchors = boundary + interior
-    domain = flat_domain(flat, anchors)
-    bubbles = anchors + fill_gaps(flat, anchors)
+def reconstruct_bubbles(flat: PlanarMesh) -> tuple[PackingDomain, list[Bubble]]:
+    """Anchors reconstructed at the flat mesh's vertices plus gap fillers,
+    and the packing domain bounded by its boundary loop."""
+    anchors = reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
+    return flat_domain(flat, anchors), anchors + fill_gaps(flat, anchors)
 
-    if force is None:
-        r_min = min(b.radius for b in bubbles)
-        force = ForceParams(k=1.0, f0=r_min)
-    if dyn is None:
-        r_mean = float(np.mean([b.radius for b in bubbles]))
-        dyn = DynamicsParams(force_tol=0.01 * force.k * r_mean)
 
-    relaxed, trace = relax_until_converged(
-        bubbles, domain, force=force, dyn=dyn,
-        strategy="new-qc", qc_threshold=qc_threshold, seed=seed)
+def remesh_planar(flat: PlanarMesh, cfg: PipelineConfig | None = None
+                  ) -> tuple[PlanarMesh, ConvergenceTrace]:
+    """Full planar re-mesh: reconstruct, fill, quantity control, relax,
+    triangulate, with the relaxation keys of `cfg` (defaults when None).
+    Boundary bubbles never move; interior anchors move with fixed radii."""
+    cfg = cfg or PipelineConfig()
+    domain, bubbles = reconstruct_bubbles(flat)
+    relaxed, trace = relax_until_converged(bubbles, domain, **relax_params(cfg, bubbles))
     mesh = delaunay_triangulate(relaxed, domain)
     return mesh, trace

@@ -3,7 +3,7 @@ import pytest
 
 from bubblemesh.cli import main as cli_main
 from bubblemesh.mesh import load_mesh, quality_report
-from bubblemesh.pipeline import (PipelineConfig, PipelineError,
+from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
                                  load_anchor_csv, load_config, plane_domain,
                                  run_plane_pipeline, run_remesh_pipeline,
                                  run_surface_pipeline)
@@ -46,6 +46,29 @@ class TestConfig:
         cfg = load_config(path, {"seed": "5"})
         assert cfg.seed == 5
         assert str(cfg.out) == "somewhere"
+
+    def test_no_file_gives_field_defaults(self):
+        assert load_config(None) == PipelineConfig()
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(PipelineError, match="unknown keys"):
+            load_config(None, {"wibble": "3"})
+
+    def test_bad_value_rejected(self):
+        with pytest.raises(PipelineError, match="max_sweeps"):
+            load_config(None, {"max_sweeps": "many"})
+
+    def test_misspelled_qc_rejected(self):
+        with pytest.raises(PipelineError, match="qc"):
+            load_config(None, {"qc": "orignal"})
+
+    def test_misspelled_bool_rejected(self):
+        with pytest.raises(PipelineError, match="graded"):
+            load_config(None, {"graded": "ture"})
+
+    def test_bool_words(self):
+        assert load_config(None, {"graded": "On"}).graded is True
+        assert load_config(None, {"graded": "no"}).graded is False
 
     def test_missing_anchors_file(self):
         with pytest.raises(PipelineError, match="anchors file"):
@@ -132,6 +155,7 @@ class TestRemeshPipeline:
         result = run_remesh_pipeline(cfg)
         assert (result["out"] / "final_surface.obj").exists()
         assert result["final_report"].triangle_count > 0
+        assert result["trace"].sweeps <= 150
 
 
 class TestGradedPlane:
@@ -164,15 +188,17 @@ class TestGradedPlane:
         assert any("interior" in str(c.message) for c in caught)
 
 
+SPHERE_PATCH = {
+    "mode": "surface", "surface": "sphere",
+    "surface_params": "radius=1.0, u0=0.0, u1=1.2, v0=0.8, v1=1.8",
+    "epsilon": "0.01", "r_min": "0.0001", "r_max": "10.0",
+}
+
+
 @pytest.fixture(scope="module")
 def sphere_run(tmp_path_factory):
-    cfg = load_config(None, {
-        "out": str(tmp_path_factory.mktemp("sphere")), "mode": "surface",
-        "surface": "sphere",
-        "surface_params": "radius=1.0, u0=0.0, u1=1.2, v0=0.8, v1=1.8",
-        "epsilon": "0.01", "r_min": "0.0001", "r_max": "10.0",
-        "max_sweeps": "200",
-    })
+    cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path_factory.mktemp("sphere")),
+                                 max_sweeps="200"))
     return cfg, run_surface_pipeline(cfg)
 
 
@@ -207,6 +233,35 @@ class TestSurfacePipeline:
         h = hausdorff_estimate(result["initial"], result["surface"], 4)
         d = np.abs(np.linalg.norm(result["final"].vertices, axis=1) - 1.0)
         assert d.max() <= h + 1e-9
+
+
+class TestSurfaceRelaxationKeys:
+    def test_sweep_cap_holds(self, tmp_path):
+        cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3"))
+        result = run_surface_pipeline(cfg)
+        assert result["trace"].sweeps == 3
+        assert not result["trace"].converged
+
+    def test_keys_reach_relaxation(self, tmp_path, monkeypatch):
+        from bubblemesh import remesh
+        seen = {}
+        real = remesh.relax_until_converged
+
+        def capture(bubbles, domain, **kwargs):
+            seen.update(kwargs, r_mean=np.mean([b.radius for b in bubbles]))
+            return real(bubbles, domain, **kwargs)
+
+        monkeypatch.setattr(remesh, "relax_until_converged", capture)
+        cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3",
+                                     stiffness="2.0", force_tol_factor="0.05",
+                                     stall_window="7", qc="original"))
+        run_surface_pipeline(cfg)
+        assert seen["force"].k == 2.0
+        assert seen["dyn"].max_sweeps == 3
+        assert seen["dyn"].stall_window == 7
+        assert seen["dyn"].c == pytest.approx(1.4 * np.sqrt(2.0))
+        assert seen["dyn"].force_tol == pytest.approx(0.05 * 2.0 * seen["r_mean"])
+        assert seen["strategy"] == "original-qc"
 
 
 def test_plane_surface_degenerate_case(tmp_path):
@@ -248,6 +303,15 @@ class TestCompareQC:
         assert "time ratio" in result["summary"]
 
 
+def test_stage_labels_failures():
+    with pytest.raises(PipelineError, match=r"^\[relax\] boom$"):
+        with _stage("relax"):
+            raise ValueError("boom")
+    with pytest.raises(PipelineError, match=r"^\[config\] kept$"):
+        with _stage("relax"):
+            raise PipelineError("[config] kept")
+
+
 class TestCLI:
     def test_report_command(self, tmp_path, capsys):
         path = tmp_path / "tri.off"
@@ -260,6 +324,15 @@ class TestCLI:
         code = cli_main(["plane", "--out", str(tmp_path / "o"), "--r", "0.8", "--seed", "1"])
         assert code == 0
         assert (tmp_path / "o" / "plane_mesh.obj").exists()
+
+    def test_sweep_cap_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text("max_sweeps = 2\n")
+        code = cli_main(["plane", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--r", "0.8"])
+        assert code == 0
+        assert ("warning: relaxation stopped at the sweep cap (2 sweeps)"
+                in capsys.readouterr().err)
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = cli_main(["remesh", "--input", "/nonexistent.obj",
