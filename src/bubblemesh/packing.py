@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (closest_point_on_segment, point_in_polygon,
                        points_in_polygon, polygon_perimeter,
@@ -266,7 +267,8 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     max_anchor_overlap is given, candidates whose pairwise overlap with any
     anchor exceeds it are also rejected (gap-filling mode: occupied regions
     stay untouched). Radii come from anchor interpolation clamped by the
-    domain sizing.
+    domain sizing. An empty result warns in primary packing only: gap
+    filling that finds no gap is a normal outcome.
     """
     lo, hi = domain.bbox()
     width = float(hi[0] - lo[0])
@@ -340,9 +342,6 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
 
     recurse(0, 0, 0)
 
-    if not corners:
-        warnings.warn("no room for interior bubbles")
-        return []
     pts = np.array(list(corners.values()))
     keep = points_in_polygon(pts, domain.outer)
     for h in domain.holes:
@@ -354,8 +353,7 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     kept = pts[keep]
 
     if not len(kept):
-        warnings.warn("no room for interior bubbles")
-        return []
+        return _no_room(max_anchor_overlap)
     radii = _interpolate_radii_batch(kept, anchors) if anchors else \
         np.array([domain.sizing(float(p[0]), float(p[1])) for p in kept])
     radii = np.minimum(radii, [domain.sizing(float(p[0]), float(p[1])) for p in kept])
@@ -364,11 +362,16 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
         kept = kept[ok]
         radii = radii[ok]
     kept, radii = _self_thin(kept, radii)
-    bubbles = [Bubble(float(px), float(py), float(r), MOBILE)
-               for (px, py), r in zip(kept, radii)]
-    if not bubbles:
+    if not len(kept):
+        return _no_room(max_anchor_overlap)
+    return [Bubble(float(px), float(py), float(r), MOBILE)
+            for (px, py), r in zip(kept, radii)]
+
+
+def _no_room(max_anchor_overlap: float | None) -> list[Bubble]:
+    if max_anchor_overlap is None:
         warnings.warn("no room for interior bubbles")
-    return bubbles
+    return []
 
 
 # quadtree leaf sizes quantize in (r, 2r]; thinning restores near-tangent
@@ -384,29 +387,19 @@ def _self_thin(pts: np.ndarray, radii: np.ndarray):
     """
     if not len(pts):
         return pts, radii
-    cell = 2.0 * float(radii.max())
-    table: dict[tuple[int, int], list[int]] = {}
-    accepted: list[int] = []
-    for k in range(len(pts)):
-        x, y = pts[k]
-        r = radii[k]
-        cx = int(math.floor(x / cell))
-        cy = int(math.floor(y / cell))
-        ok = True
-        for ix in range(cx - 1, cx + 2):
-            for iy in range(cy - 1, cy + 2):
-                for j in table.get((ix, iy), ()):
-                    l = math.hypot(pts[j, 0] - x, pts[j, 1] - y)
-                    if (radii[j] + r - l) / min(radii[j], r) > SELF_OVERLAP_LIMIT:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            accepted.append(k)
-            table.setdefault((cx, cy), []).append(k)
+    # an overlap beyond the limit needs l < r_i + r_j <= 2 * max radius
+    i, j = cKDTree(pts).query_pairs(2.0 * float(radii.max()), output_type="ndarray").T
+    l = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+    clash = (radii[i] + radii[j] - l) / np.minimum(radii[i], radii[j]) > SELF_OVERLAP_LIMIT
+    # pairs come with i < j; taken in order of the later candidate j, the
+    # earlier one's fate is already settled, and an accepted i rejects j
+    i, j = i[clash], j[clash]
+    order = np.argsort(j, kind="stable")
+    rejected = [False] * len(pts)
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if not rejected[a]:
+            rejected[b] = True
+    accepted = [k for k, r in enumerate(rejected) if not r]
     return pts[accepted], radii[accepted]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciDelaunay
-from scipy.spatial import QhullError
+from scipy.spatial import QhullError, cKDTree
 
 from .geometry import (closest_point_on_segment, hashed_unit_direction,
                        points_in_polygon)
@@ -201,37 +201,31 @@ class RelaxState:
         return [Bubble(self.x[i], self.y[i], self.r[i], _KIND_NAME[self.kind[i]])
                 for i in self.alive_indices()]
 
+    def max_radius(self) -> float:
+        """Largest alive radius (1.0 when no bubble is alive)."""
+        return max((self.r[i] for i in self.alive_indices()), default=1.0)
+
     def positions(self, indices=None) -> np.ndarray:
         idx = self.alive_indices() if indices is None else indices
         return np.array([[self.x[i], self.y[i]] for i in idx])
 
 
-class UniformGrid:
-    """Uniform hash grid over alive bubbles; cell size 2x the max current radius."""
+# neighbor queries pad their radius so the k-d tree returns a superset;
+# the callers' exact distance tests decide membership
+_QUERY_PAD = 1.0 + 1e-9
 
-    def __init__(self, state: RelaxState, indices=None):
-        idx = state.alive_indices() if indices is None else indices
-        rmax = max((state.r[i] for i in idx), default=1.0)
-        self.cell = max(2.0 * rmax, 1e-12)
-        self.max_r = rmax
-        self.table: dict[tuple[int, int], list[int]] = {}
-        x, y, cell = state.x, state.y, self.cell
-        for i in idx:
-            key = (int(math.floor(x[i] / cell)), int(math.floor(y[i] / cell)))
-            self.table.setdefault(key, []).append(i)
 
-    def gather(self, x: float, y: float, radius: float) -> list[int]:
-        reach = int(math.ceil(radius / self.cell))
-        cx = int(math.floor(x / self.cell))
-        cy = int(math.floor(y / self.cell))
-        out: list[int] = []
-        table = self.table
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                lst = table.get((ix, iy))
-                if lst:
-                    out.extend(lst)
-        return out
+def _ball_query(state: RelaxState):
+    """k-d tree over the alive bubbles: near(x, y, radius) returns, in
+    ascending order, the still-alive indices within the padded radius."""
+    ids = np.flatnonzero(state.alive)
+    tree = cKDTree(state.positions(ids).reshape(-1, 2))
+
+    def near(x: float, y: float, radius: float) -> list[int]:
+        hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
+        return [j for j in ids[hits].tolist() if state.alive[j]]
+
+    return near
 
 
 WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
@@ -240,10 +234,12 @@ WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
 
 class _BoundaryProximity:
     """Grid cells near the domain boundary, each holding the segment indices
-    that pass close by, so wall checks touch only a handful of segments."""
+    that pass close by, so wall checks touch only a handful of segments.
+    Cells are twice the largest bubble radius the checks will see."""
 
-    def __init__(self, domain: PackingDomain, cell: float):
-        self.cell = cell
+    def __init__(self, domain: PackingDomain, max_radius: float):
+        self.domain = domain
+        self.cell = cell = max(2.0 * max_radius, 1e-12)
         self.segments = domain.all_segments()
         lo, hi = domain.bbox()
         self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
@@ -270,14 +266,13 @@ class _BoundaryProximity:
         x0, y0, x1, y1 = self.bbox
         return x < x0 or x > x1 or y < y0 or y > y1
 
-    def enforce_clearance(self, domain: PackingDomain, x: float, y: float,
-                          radius: float):
+    def enforce_clearance(self, x: float, y: float, radius: float):
         """Project a bubble that escaped or hugs the wall back to a full
         radius of clearance; returns None when no correction is needed."""
         local = self.local_segments(x, y)
         if local is None:
             if self.outside_bbox(x, y):
-                return domain.project_inside(x, y, radius)
+                return self.domain.project_inside(x, y, radius)
             return None
         best_d2 = math.inf
         best = None
@@ -297,7 +292,7 @@ class _BoundaryProximity:
             return None
         ln = math.hypot(bx - ax, by - ay)
         if ln <= 0.0:
-            return domain.project_inside(x, y, radius)
+            return self.domain.project_inside(x, y, radius)
         nx, ny = -(by - ay) / ln, (bx - ax) / ln
         return qx + nx * radius, qy + ny * radius
 
@@ -306,12 +301,11 @@ class _BoundaryProximity:
 # One relaxation sweep
 
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
-               domain: PackingDomain | None = None,
-               grid: UniformGrid | None = None) -> float:
+               walls: _BoundaryProximity | None = None) -> float:
     """Sequentially integrate every mobile bubble over one dt; returns the max
-    net-force magnitude observed at the bubbles' pre-step positions."""
-    if grid is None:
-        grid = UniformGrid(state)
+    net-force magnitude observed at the bubbles' pre-step positions. With
+    `walls`, a bubble that ends its step without a radius of clearance from
+    the domain boundary is projected back and stopped."""
     xs, ys, vxs, vys, rs = state.x, state.y, state.vx, state.vy, state.r
     cutoff, k, f0 = force.cutoff, force.k, force.f0
     m, c, dt = dyn.m, dyn.c, dyn.dt
@@ -320,34 +314,32 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     mobile = state.mobile_indices()
     alive = state.alive
 
-    # candidate neighbor lists from start-of-sweep positions, with slack for
-    # the motion that happens during the sweep; the distance cull is
-    # vectorized because graded populations gather hundreds of candidates
-    slack = 0.5 * grid.max_r
-    xs_np = np.asarray(xs)
-    ys_np = np.asarray(ys)
-    rs_np = np.asarray(rs)
-    alive_np = np.asarray(alive)
-    neighbor_lists: dict[int, list[int]] = {}
-    for i in mobile:
-        cand = grid.gather(xs[i], ys[i], cutoff * (rs[i] + grid.max_r) + slack)
-        idx = np.asarray(cand, dtype=np.int64)
-        reach = cutoff * (rs[i] + rs_np[idx]) + slack
-        d2 = (xs_np[idx] - xs[i]) ** 2 + (ys_np[idx] - ys[i]) ** 2
-        mask = (d2 <= reach * reach) & alive_np[idx] & (idx != i)
-        neighbor_lists[i] = idx[mask].tolist()
-
-    prox = None
-    if domain is not None:
-        prox = _BoundaryProximity(domain, grid.cell)
+    # neighbor lists from start-of-sweep positions, with slack for the
+    # motion that happens during the sweep: every alive pair within its own
+    # force reach, found in one tree query and culled in one vector pass
+    r_max = state.max_radius()
+    slack = 0.5 * r_max
+    ids = np.flatnonzero(alive)
+    px, py, pr = (np.asarray(v)[ids] for v in (xs, ys, rs))
+    a, b = cKDTree(np.column_stack([px, py])).query_pairs(
+        (2.0 * cutoff * r_max + slack) * _QUERY_PAD, output_type="ndarray").T
+    reach = cutoff * (pr[a] + pr[b]) + slack
+    keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= reach * reach
+    src = ids[np.concatenate([a[keep], b[keep]])]
+    dst = ids[np.concatenate([b[keep], a[keep]])]
+    order = np.lexsort((dst, src))
+    src = src[order]
+    dst = dst[order].tolist()
+    starts = np.searchsorted(src, mobile).tolist()
+    ends = np.searchsorted(src, mobile, side="right").tolist()
 
     two_thirds_f0 = (2.0 / 3.0) * f0
     seven_thirds_f0 = (7.0 / 3.0) * f0
     eight_thirds_f0 = (8.0 / 3.0) * f0
     max_f = 0.0
 
-    for i in mobile:
-        nbrs = neighbor_lists[i]
+    for i, start, end in zip(mobile, starts, ends):
+        nbrs = dst[start:end]
         ri = rs[i]
 
         def net(px, py):
@@ -416,8 +408,8 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
                 and math.isfinite(vx1) and math.isfinite(vy1)):
             raise RelaxationError("dynamics diverged; reduce dt")
 
-        if prox is not None:
-            corrected = prox.enforce_clearance(domain, x1, y1, ri)
+        if walls is not None:
+            corrected = walls.enforce_clearance(x1, y1, ri)
             if corrected is not None:
                 x1, y1 = corrected
                 vx1 = vy1 = 0.0
@@ -439,26 +431,25 @@ def overlap_pairwise(b0: Bubble, b_i: Bubble) -> float:
     return (b0.radius + b_i.radius - l) / min(b0.radius, b_i.radius)
 
 
-def overlap_original(i: int, bubbles: list[Bubble],
-                     grid: UniformGrid | None = None,
-                     state: RelaxState | None = None) -> float:
+def overlap_original(i: int, bubbles: list[Bubble]) -> float:
     """Summed overlap ratio of bubble i against neighbors within 2*r0.
 
     Each exactly tangent equal-radius neighbor contributes 1. The neighbor
     cutoff carries a 1e-12 relative slack so exact tangency is inclusive
     under floating point.
     """
-    if state is None:
-        state = RelaxState(bubbles)
+    state = RelaxState(bubbles)
+    return _summed_overlap(state, _ball_query(state), i)
+
+
+def _summed_overlap(state: RelaxState, near, i: int) -> float:
     r0 = state.r[i]
     x0, y0 = state.x[i], state.y[i]
     reach = 2.0 * r0
-    if grid is None:
-        cand = [j for j in state.alive_indices() if j != i]
-    else:
-        cand = [j for j in grid.gather(x0, y0, reach) if j != i and state.alive[j]]
     total = 0.0
-    for j in cand:
+    for j in near(x0, y0, reach):
+        if j == i:
+            continue
         l = math.hypot(state.x[j] - x0, state.y[j] - y0)
         if l <= reach * (1.0 + 1e-12):
             total += (2.0 * r0 + state.r[j] - l) / r0
@@ -470,11 +461,12 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
     """Single pass over bubble indices: insert into the largest angular gap
     when the summed overlap is below `low`, delete when above `high`.
 
-    Inserted bubbles join the neighbor index immediately so later bubbles in
-    the same pass see them; insertions that would violate the wall clearance
-    are skipped.
+    Inserted bubbles join the neighbor index immediately (the index is
+    rebuilt) so later bubbles in the same pass see them; insertions that
+    would violate the wall clearance are skipped.
     """
-    grid = UniformGrid(state)
+    near = _ball_query(state)
+    max_r = state.max_radius()
     segments = domain.all_segments() if domain is not None else None
     changes = 0
     n0 = len(state.alive)
@@ -483,27 +475,15 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             continue
         r0 = state.r[i]
         x0, y0 = state.x[i], state.y[i]
-        reach = 2.0 * r0
-        nbrs = []
-        for j in grid.gather(x0, y0, reach):
-            if j == i or not state.alive[j]:
-                continue
-            l = math.hypot(state.x[j] - x0, state.y[j] - y0)
-            if l <= reach * (1.0 + 1e-12):
-                nbrs.append((j, l))
-        total = sum((2.0 * r0 + state.r[j] - l) / r0 for j, l in nbrs)
+        total = _summed_overlap(state, near, i)
         if total > high:
             state.alive[i] = False
             changes += 1
         elif total < low:
             # gap directions come from the wider force neighborhood so the
             # insertion never aims at a bubble just beyond the 2 r0 window
-            wide = []
-            for j in grid.gather(x0, y0, 3.0 * r0):
-                if j != i and state.alive[j]:
-                    l = math.hypot(state.x[j] - x0, state.y[j] - y0)
-                    if l <= 3.0 * r0:
-                        wide.append(j)
+            wide = [j for j in near(x0, y0, 3.0 * r0)
+                    if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
             if wide:
                 angles = sorted(math.atan2(state.y[j] - y0, state.x[j] - x0) for j in wide)
                 gaps = [(angles[(k + 1) % len(angles)] - angles[k]) % (2.0 * math.pi)
@@ -534,20 +514,12 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
                     continue
             # block only severe collisions; milder crowding is the original
             # method's own churn and gets resolved by its delete branch
-            crowded = False
-            for j in grid.gather(nx, ny, r_new + grid.max_r):
-                if j == i or not state.alive[j]:
-                    continue
-                l = math.hypot(state.x[j] - nx, state.y[j] - ny)
-                if (r_new + state.r[j] - l) / min(r_new, state.r[j]) > 1.0:
-                    crowded = True
-                    break
-            if crowded:
+            if any((r_new + state.r[j] - math.hypot(state.x[j] - nx, state.y[j] - ny))
+                   / min(r_new, state.r[j]) > 1.0
+                   for j in near(nx, ny, r_new + max_r)):
                 continue
-            j_new = len(state.alive)
             state.append(nx, ny, r_new, MOBILE)
-            key = (int(math.floor(nx / grid.cell)), int(math.floor(ny / grid.cell)))
-            grid.table.setdefault(key, []).append(j_new)
+            near = _ball_query(state)
             changes += 1
     return changes
 
@@ -577,7 +549,8 @@ def qc_original(bubbles: list[Bubble], low: float = 5.0, high: float = 8.0,
 
 def _qc_boundary_region_state(state: RelaxState, anchor_ids: list[int],
                               threshold: float) -> int:
-    grid = UniformGrid(state)
+    near = _ball_query(state)
+    max_r = state.max_radius()
     anchor_set = set(anchor_ids)
     removed = 0
     for a in anchor_ids:
@@ -586,8 +559,9 @@ def _qc_boundary_region_state(state: RelaxState, anchor_ids: list[int],
         ra = state.r[a]
         xa, ya = state.x[a], state.y[a]
         hits = []
-        for j in grid.gather(xa, ya, ra + grid.max_r):
-            if j in anchor_set or not state.alive[j] or state.kind[j] != _KIND_CODE[MOBILE]:
+        # an overlap above the threshold needs l < ra + rj - threshold * min(ra, rj)
+        for j in near(xa, ya, ra + max_r + max(-threshold, 0.0) * ra):
+            if j in anchor_set or state.kind[j] != _KIND_CODE[MOBILE]:
                 continue
             l = math.hypot(state.x[j] - xa, state.y[j] - ya)
             ov = (ra + state.r[j] - l) / min(ra, state.r[j])
@@ -679,12 +653,16 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     if strategy == "new-qc":
         _qc_boundary_region_state(state, anchor_ids, qc_threshold)
 
+    # quantity control inserts radii interpolated from the anchors (which it
+    # never removes) or copied from a neighbor, so the largest alive radius
+    # cannot grow and wall cells sized now serve every sweep
+    walls = None if domain is None else _BoundaryProximity(domain, state.max_radius())
     anchors = [bubbles[i] for i in anchor_ids]
     history: list[float] = []
     qc_clean = strategy != "original-qc"
 
     for sweep in range(1, dyn.max_sweeps + 1):
-        max_f = relax_step(state, force, dyn, domain=domain)
+        max_f = relax_step(state, force, dyn, walls)
         ang = triangulation_min_angle(state.positions(), domain)
         trace.add(sweep, state.count, max_f, ang, time.perf_counter() - t0)
         history.append(ang)

@@ -6,8 +6,9 @@ import pytest
 
 from bubblemesh.delaunay import delaunay_triangulate
 from bubblemesh.geometry import point_in_polygon
-from bubblemesh.packing import (BOUNDARY, MOBILE, Bubble, PackingDomain,
-                                PackingError, interpolate_radius,
+from bubblemesh.packing import (BOUNDARY, MOBILE, SELF_OVERLAP_LIMIT,
+                                Bubble, PackingDomain, PackingError,
+                                _self_thin, interpolate_radius,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.relaxation import overlap_pairwise
 
@@ -179,6 +180,22 @@ class TestPackInterior:
         b = pack_interior_quadtree(domain, boundary)
         assert [(p.x, p.y, p.radius) for p in a] == [(p.x, p.y, p.radius) for p in b]
         assert all(p.kind == MOBILE for p in a)
+
+
+class TestSelfThin:
+    def test_matches_brute_force_greedy(self, rng):
+        # graded candidates: radii grow left to right, positions random
+        pts = rng.uniform(0.0, 6.0, size=(300, 2))
+        radii = 0.15 + 0.05 * pts[:, 0]
+        accepted = []
+        for k in range(len(pts)):
+            if all((radii[j] + radii[k] - math.hypot(*(pts[j] - pts[k])))
+                   / min(radii[j], radii[k]) <= SELF_OVERLAP_LIMIT for j in accepted):
+                accepted.append(k)
+        assert 0 < len(accepted) < len(pts)
+        kept, kept_r = _self_thin(pts, radii)
+        assert np.array_equal(kept, pts[accepted])
+        assert np.array_equal(kept_r, radii[accepted])
 
 
 class TestDomainValidation:

@@ -119,6 +119,38 @@ class TestRK4:
         assert state.x[2] == pytest.approx(x1[0], abs=1e-14)
         assert state.y[2] == pytest.approx(x1[1], abs=1e-14)
 
+    def test_graded_sweep_matches_sequential_oracle(self, rng):
+        # mixed radii exercise the per-pair force reach; the oracle sums
+        # pair_force over every alive bubble, each mobile bubble stepping
+        # in index order against the others' latest positions
+        n = 40
+        xy = rng.uniform(0.0, 3.5, size=(n, 2))
+        radii = rng.uniform(0.2, 0.5, size=n)
+        kinds = [MOBILE if k % 3 else BOUNDARY for k in range(n)]
+        bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
+        dyn = DynamicsParams()
+        state = RelaxState(bubbles)
+        relax_step(state, FORCE, dyn)
+
+        ref = [Bubble(b.x, b.y, b.radius, b.kind) for b in bubbles]
+        for i, b in enumerate(ref):
+            if b.kind != MOBILE:
+                continue
+
+            def net(x):
+                probe = Bubble(x[0], x[1], b.radius)
+                return sum((pair_force(probe, other, FORCE, i, j)
+                            for j, other in enumerate(ref) if j != i), np.zeros(2))
+
+            x1, _ = rk4_damped_step(np.array([b.x, b.y]), np.zeros(2), net,
+                                    dyn.m, dyn.c, dyn.dt)
+            b.x, b.y = x1
+        moved = sum(math.hypot(s - b.x, t - b.y) > 1e-3
+                    for s, t, b in zip(state.x, state.y, bubbles))
+        assert moved >= 10
+        assert state.x == pytest.approx([b.x for b in ref], abs=1e-12)
+        assert state.y == pytest.approx([b.y for b in ref], abs=1e-12)
+
 
 class TestRelaxStep:
     def test_equilibrium_is_fixed_point(self):
@@ -214,6 +246,17 @@ class TestQCOriginal:
         with pytest.raises(ValueError):
             qc_original([Bubble(0, 0, 0.5)], 8.0, 5.0)
 
+    def test_insertions_visible_within_pass(self):
+        # each under-dense bubble's only wide neighbor sits 1.2 away on its
+        # far side, so both aim their insertion at the origin; the second
+        # must see the first's insertion
+        bubbles = [Bubble(-2.2, 0.0, 0.5, BOUNDARY), Bubble(-1.0, 0.0, 0.5, MOBILE),
+                   Bubble(1.0, 0.0, 0.5, MOBILE), Bubble(2.2, 0.0, 0.5, BOUNDARY)]
+        out, changes = qc_original(bubbles, 5.0, 8.0)
+        at_origin = [b for b in out if math.hypot(b.x, b.y) < 1e-9]
+        assert changes >= 1
+        assert len(at_origin) == 1
+
     def test_tolerant_thresholds_change_less_on_graded_packing(self):
         # one pass over a graded packing: (4,10) must touch fewer bubbles
         # than (5,8)
@@ -270,6 +313,12 @@ class TestQCBoundaryRegion:
         # near overlap = 1.9 removed; far overlap = 0.8 kept
         assert len(out) == 2
         assert any(b.x == 0.6 for b in out)
+
+    def test_negative_threshold_reaches_separated_bubbles(self):
+        # overlap -0.4 exceeds a threshold of -0.5 although the disks are apart
+        anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY)]
+        out = qc_boundary_region(anchors + [Bubble(1.2, 0.0, 0.5, MOBILE)], anchors, -0.5)
+        assert len(out) == 1
 
 
 class TestRelaxUntilConverged:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ class TestFillGaps:
         flat = PlanarMesh(verts, np.array([[0, 1, 2]]))
         anchors = reconstruct_boundary_bubbles(flat)
         assert fill_gaps(flat, anchors) == []
+
+    def test_gapless_mesh_does_not_warn(self):
+        # finding no gap is gap filling's normal outcome, not a warning
+        flat = planar_flat(9, 5)
+        anchors = (reconstruct_boundary_bubbles(flat)
+                   + reconstruct_interior_bubbles(flat))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fill_gaps(flat, anchors) == []
 
     def test_stretched_center_gets_insertions(self):
         # flatten of a cap stretches the rim relative to the center; fillers
