@@ -123,20 +123,24 @@ def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:
 
 
 def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd test for an (n,2) array of query points."""
+    """Vectorized even-odd test for an (n,2) array of query points: each
+    point is tested against every edge at once, and is inside when the
+    number of edges crossed by its rightward ray is odd. Boundary points are
+    unreliable."""
     points = np.asarray(points, dtype=float)
-    px = points[:, 0]
-    py = points[:, 1]
+    pts = np.asarray(pts, dtype=float)
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x0, y0 = np.roll(pts, 1, axis=0).T
     inside = np.zeros(len(points), dtype=bool)
-    x0, y0 = pts[-1]
-    for x1, y1 in pts:
+    # points x edges temporaries, a bounded number of elements at a time
+    chunk = max(1, 1_000_000 // max(len(pts), 1))
+    for start in range(0, len(points), chunk):
+        px = points[start:start + chunk, :1]
+        py = points[start:start + chunk, 1:]
         crosses = (y1 > py) != (y0 > py)
-        if np.any(crosses):
-            t = (py[crosses] - y0) / (y1 - y0)
-            hits = px[crosses] < x0 + t * (x1 - x0)
-            idx = np.flatnonzero(crosses)[hits]
-            inside[idx] = ~inside[idx]
-        x0, y0 = x1, y1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = crosses & (px < x0 + (py - y0) / (y1 - y0) * (x1 - x0))
+        inside[start:start + chunk] = np.count_nonzero(hits, axis=1) % 2 == 1
     return inside
 
 

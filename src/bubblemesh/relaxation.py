@@ -2,7 +2,11 @@
 
 Each bubble obeys m x'' + c x' = f where f sums pairwise interaction forces;
 the ODE is integrated with classical RK4 one bubble at a time, all other
-bubbles frozen during that bubble's step. Two quantity-control strategies
+bubbles frozen during that bubble's step. A sweep runs these steps
+sequentially in colour order (multicolour Gauss-Seidel): the neighbour graph
+is coloured greedily so that no two bubbles of one colour interact, and each
+colour class then takes its RK4 step as one array operation, which equals
+stepping its members one after another. Two quantity-control strategies
 are provided: the original alternating insert/delete pass driven by a summed
 overlap ratio, and the boundary-region pass that prunes bubbles overlapping
 anchors once, before any relaxation.
@@ -120,13 +124,16 @@ def _cubic_coeffs(l0: float, k: float, f0: float):
     return c1, c2, c3
 
 
-def force_magnitude(l: float, l0: float, params: ForceParams) -> float:
-    """Signed radial force: positive repels, negative attracts, 0 beyond cutoff."""
-    if l >= params.cutoff * l0:
-        return 0.0
+_COINCIDENT = 1e-12  # centres closer than this push apart along a hashed direction
+
+
+def force_magnitude(l, l0, params: ForceParams):
+    """Signed radial force: positive repels, negative attracts, 0 beyond cutoff.
+    Takes scalars or equal-shape arrays of distances and rest lengths."""
     c1, c2, c3 = _cubic_coeffs(l0, params.k, params.f0)
     w = l / l0
-    return ((c3 * w + c2) * w + c1) * w + params.f0
+    return np.where(l >= params.cutoff * l0, 0.0,
+                    ((c3 * w + c2) * w + c1) * w + params.f0)
 
 
 def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
@@ -135,11 +142,28 @@ def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
     dx = b_i.x - b_j.x
     dy = b_i.y - b_j.y
     l = math.hypot(dx, dy)
-    if l < 1e-12:
+    if l < _COINCIDENT:
         ux, uy = hashed_unit_direction(i, j, seed)
         return np.array([params.f0 * ux, params.f0 * uy])
     mag = force_magnitude(l, b_i.radius + b_j.radius, params)
     return np.array([mag * dx / l, mag * dy / l])
+
+
+def _net_forces(dx, dy, l0, owner, count: int, i, j, params: ForceParams,
+                seed: int) -> np.ndarray:
+    """(count, 2) net forces: pair e adds the force that bubble j[e] exerts
+    on bubble i[e], at offset (dx[e], dy[e]) and rest length l0[e], to row
+    owner[e]; each row sums its pairs in the order given."""
+    l = np.sqrt(dx * dx + dy * dy)
+    coincident = l < _COINCIDENT
+    l = np.where(coincident, 1.0, l)
+    mag = force_magnitude(l, l0, params)
+    fx = mag * dx / l
+    fy = mag * dy / l
+    for e in np.flatnonzero(coincident).tolist():
+        fx[e], fy[e] = (params.f0 * u for u in hashed_unit_direction(int(i[e]), int(j[e]), seed))
+    return np.column_stack([np.bincount(owner, fx, count),
+                            np.bincount(owner, fy, count)])
 
 
 def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
@@ -164,50 +188,48 @@ def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
 # Simulation state and neighbor index
 
 class RelaxState:
-    """Mutable array-of-floats state for a bubble population."""
+    """Mutable bubble population as parallel numpy arrays in insertion
+    order; a removed bubble keeps its slot with `alive` False."""
 
     __slots__ = ("x", "y", "vx", "vy", "r", "kind", "alive", "seed")
 
     def __init__(self, bubbles: list[Bubble], seed: int = 0):
-        self.x = [float(b.x) for b in bubbles]
-        self.y = [float(b.y) for b in bubbles]
-        self.vx = [0.0] * len(bubbles)
-        self.vy = [0.0] * len(bubbles)
-        self.r = [float(b.radius) for b in bubbles]
-        self.kind = [_KIND_CODE[b.kind] for b in bubbles]
-        self.alive = [True] * len(bubbles)
+        self.x = np.array([b.x for b in bubbles], dtype=float)
+        self.y = np.array([b.y for b in bubbles], dtype=float)
+        self.vx = np.zeros(len(bubbles))
+        self.vy = np.zeros(len(bubbles))
+        self.r = np.array([b.radius for b in bubbles], dtype=float)
+        self.kind = np.array([_KIND_CODE[b.kind] for b in bubbles], dtype=int)
+        self.alive = np.ones(len(bubbles), dtype=bool)
         self.seed = seed
 
     def append(self, x, y, radius, kind=MOBILE):
-        self.x.append(float(x))
-        self.y.append(float(y))
-        self.vx.append(0.0)
-        self.vy.append(0.0)
-        self.r.append(float(radius))
-        self.kind.append(_KIND_CODE[kind])
-        self.alive.append(True)
+        for name, value in (("x", x), ("y", y), ("vx", 0.0), ("vy", 0.0),
+                            ("r", radius), ("kind", _KIND_CODE[kind]), ("alive", True)):
+            setattr(self, name, np.append(getattr(self, name), value))
 
-    def alive_indices(self) -> list[int]:
-        return [i for i, a in enumerate(self.alive) if a]
+    def alive_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.alive)
 
-    def mobile_indices(self) -> list[int]:
-        return [i for i, a in enumerate(self.alive) if a and self.kind[i] != 0]
+    def mobile_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.alive & (self.kind != _KIND_CODE[BOUNDARY]))
 
     @property
     def count(self) -> int:
-        return sum(self.alive)
+        return int(np.count_nonzero(self.alive))
 
     def to_bubbles(self) -> list[Bubble]:
-        return [Bubble(self.x[i], self.y[i], self.r[i], _KIND_NAME[self.kind[i]])
-                for i in self.alive_indices()]
+        idx = self.alive_indices()
+        return [Bubble(x, y, r, _KIND_NAME[k]) for x, y, r, k in
+                zip(*(a[idx].tolist() for a in (self.x, self.y, self.r, self.kind)))]
 
     def max_radius(self) -> float:
         """Largest alive radius (1.0 when no bubble is alive)."""
-        return max((self.r[i] for i in self.alive_indices()), default=1.0)
+        return float(self.r[self.alive].max()) if self.alive.any() else 1.0
 
     def positions(self, indices=None) -> np.ndarray:
         idx = self.alive_indices() if indices is None else indices
-        return np.array([[self.x[i], self.y[i]] for i in idx])
+        return np.column_stack([self.x[idx], self.y[idx]])
 
 
 # neighbor queries pad their radius so the k-d tree returns a superset;
@@ -218,8 +240,8 @@ _QUERY_PAD = 1.0 + 1e-9
 def _ball_query(state: RelaxState):
     """k-d tree over the alive bubbles: near(x, y, radius) returns, in
     ascending order, the still-alive indices within the padded radius."""
-    ids = np.flatnonzero(state.alive)
-    tree = cKDTree(state.positions(ids).reshape(-1, 2))
+    ids = state.alive_indices()
+    tree = cKDTree(state.positions(ids))
 
     def near(x: float, y: float, radius: float) -> list[int]:
         hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
@@ -235,7 +257,10 @@ WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
 class _BoundaryProximity:
     """Grid cells near the domain boundary, each holding the segment indices
     that pass close by, so wall checks touch only a handful of segments.
-    Cells are twice the largest bubble radius the checks will see."""
+    Cells are twice the largest bubble radius the checks will see. For the
+    vector check `slot` maps each cell of a dense grid to a row of `table`,
+    the cell's segment list padded with -1 to the longest list (-1 where
+    no segment passes)."""
 
     def __init__(self, domain: PackingDomain, max_radius: float):
         self.domain = domain
@@ -258,167 +283,156 @@ class _BoundaryProximity:
                         cells.setdefault((ix, iy), set()).add(si)
         self.cells = {key: sorted(v) for key, v in cells.items()}
 
-    def local_segments(self, x: float, y: float):
-        key = (int(math.floor(x / self.cell)), int(math.floor(y / self.cell)))
-        return self.cells.get(key)
+        # dense grid of cell rows with a border of empty cells, onto which
+        # clipped indices of far-away points land
+        keys = np.array(list(self.cells))
+        self.origin = keys.min(axis=0) - 1
+        self.slot = np.full(keys.max(axis=0) - self.origin + 2, -1)
+        self.slot[tuple((keys - self.origin).T)] = np.arange(len(keys))
+        self.last_cell = np.array(self.slot.shape) - 1
+        self.table = np.full((len(keys), max(map(len, self.cells.values()))), -1)
+        for row, segs in enumerate(self.cells.values()):
+            self.table[row, :len(segs)] = segs
+        # per segment: start, direction, squared length, length and inward
+        # (left) unit normal, in the scalar projection's arithmetic; a
+        # zero-length segment sends its bubbles to domain.project_inside
+        ax, ay, bx, by = self.segments.T
+        vx, vy = bx - ax, by - ay
+        length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.terms = np.stack([ax, ay, vx, vy, vx * vx + vy * vy, length,
+                                   -vy / length, vx / length])
 
-    def outside_bbox(self, x: float, y: float) -> bool:
+    def clamp(self, p: np.ndarray, radius: np.ndarray):
+        """Wall check of the bubbles at the rows of p (k,2): one that escaped
+        or hugs the wall is projected back to a full radius of clearance
+        from its nearest local segment (the first of equals), and one in a
+        cell no segment passes is projected only when outside the bbox.
+        Returns the corrected positions and the mask of projected rows."""
+        cell = np.floor(p / self.cell).astype(np.int64) - self.origin
+        cell = np.minimum(np.maximum(cell, 0), self.last_cell)
+        row = self.slot[cell[:, 0], cell[:, 1]]
         x0, y0, x1, y1 = self.bbox
-        return x < x0 or x > x1 or y < y0 or y > y1
+        project = (row < 0) & ((p < (x0, y0)) | (p > (x1, y1))).any(axis=1)
+        moved = project.copy()
+        out = p.copy()
 
-    def enforce_clearance(self, x: float, y: float, radius: float):
-        """Project a bubble that escaped or hugs the wall back to a full
-        radius of clearance; returns None when no correction is needed."""
-        local = self.local_segments(x, y)
-        if local is None:
-            if self.outside_bbox(x, y):
-                return self.domain.project_inside(x, y, radius)
-            return None
-        best_d2 = math.inf
-        best = None
-        for si in local:
-            ax, ay, bx, by = self.segments[si]
-            qx, qy, d2 = closest_point_on_segment(x, y, ax, ay, bx, by)
-            if d2 < best_d2:
-                best_d2 = d2
-                best = (qx, qy, ax, ay, bx, by)
-        if best is None:
-            return None
-        qx, qy, ax, ay, bx, by = best
-        clearance = WALL_CLEARANCE * radius
+        near = np.flatnonzero(row >= 0)
+        seg = self.table[row[near]]
+        ax, ay, vx, vy, denom = self.terms[:5, seg]
+        px, py = p[near, :1], p[near, 1:]
+        t = ((px - ax) * vx + (py - ay) * vy) / np.where(denom > 0.0, denom, 1.0)
+        t = np.where(denom > 0.0, np.minimum(1.0, np.maximum(0.0, t)), 0.0)
+        dx = px - (ax + t * vx)
+        dy = py - (ay + t * vy)
+        d2 = np.where(seg >= 0, dx * dx + dy * dy, np.inf)
+        pick = (np.arange(len(near)), np.argmin(d2, axis=1))
+        ax, ay, vx, vy, _, length, nx, ny = self.terms[:, seg[pick]]
+        t = t[pick]
+        px, py, r = p[near, 0], p[near, 1], radius[near]
+        clearance = WALL_CLEARANCE * r
         # interior is to the left of the nearest directed segment
-        inside = (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0
-        if best_d2 >= clearance * clearance and inside:
-            return None
-        ln = math.hypot(bx - ax, by - ay)
-        if ln <= 0.0:
-            return self.domain.project_inside(x, y, radius)
-        nx, ny = -(by - ay) / ln, (bx - ax) / ln
-        return qx + nx * radius, qy + ny * radius
+        inside = vx * (py - ay) - vy * (px - ax) > 0.0
+        fix = ~((d2[pick] >= clearance * clearance) & inside)
+        moved[near] = fix
+        degenerate = fix & ~(length > 0.0)
+        project[near[degenerate]] = True
+        fix &= ~degenerate
+        out[near[fix], 0] = (ax + t * vx + nx * r)[fix]
+        out[near[fix], 1] = (ay + t * vy + ny * r)[fix]
+        for i in np.flatnonzero(project).tolist():
+            out[i] = self.domain.project_inside(p[i, 0], p[i, 1], radius[i])
+        return out, moved
 
 
 # ---------------------------------------------------------------------------
 # One relaxation sweep
 
-def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
-               walls: _BoundaryProximity | None = None) -> float:
-    """Sequentially integrate every mobile bubble over one dt; returns the max
-    net-force magnitude observed at the bubbles' pre-step positions. With
-    `walls`, a bubble that ends its step without a radius of clearance from
-    the domain boundary is projected back and stopped."""
-    xs, ys, vxs, vys, rs = state.x, state.y, state.vx, state.vy, state.r
-    cutoff, k, f0 = force.cutoff, force.k, force.f0
-    m, c, dt = dyn.m, dyn.c, dyn.dt
-    seed = state.seed
-    sqrt = math.sqrt
-    mobile = state.mobile_indices()
-    alive = state.alive
-
-    # neighbor lists from start-of-sweep positions, with slack for the
-    # motion that happens during the sweep: every alive pair within its own
-    # force reach, found in one tree query and culled in one vector pass
+def _sweep_neighbors(state: RelaxState, cutoff: float):
+    """Directed pairs (i, j), i a mobile bubble and j any alive one within
+    the pair's force reach cutoff * (r_i + r_j) plus a slack for the motion
+    during the sweep, at start-of-sweep positions; sorted by i, then j.
+    One tree query and one vector cull."""
     r_max = state.max_radius()
     slack = 0.5 * r_max
-    ids = np.flatnonzero(alive)
-    px, py, pr = (np.asarray(v)[ids] for v in (xs, ys, rs))
+    ids = state.alive_indices()
+    px, py, pr = state.x[ids], state.y[ids], state.r[ids]
     a, b = cKDTree(np.column_stack([px, py])).query_pairs(
         (2.0 * cutoff * r_max + slack) * _QUERY_PAD, output_type="ndarray").T
     reach = cutoff * (pr[a] + pr[b]) + slack
     keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= reach * reach
-    src = ids[np.concatenate([a[keep], b[keep]])]
-    dst = ids[np.concatenate([b[keep], a[keep]])]
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order].tolist()
-    starts = np.searchsorted(src, mobile).tolist()
-    ends = np.searchsorted(src, mobile, side="right").tolist()
+    i = ids[np.concatenate([a[keep], b[keep]])]
+    j = ids[np.concatenate([b[keep], a[keep]])]
+    moving = state.kind[i] != _KIND_CODE[BOUNDARY]
+    i, j = i[moving], j[moving]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
-    two_thirds_f0 = (2.0 / 3.0) * f0
-    seven_thirds_f0 = (7.0 / 3.0) * f0
-    eight_thirds_f0 = (8.0 / 3.0) * f0
+
+def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Colour of every bubble slot, -1 unless alive and mobile: in ascending
+    index order, each mobile bubble takes the smallest colour that none of
+    its lower-index mobile neighbours (pairs (i, j) sorted by i) has taken."""
+    mobile = state.mobile_indices()
+    lower = (j < i) & (state.kind[j] != _KIND_CODE[BOUNDARY])
+    low_i, low_j = i[lower], j[lower].tolist()
+    starts = np.searchsorted(low_i, mobile).tolist()
+    taken_by: dict[int, int] = {}
+    for b, start, end in zip(mobile.tolist(), starts, starts[1:] + [len(low_j)]):
+        taken = 0
+        for n in low_j[start:end]:
+            taken |= 1 << taken_by[n]
+        taken_by[b] = (~taken & (taken + 1)).bit_length() - 1
+    colour = np.full(len(state.x), -1)
+    colour[mobile] = list(taken_by.values())
+    return colour
+
+
+def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
+               walls: _BoundaryProximity | None = None) -> float:
+    """Sequentially integrate every mobile bubble over one dt against its
+    neighbours' latest positions, in colour order; returns the max net-force
+    magnitude observed at the bubbles' pre-step positions. With `walls`, a
+    bubble that ends its step without a radius of clearance from the domain
+    boundary is projected back and stopped.
+
+    Neighbor lists come from start-of-sweep positions (`_sweep_neighbors`).
+    No two bubbles of one colour are neighbours, so each colour class takes
+    one RK4 step on (k,2) arrays, its members' forces summed per bubble in
+    ascending neighbour order: the same result as stepping them one by one.
+    """
+    x, y, r = state.x, state.y, state.r
+    i, j = _sweep_neighbors(state, force.cutoff)
+    colour = _greedy_colours(state, i, j)
+    pair_colour = colour[i]
     max_f = 0.0
+    for k in range(int(colour.max(initial=-1)) + 1):
+        members = np.flatnonzero(colour == k)
+        sel = pair_colour == k
+        ci, cj = i[sel], j[sel]
+        owner = np.searchsorted(members, ci)
+        l0 = r[ci] + r[cj]
+        xj, yj = x[cj], y[cj]
+        evaluations = []
 
-    for i, start, end in zip(mobile, starts, ends):
-        nbrs = dst[start:end]
-        ri = rs[i]
+        def net(p):
+            f = _net_forces(p[owner, 0] - xj, p[owner, 1] - yj, l0, owner,
+                            len(members), ci, cj, force, state.seed)
+            evaluations.append(f)
+            return f
 
-        def net(px, py):
-            fx = 0.0
-            fy = 0.0
-            for j in nbrs:
-                if not alive[j]:
-                    continue
-                dx = px - xs[j]
-                dy = py - ys[j]
-                l0 = ri + rs[j]
-                lc = cutoff * l0
-                l2 = dx * dx + dy * dy
-                if l2 >= lc * lc:
-                    continue
-                if l2 < 1e-24:
-                    ux, uy = hashed_unit_direction(i, j, seed)
-                    fx += f0 * ux
-                    fy += f0 * uy
-                    continue
-                l = sqrt(l2)
-                kl = k * l0
-                w = l / l0
-                mag = (((2.0 * kl - two_thirds_f0) * w
-                        + (seven_thirds_f0 - 5.0 * kl)) * w
-                       + (3.0 * kl - eight_thirds_f0)) * w + f0
-                s = mag / l
-                fx += dx * s
-                fy += dy * s
-            return fx, fy
-
-        x0, y0 = xs[i], ys[i]
-        vx0, vy0 = vxs[i], vys[i]
-
-        f1x, f1y = net(x0, y0)
-        fmag = sqrt(f1x * f1x + f1y * f1y)
-        if fmag > max_f:
-            max_f = fmag
-        a1x = (f1x - c * vx0) / m
-        a1y = (f1y - c * vy0) / m
-
-        k2x = vx0 + 0.5 * dt * a1x
-        k2y = vy0 + 0.5 * dt * a1y
-        f2x, f2y = net(x0 + 0.5 * dt * vx0, y0 + 0.5 * dt * vy0)
-        a2x = (f2x - c * k2x) / m
-        a2y = (f2y - c * k2y) / m
-
-        k3x = vx0 + 0.5 * dt * a2x
-        k3y = vy0 + 0.5 * dt * a2y
-        f3x, f3y = net(x0 + 0.5 * dt * k2x, y0 + 0.5 * dt * k2y)
-        a3x = (f3x - c * k3x) / m
-        a3y = (f3y - c * k3y) / m
-
-        k4x = vx0 + dt * a3x
-        k4y = vy0 + dt * a3y
-        f4x, f4y = net(x0 + dt * k3x, y0 + dt * k3y)
-        a4x = (f4x - c * k4x) / m
-        a4y = (f4y - c * k4y) / m
-
-        x1 = x0 + (dt / 6.0) * (vx0 + 2.0 * k2x + 2.0 * k3x + k4x)
-        y1 = y0 + (dt / 6.0) * (vy0 + 2.0 * k2y + 2.0 * k3y + k4y)
-        vx1 = vx0 + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        vy1 = vy0 + (dt / 6.0) * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
-
-        if not (math.isfinite(x1) and math.isfinite(y1)
-                and math.isfinite(vx1) and math.isfinite(vy1)):
+        p1, v1 = rk4_damped_step(state.positions(members),
+                                 np.column_stack([state.vx[members], state.vy[members]]),
+                                 net, dyn.m, dyn.c, dyn.dt)
+        f1 = evaluations[0]
+        max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
+        if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
             raise RelaxationError("dynamics diverged; reduce dt")
-
         if walls is not None:
-            corrected = walls.enforce_clearance(x1, y1, ri)
-            if corrected is not None:
-                x1, y1 = corrected
-                vx1 = vy1 = 0.0
-
-        xs[i] = x1
-        ys[i] = y1
-        vxs[i] = vx1
-        vys[i] = vy1
-
+            p1, stopped = walls.clamp(p1, r[members])
+            v1[stopped] = 0.0
+        x[members], y[members] = p1.T
+        state.vx[members], state.vy[members] = v1.T
     return max_f
 
 

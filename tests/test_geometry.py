@@ -64,6 +64,39 @@ def test_point_in_polygon_agrees_with_batch(rng):
     assert np.array_equal(batch, single)
 
 
+def points_in_polygon_edge_loop(points, pts):
+    """One vector pass per polygon edge, flipping the points it crosses:
+    the reference for the broadcast points_in_polygon."""
+    px = points[:, 0]
+    py = points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    x0, y0 = pts[-1]
+    for x1, y1 in pts:
+        crosses = (y1 > py) != (y0 > py)
+        if np.any(crosses):
+            t = (py[crosses] - y0) / (y1 - y0)
+            hits = px[crosses] < x0 + t * (x1 - x0)
+            idx = np.flatnonzero(crosses)[hits]
+            inside[idx] = ~inside[idx]
+        x0, y0 = x1, y1
+    return inside
+
+
+def test_points_in_polygon_matches_edge_loop(rng):
+    # a non-convex polygon with horizontal and vertical edges and a CW hole
+    # loop; the probes include every vertex and points on every edge
+    poly = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 1.5], [1.0, 3.0],
+                     [1.0, 4.0], [-1.0, 2.5]])
+    hole = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    for loop in (poly, hole):
+        on_edges = [a + t * (b - a) for a, b in zip(loop, np.roll(loop, -1, axis=0))
+                    for t in np.linspace(0.0, 1.0, 9)]
+        pts = np.concatenate([rng.uniform(-2.0, 5.0, size=(150_000, 2)), loop,
+                              np.array(on_edges), np.mgrid[-2:6, -2:6].reshape(2, -1).T])
+        assert np.array_equal(points_in_polygon(pts, loop),
+                              points_in_polygon_edge_loop(pts, loop))
+
+
 def test_hashed_direction_unit_and_stable():
     ux, uy = hashed_unit_direction(3, 7, seed=42)
     assert math.hypot(ux, uy) == 1.0 or abs(math.hypot(ux, uy) - 1.0) < 1e-15

@@ -3,17 +3,64 @@ import math
 import numpy as np
 import pytest
 
+from bubblemesh.geometry import closest_point_on_segment, hashed_unit_direction
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, pack_boundary,
                                 pack_interior_quadtree)
-from bubblemesh.relaxation import (ConvergenceTrace, DynamicsParams,
-                                   ForceParams, RelaxState, force_magnitude,
+from bubblemesh.relaxation import (WALL_CLEARANCE, ConvergenceTrace,
+                                   DynamicsParams, ForceParams, RelaxState,
+                                   _BoundaryProximity, _greedy_colours,
+                                   _sweep_neighbors, force_magnitude,
                                    overlap_original, overlap_pairwise,
                                    pair_force, qc_boundary_region, qc_original,
                                    relax_step, relax_until_converged,
                                    rk4_damped_step)
 
 FORCE = ForceParams(k=1.0, f0=1.0)
+
+
+def reach_colours(bubbles, cutoff):
+    """Brute-force greedy colouring in ascending index order. Two non-boundary
+    bubbles are neighbours when within a sweep's reach: cutoff * (r_i + r_j)
+    plus a slack of half the largest radius."""
+    slack = 0.5 * max(b.radius for b in bubbles)
+    colour = {}
+    for i, b in enumerate(bubbles):
+        if b.kind == BOUNDARY:
+            continue
+        taken = {c for j, c in colour.items()
+                 if math.hypot(b.x - bubbles[j].x, b.y - bubbles[j].y)
+                 <= cutoff * (b.radius + bubbles[j].radius) + slack}
+        colour[i] = min(set(range(len(taken) + 1)) - taken)
+    return colour
+
+
+def enforce_clearance(walls, x, y, radius):
+    """Scalar wall check of one bubble: the reference for the vector clamp.
+    Returns the corrected centre, or None when no correction is needed."""
+    local = walls.cells.get((int(math.floor(x / walls.cell)), int(math.floor(y / walls.cell))))
+    if local is None:
+        x0, y0, x1, y1 = walls.bbox
+        if x < x0 or x > x1 or y < y0 or y > y1:
+            return walls.domain.project_inside(x, y, radius)
+        return None
+    best_d2 = math.inf
+    for si in local:
+        ax, ay, bx, by = walls.segments[si]
+        qx, qy, d2 = closest_point_on_segment(x, y, ax, ay, bx, by)
+        if d2 < best_d2:
+            best_d2 = d2
+            best = (qx, qy, ax, ay, bx, by)
+    qx, qy, ax, ay, bx, by = best
+    clearance = WALL_CLEARANCE * radius
+    inside = (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0
+    if best_d2 >= clearance * clearance and inside:
+        return None
+    ln = math.hypot(bx - ax, by - ay)
+    if ln <= 0.0:
+        return walls.domain.project_inside(x, y, radius)
+    nx, ny = -(by - ay) / ln, (bx - ax) / ln
+    return qx + nx * radius, qy + ny * radius
 
 
 def hex_neighbors(n, r=0.5, center=(0.0, 0.0)):
@@ -122,7 +169,8 @@ class TestRK4:
     def test_graded_sweep_matches_sequential_oracle(self, rng):
         # mixed radii exercise the per-pair force reach; the oracle sums
         # pair_force over every alive bubble, each mobile bubble stepping
-        # in index order against the others' latest positions
+        # against the others' latest positions, in the order of its own
+        # greedy colouring: by colour, then by index
         n = 40
         xy = rng.uniform(0.0, 3.5, size=(n, 2))
         radii = rng.uniform(0.2, 0.5, size=n)
@@ -130,26 +178,75 @@ class TestRK4:
         bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
         dyn = DynamicsParams()
         state = RelaxState(bubbles)
-        relax_step(state, FORCE, dyn)
+        max_f = relax_step(state, FORCE, dyn)
 
         ref = [Bubble(b.x, b.y, b.radius, b.kind) for b in bubbles]
-        for i, b in enumerate(ref):
-            if b.kind != MOBILE:
-                continue
+        colour = reach_colours(bubbles, FORCE.cutoff)
+        ref_max_f = 0.0
+        for i in sorted(colour, key=lambda i: (colour[i], i)):
+            b = ref[i]
 
             def net(x):
                 probe = Bubble(x[0], x[1], b.radius)
                 return sum((pair_force(probe, other, FORCE, i, j)
                             for j, other in enumerate(ref) if j != i), np.zeros(2))
 
+            ref_max_f = max(ref_max_f, float(np.linalg.norm(net([b.x, b.y]))))
             x1, _ = rk4_damped_step(np.array([b.x, b.y]), np.zeros(2), net,
                                     dyn.m, dyn.c, dyn.dt)
             b.x, b.y = x1
+        assert max_f == pytest.approx(ref_max_f, abs=1e-12)
         moved = sum(math.hypot(s - b.x, t - b.y) > 1e-3
                     for s, t, b in zip(state.x, state.y, bubbles))
         assert moved >= 10
         assert state.x == pytest.approx([b.x for b in ref], abs=1e-12)
         assert state.y == pytest.approx([b.y for b in ref], abs=1e-12)
+
+    def test_colour_classes_hold_no_neighbours(self, rng):
+        # a colour class steps at once, so no two of its bubbles may lie
+        # within reach + slack of each other; the colouring is the greedy
+        # one in index order, and anchors move while boundary bubbles do not
+        n = 300
+        xy = rng.uniform(0.0, 8.0, size=(n, 2))
+        radii = rng.uniform(0.15, 0.5, size=n)
+        kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE, MOBILE)[k % 4] for k in range(n)]
+        bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
+        state = RelaxState(bubbles)
+        colour = _greedy_colours(state, *_sweep_neighbors(state, FORCE.cutoff))
+        expected = reach_colours(bubbles, FORCE.cutoff)
+        assert colour.tolist() == [expected.get(i, -1) for i in range(n)]
+        slack = 0.5 * radii.max()
+        for a in range(n):
+            for b in range(a + 1, n):
+                if colour[a] >= 0 and colour[a] == colour[b]:
+                    assert (math.hypot(*(xy[a] - xy[b]))
+                            > FORCE.cutoff * (radii[a] + radii[b]) + slack)
+        assert colour.max() >= 3
+
+    def test_coincident_pair_separates_along_hashed_direction(self):
+        # coincident centres push apart along the seeded hashed direction,
+        # as pair_force defines it; bubble 0 (colour 0) steps first
+        seed = 5
+        bubbles = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
+        dyn = DynamicsParams()
+        state = RelaxState(bubbles, seed=seed)
+        relax_step(state, FORCE, dyn)
+
+        ref = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
+        for i, j in ((0, 1), (1, 0)):
+            def net(x):
+                return pair_force(Bubble(x[0], x[1], 0.5), ref[j], FORCE, i, j, seed)
+
+            x1, _ = rk4_damped_step(np.array([ref[i].x, ref[i].y]), np.zeros(2), net,
+                                    dyn.m, dyn.c, dyn.dt)
+            ref[i].x, ref[i].y = x1
+        assert state.x == pytest.approx([b.x for b in ref], abs=1e-12)
+        assert state.y == pytest.approx([b.y for b in ref], abs=1e-12)
+        ux, uy = hashed_unit_direction(0, 1, seed)
+        dx, dy = state.x[0] - 2.0, state.y[0] - 2.0
+        assert dx * ux + dy * uy > 1e-3
+        assert abs(dx * uy - dy * ux) < 1e-12
+        assert math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0]) > 1e-3
 
 
 class TestRelaxStep:
@@ -183,6 +280,36 @@ class TestRelaxStep:
             relax_step(state, FORCE, DynamicsParams())
         d = math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0])
         assert d == pytest.approx(1.0, abs=0.05)
+
+
+    @pytest.mark.parametrize("outer", [
+        [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+        # a repeated vertex makes a zero-length first segment
+        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+    ])
+    def test_wall_clamp_matches_scalar_check(self, rng, outer):
+        hole = np.array([[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]])
+        domain = PackingDomain(outer=np.array(outer), holes=[hole])
+        walls = _BoundaryProximity(domain, 0.5)
+        corners = np.concatenate([domain.outer, hole])
+        on_walls = [a + t * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))
+                    for t in np.linspace(0.0, 1.0, 7)]
+        pts = np.concatenate([
+            rng.uniform(-2.0, 12.0, size=(3000, 2)),   # outside the bbox too
+            rng.uniform(3.5, 6.5, size=(300, 2)) * [1.0, 0.8],  # the hole's empty cells
+            corners, corners + 1e-9, corners - 0.3,
+            np.array(on_walls),
+            np.mgrid[-1:12, -1:10].reshape(2, -1).T * walls.cell,  # cell edges
+        ])
+        radii = rng.uniform(0.1, 0.5, size=len(pts))
+        out, moved = walls.clamp(pts, radii)
+        for (x, y), r, got, hit in zip(pts.tolist(), radii.tolist(), out, moved):
+            want = enforce_clearance(walls, x, y, r)
+            if want is None:
+                assert not hit and got.tolist() == [x, y]
+            else:
+                assert hit and got.tolist() == [float(want[0]), float(want[1])]
+        assert 0 < moved.sum() < len(pts)
 
 
 class TestOverlapOriginal:
@@ -352,6 +479,30 @@ class TestRelaxUntilConverged:
             runs.append((tuple((b.x, b.y, b.radius) for b in out),
                          tuple(r[:4] for r in trace.rows)))
         assert runs[0] == runs[1]
+
+    def test_original_qc_runs_repeat_exactly(self):
+        # quantity control inserts and deletes and the wall clamp acts, yet
+        # two runs end at the same positions bit for bit with the same trace
+        # apart from wall time
+        def sizing(x, y):
+            return 0.25 + 0.25 * min(abs(x - 3.0) / 3.0, 1.0)
+
+        outer = np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 4.0], [0.0, 4.0]])
+        hole = np.array([[2.5, 1.5], [2.5, 2.5], [3.5, 2.5], [3.5, 1.5]])
+        domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
+        boundary = pack_boundary(domain)
+        interior = pack_interior_quadtree(domain, boundary)
+        dyn = DynamicsParams(max_sweeps=30, force_tol=1e-9)
+        runs = []
+        for _ in range(2):
+            bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
+            out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
+                                               strategy="original-qc", qc_period=5, seed=3)
+            runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
+                         tuple(r[:4] for r in trace.rows)))
+        assert runs[0] == runs[1]
+        counts = {row[1] for row in runs[0][1]}
+        assert len(counts) > 1  # quantity control changed the population
 
     def test_energy_dissipation_proxy(self):
         # no QC, small dt: the decay envelope of the max net force (running
