@@ -4,6 +4,12 @@ anchor-based radius interpolation.
 Interior candidates come from a quadtree over rhombic (60-degree sheared)
 coordinates whose leaf corners tile a triangular lattice, so a uniformly
 sized region packs tangentially with vertex degree 6.
+
+A domain's sizing field is a callable `sizing(xs, ys) -> ndarray`: it takes
+equal-shape coordinate arrays (or scalars) and returns the bubble-radius
+bound at every point, as an array that broadcasts to their shape (a
+constant field may return a scalar). Packing evaluates it in batches, one
+call per quadtree level.
 """
 from __future__ import annotations
 
@@ -29,6 +35,11 @@ BOUNDARY_GAP_TOL = 0.1
 _SHEAR = (0.5, math.sqrt(3.0) / 2.0)  # second lattice basis vector
 _MAX_DEPTH = 24
 
+# largest (points x anchors) or (points x segments) block one vectorized
+# distance pass holds in memory; rows are independent, so the chunking
+# never changes a value
+_CHUNK_ELEMENTS = 200_000
+
 
 class PackingError(Exception):
     pass
@@ -47,11 +58,12 @@ class Bubble:
 @dataclass
 class PackingDomain:
     """Planar region bounded by a CCW outer polyline and CW hole polylines,
-    with a pointwise bubble-radius bound."""
+    with an array-valued bubble-radius bound `sizing(xs, ys) -> ndarray`."""
 
     outer: np.ndarray
     holes: list[np.ndarray] = field(default_factory=list)
-    sizing: Callable[[float, float], float] = lambda x, y: 1.0
+    sizing: Callable[[np.ndarray, np.ndarray], np.ndarray] = \
+        lambda x, y: np.ones(np.broadcast(x, y).shape)
 
     def __post_init__(self):
         self.outer = np.asarray(self.outer, dtype=float).reshape(-1, 2)
@@ -120,17 +132,17 @@ def interpolate_radius(x: float, y: float, anchors: list[Bubble],
     if r is None:
         r = rsum / wsum
     if bound is not None:
-        r = min(r, bound(x, y))
+        r = min(r, float(bound(x, y)))
     return r
 
 
 def _interpolate_radii_batch(points: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
-    """Vectorized inverse-square-distance interpolation for many points."""
+    """Vectorized inverse-square-distance interpolation at (n,2) points."""
     ax = np.array([a.x for a in anchors])
     ay = np.array([a.y for a in anchors])
     ar = np.array([a.radius for a in anchors])
     out = np.empty(len(points))
-    chunk = max(1, 2_000_000 // max(len(anchors), 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(anchors), 1))
     for start in range(0, len(points), chunk):
         p = points[start:start + chunk]
         d2 = (p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2
@@ -165,7 +177,7 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     out: list[Bubble] = []
     for loop in domain.loops():
         perimeter = polygon_perimeter(loop)
-        first_r = domain.sizing(float(loop[0, 0]), float(loop[0, 1]))
+        first_r = float(domain.sizing(float(loop[0, 0]), float(loop[0, 1])))
         if perimeter < 2.0 * first_r:
             raise PackingError("boundary too small for sizing")
         n = len(loop)
@@ -179,7 +191,7 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
         for i in range(n):
             ax, ay = loop[i]
             bx, by = loop[(i + 1) % n]
-            ra = domain.sizing(float(ax), float(ay))
+            ra = float(domain.sizing(float(ax), float(ay)))
             out.append(Bubble(float(ax), float(ay), ra, BOUNDARY))
             length, steps = edges[i]
             if length <= 0.0:
@@ -191,7 +203,7 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
                 s += step
                 px = float(ax) + ux * s
                 py = float(ay) + uy * s
-                out.append(Bubble(px, py, domain.sizing(px, py), BOUNDARY))
+                out.append(Bubble(px, py, float(domain.sizing(px, py)), BOUNDARY))
     return out
 
 
@@ -205,7 +217,7 @@ def _march_edge(domain, ax, ay, bx, by):
     uy = (by - ay) / length
 
     def radius_at(s: float) -> float:
-        return domain.sizing(ax + ux * s, ay + uy * s)
+        return float(domain.sizing(ax + ux * s, ay + uy * s))
 
     arcs = [0.0]
     while arcs[-1] < length and len(arcs) < 100000:
@@ -276,6 +288,37 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     if width <= 0 or height <= 0:
         warnings.warn("domain has empty interior")
         return []
+    pts = _quadtree_corners(domain)
+    keep = points_in_polygon(pts, domain.outer)
+    for h in domain.holes:
+        keep &= ~points_in_polygon(pts, h)
+    if anchors:
+        keep &= ~_inside_any_anchor(pts, anchors)
+    edge_eps = 1e-9 * math.hypot(width, height)
+    keep &= _segment_distances_sq(pts, domain.all_segments()) >= edge_eps ** 2
+    kept = pts[keep]
+
+    if not len(kept):
+        return _no_room(max_anchor_overlap)
+    bound = _sizing_at(domain, kept[:, 0], kept[:, 1])
+    radii = np.minimum(_interpolate_radii_batch(kept, anchors), bound) if anchors else bound
+    if anchors and max_anchor_overlap is not None:
+        ok = _anchor_overlap_below(kept, radii, anchors, max_anchor_overlap)
+        kept = kept[ok]
+        radii = radii[ok]
+    kept, radii = _self_thin(kept, radii)
+    if not len(kept):
+        return _no_room(max_anchor_overlap)
+    return [Bubble(float(px), float(py), float(r), MOBILE)
+            for (px, py), r in zip(kept, radii)]
+
+
+def _quadtree_corners(domain: PackingDomain) -> np.ndarray:
+    """(n,2) leaf corners of the rhombic quadtree over the domain's bbox, in
+    the order a depth-first traversal first reaches them."""
+    lo, hi = domain.bbox()
+    width = float(hi[0] - lo[0])
+    height = float(hi[1] - lo[1])
     # sheared cover of the bbox; the small irrational-looking pad keeps
     # lattice points off exact boundary coordinates. The origin shifts left
     # by the shear of the topmost row so every row spans the full width.
@@ -288,84 +331,79 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     # snap the root to a power-of-two multiple of the coarsest tangent
     # spacing so uniform regions pack exactly tangent instead of landing at
     # an arbitrary point of the halving sequence
-    probe = np.linspace(0.0, 1.0, 5)
-    rb_ref = max(domain.sizing(float(lo[0] + tx * width), float(lo[1] + ty * height))
-                 for tx in probe for ty in probe)
+    tx, ty = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    rb_ref = float(_sizing_at(domain, lo[0] + tx * width, lo[1] + ty * height).max())
     spacing = 2.0 * rb_ref
     size = spacing * 2.0 ** max(0, math.ceil(math.log2(size / spacing)))
 
     # integer cell coordinates: cell (i, j) at depth d spans
     # [i, i+1] x [j, j+1] in units of size / 2^d; corners are deduplicated
     # on the integer lattice at _MAX_DEPTH so shared corners coincide exactly
-    unit = size / 2.0 ** _MAX_DEPTH
-    corners: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def emit(i: int, j: int, d: int):
-        key = (i << (_MAX_DEPTH - d), j << (_MAX_DEPTH - d))
-        if key not in corners:
-            p = key[0] * unit
-            q = key[1] * unit
-            corners[key] = (ox + p + _SHEAR[0] * q, oy + _SHEAR[1] * q)
-
     bx0, by0 = float(lo[0]), float(lo[1])
     bx1, by1 = float(hi[0]), float(hi[1])
-
-    def recurse(i: int, j: int, d: int):
+    i = j = np.zeros(1, dtype=np.int64)
+    leaf_i, leaf_j, leaf_step = [], [], []
+    # depth by depth over every live cell, one sizing call per depth
+    for d in range(_MAX_DEPTH + 1):
         s = size / 2.0 ** d
         p = i * s
         q = j * s
         # physical parallelogram bbox of the cell, pruned against domain bbox
         xs = ox + p + _SHEAR[0] * q
         ys = oy + _SHEAR[1] * q
-        if xs > bx1 or xs + 1.5 * s < bx0 or ys > by1 or ys + _SHEAR[1] * s < by0:
-            return
+        live = ~((xs > bx1) | (xs + 1.5 * s < bx0) | (ys > by1) | (ys + _SHEAR[1] * s < by0))
+        i, j, xs, ys = i[live], j[live], xs[live], ys[live]
+        if not len(i):
+            break
         cx = xs + 0.5 * s + _SHEAR[0] * 0.5 * s
         cy = ys + _SHEAR[1] * 0.5 * s
         # conservative bound: the finest demand anywhere in the cell governs,
         # so steep grading bands never underfill (excess density is the
         # quantity control's job; a deficit cannot be repaired)
-        rb = min(domain.sizing(cx, cy),
-                 domain.sizing(xs, ys),
-                 domain.sizing(xs + s, ys),
-                 domain.sizing(xs + _SHEAR[0] * s, ys + _SHEAR[1] * s),
-                 domain.sizing(xs + (1.0 + _SHEAR[0]) * s, ys + _SHEAR[1] * s))
-        if s > 2.0 * rb and d < _MAX_DEPTH:
-            recurse(2 * i, 2 * j, d + 1)
-            recurse(2 * i + 1, 2 * j, d + 1)
-            recurse(2 * i, 2 * j + 1, d + 1)
-            recurse(2 * i + 1, 2 * j + 1, d + 1)
-        else:
-            emit(i, j, d)
-            emit(i + 1, j, d)
-            emit(i, j + 1, d)
-            emit(i + 1, j + 1, d)
+        rb = _sizing_at(domain,
+                        np.stack([cx, xs, xs + s, xs + _SHEAR[0] * s,
+                                  xs + (1.0 + _SHEAR[0]) * s]),
+                        np.stack([cy, ys, ys, ys + _SHEAR[1] * s,
+                                  ys + _SHEAR[1] * s])).min(axis=0)
+        split = (s > 2.0 * rb) & (d < _MAX_DEPTH)
+        shift = _MAX_DEPTH - d
+        leaf_i.append(i[~split] << shift)
+        leaf_j.append(j[~split] << shift)
+        leaf_step.append(np.full(np.count_nonzero(~split), 1 << shift))
+        i, j = 2 * i[split], 2 * j[split]
+        i, j = np.concatenate([i, i + 1, i, i + 1]), np.concatenate([j, j, j + 1, j + 1])
 
-    recurse(0, 0, 0)
+    # leaves in depth-first order: children (2i, 2j), (2i+1, 2j), (2i, 2j+1),
+    # (2i+1, 2j+1) make it the Morton order of the leaves' lattice corners,
+    # i on the even bits. Lattice order matters: _self_thin is greedy in it.
+    leaf_i, leaf_j, leaf_step = map(np.concatenate, (leaf_i, leaf_j, leaf_step))
+    order = np.argsort(_morton(leaf_i, leaf_j), kind="stable")
+    leaf_i, leaf_j, leaf_step = leaf_i[order], leaf_j[order], leaf_step[order]
+    # corners (i, j), (i+1, j), (i, j+1), (i+1, j+1) of each leaf, first
+    # occurrences kept
+    ki = np.column_stack([leaf_i, leaf_i + leaf_step, leaf_i, leaf_i + leaf_step]).ravel()
+    kj = np.column_stack([leaf_j, leaf_j, leaf_j + leaf_step, leaf_j + leaf_step]).ravel()
+    _, first = np.unique(ki << (_MAX_DEPTH + 1) | kj, return_index=True)
+    first.sort()
+    unit = size / 2.0 ** _MAX_DEPTH
+    p = ki[first] * unit
+    q = kj[first] * unit
+    return np.column_stack([ox + p + _SHEAR[0] * q, oy + _SHEAR[1] * q])
 
-    pts = np.array(list(corners.values()))
-    keep = points_in_polygon(pts, domain.outer)
-    for h in domain.holes:
-        keep &= ~points_in_polygon(pts, h)
-    if anchors:
-        keep &= ~_inside_any_anchor(pts, anchors)
-    edge_eps = 1e-9 * math.hypot(width, height)
-    keep &= _segment_distances_sq(pts, domain.all_segments()) >= edge_eps ** 2
-    kept = pts[keep]
 
-    if not len(kept):
-        return _no_room(max_anchor_overlap)
-    radii = _interpolate_radii_batch(kept, anchors) if anchors else \
-        np.array([domain.sizing(float(p[0]), float(p[1])) for p in kept])
-    radii = np.minimum(radii, [domain.sizing(float(p[0]), float(p[1])) for p in kept])
-    if anchors and max_anchor_overlap is not None:
-        ok = _anchor_overlap_below(kept, radii, anchors, max_anchor_overlap)
-        kept = kept[ok]
-        radii = radii[ok]
-    kept, radii = _self_thin(kept, radii)
-    if not len(kept):
-        return _no_room(max_anchor_overlap)
-    return [Bubble(float(px), float(py), float(r), MOBILE)
-            for (px, py), r in zip(kept, radii)]
+def _sizing_at(domain: PackingDomain, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The domain's sizing field at equal-shape points, broadcast to their
+    shape (a constant field may return a scalar)."""
+    return np.broadcast_to(domain.sizing(xs, ys), np.shape(xs))
+
+
+def _morton(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Interleaved bits of non-negative integers below 2**_MAX_DEPTH:
+    bit b of i goes to bit 2b, bit b of j to bit 2b + 1."""
+    code = np.zeros(len(i), dtype=np.int64)
+    for b in range(_MAX_DEPTH):
+        code |= ((i >> b) & 1) << (2 * b) | ((j >> b) & 1) << (2 * b + 1)
+    return code
 
 
 def _no_room(max_anchor_overlap: float | None) -> list[Bubble]:
@@ -409,7 +447,7 @@ def _anchor_overlap_below(pts: np.ndarray, radii: np.ndarray,
     ay = np.array([a.y for a in anchors])
     ar = np.array([a.radius for a in anchors])
     ok = np.ones(len(pts), dtype=bool)
-    chunk = max(1, 2_000_000 // len(anchors))
+    chunk = max(1, _CHUNK_ELEMENTS // len(anchors))
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
         r = radii[start:start + chunk]
@@ -424,7 +462,7 @@ def _inside_any_anchor(pts: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
     ay = np.array([a.y for a in anchors])
     ar2 = np.array([a.radius for a in anchors]) ** 2
     hit = np.zeros(len(pts), dtype=bool)
-    chunk = max(1, 2_000_000 // len(anchors))
+    chunk = max(1, _CHUNK_ELEMENTS // len(anchors))
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
         d2 = (p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2
@@ -438,7 +476,7 @@ def _segment_distances_sq(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
     v = segs[:, 2:4] - a
     vv = np.maximum((v * v).sum(axis=1), 1e-300)
     best = np.full(len(pts), np.inf)
-    chunk = max(1, 2_000_000 // max(len(segs), 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(segs), 1))
     for start in range(0, len(pts), chunk):
         p = pts[start:start + chunk]
         w = p[:, None, :] - a[None, :, :]

@@ -51,9 +51,12 @@ def plane_domain(cfg: PipelineConfig) -> PackingDomain:
         hole_arr = np.array(cfg.holes)
 
         def sizing(x, y):
+            # holes along a trailing axis
+            x = np.asarray(x, dtype=float)[..., None]
+            y = np.asarray(y, dtype=float)[..., None]
             d = np.sqrt((hole_arr[:, 0] - x) ** 2 + (hole_arr[:, 1] - y) ** 2) - hole_arr[:, 2]
-            dist = max(float(d.min()), 0.0)
-            t = min(dist / cfg.grade_band, 1.0)
+            dist = np.maximum(d.min(axis=-1), 0.0)
+            t = np.minimum(dist / cfg.grade_band, 1.0)
             return cfg.r_min + (cfg.r_max - cfg.r_min) * t
     else:
         def sizing(x, y):

@@ -70,12 +70,18 @@ class DynamicsParams:
 
 
 class ConvergenceTrace:
-    """Per-sweep record: bubble count, max net force, min mesh angle, wall time."""
+    """Per-sweep record: bubble count, max net force, min mesh angle, wall time.
+
+    `stop_reason` says why the relaxation ended: "force" (max net force
+    under tolerance), "stall" (min angle flat over the stall window) or
+    "sweep-cap" (neither before max_sweeps; not converged).
+    """
 
     def __init__(self):
         self.rows: list[tuple[int, int, float, float, float]] = []
         self.converged = False
         self.converged_sweep: int | None = None
+        self.stop_reason = "sweep-cap"
 
     def add(self, sweep, count, max_force, min_angle, elapsed):
         self.rows.append((int(sweep), int(count), float(max_force),
@@ -687,11 +693,12 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             if changes:
                 history.clear()
 
-        converged = max_f < dyn.force_tol
-        if not converged and len(history) >= dyn.stall_window:
+        reason = "force" if max_f < dyn.force_tol else None
+        if reason is None and len(history) >= dyn.stall_window:
             window = history[-dyn.stall_window:]
-            converged = (max(window) - min(window)) < dyn.stall_angle
-        if converged:
+            if (max(window) - min(window)) < dyn.stall_angle:
+                reason = "stall"
+        if reason:
             if strategy == "original-qc" and not qc_clean:
                 changes = _qc_original_state(state, qc_low, qc_high, anchors, domain)
                 qc_clean = changes == 0
@@ -700,6 +707,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                     continue
             trace.converged = True
             trace.converged_sweep = sweep
+            trace.stop_reason = reason
             break
 
     return state.to_bubbles(), trace

@@ -13,7 +13,7 @@ from .config import PipelineConfig, relax_params
 from .delaunay import delaunay_triangulate
 from .mesh import MeshError, PlanarMesh
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, Bubble, PackingDomain,
-                      pack_interior_quadtree)
+                      _interpolate_radii_batch, pack_interior_quadtree)
 from .relaxation import ConvergenceTrace, relax_until_converged
 
 
@@ -70,18 +70,12 @@ def reconstruct_interior_bubbles(flat: PlanarMesh) -> list[Bubble]:
 
 
 def anchor_sizing(anchors: list[Bubble]):
-    """Inverse-square-distance interpolation of anchor radii as a sizing field."""
-    ax = np.array([a.x for a in anchors])
-    ay = np.array([a.y for a in anchors])
-    ar = np.array([a.radius for a in anchors])
-
-    def bound(x: float, y: float) -> float:
-        d2 = (ax - x) ** 2 + (ay - y) ** 2
-        j = int(np.argmin(d2))
-        if d2[j] < 1e-24:
-            return float(ar[j])
-        w = 1.0 / d2
-        return float((w * ar).sum() / w.sum())
+    """Inverse-square-distance interpolation of anchor radii as a sizing
+    field `bound(xs, ys)` over equal-shape arrays (or scalars)."""
+    def bound(x, y) -> np.ndarray:
+        x, y = np.broadcast_arrays(x, y)
+        pts = np.column_stack([np.ravel(x), np.ravel(y)])
+        return _interpolate_radii_batch(pts, anchors).reshape(x.shape)
 
     return bound
 

@@ -3,6 +3,10 @@
 The chord-error tolerance maps to a maximum 3D edge length through the
 normal curvature; the Jacobian's largest singular value converts that
 length into the parametric domain, where it caps the bubble radius.
+
+Every function below takes (u, v) as scalars or as equal-shape arrays and
+returns values of their shape, computed point by point in the same
+floating-point operations: a batch gives exactly the scalar results.
 """
 from __future__ import annotations
 
@@ -40,77 +44,94 @@ def g_of_eps(epsilon: float) -> float:
     return (1.0 - epsilon) * math.sqrt(40.0 * (1.0 - math.sqrt(1.0 - 1.2 * epsilon)))
 
 
+def _dot(a, b):
+    """Row-wise dot products of (..., 3) arrays. A (1,3) @ (3,1) product per
+    row runs the same dot kernel as np.dot on one pair of 3-vectors, so a
+    batch reproduces the pointwise values bit for bit (an elementwise sum
+    or einsum rounds differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _require_regular(bad, u, v) -> None:
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        u, v = (np.broadcast_to(t, np.shape(bad)).flat[k] for t in (u, v))
+        raise SizingError(f"irregular surface point at (u,v)=({u},{v})")
+
+
 def fundamental_forms(surface, u, v):
     """First (E,F,G) and second (L,M,N) fundamental form coefficients."""
     fu = surface.du(u, v)
     fv = surface.dv(u, v)
-    E = float(np.dot(fu, fu))
-    F = float(np.dot(fu, fv))
-    G = float(np.dot(fv, fv))
+    E = _dot(fu, fu)
+    F = _dot(fu, fv)
+    G = _dot(fv, fv)
     n = np.cross(fu, fv)
-    nn = np.linalg.norm(n)
-    if nn * nn <= _REGULARITY_TOL * max(E * G, 1e-300):
-        raise SizingError(f"irregular surface point at (u,v)=({u},{v})")
-    n = n / nn
-    L = float(np.dot(surface.duu(u, v), n))
-    M = float(np.dot(surface.duv(u, v), n))
-    N = float(np.dot(surface.dvv(u, v), n))
+    nn = np.sqrt(_dot(n, n))
+    _require_regular(nn * nn <= _REGULARITY_TOL * np.maximum(E * G, 1e-300), u, v)
+    n = n / nn[..., None]
+    L = _dot(surface.duu(u, v), n)
+    M = _dot(surface.duv(u, v), n)
+    N = _dot(surface.dvv(u, v), n)
     return E, F, G, L, M, N
 
 
-def principal_curvatures(surface, u, v) -> tuple[float, float]:
+def principal_curvatures(surface, u, v):
     """Principal curvatures from the fundamental-form eigenproblem."""
     E, F, G, L, M, N = fundamental_forms(surface, u, v)
     a = E * G - F * F
     b = E * N + G * L - 2.0 * F * M
     c = L * N - M * M
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    root = math.sqrt(disc)
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
     return (b + root) / (2.0 * a), (b - root) / (2.0 * a)
 
 
-def max_normal_curvature(surface, u, v) -> float:
+def max_normal_curvature(surface, u, v):
     """Largest principal curvature magnitude (sizing treats curvature as a magnitude)."""
     k1, k2 = principal_curvatures(surface, u, v)
-    return max(abs(k1), abs(k2))
+    return np.maximum(np.abs(k1), np.abs(k2))
 
 
-def allowable_edge_3d(surface, u, v, params: SizingParams) -> float:
+def allowable_edge_3d(surface, u, v, params: SizingParams):
     """Maximum allowable 3D edge length g(eps)/kappa_max; +inf on flat points."""
     kappa = max_normal_curvature(surface, u, v)
-    if kappa == 0.0:
-        return math.inf
-    return g_of_eps(params.epsilon) / kappa
+    with np.errstate(divide="ignore"):
+        return g_of_eps(params.epsilon) / kappa
 
 
 def jacobian(surface, u, v) -> np.ndarray:
-    return np.column_stack([surface.du(u, v), surface.dv(u, v)])
+    """(..., 3, 2) Jacobian of the surface map."""
+    return np.stack([surface.du(u, v), surface.dv(u, v)], axis=-1)
 
 
-def sigma1(surface, u, v) -> float:
-    """Largest singular value of the 3x2 Jacobian of the surface map."""
-    s = np.linalg.svd(jacobian(surface, u, v), compute_uv=False)
-    if s[0] <= 0.0 or s[0] * s[0] <= _REGULARITY_TOL:
-        raise SizingError(f"irregular surface point at (u,v)=({u},{v})")
-    return float(s[0])
+def sigma1(surface, u, v):
+    """Largest singular value of the 3x2 Jacobian of the surface map.
+
+    One batched SVD, which runs the per-matrix LAPACK routine point by
+    point; the closed form sqrt of the largest eigenvalue of the first
+    fundamental form differs in the last bits, which the discriminant's
+    square root in the curvature amplifies at umbilic points."""
+    s = np.linalg.svd(jacobian(surface, u, v), compute_uv=False)[..., 0]
+    _require_regular((s <= 0.0) | (s * s <= _REGULARITY_TOL), u, v)
+    return s
 
 
-def radius_bound(surface, u, v, params: SizingParams) -> float:
+def radius_bound(surface, u, v, params: SizingParams):
     """Maximum bubble radius in parameter units: clamp(l_p/sigma1, 2 r_min, 2 r_max)/2."""
-    lp = allowable_edge_3d(surface, u, v, params)
-    s1 = sigma1(surface, u, v)
-    lp_param = lp / s1 if math.isfinite(lp) else math.inf
-    return min(max(lp_param, 2.0 * params.r_min), 2.0 * params.r_max) / 2.0
+    lp_param = allowable_edge_3d(surface, u, v, params) / sigma1(surface, u, v)
+    return np.minimum(np.maximum(lp_param, 2.0 * params.r_min), 2.0 * params.r_max) / 2.0
 
 
 def radius_bound_evaluator(surface, params: SizingParams):
-    """Pointwise radius-bound callable over the surface's parametric rectangle.
+    """Radius-bound sizing field over the surface's parametric rectangle:
+    `bound(xs, ys)` takes equal-shape arrays (or scalars) and returns the
+    bound at every point as an array of their shape.
 
     Points outside the rectangle are clipped onto it, so packing structures
     that probe slightly beyond the domain stay well-defined.
     """
-    def bound(x: float, y: float) -> float:
+    def bound(x, y) -> np.ndarray:
         u, v = surface.clip(x, y)
-        return radius_bound(surface, float(u), float(v), params)
+        return radius_bound(surface, u, v, params)
 
     return bound

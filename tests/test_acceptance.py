@@ -154,25 +154,29 @@ def test_criterion_4_threshold_sensitivity():
         r_min=0.13, r_max=0.4, graded=True, grade_band=3.5, max_sweeps=1000)
     domain, bubbles = compare_initial_bubbles(base)
 
-    orig_sweeps = {}
+    orig_sweeps, orig_stops = {}, {}
     for low, high in ((5.0, 8.0), (4.0, 10.0), (4.5, 9.0)):
         cfg = replace(base, qc_low=low, qc_high=high)
         _, trace = _relax(cfg, domain, [replace(b) for b in bubbles],
                           strategy="original-qc")
         orig_sweeps[(low, high)] = trace.sweeps
-    new_sweeps = {}
+        orig_stops[(low, high)] = trace.stop_reason
+    new_sweeps, new_stops = {}, {}
     for thr in (1.0, 1.2):
         cfg = replace(base, qc_threshold=thr)
         _, trace = _relax(cfg, domain, [replace(b) for b in bubbles],
                           strategy="new-qc")
         new_sweeps[thr] = trace.sweeps
+        new_stops[thr] = trace.stop_reason
 
     orig_ratio = max(orig_sweeps.values()) / min(orig_sweeps.values())
     new_spread = (max(new_sweeps.values()) - min(new_sweeps.values())) / min(new_sweeps.values())
     ok = orig_ratio >= 2.0 and new_spread < 0.20
     report_line("criterion 4 (threshold sensitivity)", ok,
-                f"original sweeps {orig_sweeps} (max/min {orig_ratio:.2f}, need >= 2); "
-                f"new sweeps {new_sweeps} (spread {100 * new_spread:.1f}%, need < 20%)")
+                f"original sweeps {orig_sweeps} (max/min {orig_ratio:.2f}, need >= 2), "
+                f"stopped by {orig_stops}; "
+                f"new sweeps {new_sweeps} (spread {100 * new_spread:.1f}%, need < 20%), "
+                f"stopped by {new_stops}")
     assert orig_ratio >= 2.0
     assert new_spread < 0.20
     # the tight thresholds take at least twice as many sweeps as the

@@ -4,13 +4,25 @@ import warnings
 import numpy as np
 import pytest
 
+from bubblemesh import packing
+from bubblemesh.conformal import flatten
 from bubblemesh.delaunay import delaunay_triangulate
 from bubblemesh.geometry import point_in_polygon
-from bubblemesh.packing import (BOUNDARY, MOBILE, SELF_OVERLAP_LIMIT,
-                                Bubble, PackingDomain, PackingError,
+from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, BOUNDARY, MOBILE,
+                                SELF_OVERLAP_LIMIT, Bubble, PackingDomain,
+                                PackingError, _anchor_overlap_below,
+                                _inside_any_anchor, _interpolate_radii_batch,
+                                _quadtree_corners, _segment_distances_sq,
                                 _self_thin, interpolate_radius,
                                 pack_boundary, pack_interior_quadtree)
+from bubblemesh.pipeline import PipelineConfig, plane_domain
 from bubblemesh.relaxation import overlap_pairwise
+from bubblemesh.remesh import (flat_domain, reconstruct_boundary_bubbles,
+                               reconstruct_interior_bubbles)
+from bubblemesh.sizing import SizingParams, radius_bound_evaluator
+from bubblemesh.surfaces import sphere_patch
+
+from conftest import cap_mesh
 
 
 def square_domain(side=10.0, radius=0.5):
@@ -163,7 +175,7 @@ class TestPackInterior:
 
     def test_graded_respects_bound(self):
         def sizing(x, y):
-            return 0.2 + 0.08 * math.hypot(x - 5.0, y - 5.0)
+            return 0.2 + 0.08 * np.hypot(x - 5.0, y - 5.0)
 
         outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
         domain = PackingDomain(outer=outer, holes=[], sizing=sizing)
@@ -180,6 +192,134 @@ class TestPackInterior:
         b = pack_interior_quadtree(domain, boundary)
         assert [(p.x, p.y, p.radius) for p in a] == [(p.x, p.y, p.radius) for p in b]
         assert all(p.kind == MOBILE for p in a)
+
+
+def recursive_corners(domain):
+    """The quadtree as a depth-first recursion with one scalar sizing call
+    per probe, corners deduplicated in a dict in emission order: the oracle
+    for the level-by-level `_quadtree_corners`. Returns the corners and the
+    (n,2) probe points."""
+    probes = []
+
+    def sizing(x, y):
+        probes.append((x, y))
+        return float(domain.sizing(x, y))
+
+    lo, hi = domain.bbox()
+    width = float(hi[0] - lo[0])
+    height = float(hi[1] - lo[1])
+    pad = 0.013761 * max(width, height)
+    shear_reach = (height + 2 * pad) / math.sqrt(3.0)
+    ox = float(lo[0]) - pad - shear_reach
+    oy = float(lo[1]) - pad
+    size = max(width + 2 * pad + shear_reach,
+               (height + 2 * pad) * 2.0 / math.sqrt(3.0))
+    probe = np.linspace(0.0, 1.0, 5)
+    rb_ref = max(sizing(float(lo[0] + tx * width), float(lo[1] + ty * height))
+                 for tx in probe for ty in probe)
+    spacing = 2.0 * rb_ref
+    size = spacing * 2.0 ** max(0, math.ceil(math.log2(size / spacing)))
+    unit = size / 2.0 ** _MAX_DEPTH
+    corners = {}
+    bx0, by0 = float(lo[0]), float(lo[1])
+    bx1, by1 = float(hi[0]), float(hi[1])
+
+    def emit(i, j, d):
+        key = (i << (_MAX_DEPTH - d), j << (_MAX_DEPTH - d))
+        if key not in corners:
+            p = key[0] * unit
+            q = key[1] * unit
+            corners[key] = (ox + p + _SHEAR[0] * q, oy + _SHEAR[1] * q)
+
+    def recurse(i, j, d):
+        s = size / 2.0 ** d
+        p = i * s
+        q = j * s
+        xs = ox + p + _SHEAR[0] * q
+        ys = oy + _SHEAR[1] * q
+        if xs > bx1 or xs + 1.5 * s < bx0 or ys > by1 or ys + _SHEAR[1] * s < by0:
+            return
+        cx = xs + 0.5 * s + _SHEAR[0] * 0.5 * s
+        cy = ys + _SHEAR[1] * 0.5 * s
+        rb = min(sizing(cx, cy),
+                 sizing(xs, ys),
+                 sizing(xs + s, ys),
+                 sizing(xs + _SHEAR[0] * s, ys + _SHEAR[1] * s),
+                 sizing(xs + (1.0 + _SHEAR[0]) * s, ys + _SHEAR[1] * s))
+        if s > 2.0 * rb and d < _MAX_DEPTH:
+            recurse(2 * i, 2 * j, d + 1)
+            recurse(2 * i + 1, 2 * j, d + 1)
+            recurse(2 * i, 2 * j + 1, d + 1)
+            recurse(2 * i + 1, 2 * j + 1, d + 1)
+        else:
+            emit(i, j, d)
+            emit(i + 1, j, d)
+            emit(i, j + 1, d)
+            emit(i + 1, j + 1, d)
+
+    recurse(0, 0, 0)
+    return np.array(list(corners.values())), np.array(probes)
+
+
+def _cap_fill_domain():
+    flat = flatten(cap_mesh(rings=7)).flat
+    anchors = reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
+    return flat_domain(flat, anchors)
+
+
+QUADTREE_FIELDS = {
+    "constant": lambda: square_domain(side=9.0, radius=0.5),
+    "graded-plate": lambda: plane_domain(PipelineConfig(
+        holes=[(10.0, 5.0, 2.0)], r_min=0.13, r_max=0.4, graded=True, grade_band=3.5)),
+    "anchor-sizing": _cap_fill_domain,
+    "curvature": lambda: PackingDomain(
+        outer=np.array([[0.0, 1.07], [0.7, 1.07], [0.7, 1.57], [0.0, 1.57]]),
+        sizing=radius_bound_evaluator(sphere_patch(u0=0.0, u1=0.7, v0=1.07, v1=1.57),
+                                      SizingParams(2e-4, 1e-5, 10.0))),
+}
+
+
+class TestQuadtreeCorners:
+    @pytest.mark.parametrize("field", sorted(QUADTREE_FIELDS))
+    def test_matches_recursive_oracle(self, field):
+        domain = QUADTREE_FIELDS[field]()
+        ref, ref_probes = recursive_corners(domain)
+        probes = []
+        field_fn = domain.sizing
+
+        def recorded(x, y):
+            probes.append(np.column_stack([np.ravel(x), np.ravel(y)]))
+            return field_fn(x, y)
+
+        domain.sizing = recorded
+        pts = _quadtree_corners(domain)
+        # same corners in the same order; the same probe points, in one call
+        # per level plus the root-size probe
+        assert np.array_equal(pts, ref)
+        assert 3 <= len(probes) <= _MAX_DEPTH + 2
+        probes = np.concatenate(probes)
+        assert np.array_equal(probes[np.lexsort(probes.T)], ref_probes[np.lexsort(ref_probes.T)])
+
+    def test_chunking_never_changes_a_row(self, rng, monkeypatch):
+        pts = rng.uniform(0.0, 5.0, size=(400, 2))
+        radii = rng.uniform(0.1, 0.3, size=400)
+        anchors = [Bubble(float(x), float(y), float(r), BOUNDARY)
+                   for (x, y), r in zip(rng.uniform(0.0, 5.0, size=(90, 2)),
+                                        rng.uniform(0.1, 0.4, size=90))]
+        pts[0] = anchors[3].x, anchors[3].y  # exact hit
+        segs = square_domain(side=5.0).all_segments()
+
+        def run():
+            return (_interpolate_radii_batch(pts, anchors),
+                    _anchor_overlap_below(pts, radii, anchors, 0.4),
+                    _inside_any_anchor(pts, anchors),
+                    _segment_distances_sq(pts, segs))
+
+        whole = run()
+        monkeypatch.setattr(packing, "_CHUNK_ELEMENTS", 7 * 90)
+        for a, b in zip(whole, run()):
+            assert np.array_equal(a, b)
+        assert whole[0][0] == anchors[3].radius
 
 
 class TestSelfThin:

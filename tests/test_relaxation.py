@@ -388,8 +388,8 @@ class TestQCOriginal:
         # one pass over a graded packing: (4,10) must touch fewer bubbles
         # than (5,8)
         def sizing(x, y):
-            d = max(math.hypot(x - 10.0, y - 5.0) - 2.0, 0.0)
-            return 0.2 + 0.3 * min(d / 4.0, 1.0)
+            d = np.maximum(np.hypot(x - 10.0, y - 5.0) - 2.0, 0.0)
+            return 0.2 + 0.3 * np.minimum(d / 4.0, 1.0)
 
         outer = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 10.0], [0.0, 10.0]])
         angles = -2 * np.pi * np.arange(24) / 24
@@ -466,6 +466,20 @@ class TestRelaxUntilConverged:
         assert trace.sweeps == 1
         assert len(trace.rows) == 1
 
+    def test_stop_reason_names_the_test_that_ended_the_run(self):
+        domain = square_domain(side=6.0, radius=0.5)
+        boundary = pack_boundary(domain)
+        interior = pack_interior_quadtree(domain, boundary)
+        cases = [(DynamicsParams(max_sweeps=4, force_tol=1e-9), ("sweep-cap", False, 4)),
+                 (DynamicsParams(force_tol=1e9), ("force", True, 1)),
+                 (DynamicsParams(force_tol=1e-9, stall_window=3, stall_angle=180.0),
+                  ("stall", True, 3))]
+        for dyn, expected in cases:
+            bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
+            _, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
+                                             strategy="none")
+            assert (trace.stop_reason, trace.converged, trace.sweeps) == expected
+
     def test_deterministic_traces(self):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
@@ -485,7 +499,7 @@ class TestRelaxUntilConverged:
         # two runs end at the same positions bit for bit with the same trace
         # apart from wall time
         def sizing(x, y):
-            return 0.25 + 0.25 * min(abs(x - 3.0) / 3.0, 1.0)
+            return 0.25 + 0.25 * np.minimum(np.abs(x - 3.0) / 3.0, 1.0)
 
         outer = np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 4.0], [0.0, 4.0]])
         hole = np.array([[2.5, 1.5], [2.5, 2.5], [3.5, 2.5], [3.5, 1.5]])

@@ -5,7 +5,8 @@ import pytest
 
 from bubblemesh.sizing import (SizingError, SizingParams, allowable_edge_3d,
                                g_of_eps, jacobian, max_normal_curvature,
-                               principal_curvatures, radius_bound, sigma1)
+                               principal_curvatures, radius_bound,
+                               radius_bound_evaluator, sigma1)
 from bubblemesh.surfaces import (cylinder_patch, make_surface, plane,
                                  sphere_patch, torus_patch, wavy_patch)
 
@@ -131,6 +132,58 @@ class TestRadiusBound:
             SizingParams(epsilon=0.9, r_min=0.1, r_max=1.0)
         with pytest.raises(SizingError):
             SizingParams(epsilon=0.01, r_min=1.0, r_max=0.1)
+
+
+def scalar_radius_bound(surface, u, v, params):
+    """Pointwise radius bound in the scalar arithmetic (np.dot forms,
+    np.linalg.norm, one SVD per point): the oracle the array-valued
+    functions must reproduce bit for bit."""
+    fu = surface.du(u, v)
+    fv = surface.dv(u, v)
+    E, F, G = float(np.dot(fu, fu)), float(np.dot(fu, fv)), float(np.dot(fv, fv))
+    n = np.cross(fu, fv)
+    n = n / np.linalg.norm(n)
+    L = float(np.dot(surface.duu(u, v), n))
+    M = float(np.dot(surface.duv(u, v), n))
+    N = float(np.dot(surface.dvv(u, v), n))
+    a = E * G - F * F
+    b = E * N + G * L - 2.0 * F * M
+    c = L * N - M * M
+    root = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    kappa = max(abs((b + root) / (2.0 * a)), abs((b - root) / (2.0 * a)))
+    lp = math.inf if kappa == 0.0 else g_of_eps(params.epsilon) / kappa
+    s1 = float(np.linalg.svd(np.column_stack([fu, fv]), compute_uv=False)[0])
+    lp_param = lp / s1 if math.isfinite(lp) else math.inf
+    return min(max(lp_param, 2.0 * params.r_min), 2.0 * params.r_max) / 2.0
+
+
+class TestArrayRadiusBound:
+    @pytest.mark.parametrize("name", ["sphere", "torus", "cylinder", "wavy", "plane"])
+    @pytest.mark.parametrize("params", [SizingParams(5e-5, 1e-5, 10.0),
+                                        SizingParams(0.01, 0.05, 0.2)])
+    def test_equals_scalar_arithmetic(self, name, params, rng):
+        # the sphere is umbilic everywhere, where the curvature discriminant
+        # is ~0 and its square root magnifies any last-bit difference
+        surf = make_surface(name)
+        u0, u1, v0, v1 = surf.domain
+        # a tenth of each side beyond the rectangle: those points are clipped
+        x = rng.uniform(u0 - 0.1 * (u1 - u0), u1 + 0.1 * (u1 - u0), size=(20, 20))
+        y = rng.uniform(v0 - 0.1 * (v1 - v0), v1 + 0.1 * (v1 - v0), size=(20, 20))
+        assert np.any(x < u0) and np.any(y > v1)
+        got = radius_bound_evaluator(surf, params)(x, y)
+        u, v = surf.clip(x, y)
+        ref = np.array([scalar_radius_bound(surf, a, b, params)
+                        for a, b in zip(u.ravel().tolist(), v.ravel().tolist())])
+        assert got.shape == x.shape
+        assert np.array_equal(got.ravel(), ref)
+        for k in range(0, 400, 97):
+            assert radius_bound(surf, float(u.flat[k]), float(v.flat[k]), params) == ref[k]
+
+    def test_irregular_point_in_batch_raises(self):
+        flat_line = cylinder_patch(radius=0.0)
+        with pytest.raises(SizingError, match=r"irregular surface point at \(u,v\)=\(0.5,"):
+            radius_bound(flat_line, np.array([0.5, 0.6]), np.array([0.2, 0.3]),
+                         SizingParams(0.01, 0.05, 0.2))
 
 
 def test_make_surface_registry():
