@@ -8,11 +8,11 @@ through the filtered exact predicates in `geometry`.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from .geometry import (closest_point_on_segment, incircle, orient2d,
-                       points_in_polygon, segments_cross)
+from .geometry import incircle, nearest_segments, orient2d, segments_cross
 from .mesh import PlanarMesh
 from .packing import BOUNDARY, Bubble, PackingDomain
 
@@ -204,20 +204,19 @@ def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[
     if not boundary_ids:
         return []
     loops = domain.loops()
+    segs = domain.all_segments()
+    # loop of every segment, and the arc length along it where the segment starts
+    loop_of, arc_at = [], []
+    for li, loop in enumerate(loops):
+        steps = [math.hypot(dx, dy) for dx, dy in np.roll(loop, -1, axis=0) - loop]
+        loop_of += [li] * len(loop)
+        arc_at += [0.0, *accumulate(steps)][:-1]
+    seg, t, _ = nearest_segments([(bubbles[i].x, bubbles[i].y) for i in boundary_ids], segs)
+    ax, ay, bx, by = segs[seg].T
+    qx, qy = ax + t * (bx - ax), ay + t * (by - ay)
     per_loop: list[list[tuple[float, int]]] = [[] for _ in loops]
-    for i in boundary_ids:
-        bx, by = bubbles[i].x, bubbles[i].y
-        best = (math.inf, 0, 0.0)
-        for li, loop in enumerate(loops):
-            arc = 0.0
-            for k in range(len(loop)):
-                ax, ay = loop[k]
-                ex, ey = loop[(k + 1) % len(loop)]
-                qx, qy, d2 = closest_point_on_segment(bx, by, ax, ay, ex, ey)
-                if d2 < best[0]:
-                    best = (d2, li, arc + math.hypot(qx - ax, qy - ay))
-                arc += math.hypot(ex - ax, ey - ay)
-        per_loop[best[1]].append((best[2], i))
+    for i, k, x0, y0, x1, y1 in zip(boundary_ids, seg.tolist(), ax, ay, qx, qy):
+        per_loop[loop_of[k]].append((arc_at[k] + math.hypot(x1 - x0, y1 - y0), i))
     segments = []
     for ring in per_loop:
         ring.sort()
@@ -266,12 +265,8 @@ def delaunay_triangulate(bubbles: list[Bubble], domain: PackingDomain) -> Planar
     if not cand:
         raise TriangulationError("no triangles inside the domain")
     cand_arr = np.asarray(cand, dtype=np.int64)
-    pts_arr = np.asarray(pts)
-    centroids = pts_arr[cand_arr].mean(axis=1)
-    keep = points_in_polygon(centroids, domain.outer)
-    for h in domain.holes:
-        keep &= ~points_in_polygon(centroids, h)
-    faces = sorted(map(tuple, cand_arr[keep]))
+    inside = domain.contains_points(np.asarray(pts)[cand_arr].mean(axis=1))
+    faces = sorted(map(tuple, cand_arr[inside]))
     if not faces:
         raise TriangulationError("no triangles inside the domain")
 

@@ -2,7 +2,8 @@
 
 Orientation and in-circle tests are evaluated in floating point with a
 forward error bound and fall back to exact rational arithmetic when the
-filter cannot certify the sign.
+filter cannot certify the sign. `nearest_segments` is the one projection
+of points onto segments; every wall-distance query goes through it.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ import numpy as np
 _EPS = math.ldexp(1.0, -53)
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+
+# largest (points x anchors) or (points x segments) block one vectorized
+# distance pass holds in memory; rows are independent, so the chunking
+# never changes a value
+_CHUNK_ELEMENTS = 200_000
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -107,21 +113,6 @@ def polygon_perimeter(pts) -> float:
     return float(np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)))
 
 
-def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:
-    """Even-odd test against a closed polyline. Boundary points are unreliable."""
-    inside = False
-    n = len(pts)
-    x0, y0 = pts[-1]
-    for i in range(n):
-        x1, y1 = pts[i]
-        if (y1 > y) != (y0 > y):
-            t = (y - y0) / (y1 - y0)
-            if x < x0 + t * (x1 - x0):
-                inside = not inside
-        x0, y0 = x1, y1
-    return inside
-
-
 def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vectorized even-odd test for an (n,2) array of query points: each
     point is tested against every edge at once, and is inside when the
@@ -144,21 +135,39 @@ def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def closest_point_on_segment(px, py, ax, ay, bx, by):
-    """Closest point to (px,py) on segment ab and its squared distance."""
-    vx = bx - ax
-    vy = by - ay
+def nearest_segments(points, segments, candidates=None):
+    """Nearest of the (S,4) segments (ax, ay, bx, by) to each (n,2) point:
+    all of them, or those in the point's row of the (n,k) `candidates`
+    table (padded with -1). Returns per point the segment index (the first
+    of equal distances, in the order tested; -1 for padding only), t in
+    [0, 1] of the closest point a + t (b - a) (0 on a zero-length segment)
+    and its squared distance, taken as dx = px - (ax + t vx)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
+    vx, vy = bx - ax, by - ay
     denom = vx * vx + vy * vy
-    if denom <= 0.0:
-        t = 0.0
-    else:
-        t = ((px - ax) * vx + (py - ay) * vy) / denom
-        t = min(1.0, max(0.0, t))
-    qx = ax + t * vx
-    qy = ay + t * vy
-    dx = px - qx
-    dy = py - qy
-    return qx, qy, dx * dx + dy * dy
+    index = np.empty(len(points), dtype=np.int64)
+    t = np.empty(len(points))
+    d2 = np.empty(len(points))
+    width = len(ax) if candidates is None else candidates.shape[1]
+    # points x candidates temporaries, a bounded number of elements at a time
+    chunk = max(1, _CHUNK_ELEMENTS // max(width, 1))
+    for start in range(0, len(points), chunk):
+        rows = slice(start, start + chunk)
+        seg = np.arange(len(ax))[None, :] if candidates is None else candidates[rows]
+        sax, say, svx, svy, sden = ax[seg], ay[seg], vx[seg], vy[seg], denom[seg]
+        px, py = points[rows, :1], points[rows, 1:]
+        tt = ((px - sax) * svx + (py - say) * svy) / np.where(sden > 0.0, sden, 1.0)
+        # min(1, max(0, t)) as Python takes it: 0.0 for t <= 0, -0.0 included
+        tt = np.where((sden > 0.0) & (tt > 0.0), np.minimum(tt, 1.0), 0.0)
+        dx = px - (sax + tt * svx)
+        dy = py - (say + tt * svy)
+        dd = np.where(seg >= 0, dx * dx + dy * dy, np.inf)
+        pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
+        index[rows] = np.broadcast_to(seg, dd.shape)[pick]
+        t[rows] = tt[pick]
+        d2[rows] = dd[pick]
+    return index, t, d2
 
 
 def hashed_unit_direction(i: int, j: int, seed: int = 0):

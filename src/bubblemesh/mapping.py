@@ -2,14 +2,16 @@
 
 Every vertex of a re-meshed planar mesh is located in the initial flat mesh,
 expressed in barycentric coordinates, and lifted with the same weights
-applied to the corresponding 3D face of the initial discrete surface.
+applied to the corresponding 3D face of the initial discrete surface. The
+faces that can hold a point come from one k-d tree ball query over the
+face centroids (`FaceGrid`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .mesh import MeshError, PlanarMesh, TriangleMesh
 
@@ -28,35 +30,22 @@ class BarycentricLocation:
 
 
 class FaceGrid:
-    """Uniform grid binning faces by bounding box for near-O(1) point queries."""
+    """k-d tree over face centroids. A face holds only points within its
+    largest centroid-to-corner distance of its centroid, so one ball query
+    at the largest such distance over all faces returns every face that can
+    hold the point. The reach is padded by twice the snap tolerance, which
+    also covers the barycentric slack (a few 1e-10 of the face size)."""
 
     def __init__(self, mesh: PlanarMesh):
-        self.mesh = mesh
-        v = mesh.vertices
-        self.lo = v.min(axis=0)
-        self.hi = v.max(axis=0)
-        span = np.maximum(self.hi - self.lo, 1e-300)
-        self.res = max(1, int(math.sqrt(max(mesh.n_faces, 1))))
-        self.cell = span / self.res
-        self.table: dict[tuple[int, int], list[int]] = {}
-        tri = v[mesh.faces]
-        lo_cells = np.clip(((tri.min(axis=1) - self.lo) / self.cell).astype(int), 0, self.res - 1)
-        hi_cells = np.clip(((tri.max(axis=1) - self.lo) / self.cell).astype(int), 0, self.res - 1)
-        for f in range(mesh.n_faces):
-            for ix in range(lo_cells[f, 0], hi_cells[f, 0] + 1):
-                for iy in range(lo_cells[f, 1], hi_cells[f, 1] + 1):
-                    self.table.setdefault((ix, iy), []).append(f)
+        tri = mesh.vertices[mesh.faces]
+        centroids = tri.mean(axis=1)
+        self.tree = cKDTree(centroids)
+        corner = np.sqrt(((tri - centroids[:, None]) ** 2).sum(axis=2))
+        self.reach = corner.max(initial=0.0) + 2.0 * SNAP_TOL_FACTOR * mesh.bbox_diagonal()
 
-    def candidates(self, x: float, y: float, ring: int = 0) -> list[int]:
-        ix = int((x - self.lo[0]) / self.cell[0])
-        iy = int((y - self.lo[1]) / self.cell[1])
-        ix = min(max(ix, 0), self.res - 1)
-        iy = min(max(iy, 0), self.res - 1)
-        out: set[int] = set()
-        for dx in range(-ring, ring + 1):
-            for dy in range(-ring, ring + 1):
-                out.update(self.table.get((ix + dx, iy + dy), ()))
-        return sorted(out)
+    def candidates(self, x: float, y: float) -> list[int]:
+        """Ascending indices of the faces whose centroid lies within reach."""
+        return self.tree.query_ball_point((x, y), self.reach, return_sorted=True)
 
 
 def _barycentric(a, b, c, p):
@@ -99,20 +88,16 @@ def locate(flat: PlanarMesh, point, grid: FaceGrid | None = None) -> Barycentric
     v = flat.vertices
     faces = flat.faces
 
-    for ring in (0, 1, 2):
-        cand = grid.candidates(px, py, ring)
-        best = None
-        for f in cand:
-            a, b, c = v[faces[f, 0]], v[faces[f, 1]], v[faces[f, 2]]
-            lam = _barycentric(a, b, c, p)
-            if lam is None:
-                continue
-            if min(lam) >= _BARY_SLACK:
-                return BarycentricLocation(f, _clamp_simplex(lam))
-            if best is None or min(lam) > best[0]:
-                best = (min(lam), f, lam)
-        if best is not None:
-            break
+    best = None
+    for f in grid.candidates(px, py):
+        a, b, c = v[faces[f, 0]], v[faces[f, 1]], v[faces[f, 2]]
+        lam = _barycentric(a, b, c, p)
+        if lam is None:
+            continue
+        if min(lam) >= _BARY_SLACK:
+            return BarycentricLocation(f, _clamp_simplex(lam))
+        if best is None or min(lam) > best[0]:
+            best = (min(lam), f, lam)
     if best is None:
         raise MappingError("outside flattened domain")
 

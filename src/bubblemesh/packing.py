@@ -8,8 +8,9 @@ sized region packs tangentially with vertex degree 6.
 A domain's sizing field is a callable `sizing(xs, ys) -> ndarray`: it takes
 equal-shape coordinate arrays (or scalars) and returns the bubble-radius
 bound at every point, as an array that broadcasts to their shape (a
-constant field may return a scalar). Packing evaluates it in batches, one
-call per quadtree level.
+constant field may return a scalar). Packing evaluates it in batches: one
+call per quadtree level and one per boundary loop for the boundary radii.
+Distances to the domain's walls come from `geometry.nearest_segments`.
 """
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (closest_point_on_segment, point_in_polygon,
-                       points_in_polygon, polygon_perimeter,
-                       polygon_signed_area)
+from .geometry import (_CHUNK_ELEMENTS, nearest_segments, points_in_polygon,
+                       polygon_perimeter, polygon_signed_area)
 
 BOUNDARY = "boundary"
 INTERIOR_ANCHOR = "interior-anchor"
@@ -34,11 +34,6 @@ BOUNDARY_GAP_TOL = 0.1
 
 _SHEAR = (0.5, math.sqrt(3.0) / 2.0)  # second lattice basis vector
 _MAX_DEPTH = 24
-
-# largest (points x anchors) or (points x segments) block one vectorized
-# distance pass holds in memory; rows are independent, so the chunking
-# never changes a value
-_CHUNK_ELEMENTS = 200_000
 
 
 class PackingError(Exception):
@@ -78,9 +73,15 @@ class PackingDomain:
         return [self.outer] + list(self.holes)
 
     def contains(self, x: float, y: float) -> bool:
-        if not point_in_polygon(x, y, self.outer):
-            return False
-        return not any(point_in_polygon(x, y, h) for h in self.holes)
+        return bool(self.contains_points(np.array([[x, y]]))[0])
+
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Which of the (n,2) points lie inside the outer loop and outside
+        every hole (even-odd tests; boundary points are unreliable)."""
+        inside = points_in_polygon(points, self.outer)
+        for h in self.holes:
+            inside &= ~points_in_polygon(points, h)
+        return inside
 
     def bbox(self):
         lo = self.outer.min(axis=0)
@@ -95,22 +96,21 @@ class PackingDomain:
             segs.append(np.column_stack([loop, nxt]))
         return np.concatenate(segs)
 
-    def project_inside(self, x: float, y: float, radius: float):
-        """Nearest boundary point pushed inward by the given radius.
+    def project_inside(self, points: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """Nearest boundary point of each of the (n,2) points, on the first
+        nearest segment of non-zero length, pushed inward by its radius.
 
         Interior lies to the left of directed boundary segments (outer CCW,
         holes CW), so the inward offset uses the left normal.
         """
-        best = (math.inf, x, y, 0.0, 0.0)
-        for ax, ay, bx, by in self.all_segments():
-            qx, qy, d2 = closest_point_on_segment(x, y, ax, ay, bx, by)
-            if d2 < best[0]:
-                ln = math.hypot(bx - ax, by - ay)
-                if ln > 0.0:
-                    nx, ny = -(by - ay) / ln, (bx - ax) / ln
-                    best = (d2, qx, qy, nx, ny)
-        _, qx, qy, nx, ny = best
-        return qx + nx * radius, qy + ny * radius
+        segs = self.all_segments()
+        length = np.array([math.hypot(bx - ax, by - ay) for ax, ay, bx, by in segs])
+        segs, length = segs[length > 0.0], length[length > 0.0]
+        seg, t, _ = nearest_segments(points, segs)
+        ax, ay, bx, by = segs[seg].T
+        vx, vy, ln = bx - ax, by - ay, length[seg]
+        return np.column_stack([ax + t * vx - vy / ln * radius,
+                                ay + t * vy + vx / ln * radius])
 
 
 def interpolate_radius(x: float, y: float, anchors: list[Bubble],
@@ -188,22 +188,23 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
             edges.append(_march_edge(domain, float(ax), float(ay),
                                      float(bx), float(by)))
         _limit_loop_gradation(edges)
+        # corners and march positions in loop order, then one sizing call
+        pos = []
         for i in range(n):
-            ax, ay = loop[i]
+            ax, ay = float(loop[i, 0]), float(loop[i, 1])
             bx, by = loop[(i + 1) % n]
-            ra = float(domain.sizing(float(ax), float(ay)))
-            out.append(Bubble(float(ax), float(ay), ra, BOUNDARY))
+            pos.append((ax, ay))
             length, steps = edges[i]
             if length <= 0.0:
                 continue
-            ux = (bx - float(ax)) / length
-            uy = (by - float(ay)) / length
+            ux = (bx - ax) / length
+            uy = (by - ay) / length
             s = 0.0
             for step in steps[:-1]:
                 s += step
-                px = float(ax) + ux * s
-                py = float(ay) + uy * s
-                out.append(Bubble(px, py, float(domain.sizing(px, py)), BOUNDARY))
+                pos.append((ax + ux * s, ay + uy * s))
+        radii = _sizing_at(domain, *np.array(pos).T)
+        out += [Bubble(x, y, float(r), BOUNDARY) for (x, y), r in zip(pos, radii)]
     return out
 
 
@@ -289,13 +290,11 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
         warnings.warn("domain has empty interior")
         return []
     pts = _quadtree_corners(domain)
-    keep = points_in_polygon(pts, domain.outer)
-    for h in domain.holes:
-        keep &= ~points_in_polygon(pts, h)
+    keep = domain.contains_points(pts)
     if anchors:
         keep &= ~_inside_any_anchor(pts, anchors)
     edge_eps = 1e-9 * math.hypot(width, height)
-    keep &= _segment_distances_sq(pts, domain.all_segments()) >= edge_eps ** 2
+    keep &= nearest_segments(pts, domain.all_segments())[2] >= edge_eps ** 2
     kept = pts[keep]
 
     if not len(kept):
@@ -469,18 +468,3 @@ def _inside_any_anchor(pts: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
         hit[start:start + chunk] = np.any(d2 < ar2[None, :], axis=1)
     return hit
 
-
-def _segment_distances_sq(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to the nearest of the given segments."""
-    a = segs[:, 0:2]
-    v = segs[:, 2:4] - a
-    vv = np.maximum((v * v).sum(axis=1), 1e-300)
-    best = np.full(len(pts), np.inf)
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(segs), 1))
-    for start in range(0, len(pts), chunk):
-        p = pts[start:start + chunk]
-        w = p[:, None, :] - a[None, :, :]
-        t = np.clip((w * v[None, :, :]).sum(axis=2) / vv[None, :], 0.0, 1.0)
-        d = w - t[:, :, None] * v[None, :, :]
-        best[start:start + chunk] = (d * d).sum(axis=2).min(axis=1)
-    return best

@@ -22,8 +22,7 @@ import numpy as np
 from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import QhullError, cKDTree
 
-from .geometry import (closest_point_on_segment, hashed_unit_direction,
-                       points_in_polygon)
+from .geometry import hashed_unit_direction, nearest_segments
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, interpolate_radius)
 
@@ -299,15 +298,14 @@ class _BoundaryProximity:
         self.table = np.full((len(keys), max(map(len, self.cells.values()))), -1)
         for row, segs in enumerate(self.cells.values()):
             self.table[row, :len(segs)] = segs
-        # per segment: start, direction, squared length, length and inward
-        # (left) unit normal, in the scalar projection's arithmetic; a
-        # zero-length segment sends its bubbles to domain.project_inside
+        # per segment: start, direction, length and inward (left) unit
+        # normal, in the scalar projection's arithmetic; a zero-length
+        # segment sends its bubbles to domain.project_inside
         ax, ay, bx, by = self.segments.T
         vx, vy = bx - ax, by - ay
         length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.terms = np.stack([ax, ay, vx, vy, vx * vx + vy * vy, length,
-                                   -vy / length, vx / length])
+            self.terms = np.stack([ax, ay, vx, vy, length, -vy / length, vx / length])
 
     def clamp(self, p: np.ndarray, radius: np.ndarray):
         """Wall check of the bubbles at the rows of p (k,2): one that escaped
@@ -324,30 +322,21 @@ class _BoundaryProximity:
         out = p.copy()
 
         near = np.flatnonzero(row >= 0)
-        seg = self.table[row[near]]
-        ax, ay, vx, vy, denom = self.terms[:5, seg]
-        px, py = p[near, :1], p[near, 1:]
-        t = ((px - ax) * vx + (py - ay) * vy) / np.where(denom > 0.0, denom, 1.0)
-        t = np.where(denom > 0.0, np.minimum(1.0, np.maximum(0.0, t)), 0.0)
-        dx = px - (ax + t * vx)
-        dy = py - (ay + t * vy)
-        d2 = np.where(seg >= 0, dx * dx + dy * dy, np.inf)
-        pick = (np.arange(len(near)), np.argmin(d2, axis=1))
-        ax, ay, vx, vy, _, length, nx, ny = self.terms[:, seg[pick]]
-        t = t[pick]
+        seg, t, d2 = nearest_segments(p[near], self.segments, self.table[row[near]])
+        ax, ay, vx, vy, length, nx, ny = self.terms[:, seg]
         px, py, r = p[near, 0], p[near, 1], radius[near]
         clearance = WALL_CLEARANCE * r
         # interior is to the left of the nearest directed segment
         inside = vx * (py - ay) - vy * (px - ax) > 0.0
-        fix = ~((d2[pick] >= clearance * clearance) & inside)
+        fix = ~((d2 >= clearance * clearance) & inside)
         moved[near] = fix
         degenerate = fix & ~(length > 0.0)
         project[near[degenerate]] = True
         fix &= ~degenerate
         out[near[fix], 0] = (ax + t * vx + nx * r)[fix]
         out[near[fix], 1] = (ay + t * vy + ny * r)[fix]
-        for i in np.flatnonzero(project).tolist():
-            out[i] = self.domain.project_inside(p[i, 0], p[i, 1], radius[i])
+        if project.any():
+            out[project] = self.domain.project_inside(p[project], radius[project])
         return out, moved
 
 
@@ -529,7 +518,7 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             if domain is not None:
                 if not domain.contains(nx, ny):
                     continue
-                d2 = _segment_distance_sq(nx, ny, segments)
+                d2 = nearest_segments((nx, ny), segments)[2][0]
                 if d2 < (WALL_CLEARANCE * r_new) ** 2:
                     continue
             # block only severe collisions; milder crowding is the original
@@ -542,15 +531,6 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             near = _ball_query(state)
             changes += 1
     return changes
-
-
-def _segment_distance_sq(x: float, y: float, segments) -> float:
-    best = math.inf
-    for ax, ay, bx, by in segments:
-        _, _, d2 = closest_point_on_segment(x, y, ax, ay, bx, by)
-        if d2 < best:
-            best = d2
-    return best
 
 
 def qc_original(bubbles: list[Bubble], low: float = 5.0, high: float = 8.0,
@@ -623,11 +603,7 @@ def triangulation_min_angle(points: np.ndarray, domain: PackingDomain | None) ->
         return 0.0
     faces = tri.simplices
     if domain is not None:
-        cent = points[faces].mean(axis=1)
-        keep = points_in_polygon(cent, domain.outer)
-        for h in domain.holes:
-            keep &= ~points_in_polygon(cent, h)
-        faces = faces[keep]
+        faces = faces[domain.contains_points(points[faces].mean(axis=1))]
     if not len(faces):
         return 0.0
     v = points[faces]

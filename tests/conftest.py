@@ -4,6 +4,41 @@ import pytest
 from bubblemesh.mesh import TriangleMesh
 
 
+def closest_point_on_segment(px, py, ax, ay, bx, by):
+    """Closest point q = a + t (b - a) to (px,py) on segment ab, its squared
+    distance and t, one point at a time: the scalar reference for
+    geometry.nearest_segments."""
+    vx = bx - ax
+    vy = by - ay
+    denom = vx * vx + vy * vy
+    if denom <= 0.0:
+        t = 0.0
+    else:
+        t = ((px - ax) * vx + (py - ay) * vy) / denom
+        t = min(1.0, max(0.0, t))
+    qx = ax + t * vx
+    qy = ay + t * vy
+    dx = px - qx
+    dy = py - qy
+    return qx, qy, dx * dx + dy * dy, t
+
+
+def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:
+    """Even-odd test of one point against a closed polyline: the scalar
+    reference for geometry.points_in_polygon. Boundary points are unreliable."""
+    inside = False
+    n = len(pts)
+    x0, y0 = pts[-1]
+    for i in range(n):
+        x1, y1 = pts[i]
+        if (y1 > y) != (y0 > y):
+            t = (y - y0) / (y1 - y0)
+            if x < x0 + t * (x1 - x0):
+                inside = not inside
+        x0, y0 = x1, y1
+    return inside
+
+
 def grid_mesh_on_surface(surface, nu, nv):
     """Structured triangulated grid over a surface's parametric rectangle."""
     u0, u1, v0, v1 = surface.domain

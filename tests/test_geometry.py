@@ -2,11 +2,15 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from bubblemesh.geometry import (hashed_unit_direction, incircle, orient2d,
-                                 point_in_polygon, points_in_polygon,
+from bubblemesh import geometry
+from bubblemesh.geometry import (hashed_unit_direction, incircle,
+                                 nearest_segments, orient2d, points_in_polygon,
                                  polygon_perimeter, polygon_signed_area,
                                  segments_cross)
+
+from conftest import closest_point_on_segment, point_in_polygon
 
 
 def exact_orient(ax, ay, bx, by, cx, cy):
@@ -102,3 +106,85 @@ def test_hashed_direction_unit_and_stable():
     assert math.hypot(ux, uy) == 1.0 or abs(math.hypot(ux, uy) - 1.0) < 1e-15
     assert (ux, uy) == hashed_unit_direction(3, 7, seed=42)
     assert (ux, uy) != hashed_unit_direction(7, 3, seed=42)
+
+
+def nearest_segments_loop(points, segments, candidates=None):
+    """One closest_point_on_segment call per point and candidate segment,
+    the first strict minimum kept: the reference for nearest_segments."""
+    out = []
+    for k, (px, py) in enumerate(points.tolist()):
+        tested = range(len(segments)) if candidates is None else candidates[k].tolist()
+        best = (-1, 0.0, math.inf)
+        for si in tested:
+            if si < 0:
+                continue
+            _, _, d2, t = closest_point_on_segment(px, py, *segments[si].tolist())
+            if d2 < best[2]:
+                best = (si, t, d2)
+        out.append(best)
+    index, t, d2 = zip(*out)
+    return np.array(index), np.array(t, dtype=float), np.array(d2, dtype=float)
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    return a.shape == b.shape and np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                                                 np.asarray(b, dtype=float).view(np.uint64))
+
+
+@pytest.fixture
+def segment_case(rng):
+    """Random segments plus exact ties: a repeated segment, a zero-length
+    one, parallel twins, two sharing a vertex, and segments whose direction
+    is negative in both coordinates (their start points give t = -0.0
+    before clamping)."""
+    segs = np.concatenate([
+        rng.uniform(-3.0, 3.0, size=(30, 4)),
+        [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0],     # the same segment twice
+         [0.5, 0.5, 0.5, 0.5],                            # zero length
+         [0.0, 2.0, 1.0, 2.0],                            # parallel to the first
+         [1.0, 0.0, 1.0, 1.0],                            # shares (1, 0)
+         [2.0, 2.0, 1.5, 1.0], [-1.0, -1.0, -2.0, -3.0]],
+    ])
+    ends = np.concatenate([segs[:, :2], segs[:, 2:]])
+    pts = np.concatenate([
+        rng.uniform(-4.0, 4.0, size=(700, 2)), ends,
+        [[0.5, 1.0], [2.0, -1.0], [0.5, 0.5], [0.5, -0.5], [1.0, 0.5]],
+        0.5 * (segs[:, :2] + segs[:, 2:]),
+    ])
+    return pts, segs
+
+
+def test_nearest_segments_matches_scalar_loop(segment_case):
+    pts, segs = segment_case
+    got = nearest_segments(pts, segs)
+    want = nearest_segments_loop(pts, segs)
+    assert np.array_equal(got[0], want[0])
+    assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+    # exact ties resolve to the first segment tested
+    ties = nearest_segments([[0.5, -0.5], [2.0, -1.0], [1.5, 0.5]], segs[30:])
+    assert ties[0].tolist() == [0, 0, 4] and ties[2].tolist() == [0.25, 2.0, 0.25]
+
+
+def test_nearest_segments_with_candidates_matches_scalar_loop(segment_case, rng):
+    pts, segs = segment_case
+    table = np.full((len(pts), 6), -1)
+    for k in range(len(pts)):
+        picked = np.sort(rng.choice(len(segs), size=rng.randint(1, 7), replace=False))
+        table[k, :len(picked)] = picked
+    table[3] = -1                       # padding only
+    got = nearest_segments(pts, segs, table)
+    want = nearest_segments_loop(pts, segs, table)
+    assert np.array_equal(got[0], want[0])
+    assert same_bits(got[2], want[2])
+    real = want[0] >= 0
+    assert same_bits(got[1][real], want[1][real])
+    assert got[0][3] == -1 and got[2][3] == math.inf
+
+
+def test_nearest_segments_chunking_never_changes_a_row(segment_case, monkeypatch):
+    pts, segs = segment_case
+    whole = nearest_segments(pts, segs)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 7 * len(segs))  # 7 rows a chunk
+    for a, b in zip(whole, nearest_segments(pts, segs)):
+        assert same_bits(a, b)

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from bubblemesh.delaunay import TriangulationError, delaunay_triangulate
-from bubblemesh.geometry import incircle, point_in_polygon
-from bubblemesh.mapping import FaceGrid, MappingError, inverse_map, locate
+from bubblemesh.delaunay import (TriangulationError, _boundary_constraints,
+                                 delaunay_triangulate)
+from bubblemesh.geometry import incircle
+from bubblemesh.mapping import (_BARY_SLACK, SNAP_TOL_FACTOR, FaceGrid,
+                                MappingError, _barycentric, _clamp_simplex,
+                                inverse_map, locate)
 from bubblemesh.mesh import PlanarMesh
 from bubblemesh.packing import BOUNDARY, MOBILE, Bubble, PackingDomain
 from bubblemesh.surfaces import plane, sphere_patch
 
-from conftest import grid_mesh_on_surface
+from conftest import grid_mesh_on_surface, point_in_polygon
 
 
 def square_bubbles(side=1.0):
@@ -86,6 +90,32 @@ class TestDelaunay:
         for k in range(4):
             assert (k, k + 1) in edges
 
+    def test_encroached_hole_chord_is_recovered_by_flips(self):
+        # three interior bubbles sit just below the hole's bottom chord
+        # (3,4)-(7,4), inside its diametral circle, so the chord is not a
+        # Delaunay edge and constraint recovery has to flip it in
+        outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
+        hole = np.array([[3.0, 4.0], [5.0, 7.0], [7.0, 4.0]])
+        domain = PackingDomain(outer=outer, holes=[hole], sizing=lambda x, y: 0.5)
+        bubbles = [Bubble(x, y, 0.5, BOUNDARY) for x, y in np.concatenate([outer, hole]).tolist()]
+        bubbles += [Bubble(x, y, 0.5, MOBILE) for x, y in [
+            (5.0, 3.9), (4.0, 3.93), (6.1, 3.95), (1.5, 1.5), (8.5, 1.5), (8.5, 8.5),
+            (1.5, 8.5), (5.0, 9.0), (1.0, 5.0), (9.0, 5.0), (5.0, 1.5)]]
+        pts = np.array([(b.x, b.y) for b in bubbles])
+        constraints = _boundary_constraints(bubbles, domain)
+        assert (6, 4) in constraints
+        plain = {tuple(sorted(e)) for s in Delaunay(pts).simplices
+                 for e in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0]))}
+        assert (4, 6) not in plain
+        mesh = delaunay_triangulate(bubbles, domain)
+        assert mesh.n_vertices == len(bubbles)  # no vertex dropped or renumbered
+        edges = {tuple(sorted(e)) for e in mesh.undirected_edges().tolist()}
+        assert all(tuple(sorted(c)) in edges for c in constraints)
+        for f in mesh.faces:
+            cent = mesh.vertices[f].mean(axis=0)
+            assert not point_in_polygon(cent[0], cent[1], hole)
+        assert np.all(mesh.signed_areas() > 0.0)
+
     def test_collinear_rejected(self):
         bubbles = [Bubble(float(x), 0.0, 0.3, MOBILE) for x in range(5)]
         with pytest.raises(TriangulationError, match="collinear"):
@@ -158,6 +188,82 @@ class TestLocate:
         # a point a hair outside the boundary snaps onto the nearest face
         loc = locate(flat, np.array([1.0, -1e-12]))
         assert min(loc.coords) >= 0.0
+
+
+def locate_by_scan(flat, point):
+    """locate over every face in index order, None where locate raises: the
+    reference for the k-d tree's candidate faces."""
+    p = np.array([float(point[0]), float(point[1])])
+    best = None
+    for f, (a, b, c) in enumerate(flat.faces):
+        lam = _barycentric(flat.vertices[a], flat.vertices[b], flat.vertices[c], p)
+        if lam is None:
+            continue
+        if min(lam) >= _BARY_SLACK:
+            return f, _clamp_simplex(lam)
+        if best is None or min(lam) > best[0]:
+            best = (min(lam), f, lam)
+    if best is None:
+        return None
+    _, f, lam = best
+    clamped = _clamp_simplex(lam)
+    q = np.asarray(clamped) @ flat.vertices[flat.faces[f]]
+    if np.linalg.norm(q - p) <= SNAP_TOL_FACTOR * flat.bbox_diagonal():
+        return f, clamped
+    return None
+
+
+def graded_flat_mesh(rng):
+    """Delaunay mesh of the unit square, its points crowded towards the
+    origin so that face sizes vary over two orders of magnitude."""
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=(50, 2)) ** 3,
+                          [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+    faces = Delaunay(pts).simplices.copy()
+    flip = PlanarMesh(pts, faces).signed_areas() < 0.0
+    faces[flip] = faces[flip][:, ::-1]
+    return PlanarMesh(pts, faces)
+
+
+def locate_probes(flat, rng):
+    """Vertices, points on every edge, points within and beyond the snap
+    tolerance outside boundary edges and their end vertices, random points
+    in and around the mesh."""
+    v, faces = flat.vertices, flat.faces
+    a = v[np.concatenate([faces[:, 0], faces[:, 1], faces[:, 2]])]
+    b = v[np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])]
+    on_edges = np.concatenate([0.5 * (a + b), a + 0.25 * (b - a)])
+    # outward normals of boundary edges (directed edges without a twin)
+    directed = {tuple(e) for e in np.column_stack([faces.ravel(), np.roll(faces, -1, axis=1).ravel()]).tolist()}
+    boundary = np.array([e for e in directed if e[::-1] not in directed])
+    ea, eb = v[boundary[:, 0]], v[boundary[:, 1]]
+    d = eb - ea
+    normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    snap = SNAP_TOL_FACTOR * flat.bbox_diagonal()
+    mid = 0.5 * (ea + eb)
+    near_out = np.concatenate([mid + 0.3 * snap * normal, ea + 0.3 * snap * normal,
+                               mid + 5.0 * snap * normal])
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    scattered = lo + (hi - lo) * rng.uniform(-0.2, 1.2, size=(150, 2))
+    return np.concatenate([v, on_edges, near_out, scattered])
+
+
+class TestLocateOracle:
+    @pytest.mark.parametrize("mesh", ["grid", "graded"])
+    def test_matches_scan_over_all_faces(self, flat, rng, mesh):
+        mesh = flat if mesh == "grid" else graded_flat_mesh(rng)
+        grid = FaceGrid(mesh)
+        probes = locate_probes(mesh, rng)
+        located = 0
+        for p in probes:
+            want = locate_by_scan(mesh, p)
+            if want is None:
+                with pytest.raises(MappingError):
+                    locate(mesh, p, grid)
+                continue
+            loc = locate(mesh, p, grid)
+            assert (loc.face, loc.coords) == want
+            located += 1
+        assert len(mesh.vertices) < located < len(probes)
 
 
 class TestInverseMap:

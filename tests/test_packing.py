@@ -4,16 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from bubblemesh import packing
+from bubblemesh import geometry, packing
 from bubblemesh.conformal import flatten
 from bubblemesh.delaunay import delaunay_triangulate
-from bubblemesh.geometry import point_in_polygon
+from bubblemesh.geometry import nearest_segments
 from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, BOUNDARY, MOBILE,
                                 SELF_OVERLAP_LIMIT, Bubble, PackingDomain,
                                 PackingError, _anchor_overlap_below,
                                 _inside_any_anchor, _interpolate_radii_batch,
-                                _quadtree_corners, _segment_distances_sq,
-                                _self_thin, interpolate_radius,
+                                _quadtree_corners, _self_thin,
+                                interpolate_radius,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.pipeline import PipelineConfig, plane_domain
 from bubblemesh.relaxation import overlap_pairwise
@@ -22,7 +22,7 @@ from bubblemesh.remesh import (flat_domain, reconstruct_boundary_bubbles,
 from bubblemesh.sizing import SizingParams, radius_bound_evaluator
 from bubblemesh.surfaces import sphere_patch
 
-from conftest import cap_mesh
+from conftest import cap_mesh, point_in_polygon
 
 
 def square_domain(side=10.0, radius=0.5):
@@ -85,6 +85,24 @@ class TestPackBoundary:
         domain = square_domain(side=0.1, radius=1.0)
         with pytest.raises(PackingError, match="too small"):
             pack_boundary(domain)
+
+    @pytest.mark.parametrize("field", ["graded-plate", "curvature"])
+    def test_radii_from_one_sizing_call_per_loop(self, field):
+        domain = QUADTREE_FIELDS[field]()
+        field_fn = domain.sizing
+        batches = []
+
+        def recorded(x, y):
+            if np.ndim(x):
+                batches.append(np.size(x))
+            return field_fn(x, y)
+
+        domain.sizing = recorded
+        bubbles = pack_boundary(domain)
+        # the march probes one point at a time; the radii come from one
+        # array call per loop, equal to scalar calls bit for bit
+        assert len(batches) == len(domain.loops()) and sum(batches) == len(bubbles)
+        assert [b.radius for b in bubbles] == [float(field_fn(b.x, b.y)) for b in bubbles]
 
 
 class TestInterpolateRadius:
@@ -313,10 +331,11 @@ class TestQuadtreeCorners:
             return (_interpolate_radii_batch(pts, anchors),
                     _anchor_overlap_below(pts, radii, anchors, 0.4),
                     _inside_any_anchor(pts, anchors),
-                    _segment_distances_sq(pts, segs))
+                    *nearest_segments(pts, segs))
 
         whole = run()
         monkeypatch.setattr(packing, "_CHUNK_ELEMENTS", 7 * 90)
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 7 * 90)
         for a, b in zip(whole, run()):
             assert np.array_equal(a, b)
         assert whole[0][0] == anchors[3].radius
@@ -339,6 +358,17 @@ class TestSelfThin:
 
 
 class TestDomainValidation:
+    def test_contains_points_matches_contains(self, rng):
+        domain = plane_domain(PipelineConfig(holes=[(5.0, 5.0, 2.0), (14.0, 4.0, 1.5)]))
+        pts = np.concatenate([rng.uniform(-1.0, 21.0, size=(2000, 2)), domain.outer,
+                              *domain.holes, domain.holes[1] + 1e-3])
+        want = [point_in_polygon(x, y, domain.outer)
+                and not any(point_in_polygon(x, y, h) for h in domain.holes)
+                for x, y in pts.tolist()]
+        assert np.array_equal(domain.contains_points(pts), want)
+        assert [domain.contains(x, y) for x, y in pts[::50].tolist()] == want[::50]
+        assert 0 < sum(want) < len(pts)
+
     def test_outer_must_be_ccw(self):
         outer = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(PackingError, match="counterclockwise"):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -339,3 +342,17 @@ class TestCLI:
                          "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_bench_tracer_finds_every_attribute_it_wraps():
+    # perfbench/tracing.py wraps program functions by module attribute name;
+    # a renamed attribute makes install() raise here, not only in the
+    # benchmark's own tests
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patches = tracing.install(tracing.Tracer("probe"))
+    tracing.uninstall(patches)
+    assert len(patches) > 20
+    assert all(getattr(owner, attr) is original for owner, attr, original in patches)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bubblemesh.geometry import closest_point_on_segment, hashed_unit_direction
+from bubblemesh.geometry import hashed_unit_direction
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, pack_boundary,
                                 pack_interior_quadtree)
@@ -15,6 +15,8 @@ from bubblemesh.relaxation import (WALL_CLEARANCE, ConvergenceTrace,
                                    pair_force, qc_boundary_region, qc_original,
                                    relax_step, relax_until_converged,
                                    rk4_damped_step)
+
+from conftest import closest_point_on_segment
 
 FORCE = ForceParams(k=1.0, f0=1.0)
 
@@ -35,6 +37,22 @@ def reach_colours(bubbles, cutoff):
     return colour
 
 
+def project_inside_loop(domain, x, y, radius):
+    """Scalar boundary projection of one point: the reference for
+    PackingDomain.project_inside. The first nearest segment of non-zero
+    length wins; its left normal points inward."""
+    best = (math.inf, x, y, 0.0, 0.0)
+    for ax, ay, bx, by in domain.all_segments():
+        qx, qy, d2, _ = closest_point_on_segment(x, y, ax, ay, bx, by)
+        if d2 < best[0]:
+            ln = math.hypot(bx - ax, by - ay)
+            if ln > 0.0:
+                nx, ny = -(by - ay) / ln, (bx - ax) / ln
+                best = (d2, qx, qy, nx, ny)
+    _, qx, qy, nx, ny = best
+    return qx + nx * radius, qy + ny * radius
+
+
 def enforce_clearance(walls, x, y, radius):
     """Scalar wall check of one bubble: the reference for the vector clamp.
     Returns the corrected centre, or None when no correction is needed."""
@@ -42,12 +60,12 @@ def enforce_clearance(walls, x, y, radius):
     if local is None:
         x0, y0, x1, y1 = walls.bbox
         if x < x0 or x > x1 or y < y0 or y > y1:
-            return walls.domain.project_inside(x, y, radius)
+            return project_inside_loop(walls.domain, x, y, radius)
         return None
     best_d2 = math.inf
     for si in local:
         ax, ay, bx, by = walls.segments[si]
-        qx, qy, d2 = closest_point_on_segment(x, y, ax, ay, bx, by)
+        qx, qy, d2, _ = closest_point_on_segment(x, y, ax, ay, bx, by)
         if d2 < best_d2:
             best_d2 = d2
             best = (qx, qy, ax, ay, bx, by)
@@ -58,7 +76,7 @@ def enforce_clearance(walls, x, y, radius):
         return None
     ln = math.hypot(bx - ax, by - ay)
     if ln <= 0.0:
-        return walls.domain.project_inside(x, y, radius)
+        return project_inside_loop(walls.domain, x, y, radius)
     nx, ny = -(by - ay) / ln, (bx - ax) / ln
     return qx + nx * radius, qy + ny * radius
 
@@ -310,6 +328,29 @@ class TestRelaxStep:
             else:
                 assert hit and got.tolist() == [float(want[0]), float(want[1])]
         assert 0 < moved.sum() < len(pts)
+
+    @pytest.mark.parametrize("outer", [
+        [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+        # a repeated vertex makes a zero-length first segment
+        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+    ])
+    def test_project_inside_matches_scalar_loop(self, rng, outer):
+        # a diamond hole's corners lie on the diagonals, equally far from
+        # two segments; corners and wall points tie between neighbours
+        hole = np.array([[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]])
+        domain = PackingDomain(outer=np.array(outer), holes=[hole])
+        corners = np.concatenate([domain.outer, hole])
+        on_walls = [a + t * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))
+                    for t in np.linspace(0.0, 1.0, 5)]
+        pts = np.concatenate([rng.uniform(-2.0, 12.0, size=(2000, 2)), corners,
+                              np.array(on_walls), np.mgrid[-1:12, -1:10].reshape(2, -1).T,
+                              [[5.0, 4.0], [1.0, 1.0], [9.0, 7.0]]])
+        radii = rng.uniform(0.1, 0.5, size=len(pts))
+        got = domain.project_inside(pts, radii)
+        want = [project_inside_loop(domain, x, y, r)
+                for (x, y), r in zip(pts.tolist(), radii.tolist())]
+        assert np.array_equal(got, np.array(want, dtype=float))
+        assert domain.project_inside(pts[:0], radii[:0]).shape == (0, 2)
 
 
 class TestOverlapOriginal:
