@@ -7,7 +7,8 @@ back with curvature-adaptive sizing.
 
 from .conformal import FlattenResult, conformal_factors, flatten
 from .delaunay import TriangulationError, delaunay_triangulate
-from .mapping import BarycentricLocation, FaceGrid, MappingError, inverse_map, locate
+from .mapping import (BarycentricLocation, FaceGrid, MappingError, inverse_map, locate,
+                      locate_points)
 from .mesh import (MeshError, MeshQualityReport, PlanarMesh, TriangleMesh,
                    ValidationResult, hausdorff_estimate, load_mesh,
                    quality_report, save_mesh, validate_disk_topology, write_svg)

@@ -2,7 +2,9 @@
 
 Orientation and in-circle tests are evaluated in floating point with a
 forward error bound and fall back to exact rational arithmetic when the
-filter cannot certify the sign. `nearest_segments` is the one projection
+filter cannot certify the sign. Their array forms (`orient2d_array`,
+`incircle_array`) run the same filter on whole columns and send only the
+uncertain rows to the exact fallback. `nearest_segments` is the one projection
 of points onto segments; every wall-distance query goes through it.
 """
 from __future__ import annotations
@@ -89,6 +91,58 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
     if det < 0:
         return -1
     return 0
+
+
+def _signs(det, certain, exact, *rows):
+    """int8 signs of `det` where the filter certified them; every other row
+    takes the scalar exact fallback on its Python-float coordinates."""
+    sign = np.sign(det).astype(np.int8)
+    for r in np.flatnonzero(~certain).tolist():
+        sign[r] = exact(*(float(c[r]) for c in rows))
+    return sign
+
+
+def orient2d_array(ax, ay, bx, by, cx, cy):
+    """`orient2d` of equal-length coordinate arrays, one triangle per row,
+    as int8 signs: the scalar filter's arithmetic on whole arrays, so each
+    row gets the scalar sign."""
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = np.abs(detleft) + np.abs(detright)
+    return _signs(det, np.abs(det) > _CCW_BOUND * detsum, _orient2d_exact,
+                  ax, ay, bx, by, cx, cy)
+
+
+def incircle_array(ax, ay, bx, by, cx, cy, dx, dy):
+    """`incircle` of equal-length coordinate arrays, one row per (CCW
+    triangle abc, point d), as int8 signs: the scalar filter's arithmetic
+    on whole arrays, so each row gets the scalar sign."""
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
+
+    bdxcdy = bdx * cdy
+    cdxbdy = cdx * bdy
+    alift = adx * adx + ady * ady
+    cdxady = cdx * ady
+    adxcdy = adx * cdy
+    blift = bdx * bdx + bdy * bdy
+    adxbdy = adx * bdy
+    bdxady = bdx * ady
+    clift = cdx * cdx + cdy * cdy
+
+    det = (alift * (bdxcdy - cdxbdy)
+           + blift * (cdxady - adxcdy)
+           + clift * (adxbdy - bdxady))
+    permanent = ((np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
+                 + (np.abs(cdxady) + np.abs(adxcdy)) * blift
+                 + (np.abs(adxbdy) + np.abs(bdxady)) * clift)
+    return _signs(det, np.abs(det) > _INCIRCLE_BOUND * permanent, _incircle_exact,
+                  ax, ay, bx, by, cx, cy, dx, dy)
 
 
 def segments_cross(p, q, u, v):

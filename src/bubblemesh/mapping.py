@@ -4,7 +4,10 @@ Every vertex of a re-meshed planar mesh is located in the initial flat mesh,
 expressed in barycentric coordinates, and lifted with the same weights
 applied to the corresponding 3D face of the initial discrete surface. The
 faces that can hold a point come from one k-d tree ball query over the
-face centroids (`FaceGrid`).
+face centroids (`FaceGrid`); `locate_points` takes the barycentric
+coordinates of every query in all its candidate faces in one array pass,
+with the dot products as batched matmuls so that each row gets the float
+of the one-point arithmetic.
 """
 from __future__ import annotations
 
@@ -43,73 +46,98 @@ class FaceGrid:
         corner = np.sqrt(((tri - centroids[:, None]) ** 2).sum(axis=2))
         self.reach = corner.max(initial=0.0) + 2.0 * SNAP_TOL_FACTOR * mesh.bbox_diagonal()
 
-    def candidates(self, x: float, y: float) -> list[int]:
-        """Ascending indices of the faces whose centroid lies within reach."""
-        return self.tree.query_ball_point((x, y), self.reach, return_sorted=True)
+    def candidates(self, points) -> list[list[int]]:
+        """Per (n,2) query point, the ascending indices of the faces whose
+        centroid lies within reach."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        return list(self.tree.query_ball_point(points, self.reach, return_sorted=True))
 
 
-def _barycentric(a, b, c, p):
+def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (m,k) arrays as (m,1,k) @ (m,k,1) matmuls,
+    which give each row the float of the 1-D `u[i] @ w[i]`."""
+    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+
+def _barycentric_rows(a, b, c, p):
+    """(m,3) barycentric coordinates of the points p (m,2) in the triangles
+    abc, and the mask of rows whose triangle is not degenerate."""
     v0 = b - a
     v1 = c - a
     v2 = p - a
-    d00 = v0 @ v0
-    d01 = v0 @ v1
-    d11 = v1 @ v1
-    d20 = v2 @ v0
-    d21 = v2 @ v1
+    d00 = _rowdot(v0, v0)
+    d01 = _rowdot(v0, v1)
+    d11 = _rowdot(v1, v1)
+    d20 = _rowdot(v2, v0)
+    d21 = _rowdot(v2, v1)
     denom = d00 * d11 - d01 * d01
-    if abs(denom) < 1e-300:
-        return None
-    lb = (d11 * d20 - d01 * d21) / denom
-    lc = (d00 * d21 - d01 * d20) / denom
-    return 1.0 - lb - lc, lb, lc
+    valid = ~(np.abs(denom) < 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = (d11 * d20 - d01 * d21) / denom
+        lc = (d00 * d21 - d01 * d20) / denom
+    return np.column_stack([1.0 - lb - lc, lb, lc]), valid
 
 
-def _clamp_simplex(lam):
-    clamped = np.maximum(np.asarray(lam, dtype=float), 0.0)
-    total = clamped.sum()
-    if total <= 0.0:
-        return (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    clamped /= total
-    return (float(clamped[0]), float(clamped[1]), float(clamped[2]))
+def _clamp_simplex_rows(lam: np.ndarray) -> np.ndarray:
+    """Negative coordinates set to 0, rows rescaled to sum 1 (1/3 each where
+    nothing positive is left)."""
+    clamped = np.maximum(lam, 0.0)
+    total = clamped.sum(axis=1)
+    empty = total <= 0.0
+    clamped[empty] = 1.0 / 3.0
+    clamped[~empty] /= total[~empty, None]
+    return clamped
+
+
+def locate_points(flat: PlanarMesh, points, grid: FaceGrid | None = None):
+    """Containing face and barycentric coordinates of each (n,2) query point,
+    in one pass over every query's candidate faces: (n,) face indices, -1
+    where the point is unlocatable, and (n,3) coordinates.
+
+    A point on shared edges resolves to the lowest-index face holding it;
+    a point held by no face is clamped onto the candidate face it is least
+    outside of (the first of equals) if that moves it by at most the snap
+    tolerance, and is unlocatable otherwise."""
+    if grid is None:
+        grid = FaceGrid(flat)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(points)
+    cand = grid.candidates(points)
+    query = np.repeat(np.arange(n), [len(c) for c in cand])
+    face = np.fromiter((f for c in cand for f in c), dtype=np.int64, count=len(query))
+    corners = flat.vertices[flat.faces[face]]
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    p = points[query]
+    lam, valid = _barycentric_rows(a, b, c, p)
+    low = lam.min(axis=1)
+    holds = low >= _BARY_SLACK
+
+    # per query, the first pair (in ascending face order) that holds the
+    # point, else the first of the pairs whose point is least outside
+    rows = np.flatnonzero(valid)
+    rows = rows[np.lexsort((rows, np.where(holds[rows], 0.0, -low[rows]),
+                            ~holds[rows], query[rows]))]
+    located, first = np.unique(query[rows], return_index=True)
+    k = rows[first]
+    clamped = _clamp_simplex_rows(lam[k])
+    q = clamped[:, :1] * a[k] + clamped[:, 1:2] * b[k] + clamped[:, 2:] * c[k]
+    keep = holds[k] | (np.sqrt(_rowdot(q - p[k], q - p[k]))
+                       <= SNAP_TOL_FACTOR * flat.bbox_diagonal())
+    faces = np.full(n, -1)
+    coords = np.zeros((n, 3))
+    faces[located[keep]] = face[k[keep]]
+    coords[located[keep]] = clamped[keep]
+    return faces, coords
 
 
 def locate(flat: PlanarMesh, point, grid: FaceGrid | None = None) -> BarycentricLocation:
-    """Containing face and barycentric coordinates of a query point.
-
-    Points on shared edges resolve to the lowest-index face; points within
-    the snap tolerance outside the mesh are clamped onto the nearest
-    candidate face. Anything farther out is an error.
-    """
-    if grid is None:
-        grid = FaceGrid(flat)
-    px, py = float(point[0]), float(point[1])
-    p = np.array([px, py])
-    v = flat.vertices
-    faces = flat.faces
-
-    best = None
-    for f in grid.candidates(px, py):
-        a, b, c = v[faces[f, 0]], v[faces[f, 1]], v[faces[f, 2]]
-        lam = _barycentric(a, b, c, p)
-        if lam is None:
-            continue
-        if min(lam) >= _BARY_SLACK:
-            return BarycentricLocation(f, _clamp_simplex(lam))
-        if best is None or min(lam) > best[0]:
-            best = (min(lam), f, lam)
-    if best is None:
+    """Containing face and barycentric coordinates of one query point (see
+    `locate_points`); a point beyond the snap tolerance outside the mesh is
+    an error."""
+    faces, coords = locate_points(flat, point, grid)
+    if faces[0] < 0:
         raise MappingError("outside flattened domain")
-
-    # nearly-containing face: accept if the point is within snap distance
-    snap = SNAP_TOL_FACTOR * flat.bbox_diagonal()
-    _, f, lam = best
-    a, b, c = v[faces[f, 0]], v[faces[f, 1]], v[faces[f, 2]]
-    clamped = _clamp_simplex(lam)
-    q = clamped[0] * a + clamped[1] * b + clamped[2] * c
-    if np.linalg.norm(q - p) <= snap:
-        return BarycentricLocation(f, clamped)
-    raise MappingError("outside flattened domain")
+    return BarycentricLocation(int(faces[0]), tuple(float(x) for x in coords[0]))
 
 
 def inverse_map(new_flat: PlanarMesh, initial_flat: PlanarMesh,
@@ -124,24 +152,13 @@ def inverse_map(new_flat: PlanarMesh, initial_flat: PlanarMesh,
     if initial_flat.faces.shape != initial_surface.faces.shape or \
             np.any(initial_flat.faces != initial_surface.faces):
         raise MeshError("initial flat and surface meshes must share connectivity")
-    grid = FaceGrid(initial_flat)
-    lifted = np.empty((new_flat.n_vertices, 3))
-    uv = None
-    if initial_surface.uv is not None:
-        uv = np.empty((new_flat.n_vertices, 2))
-    failures = []
-    for k in range(new_flat.n_vertices):
-        try:
-            loc = locate(initial_flat, new_flat.vertices[k], grid)
-        except MappingError:
-            failures.append(k)
-            continue
-        tri = initial_surface.faces[loc.face]
-        lam = np.asarray(loc.coords)
-        lifted[k] = lam @ initial_surface.vertices[tri]
-        if uv is not None:
-            uv[k] = lam @ initial_surface.uv[tri]
+    faces, coords = locate_points(initial_flat, new_flat.vertices, FaceGrid(initial_flat))
+    failures = np.flatnonzero(faces < 0).tolist()
     if failures:
         raise MappingError(f"unlocatable vertices: {failures[:20]}"
                            + ("..." if len(failures) > 20 else ""))
+    tri = initial_surface.faces[faces]
+    weights = coords[:, None, :]
+    lifted = (weights @ initial_surface.vertices[tri])[:, 0]
+    uv = None if initial_surface.uv is None else (weights @ initial_surface.uv[tri])[:, 0]
     return TriangleMesh(lifted, new_flat.faces.copy(), uv=uv)

@@ -10,6 +10,11 @@ stepping its members one after another. Two quantity-control strategies
 are provided: the original alternating insert/delete pass driven by a summed
 overlap ratio, and the boundary-region pass that prunes bubbles overlapping
 anchors once, before any relaxation.
+
+After every sweep the min-angle monitor (`monitor.triangulation_min_angle`,
+looked up here at call time) measures the Delaunay triangulation of the
+bubble centres; the convergence loop keeps its `MonitorCache` so that it
+repairs the last sweep's triangulation instead of building a new one.
 """
 from __future__ import annotations
 
@@ -19,10 +24,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay as _SciDelaunay
-from scipy.spatial import QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .geometry import hashed_unit_direction, nearest_segments
+from .monitor import MonitorCache, triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, interpolate_radius)
 
@@ -592,36 +597,6 @@ def qc_boundary_region(bubbles: list[Bubble], anchors: list[Bubble],
 # ---------------------------------------------------------------------------
 # Convergence loop
 
-def triangulation_min_angle(points: np.ndarray, domain: PackingDomain | None) -> float:
-    """Minimum interior angle (degrees) of a Delaunay snapshot of the points,
-    ignoring triangles outside the domain. Monitoring statistic only."""
-    if len(points) < 3:
-        return 0.0
-    try:
-        tri = _SciDelaunay(points)
-    except QhullError:
-        return 0.0
-    faces = tri.simplices
-    if domain is not None:
-        faces = faces[domain.contains_points(points[faces].mean(axis=1))]
-    if not len(faces):
-        return 0.0
-    v = points[faces]
-    min_cos = -1.0
-    for kidx in range(3):
-        a = v[:, kidx]
-        b = v[:, (kidx + 1) % 3]
-        cc = v[:, (kidx + 2) % 3]
-        e1 = b - a
-        e2 = cc - a
-        n1 = np.linalg.norm(e1, axis=1)
-        n2 = np.linalg.norm(e2, axis=1)
-        denom = np.maximum(n1 * n2, 1e-300)
-        cosang = np.einsum("ij,ij->i", e1, e2) / denom
-        min_cos = max(min_cos, float(np.max(np.clip(cosang, -1.0, 1.0))))
-    return math.degrees(math.acos(min_cos))
-
-
 def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                           force: ForceParams | None = None,
                           dyn: DynamicsParams | None = None,
@@ -656,10 +631,13 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     anchors = [bubbles[i] for i in anchor_ids]
     history: list[float] = []
     qc_clean = strategy != "original-qc"
+    monitor = MonitorCache()
 
     for sweep in range(1, dyn.max_sweeps + 1):
         max_f = relax_step(state, force, dyn, walls)
-        ang = triangulation_min_angle(state.positions(), domain)
+        ids = state.alive_indices()
+        monitor.key(ids)
+        ang = triangulation_min_angle(state.positions(ids), domain, monitor)
         trace.add(sweep, state.count, max_f, ang, time.perf_counter() - t0)
         history.append(ang)
 

@@ -188,3 +188,60 @@ def test_nearest_segments_chunking_never_changes_a_row(segment_case, monkeypatch
     monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 7 * len(segs))  # 7 rows a chunk
     for a, b in zip(whole, nearest_segments(pts, segs)):
         assert same_bits(a, b)
+
+
+def predicate_cases(rng):
+    """Blocks of rows of four points: random; nearly cocircular (points on a
+    circle moved by 1e-15 of its radius); and, on an integer lattice, unit
+    squares with their corners in CCW order (exactly cocircular), rows
+    whose first three points lie on one line, exactly and, scaled by 0.1,
+    nearly, and four coincident points."""
+    centre = rng.uniform(-1e3, 1e3, size=(500, 1, 2))
+    angle = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=(500, 4)), axis=1)
+    i, j = np.meshgrid(np.arange(-5, 5), np.arange(-5, 5))
+    corner = np.column_stack([i.ravel(), j.ravel()]).astype(float)[:, None, :]
+    line = corner + np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [0.0, 1.0]])
+    return {
+        "random": rng.uniform(-10.0, 10.0, size=(500, 4, 2)),
+        "near": centre + np.stack([np.cos(angle), np.sin(angle)], axis=2) * (
+            1.0 + rng.choice([0.0, 1e-15, -1e-15], size=(500, 4, 1))),
+        "square": corner + np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        "line": line,
+        "near line": 0.1 * line,
+        "coincident": np.repeat(corner, 4, axis=1),
+    }
+
+
+def recording(monkeypatch, name):
+    """Replace geometry.<name> by a wrapper that records its arguments."""
+    calls = []
+    exact = getattr(geometry, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["orient2d", "incircle"])
+def test_array_predicates_match_scalar_signs(rng, monkeypatch, name):
+    blocks = predicate_cases(rng)
+    rows = np.concatenate(list(blocks.values()))
+    arity = 3 if name == "orient2d" else 4
+    columns = [rows[:, k, d] for k in range(arity) for d in (0, 1)]
+    scalar = getattr(geometry, name)
+    exact = recording(monkeypatch, f"_{name}_exact")
+    want = [scalar(*(float(c[r]) for c in columns)) for r in range(len(rows))]
+    scalar_exact = list(exact)
+    exact.clear()
+    got = getattr(geometry, f"{name}_array")(*columns)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+    # the rows the filter cannot decide, and only those, take the exact path
+    assert exact == scalar_exact
+    assert len(exact) >= 200
+    sign = dict(zip(blocks, np.split(got, np.cumsum([len(b) for b in blocks.values()]))))
+    zero = ["coincident", "square" if name == "incircle" else "line"]
+    assert all(not sign[block].any() for block in zero)

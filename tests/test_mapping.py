@@ -8,8 +8,7 @@ from bubblemesh.delaunay import (TriangulationError, _boundary_constraints,
                                  delaunay_triangulate)
 from bubblemesh.geometry import incircle
 from bubblemesh.mapping import (_BARY_SLACK, SNAP_TOL_FACTOR, FaceGrid,
-                                MappingError, _barycentric, _clamp_simplex,
-                                inverse_map, locate)
+                                MappingError, inverse_map, locate, locate_points)
 from bubblemesh.mesh import PlanarMesh
 from bubblemesh.packing import BOUNDARY, MOBILE, Bubble, PackingDomain
 from bubblemesh.surfaces import plane, sphere_patch
@@ -190,13 +189,44 @@ class TestLocate:
         assert min(loc.coords) >= 0.0
 
 
-def locate_by_scan(flat, point):
-    """locate over every face in index order, None where locate raises: the
-    reference for the k-d tree's candidate faces."""
+def _barycentric(a, b, c, p):
+    """Barycentric coordinates of p in triangle abc, one point at a time
+    (None for a degenerate triangle): the scalar reference for
+    mapping._barycentric_rows."""
+    v0 = b - a
+    v1 = c - a
+    v2 = p - a
+    d00 = v0 @ v0
+    d01 = v0 @ v1
+    d11 = v1 @ v1
+    d20 = v2 @ v0
+    d21 = v2 @ v1
+    denom = d00 * d11 - d01 * d01
+    if abs(denom) < 1e-300:
+        return None
+    lb = (d11 * d20 - d01 * d21) / denom
+    lc = (d00 * d21 - d01 * d20) / denom
+    return 1.0 - lb - lc, lb, lc
+
+
+def _clamp_simplex(lam):
+    clamped = np.maximum(np.asarray(lam, dtype=float), 0.0)
+    total = clamped.sum()
+    if total <= 0.0:
+        return (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    clamped /= total
+    return (float(clamped[0]), float(clamped[1]), float(clamped[2]))
+
+
+def _scan(flat, point, faces):
+    """(face, coords) of the point over the given faces in order, None when
+    it is unlocatable: the first face holding it, else the face it is least
+    outside of if clamping onto it stays within the snap tolerance."""
     p = np.array([float(point[0]), float(point[1])])
     best = None
-    for f, (a, b, c) in enumerate(flat.faces):
-        lam = _barycentric(flat.vertices[a], flat.vertices[b], flat.vertices[c], p)
+    for f in faces:
+        a, b, c = flat.vertices[flat.faces[f]]
+        lam = _barycentric(a, b, c, p)
         if lam is None:
             continue
         if min(lam) >= _BARY_SLACK:
@@ -207,10 +237,23 @@ def locate_by_scan(flat, point):
         return None
     _, f, lam = best
     clamped = _clamp_simplex(lam)
-    q = np.asarray(clamped) @ flat.vertices[flat.faces[f]]
+    a, b, c = flat.vertices[flat.faces[f]]
+    q = clamped[0] * a + clamped[1] * b + clamped[2] * c
     if np.linalg.norm(q - p) <= SNAP_TOL_FACTOR * flat.bbox_diagonal():
         return f, clamped
     return None
+
+
+def locate_by_scan(flat, point):
+    """The scalar location over every face in index order: the reference
+    for the k-d tree's candidate faces."""
+    return _scan(flat, point, range(len(flat.faces)))
+
+
+def locate_scalar(flat, point, grid):
+    """The scalar location over the point's candidate faces, one point and
+    one face at a time: the reference for the vectorized locate_points."""
+    return _scan(flat, point, grid.candidates([point])[0])
 
 
 def graded_flat_mesh(rng):
@@ -266,7 +309,56 @@ class TestLocateOracle:
         assert len(mesh.vertices) < located < len(probes)
 
 
+class TestLocatePoints:
+    @pytest.mark.parametrize("mesh", ["grid", "graded"])
+    def test_matches_scalar_location_bit_for_bit(self, flat, rng, mesh):
+        mesh = flat if mesh == "grid" else graded_flat_mesh(rng)
+        grid = FaceGrid(mesh)
+        probes = locate_probes(mesh, rng)
+        faces, coords = locate_points(mesh, probes, grid)
+        for k, p in enumerate(probes):
+            want = locate_scalar(mesh, p, grid)
+            if want is None:
+                assert faces[k] == -1
+            else:
+                assert (int(faces[k]), tuple(coords[k].tolist())) == want
+        assert 0 < np.count_nonzero(faces < 0) < len(probes)
+
+    def test_no_candidates_and_empty_queries(self, flat):
+        faces, coords = locate_points(flat, np.array([[50.0, 50.0], [0.5, 0.5]]))
+        assert faces[0] == -1 and faces[1] >= 0
+        faces, coords = locate_points(flat, np.zeros((0, 2)))
+        assert faces.shape == (0,) and coords.shape == (0, 3)
+
+    def test_degenerate_candidate_is_skipped(self):
+        # a zero-area face (index 0) overlaps a proper one: the scalar path
+        # skips it, and so must the array pass
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        mesh = PlanarMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
+        probes = np.array([[0.5, 0.0], [0.2, 0.2], [1.5, 0.0], [0.4, 0.7]])
+        grid = FaceGrid(mesh)
+        faces, coords = locate_points(mesh, probes, grid)
+        for k, p in enumerate(probes):
+            want = locate_scalar(mesh, p, grid)
+            got = None if faces[k] < 0 else (int(faces[k]), tuple(coords[k].tolist()))
+            assert got == want
+
+
 class TestInverseMap:
+    def test_lift_matches_one_vertex_at_a_time(self, rng):
+        surf = sphere_patch(radius=1.0, u0=0.0, u1=1.0, v0=0.8, v1=1.8)
+        initial = grid_mesh_on_surface(surf, 9, 9)
+        flat = PlanarMesh(initial.uv, initial.faces)
+        pts = np.column_stack([rng.uniform(0.0, 1.0, 200), rng.uniform(0.8, 1.8, 200)])
+        new_flat = PlanarMesh(pts, np.array([[0, 1, 2]]))
+        out = inverse_map(new_flat, flat, initial)
+        grid = FaceGrid(flat)
+        for k, p in enumerate(pts):
+            f, lam = locate_scalar(flat, p, grid)
+            tri = initial.faces[f]
+            assert np.array_equal(out.vertices[k], np.asarray(lam) @ initial.vertices[tri])
+            assert np.array_equal(out.uv[k], np.asarray(lam) @ initial.uv[tri])
+
     def test_identity_remesh(self):
         surf = sphere_patch(radius=1.0, u0=0.0, u1=1.0, v0=0.8, v1=1.8)
         initial = grid_mesh_on_surface(surf, 9, 9)

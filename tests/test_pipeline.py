@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,15 +345,36 @@ class TestCLI:
         assert "error" in capsys.readouterr().err
 
 
+def bench_module(name):
+    """A module of perfbench/, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_tracer_finds_every_attribute_it_wraps():
     # perfbench/tracing.py wraps program functions by module attribute name;
     # a renamed attribute makes install() raise here, not only in the
     # benchmark's own tests
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     patches = tracing.install(tracing.Tracer("probe"))
     tracing.uninstall(patches)
     assert len(patches) > 20
     assert all(getattr(owner, attr) is original for owner, attr, original in patches)
+
+
+def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
+    # relaxation.monitor_s is the self time of the spans the tracer puts
+    # around relaxation.triangulation_min_angle: a monitor that stopped
+    # looking the name up at call time would read 0 without failing
+    tracing, workloads = bench_module("tracing"), bench_module("workloads")
+    wl, cfg = workloads.load("tiny", 3, tmp_path)
+    tracer = tracing.Tracer("tiny")
+    with tracing.traced(tracer):
+        result = workloads.entry_point(wl)(cfg)
+    spans = [span for span in tracer.spans if span[0] == "relaxation.monitor"]
+    assert len(spans) == result["trace"].sweeps > 1
+    assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
