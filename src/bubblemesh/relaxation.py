@@ -11,10 +11,13 @@ are provided: the original alternating insert/delete pass driven by a summed
 overlap ratio, and the boundary-region pass that prunes bubbles overlapping
 anchors once, before any relaxation.
 
-After every sweep the min-angle monitor (`monitor.triangulation_min_angle`,
-looked up here at call time) measures the Delaunay triangulation of the
-bubble centres; the convergence loop keeps its `MonitorCache` so that it
-repairs the last sweep's triangulation instead of building a new one.
+The convergence loop carries each sweep's bookkeeping over from the last,
+with the same result: a `SweepPairs` Verlet list culled exactly each sweep,
+its colouring while the pairs repeat, and the wall clamp's clearance
+certificate (`walls`). After every sweep the min-angle monitor
+(`monitor.triangulation_min_angle`, looked up here at call time) measures
+the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
+the last sweep's triangulation instead of building a new one.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .geometry import hashed_unit_direction, nearest_segments
 from .monitor import MonitorCache, triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, interpolate_radius)
+from .walls import WALL_CLEARANCE, _BoundaryProximity
 
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
@@ -78,7 +82,11 @@ class ConvergenceTrace:
 
     `stop_reason` says why the relaxation ended: "force" (max net force
     under tolerance), "stall" (min angle flat over the stall window) or
-    "sweep-cap" (neither before max_sweeps; not converged).
+    "sweep-cap" (neither before max_sweeps; not converged). The sweep
+    bookkeeping counters, deterministic and not written to the CSV:
+    `pair_rebuilds` (Verlet pair list builds), `colour_reuses` (sweeps that
+    kept the last colouring) and `wall_checks` (rows sent through the wall
+    clamp's nearest-segment pass).
     """
 
     def __init__(self):
@@ -86,6 +94,9 @@ class ConvergenceTrace:
         self.converged = False
         self.converged_sweep: int | None = None
         self.stop_reason = "sweep-cap"
+        self.pair_rebuilds = 0
+        self.colour_reuses = 0
+        self.wall_checks = 0
 
     def add(self, sweep, count, max_force, min_angle, elapsed):
         self.rows.append((int(sweep), int(count), float(max_force),
@@ -126,24 +137,27 @@ class ConvergenceTrace:
 # ---------------------------------------------------------------------------
 # Pair force law
 
-def _cubic_coeffs(l0: float, k: float, f0: float):
-    kl = k * l0
-    c3 = 2.0 * kl - (2.0 / 3.0) * f0
-    c2 = (7.0 / 3.0) * f0 - 5.0 * kl
-    c1 = 3.0 * kl - (8.0 / 3.0) * f0
-    return c1, c2, c3
+def _cubic_law(l0, params: ForceParams):
+    """Per-pair terms of the cubic at rest length l0: the cutoff distance
+    cutoff * l0 and the coefficients c1, c2, c3 of F(w) = ((c3 w + c2) w +
+    c1) w + f0."""
+    kl = params.k * l0
+    c3 = 2.0 * kl - (2.0 / 3.0) * params.f0
+    c2 = (7.0 / 3.0) * params.f0 - 5.0 * kl
+    c1 = 3.0 * kl - (8.0 / 3.0) * params.f0
+    return params.cutoff * l0, c1, c2, c3
 
 
 _COINCIDENT = 1e-12  # centres closer than this push apart along a hashed direction
 
 
-def force_magnitude(l, l0, params: ForceParams):
+def force_magnitude(l, l0, params: ForceParams, law=None):
     """Signed radial force: positive repels, negative attracts, 0 beyond cutoff.
-    Takes scalars or equal-shape arrays of distances and rest lengths."""
-    c1, c2, c3 = _cubic_coeffs(l0, params.k, params.f0)
+    Takes scalars or equal-shape arrays of distances and rest lengths; `law`
+    is `_cubic_law(l0, params)`, passed in when it is already at hand."""
+    reach, c1, c2, c3 = _cubic_law(l0, params) if law is None else law
     w = l / l0
-    return np.where(l >= params.cutoff * l0, 0.0,
-                    ((c3 * w + c2) * w + c1) * w + params.f0)
+    return np.where(l >= reach, 0.0, ((c3 * w + c2) * w + c1) * w + params.f0)
 
 
 def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
@@ -157,23 +171,6 @@ def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
         return np.array([params.f0 * ux, params.f0 * uy])
     mag = force_magnitude(l, b_i.radius + b_j.radius, params)
     return np.array([mag * dx / l, mag * dy / l])
-
-
-def _net_forces(dx, dy, l0, owner, count: int, i, j, params: ForceParams,
-                seed: int) -> np.ndarray:
-    """(count, 2) net forces: pair e adds the force that bubble j[e] exerts
-    on bubble i[e], at offset (dx[e], dy[e]) and rest length l0[e], to row
-    owner[e]; each row sums its pairs in the order given."""
-    l = np.sqrt(dx * dx + dy * dy)
-    coincident = l < _COINCIDENT
-    l = np.where(coincident, 1.0, l)
-    mag = force_magnitude(l, l0, params)
-    fx = mag * dx / l
-    fy = mag * dy / l
-    for e in np.flatnonzero(coincident).tolist():
-        fx[e], fy[e] = (params.f0 * u for u in hashed_unit_direction(int(i[e]), int(j[e]), seed))
-    return np.column_stack([np.bincount(owner, fx, count),
-                            np.bincount(owner, fy, count)])
 
 
 def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
@@ -260,113 +257,77 @@ def _ball_query(state: RelaxState):
     return near
 
 
-WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
-                      # keeps a full radius of clearance, or it is projected
-
-
-class _BoundaryProximity:
-    """Grid cells near the domain boundary, each holding the segment indices
-    that pass close by, so wall checks touch only a handful of segments.
-    Cells are twice the largest bubble radius the checks will see. For the
-    vector check `slot` maps each cell of a dense grid to a row of `table`,
-    the cell's segment list padded with -1 to the longest list (-1 where
-    no segment passes)."""
-
-    def __init__(self, domain: PackingDomain, max_radius: float):
-        self.domain = domain
-        self.cell = cell = max(2.0 * max_radius, 1e-12)
-        self.segments = domain.all_segments()
-        lo, hi = domain.bbox()
-        self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-        cells: dict[tuple[int, int], set[int]] = {}
-        for si, (ax, ay, bx, by) in enumerate(self.segments):
-            length = math.hypot(bx - ax, by - ay)
-            steps = max(1, int(math.ceil(2.0 * length / cell)))
-            for s in range(steps + 1):
-                t = s / steps
-                px = ax + t * (bx - ax)
-                py = ay + t * (by - ay)
-                cx = int(math.floor(px / cell))
-                cy = int(math.floor(py / cell))
-                for ix in range(cx - 1, cx + 2):
-                    for iy in range(cy - 1, cy + 2):
-                        cells.setdefault((ix, iy), set()).add(si)
-        self.cells = {key: sorted(v) for key, v in cells.items()}
-
-        # dense grid of cell rows with a border of empty cells, onto which
-        # clipped indices of far-away points land
-        keys = np.array(list(self.cells))
-        self.origin = keys.min(axis=0) - 1
-        self.slot = np.full(keys.max(axis=0) - self.origin + 2, -1)
-        self.slot[tuple((keys - self.origin).T)] = np.arange(len(keys))
-        self.last_cell = np.array(self.slot.shape) - 1
-        self.table = np.full((len(keys), max(map(len, self.cells.values()))), -1)
-        for row, segs in enumerate(self.cells.values()):
-            self.table[row, :len(segs)] = segs
-        # per segment: start, direction, length and inward (left) unit
-        # normal, in the scalar projection's arithmetic; a zero-length
-        # segment sends its bubbles to domain.project_inside
-        ax, ay, bx, by = self.segments.T
-        vx, vy = bx - ax, by - ay
-        length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.terms = np.stack([ax, ay, vx, vy, length, -vy / length, vx / length])
-
-    def clamp(self, p: np.ndarray, radius: np.ndarray):
-        """Wall check of the bubbles at the rows of p (k,2): one that escaped
-        or hugs the wall is projected back to a full radius of clearance
-        from its nearest local segment (the first of equals), and one in a
-        cell no segment passes is projected only when outside the bbox.
-        Returns the corrected positions and the mask of projected rows."""
-        cell = np.floor(p / self.cell).astype(np.int64) - self.origin
-        cell = np.minimum(np.maximum(cell, 0), self.last_cell)
-        row = self.slot[cell[:, 0], cell[:, 1]]
-        x0, y0, x1, y1 = self.bbox
-        project = (row < 0) & ((p < (x0, y0)) | (p > (x1, y1))).any(axis=1)
-        moved = project.copy()
-        out = p.copy()
-
-        near = np.flatnonzero(row >= 0)
-        seg, t, d2 = nearest_segments(p[near], self.segments, self.table[row[near]])
-        ax, ay, vx, vy, length, nx, ny = self.terms[:, seg]
-        px, py, r = p[near, 0], p[near, 1], radius[near]
-        clearance = WALL_CLEARANCE * r
-        # interior is to the left of the nearest directed segment
-        inside = vx * (py - ay) - vy * (px - ax) > 0.0
-        fix = ~((d2 >= clearance * clearance) & inside)
-        moved[near] = fix
-        degenerate = fix & ~(length > 0.0)
-        project[near[degenerate]] = True
-        fix &= ~degenerate
-        out[near[fix], 0] = (ax + t * vx + nx * r)[fix]
-        out[near[fix], 1] = (ay + t * vy + ny * r)[fix]
-        if project.any():
-            out[project] = self.domain.project_inside(p[project], radius[project])
-        return out, moved
-
-
 # ---------------------------------------------------------------------------
 # One relaxation sweep
 
-def _sweep_neighbors(state: RelaxState, cutoff: float):
-    """Directed pairs (i, j), i a mobile bubble and j any alive one within
-    the pair's force reach cutoff * (r_i + r_j) plus a slack for the motion
-    during the sweep, at start-of-sweep positions; sorted by i, then j.
-    One tree query and one vector cull."""
-    r_max = state.max_radius()
-    slack = 0.5 * r_max
-    ids = state.alive_indices()
-    px, py, pr = state.x[ids], state.y[ids], state.r[ids]
-    a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-        (2.0 * cutoff * r_max + slack) * _QUERY_PAD, output_type="ndarray").T
-    reach = cutoff * (pr[a] + pr[b]) + slack
-    keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= reach * reach
-    i = ids[np.concatenate([a[keep], b[keep]])]
-    j = ids[np.concatenate([b[keep], a[keep]])]
-    moving = state.kind[i] != _KIND_CODE[BOUNDARY]
-    i, j = i[moving], j[moving]
-    order = np.lexsort((j, i))
-    return i[order], j[order]
+_SKIN = 0.3  # Verlet skin of the sweep pair list, in units of the largest radius
+
+
+class SweepPairs:
+    """Verlet pair list (Verlet 1967) of one relaxation, kept from sweep to
+    sweep. A sweep's pairs are the directed (i, j), i mobile and j any other
+    alive bubble, within reach cutoff * (r_i + r_j) plus a slack of half the
+    largest radius for the motion during the sweep, at start-of-sweep
+    positions, sorted by i, then j. The list holds, so sorted and with their
+    squared reach, the pairs within reach, slack and a skin; `neighbors`
+    culls it with the exact distance test, giving a fresh query's pairs. It
+    is built again once a bubble has moved half the skin (until then no pair
+    can come within reach unlisted), or when the cutoff or the alive set
+    (and with it the radii) changes. `plan` reuses the last colouring and
+    class plan while the culled pairs repeat; `rebuilds` and
+    `colour_reuses` count builds and reuses."""
+
+    def __init__(self):
+        self.rebuilds = 0
+        self.colour_reuses = 0
+        self._key = None
+        self._last: _ClassPlan | None = None
+
+    def neighbors(self, state: RelaxState, cutoff: float):
+        """This sweep's pairs (i, j)."""
+        if (self._key is None or self._key[0] != cutoff
+                or not np.array_equal(self._key[1], state.alive)):
+            self._last = None
+            self._build(state, cutoff)
+        else:
+            dx, dy = state.x - self._x, state.y - self._y
+            if (dx * dx + dy * dy).max(initial=0.0) > self._limit:
+                self._build(state, cutoff)
+        x, y, i, j = state.x, state.y, self.i, self.j
+        keep = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= self.reach2
+        return i[keep], j[keep]
+
+    def _build(self, state: RelaxState, cutoff: float):
+        r_max = state.max_radius()
+        slack, skin = 0.5 * r_max, _SKIN * r_max
+        ids = state.alive_indices()
+        px, py, pr = state.x[ids], state.y[ids], state.r[ids]
+        a, b = cKDTree(np.column_stack([px, py])).query_pairs(
+            (2.0 * cutoff * r_max + slack + skin) * _QUERY_PAD, output_type="ndarray").T
+        reach = cutoff * (pr[a] + pr[b]) + slack
+        near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= ((reach + skin) * _QUERY_PAD) ** 2
+        a, b, reach = a[near], b[near], reach[near]
+        i = ids[np.concatenate([a, b])]
+        j = ids[np.concatenate([b, a])]
+        moving = state.kind[i] != _KIND_CODE[BOUNDARY]
+        i, j, reach = i[moving], j[moving], np.concatenate([reach, reach])[moving]
+        order = np.lexsort((j, i))
+        self.i, self.j, self.reach2 = i[order], j[order], (reach * reach)[order]
+        self._key = (cutoff, state.alive.copy())
+        self._x, self._y = state.x.copy(), state.y.copy()
+        self._limit = (0.5 * skin) ** 2
+        self.rebuilds += 1
+
+    def plan(self, state: RelaxState, force: ForceParams) -> _ClassPlan:
+        """This sweep's class plan: the last sweep's when the pairs repeat."""
+        i, j = self.neighbors(state, force.cutoff)
+        last = self._last
+        if (last is not None and last.force == force
+                and np.array_equal(last.pairs[0], i) and np.array_equal(last.pairs[1], j)):
+            self.colour_reuses += 1
+            return last
+        self._last = _ClassPlan(state, i, j, force)
+        return self._last
 
 
 def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -388,36 +349,69 @@ def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarr
     return colour
 
 
+class _ClassPlan:
+    """A sweep's colour classes, laid out once: `classes` lists, by colour,
+    the members (ascending) and pairs (i, j) (one stable sort by the colour
+    of i keeps their order), each pair's owner (the row of i among the
+    members), rest length l0 = r_i + r_j and `_cubic_law` terms."""
+
+    def __init__(self, state: RelaxState, i: np.ndarray, j: np.ndarray,
+                 force: ForceParams):
+        self.force, self.pairs = force, (i, j)
+        colour = _greedy_colours(state, i, j)
+        mobile = np.flatnonzero(colour >= 0)
+        members = mobile[np.argsort(colour[mobile], kind="stable")]
+        order = np.argsort(colour[i], kind="stable")
+        i, j = i[order], j[order]
+        l0 = state.r[i] + state.r[j]
+        cuts = np.arange(1, colour.max(initial=0) + 1)  # where colours 1, 2, ... start
+        groups = zip(np.split(members, np.searchsorted(colour[members], cuts)),
+                     *(np.split(a, np.searchsorted(colour[i], cuts))
+                       for a in (i, j, l0, *_cubic_law(l0, force))))
+        self.classes = [(m, ci, cj, np.searchsorted(m, ci), l0k, law)
+                        for m, ci, cj, l0k, *law in groups if len(m)]
+
+
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
-               walls: _BoundaryProximity | None = None) -> float:
+               walls: _BoundaryProximity | None = None,
+               pairs: SweepPairs | None = None) -> float:
     """Sequentially integrate every mobile bubble over one dt against its
     neighbours' latest positions, in colour order; returns the max net-force
     magnitude observed at the bubbles' pre-step positions. With `walls`, a
     bubble that ends its step without a radius of clearance from the domain
     boundary is projected back and stopped.
 
-    Neighbor lists come from start-of-sweep positions (`_sweep_neighbors`).
-    No two bubbles of one colour are neighbours, so each colour class takes
-    one RK4 step on (k,2) arrays, its members' forces summed per bubble in
-    ascending neighbour order: the same result as stepping them one by one.
+    Neighbour lists come from start-of-sweep positions, through `pairs` (a
+    fresh `SweepPairs` when None). No two bubbles of one colour are
+    neighbours, so each colour class takes one RK4 step on (k,2) arrays, its
+    members' forces summed per bubble in ascending neighbour order: the same
+    result as stepping them one by one.
     """
+    plan = (SweepPairs() if pairs is None else pairs).plan(state, force)
     x, y, r = state.x, state.y, state.r
-    i, j = _sweep_neighbors(state, force.cutoff)
-    colour = _greedy_colours(state, i, j)
-    pair_colour = colour[i]
     max_f = 0.0
-    for k in range(int(colour.max(initial=-1)) + 1):
-        members = np.flatnonzero(colour == k)
-        sel = pair_colour == k
-        ci, cj = i[sel], j[sel]
-        owner = np.searchsorted(members, ci)
-        l0 = r[ci] + r[cj]
+    for members, ci, cj, owner, l0, law in plan.classes:
+        rows = len(members)
         xj, yj = x[cj], y[cj]
         evaluations = []
 
         def net(p):
-            f = _net_forces(p[owner, 0] - xj, p[owner, 1] - yj, l0, owner,
-                            len(members), ci, cj, force, state.seed)
+            # force that bubble j exerts on bubble i, summed per row of i
+            dx = p[owner, 0] - xj
+            dy = p[owner, 1] - yj
+            l = np.sqrt(dx * dx + dy * dy)
+            coincident = np.flatnonzero(l < _COINCIDENT)
+            if coincident.size:
+                l[coincident] = 1.0
+            mag = force_magnitude(l, l0, force, law)
+            fx = mag * dx / l
+            fy = mag * dy / l
+            for e in coincident.tolist():
+                fx[e], fy[e] = (force.f0 * u for u in
+                                hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed))
+            f = np.empty((rows, 2))
+            f[:, 0] = np.bincount(owner, fx, rows)
+            f[:, 1] = np.bincount(owner, fy, rows)
             evaluations.append(f)
             return f
 
@@ -632,9 +626,10 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     history: list[float] = []
     qc_clean = strategy != "original-qc"
     monitor = MonitorCache()
+    pairs = SweepPairs()
 
     for sweep in range(1, dyn.max_sweeps + 1):
-        max_f = relax_step(state, force, dyn, walls)
+        max_f = relax_step(state, force, dyn, walls, pairs)
         ids = state.alive_indices()
         monitor.key(ids)
         ang = triangulation_min_angle(state.positions(ids), domain, monitor)
@@ -664,4 +659,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             trace.stop_reason = reason
             break
 
+    trace.pair_rebuilds, trace.colour_reuses = pairs.rebuilds, pairs.colour_reuses
+    trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

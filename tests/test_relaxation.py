@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from bubblemesh import relaxation
 from bubblemesh.geometry import hashed_unit_direction
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, pack_boundary,
                                 pack_interior_quadtree)
-from bubblemesh.relaxation import (WALL_CLEARANCE, ConvergenceTrace,
-                                   DynamicsParams, ForceParams, RelaxState,
-                                   _BoundaryProximity, _greedy_colours,
-                                   _sweep_neighbors, force_magnitude,
+from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
+                                   ForceParams, RelaxState, SweepPairs,
+                                   _greedy_colours, force_magnitude,
                                    overlap_original, overlap_pairwise,
                                    pair_force, qc_boundary_region, qc_original,
                                    relax_step, relax_until_converged,
                                    rk4_damped_step)
+from bubblemesh.walls import _SUBBOXES, WALL_CLEARANCE, _BoundaryProximity
 
 from conftest import closest_point_on_segment
 
@@ -35,6 +37,70 @@ def reach_colours(bubbles, cutoff):
                  <= cutoff * (b.radius + bubbles[j].radius) + slack}
         colour[i] = min(set(range(len(taken) + 1)) - taken)
     return colour
+
+
+def sweep_neighbors(state, cutoff):
+    """Directed pairs (i, j), i a mobile bubble and j any alive one within
+    the pair's force reach cutoff * (r_i + r_j) plus a slack of half the
+    largest radius, sorted by i, then j, from a fresh k-d tree query: the
+    reference for SweepPairs.neighbors."""
+    r_max = state.max_radius()
+    slack = 0.5 * r_max
+    ids = state.alive_indices()
+    px, py, pr = state.x[ids], state.y[ids], state.r[ids]
+    a, b = cKDTree(np.column_stack([px, py])).query_pairs(
+        (2.0 * cutoff * r_max + slack) * _QUERY_PAD, output_type="ndarray").T
+    reach = cutoff * (pr[a] + pr[b]) + slack
+    keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= reach * reach
+    i = ids[np.concatenate([a[keep], b[keep]])]
+    j = ids[np.concatenate([b[keep], a[keep]])]
+    moving = state.kind[i] != relaxation._KIND_CODE[BOUNDARY]
+    i, j = i[moving], j[moving]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def mask_sweep(state, force, dyn, walls):
+    """One sweep as the colour classes' boolean masks select it, from a
+    fresh pair list and colouring: the reference for relax_step."""
+    x, y, r = state.x, state.y, state.r
+    i, j = sweep_neighbors(state, force.cutoff)
+    colour = _greedy_colours(state, i, j)
+    max_f = 0.0
+    for k in range(int(colour.max(initial=-1)) + 1):
+        members = np.flatnonzero(colour == k)
+        sel = colour[i] == k
+        ci, cj = i[sel], j[sel]
+        owner = np.searchsorted(members, ci)
+        l0 = r[ci] + r[cj]
+        xj, yj = x[cj], y[cj]
+        evaluations = []
+
+        def net(p):
+            dx, dy = p[owner, 0] - xj, p[owner, 1] - yj
+            l = np.sqrt(dx * dx + dy * dy)
+            coincident = l < 1e-12
+            l = np.where(coincident, 1.0, l)
+            mag = force_magnitude(l, l0, force)
+            fx, fy = mag * dx / l, mag * dy / l
+            for e in np.flatnonzero(coincident).tolist():
+                fx[e], fy[e] = (force.f0 * u for u in
+                                hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed))
+            f = np.column_stack([np.bincount(owner, fx, len(members)),
+                                 np.bincount(owner, fy, len(members))])
+            evaluations.append(f)
+            return f
+
+        p1, v1 = rk4_damped_step(state.positions(members),
+                                 np.column_stack([state.vx[members], state.vy[members]]),
+                                 net, dyn.m, dyn.c, dyn.dt)
+        f1 = evaluations[0]
+        max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
+        p1, stopped = walls.clamp(p1, r[members])
+        v1[stopped] = 0.0
+        x[members], y[members] = p1.T
+        state.vx[members], state.vy[members] = v1.T
+    return max_f
 
 
 def project_inside_loop(domain, x, y, radius):
@@ -89,6 +155,24 @@ def hex_neighbors(n, r=0.5, center=(0.0, 0.0)):
         out.append(Bubble(center[0] + 2 * r * math.cos(ang),
                           center[1] + 2 * r * math.sin(ang), r, MOBILE))
     return out
+
+
+RECTANGLE = [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]]
+SQUARE_HOLE = [[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]
+
+
+def graded_holed_plate():
+    """A 6 x 4 plate with a square hole and radii graded 0.25 -> 0.5, and a
+    function giving fresh copies of its packed bubbles."""
+    def sizing(x, y):
+        return 0.25 + 0.25 * np.minimum(np.abs(x - 3.0) / 3.0, 1.0)
+
+    outer = np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 4.0], [0.0, 4.0]])
+    hole = np.array([[2.5, 1.5], [2.5, 2.5], [3.5, 2.5], [3.5, 1.5]])
+    domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
+    boundary = pack_boundary(domain)
+    interior = pack_interior_quadtree(domain, boundary)
+    return domain, lambda: [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
 
 
 def square_domain(side=10.0, radius=0.5):
@@ -230,7 +314,7 @@ class TestRK4:
         kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE, MOBILE)[k % 4] for k in range(n)]
         bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
         state = RelaxState(bubbles)
-        colour = _greedy_colours(state, *_sweep_neighbors(state, FORCE.cutoff))
+        colour = _greedy_colours(state, *sweep_neighbors(state, FORCE.cutoff))
         expected = reach_colours(bubbles, FORCE.cutoff)
         assert colour.tolist() == [expected.get(i, -1) for i in range(n)]
         slack = 0.5 * radii.max()
@@ -267,6 +351,78 @@ class TestRK4:
         assert math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0]) > 1e-3
 
 
+class TestSweepPairs:
+    def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
+        # the Verlet list's culled pairs equal a fresh k-d tree query's at
+        # every sweep of a new-qc run and of an original-qc run whose passes
+        # insert and delete, one deletion (of the one large bubble)
+        # shrinking the largest radius
+        seen = []
+        neighbors = SweepPairs.neighbors
+
+        def checked(self, state, cutoff):
+            got = neighbors(self, state, cutoff)
+            want = sweep_neighbors(state, cutoff)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            seen.append((state.count, state.max_radius()))
+            return got
+
+        monkeypatch.setattr(SweepPairs, "neighbors", checked)
+        domain, bubbles = graded_holed_plate()
+        dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
+        _, trace = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn)
+        assert len(seen) == trace.sweeps == 40
+        assert trace.pair_rebuilds > 1 and trace.colour_reuses > 0
+
+        seen.clear()
+        _, trace = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)],
+                                         domain, force=FORCE, dyn=dyn,
+                                         strategy="original-qc", qc_period=5, seed=3)
+        assert len(seen) == trace.sweeps == 40
+        counts = [count for count, _ in seen]
+        assert any(b > a for a, b in zip(counts, counts[1:]))   # an insertion
+        assert any(b < a for a, b in zip(counts, counts[1:]))   # a deletion
+        assert seen[0][1] == 0.9 and seen[-1][1] == 0.5
+        population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
+        assert trace.pair_rebuilds > 1 + population_changes  # moves rebuilt it too
+
+    def test_kept_bookkeeping_sweeps_as_the_mask_reference(self):
+        # sweeps that keep their pair list, colouring and class plan end bit
+        # for bit where the per-class-mask reference sweep ends
+        domain, bubbles = graded_holed_plate()
+        kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
+        walls = _BoundaryProximity(domain, kept.max_radius())
+        pairs = SweepPairs()
+        dyn = DynamicsParams()
+        for _ in range(40):
+            assert relax_step(kept, FORCE, dyn, walls, pairs) == mask_sweep(ref, FORCE, dyn, walls)
+        for name in ("x", "y", "vx", "vy"):
+            assert np.array_equal(getattr(kept, name), getattr(ref, name))
+        assert pairs.rebuilds > 1 and pairs.colour_reuses > 0
+
+    def test_skin_covers_moves_until_a_rebuild(self):
+        # two bubbles start a fifth of the skin beyond reach and each moves
+        # under half the skin towards the other: the kept list has their
+        # pair; a move past half the skin rebuilds it, and the moved bubble
+        # meets its new neighbour
+        skin = relaxation._SKIN * 0.5
+        reach = FORCE.cutoff * 1.0 + 0.25
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(reach + 0.8 * skin, 0.0, 0.5, MOBILE),
+                   Bubble(0.0, 4.0, 0.5, MOBILE), Bubble(6.0, 6.0, 0.5, MOBILE)]
+        state = RelaxState(bubbles)
+        pairs = SweepPairs()
+        assert pairs.neighbors(state, FORCE.cutoff)[0].size == 0
+        state.x[0] += 0.45 * skin
+        state.x[1] -= 0.45 * skin
+        for expected_rebuilds, pair in ((1, (0, 1)), (2, (2, 3))):
+            got = pairs.neighbors(state, FORCE.cutoff)
+            want = sweep_neighbors(state, FORCE.cutoff)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert pair in set(zip(*(a.tolist() for a in got)))
+            assert pairs.rebuilds == expected_rebuilds
+            state.x[2], state.y[2] = 6.0, 4.5
+
+
 class TestRelaxStep:
     def test_equilibrium_is_fixed_point(self):
         state = RelaxState([Bubble(3.0, 3.0, 0.5, MOBILE)])
@@ -300,34 +456,66 @@ class TestRelaxStep:
         assert d == pytest.approx(1.0, abs=0.05)
 
 
-    @pytest.mark.parametrize("outer", [
-        [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+    @pytest.mark.parametrize("outer,hole", [
+        (RECTANGLE, SQUARE_HOLE),
         # a repeated vertex makes a zero-length first segment
-        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
-    ])
-    def test_wall_clamp_matches_scalar_check(self, rng, outer):
-        hole = np.array([[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]])
+        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]], SQUARE_HOLE),
+        # a diamond hole's corners tie between two segments
+        (RECTANGLE, [[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]]),
+        # a zero-length segment on the hole
+        (RECTANGLE, [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]),
+    ], ids=["outer0", "outer1", "diamond-hole", "hole-zero-length"])
+    def test_wall_clamp_matches_scalar_check(self, rng, outer, hole):
+        # the clamp, with rows under their sub-box's certified radius left
+        # out of the nearest-segment pass, equals the scalar check
+        hole = np.array(hole)
         domain = PackingDomain(outer=np.array(outer), holes=[hole])
         walls = _BoundaryProximity(domain, 0.5)
         corners = np.concatenate([domain.outer, hole])
         on_walls = [a + t * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))
                     for t in np.linspace(0.0, 1.0, 7)]
+        sub_box = walls.cell / _SUBBOXES
         pts = np.concatenate([
             rng.uniform(-2.0, 12.0, size=(3000, 2)),   # outside the bbox too
             rng.uniform(3.5, 6.5, size=(300, 2)) * [1.0, 0.8],  # the hole's empty cells
             corners, corners + 1e-9, corners - 0.3,
             np.array(on_walls),
             np.mgrid[-1:12, -1:10].reshape(2, -1).T * walls.cell,  # cell edges
+            np.mgrid[-8:96, -8:80].reshape(2, -1).T * sub_box,      # sub-box edges
         ])
         radii = rng.uniform(0.1, 0.5, size=len(pts))
         out, moved = walls.clamp(pts, radii)
+        in_wall_cells = 0
         for (x, y), r, got, hit in zip(pts.tolist(), radii.tolist(), out, moved):
+            in_wall_cells += (math.floor(x / walls.cell), math.floor(y / walls.cell)) in walls.cells
             want = enforce_clearance(walls, x, y, r)
             if want is None:
                 assert not hit and got.tolist() == [x, y]
             else:
                 assert hit and got.tolist() == [float(want[0]), float(want[1])]
         assert 0 < moved.sum() < len(pts)
+        assert 0 < walls.checks < in_wall_cells
+
+    def test_certificate_skips_most_rows_on_relaxed_lattice(self):
+        # after relaxation bubbles keep clear of the walls, and the sub-box
+        # certificates spare most of them the nearest-segment pass (those
+        # left are near the corners, where two segments can be nearest)
+        domain = PackingDomain(outer=np.array(RECTANGLE), holes=[np.array(SQUARE_HOLE)],
+                               sizing=lambda x, y: np.full(np.shape(x), 0.4))
+        boundary = pack_boundary(domain)
+        interior = pack_interior_quadtree(domain, boundary)
+        out, trace = relax_until_converged(boundary + interior, domain, force=FORCE)
+        assert trace.converged
+        mobile = [b for b in out if b.kind != BOUNDARY]
+        pts = np.array([[b.x, b.y] for b in mobile])
+        radii = np.array([b.radius for b in mobile])
+        walls = _BoundaryProximity(domain, max(b.radius for b in out))
+        walls.clamp(pts, radii)
+        in_wall_cells = sum((math.floor(x / walls.cell), math.floor(y / walls.cell)) in walls.cells
+                            for x, y in pts.tolist())
+        assert in_wall_cells > 0.5 * len(pts)
+        assert walls.checks < 0.2 * in_wall_cells
+        assert trace.wall_checks < 0.2 * trace.sweeps * len(mobile)
 
     @pytest.mark.parametrize("outer", [
         [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
@@ -538,26 +726,21 @@ class TestRelaxUntilConverged:
     def test_original_qc_runs_repeat_exactly(self):
         # quantity control inserts and deletes and the wall clamp acts, yet
         # two runs end at the same positions bit for bit with the same trace
-        # apart from wall time
-        def sizing(x, y):
-            return 0.25 + 0.25 * np.minimum(np.abs(x - 3.0) / 3.0, 1.0)
-
-        outer = np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 4.0], [0.0, 4.0]])
-        hole = np.array([[2.5, 1.5], [2.5, 2.5], [3.5, 2.5], [3.5, 1.5]])
-        domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
-        boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        # apart from wall time, and the same bookkeeping counts
+        domain, bubbles = graded_holed_plate()
         dyn = DynamicsParams(max_sweeps=30, force_tol=1e-9)
         runs = []
         for _ in range(2):
-            bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
-            out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
+            out, trace = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn,
                                                strategy="original-qc", qc_period=5, seed=3)
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
-                         tuple(r[:4] for r in trace.rows)))
+                         tuple(r[:4] for r in trace.rows),
+                         (trace.pair_rebuilds, trace.colour_reuses, trace.wall_checks)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
+        rebuilds, _, wall_checks = runs[0][2]
+        assert rebuilds > 1 and wall_checks > 0
 
     def test_energy_dissipation_proxy(self):
         # no QC, small dt: the decay envelope of the max net force (running
