@@ -1,18 +1,29 @@
-"""Constrained Delaunay triangulation of bubble centers.
+"""The Delaunay engine, and the constrained Delaunay triangulation of bubble
+centres.
 
-Incremental Bowyer-Watson over a super-triangle, constraint-edge recovery
-by flipping, then culling of triangles outside the domain or inside holes
-by a centroid point-in-polygon test. Orientation and in-circle decisions go
-through the filtered exact predicates in `geometry`.
+The engine works on `faces`, (F,3) CCW vertex triples, and `nbr`, where
+nbr[f, k] is the face across the edge opposite faces[f, k] (-1 on the hull).
+`illegal_edges` certifies the edges of `interior_edges` with the filtered
+exact in-circle test, and `lawson_flip` flips those that fail (Lawson 1977).
+At an exact tie a quad keeps the diagonal that avoids its highest-index
+corner: a symbolic perturbation (Edelsbrunner & Mücke 1990) under which the
+flips end at one triangulation, whatever diagonals Qhull picked at ties.
+`delaunay_triangulate` repairs Qhull's triangulation of the bubble centres
+this way, flips the boundary segments in (Sloan 1993) and culls the faces
+outside the domain; `monitor.MonitorCache` repairs the last sweep's
+triangulation with the same engine.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import accumulate
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
-from .geometry import incircle, nearest_segments, orient2d, segments_cross
+from .geometry import (incircle, incircle_array, nearest_segments, orient2d,
+                       orient2d_array)
 from .mesh import PlanarMesh
 from .packing import BOUNDARY, Bubble, PackingDomain
 
@@ -21,177 +32,93 @@ class TriangulationError(Exception):
     pass
 
 
-class _Triangulation:
-    """Triangle soup keyed by directed edges; faces stored CCW."""
+def interior_edges(faces: np.ndarray, nbr: np.ndarray):
+    """Each interior edge once: the face it is taken from (E,) and its quad's
+    corners (4,E), that face's vertices from the one opposite the edge on,
+    then the neighbour's vertex across the edge."""
+    f, k = np.nonzero(nbr > np.arange(len(faces))[:, None])
+    g = nbr[f, k]
+    kg = np.argmax(nbr[g] == f[:, None], axis=1)
+    quads = np.stack([faces[f, k], faces[f, (k + 1) % 3],
+                      faces[f, (k + 2) % 3], faces[g, kg]])
+    return f, quads
 
-    def __init__(self, points):
-        self.pts = [tuple(map(float, p)) for p in points]
-        self.tris: dict[int, tuple[int, int, int]] = {}
-        self.edge: dict[tuple[int, int], int] = {}  # directed edge -> triangle id
-        self.next_id = 0
-        self.last_tri = None
 
-    def add_tri(self, a, b, c):
-        tid = self.next_id
-        self.next_id += 1
-        self.tris[tid] = (a, b, c)
-        self.edge[(a, b)] = tid
-        self.edge[(b, c)] = tid
-        self.edge[(c, a)] = tid
-        return tid
+def illegal_edges(x: np.ndarray, y: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Mask of the quads (4,E) whose diagonal, corners 1-2, the tie rule
+    flips: corner 3 lies strictly inside the circumcircle of corners 0-2, or
+    on it while the quad's highest index is an end of the diagonal."""
+    qx, qy = x.take(quads), y.take(quads)
+    sign = incircle_array(qx[0], qy[0], qx[1], qy[1], qx[2], qy[2], qx[3], qy[3])
+    return (sign > 0) | ((sign == 0) & (np.maximum(quads[1], quads[2])
+                                        > np.maximum(quads[0], quads[3])))
 
-    def remove_tri(self, tid):
-        a, b, c = self.tris.pop(tid)
-        for e in ((a, b), (b, c), (c, a)):
-            if self.edge.get(e) == tid:
-                del self.edge[e]
 
-    def orient(self, a, b, c):
-        pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-        return orient2d(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
+def _orient(pts: list, p: int, q: int, r: int) -> int:
+    return orient2d(*pts[p], *pts[q], *pts[r])
 
-    def in_circum(self, tri, p):
-        a, b, c = tri
-        pa, pb, pc, pp = self.pts[a], self.pts[b], self.pts[c], self.pts[p]
-        return incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], pp[0], pp[1])
 
-    def locate(self, p: int) -> int:
-        """Walk to a triangle containing point p (the triangulation is Delaunay)."""
-        tid = self.last_tri if self.last_tri in self.tris else next(iter(self.tris))
-        prev = -1
-        for _ in range(4 * len(self.tris) + 16):
-            a, b, c = self.tris[tid]
-            moved = False
-            for u, v in ((a, b), (b, c), (c, a)):
-                if self.orient(u, v, p) < 0:
-                    nxt = self.edge.get((v, u))
-                    if nxt is not None and nxt != prev:
-                        prev, tid = tid, nxt
-                        moved = True
-                        break
-            if not moved:
-                return tid
-        # fallback: exhaustive scan (walk cycles are possible on degenerate input)
-        for tid, (a, b, c) in self.tris.items():
-            if (self.orient(a, b, p) >= 0 and self.orient(b, c, p) >= 0
-                    and self.orient(c, a, p) >= 0):
-                return tid
-        raise TriangulationError("point location failed")
+def _quad(faces, nbr, f: int, k: int):
+    """Face f's vertices (a, b, c) from slot k on, the face g across the
+    edge bc and g's vertex d across it; g and d are -1 on the hull."""
+    row = faces[f].tolist()
+    a, b, c = row[k], row[(k + 1) % 3], row[(k + 2) % 3]
+    g = int(nbr[f, k])
+    if g < 0:
+        return a, b, c, -1, -1
+    return a, b, c, g, faces[g].tolist()[nbr[g].tolist().index(f)]
 
-    def insert(self, p: int):
-        tid = self.locate(p)
-        a, b, c = self.tris[tid]
-        pp = self.pts[p]
-        for q in (a, b, c):
-            if self.pts[q] == pp:
-                raise TriangulationError(f"duplicate point {p} at {pp}")
-        o_ab = self.orient(a, b, p)
-        o_bc = self.orient(b, c, p)
-        o_ca = self.orient(c, a, p)
-        if o_ab == 0:
-            self._split_edge(a, b, p)
-        elif o_bc == 0:
-            self._split_edge(b, c, p)
-        elif o_ca == 0:
-            self._split_edge(c, a, p)
-        else:
-            self.remove_tri(tid)
-            self.add_tri(a, b, p)
-            self.add_tri(b, c, p)
-            self.last_tri = self.add_tri(c, a, p)
-            self._legalize([(a, b, p), (b, c, p), (c, a, p)])
 
-    def _split_edge(self, u: int, v: int, p: int):
-        """Insert p lying exactly on edge (u,v): split both adjacent triangles."""
-        t1 = self.edge[(u, v)]
-        w = self._apex(t1, u, v)
-        t2 = self.edge.get((v, u))
-        self.remove_tri(t1)
-        self.add_tri(u, p, w)
-        self.last_tri = self.add_tri(p, v, w)
-        suspects = [(w, u, p), (v, w, p)]
-        if t2 is not None:
-            x = self._apex(t2, v, u)
-            self.remove_tri(t2)
-            self.add_tri(v, p, x)
-            self.add_tri(p, u, x)
-            suspects += [(x, v, p), (u, x, p)]
-        self._legalize(suspects)
+def _flip(faces, nbr, f: int, k: int) -> None:
+    """Replace the edge of face f opposite its slot k by the quad's other
+    diagonal: f = (a, b, c) and g = (d, c, b) become (a, b, d) and (a, d, c)."""
+    a, b, c, g, d = _quad(faces, nbr, f, k)
+    grow, gnbr = faces[g].tolist(), nbr[g].tolist()
+    n_ca, n_ab = int(nbr[f, (k + 1) % 3]), int(nbr[f, (k + 2) % 3])
+    n_bd, n_dc = gnbr[grow.index(c)], gnbr[grow.index(b)]
+    faces[f], nbr[f] = (a, b, d), (n_bd, g, n_ab)
+    faces[g], nbr[g] = (a, d, c), (n_dc, n_ca, f)
+    if n_bd >= 0:
+        nbr[n_bd, nbr[n_bd].tolist().index(g)] = f
+    if n_ca >= 0:
+        nbr[n_ca, nbr[n_ca].tolist().index(f)] = g
 
-    def _legalize(self, suspects: list[tuple[int, int, int]]):
-        """Lawson flips: restore the Delaunay property around new vertex p.
 
-        Each entry (u, v, p) names the directed edge of triangle (u, v, p)
-        opposite p; the edge is flipped when the far apex violates the
-        in-circle test.
-        """
-        stack = list(suspects)
-        while stack:
-            u, v, p = stack.pop()
-            t_in = self.edge.get((u, v))
-            if t_in is None or self._apex(t_in, u, v) != p:
-                continue  # stale entry: a later flip already removed this triangle
-            t_out = self.edge.get((v, u))
-            if t_out is None:
+def lawson_flip(faces: np.ndarray, nbr: np.ndarray, xy: np.ndarray,
+                edge_faces: np.ndarray, quads: np.ndarray):
+    """Lawson flips, in place, from illegal edges, given as `interior_edges`
+    gives them, until every edge they reach is legal under the tie rule.
+    Returns the flipped faces, sorted, and the number of flips; the faces
+    are None when a flip would invert a face or the flips outnumber the
+    faces."""
+    pts = xy.tolist()
+    # (face, a, b, c, d) of an edge bc to test; a quad still equal to one
+    # the caller certified illegal is not tested again
+    queue = list(zip(edge_faces.tolist(), *quads.tolist()))
+    flipped: set[int] = set()
+    flips = 0
+    while queue:
+        f, a0, b, c, d0 = queue.pop()
+        row = faces[f].tolist()
+        if b not in row or c not in row:
+            continue  # flipped away, or now an edge of another face
+        k = 3 - row.index(b) - row.index(c)
+        a, b, c, g, d = _quad(faces, nbr, f, k)
+        if g < 0:
+            continue
+        if (a, d) != (a0, d0):
+            sign = incircle(*pts[a], *pts[b], *pts[c], *pts[d])
+            if not (sign > 0 or sign == 0 and max(b, c) > max(a, d)):
                 continue
-            x = self._apex(t_out, v, u)
-            if self.in_circum((u, v, p), x) > 0:
-                self.flip(u, v)
-                stack.append((u, x, p))
-                stack.append((x, v, p))
-
-    def flip(self, u, v):
-        """Replace edge (u,v) by the cross edge of its two adjacent triangles."""
-        t1 = self.edge[(u, v)]
-        t2 = self.edge[(v, u)]
-        w = self._apex(t1, u, v)
-        x = self._apex(t2, v, u)
-        self.remove_tri(t1)
-        self.remove_tri(t2)
-        self.add_tri(u, x, w)
-        self.add_tri(v, w, x)
-
-    def _apex(self, tid, u, v):
-        return next(k for k in self.tris[tid] if k != u and k != v)
-
-
-def _find_crossing(T: _Triangulation, a: int, b: int, protected: set):
-    pa, pb = T.pts[a], T.pts[b]
-    for (u, v), tid in T.edge.items():
-        if u > v or u in (a, b) or v in (a, b):
-            continue
-        if (v, u) not in T.edge:
-            continue
-        if segments_cross(pa, pb, T.pts[u], T.pts[v]):
-            if (u, v) in protected or (v, u) in protected:
-                raise TriangulationError("constraint segments intersect")
-            return u, v
-    return None
-
-
-def _recover_constraint(T: _Triangulation, a: int, b: int, protected: set):
-    """Flip crossing edges until (a,b) is an edge of the triangulation."""
-    guard = 0
-    while (a, b) not in T.edge and (b, a) not in T.edge:
-        guard += 1
-        if guard > 20000:
-            raise TriangulationError(f"constraint recovery stalled for segment ({a},{b})")
-        crossing = _find_crossing(T, a, b, protected)
-        if crossing is None:
-            raise TriangulationError(
-                f"segment ({a},{b}) missing and not recoverable "
-                "(a vertex may lie exactly on it)")
-        u, v = crossing
-        t1 = T.edge[(u, v)]
-        t2 = T.edge[(v, u)]
-        w = T._apex(t1, u, v)
-        x = T._apex(t2, v, u)
-        if T.orient(u, x, w) > 0 and T.orient(v, w, x) > 0:
-            T.flip(u, v)
-        else:
-            # non-convex quad: rotate scan order so another edge is tried first
-            del T.edge[(u, v)]
-            T.edge[(u, v)] = t1
+        if _orient(pts, a, b, d) <= 0 or _orient(pts, a, d, c) <= 0:
+            return None, flips
+        flips += 1
+        if flips > len(faces):
+            return None, flips
+        _flip(faces, nbr, f, k)
+        flipped.update((f, g))
+        queue += [(f, -1, b, d, -1), (f, -1, a, b, -1), (g, -1, d, c, -1), (g, -1, c, a, -1)]
+    return sorted(flipped), flips
 
 
 def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[tuple[int, int]]:
@@ -228,50 +155,133 @@ def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[
     return segments
 
 
+def _qhull_delaunay(xy: np.ndarray):
+    """Qhull's triangulation of the (N,2) points, certified and repaired
+    under the tie rule, as (faces, nbr)."""
+    try:
+        tri = Delaunay(xy)
+    except QhullError as exc:
+        raise TriangulationError(f"Qhull failed: {exc}") from exc
+    faces, nbr = tri.simplices.copy(), tri.neighbors.copy()
+    used = np.zeros(len(xy), dtype=bool)
+    used[faces] = True
+    if not used.all():
+        i = int(np.argmin(used))
+        what = "duplicate" if (xy == xy[i]).all(axis=1).sum() > 1 else "Qhull left out"
+        raise TriangulationError(f"{what} point {i - 3} at {tuple(xy[i].tolist())}")
+    x, y = xy.T
+    fx, fy = x.take(faces.T), y.take(faces.T)
+    if (orient2d_array(fx[0], fy[0], fx[1], fy[1], fx[2], fy[2]) <= 0).any():
+        raise TriangulationError("Qhull returned a face that is not CCW")
+    edge_faces, quads = interior_edges(faces, nbr)
+    bad = illegal_edges(x, y, quads)
+    if bad.any() and lawson_flip(faces, nbr, xy, edge_faces[bad], quads[:, bad])[0] is None:
+        raise TriangulationError("Delaunay repair did not converge")
+    return faces, nbr
+
+
+def _crossed_edges(faces, nbr, pts: list, a: int, b: int) -> list[tuple[int, int]]:
+    """The edges that segment ab crosses, in order from a, each as (right,
+    left) vertex pair; raises when a vertex lies on the segment. a and b are
+    interior vertices that no edge joins."""
+    for f in np.flatnonzero((faces == a).any(axis=1)).tolist():
+        row = faces[f].tolist()
+        i = row.index(a)
+        u, v = row[(i + 1) % 3], row[(i + 2) % 3]
+        side = _orient(pts, a, u, b)
+        if side >= 0 and _orient(pts, a, v, b) < 0:
+            break  # b lies in the corner of face f at a, or on the ray a -> u
+    if side == 0:
+        raise TriangulationError(f"bubble {u - 3} lies on segment ({a - 3},{b - 3})")
+    crossed = [(u, v)]
+    while True:
+        _, _, _, f, w = _quad(faces, nbr, f, 3 - row.index(u) - row.index(v))
+        if w == b:
+            return crossed
+        side = _orient(pts, a, b, w)
+        if side == 0:
+            raise TriangulationError(f"bubble {w - 3} lies on segment ({a - 3},{b - 3})")
+        u, v = (u, w) if side > 0 else (w, v)
+        crossed.append((u, v))
+        row = faces[f].tolist()
+
+
+def _recover_segment(faces, nbr, pts: list, a: int, b: int, protected: set) -> None:
+    """Flip the edges that cross segment ab until ab is an edge (Sloan
+    1993): a crossing edge whose quad is not strictly convex waits for a
+    later pass, and a new diagonal that still crosses ab joins the queue."""
+    queue = deque(_crossed_edges(faces, nbr, pts, a, b))
+    if any((min(e), max(e)) in protected for e in queue):
+        raise TriangulationError("constraint segments intersect")
+    waited = 0
+    while queue:
+        u, v = queue.popleft()
+        f = int(np.flatnonzero((faces == u).any(axis=1) & (faces == v).any(axis=1))[0])
+        row = faces[f].tolist()
+        k = 3 - row.index(u) - row.index(v)
+        p, c1, c2, _, q = _quad(faces, nbr, f, k)
+        if _orient(pts, p, c1, q) <= 0 or _orient(pts, p, q, c2) <= 0:
+            queue.append((u, v))
+            waited += 1
+            if waited >= len(queue):  # a whole pass without a flip
+                raise TriangulationError(
+                    f"constraint recovery stalled for segment ({a - 3},{b - 3})")
+            continue
+        waited = 0
+        _flip(faces, nbr, f, k)
+        if _orient(pts, a, b, p) * _orient(pts, a, b, q) < 0:
+            queue.append((p, q))
+
+
 def delaunay_triangulate(bubbles: list[Bubble], domain: PackingDomain) -> PlanarMesh:
     """Constrained Delaunay triangulation of bubble centers.
 
     Consecutive boundary bubbles trace the domain loops and are enforced as
     edges; triangles whose centroid is outside the domain or inside a hole
     are removed. Unreferenced input points are dropped from the result
-    (vertex order is otherwise preserved).
+    (vertex order is otherwise preserved). Each face is CCW from its
+    smallest vertex, and the faces are sorted.
     """
     n = len(bubbles)
     if n < 3:
         raise TriangulationError("need at least 3 bubbles")
-    pts = [(b.x, b.y) for b in bubbles]
-
-    lo = (min(p[0] for p in pts), min(p[1] for p in pts))
-    hi = (max(p[0] for p in pts), max(p[1] for p in pts))
-    span = max(hi[0] - lo[0], hi[1] - lo[1])
+    pts = np.array([(b.x, b.y) for b in bubbles], dtype=float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float((hi - lo).max())
     if span <= 0.0:
         raise TriangulationError("all points collinear")
-    cx = 0.5 * (lo[0] + hi[0])
-    cy = 0.5 * (lo[1] + hi[1])
+    cx, cy = 0.5 * (lo + hi)
     big = 16.0 * span
-    T = _Triangulation(pts + [(cx - big, cy - big), (cx + big, cy - big), (cx, cy + big)])
-    T.add_tri(n, n + 1, n + 2)
-    for i in range(n):
-        T.insert(i)
-    if not any(a < n and b < n and c < n for a, b, c in T.tris.values()):
+    # the super-triangle's vertices come first: indices then follow the
+    # order the tie rule ranks, and no bubble is on Qhull's hull
+    xy = np.vstack([[(cx - big, cy - big), (cx + big, cy - big), (cx, cy + big)], pts])
+    faces, nbr = _qhull_delaunay(xy)
+    if not (faces >= 3).all(axis=1).any():
         raise TriangulationError("all points collinear")
 
-    constraints = _boundary_constraints(bubbles, domain)
-    protected = set(constraints) | {(b, a) for a, b in constraints}
-    for a, b in constraints:
-        _recover_constraint(T, a, b, protected - {(a, b), (b, a)})
+    # boundary segments as sorted index pairs; a segment absent from the
+    # Delaunay edges is flipped in
+    segments = np.sort(np.array(_boundary_constraints(bubbles, domain),
+                                dtype=np.int64).reshape(-1, 2) + 3, axis=1)
+    ends = faces[:, [1, 2, 0]]
+    edges = np.sort((np.minimum(faces, ends) * len(xy) + np.maximum(faces, ends)).ravel())
+    wanted = segments[:, 0] * len(xy) + segments[:, 1]
+    missing = segments[edges[np.searchsorted(edges, wanted) % len(edges)] != wanted].tolist()
+    protected = set(map(tuple, segments.tolist()))
+    for a, b in missing:
+        # an earlier recovery may have flipped this segment in
+        if not ((faces == a).any(axis=1) & (faces == b).any(axis=1)).any():
+            _recover_segment(faces, nbr, xy.tolist(), a, b, protected - {(a, b)})
 
-    cand = [t for t in T.tris.values() if max(t) < n]
-    if not cand:
+    cand = faces[(faces >= 3).all(axis=1)] - 3
+    first = cand.argmin(axis=1)[:, None]
+    cand = np.take_along_axis(cand, (first + np.arange(3)) % 3, axis=1)
+    inside = domain.contains_points(pts[cand].mean(axis=1))
+    kept = cand[inside]
+    if not len(kept):
         raise TriangulationError("no triangles inside the domain")
-    cand_arr = np.asarray(cand, dtype=np.int64)
-    inside = domain.contains_points(np.asarray(pts)[cand_arr].mean(axis=1))
-    faces = sorted(map(tuple, cand_arr[inside]))
-    if not faces:
-        raise TriangulationError("no triangles inside the domain")
-
-    used = sorted({i for f in faces for i in f})
-    remap = {old: new for new, old in enumerate(used)}
-    verts = np.asarray([pts[i] for i in used])
-    faces_arr = np.asarray([[remap[a], remap[b], remap[c]] for a, b, c in faces], dtype=np.int64)
-    return PlanarMesh(verts, faces_arr)
+    kept = kept[np.lexsort(kept.T[::-1])]
+    used = np.zeros(n, dtype=bool)
+    used[kept] = True
+    remap = np.cumsum(used) - 1
+    return PlanarMesh(pts[used], remap[kept])

@@ -1,16 +1,16 @@
 """Planar predicates and polygon utilities shared by packing and triangulation.
 
 Orientation and in-circle tests are evaluated in floating point with a
-forward error bound and fall back to exact rational arithmetic when the
-filter cannot certify the sign. Their array forms (`orient2d_array`,
-`incircle_array`) run the same filter on whole columns and send only the
-uncertain rows to the exact fallback. `nearest_segments` is the one projection
-of points onto segments; every wall-distance query goes through it.
+forward error bound and fall back to exact integer arithmetic (every float
+is an integer over a power of two) when the filter cannot certify the sign.
+Their array forms (`orient2d_array`, `incircle_array`) run the same filter
+on whole columns and send only the uncertain rows to the exact fallback.
+`nearest_segments` is the one projection of points onto segments; every
+wall-distance query goes through it.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,14 +35,19 @@ def orient2d(ax, ay, bx, by, cx, cy):
     return _orient2d_exact(ax, ay, bx, by, cx, cy)
 
 
+def _integers(*coords):
+    """The coordinates as integers over one common power-of-two denominator,
+    so integer arithmetic gives the exact sign of any homogeneous polynomial
+    in them."""
+    ratios = [float(c).as_integer_ratio() for c in coords]
+    shift = max(d for _, d in ratios).bit_length()
+    return [n << (shift - d.bit_length()) for n, d in ratios]
+
+
 def _orient2d_exact(ax, ay, bx, by, cx, cy):
-    F = Fraction
-    det = (F(ax) - F(cx)) * (F(by) - F(cy)) - (F(ay) - F(cy)) * (F(bx) - F(cx))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    ax, ay, bx, by, cx, cy = _integers(ax, ay, bx, by, cx, cy)
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
 
 
 def incircle(ax, ay, bx, by, cx, cy, dx, dy):
@@ -76,29 +81,22 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy):
-    F = Fraction
-    adx = F(ax) - F(dx)
-    ady = F(ay) - F(dy)
-    bdx = F(bx) - F(dx)
-    bdy = F(by) - F(dy)
-    cdx = F(cx) - F(dx)
-    cdy = F(cy) - F(dy)
+    ax, ay, bx, by, cx, cy, dx, dy = _integers(ax, ay, bx, by, cx, cy, dx, dy)
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
     det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
 def _signs(det, certain, exact, *rows):
     """int8 signs of `det` where the filter certified them; every other row
     takes the scalar exact fallback on its Python-float coordinates."""
     sign = np.sign(det).astype(np.int8)
-    for r in np.flatnonzero(~certain).tolist():
-        sign[r] = exact(*(float(c[r]) for c in rows))
+    unsure = np.flatnonzero(~certain)
+    if len(unsure):
+        for r, coords in zip(unsure.tolist(), zip(*(c[unsure].tolist() for c in rows))):
+            sign[r] = exact(*coords)
     return sign
 
 
@@ -143,15 +141,6 @@ def incircle_array(ax, ay, bx, by, cx, cy, dx, dy):
                  + (np.abs(adxbdy) + np.abs(bdxady)) * clift)
     return _signs(det, np.abs(det) > _INCIRCLE_BOUND * permanent, _incircle_exact,
                   ax, ay, bx, by, cx, cy, dx, dy)
-
-
-def segments_cross(p, q, u, v):
-    """True if open segments pq and uv intersect in a single interior point."""
-    o1 = orient2d(p[0], p[1], q[0], q[1], u[0], u[1])
-    o2 = orient2d(p[0], p[1], q[0], q[1], v[0], v[1])
-    o3 = orient2d(u[0], u[1], v[0], v[1], p[0], p[1])
-    o4 = orient2d(u[0], u[1], v[0], v[1], q[0], q[1])
-    return o1 * o2 < 0 and o3 * o4 < 0
 
 
 def polygon_signed_area(pts) -> float:

@@ -4,13 +4,13 @@ outside the domain.
 
 Relaxation measures it after every sweep, and between two sweeps the
 triangulation barely changes. A `MonitorCache` keeps the last sweep's
-triangulation and repairs it: filtered exact predicates certify the faces
-and edges that moved vertices touch, Lawson flips (Lawson 1977) fix the
-edges that fail, and only the flipped faces and those that may have crossed
-a wall are tested against the domain again. It falls back to Qhull when a
-hull vertex moves, a face inverts, the flips exceed a budget, or the caller
-keys it on another point set. Wherever the Delaunay triangulation is
-unique, the repair gives Qhull's float.
+triangulation and repairs it with the Delaunay engine of `delaunay`: filtered
+exact predicates certify the faces and edges that moved vertices touch,
+Lawson flips fix the edges that fail, and only the flipped faces and those
+that may have crossed a wall are tested against the domain again. It falls
+back to Qhull when a hull vertex moves, a face inverts, the flips exceed a
+budget, or the caller keys it on another point set. Wherever the Delaunay
+triangulation is unique, the repair gives Qhull's float.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import QhullError
 
-from .geometry import (incircle, incircle_array, nearest_segments, orient2d,
-                       orient2d_array)
+from .delaunay import illegal_edges, interior_edges, lawson_flip
+from .geometry import nearest_segments, orient2d_array
 from .packing import PackingDomain
 
 
@@ -74,9 +74,10 @@ class MonitorCache:
 
     - falls back to Qhull if a hull vertex moved, or if `orient2d_array`
       does not certify every face with a moved vertex as CCW;
-    - certifies with `incircle_array` each interior edge with a moved vertex
+    - certifies with `illegal_edges` each interior edge with a moved vertex
       among its quad's four (an edge of four unmoved vertices keeps its
-      diagonal, so cocircular quads keep Qhull's choice);
+      diagonal, so a cocircular quad keeps Qhull's choice until a flip
+      reaches it; then the tie rule decides);
     - Lawson-flips the edges that fail, falling back to Qhull if a flip
       would invert a face or the flips outnumber the faces;
     - tests against the domain again only the flipped faces and the faces
@@ -133,18 +134,9 @@ class MonitorCache:
             self._track(np.arange(len(inside)))
 
     def _index(self):
-        """Face columns (3,F), and each interior edge once as (face, slot of
-        the vertex opposite the edge) with its quad's columns (4,E): that
-        face's vertices from the slot on, then the neighbour's vertex across
-        the edge."""
-        faces, nbr = self.faces, self.nbr
-        f, k = np.nonzero(nbr > np.arange(len(faces))[:, None])
-        g = nbr[f, k]
-        kg = np.argmax(nbr[g] == f[:, None], axis=1)
-        self.edges = np.column_stack([f, k])
-        self.quads = np.stack([faces[f, k], faces[f, (k + 1) % 3],
-                               faces[f, (k + 2) % 3], faces[g, kg]])
-        self.cols = np.ascontiguousarray(faces.T)
+        """The interior edges with their quads, and the face columns (3,F)."""
+        self.edge_faces, self.quads = interior_edges(self.faces, self.nbr)
+        self.cols = np.ascontiguousarray(self.faces.T)
 
     def _cull(self, sel: np.ndarray):
         """Test the centroids of faces `sel` against the domain again."""
@@ -174,13 +166,15 @@ class MonitorCache:
             return False
         m = moved.take(self.quads)
         near = np.flatnonzero(m[0] | m[1] | m[2] | m[3])
-        q = self.quads[:, near]
-        qx, qy = x.take(q), y.take(q)
-        bad = near[incircle_array(qx[0], qy[0], qx[1], qy[1],
-                                  qx[2], qy[2], qx[3], qy[3]) > 0]
-        flipped = self._flip(points, bad) if len(bad) else []
-        if flipped is None:
-            return False
+        bad = near[illegal_edges(x, y, self.quads[:, near])]
+        flipped = []
+        if len(bad):
+            flipped, flips = lawson_flip(self.faces, self.nbr, points,
+                                         self.edge_faces[bad], self.quads[:, bad])
+            self.flips += flips
+            if flipped is None:
+                return False
+            self._index()
         self.x, self.y = x, y
         self.fx, self.fy = x.take(self.cols), y.take(self.cols)
         if self.domain is not None:
@@ -190,53 +184,6 @@ class MonitorCache:
             retest[flipped] = True
             self._cull(np.flatnonzero(retest))
         return True
-
-    def _flip(self, points: np.ndarray, bad: np.ndarray):
-        """Lawson flips from the failing edges `bad` until every edge they
-        reach is locally Delaunay; returns the flipped faces, or None when a
-        flip would invert a face or the flips outnumber the faces."""
-        faces, nbr = self.faces, self.nbr
-        xy = points.tolist()
-        queue = []
-        for f, k in self.edges[bad].tolist():
-            row = faces[f].tolist()
-            queue.append((f, row[(k + 1) % 3], row[(k + 2) % 3]))
-        flipped: set[int] = set()
-        budget = len(faces)
-        while queue:
-            f, b, c = queue.pop()
-            row = faces[f].tolist()
-            if b not in row or c not in row:
-                continue  # flipped away, or now an edge of another face
-            k = 3 - row.index(b) - row.index(c)
-            g = int(nbr[f, k])
-            if g < 0:
-                continue
-            a, b, c = row[k], row[(k + 1) % 3], row[(k + 2) % 3]
-            grow, gnbr = faces[g].tolist(), nbr[g].tolist()
-            d = grow[gnbr.index(f)]
-            if incircle(*xy[a], *xy[b], *xy[c], *xy[d]) <= 0:
-                continue
-            if orient2d(*xy[a], *xy[b], *xy[d]) <= 0 or orient2d(*xy[a], *xy[d], *xy[c]) <= 0:
-                return None
-            self.flips += 1
-            budget -= 1
-            if budget < 0:
-                return None
-            n_ca, n_ab = int(nbr[f, (k + 1) % 3]), int(nbr[f, (k + 2) % 3])
-            n_bd, n_dc = gnbr[grow.index(c)], gnbr[grow.index(b)]
-            # f = (a, b, c) and g = (d, c, b) become (a, b, d) and (a, d, c)
-            faces[f], nbr[f] = (a, b, d), (n_bd, g, n_ab)
-            faces[g], nbr[g] = (a, d, c), (n_dc, n_ca, f)
-            if n_bd >= 0:
-                nbr[n_bd][nbr[n_bd] == g] = f
-            if n_ca >= 0:
-                nbr[n_ca][nbr[n_ca] == f] = g
-            flipped.update((f, g))
-            queue += [(f, b, d), (f, a, b), (g, d, c), (g, c, a)]
-        if flipped:
-            self._index()
-        return sorted(flipped)
 
 
 def triangulation_min_angle(points: np.ndarray, domain: PackingDomain | None,

@@ -7,8 +7,7 @@ import pytest
 from bubblemesh import geometry
 from bubblemesh.geometry import (hashed_unit_direction, incircle,
                                  nearest_segments, orient2d, points_in_polygon,
-                                 polygon_perimeter, polygon_signed_area,
-                                 segments_cross)
+                                 polygon_perimeter, polygon_signed_area)
 
 from conftest import closest_point_on_segment, point_in_polygon
 
@@ -17,6 +16,32 @@ def exact_orient(ax, ay, bx, by, cx, cy):
     F = Fraction
     det = (F(ax) - F(cx)) * (F(by) - F(cy)) - (F(ay) - F(cy)) * (F(bx) - F(cx))
     return (det > 0) - (det < 0)
+
+
+def exact_incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    F = Fraction
+    adx, ady = F(ax) - F(dx), F(ay) - F(dy)
+    bdx, bdy = F(bx) - F(dx), F(by) - F(dy)
+    cdx, cdy = F(cx) - F(dx), F(cy) - F(dy)
+    det = ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+           + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+           + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+    return (det > 0) - (det < 0)
+
+
+@pytest.mark.parametrize("name", ["orient2d", "incircle"])
+def test_exact_fallback_matches_rational_arithmetic(name):
+    # the integer fallback against Fraction arithmetic, on the predicate
+    # cases and on the same rows with every coordinate scaled by its own
+    # power of two (2**-40 .. 2**40), so the common denominator varies
+    rng = np.random.RandomState(8)
+    rows = np.concatenate(list(predicate_cases(rng).values()))
+    scaled = rows * 2.0 ** rng.randint(-40, 41, size=rows.shape)
+    arity = 3 if name == "orient2d" else 4
+    exact = getattr(geometry, f"_{name}_exact")
+    reference = exact_orient if name == "orient2d" else exact_incircle
+    for row in np.concatenate([rows, scaled])[:, :arity].reshape(-1, 2 * arity).tolist():
+        assert exact(*row) == reference(*row)
 
 
 def test_orient2d_matches_exact_on_near_degenerate(rng):
@@ -44,13 +69,6 @@ def test_incircle_cocircular_is_zero():
     assert incircle(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0) == 0
     assert incircle(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.5, 0.5) == 1
     assert incircle(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 5.0, 5.0) == -1
-
-
-def test_segments_cross():
-    assert segments_cross((0, 0), (1, 1), (0, 1), (1, 0))
-    assert not segments_cross((0, 0), (1, 1), (2, 2), (3, 3))
-    # touching at an endpoint does not count as crossing
-    assert not segments_cross((0, 0), (1, 1), (1, 1), (2, 0))
 
 
 def test_polygon_area_and_perimeter():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
+from bubblemesh import delaunay
 from bubblemesh.delaunay import (TriangulationError, _boundary_constraints,
                                  delaunay_triangulate)
-from bubblemesh.geometry import incircle
+from bubblemesh.geometry import incircle, orient2d_array
 from bubblemesh.mapping import (_BARY_SLACK, SNAP_TOL_FACTOR, FaceGrid,
                                 MappingError, inverse_map, locate, locate_points)
 from bubblemesh.mesh import PlanarMesh
@@ -37,6 +38,62 @@ def brute_force_delaunay_check(mesh: PlanarMesh) -> bool:
             if incircle(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], v[k][0], v[k][1]) > 0:
                 return False
     return True
+
+
+def lattice_bubbles(rng, kind):
+    """Bubbles on a lattice, indexed in a shuffled order: unit squares and
+    2 x 1 rectangles (every cell an exactly cocircular quad), or a
+    honeycomb (every hexagon six cocircular points). Returns the bubbles
+    and, for the square and rectangular lattices, each cell's corner
+    indices in CCW order."""
+    cells = []
+    if kind == "hex":
+        # the corners of hexagons of side 1 (exact in binary: 0.5 and 1.5
+        # steps across, sqrt(3)/2 rounded once for the rows)
+        h = math.sqrt(3.0) / 2.0
+        pts = sorted({(1.5 * i + dx, h * (2 * j + (i % 2) + dy))
+                      for i in range(5) for j in range(4)
+                      for dx, dy in ((-1.0, 0.0), (-0.5, 1.0), (0.5, 1.0),
+                                     (1.0, 0.0), (0.5, -1.0), (-0.5, -1.0))})
+    else:
+        sx, sy = (1.0, 1.0) if kind == "square" else (2.0, 1.0)
+        pts = [(sx * i, sy * j) for i in range(7) for j in range(6)]
+    order = rng.permutation(len(pts))
+    index = {pts[k]: pos for pos, k in enumerate(order.tolist())}
+    bubbles = [Bubble(*pts[k], 0.3, MOBILE) for k in order]
+    if kind != "hex":
+        for x0, y0 in pts:
+            corners = [(x0, y0), (x0 + sx, y0), (x0 + sx, y0 + sy), (x0, y0 + sy)]
+            if all(c in index for c in corners):
+                cells.append([index[c] for c in corners])
+    return bubbles, cells
+
+
+def tie_rule_holds(mesh: PlanarMesh) -> bool:
+    """Every interior edge keeps the diagonal the tie rule picks: the far
+    vertex lies strictly outside the circumcircle, or on it while the
+    quad's highest index is not an end of the edge (exact predicates)."""
+    v = mesh.vertices.tolist()
+    apex = {}
+    for a, b, c in mesh.faces.tolist():
+        for u, w, x in ((a, b, c), (b, c, a), (c, a, b)):
+            apex[(u, w)] = x
+    for (u, w), x in apex.items():
+        y = apex.get((w, u))
+        if y is None:
+            continue
+        sign = incircle(*v[x], *v[u], *v[w], *v[y])
+        if sign > 0 or sign == 0 and max(u, w) > max(x, y):
+            return False
+    return True
+
+
+def strip_with_a_segment(rng):
+    """A super-triangle (points 0-2), the ends 3 and 4 of a segment along a
+    10 x 1 strip, and 60 random points in the strip."""
+    return np.concatenate([[(-300.0, -300.0), (300.0, -300.0), (0.0, 300.0),
+                            (0.0, 0.5), (10.0, 0.5)],
+                           rng.uniform((0.0, 0.0), (10.0, 1.0), size=(60, 2))])
 
 
 class TestDelaunay:
@@ -115,6 +172,123 @@ class TestDelaunay:
             assert not point_in_polygon(cent[0], cent[1], hole)
         assert np.all(mesh.signed_areas() > 0.0)
 
+    @pytest.mark.parametrize("kind", ["square", "rectangle", "hex"])
+    def test_cocircular_lattice_follows_the_tie_rule(self, kind):
+        # every cell of the lattice is a cocircular tie, so Qhull's
+        # diagonals are arbitrary there; the repaired mesh is the one the
+        # tie rule picks, whatever the index order
+        rng = np.random.RandomState(3)
+        outer = np.array([[-5.0, -5.0], [20.0, -5.0], [20.0, 20.0], [-5.0, 20.0]])
+        domain = PackingDomain(outer=outer, holes=[], sizing=lambda x, y: 0.5)
+        for trial in range(4):
+            bubbles, cells = lattice_bubbles(rng, kind)
+            mesh = delaunay_triangulate(bubbles, domain)
+            assert mesh.n_vertices == len(bubbles)
+            assert np.array_equal(mesh.vertices, [(b.x, b.y) for b in bubbles])
+            assert brute_force_delaunay_check(mesh)
+            assert tie_rule_holds(mesh)
+            edges = {tuple(sorted(e)) for e in mesh.undirected_edges().tolist()}
+            for cell in cells:
+                top = cell.index(max(cell))
+                kept = tuple(sorted((cell[(top + 1) % 4], cell[(top + 3) % 4])))
+                cut = tuple(sorted((cell[top], cell[(top + 2) % 4])))
+                assert kept in edges and cut not in edges
+
+    def test_duplicate_points_rejected(self):
+        bubbles = square_bubbles() + [Bubble(0.5, 0.5, 0.3, MOBILE), Bubble(0.5, 0.5, 0.3, MOBILE)]
+        with pytest.raises(TriangulationError, match="duplicate point"):
+            delaunay_triangulate(bubbles, square_packing_domain())
+
+    @pytest.mark.parametrize("inner", [[(3.0, 0.0)],
+                                       [(1.0, 0.02), (1.5, -0.02), (2.0, 0.02), (3.0, 0.0)]])
+    def test_vertex_on_a_boundary_segment_rejected(self, inner):
+        # a bubble exactly on the segment between boundary bubbles 0 and 1:
+        # next to bubble 0, or past bubbles just above and below the
+        # segment, so the walk along it meets the bubble after three edges
+        outer = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 1.0]])
+        domain = PackingDomain(outer=outer, holes=[], sizing=lambda x, y: 0.5)
+        bubbles = [Bubble(x, y, 0.5, BOUNDARY) for x, y in outer.tolist()]
+        bubbles += [Bubble(x, y, 0.5, MOBILE) for x, y in inner + [(2.0, 0.6)]]
+        on = len(bubbles) - 2
+        with pytest.raises(TriangulationError,
+                           match=rf"bubble {on} lies on segment \(0,1\)"):
+            delaunay_triangulate(bubbles, domain)
+
+    def test_recovery_flips_a_long_segment_in(self):
+        # a segment across a strip of random points crosses many edges, and
+        # some of their quads are not convex when first met; the recovered
+        # triangulation keeps every point, every face CCW and every
+        # neighbour link, and holds the segment
+        rng = np.random.RandomState(4)
+        for trial in range(10):
+            xy = strip_with_a_segment(rng)
+            faces, nbr = delaunay._qhull_delaunay(xy)
+            assert len(delaunay._crossed_edges(faces, nbr, xy.tolist(), 3, 4)) > 5
+            delaunay._recover_segment(faces, nbr, xy.tolist(), 3, 4, set())
+            assert ((faces == 3).any(axis=1) & (faces == 4).any(axis=1)).sum() == 2
+            assert np.array_equal(np.unique(faces), np.arange(len(xy)))
+            c = xy[faces.T]
+            assert (orient2d_array(c[0, :, 0], c[0, :, 1], c[1, :, 0], c[1, :, 1],
+                                   c[2, :, 0], c[2, :, 1]) > 0).all()
+            for f, k in zip(*np.nonzero(nbr >= 0)):
+                g = nbr[f, k]
+                edge = {faces[f, (k + 1) % 3], faces[f, (k + 2) % 3]}
+                assert f in nbr[g] and edge <= set(faces[g])
+
+    def test_lawson_flip_repairs_a_scrambled_triangulation(self):
+        # random convex flips make Delaunay edges illegal, many of them in
+        # one neighbourhood, so a flip often changes the quad of an edge
+        # still waiting in the queue; the repair from the edges
+        # illegal_edges reports ends at the unique Delaunay face set
+        rng = np.random.RandomState(7)
+        for trial in range(10):
+            xy = strip_with_a_segment(rng)
+            faces, nbr = delaunay._qhull_delaunay(xy)
+            want = sorted(sorted(f) for f in faces.tolist())
+            pts = xy.tolist()
+            for _ in range(40):
+                f, k = int(rng.randint(len(faces))), int(rng.randint(3))
+                a, b, c, g, d = delaunay._quad(faces, nbr, f, k)
+                if g >= 0 and delaunay._orient(pts, a, b, d) > 0 < delaunay._orient(pts, a, d, c):
+                    delaunay._flip(faces, nbr, f, k)
+            edge_faces, quads = delaunay.interior_edges(faces, nbr)
+            bad = delaunay.illegal_edges(xy[:, 0], xy[:, 1], quads)
+            assert bad.sum() > 10
+            flipped, flips = delaunay.lawson_flip(faces, nbr, xy, edge_faces[bad],
+                                                  quads[:, bad])
+            assert flipped is not None and flips >= bad.sum()
+            assert sorted(sorted(f) for f in faces.tolist()) == want
+
+    def test_crossing_constraint_segments_rejected(self):
+        xy = strip_with_a_segment(np.random.RandomState(5))
+        faces, nbr = delaunay._qhull_delaunay(xy)
+        u, v = delaunay._crossed_edges(faces, nbr, xy.tolist(), 3, 4)[2]
+        with pytest.raises(TriangulationError, match="intersect"):
+            delaunay._recover_segment(faces, nbr, xy.tolist(), 3, 4, {(min(u, v), max(u, v))})
+
+    @pytest.mark.parametrize("fault", ["point left out", "face not CCW"])
+    def test_qhull_output_is_checked(self, monkeypatch, fault):
+        # Qhull is foreign code: a result that leaves a point out or holds a
+        # face the exact orientation test does not certify is refused
+        rng = np.random.RandomState(6)
+        real = delaunay.Delaunay
+
+        def doctored(points):
+            tri = real(points)
+            faces = tri.simplices.copy()
+            if fault == "point left out":
+                faces[faces == faces.max()] = 0
+            else:
+                faces[5] = faces[5, [0, 2, 1]]
+            return type("Tri", (), {"simplices": faces, "neighbors": tri.neighbors})
+
+        monkeypatch.setattr(delaunay, "Delaunay", doctored)
+        domain = square_packing_domain(10.0)
+        bubbles = [Bubble(float(x), float(y), 0.3, MOBILE)
+                   for x, y in rng.uniform(0.5, 9.5, size=(30, 2))]
+        with pytest.raises(TriangulationError, match="left out point|not CCW"):
+            delaunay_triangulate(bubbles, domain)
+
     def test_collinear_rejected(self):
         bubbles = [Bubble(float(x), 0.0, 0.3, MOBILE) for x in range(5)]
         with pytest.raises(TriangulationError, match="collinear"):
@@ -128,6 +302,9 @@ class TestDelaunay:
         bubbles += [Bubble(float(x), float(y), 0.3, MOBILE) for x, y in pts]
         mesh = delaunay_triangulate(bubbles, domain)
         assert np.all(mesh.signed_areas() > 0.0)
+        # each face from its smallest vertex, the faces in sorted order
+        assert np.array_equal(mesh.faces[:, 0], mesh.faces.min(axis=1))
+        assert mesh.faces.tolist() == sorted(mesh.faces.tolist())
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bubblemesh import monitor, relaxation
+from bubblemesh import delaunay, monitor, relaxation
 from bubblemesh.monitor import MonitorCache, triangulation_min_angle
 from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
 from bubblemesh.relaxation import DynamicsParams, ForceParams, relax_until_converged
@@ -100,7 +100,7 @@ class TestMinAngleMonitor:
             # orientation check must catch it before any flip is tried
             k = np.flatnonzero(inner)[10]
             pts[k] += (1.6, 0.0)
-            monkeypatch.setattr(MonitorCache, "_flip", None)
+            monkeypatch.setattr(monitor, "lawson_flip", None)
         else:
             # one bubble deleted and one appended where it was: the count
             # and every position are unchanged, so only the key tells
@@ -124,9 +124,9 @@ class TestMinAngleMonitor:
             assert len(calls) < 100_000  # fail rather than spin
             return 1
 
-        monkeypatch.setattr(monitor, "incircle", always_flip)
-        monkeypatch.setattr(monitor, "orient2d", always_flip)
-        monkeypatch.setattr(monitor, "incircle_array",
+        monkeypatch.setattr(delaunay, "incircle", always_flip)
+        monkeypatch.setattr(delaunay, "orient2d", always_flip)
+        monkeypatch.setattr(delaunay, "incircle_array",
                             lambda *columns: np.ones(len(columns[0]), dtype=np.int8))
         pts[inner] += 0.01
         got = triangulation_min_angle(pts, None, cache)
