@@ -5,8 +5,9 @@ forward error bound and fall back to exact integer arithmetic (every float
 is an integer over a power of two) when the filter cannot certify the sign.
 Their array forms (`orient2d_array`, `incircle_array`) run the same filter
 on whole columns and send only the uncertain rows to the exact fallback.
-`nearest_segments` is the one projection of points onto segments; every
-wall-distance query goes through it.
+`segment_distances` is the one projection of points onto segments and
+`nearest_segments` picks each point's nearest; every wall-distance query
+goes through them.
 """
 from __future__ import annotations
 
@@ -178,36 +179,40 @@ def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def nearest_segments(points, segments, candidates=None):
-    """Nearest of the (S,4) segments (ax, ay, bx, by) to each (n,2) point:
-    all of them, or those in the point's row of the (n,k) `candidates`
-    table (padded with -1). Returns per point the segment index (the first
-    of equal distances, in the order tested; -1 for padding only), t in
-    [0, 1] of the closest point a + t (b - a) (0 on a zero-length segment)
-    and its squared distance, taken as dx = px - (ax + t vx)."""
+def segment_distances(points, segments):
+    """t in [0, 1] of the closest point a + t (b - a) of each of the (S,4)
+    segments (ax, ay, bx, by) to each (n,2) point (0 on a zero-length
+    segment) and its squared distance, taken as dx = px - (ax + t vx): two
+    (n,S) arrays."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
     vx, vy = bx - ax, by - ay
     denom = vx * vx + vy * vy
+    px, py = points[:, :1], points[:, 1:]
+    t = ((px - ax) * vx + (py - ay) * vy) / np.where(denom > 0.0, denom, 1.0)
+    # min(1, max(0, t)) as Python takes it: 0.0 for t <= 0, -0.0 included
+    t = np.where((denom > 0.0) & (t > 0.0), np.minimum(t, 1.0), 0.0)
+    dx = px - (ax + t * vx)
+    dy = py - (ay + t * vy)
+    return t, dx * dx + dy * dy
+
+
+def nearest_segments(points, segments):
+    """Nearest of the (S,4) segments (ax, ay, bx, by) to each (n,2) point.
+    Returns per point the segment index (the first of equal distances), and
+    t and the squared distance of `segment_distances`."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    segments = np.asarray(segments, dtype=float).reshape(-1, 4)
     index = np.empty(len(points), dtype=np.int64)
     t = np.empty(len(points))
     d2 = np.empty(len(points))
-    width = len(ax) if candidates is None else candidates.shape[1]
-    # points x candidates temporaries, a bounded number of elements at a time
-    chunk = max(1, _CHUNK_ELEMENTS // max(width, 1))
+    # points x segments temporaries, a bounded number of elements at a time
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(segments), 1))
     for start in range(0, len(points), chunk):
         rows = slice(start, start + chunk)
-        seg = np.arange(len(ax))[None, :] if candidates is None else candidates[rows]
-        sax, say, svx, svy, sden = ax[seg], ay[seg], vx[seg], vy[seg], denom[seg]
-        px, py = points[rows, :1], points[rows, 1:]
-        tt = ((px - sax) * svx + (py - say) * svy) / np.where(sden > 0.0, sden, 1.0)
-        # min(1, max(0, t)) as Python takes it: 0.0 for t <= 0, -0.0 included
-        tt = np.where((sden > 0.0) & (tt > 0.0), np.minimum(tt, 1.0), 0.0)
-        dx = px - (sax + tt * svx)
-        dy = py - (say + tt * svy)
-        dd = np.where(seg >= 0, dx * dx + dy * dy, np.inf)
+        tt, dd = segment_distances(points[rows], segments)
         pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
-        index[rows] = np.broadcast_to(seg, dd.shape)[pick]
+        index[rows] = pick[1]
         t[rows] = tt[pick]
         d2[rows] = dd[pick]
     return index, t, d2

@@ -23,6 +23,7 @@ from scipy.spatial import QhullError
 from .delaunay import illegal_edges, interior_edges, lawson_flip
 from .geometry import nearest_segments, orient2d_array
 from .packing import PackingDomain
+from .walls import ROUNDING_MARGIN
 
 
 def _min_angle(fx: np.ndarray, fy: np.ndarray) -> float:
@@ -57,13 +58,6 @@ def _qhull_faces(points: np.ndarray, domain: PackingDomain | None):
     return tri, domain.contains_points(points[faces].mean(axis=1))
 
 
-# a face's centroid is tested against the domain again once it has moved
-# as far as its clearance from the nearest wall at the last test, less this
-# share of the domain's bbox diagonal (covering the even-odd test's and the
-# centroids' rounding)
-_CLEARANCE_MARGIN = 1e-9
-
-
 class MonitorCache:
     """The last sweep's Delaunay triangulation of the alive bubbles, which
     `triangulation_min_angle` repairs instead of calling Qhull again.
@@ -81,7 +75,9 @@ class MonitorCache:
     - Lawson-flips the edges that fail, falling back to Qhull if a flip
       would invert a face or the flips outnumber the faces;
     - tests against the domain again only the flipped faces and the faces
-      whose centroid has moved as far as its clearance from the walls.
+      whose centroid has moved as far as its clearance from the walls at
+      the last test, less `walls.ROUNDING_MARGIN` of the coordinate scale
+      (covering the even-odd test's and the centroids' rounding).
 
     `rebuilds` and `flips` count the Qhull calls and the edge flips."""
 
@@ -128,8 +124,7 @@ class MonitorCache:
         self.inside = inside
         if domain is not None:
             self.segments = domain.all_segments()
-            lo, hi = domain.bbox()
-            self.margin = _CLEARANCE_MARGIN * math.hypot(*(hi - lo))
+            self.margin = ROUNDING_MARGIN * float(np.abs(self.segments).max())
             self.sx, self.sy, self.reach2 = np.empty((3, len(inside)))
             self._track(np.arange(len(inside)))
 

@@ -13,8 +13,8 @@ anchors once, before any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
 with the same result: a `SweepPairs` Verlet list culled exactly each sweep,
-its colouring while the pairs repeat, and the wall clamp's clearance
-certificate (`walls`). After every sweep the min-angle monitor
+its colouring while the pairs repeat, and the wall clamp's room per
+bubble (`walls.WallClamp`). After every sweep the min-angle monitor
 (`monitor.triangulation_min_angle`, looked up here at call time) measures
 the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
 the last sweep's triangulation instead of building a new one.
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import hashed_unit_direction, nearest_segments
+from .geometry import hashed_unit_direction
 from .monitor import MonitorCache, triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, interpolate_radius)
-from .walls import WALL_CLEARANCE, _BoundaryProximity
+from .walls import WallClamp
 
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
@@ -86,7 +86,7 @@ class ConvergenceTrace:
     bookkeeping counters, deterministic and not written to the CSV:
     `pair_rebuilds` (Verlet pair list builds), `colour_reuses` (sweeps that
     kept the last colouring) and `wall_checks` (rows sent through the wall
-    clamp's nearest-segment pass).
+    clamp's full check).
     """
 
     def __init__(self):
@@ -373,7 +373,7 @@ class _ClassPlan:
 
 
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
-               walls: _BoundaryProximity | None = None,
+               walls: WallClamp | None = None,
                pairs: SweepPairs | None = None) -> float:
     """Sequentially integrate every mobile bubble over one dt against its
     neighbours' latest positions, in colour order; returns the max net-force
@@ -423,7 +423,7 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
         if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
             raise RelaxationError("dynamics diverged; reduce dt")
         if walls is not None:
-            p1, stopped = walls.clamp(p1, r[members])
+            p1, stopped = walls.clamp(members, p1, r[members])
             v1[stopped] = 0.0
         x[members], y[members] = p1.T
         state.vx[members], state.vy[members] = v1.T
@@ -465,17 +465,17 @@ def _summed_overlap(state: RelaxState, near, i: int) -> float:
 
 
 def _qc_original_state(state: RelaxState, low: float, high: float,
-                       anchors: list[Bubble], domain: PackingDomain | None) -> int:
+                       anchors: list[Bubble], walls: WallClamp | None) -> int:
     """Single pass over bubble indices: insert into the largest angular gap
     when the summed overlap is below `low`, delete when above `high`.
 
     Inserted bubbles join the neighbor index immediately (the index is
-    rebuilt) so later bubbles in the same pass see them; insertions that
-    would violate the wall clearance are skipped.
+    rebuilt) so later bubbles in the same pass see them; an insertion is
+    skipped unless the wall check (`walls.clear`) would leave it alone.
     """
     near = _ball_query(state)
     max_r = state.max_radius()
-    segments = domain.all_segments() if domain is not None else None
+    sizing = walls.domain.sizing if walls is not None else None
     changes = 0
     n0 = len(state.alive)
     for i in range(n0):
@@ -508,18 +508,13 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             probe_x = x0 + 2.0 * r0 * ca
             probe_y = y0 + 2.0 * r0 * sa
             if anchors:
-                r_new = interpolate_radius(probe_x, probe_y, anchors,
-                                           domain.sizing if domain is not None else None)
+                r_new = interpolate_radius(probe_x, probe_y, anchors, sizing)
             else:
                 r_new = r0
             nx = x0 + (r0 + r_new) * ca
             ny = y0 + (r0 + r_new) * sa
-            if domain is not None:
-                if not domain.contains(nx, ny):
-                    continue
-                d2 = nearest_segments((nx, ny), segments)[2][0]
-                if d2 < (WALL_CLEARANCE * r_new) ** 2:
-                    continue
+            if walls is not None and not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
+                continue
             # block only severe collisions; milder crowding is the original
             # method's own churn and gets resolved by its delete branch
             if any((r_new + state.r[j] - math.hypot(state.x[j] - nx, state.y[j] - ny))
@@ -542,7 +537,8 @@ def qc_original(bubbles: list[Bubble], low: float = 5.0, high: float = 8.0,
     state = RelaxState(bubbles, seed=seed)
     if anchors is None:
         anchors = [b for b in bubbles if b.kind != MOBILE]
-    changes = _qc_original_state(state, low, high, anchors, domain)
+    walls = None if domain is None else WallClamp(domain)
+    changes = _qc_original_state(state, low, high, anchors, walls)
     return state.to_bubbles(), changes
 
 
@@ -618,10 +614,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     if strategy == "new-qc":
         _qc_boundary_region_state(state, anchor_ids, qc_threshold)
 
-    # quantity control inserts radii interpolated from the anchors (which it
-    # never removes) or copied from a neighbor, so the largest alive radius
-    # cannot grow and wall cells sized now serve every sweep
-    walls = None if domain is None else _BoundaryProximity(domain, state.max_radius())
+    walls = None if domain is None else WallClamp(domain)
     anchors = [bubbles[i] for i in anchor_ids]
     history: list[float] = []
     qc_clean = strategy != "original-qc"
@@ -637,7 +630,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         history.append(ang)
 
         if strategy == "original-qc" and sweep % qc_period == 0:
-            changes = _qc_original_state(state, qc_low, qc_high, anchors, domain)
+            changes = _qc_original_state(state, qc_low, qc_high, anchors, walls)
             qc_clean = changes == 0
             if changes:
                 history.clear()
@@ -649,7 +642,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                 reason = "stall"
         if reason:
             if strategy == "original-qc" and not qc_clean:
-                changes = _qc_original_state(state, qc_low, qc_high, anchors, domain)
+                changes = _qc_original_state(state, qc_low, qc_high, anchors, walls)
                 qc_clean = changes == 0
                 if changes:
                     history.clear()

@@ -3,11 +3,10 @@
 A bubble's disk must stay inside the domain: after each step, a bubble
 whose centre has less than a full radius of clearance from its nearest
 boundary segment, or lies on the segment's outer side, is projected back.
-`_BoundaryProximity` bins the boundary segments into grid cells, so the
-check touches only a handful of segments, and certifies each cell's
-sub-boxes once: the largest radius for which the check provably leaves
-every point of the sub-box alone. Rows under that radius skip the
-nearest-segment pass, which leaves the clamp's result unchanged.
+`WallClamp` checks a bubble against every segment, then leaves it unchecked
+until it has moved as far as its room: the distance it can go before the
+check's verdict could change (a Verlet skin per bubble). Skipping a row
+inside its room leaves the clamp's result unchanged.
 """
 from __future__ import annotations
 
@@ -15,59 +14,30 @@ import math
 
 import numpy as np
 
-from .geometry import nearest_segments
+from .geometry import _CHUNK_ELEMENTS, nearest_segments, segment_distances
 from .packing import PackingDomain
 
 WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
                       # keeps a full radius of clearance, or it is projected
 
-_SUBBOXES = 8             # certificate sub-boxes per cell side
-_CERT_CHUNK = 4096        # elements of the certificate's (sub-box x segment)
-                          # temporaries, built a bounded number at a time
-_CERT_MARGIN = 1e-9       # rounding margin, as a share of the coordinate scale
+# a distance bound is cut by this share of the coordinate scale (the largest
+# absolute boundary coordinate), which covers the rounding of the distances
+# and moves it compares; it grows with the coordinates, not the domain's size
+ROUNDING_MARGIN = 1e-9
 
 
-class _BoundaryProximity:
-    """Grid cells near the domain boundary, each holding the segment indices
-    that pass close by, so wall checks touch only a handful of segments.
-    Cells are twice the largest bubble radius the checks will see. For the
-    vector check `slot` maps each cell of a dense grid to a row of `table`,
-    the cell's segment list padded with -1 to the longest list (-1 where
-    no segment passes). `cert[row, sub-box]` is the clearance certificate
-    of each cell's sub-boxes (a last row of -inf serves slot -1), and
-    `checks` counts the rows sent through the nearest-segment pass."""
+class WallClamp:
+    """The wall check of one relaxation's bubbles, kept per slot (bubble
+    index, whose radius never changes): where each was last checked and the
+    square of its room there (0 until a check leaves it alone, and after a
+    check that projects it). Slots appended by quantity control join on
+    their first check. `checks` counts the rows sent through the full
+    check."""
 
-    def __init__(self, domain: PackingDomain, max_radius: float):
+    def __init__(self, domain: PackingDomain):
         self.domain = domain
-        self.cell = cell = max(2.0 * max_radius, 1e-12)
         self.segments = domain.all_segments()
-        lo, hi = domain.bbox()
-        self.bbox = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-        cells: dict[tuple[int, int], set[int]] = {}
-        for si, (ax, ay, bx, by) in enumerate(self.segments):
-            length = math.hypot(bx - ax, by - ay)
-            steps = max(1, int(math.ceil(2.0 * length / cell)))
-            for s in range(steps + 1):
-                t = s / steps
-                px = ax + t * (bx - ax)
-                py = ay + t * (by - ay)
-                cx = int(math.floor(px / cell))
-                cy = int(math.floor(py / cell))
-                for ix in range(cx - 1, cx + 2):
-                    for iy in range(cy - 1, cy + 2):
-                        cells.setdefault((ix, iy), set()).add(si)
-        self.cells = {key: sorted(v) for key, v in cells.items()}
-
-        # dense grid of cell rows with a border of empty cells, onto which
-        # clipped indices of far-away points land
-        keys = np.array(list(self.cells))
-        self.origin = keys.min(axis=0) - 1
-        self.slot = np.full(keys.max(axis=0) - self.origin + 2, -1)
-        self.slot[tuple((keys - self.origin).T)] = np.arange(len(keys))
-        self.last_cell = np.array(self.slot.shape) - 1
-        self.table = np.full((len(keys), max(map(len, self.cells.values()))), -1)
-        for row, segs in enumerate(self.cells.values()):
-            self.table[row, :len(segs)] = segs
+        self.margin = ROUNDING_MARGIN * float(np.abs(self.segments).max())
         # per segment: start, direction, length and inward (left) unit
         # normal, in the scalar projection's arithmetic; a zero-length
         # segment sends its bubbles to domain.project_inside
@@ -76,94 +46,80 @@ class _BoundaryProximity:
         length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
         with np.errstate(divide="ignore", invalid="ignore"):
             self.terms = np.stack([ax, ay, vx, vy, length, -vy / length, vx / length])
-        self.cert = self._certificate(keys)
+        self.at = np.zeros((0, 2))
+        self.room2 = np.zeros(0)
         self.checks = 0
 
-    def _certificate(self, keys: np.ndarray) -> np.ndarray:
-        """(rows + 1, S*S) certified radii of the S x S sub-boxes of each
-        cell, sub-box (sx, sy) at column sx * S + sy; the last row is -inf.
+    def clear(self, points: np.ndarray, radius: np.ndarray) -> np.ndarray:
+        """Which of the (n,2) points the full check leaves alone."""
+        return self._check(points, radius)[3]
 
-        A sub-box, grown by a rounding margin on every side, is certified
-        up to radius R when both hold for every point p in it:
-        - every local segment is more than WALL_CLEARANCE * R from p: the
-          distance from the sub-box centre less the half-diagonal bounds
-          it from below;
-        - each local segment that can be p's nearest (its lower bound does
-          not exceed the smallest upper bound, centre distance plus
-          half-diagonal) has the whole sub-box strictly on its inner side.
-        A zero-length segment has no inner side, so a sub-box it can be
-        nearest to is never certified (the clamp projects its bubbles)."""
-        S = _SUBBOXES
-        table = self.table
-        scale = float(np.abs(self.segments).max()) + 2.0 * self.cell
-        tol = _CERT_MARGIN * scale
-        hw = 0.5 * self.cell / S + tol       # half-width of a grown sub-box
-        half = math.hypot(hw, hw)
-        ax, ay, vx, vy, _, nx, ny = self.terms
-        den = vx * vx + vy * vy
-        # sub-box centre offsets in cells, sub-box (sx, sy) at sx * S + sy
-        u = (np.arange(S) + 0.5) / S
-        ux, uy = u.repeat(S)[:, None], np.tile(u, S)[:, None]
-        cert = np.full((len(keys) + 1, S * S), -np.inf)
-        step = max(1, _CERT_CHUNK // (S * S * table.shape[1]))
-        for start in range(0, len(keys), step):
-            # (cells, sub-boxes, local segments) arrays for a block of cells
-            block = slice(start, min(start + step, len(keys)))
-            seg = table[block, None, :]
-            px = (keys[block, 0, None, None] + ux) * self.cell
-            py = (keys[block, 1, None, None] + uy) * self.cell
-            sax, say, svx, svy, sden = ax[seg], ay[seg], vx[seg], vy[seg], den[seg]
-            dx, dy = px - sax, py - say
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(sden > 0.0, np.clip((dx * svx + dy * svy) / sden, 0.0, 1.0), 0.0)
-            dist = np.where(seg >= 0, np.hypot(dx - t * svx, dy - t * svy), np.inf)
-            nearest = dist.min(axis=2)
-            can_be_nearest = dist <= nearest[..., None] + 2.0 * half + tol
-            # smallest signed distance over the grown sub-box to the line
-            # through each segment, inward positive (NaN for zero length)
-            snx, sny = nx[seg], ny[seg]
-            clear = snx * dx + sny * dy - (np.abs(snx) + np.abs(sny)) * hw
-            inner = ~(can_be_nearest & ~(clear > tol)).any(axis=2)
-            cert[block] = np.where(inner, (nearest - half - tol) / WALL_CLEARANCE, -np.inf)
-        return cert
-
-    def clamp(self, p: np.ndarray, radius: np.ndarray):
-        """Wall check of the bubbles at the rows of p (k,2): one that escaped
-        or hugs the wall is projected back to a full radius of clearance
-        from its nearest local segment (the first of equals), and one in a
-        cell no segment passes is projected only when outside the bbox.
-        Rows under their sub-box's certified radius are left alone without
-        a nearest-segment pass. Returns the corrected positions and the mask
-        of projected rows."""
-        f = p / self.cell
-        whole = np.floor(f)
-        cell = whole.astype(np.int64) - self.origin
-        cell = np.minimum(np.maximum(cell, 0), self.last_cell)
-        row = self.slot[cell[:, 0], cell[:, 1]]
-        sub = np.minimum(((f - whole) * _SUBBOXES).astype(np.int64), _SUBBOXES - 1)
-        certified = radius < self.cert[row, sub[:, 0] * _SUBBOXES + sub[:, 1]]
-        x0, y0, x1, y1 = self.bbox
-        project = (row < 0) & ((p < (x0, y0)) | (p > (x1, y1))).any(axis=1)
-        near = np.flatnonzero((row >= 0) & ~certified)
-        self.checks += len(near)
-        if not len(near) and not project.any():
-            return p, project
-        moved = project.copy()
-        out = p.copy()
-
-        seg, t, d2 = nearest_segments(p[near], self.segments, self.table[row[near]])
-        ax, ay, vx, vy, length, nx, ny = self.terms[:, seg]
-        px, py, r = p[near, 0], p[near, 1], radius[near]
-        clearance = WALL_CLEARANCE * r
+    def _check(self, p: np.ndarray, radius: np.ndarray):
+        """Nearest segment of each row of p (the first of equals), t and
+        squared distance of the closest point on it, and whether the row is
+        clear: a full radius of clearance and strictly on the inner side."""
+        seg, t, d2 = nearest_segments(p, self.segments)
+        ax, ay, vx, vy = self.terms[:4, seg]
+        clearance = WALL_CLEARANCE * radius
         # interior is to the left of the nearest directed segment
-        inside = vx * (py - ay) - vy * (px - ax) > 0.0
-        fix = ~((d2 >= clearance * clearance) & inside)
-        moved[near] = fix
-        degenerate = fix & ~(length > 0.0)
-        project[near[degenerate]] = True
-        fix &= ~degenerate
-        out[near[fix], 0] = (ax + t * vx + nx * r)[fix]
-        out[near[fix], 1] = (ay + t * vy + ny * r)[fix]
-        if project.any():
-            out[project] = self.domain.project_inside(p[project], radius[project])
-        return out, moved
+        inside = vx * (p[:, 1] - ay) - vy * (p[:, 0] - ax) > 0.0
+        return seg, t, d2, (d2 >= clearance * clearance) & inside
+
+    def _room(self, p: np.ndarray, radius: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """How far each clear row of p, at squared distance d2 from its
+        nearest segment, can move before the check's verdict could change:
+        the smaller of its clearance beyond WALL_CLEARANCE * radius and, for
+        every segment, the larger of its signed distance to the segment's
+        line (inward positive; none for a zero-length segment) and half its
+        distance beyond the nearest (the move after which the segment could
+        become the nearest). Less the rounding margin."""
+        d = np.sqrt(d2)
+        room = d - WALL_CLEARANCE * radius
+        ax, ay, _, _, _, nx, ny = self.terms
+        chunk = max(1, _CHUNK_ELEMENTS // len(self.segments))
+        for start in range(0, len(p), chunk):
+            rows = slice(start, start + chunk)
+            dist = np.sqrt(segment_distances(p[rows], self.segments)[1])
+            # fmax skips the NaN line distance of a zero-length segment
+            line = nx * (p[rows, :1] - ax) + ny * (p[rows, 1:] - ay)
+            reach = np.fmax(line, 0.5 * (dist - d[rows, None])).min(axis=1)
+            room[rows] = np.minimum(room[rows], reach)
+        return room - self.margin
+
+    def clamp(self, slots: np.ndarray, p: np.ndarray, radius: np.ndarray):
+        """Wall check of the bubbles `slots` at the rows of p (k,2): one that
+        escaped or hugs the wall is projected back to a full radius of
+        clearance from its nearest segment (the first of equals), and checked
+        again on its next step. A row still within its room of where a check
+        last left it alone is left alone without a check. Returns the
+        corrected positions and the mask of projected rows."""
+        grow = int(slots.max(initial=-1)) + 1 - len(self.room2)
+        if grow > 0:  # quantity control appended bubbles
+            self.at = np.concatenate([self.at, np.zeros((grow, 2))])
+            self.room2 = np.concatenate([self.room2, np.zeros(grow)])
+        step = p - self.at[slots]
+        near = np.flatnonzero(~((step * step).sum(axis=1) < self.room2[slots]))
+        self.checks += len(near)
+        fix = np.zeros(len(p), dtype=bool)
+        if not len(near):
+            return p, fix
+        seg, t, d2, clear = self._check(p[near], radius[near])
+        room = np.zeros(len(near))
+        room[clear] = self._room(p[near[clear]], radius[near[clear]], d2[clear])
+        rows = slots[near]
+        self.at[rows] = p[near]
+        self.room2[rows] = np.square(np.maximum(room, 0.0))
+
+        bad = near[~clear]
+        fix[bad] = True
+        if not len(bad):
+            return p, fix
+        out = p.copy()
+        ax, ay, vx, vy, length, nx, ny = self.terms[:, seg[~clear]]
+        t, r = t[~clear], radius[bad]
+        flat = ~(length > 0.0)  # a zero-length nearest segment
+        out[bad[~flat], 0] = (ax + t * vx + nx * r)[~flat]
+        out[bad[~flat], 1] = (ay + t * vy + ny * r)[~flat]
+        if flat.any():
+            out[bad[flat]] = self.domain.project_inside(p[bad[flat]], r[flat])
+        return out, fix

@@ -7,7 +7,8 @@ import pytest
 from bubblemesh import geometry
 from bubblemesh.geometry import (hashed_unit_direction, incircle,
                                  nearest_segments, orient2d, points_in_polygon,
-                                 polygon_perimeter, polygon_signed_area)
+                                 polygon_perimeter, polygon_signed_area,
+                                 segment_distances)
 
 from conftest import closest_point_on_segment, point_in_polygon
 
@@ -126,16 +127,13 @@ def test_hashed_direction_unit_and_stable():
     assert (ux, uy) != hashed_unit_direction(7, 3, seed=42)
 
 
-def nearest_segments_loop(points, segments, candidates=None):
-    """One closest_point_on_segment call per point and candidate segment,
-    the first strict minimum kept: the reference for nearest_segments."""
+def nearest_segments_loop(points, segments):
+    """One closest_point_on_segment call per point and segment, the first
+    strict minimum kept: the reference for nearest_segments."""
     out = []
-    for k, (px, py) in enumerate(points.tolist()):
-        tested = range(len(segments)) if candidates is None else candidates[k].tolist()
+    for px, py in points.tolist():
         best = (-1, 0.0, math.inf)
-        for si in tested:
-            if si < 0:
-                continue
+        for si in range(len(segments)):
             _, _, d2, t = closest_point_on_segment(px, py, *segments[si].tolist())
             if d2 < best[2]:
                 best = (si, t, d2)
@@ -184,20 +182,12 @@ def test_nearest_segments_matches_scalar_loop(segment_case):
     assert ties[0].tolist() == [0, 0, 4] and ties[2].tolist() == [0.25, 2.0, 0.25]
 
 
-def test_nearest_segments_with_candidates_matches_scalar_loop(segment_case, rng):
+def test_segment_distances_match_scalar_loop(segment_case):
     pts, segs = segment_case
-    table = np.full((len(pts), 6), -1)
-    for k in range(len(pts)):
-        picked = np.sort(rng.choice(len(segs), size=rng.randint(1, 7), replace=False))
-        table[k, :len(picked)] = picked
-    table[3] = -1                       # padding only
-    got = nearest_segments(pts, segs, table)
-    want = nearest_segments_loop(pts, segs, table)
-    assert np.array_equal(got[0], want[0])
-    assert same_bits(got[2], want[2])
-    real = want[0] >= 0
-    assert same_bits(got[1][real], want[1][real])
-    assert got[0][3] == -1 and got[2][3] == math.inf
+    t, d2 = segment_distances(pts, segs)
+    want = np.array([[closest_point_on_segment(px, py, *seg)[3:1:-1] for seg in segs.tolist()]
+                     for px, py in pts.tolist()])
+    assert same_bits(t, want[..., 0]) and same_bits(d2, want[..., 1])
 
 
 def test_nearest_segments_chunking_never_changes_a_row(segment_case, monkeypatch):

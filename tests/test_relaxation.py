@@ -16,7 +16,7 @@ from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
                                    pair_force, qc_boundary_region, qc_original,
                                    relax_step, relax_until_converged,
                                    rk4_damped_step)
-from bubblemesh.walls import _SUBBOXES, WALL_CLEARANCE, _BoundaryProximity
+from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
 from conftest import closest_point_on_segment
 
@@ -96,7 +96,7 @@ def mask_sweep(state, force, dyn, walls):
                                  net, dyn.m, dyn.c, dyn.dt)
         f1 = evaluations[0]
         max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
-        p1, stopped = walls.clamp(p1, r[members])
+        p1, stopped = walls.clamp(members, p1, r[members])
         v1[stopped] = 0.0
         x[members], y[members] = p1.T
         state.vx[members], state.vy[members] = v1.T
@@ -120,17 +120,11 @@ def project_inside_loop(domain, x, y, radius):
 
 
 def enforce_clearance(walls, x, y, radius):
-    """Scalar wall check of one bubble: the reference for the vector clamp.
-    Returns the corrected centre, or None when no correction is needed."""
-    local = walls.cells.get((int(math.floor(x / walls.cell)), int(math.floor(y / walls.cell))))
-    if local is None:
-        x0, y0, x1, y1 = walls.bbox
-        if x < x0 or x > x1 or y < y0 or y > y1:
-            return project_inside_loop(walls.domain, x, y, radius)
-        return None
+    """Scalar wall check of one bubble against every segment: the reference
+    for the vector clamp. Returns the corrected centre, or None when no
+    correction is needed."""
     best_d2 = math.inf
-    for si in local:
-        ax, ay, bx, by = walls.segments[si]
+    for ax, ay, bx, by in walls.segments:
         qx, qy, d2, _ = closest_point_on_segment(x, y, ax, ay, bx, by)
         if d2 < best_d2:
             best_d2 = d2
@@ -159,6 +153,9 @@ def hex_neighbors(n, r=0.5, center=(0.0, 0.0)):
 
 RECTANGLE = [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]]
 SQUARE_HOLE = [[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]
+# the rectangle with a thin notch down from its top edge to a tip at (8.5, 4)
+NOTCHED = [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [8.7, 8.0], [8.5, 4.0], [8.3, 8.0],
+           [0.0, 8.0]]
 
 
 def graded_holed_plate():
@@ -391,11 +388,12 @@ class TestSweepPairs:
         # for bit where the per-class-mask reference sweep ends
         domain, bubbles = graded_holed_plate()
         kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
-        walls = _BoundaryProximity(domain, kept.max_radius())
+        walls, ref_walls = WallClamp(domain), WallClamp(domain)
         pairs = SweepPairs()
         dyn = DynamicsParams()
         for _ in range(40):
-            assert relax_step(kept, FORCE, dyn, walls, pairs) == mask_sweep(ref, FORCE, dyn, walls)
+            assert relax_step(kept, FORCE, dyn, walls, pairs) == mask_sweep(ref, FORCE, dyn,
+                                                                            ref_walls)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert pairs.rebuilds > 1 and pairs.colour_reuses > 0
@@ -466,40 +464,44 @@ class TestRelaxStep:
         (RECTANGLE, [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]),
     ], ids=["outer0", "outer1", "diamond-hole", "hole-zero-length"])
     def test_wall_clamp_matches_scalar_check(self, rng, outer, hole):
-        # the clamp, with rows under their sub-box's certified radius left
-        # out of the nearest-segment pass, equals the scalar check
+        # the clamp equals the scalar check against every segment; a second
+        # call at the same points checks again only the rows it did not
+        # leave alone with room to spare, and gives the same result
         hole = np.array(hole)
         domain = PackingDomain(outer=np.array(outer), holes=[hole])
-        walls = _BoundaryProximity(domain, 0.5)
+        walls = WallClamp(domain)
         corners = np.concatenate([domain.outer, hole])
         on_walls = [a + t * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))
                     for t in np.linspace(0.0, 1.0, 7)]
-        sub_box = walls.cell / _SUBBOXES
         pts = np.concatenate([
             rng.uniform(-2.0, 12.0, size=(3000, 2)),   # outside the bbox too
-            rng.uniform(3.5, 6.5, size=(300, 2)) * [1.0, 0.8],  # the hole's empty cells
+            rng.uniform(3.5, 6.5, size=(300, 2)) * [1.0, 0.8],  # the hole's inside
             corners, corners + 1e-9, corners - 0.3,
             np.array(on_walls),
-            np.mgrid[-1:12, -1:10].reshape(2, -1).T * walls.cell,  # cell edges
-            np.mgrid[-8:96, -8:80].reshape(2, -1).T * sub_box,      # sub-box edges
+            np.mgrid[-1:12, -1:10].reshape(2, -1).T * 1.0,     # a unit lattice
+            np.mgrid[-8:96, -8:80].reshape(2, -1).T * 0.125,   # an eighth lattice
         ])
         radii = rng.uniform(0.1, 0.5, size=len(pts))
-        out, moved = walls.clamp(pts, radii)
-        in_wall_cells = 0
+        slots = np.arange(len(pts))
+        out, moved = walls.clamp(slots, pts, radii)
         for (x, y), r, got, hit in zip(pts.tolist(), radii.tolist(), out, moved):
-            in_wall_cells += (math.floor(x / walls.cell), math.floor(y / walls.cell)) in walls.cells
             want = enforce_clearance(walls, x, y, r)
             if want is None:
                 assert not hit and got.tolist() == [x, y]
             else:
                 assert hit and got.tolist() == [float(want[0]), float(want[1])]
-        assert 0 < moved.sum() < len(pts)
-        assert 0 < walls.checks < in_wall_cells
+        assert 0 < moved.sum() < len(pts) and walls.checks == len(pts)
+        # every point outside the domain is projected, the hole's inside too
+        outside = ~domain.contains_points(pts)
+        assert moved[outside].all()
+        assert outside[3000:3300].sum() > 100
+        again, moved_again = walls.clamp(slots, pts, radii)
+        assert np.array_equal(again, out) and np.array_equal(moved_again, moved)
+        assert walls.checks - len(pts) == np.count_nonzero(walls.room2 == 0.0) < len(pts)
 
     def test_certificate_skips_most_rows_on_relaxed_lattice(self):
-        # after relaxation bubbles keep clear of the walls, and the sub-box
-        # certificates spare most of them the nearest-segment pass (those
-        # left are near the corners, where two segments can be nearest)
+        # after relaxation bubbles keep clear of the walls, and their room
+        # spares most of them the full check on most sweeps
         domain = PackingDomain(outer=np.array(RECTANGLE), holes=[np.array(SQUARE_HOLE)],
                                sizing=lambda x, y: np.full(np.shape(x), 0.4))
         boundary = pack_boundary(domain)
@@ -507,15 +509,61 @@ class TestRelaxStep:
         out, trace = relax_until_converged(boundary + interior, domain, force=FORCE)
         assert trace.converged
         mobile = [b for b in out if b.kind != BOUNDARY]
-        pts = np.array([[b.x, b.y] for b in mobile])
-        radii = np.array([b.radius for b in mobile])
-        walls = _BoundaryProximity(domain, max(b.radius for b in out))
-        walls.clamp(pts, radii)
-        in_wall_cells = sum((math.floor(x / walls.cell), math.floor(y / walls.cell)) in walls.cells
-                            for x, y in pts.tolist())
-        assert in_wall_cells > 0.5 * len(pts)
-        assert walls.checks < 0.2 * in_wall_cells
         assert trace.wall_checks < 0.2 * trace.sweeps * len(mobile)
+
+    @pytest.mark.parametrize("outer,hole,shift", [
+        # a notch whose tip turns the boundary by ~175 degrees: moves below
+        # the tip cross its sides' line extensions without nearing a wall
+        (NOTCHED, SQUARE_HOLE, 0.0),
+        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+         [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]], 0.0),
+        (RECTANGLE, [[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]], 0.0),
+        (NOTCHED, SQUARE_HOLE, 1e6),
+    ], ids=["notch", "zero-length", "diamond-hole", "notch-at-1e6"])
+    def test_kept_clamp_equals_fresh_clamp_every_step(self, outer, hole, shift):
+        # bubbles walk at random, across walls too; a clamp kept over the
+        # walk, which skips rows within their room, gives at every step what
+        # a fresh clamp gives, and skips most rows
+        rng = np.random.RandomState(11)
+        domain = PackingDomain(outer=np.array(outer) + shift, holes=[np.array(hole) + shift])
+        kept = WallClamp(domain)
+        n, steps = 20, 200
+        slots = np.arange(n)
+        radii = rng.uniform(0.1, 0.5, size=n)
+        pts = rng.uniform(-1.0, 11.0, size=(n, 2)) + shift
+        moves = 0
+        for _ in range(steps):
+            out, moved = kept.clamp(slots, pts, radii)
+            want = WallClamp(domain).clamp(slots, pts, radii)
+            assert np.array_equal(out, want[0]) and np.array_equal(moved, want[1])
+            moves += moved.sum()
+            pts = out + rng.normal(0.0, 0.05, size=(n, 2))
+        assert moves > 0 and kept.checks < 0.5 * n * steps
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_kept_clamp_equals_fresh_clamp_at_the_edge_of_its_room(self, shift):
+        # bubbles just clear of a triangular hole's slanted walls each step
+        # straight at the wall by their whole room: the rounding margin keeps
+        # a move that ends within rounding of the clearance out of the
+        # skipped rows
+        rng = np.random.RandomState(12)
+        hole = np.array([[3.1, 2.3], [2.7, 5.9], [6.6, 4.7]])
+        domain = PackingDomain(outer=np.array(RECTANGLE) + shift, holes=[hole + shift])
+        n = 400
+        slots = np.arange(n)
+        radii = rng.uniform(0.1, 0.5, size=n)
+        hole_walls = domain.all_segments()[4:] - shift
+        a, b = np.split(hole_walls[rng.randint(len(hole_walls), size=n)], 2, axis=1)
+        inward = (b - a)[:, ::-1] * [-1.0, 1.0] / np.hypot(*(b - a).T)[:, None]
+        gap = radii + rng.uniform(0.001, 0.2, size=n)
+        pts = a + rng.uniform(0.3, 0.7, size=(n, 1)) * (b - a) + inward * gap[:, None] + shift
+        for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            kept = WallClamp(domain)
+            assert not kept.clamp(slots, pts, radii)[1].any()
+            step = pts - inward * (scale * np.sqrt(kept.room2))[:, None]
+            out, moved = kept.clamp(slots, step, radii)
+            want = WallClamp(domain).clamp(slots, step, radii)
+            assert np.array_equal(out, want[0]) and np.array_equal(moved, want[1])
 
     @pytest.mark.parametrize("outer", [
         [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
