@@ -24,6 +24,11 @@ _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 # never changes a value
 _CHUNK_ELEMENTS = 200_000
 
+# a distance bound is cut by this share of the coordinate scale (the largest
+# absolute coordinate), which covers the rounding of the distances and moves
+# it compares; it grows with the coordinates, not the domain's size
+ROUNDING_MARGIN = 1e-9
+
 
 def orient2d(ax, ay, bx, by, cx, cy):
     """Sign of twice the signed area of triangle abc: +1 CCW, -1 CW, 0 collinear."""

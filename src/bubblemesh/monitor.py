@@ -21,9 +21,8 @@ from scipy.spatial import Delaunay as _SciDelaunay
 from scipy.spatial import QhullError
 
 from .delaunay import illegal_edges, interior_edges, lawson_flip
-from .geometry import nearest_segments, orient2d_array
+from .geometry import ROUNDING_MARGIN, nearest_segments, orient2d_array
 from .packing import PackingDomain
-from .walls import ROUNDING_MARGIN
 
 
 def _min_angle(fx: np.ndarray, fy: np.ndarray) -> float:
@@ -76,7 +75,7 @@ class MonitorCache:
       would invert a face or the flips outnumber the faces;
     - tests against the domain again only the flipped faces and the faces
       whose centroid has moved as far as its clearance from the walls at
-      the last test, less `walls.ROUNDING_MARGIN` of the coordinate scale
+      the last test, less `geometry.ROUNDING_MARGIN` of the coordinate scale
       (covering the even-odd test's and the centroids' rounding).
 
     `rebuilds` and `flips` count the Qhull calls and the edge flips."""

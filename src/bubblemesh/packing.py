@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (_CHUNK_ELEMENTS, nearest_segments, points_in_polygon,
-                       polygon_perimeter, polygon_signed_area)
+from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
+                       points_in_polygon, polygon_perimeter, polygon_signed_area)
 
 BOUNDARY = "boundary"
 INTERIOR_ANCHOR = "interior-anchor"
@@ -136,13 +136,22 @@ def interpolate_radius(x: float, y: float, anchors: list[Bubble],
     return r
 
 
+def _anchor_arrays(anchors: list[Bubble]):
+    """The anchors' x, y and radius as three arrays."""
+    return (np.array([a.x for a in anchors]), np.array([a.y for a in anchors]),
+            np.array([a.radius for a in anchors]))
+
+
 def _interpolate_radii_batch(points: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
     """Vectorized inverse-square-distance interpolation at (n,2) points."""
-    ax = np.array([a.x for a in anchors])
-    ay = np.array([a.y for a in anchors])
-    ar = np.array([a.radius for a in anchors])
+    return _interpolate_radii(points, *_anchor_arrays(anchors))
+
+
+def _interpolate_radii(points: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                       ar: np.ndarray) -> np.ndarray:
+    """`_interpolate_radii_batch` over anchors given as x, y and radius arrays."""
     out = np.empty(len(points))
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(anchors), 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
     for start in range(0, len(points), chunk):
         p = points[start:start + chunk]
         d2 = (p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2
@@ -270,18 +279,28 @@ def _limit_loop_gradation(edges) -> None:
 
 
 def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
-                           max_anchor_overlap: float | None = None) -> list[Bubble]:
+                           max_anchor_overlap: float | None = None,
+                           gaps: np.ndarray | None = None) -> list[Bubble]:
     """Fill the domain interior with mobile bubbles on an adaptive rhombic lattice.
 
     A quadtree over sheared coordinates subdivides cells until the rhombus
     side matches the local tangent spacing; leaf corners become candidates.
     Candidates are kept when strictly inside the domain, not center-inside
-    any anchor, and not degenerate-close to the boundary. When
-    max_anchor_overlap is given, candidates whose pairwise overlap with any
-    anchor exceeds it are also rejected (gap-filling mode: occupied regions
-    stay untouched). Radii come from anchor interpolation clamped by the
-    domain sizing. An empty result warns in primary packing only: gap
-    filling that finds no gap is a normal outcome.
+    any anchor, and not degenerate-close to the boundary. Radii come from
+    anchor interpolation clamped by the domain sizing. An empty result
+    warns in primary packing only: gap filling that finds no gap is a
+    normal outcome.
+
+    Gap-filling mode (max_anchor_overlap given) expects the domain's
+    sizing to be the anchors' interpolation (`remesh.anchor_sizing`), which
+    then alone gives the radii, and also rejects candidates whose pairwise
+    overlap with any anchor exceeds max_anchor_overlap (occupied regions
+    stay untouched). There `gaps`, when given, holds (m,3,2) triangles
+    outside which no candidate can pass the anchor tests (the face-cover
+    certificate of `remesh.fill_gaps`): the quadtree searches only cells
+    whose closed bounding box meets the bounding box of one of them, and is
+    skipped when there are none. A pruned cell has no surviving corner, so
+    the survivors and their order are those of the full search.
     """
     lo, hi = domain.bbox()
     width = float(hi[0] - lo[0])
@@ -289,7 +308,9 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     if width <= 0 or height <= 0:
         warnings.warn("domain has empty interior")
         return []
-    pts = _quadtree_corners(domain)
+    if gaps is not None and not len(gaps):
+        return _no_room(max_anchor_overlap)
+    pts = _quadtree_corners(domain, gaps)
     keep = domain.contains_points(pts)
     if anchors:
         keep &= ~_inside_any_anchor(pts, anchors)
@@ -299,9 +320,10 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
 
     if not len(kept):
         return _no_room(max_anchor_overlap)
-    bound = _sizing_at(domain, kept[:, 0], kept[:, 1])
-    radii = np.minimum(_interpolate_radii_batch(kept, anchors), bound) if anchors else bound
-    if anchors and max_anchor_overlap is not None:
+    radii = _sizing_at(domain, kept[:, 0], kept[:, 1])
+    if anchors and max_anchor_overlap is None:
+        radii = np.minimum(_interpolate_radii_batch(kept, anchors), radii)
+    elif anchors:
         ok = _anchor_overlap_below(kept, radii, anchors, max_anchor_overlap)
         kept = kept[ok]
         radii = radii[ok]
@@ -312,9 +334,11 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
             for (px, py), r in zip(kept, radii)]
 
 
-def _quadtree_corners(domain: PackingDomain) -> np.ndarray:
+def _quadtree_corners(domain: PackingDomain, gaps: np.ndarray | None = None) -> np.ndarray:
     """(n,2) leaf corners of the rhombic quadtree over the domain's bbox, in
-    the order a depth-first traversal first reaches them."""
+    the order a depth-first traversal first reaches them. With `gaps`
+    ((m,3,2) triangles), only cells whose closed bounding box meets the
+    bounding box of one are kept."""
     lo, hi = domain.bbox()
     width = float(hi[0] - lo[0])
     height = float(hi[1] - lo[1])
@@ -341,7 +365,15 @@ def _quadtree_corners(domain: PackingDomain) -> np.ndarray:
     bx0, by0 = float(lo[0]), float(lo[1])
     bx1, by1 = float(hi[0]), float(hi[1])
     i = j = np.zeros(1, dtype=np.int64)
-    leaf_i, leaf_j, leaf_step = [], [], []
+    if gaps is not None:
+        # (cell, triangle) pairs whose closed bounding boxes meet, widened
+        # by the rounding margin on the coordinate scale: a leaf corner in a
+        # triangle keeps the pair of its leaf and of every ancestor
+        eps = ROUNDING_MARGIN * max(abs(ox), abs(oy), size, float(np.abs(gaps).max()))
+        g0, g1 = gaps.min(axis=1) - eps, gaps.max(axis=1) + eps
+        pc, pf = np.zeros(len(gaps), dtype=np.int64), np.arange(len(gaps))
+    # (no cell at all when every (cell, triangle) pair is gone at the root)
+    leaf_i, leaf_j, leaf_step = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     # depth by depth over every live cell, one sizing call per depth
     for d in range(_MAX_DEPTH + 1):
         s = size / 2.0 ** d
@@ -351,6 +383,13 @@ def _quadtree_corners(domain: PackingDomain) -> np.ndarray:
         xs = ox + p + _SHEAR[0] * q
         ys = oy + _SHEAR[1] * q
         live = ~((xs > bx1) | (xs + 1.5 * s < bx0) | (ys > by1) | (ys + _SHEAR[1] * s < by0))
+        if gaps is not None:
+            hit = (live[pc] & (g0[pf, 0] <= xs[pc] + 1.5 * s) & (g1[pf, 0] >= xs[pc])
+                   & (g0[pf, 1] <= ys[pc] + _SHEAR[1] * s) & (g1[pf, 1] >= ys[pc]))
+            pc, pf = pc[hit], pf[hit]
+            live = np.zeros(len(i), dtype=bool)
+            live[pc] = True
+            pc = (np.cumsum(live) - 1)[pc]
         i, j, xs, ys = i[live], j[live], xs[live], ys[live]
         if not len(i):
             break
@@ -369,6 +408,13 @@ def _quadtree_corners(domain: PackingDomain) -> np.ndarray:
         leaf_i.append(i[~split] << shift)
         leaf_j.append(j[~split] << shift)
         leaf_step.append(np.full(np.count_nonzero(~split), 1 << shift))
+        if gaps is not None:
+            # a split cell's pairs pass to its four children, in their order
+            k = np.count_nonzero(split)
+            pf = pf[split[pc]]
+            pc = (np.cumsum(split) - 1)[pc[split[pc]]]
+            pc = np.concatenate([pc, pc + k, pc + 2 * k, pc + 3 * k])
+            pf = np.tile(pf, 4)
         i, j = 2 * i[split], 2 * j[split]
         i, j = np.concatenate([i, i + 1, i, i + 1]), np.concatenate([j, j, j + 1, j + 1])
 
@@ -440,31 +486,43 @@ def _self_thin(pts: np.ndarray, radii: np.ndarray):
     return pts[accepted], radii[accepted]
 
 
+def _anchor_pairs(pts: np.ndarray, ax: np.ndarray, ay: np.ndarray, reach: float):
+    """Index pairs (point, anchor) of the (n,2) points and the anchors at
+    (ax, ay) whose centres lie within `reach`, widened by the rounding margin
+    on the coordinate scale: a superset of the pairs an exact per-pair test
+    within `reach` can pick."""
+    if not len(pts):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    centres = np.column_stack([ax, ay])
+    scale = max(float(np.abs(pts).max()), float(np.abs(centres).max()))
+    m = cKDTree(pts).sparse_distance_matrix(cKDTree(centres), reach + ROUNDING_MARGIN * scale,
+                                            output_type="ndarray")
+    return m["i"], m["j"]
+
+
 def _anchor_overlap_below(pts: np.ndarray, radii: np.ndarray,
                           anchors: list[Bubble], limit: float) -> np.ndarray:
-    ax = np.array([a.x for a in anchors])
-    ay = np.array([a.y for a in anchors])
-    ar = np.array([a.radius for a in anchors])
+    """Whether each candidate's overlap (r + r_a - d) / min(r, r_a) with
+    every anchor stays at or below limit, tested on the k-d tree pairs that
+    can exceed it."""
+    ax, ay, ar = _anchor_arrays(anchors)
     ok = np.ones(len(pts), dtype=bool)
-    chunk = max(1, _CHUNK_ELEMENTS // len(anchors))
-    for start in range(0, len(pts), chunk):
-        p = pts[start:start + chunk]
-        r = radii[start:start + chunk]
-        d = np.sqrt((p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2)
-        ov = (r[:, None] + ar[None, :] - d) / np.minimum(r[:, None], ar[None, :])
-        ok[start:start + chunk] = ov.max(axis=1) <= limit
+    if not len(pts):
+        return ok
+    r_max, a_max = float(radii.max()), float(ar.max())
+    i, a = _anchor_pairs(pts, ax, ay, r_max + a_max + max(-limit, 0.0) * min(r_max, a_max))
+    r = radii[i]
+    d = np.sqrt((pts[i, 0] - ax[a]) ** 2 + (pts[i, 1] - ay[a]) ** 2)
+    ov = (r + ar[a] - d) / np.minimum(r, ar[a])
+    ok[i[~(ov <= limit)]] = False
     return ok
 
 
 def _inside_any_anchor(pts: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
-    ax = np.array([a.x for a in anchors])
-    ay = np.array([a.y for a in anchors])
-    ar2 = np.array([a.radius for a in anchors]) ** 2
+    """Whether each point lies strictly inside an anchor's disk."""
+    ax, ay, ar = _anchor_arrays(anchors)
     hit = np.zeros(len(pts), dtype=bool)
-    chunk = max(1, _CHUNK_ELEMENTS // len(anchors))
-    for start in range(0, len(pts), chunk):
-        p = pts[start:start + chunk]
-        d2 = (p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2
-        hit[start:start + chunk] = np.any(d2 < ar2[None, :], axis=1)
+    i, a = _anchor_pairs(pts, ax, ay, float(ar.max()))
+    d2 = (pts[i, 0] - ax[a]) ** 2 + (pts[i, 1] - ay[a]) ** 2
+    hit[i[d2 < ar[a] ** 2]] = True
     return hit
-

@@ -8,12 +8,14 @@ original mesh's size distribution.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .config import PipelineConfig, relax_params
 from .delaunay import delaunay_triangulate
+from .geometry import ROUNDING_MARGIN
 from .mesh import MeshError, PlanarMesh
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, Bubble, PackingDomain,
-                      _interpolate_radii_batch, pack_interior_quadtree)
+                      _anchor_arrays, _interpolate_radii, pack_interior_quadtree)
 from .relaxation import ConvergenceTrace, relax_until_converged
 
 
@@ -72,10 +74,12 @@ def reconstruct_interior_bubbles(flat: PlanarMesh) -> list[Bubble]:
 def anchor_sizing(anchors: list[Bubble]):
     """Inverse-square-distance interpolation of anchor radii as a sizing
     field `bound(xs, ys)` over equal-shape arrays (or scalars)."""
+    ax, ay, ar = _anchor_arrays(anchors)
+
     def bound(x, y) -> np.ndarray:
         x, y = np.broadcast_arrays(x, y)
         pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        return _interpolate_radii_batch(pts, anchors).reshape(x.shape)
+        return _interpolate_radii(pts, ax, ay, ar).reshape(x.shape)
 
     return bound
 
@@ -92,9 +96,58 @@ FILL_MAX_ANCHOR_OVERLAP = 0.4
 
 
 def fill_gaps(flat: PlanarMesh, anchors: list[Bubble]) -> list[Bubble]:
-    """Mobile bubbles filling the stretch-induced gaps between anchors."""
-    return pack_interior_quadtree(flat_domain(flat, anchors), anchors,
-                                  max_anchor_overlap=FILL_MAX_ANCHOR_OVERLAP)
+    """Mobile bubbles filling the stretch-induced gaps between anchors.
+
+    The quadtree searches only the faces that `_covered_faces` cannot
+    certify, and is skipped when it certifies every face; the fillers are
+    those of a search over the whole domain."""
+    domain = flat_domain(flat, anchors)
+    covered = _covered_faces(flat, anchors, len(domain.outer))
+    gaps = None if covered is None else flat.vertices[flat.faces[~covered]]
+    return pack_interior_quadtree(domain, anchors,
+                                  max_anchor_overlap=FILL_MAX_ANCHOR_OVERLAP,
+                                  gaps=gaps)
+
+
+def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
+                   loop_length: int) -> np.ndarray | None:
+    """Which flat faces hold no gap filler; None when there are no anchors
+    or the faces need not cover the fill domain, whose boundary is a loop of
+    `loop_length` mesh edges: they do when that loop is all of the edges
+    with an odd number of faces (the faces' sum modulo 2 then has the
+    loop's crossing parity at every point).
+
+    The face-cover certificate: a candidate's radius is the anchor
+    interpolation, a convex combination of anchor radii, so it is at least
+    r_lo, the smallest of them. A candidate closer than
+    R_a = r_a + (1 - FILL_MAX_ANCHOR_OVERLAP) min(r_lo, r_a) to anchor a
+    overlaps it by more than FILL_MAX_ANCHOR_OVERLAP and is rejected. Every
+    point of a face lies within the face's circumradius of one of its
+    corners, so a face whose circumradius is below the smallest R_a of the
+    anchors at its corners, less the rounding margin on the coordinate
+    scale, holds no surviving candidate: it is covered. A face with a corner
+    that has no anchor is never covered."""
+    edges = np.sort(flat.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, faces_per_edge = np.unique(edges[:, 0] * flat.n_vertices + edges[:, 1],
+                                  return_counts=True)
+    if not anchors or np.count_nonzero(faces_per_edge % 2) != loop_length:
+        return None
+    ax, ay, ar = _anchor_arrays(anchors)
+    reach = ar + (1.0 - FILL_MAX_ANCHOR_OVERLAP) * np.minimum(ar.min(), ar)
+    # the anchor centred on each vertex, if any
+    dist, at = cKDTree(np.column_stack([ax, ay])).query(flat.vertices)
+    vertex_reach = np.full(flat.n_vertices, -np.inf)
+    on = dist == 0.0
+    vertex_reach[on] = reach[at[on]]
+    tri = flat.vertices[flat.faces]
+    a, b, c = (np.hypot(*(tri[:, (k + 1) % 3] - tri[:, k]).T) for k in range(3))
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    area2 = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circumradius = a * b * c / (2.0 * area2)
+    margin = ROUNDING_MARGIN * max(float(np.abs(flat.vertices).max()),
+                                   float(np.abs(ax).max()), float(np.abs(ay).max()))
+    return circumradius < vertex_reach[flat.faces].min(axis=1) - margin
 
 
 def reconstruct_bubbles(flat: PlanarMesh) -> tuple[PackingDomain, list[Bubble]]:

@@ -14,16 +14,12 @@ import math
 
 import numpy as np
 
-from .geometry import _CHUNK_ELEMENTS, nearest_segments, segment_distances
+from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
+                       segment_distances)
 from .packing import PackingDomain
 
 WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
                       # keeps a full radius of clearance, or it is projected
-
-# a distance bound is cut by this share of the coordinate scale (the largest
-# absolute boundary coordinate), which covers the rounding of the distances
-# and moves it compares; it grows with the coordinates, not the domain's size
-ROUNDING_MARGIN = 1e-9
 
 
 class WallClamp:
@@ -52,39 +48,50 @@ class WallClamp:
 
     def clear(self, points: np.ndarray, radius: np.ndarray) -> np.ndarray:
         """Which of the (n,2) points the full check leaves alone."""
-        return self._check(points, radius)[3]
+        seg, _, d2 = nearest_segments(points, self.segments)
+        return self._clear(points, radius, seg, d2)
 
-    def _check(self, p: np.ndarray, radius: np.ndarray):
-        """Nearest segment of each row of p (the first of equals), t and
-        squared distance of the closest point on it, and whether the row is
-        clear: a full radius of clearance and strictly on the inner side."""
-        seg, t, d2 = nearest_segments(p, self.segments)
+    def _clear(self, p, radius, seg, d2):
+        """Whether each row of p, at squared distance d2 from its nearest
+        segment seg, is clear: a full radius of clearance and strictly on
+        the segment's inner side."""
         ax, ay, vx, vy = self.terms[:4, seg]
         clearance = WALL_CLEARANCE * radius
         # interior is to the left of the nearest directed segment
         inside = vx * (p[:, 1] - ay) - vy * (p[:, 0] - ax) > 0.0
-        return seg, t, d2, (d2 >= clearance * clearance) & inside
+        return (d2 >= clearance * clearance) & inside
 
-    def _room(self, p: np.ndarray, radius: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """How far each clear row of p, at squared distance d2 from its
-        nearest segment, can move before the check's verdict could change:
-        the smaller of its clearance beyond WALL_CLEARANCE * radius and, for
-        every segment, the larger of its signed distance to the segment's
-        line (inward positive; none for a zero-length segment) and half its
-        distance beyond the nearest (the move after which the segment could
-        become the nearest). Less the rounding margin."""
-        d = np.sqrt(d2)
-        room = d - WALL_CLEARANCE * radius
+    def _check(self, p: np.ndarray, radius: np.ndarray):
+        """The full check of each row of p from one distance pass over
+        every segment: its nearest segment (the first of equals), t of the
+        closest point on it, whether it is clear, and its room (0 unless
+        clear): how far it can move before the verdict could change. The
+        room is the smaller of its clearance beyond WALL_CLEARANCE * radius
+        and, for every segment, the larger of its signed distance to the
+        segment's line (inward positive; none for a zero-length segment)
+        and half its distance beyond the nearest (the move after which the
+        segment could become the nearest). Less the rounding margin."""
+        seg = np.empty(len(p), dtype=np.int64)
+        t = np.empty(len(p))
+        clear = np.empty(len(p), dtype=bool)
+        room = np.zeros(len(p))
         ax, ay, _, _, _, nx, ny = self.terms
         chunk = max(1, _CHUNK_ELEMENTS // len(self.segments))
         for start in range(0, len(p), chunk):
             rows = slice(start, start + chunk)
-            dist = np.sqrt(segment_distances(p[rows], self.segments)[1])
+            pr = p[rows]
+            tt, dd = segment_distances(pr, self.segments)
+            pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
+            seg[rows], t[rows], d2 = pick[1], tt[pick], dd[pick]
+            clear[rows] = ok = self._clear(pr, radius[rows], pick[1], d2)
+            d = np.sqrt(d2[ok])
+            dist = np.sqrt(dd[ok])
             # fmax skips the NaN line distance of a zero-length segment
-            line = nx * (p[rows, :1] - ax) + ny * (p[rows, 1:] - ay)
-            reach = np.fmax(line, 0.5 * (dist - d[rows, None])).min(axis=1)
-            room[rows] = np.minimum(room[rows], reach)
-        return room - self.margin
+            line = nx * (pr[ok, :1] - ax) + ny * (pr[ok, 1:] - ay)
+            reach = np.fmax(line, 0.5 * (dist - d[:, None])).min(axis=1)
+            room[start + np.flatnonzero(ok)] = np.minimum(
+                d - WALL_CLEARANCE * radius[rows][ok], reach) - self.margin
+        return seg, t, clear, room
 
     def clamp(self, slots: np.ndarray, p: np.ndarray, radius: np.ndarray):
         """Wall check of the bubbles `slots` at the rows of p (k,2): one that
@@ -103,9 +110,7 @@ class WallClamp:
         fix = np.zeros(len(p), dtype=bool)
         if not len(near):
             return p, fix
-        seg, t, d2, clear = self._check(p[near], radius[near])
-        room = np.zeros(len(near))
-        room[clear] = self._room(p[near[clear]], radius[near[clear]], d2[clear])
+        seg, t, clear, room = self._check(p[near], radius[near])
         rows = slots[near]
         self.at[rows] = p[near]
         self.room2[rows] = np.square(np.maximum(room, 0.0))

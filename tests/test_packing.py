@@ -88,7 +88,7 @@ class TestPackBoundary:
 
     @pytest.mark.parametrize("field", ["graded-plate", "curvature"])
     def test_radii_from_one_sizing_call_per_loop(self, field):
-        domain = QUADTREE_FIELDS[field]()
+        domain, _ = QUADTREE_FIELDS[field]()
         field_fn = domain.sizing
         batches = []
 
@@ -212,12 +212,14 @@ class TestPackInterior:
         assert all(p.kind == MOBILE for p in a)
 
 
-def recursive_corners(domain):
+def recursive_corners(domain, gaps=None):
     """The quadtree as a depth-first recursion with one scalar sizing call
     per probe, corners deduplicated in a dict in emission order: the oracle
-    for the level-by-level `_quadtree_corners`. Returns the corners and the
-    (n,2) probe points."""
+    for the level-by-level `_quadtree_corners`. With `gaps`, a cell whose
+    bounding box meets no triangle's bounding box is pruned. Returns the
+    corners and the (n,2) probe points."""
     probes = []
+    boxes = [] if gaps is None else list(zip(gaps.min(axis=1).tolist(), gaps.max(axis=1).tolist()))
 
     def sizing(x, y):
         probes.append((x, y))
@@ -257,6 +259,10 @@ def recursive_corners(domain):
         ys = oy + _SHEAR[1] * q
         if xs > bx1 or xs + 1.5 * s < bx0 or ys > by1 or ys + _SHEAR[1] * s < by0:
             return
+        if gaps is not None and not any(
+                lo[0] <= xs + 1.5 * s and hi[0] >= xs and lo[1] <= ys + _SHEAR[1] * s
+                and hi[1] >= ys for lo, hi in boxes):
+            return
         cx = xs + 0.5 * s + _SHEAR[0] * 0.5 * s
         cy = ys + _SHEAR[1] * 0.5 * s
         rb = min(sizing(cx, cy),
@@ -285,23 +291,32 @@ def _cap_fill_domain():
     return flat_domain(flat, anchors)
 
 
+def _cap_fill_domain_and_gaps():
+    # every third face of the stretched cap as a gap: a pruned quadtree
+    flat = flatten(cap_mesh(rings=7)).flat
+    anchors = reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
+    return flat_domain(flat, anchors), flat.vertices[flat.faces[::3]]
+
+
+# (domain, gaps) of each field
 QUADTREE_FIELDS = {
-    "constant": lambda: square_domain(side=9.0, radius=0.5),
-    "graded-plate": lambda: plane_domain(PipelineConfig(
-        holes=[(10.0, 5.0, 2.0)], r_min=0.13, r_max=0.4, graded=True, grade_band=3.5)),
-    "anchor-sizing": _cap_fill_domain,
-    "curvature": lambda: PackingDomain(
+    "constant": lambda: (square_domain(side=9.0, radius=0.5), None),
+    "graded-plate": lambda: (plane_domain(PipelineConfig(
+        holes=[(10.0, 5.0, 2.0)], r_min=0.13, r_max=0.4, graded=True, grade_band=3.5)), None),
+    "anchor-sizing": lambda: (_cap_fill_domain(), None),
+    "anchor-sizing-gaps": _cap_fill_domain_and_gaps,
+    "curvature": lambda: (PackingDomain(
         outer=np.array([[0.0, 1.07], [0.7, 1.07], [0.7, 1.57], [0.0, 1.57]]),
         sizing=radius_bound_evaluator(sphere_patch(u0=0.0, u1=0.7, v0=1.07, v1=1.57),
-                                      SizingParams(2e-4, 1e-5, 10.0))),
+                                      SizingParams(2e-4, 1e-5, 10.0))), None),
 }
 
 
 class TestQuadtreeCorners:
     @pytest.mark.parametrize("field", sorted(QUADTREE_FIELDS))
     def test_matches_recursive_oracle(self, field):
-        domain = QUADTREE_FIELDS[field]()
-        ref, ref_probes = recursive_corners(domain)
+        domain, gaps = QUADTREE_FIELDS[field]()
+        ref, ref_probes = recursive_corners(domain, gaps)
         probes = []
         field_fn = domain.sizing
 
@@ -310,7 +325,7 @@ class TestQuadtreeCorners:
             return field_fn(x, y)
 
         domain.sizing = recorded
-        pts = _quadtree_corners(domain)
+        pts = _quadtree_corners(domain, gaps)
         # same corners in the same order; the same probe points, in one call
         # per level plus the root-size probe
         assert np.array_equal(pts, ref)
@@ -339,6 +354,16 @@ class TestQuadtreeCorners:
         for a, b in zip(whole, run()):
             assert np.array_equal(a, b)
         assert whole[0][0] == anchors[3].radius
+        # the k-d tree anchor tests give the verdicts of the dense
+        # expressions over every anchor, for a negative limit too
+        ax, ay, ar = (np.array([getattr(a, k) for a in anchors]) for k in ("x", "y", "radius"))
+        d2 = (pts[:, 0, None] - ax[None, :]) ** 2 + (pts[:, 1, None] - ay[None, :]) ** 2
+        assert np.array_equal(whole[2], np.any(d2 < ar[None, :] ** 2, axis=1))
+        ov = (radii[:, None] + ar[None, :] - np.sqrt(d2)) / np.minimum(radii[:, None], ar[None, :])
+        for limit, k in ((0.4, 90), (-1.0, 10)):
+            want = ov[:, :k].max(axis=1) <= limit
+            assert np.array_equal(_anchor_overlap_below(pts, radii, anchors[:k], limit), want)
+            assert 0 < want.sum() < len(pts)
 
 
 class TestSelfThin:

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from bubblemesh import relaxation
-from bubblemesh.geometry import hashed_unit_direction
+from bubblemesh.geometry import (hashed_unit_direction, nearest_segments,
+                                 segment_distances)
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, pack_boundary,
                                 pack_interior_quadtree)
@@ -139,6 +140,46 @@ def enforce_clearance(walls, x, y, radius):
         return project_inside_loop(walls.domain, x, y, radius)
     nx, ny = -(by - ay) / ln, (bx - ax) / ln
     return qx + nx * radius, qy + ny * radius
+
+
+def two_pass_clamp(walls, slots, p, radius):
+    """`WallClamp.clamp` with two distance passes per full check:
+    `nearest_segments` for the verdict, then `segment_distances` again on
+    the clear rows for their room. The reference for the one-pass check;
+    it keeps its state in `walls` as the clamp does."""
+    grow = int(slots.max(initial=-1)) + 1 - len(walls.room2)
+    if grow > 0:
+        walls.at = np.concatenate([walls.at, np.zeros((grow, 2))])
+        walls.room2 = np.concatenate([walls.room2, np.zeros(grow)])
+    step = p - walls.at[slots]
+    near = np.flatnonzero(~((step * step).sum(axis=1) < walls.room2[slots]))
+    fix = np.zeros(len(p), dtype=bool)
+    if not len(near):
+        return p, fix
+    seg, t, d2 = nearest_segments(p[near], walls.segments)
+    ax, ay, vx, vy, length, nx, ny = walls.terms
+    clearance = WALL_CLEARANCE * radius[near]
+    inside = vx[seg] * (p[near, 1] - ay[seg]) - vy[seg] * (p[near, 0] - ax[seg]) > 0.0
+    clear = (d2 >= clearance * clearance) & inside
+    c = near[clear]
+    d = np.sqrt(d2[clear])
+    dist = np.sqrt(segment_distances(p[c], walls.segments)[1])
+    line = nx * (p[c, :1] - ax) + ny * (p[c, 1:] - ay)
+    reach = np.fmax(line, 0.5 * (dist - d[:, None])).min(axis=1)
+    room = np.zeros(len(near))
+    room[clear] = np.minimum(d - WALL_CLEARANCE * radius[c], reach) - walls.margin
+    walls.at[slots[near]] = p[near]
+    walls.room2[slots[near]] = np.square(np.maximum(room, 0.0))
+    bad = near[~clear]
+    fix[bad] = True
+    out = p.copy()
+    for row, k, tk in zip(bad, seg[~clear], t[~clear]):
+        if length[k] > 0.0:
+            out[row] = (ax[k] + tk * vx[k] + nx[k] * radius[row],
+                        ay[k] + tk * vy[k] + ny[k] * radius[row])
+        else:
+            out[row] = walls.domain.project_inside(p[row:row + 1], radius[row:row + 1])[0]
+    return out, fix
 
 
 def hex_neighbors(n, r=0.5, center=(0.0, 0.0)):
@@ -564,6 +605,34 @@ class TestRelaxStep:
             out, moved = kept.clamp(slots, step, radii)
             want = WallClamp(domain).clamp(slots, step, radii)
             assert np.array_equal(out, want[0]) and np.array_equal(moved, want[1])
+
+    @pytest.mark.parametrize("outer,hole", [
+        (NOTCHED, SQUARE_HOLE),
+        # zero-length segments on the outer loop and on the hole
+        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+         [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]),
+    ], ids=["notch", "zero-length"])
+    def test_one_pass_check_equals_two_pass_check(self, outer, hole):
+        # random rows walking across the walls: positions, projected mask
+        # and kept room equal those of the two-pass check at every step
+        rng = np.random.RandomState(13)
+        domain = PackingDomain(outer=np.array(outer), holes=[np.array(hole)])
+        walls, ref = WallClamp(domain), WallClamp(domain)
+        n = 60
+        radii = rng.uniform(0.1, 0.5, size=n)
+        pts = rng.uniform(-1.0, 11.0, size=(n, 2))
+        pts[:4] = [[0.0, 0.0], [3.0, 6.0], [3.0, 6.2], [0.0, 0.3]]  # at the zero-length ends
+        moved = 0
+        for _ in range(60):
+            slots = np.sort(rng.choice(n, size=n // 2, replace=False))
+            out, fix = walls.clamp(slots, pts[slots], radii[slots])
+            want, want_fix = two_pass_clamp(ref, slots, pts[slots], radii[slots])
+            assert np.array_equal(out, want) and np.array_equal(fix, want_fix)
+            assert np.array_equal(walls.room2, ref.room2) and np.array_equal(walls.at, ref.at)
+            moved += fix.sum()
+            pts[slots] = out
+            pts += rng.normal(0.0, 0.1, size=(n, 2))
+        assert moved and 0 < np.count_nonzero(walls.room2) < n
 
     @pytest.mark.parametrize("outer", [
         [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],

@@ -4,10 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+from bubblemesh import packing
 from bubblemesh.conformal import flatten
+from bubblemesh.geometry import nearest_segments
 from bubblemesh.mesh import MeshError, PlanarMesh, quality_report
-from bubblemesh.packing import BOUNDARY, INTERIOR_ANCHOR, MOBILE
-from bubblemesh.remesh import (fill_gaps, reconstruct_boundary_bubbles,
+from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
+                                _interpolate_radii_batch, _quadtree_corners,
+                                _self_thin)
+from bubblemesh.pipeline import initial_surface_mesh, load_config
+from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
+                               fill_gaps, flat_domain,
+                               reconstruct_boundary_bubbles,
                                reconstruct_interior_bubbles, remesh_planar)
 from bubblemesh.surfaces import plane
 
@@ -185,6 +192,142 @@ class TestFillGaps:
                    + reconstruct_interior_bubbles(flat))
         added = fill_gaps(flat, anchors)
         assert all(b.kind == MOBILE for b in added)
+
+
+def anchor_arrays(anchors):
+    return tuple(np.array([getattr(a, k) for a in anchors]) for k in ("x", "y", "radius"))
+
+
+def brute_force_anchor_tests(pts, radii, anchors):
+    """Which candidates pass gap filling's two anchor tests, each candidate
+    against every anchor in the dense expressions: centre outside every
+    anchor, and overlap with every anchor at most FILL_MAX_ANCHOR_OVERLAP."""
+    ax, ay, ar = anchor_arrays(anchors)
+    d2 = (pts[:, 0, None] - ax[None, :]) ** 2 + (pts[:, 1, None] - ay[None, :]) ** 2
+    d = np.sqrt(d2)
+    ov = (radii[:, None] + ar[None, :] - d) / np.minimum(radii[:, None], ar[None, :])
+    return ~np.any(d2 < ar[None, :] ** 2, axis=1) & (ov.max(axis=1) <= FILL_MAX_ANCHOR_OVERLAP)
+
+
+def brute_force_fill(flat, anchors):
+    """Gap filling with no certificate: the unpruned quadtree, the anchor
+    tests over every anchor, radii the interpolation clamped by the domain
+    sizing, then `_self_thin`. The oracle for `fill_gaps`."""
+    domain = flat_domain(flat, anchors)
+    pts = _quadtree_corners(domain)
+    lo, hi = domain.bbox()
+    edge_eps = 1e-9 * math.hypot(float(hi[0] - lo[0]), float(hi[1] - lo[1]))
+    keep = (domain.contains_points(pts)
+            & (nearest_segments(pts, domain.all_segments())[2] >= edge_eps ** 2))
+    kept = pts[keep]
+    radii = np.minimum(_interpolate_radii_batch(kept, anchors),
+                       domain.sizing(kept[:, 0], kept[:, 1]))
+    ok = brute_force_anchor_tests(kept, radii, anchors)
+    kept, radii = _self_thin(kept[ok], radii[ok])
+    return np.column_stack([kept, radii])
+
+
+def sphere_workload_flat():
+    # the flat mesh of the benchmark's `sphere` workload
+    cfg = load_config(None, {
+        "out": "unused", "mode": "surface", "surface": "sphere",
+        "surface_params": "radius=1.0, u0=0.0, u1=0.7, v0=1.07, v1=1.57",
+        "epsilon": "0.00005", "r_min": "0.00001", "r_max": "10.0"})
+    return flatten(initial_surface_mesh(cfg)[2]).flat
+
+
+def all_anchors(flat):
+    return reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
+
+
+def shrunk_anchors(flat):
+    # anchors left of x = 2 at half their radius leave gaps there
+    return [Bubble(a.x, a.y, a.radius * (0.5 if a.x < 2.0 else 1.0), a.kind)
+            for a in all_anchors(flat)]
+
+
+def holed_flat():
+    # one grid cell's two faces removed: a second boundary loop
+    flat = planar_flat()
+    centroid = flat.vertices[flat.faces].mean(axis=1)
+    hole = (np.abs(centroid[:, 0] - 1.125) < 0.12) & (np.abs(centroid[:, 1] - 0.625) < 0.12)
+    return PlanarMesh(flat.vertices, flat.faces[~hole])
+
+
+def small_anchors_nearby(flat):
+    # tiny anchors around a unit triangle pull the interpolated radius at
+    # its centre far below its corners' radii: a gap that a bound taking the
+    # corners' radii for the candidate's would miss
+    ring = [Bubble(0.5 + math.cos(a), 0.29 + math.sin(a), 0.01, INTERIOR_ANCHOR)
+            for a in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)]
+    return reconstruct_boundary_bubbles(flat) + ring
+
+
+def unit_triangle():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+    return PlanarMesh(verts, np.array([[0, 1, 2]]))
+
+
+# (flat mesh, anchors, covered faces: "all", "some", "none", or None when
+# there is no certificate)
+FILL_CASES = {
+    # 96 % of faces covered, no filler
+    "sphere-workload": (sphere_workload_flat, all_anchors, "some"),
+    # the stretched cap: every face covered, the quadtree skipped
+    "stretched-cap": (lambda: flatten(cap_mesh(rings=7)).flat, all_anchors, "all"),
+    # interior vertices without an anchor: fillers
+    "boundary-anchors": (planar_flat, reconstruct_boundary_bubbles, "some"),
+    # covered and uncovered faces, and fillers in the gaps
+    "shrunk-anchors": (equilateral_flat, shrunk_anchors, "some"),
+    # the faces leave a hole in the fill domain: no certificate
+    "holed": (holed_flat, all_anchors, None),
+    "small-anchors-nearby": (unit_triangle, small_anchors_nearby, "none"),
+}
+
+
+class TestFaceCoverCertificate:
+    @pytest.mark.parametrize("case", sorted(FILL_CASES))
+    def test_fill_equals_brute_force_bit_for_bit(self, case, monkeypatch):
+        make_flat, make_anchors, cover = FILL_CASES[case]
+        flat = make_flat()
+        anchors = make_anchors(flat)
+        covered = _covered_faces(flat, anchors, len(flat.boundary_loop))
+        if cover is None:
+            assert covered is None
+        else:
+            assert covered.sum() == {"all": len(covered), "none": 0}.get(cover, covered.sum())
+            assert cover != "some" or 0 < covered.sum() < len(covered)
+        want = brute_force_fill(flat, anchors)
+        if cover == "all":
+            def no_search(*args):
+                raise AssertionError("quadtree searched with every face covered")
+            monkeypatch.setattr(packing, "_quadtree_corners", no_search)
+        got = np.array([(b.x, b.y, b.radius) for b in fill_gaps(flat, anchors)]).reshape(-1, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if case in ("boundary-anchors", "shrunk-anchors", "holed", "small-anchors-nearby"):
+            assert len(got)
+
+    @pytest.mark.parametrize("case", sorted(set(FILL_CASES) - {"holed"}))
+    def test_no_point_of_a_covered_face_passes_the_anchor_tests(self, case):
+        make_flat, make_anchors, cover = FILL_CASES[case]
+        flat = make_flat()
+        anchors = make_anchors(flat)
+        covered = _covered_faces(flat, anchors, len(flat.boundary_loop))
+        # a face with a corner that has no anchor is never covered
+        anchored = np.zeros(flat.n_vertices, dtype=bool)
+        ax, ay, _ = anchor_arrays(anchors)
+        at = {(x, y) for x, y in zip(ax.tolist(), ay.tolist())}
+        anchored[[k for k, v in enumerate(flat.vertices.tolist()) if tuple(v) in at]] = True
+        assert not covered[~anchored[flat.faces].all(axis=1)].any()
+        # corners, edge midpoints and a barycentric grid of every covered face
+        n = 8
+        weights = np.array([(i, j, n - i - j) for i in range(n + 1)
+                            for j in range(n + 1 - i)]) / n
+        weights = np.concatenate([weights, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]])
+        pts = np.einsum("wk,fkc->fwc", weights, flat.vertices[flat.faces[covered]]).reshape(-1, 2)
+        radii = flat_domain(flat, anchors).sizing(pts[:, 0], pts[:, 1])
+        assert (len(pts) > 0) == (cover != "none")
+        assert not brute_force_anchor_tests(pts, radii, anchors).any()
 
 
 class TestRemeshPlanar:
