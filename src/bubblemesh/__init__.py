@@ -13,16 +13,14 @@ from .mesh import (MeshError, MeshQualityReport, PlanarMesh, TriangleMesh,
                    ValidationResult, hausdorff_estimate, load_mesh,
                    quality_report, save_mesh, validate_disk_topology, write_svg)
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble, PackingDomain,
-                      PackingError, interpolate_radius, pack_boundary,
+                      PackingError, interpolate_radius, overlap_ratio, pack_boundary,
                       pack_interior_quadtree)
 from .pipeline import (PipelineConfig, PipelineError, load_config,
                        run_compare_qc, run_plane_pipeline, run_remesh_pipeline,
                        run_surface_pipeline)
 from .relaxation import (ConvergenceTrace, DynamicsParams, ForceParams,
-                         RelaxationError, RelaxState, overlap_original,
-                         overlap_pairwise, pair_force, qc_boundary_region,
-                         qc_original, relax_step, relax_until_converged,
-                         rk4_damped_step)
+                         RelaxationError, RelaxState, pair_force, relax_step,
+                         relax_until_converged, rk4_damped_step)
 from .remesh import (fill_gaps, reconstruct_boundary_bubbles,
                      reconstruct_interior_bubbles, remesh_planar)
 from .sizing import (SizingError, SizingParams, allowable_edge_3d, g_of_eps,

@@ -7,6 +7,7 @@ as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,12 @@ class _MeshBase:
 
     def boundary_loops(self) -> list[list[int]]:
         """All boundary loops, longest first, each rotated to start at its
-        smallest vertex index. Follows face orientation."""
+        smallest vertex index. Follows face orientation. Traced once per
+        mesh (meshes are immutable); each call returns fresh lists."""
+        return [list(lp) for lp in self._boundary_loops]
+
+    @cached_property
+    def _boundary_loops(self) -> list[list[int]]:
         directed = self.directed_edge_set()
         boundary = [(a, b) for (a, b) in directed if (b, a) not in directed]
         succ: dict[int, int] = {}

@@ -40,6 +40,12 @@ class PackingError(Exception):
     pass
 
 
+def overlap_ratio(l, r_i, r_j):
+    """(r_i + r_j - l) / min(r_i, r_j) of bubbles whose centres lie l apart
+    (scalars or arrays): 0 at tangency, negative when separated."""
+    return (r_i + r_j - l) / np.minimum(r_i, r_j)
+
+
 @dataclass
 class Bubble:
     """A 2D circle standing in for a prospective mesh vertex."""
@@ -473,7 +479,7 @@ def _self_thin(pts: np.ndarray, radii: np.ndarray):
     # an overlap beyond the limit needs l < r_i + r_j <= 2 * max radius
     i, j = cKDTree(pts).query_pairs(2.0 * float(radii.max()), output_type="ndarray").T
     l = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
-    clash = (radii[i] + radii[j] - l) / np.minimum(radii[i], radii[j]) > SELF_OVERLAP_LIMIT
+    clash = overlap_ratio(l, radii[i], radii[j]) > SELF_OVERLAP_LIMIT
     # pairs come with i < j; taken in order of the later candidate j, the
     # earlier one's fate is already settled, and an accepted i rejects j
     i, j = i[clash], j[clash]
@@ -502,19 +508,16 @@ def _anchor_pairs(pts: np.ndarray, ax: np.ndarray, ay: np.ndarray, reach: float)
 
 def _anchor_overlap_below(pts: np.ndarray, radii: np.ndarray,
                           anchors: list[Bubble], limit: float) -> np.ndarray:
-    """Whether each candidate's overlap (r + r_a - d) / min(r, r_a) with
-    every anchor stays at or below limit, tested on the k-d tree pairs that
-    can exceed it."""
+    """Whether each candidate's overlap ratio with every anchor stays at or
+    below limit, tested on the k-d tree pairs that can exceed it."""
     ax, ay, ar = _anchor_arrays(anchors)
     ok = np.ones(len(pts), dtype=bool)
     if not len(pts):
         return ok
     r_max, a_max = float(radii.max()), float(ar.max())
     i, a = _anchor_pairs(pts, ax, ay, r_max + a_max + max(-limit, 0.0) * min(r_max, a_max))
-    r = radii[i]
     d = np.sqrt((pts[i, 0] - ax[a]) ** 2 + (pts[i, 1] - ay[a]) ** 2)
-    ov = (r + ar[a] - d) / np.minimum(r, ar[a])
-    ok[i[~(ov <= limit)]] = False
+    ok[i[~(overlap_ratio(d, radii[i], ar[a]) <= limit)]] = False
     return ok
 
 

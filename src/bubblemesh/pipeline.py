@@ -211,6 +211,20 @@ def compare_initial_bubbles(cfg: PipelineConfig):
     return reconstruct_bubbles(flatten(initial).flat)
 
 
+def qc_speed(new_t: ConvergenceTrace,
+             orig_t: ConvergenceTrace) -> tuple[float, float | None, float]:
+    """Criterion 3's measure: new-qc's time to its converged min angle,
+    original-qc's time to sustain that angle (None if never: the ratio is 0
+    when it plateaued below by its own tests, else bounded by its sweep-cap
+    time) and the ratio of the two."""
+    time_new = new_t.rows[new_t.converged_sweep - 1][4] if new_t.converged else new_t.elapsed
+    reach_time = orig_t.time_to_sustain_angle(new_t.final_min_angle)
+    if reach_time is None and orig_t.converged:
+        return time_new, None, 0.0
+    slower = orig_t.elapsed if reach_time is None else reach_time
+    return time_new, reach_time, time_new / slower if slower > 0 else math.inf
+
+
 def run_compare_qc(cfg: PipelineConfig) -> dict:
     """Run both quantity-control strategies on identical initial bubbles."""
     out = Path(cfg.out)
@@ -229,22 +243,13 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
             results[label] = {"trace": trace, "report": report, "mesh": mesh}
 
     new_t, orig_t = results["new"]["trace"], results["original"]["trace"]
-    target = new_t.final_min_angle
-    time_new = new_t.elapsed if not new_t.converged else \
-        new_t.rows[new_t.converged_sweep - 1][4]
-    reach_time = orig_t.time_to_sustain_angle(target)
+    time_new, reach_time, ratio = qc_speed(new_t, orig_t)
     if reach_time is not None:
-        ratio = time_new / reach_time if reach_time > 0 else math.inf
         orig_note = f"{reach_time:.3f} s"
     elif orig_t.converged:
-        # plateaued below the target by its own convergence tests: the
-        # original strategy never attains equal quality on this input
-        ratio = 0.0
         orig_note = (f"never (plateaued at {orig_t.final_min_angle:.4f} deg "
                      f"after {orig_t.elapsed:.3f} s)")
     else:
-        # sweep cap hit below target: the cap time lower-bounds the answer
-        ratio = time_new / orig_t.elapsed if orig_t.elapsed > 0 else math.inf
         orig_note = f">= {orig_t.elapsed:.3f} s (sweep cap hit; ratio is an upper bound)"
 
     summary_lines = [
@@ -257,7 +262,7 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
             f"{label:<9} {t.sweeps:>6} {str(t.converged):>9} {t.elapsed:>8.3f} "
             f"{t.final_min_angle:>15.4f}  {r.min_angle_histogram}")
     summary_lines.append("")
-    summary_lines.append(f"new-qc converged min angle: {target:.4f} deg")
+    summary_lines.append(f"new-qc converged min angle: {new_t.final_min_angle:.4f} deg")
     summary_lines.append(f"new-qc time to convergence: {time_new:.3f} s")
     summary_lines.append(f"original-qc time to equal quality: {orig_note}")
     summary_lines.append(f"time ratio (new / original-to-equal-quality): {ratio:.3f}")

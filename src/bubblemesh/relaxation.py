@@ -32,7 +32,8 @@ from scipy.spatial import cKDTree
 from .geometry import hashed_unit_direction
 from .monitor import MonitorCache, triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
-                      PackingDomain, interpolate_radius)
+                      PackingDomain, _anchor_pairs, interpolate_radius,
+                      overlap_ratio)
 from .walls import WallClamp
 
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
@@ -192,7 +193,7 @@ def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
 
 
 # ---------------------------------------------------------------------------
-# Simulation state and neighbor index
+# Simulation state
 
 class RelaxState:
     """Mutable bubble population as parallel numpy arrays in insertion
@@ -242,19 +243,6 @@ class RelaxState:
 # neighbor queries pad their radius so the k-d tree returns a superset;
 # the callers' exact distance tests decide membership
 _QUERY_PAD = 1.0 + 1e-9
-
-
-def _ball_query(state: RelaxState):
-    """k-d tree over the alive bubbles: near(x, y, radius) returns, in
-    ascending order, the still-alive indices within the padded radius."""
-    ids = state.alive_indices()
-    tree = cKDTree(state.positions(ids))
-
-    def near(x: float, y: float, radius: float) -> list[int]:
-        hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
-        return [j for j in ids[hits].tolist() if state.alive[j]]
-
-    return near
 
 
 # ---------------------------------------------------------------------------
@@ -431,37 +419,17 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
 
 
 # ---------------------------------------------------------------------------
-# Overlap ratios and quantity control
+# Quantity control
 
-def overlap_pairwise(b0: Bubble, b_i: Bubble) -> float:
-    """(r0 + ri - l) / min(r0, ri): 0 at tangency, negative when separated."""
-    l = math.hypot(b0.x - b_i.x, b0.y - b_i.y)
-    return (b0.radius + b_i.radius - l) / min(b0.radius, b_i.radius)
-
-
-def overlap_original(i: int, bubbles: list[Bubble]) -> float:
-    """Summed overlap ratio of bubble i against neighbors within 2*r0.
-
-    Each exactly tangent equal-radius neighbor contributes 1. The neighbor
-    cutoff carries a 1e-12 relative slack so exact tangency is inclusive
-    under floating point.
-    """
-    state = RelaxState(bubbles)
-    return _summed_overlap(state, _ball_query(state), i)
-
-
-def _summed_overlap(state: RelaxState, near, i: int) -> float:
-    r0 = state.r[i]
-    x0, y0 = state.x[i], state.y[i]
-    reach = 2.0 * r0
-    total = 0.0
-    for j in near(x0, y0, reach):
-        if j == i:
-            continue
-        l = math.hypot(state.x[j] - x0, state.y[j] - y0)
-        if l <= reach * (1.0 + 1e-12):
-            total += (2.0 * r0 + state.r[j] - l) / r0
-    return total
+def _overlap_sums(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Original-qc summed overlap of every slot over the pairs (i, j), sorted
+    by i, then j, added in that order (`np.bincount`): each other bubble j
+    within 2 r_i (1 + 1e-12), the slack keeping exact tangency inclusive,
+    adds (2 r_i + r_j - l) / r_i, so a tangent equal-radius neighbour adds 1."""
+    ri = state.r[i]
+    l = np.hypot(state.x[j] - state.x[i], state.y[j] - state.y[i])
+    near = (l <= 2.0 * ri * (1.0 + 1e-12)) & (i != j)
+    return np.bincount(i[near], ((2.0 * ri + state.r[j] - l) / ri)[near], len(state.alive))
 
 
 def _qc_original_state(state: RelaxState, low: float, high: float,
@@ -469,28 +437,43 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
     """Single pass over bubble indices: insert into the largest angular gap
     when the summed overlap is below `low`, delete when above `high`.
 
-    Inserted bubbles join the neighbor index immediately (the index is
-    rebuilt) so later bubbles in the same pass see them; an insertion is
-    skipped unless the wall check (`walls.clear`) would leave it alone.
-    """
-    near = _ball_query(state)
+    The summed overlaps come from one k-d tree pair pass; a bubble is summed
+    again, on its own row, when a change earlier in the pass fell within
+    2 r_max of it. An insertion is skipped unless the wall check
+    (`walls.clear`) would leave it alone."""
+    n0 = len(state.alive)
+    ids = state.alive_indices()
+    tree = cKDTree(state.positions(ids))
     max_r = state.max_radius()
+    window = 2.0 * max_r * _QUERY_PAD
+
+    def near(x: float, y: float, radius: float) -> np.ndarray:
+        # alive slots within the padded radius, ascending; insertions last
+        hits = ids[tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)]
+        new = np.arange(n0, len(state.alive))
+        new = new[np.hypot(state.x[new] - x, state.y[new] - y) <= radius * _QUERY_PAD]
+        return np.concatenate([hits[state.alive[hits]], new])
+
+    pairs = ids[tree.query_pairs(window, output_type="ndarray")].reshape(-1, 2)
+    pairs = np.concatenate([pairs, pairs[:, ::-1]])  # both ways, then sorted by i, j
+    totals = _overlap_sums(state, *pairs[np.lexsort(pairs.T[::-1])].T)
+    stale = np.zeros(n0, dtype=bool)
     sizing = walls.domain.sizing if walls is not None else None
     changes = 0
-    n0 = len(state.alive)
-    for i in range(n0):
-        if not state.alive[i] or state.kind[i] != _KIND_CODE[MOBILE]:
-            continue
+    for i in np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE])).tolist():
         r0 = state.r[i]
         x0, y0 = state.x[i], state.y[i]
-        total = _summed_overlap(state, near, i)
+        total = totals[i]
+        if stale[i]:
+            row = near(x0, y0, 2.0 * r0)
+            total = _overlap_sums(state, np.full(len(row), i), row)[i]
         if total > high:
             state.alive[i] = False
-            changes += 1
+            at = (x0, y0)
         elif total < low:
             # gap directions come from the wider force neighborhood so the
             # insertion never aims at a bubble just beyond the 2 r0 window
-            wide = [j for j in near(x0, y0, 3.0 * r0)
+            wide = [j for j in near(x0, y0, 3.0 * r0).tolist()
                     if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
             if wide:
                 angles = sorted(math.atan2(state.y[j] - y0, state.x[j] - x0) for j in wide)
@@ -507,81 +490,43 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             ca, sa = math.cos(direction), math.sin(direction)
             probe_x = x0 + 2.0 * r0 * ca
             probe_y = y0 + 2.0 * r0 * sa
-            if anchors:
-                r_new = interpolate_radius(probe_x, probe_y, anchors, sizing)
-            else:
-                r_new = r0
+            r_new = interpolate_radius(probe_x, probe_y, anchors, sizing) if anchors else r0
             nx = x0 + (r0 + r_new) * ca
             ny = y0 + (r0 + r_new) * sa
             if walls is not None and not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
                 continue
             # block only severe collisions; milder crowding is the original
             # method's own churn and gets resolved by its delete branch
-            if any((r_new + state.r[j] - math.hypot(state.x[j] - nx, state.y[j] - ny))
-                   / min(r_new, state.r[j]) > 1.0
-                   for j in near(nx, ny, r_new + max_r)):
+            js = near(nx, ny, r_new + max_r)
+            l = np.array([math.hypot(state.x[j] - nx, state.y[j] - ny) for j in js.tolist()])
+            if np.any(overlap_ratio(l, r_new, state.r[js]) > 1.0):
                 continue
             state.append(nx, ny, r_new, MOBILE)
-            near = _ball_query(state)
-            changes += 1
+            at = (nx, ny)
+        else:
+            continue
+        changes += 1
+        # a deletion or insertion moves the sums of the bubbles within 2 r_max
+        stale[ids[tree.query_ball_point(at, window)]] = True
     return changes
 
 
-def qc_original(bubbles: list[Bubble], low: float = 5.0, high: float = 8.0,
-                anchors: list[Bubble] | None = None,
-                domain: PackingDomain | None = None,
-                seed: int = 0) -> tuple[list[Bubble], int]:
-    """Original quantity control pass; returns (modified list, change count)."""
-    if low >= high:
-        raise ValueError("need low < high")
-    state = RelaxState(bubbles, seed=seed)
-    if anchors is None:
-        anchors = [b for b in bubbles if b.kind != MOBILE]
-    walls = None if domain is None else WallClamp(domain)
-    changes = _qc_original_state(state, low, high, anchors, walls)
-    return state.to_bubbles(), changes
-
-
-def _qc_boundary_region_state(state: RelaxState, anchor_ids: list[int],
-                              threshold: float) -> int:
-    near = _ball_query(state)
-    max_r = state.max_radius()
-    anchor_set = set(anchor_ids)
-    removed = 0
-    for a in anchor_ids:
-        if not state.alive[a]:
-            continue
-        ra = state.r[a]
-        xa, ya = state.x[a], state.y[a]
-        hits = []
-        # an overlap above the threshold needs l < ra + rj - threshold * min(ra, rj)
-        for j in near(xa, ya, ra + max_r + max(-threshold, 0.0) * ra):
-            if j in anchor_set or state.kind[j] != _KIND_CODE[MOBILE]:
-                continue
-            l = math.hypot(state.x[j] - xa, state.y[j] - ya)
-            ov = (ra + state.r[j] - l) / min(ra, state.r[j])
-            if ov > threshold:
-                hits.append((-ov, j))
-        for _, j in sorted(hits):
-            state.alive[j] = False
-            removed += 1
-    return removed
-
-
-def qc_boundary_region(bubbles: list[Bubble], anchors: list[Bubble],
-                       threshold: float = 1.0) -> list[Bubble]:
-    """Remove mobile bubbles that overlap any anchor beyond the threshold.
-
-    Runs exactly once, one pass over the anchors in list order, removing the
-    most-overlapping bubbles first. Anchors are never removed. Idempotent.
-    """
-    anchor_ids = [i for i, b in enumerate(bubbles) if any(b is a for a in anchors)]
-    if len(anchor_ids) != len(anchors):
-        # anchors given by value rather than identity: match by kind
-        anchor_ids = [i for i, b in enumerate(bubbles) if b.kind != MOBILE]
-    state = RelaxState(bubbles)
-    _qc_boundary_region_state(state, anchor_ids, threshold)
-    return state.to_bubbles()
+def _qc_boundary_region_state(state: RelaxState, threshold: float) -> int:
+    """Remove every mobile bubble whose overlap ratio with some anchor (any
+    other kind) exceeds the threshold; return how many went. A removal moves
+    no other pair's overlap, so one pass over k-d tree pairs decides all."""
+    anchors = np.flatnonzero(state.alive & (state.kind != _KIND_CODE[MOBILE]))
+    mobiles = np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE]))
+    if not len(anchors) or not len(mobiles):
+        return 0
+    # an overlap above the threshold needs l < r_a + r_j - threshold * min(r_a, r_j)
+    reach = state.r[anchors].max() * (1.0 + max(-threshold, 0.0)) + state.max_radius()
+    j, a = _anchor_pairs(state.positions(mobiles), state.x[anchors], state.y[anchors], reach)
+    j, a = mobiles[j], anchors[a]
+    l = np.hypot(state.x[j] - state.x[a], state.y[j] - state.y[a])
+    gone = np.unique(j[overlap_ratio(l, state.r[a], state.r[j]) > threshold])
+    state.alive[gone] = False
+    return len(gone)
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +549,31 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     """
     if strategy not in ("new-qc", "original-qc", "none"):
         raise ValueError(f"unknown strategy '{strategy}'")
+    if strategy == "original-qc" and qc_low >= qc_high:
+        raise ValueError("original-qc needs qc_low < qc_high")
     force = force or ForceParams()
     dyn = dyn or DynamicsParams()
     t0 = time.perf_counter()
     trace = ConvergenceTrace()
 
     state = RelaxState(bubbles, seed=seed)
-    anchor_ids = [i for i, b in enumerate(bubbles) if b.kind != MOBILE]
     if strategy == "new-qc":
-        _qc_boundary_region_state(state, anchor_ids, qc_threshold)
+        _qc_boundary_region_state(state, qc_threshold)
 
     walls = None if domain is None else WallClamp(domain)
-    anchors = [bubbles[i] for i in anchor_ids]
+    anchors = [b for b in bubbles if b.kind != MOBILE]
     history: list[float] = []
     qc_clean = strategy != "original-qc"
     monitor = MonitorCache()
     pairs = SweepPairs()
+
+    def quantity_control() -> bool:
+        """One original-qc pass; whether it left the population as it was."""
+        nonlocal qc_clean
+        qc_clean = _qc_original_state(state, qc_low, qc_high, anchors, walls) == 0
+        if not qc_clean:
+            history.clear()
+        return qc_clean
 
     for sweep in range(1, dyn.max_sweeps + 1):
         max_f = relax_step(state, force, dyn, walls, pairs)
@@ -630,10 +584,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         history.append(ang)
 
         if strategy == "original-qc" and sweep % qc_period == 0:
-            changes = _qc_original_state(state, qc_low, qc_high, anchors, walls)
-            qc_clean = changes == 0
-            if changes:
-                history.clear()
+            quantity_control()
 
         reason = "force" if max_f < dyn.force_tol else None
         if reason is None and len(history) >= dyn.stall_window:
@@ -641,12 +592,9 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             if (max(window) - min(window)) < dyn.stall_angle:
                 reason = "stall"
         if reason:
-            if strategy == "original-qc" and not qc_clean:
-                changes = _qc_original_state(state, qc_low, qc_high, anchors, walls)
-                qc_clean = changes == 0
-                if changes:
-                    history.clear()
-                    continue
+            # original-qc stops only after a pass that changes nothing
+            if not qc_clean and not quantity_control():
+                continue
             trace.converged = True
             trace.converged_sweep = sweep
             trace.stop_reason = reason

@@ -13,10 +13,9 @@ from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, BOUNDARY, MOBILE,
                                 PackingError, _anchor_overlap_below,
                                 _inside_any_anchor, _interpolate_radii_batch,
                                 _quadtree_corners, _self_thin,
-                                interpolate_radius,
+                                interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.pipeline import PipelineConfig, plane_domain
-from bubblemesh.relaxation import overlap_pairwise
 from bubblemesh.remesh import (flat_domain, reconstruct_boundary_bubbles,
                                reconstruct_interior_bubbles)
 from bubblemesh.sizing import SizingParams, radius_bound_evaluator
@@ -167,9 +166,11 @@ class TestPackInterior:
         domain = square_domain(side=7.0, radius=0.4)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        for i in range(len(interior)):
-            for j in range(i + 1, len(interior)):
-                assert overlap_pairwise(interior[i], interior[j]) <= 1.0 + 1e-9
+        pts = np.array([[b.x, b.y] for b in interior])
+        radii = np.array([b.radius for b in interior])
+        i, j = np.triu_indices(len(interior), 1)
+        l = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+        assert overlap_ratio(l, radii[i], radii[j]).max() <= 1.0 + 1e-9
 
     def test_centers_inside_domain(self):
         outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,14 +9,12 @@ from bubblemesh import relaxation
 from bubblemesh.geometry import (hashed_unit_direction, nearest_segments,
                                  segment_distances)
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
-                                PackingDomain, pack_boundary,
-                                pack_interior_quadtree)
+                                PackingDomain, interpolate_radius, overlap_ratio,
+                                pack_boundary, pack_interior_quadtree)
 from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
                                    ForceParams, RelaxState, SweepPairs,
-                                   _greedy_colours, force_magnitude,
-                                   overlap_original, overlap_pairwise,
-                                   pair_force, qc_boundary_region, qc_original,
-                                   relax_step, relax_until_converged,
+                                   _greedy_colours, _overlap_sums, force_magnitude,
+                                   pair_force, relax_step, relax_until_converged,
                                    rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
@@ -216,6 +215,174 @@ def graded_holed_plate():
 def square_domain(side=10.0, radius=0.5):
     outer = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
     return PackingDomain(outer=outer, holes=[], sizing=lambda x, y: radius)
+
+
+def hex_lattice(r=0.5, origin=(0.0, 0.0)):
+    """A 5 x 5 triangular lattice of tangent bubbles: the 3 x 3 middle
+    mobile, the ring around it boundary."""
+    bubbles = []
+    for row in range(5):
+        for col in range(5):
+            x = origin[0] + 2 * r * col + (r if row % 2 else 0.0)
+            y = origin[1] + r * math.sqrt(3.0) * row
+            interior = 1 <= row <= 3 and 1 <= col <= 3
+            bubbles.append(Bubble(x, y, r, MOBILE if interior else BOUNDARY))
+    return bubbles
+
+
+@functools.lru_cache(maxsize=None)
+def graded_holed_square():
+    """A 20 x 10 plate with a round hole, radii graded 0.2 -> 0.5 away from
+    it, and its quadtree packing (one list shared by the callers, which the
+    passes read into fresh state and never change)."""
+    def sizing(x, y):
+        d = np.maximum(np.hypot(x - 10.0, y - 5.0) - 2.0, 0.0)
+        return 0.2 + 0.3 * np.minimum(d / 4.0, 1.0)
+
+    outer = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 10.0], [0.0, 10.0]])
+    angles = -2 * np.pi * np.arange(24) / 24
+    hole = np.column_stack([10 + 2 * np.cos(angles), 5 + 2 * np.sin(angles)])
+    domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
+    boundary = pack_boundary(domain)
+    return domain, boundary + pack_interior_quadtree(domain, boundary)
+
+
+def random_population(seed, n=300, side=10.0):
+    """Bubbles scattered over a square with every tenth one an anchor:
+    crowded spots and gaps side by side."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.5, side - 0.5, size=(n, 2))
+    radii = rng.uniform(0.2, 0.5, size=n)
+    return [Bubble(float(x), float(y), float(r), BOUNDARY if k % 10 == 0 else MOBILE)
+            for k, ((x, y), r) in enumerate(zip(xy, radii))]
+
+
+# ---------------------------------------------------------------------------
+# Scalar quantity-control passes: the oracles of the pair-array passes. Each
+# bubble queries its own neighbours from a k-d tree that is rebuilt after
+# every insertion.
+
+def scalar_ball_query(state):
+    ids = state.alive_indices()
+    tree = cKDTree(state.positions(ids))
+
+    def near(x, y, radius):
+        hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
+        return [j for j in ids[hits].tolist() if state.alive[j]]
+
+    return near
+
+
+def scalar_summed_overlap(state, near, i, hypot=math.hypot):
+    r0 = state.r[i]
+    x0, y0 = state.x[i], state.y[i]
+    reach = 2.0 * r0
+    total = 0.0
+    for j in near(x0, y0, reach):
+        if j == i:
+            continue
+        l = hypot(state.x[j] - x0, state.y[j] - y0)
+        if l <= reach * (1.0 + 1e-12):
+            total += (2.0 * r0 + state.r[j] - l) / r0
+    return total
+
+
+def scalar_qc_original(state, low, high, anchors, walls):
+    near = scalar_ball_query(state)
+    max_r = state.max_radius()
+    sizing = walls.domain.sizing if walls is not None else None
+    changes = 0
+    for i in range(len(state.alive)):
+        if not state.alive[i] or state.kind[i] != relaxation._KIND_CODE[MOBILE]:
+            continue
+        r0 = state.r[i]
+        x0, y0 = state.x[i], state.y[i]
+        total = scalar_summed_overlap(state, near, i)
+        if total > high:
+            state.alive[i] = False
+            changes += 1
+        elif total < low:
+            wide = [j for j in near(x0, y0, 3.0 * r0)
+                    if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
+            if wide:
+                angles = sorted(math.atan2(state.y[j] - y0, state.x[j] - x0) for j in wide)
+                gaps = [(angles[(k + 1) % len(angles)] - angles[k]) % (2.0 * math.pi)
+                        for k in range(len(angles))]
+                if len(angles) == 1:
+                    direction = angles[0] + math.pi
+                else:
+                    kbest = max(range(len(gaps)), key=lambda k: (gaps[k], -k))
+                    direction = angles[kbest] + 0.5 * gaps[kbest]
+            else:
+                ux, uy = hashed_unit_direction(i, i, state.seed)
+                direction = math.atan2(uy, ux)
+            ca, sa = math.cos(direction), math.sin(direction)
+            probe_x = x0 + 2.0 * r0 * ca
+            probe_y = y0 + 2.0 * r0 * sa
+            r_new = interpolate_radius(probe_x, probe_y, anchors, sizing) if anchors else r0
+            nx = x0 + (r0 + r_new) * ca
+            ny = y0 + (r0 + r_new) * sa
+            if walls is not None and not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
+                continue
+            if any((r_new + state.r[j] - math.hypot(state.x[j] - nx, state.y[j] - ny))
+                   / min(r_new, state.r[j]) > 1.0
+                   for j in near(nx, ny, r_new + max_r)):
+                continue
+            state.append(nx, ny, r_new, MOBILE)
+            near = scalar_ball_query(state)
+            changes += 1
+    return changes
+
+
+def scalar_qc_boundary_region(state, threshold):
+    """Per anchor, in index order, its mobile neighbours over the threshold,
+    most-overlapping first."""
+    anchor_ids = np.flatnonzero(state.kind != relaxation._KIND_CODE[MOBILE]).tolist()
+    near = scalar_ball_query(state)
+    max_r = state.max_radius()
+    removed = 0
+    for a in anchor_ids:
+        if not state.alive[a]:
+            continue
+        ra = state.r[a]
+        xa, ya = state.x[a], state.y[a]
+        hits = []
+        for j in near(xa, ya, ra + max_r + max(-threshold, 0.0) * ra):
+            if state.kind[j] != relaxation._KIND_CODE[MOBILE]:
+                continue
+            l = math.hypot(state.x[j] - xa, state.y[j] - ya)
+            ov = (ra + state.r[j] - l) / min(ra, state.r[j])
+            if ov > threshold:
+                hits.append((-ov, j))
+        for _, j in sorted(hits):
+            state.alive[j] = False
+            removed += 1
+    return removed
+
+
+def qc_original(bubbles, low=5.0, high=8.0, anchors=None, domain=None, seed=0,
+                qc=relaxation._qc_original_state):
+    """One original-qc pass over fresh state: (state, change count)."""
+    state = RelaxState(bubbles, seed=seed)
+    if anchors is None:
+        anchors = [b for b in bubbles if b.kind != MOBILE]
+    return state, qc(state, low, high, anchors, None if domain is None else WallClamp(domain))
+
+
+def qc_boundary_region(bubbles, threshold=1.0, qc=relaxation._qc_boundary_region_state):
+    """One boundary-region pass over fresh state: (state, removal count)."""
+    state = RelaxState(bubbles)
+    return state, qc(state, threshold)
+
+
+def state_arrays(state):
+    return tuple(getattr(state, name) for name in ("x", "y", "r", "kind", "alive"))
+
+
+def summed_overlap(bubbles, i):
+    """Bubble i's summed overlap against every other bubble in the list."""
+    j = np.array([k for k in range(len(bubbles)) if k != i], dtype=int)
+    return _overlap_sums(RelaxState(bubbles), np.full(len(j), i), j)[i]
 
 
 class TestPairForce:
@@ -662,150 +829,208 @@ class TestOverlapOriginal:
     @pytest.mark.parametrize("n,expected", [(6, 6.0), (4, 4.0), (9, 9.0)])
     def test_tangent_equal_neighbors(self, n, expected):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE)] + hex_neighbors(n)
-        assert overlap_original(0, bubbles) == pytest.approx(expected, abs=1e-9)
+        assert summed_overlap(bubbles, 0) == pytest.approx(expected, abs=1e-9)
 
     def test_no_neighbors(self):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(10.0, 0.0, 0.5, MOBILE)]
-        assert overlap_original(0, bubbles) == 0.0
+        assert summed_overlap(bubbles, 0) == 0.0
 
     def test_beyond_2r0_excluded(self):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.01, 0.0, 0.5, MOBILE)]
-        assert overlap_original(0, bubbles) == 0.0
+        assert summed_overlap(bubbles, 0) == 0.0
+
+    def test_pass_sums_rows_in_ascending_neighbour_order(self, monkeypatch):
+        # the pass's one pair pass gives, bit for bit, the running sum over
+        # ascending neighbours that a row recomputed later in the pass gets
+        sums = []
+
+        def recording(state, i, j):
+            sums.append(_overlap_sums(state, i, j))
+            return sums[-1]
+
+        monkeypatch.setattr(relaxation, "_overlap_sums", recording)
+        bubbles = random_population(3)
+        qc_original(bubbles)
+        state = RelaxState(bubbles)
+        near = scalar_ball_query(state)
+        want = [scalar_summed_overlap(state, near, k, hypot=np.hypot)
+                for k in range(len(bubbles))]
+        assert sums[0][:len(bubbles)].tolist() == want
 
 
 class TestOverlapPairwise:
     def test_tangent(self):
-        assert overlap_pairwise(Bubble(0, 0, 0.5), Bubble(1.0, 0, 0.5)) == pytest.approx(0.0)
+        assert overlap_ratio(1.0, 0.5, 0.5) == pytest.approx(0.0)
 
     def test_concentric(self):
-        assert overlap_pairwise(Bubble(0, 0, 0.7), Bubble(0, 0, 0.7)) == pytest.approx(2.0)
+        assert overlap_ratio(0.0, 0.7, 0.7) == pytest.approx(2.0)
 
     def test_direct_value(self):
-        assert overlap_pairwise(Bubble(0, 0, 1.0), Bubble(1.5, 0, 1.0)) == pytest.approx(0.5)
+        assert overlap_ratio(1.5, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_separated_negative(self):
-        assert overlap_pairwise(Bubble(0, 0, 0.5), Bubble(2.0, 0, 0.5)) < 0.0
+        assert overlap_ratio(2.0, 0.5, 0.5) < 0.0
+
+    def test_arrays_symmetric_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        l, a, b = rng.uniform(0.0, 2.0, size=(3, 1000))
+        got = overlap_ratio(l, a, b)
+        assert np.array_equal(got, overlap_ratio(l, b, a))
+        assert np.array_equal(got, [(x + y - d) / min(x, y)
+                                    for d, x, y in zip(l.tolist(), a.tolist(), b.tolist())])
 
 
 class TestQCOriginal:
     def test_hexagonal_packing_unchanged(self):
         # interior bubbles of a perfect triangular lattice all have overlap 6
-        r = 0.5
-        bubbles = []
-        for row in range(5):
-            for col in range(5):
-                x = 2 * r * col + (r if row % 2 else 0.0)
-                y = r * math.sqrt(3.0) * row
-                interior = 1 <= row <= 3 and 1 <= col <= 3
-                bubbles.append(Bubble(x, y, r, MOBILE if interior else BOUNDARY))
-        out, changes = qc_original(bubbles, 5.0, 8.0)
+        state, changes = qc_original(hex_lattice())
         assert changes == 0
-        assert len(out) == len(bubbles)
+        assert state.count == 25
 
     def test_isolated_bubble_insertion(self):
         domain = square_domain(side=20.0, radius=0.5)
-        bubbles = [Bubble(10.0, 10.0, 0.5, MOBILE)]
-        out, changes = qc_original(bubbles, 5.0, 8.0, anchors=[], domain=domain)
+        state, changes = qc_original([Bubble(10.0, 10.0, 0.5, MOBILE)], anchors=[],
+                                     domain=domain)
         assert changes == 1
-        assert len(out) == 2
+        assert state.count == 2
 
     def test_overcrowded_bubble_deleted(self):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE)] + hex_neighbors(9)
-        out, changes = qc_original(bubbles, 5.0, 8.0)
+        state, changes = qc_original(bubbles)
         assert changes >= 1
-        assert not any(b.x == 0.0 and b.y == 0.0 for b in out)
+        assert not any(b.x == 0.0 and b.y == 0.0 for b in state.to_bubbles())
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            qc_original([Bubble(0, 0, 0.5)], 8.0, 5.0)
+            relax_until_converged([Bubble(0, 0, 0.5)], square_domain(), strategy="original-qc",
+                                  qc_low=8.0, qc_high=5.0)
 
     def test_insertions_visible_within_pass(self):
         # each under-dense bubble's only wide neighbor sits 1.2 away on its
         # far side, so both aim their insertion at the origin; the second
         # must see the first's insertion
-        bubbles = [Bubble(-2.2, 0.0, 0.5, BOUNDARY), Bubble(-1.0, 0.0, 0.5, MOBILE),
-                   Bubble(1.0, 0.0, 0.5, MOBILE), Bubble(2.2, 0.0, 0.5, BOUNDARY)]
-        out, changes = qc_original(bubbles, 5.0, 8.0)
-        at_origin = [b for b in out if math.hypot(b.x, b.y) < 1e-9]
+        _, bubbles = insertions_visible_case()
+        state, changes = qc_original(bubbles)
+        at_origin = [b for b in state.to_bubbles() if math.hypot(b.x, b.y) < 1e-9]
         assert changes >= 1
         assert len(at_origin) == 1
 
     def test_tolerant_thresholds_change_less_on_graded_packing(self):
         # one pass over a graded packing: (4,10) must touch fewer bubbles
         # than (5,8)
-        def sizing(x, y):
-            d = np.maximum(np.hypot(x - 10.0, y - 5.0) - 2.0, 0.0)
-            return 0.2 + 0.3 * np.minimum(d / 4.0, 1.0)
-
-        outer = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 10.0], [0.0, 10.0]])
-        angles = -2 * np.pi * np.arange(24) / 24
-        hole = np.column_stack([10 + 2 * np.cos(angles), 5 + 2 * np.sin(angles)])
-        domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
-        boundary = pack_boundary(domain)
-        bubbles = boundary + pack_interior_quadtree(domain, boundary)
-        _, tight = qc_original([Bubble(b.x, b.y, b.radius, b.kind) for b in bubbles],
-                               5.0, 8.0, domain=domain)
-        _, loose = qc_original([Bubble(b.x, b.y, b.radius, b.kind) for b in bubbles],
-                               4.0, 10.0, domain=domain)
+        domain, bubbles = graded_holed_square()
+        _, tight = qc_original(bubbles, 5.0, 8.0, domain=domain)
+        _, loose = qc_original(bubbles, 4.0, 10.0, domain=domain)
         assert loose < tight
+
+
+def insertions_visible_case():
+    return None, [Bubble(-2.2, 0.0, 0.5, BOUNDARY), Bubble(-1.0, 0.0, 0.5, MOBILE),
+                  Bubble(1.0, 0.0, 0.5, MOBILE), Bubble(2.2, 0.0, 0.5, BOUNDARY)]
+
+
+def random_case(seed):
+    return lambda: (square_domain(side=10.0, radius=0.35), random_population(seed))
+
+
+# (domain or None, bubbles) on which the pair-array and scalar passes are compared
+QC_CASES = {
+    "hex-lattice": lambda: (None, hex_lattice()),
+    "hex-lattice-crowded": lambda: (None, hex_lattice() + hex_neighbors(9, center=(2.0, 1.7))),
+    "graded": graded_holed_square,
+    "insertions-visible": insertions_visible_case,
+    "random-0": random_case(0),
+    "random-1": random_case(1),
+}
+
+
+class TestQCMatchesScalarPasses:
+    """The pair-array passes make the scalar passes' decisions: the same
+    change counts, alive masks and inserted bubbles, bit for bit."""
+
+    @pytest.mark.parametrize("thresholds", [(5.0, 8.0), (4.0, 10.0), (-1.0, 0.5)])
+    @pytest.mark.parametrize("case", sorted(QC_CASES))
+    def test_original_qc(self, case, thresholds):
+        domain, bubbles = QC_CASES[case]()
+        new, changes = qc_original(bubbles, *thresholds, domain=domain, seed=4)
+        old, want = qc_original(bubbles, *thresholds, domain=domain, seed=4,
+                                qc=scalar_qc_original)
+        assert changes == want
+        for got, expected in zip(state_arrays(new), state_arrays(old)):
+            assert np.array_equal(got, expected)
+
+    def test_random_population_inserts_and_deletes(self):
+        domain, bubbles = random_case(0)()
+        state, changes = qc_original(bubbles, domain=domain)
+        deleted = np.count_nonzero(~state.alive[:len(bubbles)])
+        inserted = len(state.alive) - len(bubbles)
+        assert deleted > 0 and inserted > 0 and changes == deleted + inserted
+
+    @pytest.mark.parametrize("threshold", [1.0, 1.2, 0.5, -0.5])
+    @pytest.mark.parametrize("case", sorted(QC_CASES))
+    def test_boundary_region(self, case, threshold):
+        _, bubbles = QC_CASES[case]()
+        new, removed = qc_boundary_region(bubbles, threshold)
+        old, want = qc_boundary_region(bubbles, threshold, qc=scalar_qc_boundary_region)
+        assert removed == want
+        assert np.array_equal(new.alive, old.alive)
 
 
 class TestQCBoundaryRegion:
     def test_no_overlap_unchanged(self):
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY)]
         mobiles = [Bubble(2.0, 0.0, 0.5, MOBILE)]
-        out = qc_boundary_region(anchors + mobiles, anchors, 1.0)
-        assert len(out) == 2
+        state, removed = qc_boundary_region(anchors + mobiles, 1.0)
+        assert (state.count, removed) == (2, 0)
 
     def test_concentric_removed(self):
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY)]
         mobiles = [Bubble(0.0, 0.0, 0.5, MOBILE)]
-        out = qc_boundary_region(anchors + mobiles, anchors, 1.0)
-        assert len(out) == 1
+        state, removed = qc_boundary_region(anchors + mobiles, 1.0)
+        out = state.to_bubbles()
+        assert (len(out), removed) == (1, 1)
         assert out[0].kind == BOUNDARY
 
     def test_anchors_never_removed(self):
         # two anchors overlap each other hugely: both must survive
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY), Bubble(0.1, 0.0, 0.5, INTERIOR_ANCHOR)]
-        out = qc_boundary_region(list(anchors), anchors, 1.0)
-        assert len(out) == 2
+        state, removed = qc_boundary_region(anchors, 1.0)
+        assert (state.count, removed) == (2, 0)
 
     def test_idempotent(self):
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY), Bubble(3.0, 0.0, 0.5, BOUNDARY)]
         mobiles = [Bubble(0.2, 0.1, 0.5, MOBILE), Bubble(1.5, 0.0, 0.5, MOBILE),
                    Bubble(2.9, 0.0, 0.4, MOBILE)]
-        once = qc_boundary_region(anchors + mobiles, anchors, 1.0)
-        twice = qc_boundary_region(once, [b for b in once if b.kind != MOBILE], 1.0)
-        assert [(b.x, b.y) for b in once] == [(b.x, b.y) for b in twice]
+        once, _ = qc_boundary_region(anchors + mobiles, 1.0)
+        twice, removed = qc_boundary_region(once.to_bubbles(), 1.0)
+        assert removed == 0
+        assert once.to_bubbles() == twice.to_bubbles()
 
-    def test_most_overlapping_removed_first(self):
+    def test_only_bubbles_over_the_threshold_removed(self):
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY)]
         near = Bubble(0.05, 0.0, 0.5, MOBILE)
         far = Bubble(0.6, 0.0, 0.5, MOBILE)
-        out = qc_boundary_region(anchors + [near, far], anchors, 1.0)
+        state, removed = qc_boundary_region(anchors + [near, far], 1.0)
         # near overlap = 1.9 removed; far overlap = 0.8 kept
-        assert len(out) == 2
-        assert any(b.x == 0.6 for b in out)
+        assert removed == 1
+        assert state.to_bubbles() == anchors + [far]
+
+    def test_bubble_over_two_anchors_counted_once(self):
+        anchors = [Bubble(-0.05, 0.0, 0.5, BOUNDARY), Bubble(0.05, 0.0, 0.5, BOUNDARY)]
+        state, removed = qc_boundary_region(anchors + [Bubble(0.0, 0.0, 0.5, MOBILE)], 1.0)
+        assert (state.count, removed) == (2, 1)
 
     def test_negative_threshold_reaches_separated_bubbles(self):
         # overlap -0.4 exceeds a threshold of -0.5 although the disks are apart
         anchors = [Bubble(0.0, 0.0, 0.5, BOUNDARY)]
-        out = qc_boundary_region(anchors + [Bubble(1.2, 0.0, 0.5, MOBILE)], anchors, -0.5)
-        assert len(out) == 1
+        state, removed = qc_boundary_region(anchors + [Bubble(1.2, 0.0, 0.5, MOBILE)], -0.5)
+        assert (state.count, removed) == (1, 1)
 
 
 class TestRelaxUntilConverged:
     def test_already_converged_hexagonal(self):
-        r = 0.5
-        bubbles = []
-        for row in range(5):
-            for col in range(5):
-                x = 1.0 + 2 * r * col + (r if row % 2 else 0.0)
-                y = 1.0 + r * math.sqrt(3.0) * row
-                interior = 1 <= row <= 3 and 1 <= col <= 3
-                bubbles.append(Bubble(x, y, r, MOBILE if interior else BOUNDARY))
-        domain = square_domain(side=8.0, radius=r)
-        out, trace = relax_until_converged(bubbles, domain, force=FORCE,
+        domain = square_domain(side=8.0, radius=0.5)
+        out, trace = relax_until_converged(hex_lattice(origin=(1.0, 1.0)), domain, force=FORCE,
                                            dyn=DynamicsParams(force_tol=1e-6),
                                            strategy="none")
         assert trace.converged

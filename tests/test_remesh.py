@@ -12,6 +12,7 @@ from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 _interpolate_radii_batch, _quadtree_corners,
                                 _self_thin)
 from bubblemesh.pipeline import initial_surface_mesh, load_config
+from bubblemesh.relaxation import RelaxState, _qc_boundary_region_state
 from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
                                fill_gaps, flat_domain,
                                reconstruct_boundary_bubbles,
@@ -184,14 +185,21 @@ class TestFillGaps:
             assert fill_gaps(flat, anchors) == []
 
     def test_stretched_center_gets_insertions(self):
-        # flatten of a cap stretches the rim relative to the center; fillers
-        # appear where edge lengths exceed the reconstructed bubble scale
-        result = flatten(cap_mesh(rings=7))
-        flat = result.flat
+        # a grid whose middle column of cells is four times as wide as the
+        # rest: fillers appear where edge lengths exceed the reconstructed
+        # bubble scale, and only there
+        xs = np.array([0.0, 0.25, 0.5, 0.75, 1.75, 2.0, 2.25, 2.5])
+        X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 5))
+        n = len(xs)
+        cells = [(j * n + i, j * n + i + 1, (j + 1) * n + i, (j + 1) * n + i + 1)
+                 for j in range(4) for i in range(n - 1)]
+        faces = [f for a, b, c, d in cells for f in ([a, b, d], [a, d, c])]
+        flat = PlanarMesh(np.column_stack([X.ravel(), Y.ravel()]), np.array(faces))
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
         added = fill_gaps(flat, anchors)
-        assert all(b.kind == MOBILE for b in added)
+        assert added
+        assert all(b.kind == MOBILE and 0.75 < b.x < 1.75 for b in added)
 
 
 def anchor_arrays(anchors):
@@ -349,12 +357,11 @@ class TestRemeshPlanar:
 
     def test_bubble_count_never_grows_during_qc(self):
         flat = planar_flat(9, 5)
-        from bubblemesh.relaxation import qc_boundary_region
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
-        bubbles = anchors + fill_gaps(flat, anchors)
-        pruned = qc_boundary_region(bubbles, anchors, 1.0)
-        assert len(pruned) <= len(bubbles)
+        state = RelaxState(anchors + fill_gaps(flat, anchors))
+        removed = _qc_boundary_region_state(state, 1.0)
+        assert state.count == len(state.alive) - removed <= len(state.alive)
 
     def test_errors(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
