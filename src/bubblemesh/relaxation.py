@@ -12,9 +12,10 @@ overlap ratio, and the boundary-region pass that prunes bubbles overlapping
 anchors once, before any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
-with the same result: a `SweepPairs` Verlet list culled exactly each sweep,
-its colouring while the pairs repeat, and the wall clamp's room per
-bubble (`walls.WallClamp`). After every sweep the min-angle monitor
+with the same result: a `SweepPairs` Verlet list masked exactly each sweep,
+the colouring (recoloured only where the masked pairs changed) and the class
+layout over the list, and the wall clamp's room per bubble
+(`walls.WallClamp`). After every sweep the min-angle monitor
 (`monitor.triangulation_min_angle`, looked up here at call time) measures
 the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
 the last sweep's triangulation instead of building a new one.
@@ -22,6 +23,7 @@ the last sweep's triangulation instead of building a new one.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -83,11 +85,13 @@ class ConvergenceTrace:
 
     `stop_reason` says why the relaxation ended: "force" (max net force
     under tolerance), "stall" (min angle flat over the stall window) or
-    "sweep-cap" (neither before max_sweeps; not converged). The sweep
-    bookkeeping counters, deterministic and not written to the CSV:
-    `pair_rebuilds` (Verlet pair list builds), `colour_reuses` (sweeps that
-    kept the last colouring) and `wall_checks` (rows sent through the wall
-    clamp's full check).
+    "sweep-cap" (neither before max_sweeps; not converged). The counters,
+    deterministic and not written to the CSV: `pair_rebuilds` (Verlet pair
+    list builds, each with a full colouring), `colour_reuses` (sweeps that
+    kept the last colouring), `plan_builds` (class layouts built),
+    `wall_checks` (rows sent through the wall clamp's full check), and
+    original-qc's `qc_insert_attempts` (bubbles whose summed overlap asked
+    for an insertion) and `qc_inserts` (insertions placed).
     """
 
     def __init__(self):
@@ -97,7 +101,10 @@ class ConvergenceTrace:
         self.stop_reason = "sweep-cap"
         self.pair_rebuilds = 0
         self.colour_reuses = 0
+        self.plan_builds = 0
         self.wall_checks = 0
+        self.qc_insert_attempts = 0
+        self.qc_inserts = 0
 
     def add(self, sweep, count, max_force, min_angle, elapsed):
         self.rows.append((int(sweep), int(count), float(max_force),
@@ -252,38 +259,46 @@ _SKIN = 0.3  # Verlet skin of the sweep pair list, in units of the largest radiu
 
 
 class SweepPairs:
-    """Verlet pair list (Verlet 1967) of one relaxation, kept from sweep to
-    sweep. A sweep's pairs are the directed (i, j), i mobile and j any other
-    alive bubble, within reach cutoff * (r_i + r_j) plus a slack of half the
-    largest radius for the motion during the sweep, at start-of-sweep
-    positions, sorted by i, then j. The list holds, so sorted and with their
-    squared reach, the pairs within reach, slack and a skin; `neighbors`
-    culls it with the exact distance test, giving a fresh query's pairs. It
-    is built again once a bubble has moved half the skin (until then no pair
-    can come within reach unlisted), or when the cutoff or the alive set
-    (and with it the radii) changes. `plan` reuses the last colouring and
-    class plan while the culled pairs repeat; `rebuilds` and
-    `colour_reuses` count builds and reuses."""
+    """Verlet pair list (Verlet 1967) of one relaxation and the sweep plan
+    laid out over it, kept from sweep to sweep. A sweep's pairs are the
+    directed (i, j), i mobile and j any other alive bubble, within reach
+    cutoff * (r_i + r_j) plus a slack of half the largest radius for the
+    motion during the sweep, at start-of-sweep positions. The list holds,
+    sorted by i, then j, and with their squared reach, the pairs within
+    reach, slack and a skin; `in_reach` marks the sweep's pairs on it with
+    the exact distance test, giving a fresh query's pairs. It is built again
+    once a bubble has moved half the skin (until then no pair can come
+    within reach unlisted), or when the cutoff or the alive set (and with it
+    the radii) changes.
+
+    `plan` runs `_greedy_colours` in full only after a build. Otherwise it
+    re-runs the greedy rule, in ascending index order, only on the bubbles
+    whose lower neighbours changed and on the higher neighbours of each
+    bubble whose colour changed, which gives the same colours. The class
+    layout is built again only when a colour changed or the list was built.
+    `rebuilds`, `colour_reuses` (sweeps that kept the last colouring) and
+    `plan_builds` (class layouts built) count them."""
 
     def __init__(self):
         self.rebuilds = 0
         self.colour_reuses = 0
+        self.plan_builds = 0
+        self.colour: np.ndarray | None = None
         self._key = None
-        self._last: _ClassPlan | None = None
+        self._plan: _ClassPlan | None = None
 
-    def neighbors(self, state: RelaxState, cutoff: float):
-        """This sweep's pairs (i, j)."""
+    def in_reach(self, state: RelaxState, cutoff: float) -> np.ndarray:
+        """This sweep's pairs, as a mask over the list (self.i, self.j),
+        which is built again first if it has gone stale."""
         if (self._key is None or self._key[0] != cutoff
                 or not np.array_equal(self._key[1], state.alive)):
-            self._last = None
             self._build(state, cutoff)
         else:
             dx, dy = state.x - self._x, state.y - self._y
             if (dx * dx + dy * dy).max(initial=0.0) > self._limit:
                 self._build(state, cutoff)
         x, y, i, j = state.x, state.y, self.i, self.j
-        keep = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= self.reach2
-        return i[keep], j[keep]
+        return (x.take(i) - x.take(j)) ** 2 + (y.take(i) - y.take(j)) ** 2 <= self.reach2
 
     def _build(self, state: RelaxState, cutoff: float):
         r_max = state.max_radius()
@@ -301,21 +316,60 @@ class SweepPairs:
         i, j, reach = i[moving], j[moving], np.concatenate([reach, reach])[moving]
         order = np.lexsort((j, i))
         self.i, self.j, self.reach2 = i[order], j[order], (reach * reach)[order]
+        # the pairs of bubble b are rows start[b]:start[b + 1]; only mobile
+        # neighbours decide colours (`_nbr`: j, or -1 for a boundary bubble)
+        self._start = np.searchsorted(self.i, np.arange(len(state.alive) + 1)).tolist()
+        mobile_j = state.kind[self.j] != _KIND_CODE[BOUNDARY]
+        self._nbr = np.where(mobile_j, self.j, -1).tolist()
+        self._lower = mobile_j & (self.j < self.i)
+        self._mask = None
         self._key = (cutoff, state.alive.copy())
         self._x, self._y = state.x.copy(), state.y.copy()
         self._limit = (0.5 * skin) ** 2
         self.rebuilds += 1
 
-    def plan(self, state: RelaxState, force: ForceParams) -> _ClassPlan:
-        """This sweep's class plan: the last sweep's when the pairs repeat."""
-        i, j = self.neighbors(state, force.cutoff)
-        last = self._last
-        if (last is not None and last.force == force
-                and np.array_equal(last.pairs[0], i) and np.array_equal(last.pairs[1], j)):
-            self.colour_reuses += 1
-            return last
-        self._last = _ClassPlan(state, i, j, force)
-        return self._last
+    def plan(self, state: RelaxState, force: ForceParams) -> tuple[_ClassPlan, np.ndarray]:
+        """This sweep's class plan and, in the plan's pair order, each pair's
+        force reach: -inf for a pair out of reach at the start of the sweep."""
+        mask = self.in_reach(state, force.cutoff)
+        if self._mask is None:
+            self.colour = _greedy_colours(state, self.i[mask], self.j[mask])
+            changed = True
+        else:
+            flips = self.i[(mask ^ self._mask) & self._lower]
+            changed = self._recolour(mask, np.unique(flips).tolist())
+            self.colour_reuses += not changed
+        self._mask = mask
+        if changed or self._plan.force != force:
+            self._plan = _ClassPlan(state, self.i, self.j, self.colour, force)
+            self.plan_builds += 1
+        plan = self._plan
+        return plan, np.where(mask[plan.order], plan.reach, -np.inf)
+
+    def _recolour(self, mask: np.ndarray, heap: list[int]) -> bool:
+        """The greedy rule again on the bubbles of `heap` (ascending) and,
+        upwards, on every higher neighbour of a bubble whose colour changed,
+        taking them in ascending order; whether a colour changed."""
+        colour, start, nbr = self.colour, self._start, self._nbr
+        queued = set(heap)
+        changed = False
+        while heap:
+            b = heapq.heappop(heap)
+            s, e = start[b], start[b + 1]
+            nb = [n for n, m in zip(nbr[s:e], mask[s:e].tolist()) if m and n >= 0]
+            taken = 0
+            for n in nb:
+                if n < b:
+                    taken |= 1 << int(colour[n])
+            c = (~taken & (taken + 1)).bit_length() - 1
+            if c != colour[b]:
+                colour[b] = c
+                changed = True
+                for h in nb:
+                    if h > b and h not in queued:
+                        queued.add(h)
+                        heapq.heappush(heap, h)
+        return changed
 
 
 def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -338,26 +392,33 @@ def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarr
 
 
 class _ClassPlan:
-    """A sweep's colour classes, laid out once: `classes` lists, by colour,
-    the members (ascending) and pairs (i, j) (one stable sort by the colour
-    of i keeps their order), each pair's owner (the row of i among the
-    members), rest length l0 = r_i + r_j and `_cubic_law` terms."""
+    """Colour classes laid out over a pair list: `order` sorts the pairs
+    (i, j) stably by the colour of i, which keeps their order within a
+    class; `reach` is each pair's force cutoff in that order. `classes`
+    lists, by colour, the members (ascending), the slice of the class's
+    pairs, the pairs, each pair's owner (the row of i among the members)
+    followed by the owners again offset by the member count (the bins of
+    the forces' x then y components), rest length l0 = r_i + r_j and
+    `_cubic_law` coefficients c1, c2, c3."""
 
     def __init__(self, state: RelaxState, i: np.ndarray, j: np.ndarray,
-                 force: ForceParams):
-        self.force, self.pairs = force, (i, j)
-        colour = _greedy_colours(state, i, j)
+                 colour: np.ndarray, force: ForceParams):
+        self.force = force
         mobile = np.flatnonzero(colour >= 0)
         members = mobile[np.argsort(colour[mobile], kind="stable")]
-        order = np.argsort(colour[i], kind="stable")
-        i, j = i[order], j[order]
+        self.order = np.argsort(colour[i], kind="stable")
+        i, j = i[self.order], j[self.order]
         l0 = state.r[i] + state.r[j]
-        cuts = np.arange(1, colour.max(initial=0) + 1)  # where colours 1, 2, ... start
-        groups = zip(np.split(members, np.searchsorted(colour[members], cuts)),
-                     *(np.split(a, np.searchsorted(colour[i], cuts))
-                       for a in (i, j, l0, *_cubic_law(l0, force))))
-        self.classes = [(m, ci, cj, np.searchsorted(m, ci), l0k, law)
-                        for m, ci, cj, l0k, *law in groups if len(m)]
+        self.reach, c1, c2, c3 = _cubic_law(l0, force)
+        firsts = np.arange(colour.max(initial=-1) + 2)  # where colours 0, 1, ... start
+        at_m = np.searchsorted(colour[members], firsts).tolist()
+        at_p = np.searchsorted(colour[i], firsts).tolist()
+        self.classes = []
+        for m0, m1, p0, p1 in zip(at_m, at_m[1:], at_p, at_p[1:]):
+            m, s = members[m0:m1], slice(p0, p1)
+            owner = np.searchsorted(m, i[s])
+            self.classes.append((m, s, i[s], j[s], np.concatenate([owner, owner + len(m)]),
+                                 l0[s], c1[s], c2[s], c3[s]))
 
 
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
@@ -371,50 +432,52 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
 
     Neighbour lists come from start-of-sweep positions, through `pairs` (a
     fresh `SweepPairs` when None). No two bubbles of one colour are
-    neighbours, so each colour class takes one RK4 step on (k,2) arrays, its
+    neighbours, so each colour class takes one RK4 step on (2,k) arrays, its
     members' forces summed per bubble in ascending neighbour order: the same
-    result as stepping them one by one.
+    result as stepping them one by one. A listed pair out of reach at the
+    start of the sweep has force reach -inf, so its force is an exact 0.0
+    and leaves every sum's bits as they are.
     """
-    plan = (SweepPairs() if pairs is None else pairs).plan(state, force)
+    plan, reach = (SweepPairs() if pairs is None else pairs).plan(state, force)
     x, y, r = state.x, state.y, state.r
     max_f = 0.0
-    for members, ci, cj, owner, l0, law in plan.classes:
+    for members, s, ci, cj, bins, l0, *terms in plan.classes:
         rows = len(members)
-        xj, yj = x[cj], y[cj]
+        owner = bins[:len(ci)]
+        pj = np.stack([x.take(cj), y.take(cj)])
+        law = (reach[s], *terms)
         evaluations = []
 
         def net(p):
             # force that bubble j exerts on bubble i, summed per row of i
-            dx = p[owner, 0] - xj
-            dy = p[owner, 1] - yj
-            l = np.sqrt(dx * dx + dy * dy)
+            d = p.take(owner, axis=1) - pj
+            dd = d * d
+            l = np.sqrt(dd[0] + dd[1])
             coincident = np.flatnonzero(l < _COINCIDENT)
             if coincident.size:
                 l[coincident] = 1.0
-            mag = force_magnitude(l, l0, force, law)
-            fx = mag * dx / l
-            fy = mag * dy / l
+                coincident = coincident[law[0][coincident] > -np.inf]  # in reach
+            f = force_magnitude(l, l0, force, law) * d / l
             for e in coincident.tolist():
-                fx[e], fy[e] = (force.f0 * u for u in
-                                hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed))
-            f = np.empty((rows, 2))
-            f[:, 0] = np.bincount(owner, fx, rows)
-            f[:, 1] = np.bincount(owner, fy, rows)
+                f[:, e] = [force.f0 * u for u in
+                           hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed)]
+            f = np.bincount(bins, f.ravel(), 2 * rows).reshape(2, rows)
             evaluations.append(f)
             return f
 
-        p1, v1 = rk4_damped_step(state.positions(members),
-                                 np.column_stack([state.vx[members], state.vy[members]]),
+        p1, v1 = rk4_damped_step(np.stack([x.take(members), y.take(members)]),
+                                 np.stack([state.vx.take(members), state.vy.take(members)]),
                                  net, dyn.m, dyn.c, dyn.dt)
         f1 = evaluations[0]
-        max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
+        max_f = max(max_f, float(np.sqrt(f1[0] * f1[0] + f1[1] * f1[1]).max()))
         if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
             raise RelaxationError("dynamics diverged; reduce dt")
         if walls is not None:
-            p1, stopped = walls.clamp(members, p1, r[members])
-            v1[stopped] = 0.0
-        x[members], y[members] = p1.T
-        state.vx[members], state.vy[members] = v1.T
+            p1, stopped = walls.clamp(members, p1.T, r[members])
+            p1 = p1.T
+            v1[:, stopped] = 0.0
+        x[members], y[members] = p1
+        state.vx[members], state.vy[members] = v1
     return max_f
 
 
@@ -433,9 +496,12 @@ def _overlap_sums(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray
 
 
 def _qc_original_state(state: RelaxState, low: float, high: float,
-                       anchors: list[Bubble], walls: WallClamp | None) -> int:
+                       anchors: list[Bubble], walls: WallClamp | None,
+                       trace: ConvergenceTrace | None = None) -> int:
     """Single pass over bubble indices: insert into the largest angular gap
-    when the summed overlap is below `low`, delete when above `high`.
+    when the summed overlap is below `low`, delete when above `high`;
+    returns the number of changes, and adds the insertions attempted and
+    placed to `trace`'s counters.
 
     The summed overlaps come from one k-d tree pair pass; a bubble is summed
     again, on its own row, when a change earlier in the pass fell within
@@ -459,7 +525,7 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
     totals = _overlap_sums(state, *pairs[np.lexsort(pairs.T[::-1])].T)
     stale = np.zeros(n0, dtype=bool)
     sizing = walls.domain.sizing if walls is not None else None
-    changes = 0
+    changes = attempts = 0
     for i in np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE])).tolist():
         r0 = state.r[i]
         x0, y0 = state.x[i], state.y[i]
@@ -471,6 +537,7 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
             state.alive[i] = False
             at = (x0, y0)
         elif total < low:
+            attempts += 1
             # gap directions come from the wider force neighborhood so the
             # insertion never aims at a bubble just beyond the 2 r0 window
             wide = [j for j in near(x0, y0, 3.0 * r0).tolist()
@@ -508,6 +575,9 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
         changes += 1
         # a deletion or insertion moves the sums of the bubbles within 2 r_max
         stale[ids[tree.query_ball_point(at, window)]] = True
+    if trace is not None:
+        trace.qc_insert_attempts += attempts
+        trace.qc_inserts += len(state.alive) - n0
     return changes
 
 
@@ -570,7 +640,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     def quantity_control() -> bool:
         """One original-qc pass; whether it left the population as it was."""
         nonlocal qc_clean
-        qc_clean = _qc_original_state(state, qc_low, qc_high, anchors, walls) == 0
+        qc_clean = _qc_original_state(state, qc_low, qc_high, anchors, walls, trace) == 0
         if not qc_clean:
             history.clear()
         return qc_clean
@@ -601,5 +671,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             break
 
     trace.pair_rebuilds, trace.colour_reuses = pairs.rebuilds, pairs.colour_reuses
+    trace.plan_builds = pairs.plan_builds
     trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

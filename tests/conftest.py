@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from bubblemesh.mesh import TriangleMesh
+from bubblemesh.packing import MOBILE
+from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
 
 
 def closest_point_on_segment(px, py, ax, ay, bx, by):
@@ -117,6 +122,46 @@ def single_triangle_mesh():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     faces = np.array([[0, 1, 2]])
     return TriangleMesh(verts, faces)
+
+
+# Scalar quantity-control helpers: the oracles of the pair-array passes in
+# bubblemesh.relaxation.
+
+def scalar_ball_query(state):
+    ids = state.alive_indices()
+    tree = cKDTree(state.positions(ids))
+
+    def near(x, y, radius):
+        hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
+        return [j for j in ids[hits].tolist() if state.alive[j]]
+
+    return near
+
+
+def scalar_qc_boundary_region(state, threshold):
+    """Per anchor, in index order, its mobile neighbours over the threshold,
+    most-overlapping first."""
+    anchor_ids = np.flatnonzero(state.kind != _KIND_CODE[MOBILE]).tolist()
+    near = scalar_ball_query(state)
+    max_r = state.max_radius()
+    removed = 0
+    for a in anchor_ids:
+        if not state.alive[a]:
+            continue
+        ra = state.r[a]
+        xa, ya = state.x[a], state.y[a]
+        hits = []
+        for j in near(xa, ya, ra + max_r + max(-threshold, 0.0) * ra):
+            if state.kind[j] != _KIND_CODE[MOBILE]:
+                continue
+            l = math.hypot(state.x[j] - xa, state.y[j] - ya)
+            ov = (ra + state.r[j] - l) / min(ra, state.r[j])
+            if ov > threshold:
+                hits.append((-ov, j))
+        for _, j in sorted(hits):
+            state.alive[j] = False
+            removed += 1
+    return removed
 
 
 @pytest.fixture(scope="session")

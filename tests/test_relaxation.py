@@ -18,7 +18,8 @@ from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
                                    rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
-from conftest import closest_point_on_segment
+from conftest import (closest_point_on_segment, scalar_ball_query,
+                      scalar_qc_boundary_region)
 
 FORCE = ForceParams(k=1.0, f0=1.0)
 
@@ -43,7 +44,7 @@ def sweep_neighbors(state, cutoff):
     """Directed pairs (i, j), i a mobile bubble and j any alive one within
     the pair's force reach cutoff * (r_i + r_j) plus a slack of half the
     largest radius, sorted by i, then j, from a fresh k-d tree query: the
-    reference for SweepPairs.neighbors."""
+    reference for the pairs that SweepPairs.in_reach marks."""
     r_max = state.max_radius()
     slack = 0.5 * r_max
     ids = state.alive_indices()
@@ -60,7 +61,7 @@ def sweep_neighbors(state, cutoff):
     return i[order], j[order]
 
 
-def mask_sweep(state, force, dyn, walls):
+def mask_sweep(state, force, dyn, walls=None):
     """One sweep as the colour classes' boolean masks select it, from a
     fresh pair list and colouring: the reference for relax_step."""
     x, y, r = state.x, state.y, state.r
@@ -96,8 +97,9 @@ def mask_sweep(state, force, dyn, walls):
                                  net, dyn.m, dyn.c, dyn.dt)
         f1 = evaluations[0]
         max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
-        p1, stopped = walls.clamp(members, p1, r[members])
-        v1[stopped] = 0.0
+        if walls is not None:
+            p1, stopped = walls.clamp(members, p1, r[members])
+            v1[stopped] = 0.0
         x[members], y[members] = p1.T
         state.vx[members], state.vy[members] = v1.T
     return max_f
@@ -260,18 +262,8 @@ def random_population(seed, n=300, side=10.0):
 # ---------------------------------------------------------------------------
 # Scalar quantity-control passes: the oracles of the pair-array passes. Each
 # bubble queries its own neighbours from a k-d tree that is rebuilt after
-# every insertion.
-
-def scalar_ball_query(state):
-    ids = state.alive_indices()
-    tree = cKDTree(state.positions(ids))
-
-    def near(x, y, radius):
-        hits = tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)
-        return [j for j in ids[hits].tolist() if state.alive[j]]
-
-    return near
-
+# every insertion (`scalar_ball_query`; the boundary-region oracle
+# `scalar_qc_boundary_region` lives in conftest, shared with the remesh tests).
 
 def scalar_summed_overlap(state, near, i, hypot=math.hypot):
     r0 = state.r[i]
@@ -287,7 +279,7 @@ def scalar_summed_overlap(state, near, i, hypot=math.hypot):
     return total
 
 
-def scalar_qc_original(state, low, high, anchors, walls):
+def scalar_qc_original(state, low, high, anchors, walls, trace=None):
     near = scalar_ball_query(state)
     max_r = state.max_radius()
     sizing = walls.domain.sizing if walls is not None else None
@@ -302,6 +294,8 @@ def scalar_qc_original(state, low, high, anchors, walls):
             state.alive[i] = False
             changes += 1
         elif total < low:
+            if trace is not None:
+                trace.qc_insert_attempts += 1
             wide = [j for j in near(x0, y0, 3.0 * r0)
                     if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
             if wide:
@@ -331,42 +325,19 @@ def scalar_qc_original(state, low, high, anchors, walls):
             state.append(nx, ny, r_new, MOBILE)
             near = scalar_ball_query(state)
             changes += 1
+            if trace is not None:
+                trace.qc_inserts += 1
     return changes
 
 
-def scalar_qc_boundary_region(state, threshold):
-    """Per anchor, in index order, its mobile neighbours over the threshold,
-    most-overlapping first."""
-    anchor_ids = np.flatnonzero(state.kind != relaxation._KIND_CODE[MOBILE]).tolist()
-    near = scalar_ball_query(state)
-    max_r = state.max_radius()
-    removed = 0
-    for a in anchor_ids:
-        if not state.alive[a]:
-            continue
-        ra = state.r[a]
-        xa, ya = state.x[a], state.y[a]
-        hits = []
-        for j in near(xa, ya, ra + max_r + max(-threshold, 0.0) * ra):
-            if state.kind[j] != relaxation._KIND_CODE[MOBILE]:
-                continue
-            l = math.hypot(state.x[j] - xa, state.y[j] - ya)
-            ov = (ra + state.r[j] - l) / min(ra, state.r[j])
-            if ov > threshold:
-                hits.append((-ov, j))
-        for _, j in sorted(hits):
-            state.alive[j] = False
-            removed += 1
-    return removed
-
-
 def qc_original(bubbles, low=5.0, high=8.0, anchors=None, domain=None, seed=0,
-                qc=relaxation._qc_original_state):
+                qc=relaxation._qc_original_state, trace=None):
     """One original-qc pass over fresh state: (state, change count)."""
     state = RelaxState(bubbles, seed=seed)
     if anchors is None:
         anchors = [b for b in bubbles if b.kind != MOBILE]
-    return state, qc(state, low, high, anchors, None if domain is None else WallClamp(domain))
+    return state, qc(state, low, high, anchors, None if domain is None else WallClamp(domain),
+                     trace)
 
 
 def qc_boundary_region(bubbles, threshold=1.0, qc=relaxation._qc_boundary_region_state):
@@ -556,44 +527,120 @@ class TestRK4:
         assert math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0]) > 1e-3
 
 
+def graded_plate_runs(dyn):
+    """A new-qc relaxation of the graded holed plate, and an original-qc one
+    whose passes insert and delete, one deletion (of the one large bubble)
+    shrinking the largest radius: their traces."""
+    domain, bubbles = graded_holed_plate()
+    _, new = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn)
+    _, original = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)],
+                                        domain, force=FORCE, dyn=dyn,
+                                        strategy="original-qc", qc_period=5, seed=3)
+    return new, original
+
+
 class TestSweepPairs:
     def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
-        # the Verlet list's culled pairs equal a fresh k-d tree query's at
-        # every sweep of a new-qc run and of an original-qc run whose passes
-        # insert and delete, one deletion (of the one large bubble)
-        # shrinking the largest radius
+        # the pairs that the Verlet list's mask keeps equal a fresh k-d tree
+        # query's at every sweep of a new-qc run and of an original-qc run
         seen = []
-        neighbors = SweepPairs.neighbors
+        in_reach = SweepPairs.in_reach
 
         def checked(self, state, cutoff):
-            got = neighbors(self, state, cutoff)
+            mask = in_reach(self, state, cutoff)
             want = sweep_neighbors(state, cutoff)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(self.i[mask], want[0]) and np.array_equal(self.j[mask], want[1])
             seen.append((state.count, state.max_radius()))
-            return got
+            return mask
 
-        monkeypatch.setattr(SweepPairs, "neighbors", checked)
-        domain, bubbles = graded_holed_plate()
+        monkeypatch.setattr(SweepPairs, "in_reach", checked)
         dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
-        _, trace = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn)
-        assert len(seen) == trace.sweeps == 40
-        assert trace.pair_rebuilds > 1 and trace.colour_reuses > 0
-
-        seen.clear()
-        _, trace = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)],
-                                         domain, force=FORCE, dyn=dyn,
-                                         strategy="original-qc", qc_period=5, seed=3)
-        assert len(seen) == trace.sweeps == 40
+        new, original = graded_plate_runs(dyn)
+        assert len(seen) == new.sweeps + original.sweeps == 80
+        assert new.pair_rebuilds > 1 and new.colour_reuses > 0
+        seen = seen[40:]
         counts = [count for count, _ in seen]
         assert any(b > a for a, b in zip(counts, counts[1:]))   # an insertion
         assert any(b < a for a, b in zip(counts, counts[1:]))   # a deletion
         assert seen[0][1] == 0.9 and seen[-1][1] == 0.5
         population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
-        assert trace.pair_rebuilds > 1 + population_changes  # moves rebuilt it too
+        assert original.pair_rebuilds > 1 + population_changes  # moves rebuilt it too
+
+    def test_kept_colouring_equals_fresh_greedy_every_sweep(self, monkeypatch):
+        # at every sweep of both runs the kept colouring equals the greedy
+        # colouring of that sweep's fresh pairs, and the plan's
+        # classes hold its colours' members; colours change between list
+        # builds, so the incremental recolouring is what keeps them
+        recoloured = []
+        plan = SweepPairs.plan
+
+        def checked(self, state, force):
+            last = (self.rebuilds, np.copy(self.colour))
+            got = plan(self, state, force)
+            colour = _greedy_colours(state, *sweep_neighbors(state, force.cutoff))
+            assert np.array_equal(self.colour, colour)
+            assert [m.tolist() for m, *_ in got[0].classes] == [
+                np.flatnonzero(colour == k).tolist() for k in range(colour.max() + 1)]
+            if last[0] == self.rebuilds and not np.array_equal(last[1], colour):
+                recoloured.append(state.count)
+            return got
+
+        monkeypatch.setattr(SweepPairs, "plan", checked)
+        dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
+        for trace in graded_plate_runs(dyn):
+            assert trace.colour_reuses > 0
+            assert trace.pair_rebuilds < trace.plan_builds < trace.sweeps
+            assert trace.colour_reuses + trace.plan_builds == trace.sweeps
+        assert len(recoloured) >= 10
+
+    def test_one_flip_recolours_a_chain_upwards(self):
+        # a path of bubbles, each within reach of the next, takes colours
+        # 0, 1, 0, 1, ...; once bubble 0 drifts out of bubble 1's reach (but
+        # not out of the list) bubble 1 takes colour 0 and every higher one
+        # of the path must change colour in turn
+        n, gap = 7, 1.7  # reach + slack 1.75, the list holds pairs to 1.9
+        state = RelaxState([Bubble(gap * k, 0.0, 0.5, MOBILE) for k in range(n)])
+        pairs = SweepPairs()
+        pairs.plan(state, FORCE)
+        assert pairs.colour.tolist() == [k % 2 for k in range(n)]
+        state.x[0] -= 0.07  # under half the skin: the list is kept
+        plan, reach = pairs.plan(state, FORCE)
+        assert pairs.rebuilds == 1 and pairs.plan_builds == 2
+        assert (0, 1) in set(zip(pairs.i.tolist(), pairs.j.tolist()))
+        want = _greedy_colours(state, *sweep_neighbors(state, FORCE.cutoff))
+        assert want.tolist() == [0] + [(k + 1) % 2 for k in range(1, n)]
+        assert np.array_equal(pairs.colour, want)
+        # the dropped pair stays laid out, with force reach -inf
+        assert np.count_nonzero(reach == -np.inf) == 2
+        pairs.plan(state, FORCE)
+        assert pairs.colour_reuses == 1 and pairs.plan_builds == 2
+
+    @pytest.mark.parametrize("speed", [18.5, 10.0])
+    def test_listed_pair_out_of_reach_at_the_start_gets_no_force(self, speed):
+        # bubble 0 starts 1.85 from bubble 1, listed (reach + slack + skin
+        # is 1.9) but out of reach (1.75), and its velocity takes its RK4
+        # midpoint stage onto bubble 1 (a coincident pair) or 0.85 from it
+        # (well within the force cutoff 1.5); the pair was not in reach at
+        # the start of the sweep, so it gets no force and no push
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.85, 0.0, 0.5, MOBILE)]
+        kept, ref = RelaxState(bubbles, seed=2), RelaxState(bubbles, seed=2)
+        kept.vx[0] = ref.vx[0] = speed
+        pairs = SweepPairs()
+        dyn = DynamicsParams()
+        assert relax_step(kept, FORCE, dyn, pairs=pairs) == mask_sweep(ref, FORCE, dyn) == 0.0
+        assert pairs.i.tolist() == [0, 1] and not pairs.colour.any()
+        for name in ("x", "y", "vx", "vy"):
+            assert np.array_equal(getattr(kept, name), getattr(ref, name))
+        assert ref.y.tolist() == [0.0, 0.0]
+        pushed = RelaxState(bubbles, seed=2)
+        pushed.x[1] = 1.7  # in reach: the same sweep meets bubble 1
+        pushed.vx[0] = speed
+        relax_step(pushed, FORCE, dyn)
+        assert pushed.x[0] != ref.x[0]
 
     def test_kept_bookkeeping_sweeps_as_the_mask_reference(self):
-        # sweeps that keep their pair list, colouring and class plan end bit
-        # for bit where the per-class-mask reference sweep ends
+        # sweeps that keep their pair list, colouring and class layout end
+        # bit for bit where the per-class-mask reference sweep ends
         domain, bubbles = graded_holed_plate()
         kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
         walls, ref_walls = WallClamp(domain), WallClamp(domain)
@@ -605,6 +652,7 @@ class TestSweepPairs:
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert pairs.rebuilds > 1 and pairs.colour_reuses > 0
+        assert pairs.rebuilds < pairs.plan_builds < 40
 
     def test_skin_covers_moves_until_a_rebuild(self):
         # two bubbles start a fifth of the skin beyond reach and each moves
@@ -617,11 +665,12 @@ class TestSweepPairs:
                    Bubble(0.0, 4.0, 0.5, MOBILE), Bubble(6.0, 6.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         pairs = SweepPairs()
-        assert pairs.neighbors(state, FORCE.cutoff)[0].size == 0
+        assert not pairs.in_reach(state, FORCE.cutoff).any()
         state.x[0] += 0.45 * skin
         state.x[1] -= 0.45 * skin
         for expected_rebuilds, pair in ((1, (0, 1)), (2, (2, 3))):
-            got = pairs.neighbors(state, FORCE.cutoff)
+            mask = pairs.in_reach(state, FORCE.cutoff)
+            got = pairs.i[mask], pairs.j[mask]
             want = sweep_neighbors(state, FORCE.cutoff)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert pair in set(zip(*(a.tolist() for a in got)))
@@ -946,25 +995,33 @@ QC_CASES = {
 
 class TestQCMatchesScalarPasses:
     """The pair-array passes make the scalar passes' decisions: the same
-    change counts, alive masks and inserted bubbles, bit for bit."""
+    change counts, alive masks and inserted bubbles, bit for bit, and the
+    same insertion attempts."""
 
     @pytest.mark.parametrize("thresholds", [(5.0, 8.0), (4.0, 10.0), (-1.0, 0.5)])
     @pytest.mark.parametrize("case", sorted(QC_CASES))
     def test_original_qc(self, case, thresholds):
         domain, bubbles = QC_CASES[case]()
-        new, changes = qc_original(bubbles, *thresholds, domain=domain, seed=4)
+        tally, want_tally = ConvergenceTrace(), ConvergenceTrace()
+        new, changes = qc_original(bubbles, *thresholds, domain=domain, seed=4, trace=tally)
         old, want = qc_original(bubbles, *thresholds, domain=domain, seed=4,
-                                qc=scalar_qc_original)
+                                qc=scalar_qc_original, trace=want_tally)
         assert changes == want
         for got, expected in zip(state_arrays(new), state_arrays(old)):
             assert np.array_equal(got, expected)
+        assert ((tally.qc_insert_attempts, tally.qc_inserts)
+                == (want_tally.qc_insert_attempts, want_tally.qc_inserts))
 
     def test_random_population_inserts_and_deletes(self):
+        # the pass counts its insertions, and the attempts that the wall or
+        # the collision test turned down
         domain, bubbles = random_case(0)()
-        state, changes = qc_original(bubbles, domain=domain)
+        tally = ConvergenceTrace()
+        state, changes = qc_original(bubbles, domain=domain, trace=tally)
         deleted = np.count_nonzero(~state.alive[:len(bubbles)])
         inserted = len(state.alive) - len(bubbles)
         assert deleted > 0 and inserted > 0 and changes == deleted + inserted
+        assert tally.qc_inserts == inserted < tally.qc_insert_attempts
 
     @pytest.mark.parametrize("threshold", [1.0, 1.2, 0.5, -0.5])
     @pytest.mark.parametrize("case", sorted(QC_CASES))
@@ -1077,12 +1134,14 @@ class TestRelaxUntilConverged:
                                                strategy="original-qc", qc_period=5, seed=3)
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
-                         (trace.pair_rebuilds, trace.colour_reuses, trace.wall_checks)))
+                         (trace.pair_rebuilds, trace.colour_reuses, trace.plan_builds,
+                          trace.wall_checks, trace.qc_insert_attempts, trace.qc_inserts)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, _, wall_checks = runs[0][2]
-        assert rebuilds > 1 and wall_checks > 0
+        rebuilds, reuses, builds, wall_checks, attempts, inserts = runs[0][2]
+        assert rebuilds > 1 and wall_checks > 0 and reuses > 0
+        assert rebuilds < builds and attempts > inserts > 0
 
     def test_energy_dissipation_proxy(self):
         # no QC, small dt: the decay envelope of the max net force (running

@@ -19,12 +19,24 @@ from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
                                reconstruct_interior_bubbles, remesh_planar)
 from bubblemesh.surfaces import plane
 
-from conftest import cap_mesh, grid_mesh_on_surface
+from conftest import cap_mesh, grid_mesh_on_surface, scalar_qc_boundary_region
 
 
 def planar_flat(nu=9, nv=5, width=2.0, height=1.0):
     m = grid_mesh_on_surface(plane(0.0, width, 0.0, height), nu, nv)
     return PlanarMesh(m.uv, m.faces)
+
+
+def stretched_flat():
+    """A flat 2.5 x 1 grid whose middle column of cells is four times as
+    wide as the rest: gap filling adds fillers there."""
+    xs = np.array([0.0, 0.25, 0.5, 0.75, 1.75, 2.0, 2.25, 2.5])
+    X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 5))
+    n = len(xs)
+    cells = [(j * n + i, j * n + i + 1, (j + 1) * n + i, (j + 1) * n + i + 1)
+             for j in range(4) for i in range(n - 1)]
+    faces = [f for a, b, c, d in cells for f in ([a, b, d], [a, d, c])]
+    return PlanarMesh(np.column_stack([X.ravel(), Y.ravel()]), np.array(faces))
 
 
 def fan_mesh(edge_lengths):
@@ -185,16 +197,9 @@ class TestFillGaps:
             assert fill_gaps(flat, anchors) == []
 
     def test_stretched_center_gets_insertions(self):
-        # a grid whose middle column of cells is four times as wide as the
-        # rest: fillers appear where edge lengths exceed the reconstructed
-        # bubble scale, and only there
-        xs = np.array([0.0, 0.25, 0.5, 0.75, 1.75, 2.0, 2.25, 2.5])
-        X, Y = np.meshgrid(xs, np.linspace(0.0, 1.0, 5))
-        n = len(xs)
-        cells = [(j * n + i, j * n + i + 1, (j + 1) * n + i, (j + 1) * n + i + 1)
-                 for j in range(4) for i in range(n - 1)]
-        faces = [f for a, b, c, d in cells for f in ([a, b, d], [a, d, c])]
-        flat = PlanarMesh(np.column_stack([X.ravel(), Y.ravel()]), np.array(faces))
+        # fillers appear where edge lengths exceed the reconstructed bubble
+        # scale, and only there
+        flat = stretched_flat()
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
         added = fill_gaps(flat, anchors)
@@ -356,12 +361,23 @@ class TestRemeshPlanar:
             assert (round(p[0], 9), round(p[1], 9)) in out_pts
 
     def test_bubble_count_never_grows_during_qc(self):
-        flat = planar_flat(9, 5)
+        # the boundary-region pass over reconstructed anchors and gap
+        # fillers removes the fillers that the scalar pass removes, and only
+        # fillers; fillers overlap anchors by at most 0.4, so at threshold
+        # 0 some go and some stay
+        flat = stretched_flat()
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
-        state = RelaxState(anchors + fill_gaps(flat, anchors))
-        removed = _qc_boundary_region_state(state, 1.0)
-        assert state.count == len(state.alive) - removed <= len(state.alive)
+        fillers = fill_gaps(flat, anchors)
+        for threshold in (1.0, 0.2, 0.0, -0.2):
+            state, ref = RelaxState(anchors + fillers), RelaxState(anchors + fillers)
+            removed = _qc_boundary_region_state(state, threshold)
+            assert removed == scalar_qc_boundary_region(ref, threshold)
+            assert np.array_equal(state.alive, ref.alive)
+            assert state.count == len(state.alive) - removed
+            assert state.alive[:len(anchors)].all()
+            if threshold == 0.0:
+                assert 0 < removed < len(fillers)
 
     def test_errors(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
