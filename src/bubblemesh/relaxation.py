@@ -1,21 +1,21 @@
 """Physically-based bubble relaxation and quantity control.
 
 Each bubble obeys m x'' + c x' = f where f sums pairwise interaction forces;
-the ODE is integrated with classical RK4 one bubble at a time, all other
-bubbles frozen during that bubble's step. A sweep runs these steps
-sequentially in colour order (multicolour Gauss-Seidel): the neighbour graph
-is coloured greedily so that no two bubbles of one colour interact, and each
-colour class then takes its RK4 step as one array operation, which equals
-stepping its members one after another. Two quantity-control strategies
-are provided: the original alternating insert/delete pass driven by a summed
-overlap ratio, and the boundary-region pass that prunes bubbles overlapping
-anchors once, before any relaxation.
+the ODE is integrated with classical RK4. A sweep steps every mobile bubble
+at once (Jacobi), each against every other bubble frozen at its
+start-of-sweep position, as one RK4 step on (2,k) arrays. Two
+quantity-control strategies are provided: the original alternating
+insert/delete pass driven by a summed overlap ratio, and the
+boundary-region pass that prunes bubbles overlapping anchors once, before
+any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
-with the same result: a `SweepPairs` Verlet list masked exactly each sweep,
-the colouring (recoloured only where the masked pairs changed) and the class
-layout over the list, and the wall clamp's room per bubble
-(`walls.WallClamp`). After every sweep the min-angle monitor
+with the same result: a `SweepPairs` Verlet list with the force terms laid
+out over it, and the wall clamp's room per bubble (`walls.WallClamp`). Each
+sweep is certified after its step: unless every bubble's move since the
+list was built and its RK4 stage displacements stay within the list's
+margin, an unlisted pair may have come within reach, and the sweep is done
+again over a list built again. After every sweep the min-angle monitor
 (`monitor.triangulation_min_angle`, looked up here at call time) measures
 the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
 the last sweep's triangulation instead of building a new one.
@@ -23,7 +23,6 @@ the last sweep's triangulation instead of building a new one.
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -87,11 +86,11 @@ class ConvergenceTrace:
     under tolerance), "stall" (min angle flat over the stall window) or
     "sweep-cap" (neither before max_sweeps; not converged). The counters,
     deterministic and not written to the CSV: `pair_rebuilds` (Verlet pair
-    list builds, each with a full colouring), `colour_reuses` (sweeps that
-    kept the last colouring), `plan_builds` (class layouts built),
-    `wall_checks` (rows sent through the wall clamp's full check), and
-    original-qc's `qc_insert_attempts` (bubbles whose summed overlap asked
-    for an insertion) and `qc_inserts` (insertions placed).
+    list builds), `sweep_redos` (sweeps that failed the list's certificate
+    and were done again over a list built again), `wall_checks` (rows sent
+    through the wall clamp's full check), and original-qc's
+    `qc_insert_attempts` (bubbles whose summed overlap asked for an
+    insertion) and `qc_inserts` (insertions placed).
     """
 
     def __init__(self):
@@ -100,8 +99,7 @@ class ConvergenceTrace:
         self.converged_sweep: int | None = None
         self.stop_reason = "sweep-cap"
         self.pair_rebuilds = 0
-        self.colour_reuses = 0
-        self.plan_builds = 0
+        self.sweep_redos = 0
         self.wall_checks = 0
         self.qc_insert_attempts = 0
         self.qc_inserts = 0
@@ -168,15 +166,24 @@ def force_magnitude(l, l0, params: ForceParams, law=None):
     return np.where(l >= reach, 0.0, ((c3 * w + c2) * w + c1) * w + params.f0)
 
 
+def _coincident_push(i: int, j: int, seed: int, f0: float) -> tuple[float, float]:
+    """Force on bubble i from bubble j at the same centre: f0 along the
+    hashed direction of the pair (lower index first), reversed when i is
+    the higher index, so that the two bubbles are pushed apart."""
+    ux, uy = hashed_unit_direction(min(i, j), max(i, j), seed)
+    s = f0 if i < j else -f0
+    return s * ux, s * uy
+
+
 def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
                i: int = 0, j: int = 1, seed: int = 0) -> np.ndarray:
-    """Force exerted on b_i by b_j, along the center line."""
+    """Force exerted on b_i by b_j, along the center line (`_coincident_push`
+    when the centers coincide); i and j are their indices."""
     dx = b_i.x - b_j.x
     dy = b_i.y - b_j.y
     l = math.hypot(dx, dy)
     if l < _COINCIDENT:
-        ux, uy = hashed_unit_direction(i, j, seed)
-        return np.array([params.f0 * ux, params.f0 * uy])
+        return np.array(_coincident_push(i, j, seed, params.f0))
     mag = force_magnitude(l, b_i.radius + b_j.radius, params)
     return np.array([mag * dx / l, mag * dy / l])
 
@@ -259,226 +266,145 @@ _SKIN = 0.3  # Verlet skin of the sweep pair list, in units of the largest radiu
 
 
 class SweepPairs:
-    """Verlet pair list (Verlet 1967) of one relaxation and the sweep plan
-    laid out over it, kept from sweep to sweep. A sweep's pairs are the
-    directed (i, j), i mobile and j any other alive bubble, within reach
-    cutoff * (r_i + r_j) plus a slack of half the largest radius for the
-    motion during the sweep, at start-of-sweep positions. The list holds,
-    sorted by i, then j, and with their squared reach, the pairs within
-    reach, slack and a skin; `in_reach` marks the sweep's pairs on it with
-    the exact distance test, giving a fresh query's pairs. It is built again
-    once a bubble has moved half the skin (until then no pair can come
-    within reach unlisted), or when the cutoff or the alive set (and with it
-    the radii) changes.
+    """Verlet pair list (Verlet 1967) of one relaxation, with the sweep's
+    force terms laid out over it, kept from sweep to sweep. It holds the
+    directed pairs (i, j), i mobile and j any other alive bubble, within
+    force reach cutoff * (r_i + r_j) plus a margin at the positions of its
+    build, sorted by i, then j. The margin is a slack of half the largest
+    radius for the moves during a sweep and a skin for the moves between
+    builds. Laid out with the list: `members` (the alive mobile slots,
+    ascending), `bins` (each pair's owner, the row of i among the members,
+    then the owners again offset by the member count: the bins of the
+    forces' x then y components), rest length l0 = r_i + r_j and the
+    `_cubic_law` terms `law`.
 
-    `plan` runs `_greedy_colours` in full only after a build. Otherwise it
-    re-runs the greedy rule, in ascending index order, only on the bubbles
-    whose lower neighbours changed and on the higher neighbours of each
-    bubble whose colour changed, which gives the same colours. The class
-    layout is built again only when a colour changed or the list was built.
-    `rebuilds`, `colour_reuses` (sweeps that kept the last colouring) and
-    `plan_builds` (class layouts built) count them."""
+    It is built again once a bubble has moved half the skin, when the force
+    law or the alive set (and with it the radii) changes, and when a sweep
+    fails `certified`. `rebuilds` counts the builds and `redos` the sweeps
+    done again over a list built for them."""
 
     def __init__(self):
         self.rebuilds = 0
-        self.colour_reuses = 0
-        self.plan_builds = 0
-        self.colour: np.ndarray | None = None
+        self.redos = 0
         self._key = None
-        self._plan: _ClassPlan | None = None
 
-    def in_reach(self, state: RelaxState, cutoff: float) -> np.ndarray:
-        """This sweep's pairs, as a mask over the list (self.i, self.j),
-        which is built again first if it has gone stale."""
-        if (self._key is None or self._key[0] != cutoff
-                or not np.array_equal(self._key[1], state.alive)):
-            self._build(state, cutoff)
-        else:
-            dx, dy = state.x - self._x, state.y - self._y
-            if (dx * dx + dy * dy).max(initial=0.0) > self._limit:
-                self._build(state, cutoff)
-        x, y, i, j = state.x, state.y, self.i, self.j
-        return (x.take(i) - x.take(j)) ** 2 + (y.take(i) - y.take(j)) ** 2 <= self.reach2
+    def moves(self, state: RelaxState, force: ForceParams) -> np.ndarray:
+        """Each slot's distance from where the list's build found it, after
+        building the list again if it has gone stale."""
+        if (self._key is not None and self._key[0] == force
+                and np.array_equal(self._key[1], state.alive)):
+            moved = np.hypot(state.x - self._x, state.y - self._y)
+            if moved.max(initial=0.0) <= self._limit:
+                return moved
+        self._build(state, force)
+        return np.zeros(len(state.alive))
 
-    def _build(self, state: RelaxState, cutoff: float):
+    def certified(self, moved: np.ndarray, stage: np.ndarray) -> bool:
+        """Whether no unlisted pair can have come within force reach at a
+        sweep's RK4 stages, from each slot's `moves` at the start of the
+        sweep and each member's largest stage displacement. The neighbours
+        stay at their start positions, so a pair closes by at most its
+        member's move and stage displacement plus its neighbour's move."""
+        return ((moved.take(self.members) + stage).max(initial=0.0)
+                + moved.max(initial=0.0) <= self.margin)
+
+    def _build(self, state: RelaxState, force: ForceParams, slack: float = 0.0):
+        """The list with a slack of half the largest radius, or `slack`
+        when that is wider."""
         r_max = state.max_radius()
-        slack, skin = 0.5 * r_max, _SKIN * r_max
+        slack, skin = max(0.5 * r_max, slack), _SKIN * r_max
         ids = state.alive_indices()
         px, py, pr = state.x[ids], state.y[ids], state.r[ids]
         a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-            (2.0 * cutoff * r_max + slack + skin) * _QUERY_PAD, output_type="ndarray").T
-        reach = cutoff * (pr[a] + pr[b]) + slack
-        near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= ((reach + skin) * _QUERY_PAD) ** 2
-        a, b, reach = a[near], b[near], reach[near]
+            (2.0 * force.cutoff * r_max + slack + skin) * _QUERY_PAD,
+            output_type="ndarray").T
+        reach = force.cutoff * (pr[a] + pr[b]) + slack + skin
+        near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
+        a, b = a[near], b[near]
         i = ids[np.concatenate([a, b])]
         j = ids[np.concatenate([b, a])]
         moving = state.kind[i] != _KIND_CODE[BOUNDARY]
-        i, j, reach = i[moving], j[moving], np.concatenate([reach, reach])[moving]
+        i, j = i[moving], j[moving]
         order = np.lexsort((j, i))
-        self.i, self.j, self.reach2 = i[order], j[order], (reach * reach)[order]
-        # the pairs of bubble b are rows start[b]:start[b + 1]; only mobile
-        # neighbours decide colours (`_nbr`: j, or -1 for a boundary bubble)
-        self._start = np.searchsorted(self.i, np.arange(len(state.alive) + 1)).tolist()
-        mobile_j = state.kind[self.j] != _KIND_CODE[BOUNDARY]
-        self._nbr = np.where(mobile_j, self.j, -1).tolist()
-        self._lower = mobile_j & (self.j < self.i)
-        self._mask = None
-        self._key = (cutoff, state.alive.copy())
+        self.i, self.j = i[order], j[order]
+        self.members = state.mobile_indices()
+        owner = np.searchsorted(self.members, self.i)
+        self.bins = np.concatenate([owner, owner + len(self.members)])
+        self.l0 = state.r[self.i] + state.r[self.j]
+        self.law = _cubic_law(self.l0, force)
+        self.margin = slack + skin
+        self._key = (force, state.alive.copy())
         self._x, self._y = state.x.copy(), state.y.copy()
-        self._limit = (0.5 * skin) ** 2
+        self._limit = 0.5 * skin
         self.rebuilds += 1
-
-    def plan(self, state: RelaxState, force: ForceParams) -> tuple[_ClassPlan, np.ndarray]:
-        """This sweep's class plan and, in the plan's pair order, each pair's
-        force reach: -inf for a pair out of reach at the start of the sweep."""
-        mask = self.in_reach(state, force.cutoff)
-        if self._mask is None:
-            self.colour = _greedy_colours(state, self.i[mask], self.j[mask])
-            changed = True
-        else:
-            flips = self.i[(mask ^ self._mask) & self._lower]
-            changed = self._recolour(mask, np.unique(flips).tolist())
-            self.colour_reuses += not changed
-        self._mask = mask
-        if changed or self._plan.force != force:
-            self._plan = _ClassPlan(state, self.i, self.j, self.colour, force)
-            self.plan_builds += 1
-        plan = self._plan
-        return plan, np.where(mask[plan.order], plan.reach, -np.inf)
-
-    def _recolour(self, mask: np.ndarray, heap: list[int]) -> bool:
-        """The greedy rule again on the bubbles of `heap` (ascending) and,
-        upwards, on every higher neighbour of a bubble whose colour changed,
-        taking them in ascending order; whether a colour changed."""
-        colour, start, nbr = self.colour, self._start, self._nbr
-        queued = set(heap)
-        changed = False
-        while heap:
-            b = heapq.heappop(heap)
-            s, e = start[b], start[b + 1]
-            nb = [n for n, m in zip(nbr[s:e], mask[s:e].tolist()) if m and n >= 0]
-            taken = 0
-            for n in nb:
-                if n < b:
-                    taken |= 1 << int(colour[n])
-            c = (~taken & (taken + 1)).bit_length() - 1
-            if c != colour[b]:
-                colour[b] = c
-                changed = True
-                for h in nb:
-                    if h > b and h not in queued:
-                        queued.add(h)
-                        heapq.heappush(heap, h)
-        return changed
-
-
-def _greedy_colours(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Colour of every bubble slot, -1 unless alive and mobile: in ascending
-    index order, each mobile bubble takes the smallest colour that none of
-    its lower-index mobile neighbours (pairs (i, j) sorted by i) has taken."""
-    mobile = state.mobile_indices()
-    lower = (j < i) & (state.kind[j] != _KIND_CODE[BOUNDARY])
-    low_i, low_j = i[lower], j[lower].tolist()
-    starts = np.searchsorted(low_i, mobile).tolist()
-    taken_by: dict[int, int] = {}
-    for b, start, end in zip(mobile.tolist(), starts, starts[1:] + [len(low_j)]):
-        taken = 0
-        for n in low_j[start:end]:
-            taken |= 1 << taken_by[n]
-        taken_by[b] = (~taken & (taken + 1)).bit_length() - 1
-    colour = np.full(len(state.x), -1)
-    colour[mobile] = list(taken_by.values())
-    return colour
-
-
-class _ClassPlan:
-    """Colour classes laid out over a pair list: `order` sorts the pairs
-    (i, j) stably by the colour of i, which keeps their order within a
-    class; `reach` is each pair's force cutoff in that order. `classes`
-    lists, by colour, the members (ascending), the slice of the class's
-    pairs, the pairs, each pair's owner (the row of i among the members)
-    followed by the owners again offset by the member count (the bins of
-    the forces' x then y components), rest length l0 = r_i + r_j and
-    `_cubic_law` coefficients c1, c2, c3."""
-
-    def __init__(self, state: RelaxState, i: np.ndarray, j: np.ndarray,
-                 colour: np.ndarray, force: ForceParams):
-        self.force = force
-        mobile = np.flatnonzero(colour >= 0)
-        members = mobile[np.argsort(colour[mobile], kind="stable")]
-        self.order = np.argsort(colour[i], kind="stable")
-        i, j = i[self.order], j[self.order]
-        l0 = state.r[i] + state.r[j]
-        self.reach, c1, c2, c3 = _cubic_law(l0, force)
-        firsts = np.arange(colour.max(initial=-1) + 2)  # where colours 0, 1, ... start
-        at_m = np.searchsorted(colour[members], firsts).tolist()
-        at_p = np.searchsorted(colour[i], firsts).tolist()
-        self.classes = []
-        for m0, m1, p0, p1 in zip(at_m, at_m[1:], at_p, at_p[1:]):
-            m, s = members[m0:m1], slice(p0, p1)
-            owner = np.searchsorted(m, i[s])
-            self.classes.append((m, s, i[s], j[s], np.concatenate([owner, owner + len(m)]),
-                                 l0[s], c1[s], c2[s], c3[s]))
 
 
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
                walls: WallClamp | None = None,
                pairs: SweepPairs | None = None) -> float:
-    """Sequentially integrate every mobile bubble over one dt against its
-    neighbours' latest positions, in colour order; returns the max net-force
-    magnitude observed at the bubbles' pre-step positions. With `walls`, a
-    bubble that ends its step without a radius of clearance from the domain
-    boundary is projected back and stopped.
+    """Integrate every mobile bubble over one dt at once (a Jacobi sweep),
+    each against every other bubble frozen at its start-of-sweep position;
+    returns the max net-force magnitude at the start positions. With
+    `walls`, a bubble that ends its step without a radius of clearance from
+    the domain boundary is projected back and stopped.
 
-    Neighbour lists come from start-of-sweep positions, through `pairs` (a
-    fresh `SweepPairs` when None). No two bubbles of one colour are
-    neighbours, so each colour class takes one RK4 step on (2,k) arrays, its
-    members' forces summed per bubble in ascending neighbour order: the same
-    result as stepping them one by one. A listed pair out of reach at the
-    start of the sweep has force reach -inf, so its force is an exact 0.0
-    and leaves every sum's bits as they are.
+    The members take one RK4 step on (2,k) arrays over the pairs of `pairs`
+    (a fresh `SweepPairs` when None), each listed pair with its force, 0
+    beyond its reach, at every stage, summed per bubble in ascending
+    neighbour order. A sweep that fails the list's certificate is done
+    again from the same start over a list built again, with a slack as wide
+    as the failed sweep's stage displacements when they exceed half the
+    largest radius.
     """
-    plan, reach = (SweepPairs() if pairs is None else pairs).plan(state, force)
-    x, y, r = state.x, state.y, state.r
-    max_f = 0.0
-    for members, s, ci, cj, bins, l0, *terms in plan.classes:
-        rows = len(members)
-        owner = bins[:len(ci)]
-        pj = np.stack([x.take(cj), y.take(cj)])
-        law = (reach[s], *terms)
+    pairs = SweepPairs() if pairs is None else pairs
+    moved = pairs.moves(state, force)
+    members = pairs.members
+    if not len(members):
+        return 0.0
+    x, y, k = state.x, state.y, len(members)
+    p0 = np.stack([x.take(members), y.take(members)])
+    v0 = np.stack([state.vx.take(members), state.vy.take(members)])
+    while True:
+        i, j, bins, l0, law = pairs.i, pairs.j, pairs.bins, pairs.l0, pairs.law
+        owner = bins[:len(i)]
+        pj = np.stack([x.take(j), y.take(j)])
+        stage = np.zeros(k)  # squared, then the largest stage displacement
         evaluations = []
 
         def net(p):
             # force that bubble j exerts on bubble i, summed per row of i
+            off = p - p0
+            off *= off
+            np.maximum(stage, off[0] + off[1], out=stage)
             d = p.take(owner, axis=1) - pj
             dd = d * d
             l = np.sqrt(dd[0] + dd[1])
             coincident = np.flatnonzero(l < _COINCIDENT)
-            if coincident.size:
-                l[coincident] = 1.0
-                coincident = coincident[law[0][coincident] > -np.inf]  # in reach
+            l[coincident] = 1.0
             f = force_magnitude(l, l0, force, law) * d / l
             for e in coincident.tolist():
-                f[:, e] = [force.f0 * u for u in
-                           hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed)]
-            f = np.bincount(bins, f.ravel(), 2 * rows).reshape(2, rows)
+                f[:, e] = _coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
+            f = np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
             evaluations.append(f)
             return f
 
-        p1, v1 = rk4_damped_step(np.stack([x.take(members), y.take(members)]),
-                                 np.stack([state.vx.take(members), state.vy.take(members)]),
-                                 net, dyn.m, dyn.c, dyn.dt)
-        f1 = evaluations[0]
-        max_f = max(max_f, float(np.sqrt(f1[0] * f1[0] + f1[1] * f1[1]).max()))
-        if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
+        p1, v1 = rk4_damped_step(p0, v0, net, dyn.m, dyn.c, dyn.dt)
+        if not all(np.isfinite(a).all() for a in (p1, v1, stage)):
             raise RelaxationError("dynamics diverged; reduce dt")
-        if walls is not None:
-            p1, stopped = walls.clamp(members, p1.T, r[members])
-            p1 = p1.T
-            v1[:, stopped] = 0.0
-        x[members], y[members] = p1
-        state.vx[members], state.vy[members] = v1
-    return max_f
+        np.sqrt(stage, out=stage)
+        if pairs.certified(moved, stage):
+            break
+        pairs.redos += 1
+        pairs._build(state, force, float(stage.max()))
+        moved = np.zeros(len(state.alive))
+    f1 = evaluations[0]
+    if walls is not None:
+        p1, stopped = walls.clamp(members, p1.T, state.r[members])
+        p1 = p1.T
+        v1[:, stopped] = 0.0
+    x[members], y[members] = p1
+    state.vx[members], state.vy[members] = v1
+    return float(np.sqrt(f1[0] * f1[0] + f1[1] * f1[1]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +596,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             trace.stop_reason = reason
             break
 
-    trace.pair_rebuilds, trace.colour_reuses = pairs.rebuilds, pairs.colour_reuses
-    trace.plan_builds = pairs.plan_builds
+    trace.pair_rebuilds, trace.sweep_redos = pairs.rebuilds, pairs.redos
     trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

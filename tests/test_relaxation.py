@@ -12,8 +12,8 @@ from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
-                                   ForceParams, RelaxState, SweepPairs,
-                                   _greedy_colours, _overlap_sums, force_magnitude,
+                                   ForceParams, RelaxationError, RelaxState,
+                                   SweepPairs, _overlap_sums, force_magnitude,
                                    pair_force, relax_step, relax_until_converged,
                                    rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
@@ -24,35 +24,18 @@ from conftest import (closest_point_on_segment, scalar_ball_query,
 FORCE = ForceParams(k=1.0, f0=1.0)
 
 
-def reach_colours(bubbles, cutoff):
-    """Brute-force greedy colouring in ascending index order. Two non-boundary
-    bubbles are neighbours when within a sweep's reach: cutoff * (r_i + r_j)
-    plus a slack of half the largest radius."""
-    slack = 0.5 * max(b.radius for b in bubbles)
-    colour = {}
-    for i, b in enumerate(bubbles):
-        if b.kind == BOUNDARY:
-            continue
-        taken = {c for j, c in colour.items()
-                 if math.hypot(b.x - bubbles[j].x, b.y - bubbles[j].y)
-                 <= cutoff * (b.radius + bubbles[j].radius) + slack}
-        colour[i] = min(set(range(len(taken) + 1)) - taken)
-    return colour
-
-
-def sweep_neighbors(state, cutoff):
+def sweep_neighbors(state, cutoff, margin):
     """Directed pairs (i, j), i a mobile bubble and j any alive one within
-    the pair's force reach cutoff * (r_i + r_j) plus a slack of half the
-    largest radius, sorted by i, then j, from a fresh k-d tree query: the
-    reference for the pairs that SweepPairs.in_reach marks."""
+    the pair's force reach cutoff * (r_i + r_j) plus `margin`, sorted by i,
+    then j, from a fresh k-d tree query with SweepPairs' padded distance
+    test: the reference for the pairs that SweepPairs lists."""
     r_max = state.max_radius()
-    slack = 0.5 * r_max
     ids = state.alive_indices()
     px, py, pr = state.x[ids], state.y[ids], state.r[ids]
     a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-        (2.0 * cutoff * r_max + slack) * _QUERY_PAD, output_type="ndarray").T
-    reach = cutoff * (pr[a] + pr[b]) + slack
-    keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= reach * reach
+        (2.0 * cutoff * r_max + margin) * _QUERY_PAD, output_type="ndarray").T
+    reach = cutoff * (pr[a] + pr[b]) + margin
+    keep = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
     i = ids[np.concatenate([a[keep], b[keep]])]
     j = ids[np.concatenate([b[keep], a[keep]])]
     moving = state.kind[i] != relaxation._KIND_CODE[BOUNDARY]
@@ -61,48 +44,48 @@ def sweep_neighbors(state, cutoff):
     return i[order], j[order]
 
 
-def mask_sweep(state, force, dyn, walls=None):
-    """One sweep as the colour classes' boolean masks select it, from a
-    fresh pair list and colouring: the reference for relax_step."""
+def jacobi_sweep(state, force, dyn, walls=None):
+    """One sweep as a fresh all-pairs list gives it: every mobile bubble
+    steps at once against every other alive bubble at its start-of-sweep
+    position, its forces summed in ascending neighbour order. A pair beyond
+    its force reach adds an exact zero, so relax_step, over a list holding
+    every pair that comes within reach, must end here bit for bit."""
     x, y, r = state.x, state.y, state.r
-    i, j = sweep_neighbors(state, force.cutoff)
-    colour = _greedy_colours(state, i, j)
-    max_f = 0.0
-    for k in range(int(colour.max(initial=-1)) + 1):
-        members = np.flatnonzero(colour == k)
-        sel = colour[i] == k
-        ci, cj = i[sel], j[sel]
-        owner = np.searchsorted(members, ci)
-        l0 = r[ci] + r[cj]
-        xj, yj = x[cj], y[cj]
-        evaluations = []
+    members, ids = state.mobile_indices(), state.alive_indices()
+    i, j = np.repeat(members, len(ids)), np.tile(ids, len(members))
+    i, j = i[i != j], j[i != j]
+    owner = np.searchsorted(members, i)
+    l0 = r[i] + r[j]
+    xj, yj = x[j], y[j]
+    evaluations = []
 
-        def net(p):
-            dx, dy = p[owner, 0] - xj, p[owner, 1] - yj
-            l = np.sqrt(dx * dx + dy * dy)
-            coincident = l < 1e-12
-            l = np.where(coincident, 1.0, l)
-            mag = force_magnitude(l, l0, force)
-            fx, fy = mag * dx / l, mag * dy / l
-            for e in np.flatnonzero(coincident).tolist():
-                fx[e], fy[e] = (force.f0 * u for u in
-                                hashed_unit_direction(int(ci[e]), int(cj[e]), state.seed))
-            f = np.column_stack([np.bincount(owner, fx, len(members)),
-                                 np.bincount(owner, fy, len(members))])
-            evaluations.append(f)
-            return f
+    def net(p):
+        dx, dy = p[owner, 0] - xj, p[owner, 1] - yj
+        l = np.sqrt(dx * dx + dy * dy)
+        coincident = l < 1e-12
+        l = np.where(coincident, 1.0, l)
+        mag = force_magnitude(l, l0, force)
+        fx, fy = mag * dx / l, mag * dy / l
+        for e in np.flatnonzero(coincident).tolist():
+            a, b = int(i[e]), int(j[e])
+            ux, uy = hashed_unit_direction(min(a, b), max(a, b), state.seed)
+            sign = force.f0 if a < b else -force.f0
+            fx[e], fy[e] = sign * ux, sign * uy
+        f = np.column_stack([np.bincount(owner, fx, len(members)),
+                             np.bincount(owner, fy, len(members))])
+        evaluations.append(f)
+        return f
 
-        p1, v1 = rk4_damped_step(state.positions(members),
-                                 np.column_stack([state.vx[members], state.vy[members]]),
-                                 net, dyn.m, dyn.c, dyn.dt)
-        f1 = evaluations[0]
-        max_f = max(max_f, float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max()))
-        if walls is not None:
-            p1, stopped = walls.clamp(members, p1, r[members])
-            v1[stopped] = 0.0
-        x[members], y[members] = p1.T
-        state.vx[members], state.vy[members] = v1.T
-    return max_f
+    p1, v1 = rk4_damped_step(state.positions(members),
+                             np.column_stack([state.vx[members], state.vy[members]]),
+                             net, dyn.m, dyn.c, dyn.dt)
+    f1 = evaluations[0]
+    if walls is not None:
+        p1, stopped = walls.clamp(members, p1, r[members])
+        v1[stopped] = 0.0
+    x[members], y[members] = p1.T
+    state.vx[members], state.vy[members] = v1.T
+    return float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max())
 
 
 def project_inside_loop(domain, x, y, radius):
@@ -391,6 +374,15 @@ class TestPairForce:
             fab = pair_force(a, b, FORCE, i=0, j=1)
             fba = pair_force(b, a, FORCE, i=1, j=0)
             assert fab[0] == -fba[0] and fab[1] == -fba[1]
+        # coincident centres push the two bubbles apart along one line
+        a, b = Bubble(1.0, 1.0, 0.5), Bubble(1.0, 1.0, 0.3)
+        for seed in range(8):
+            for i in range(30):
+                for j in range(i + 1, 30):
+                    fab = pair_force(a, b, FORCE, i=i, j=j, seed=seed)
+                    fba = pair_force(b, a, FORCE, i=j, j=i, seed=seed)
+                    assert fab[0] == -fba[0] and fab[1] == -fba[1]
+                    assert (fab[0], fab[1]) == hashed_unit_direction(i, j, seed)
 
     def test_cubic_continuity(self):
         l0 = 1.2
@@ -445,86 +437,64 @@ class TestRK4:
         assert state.y[2] == pytest.approx(x1[1], abs=1e-14)
 
     def test_graded_sweep_matches_sequential_oracle(self, rng):
-        # mixed radii exercise the per-pair force reach; the oracle sums
-        # pair_force over every alive bubble, each mobile bubble stepping
-        # against the others' latest positions, in the order of its own
-        # greedy colouring: by colour, then by index
+        # mixed radii exercise the per-pair force reach; the scalar oracle
+        # steps one mobile bubble after another, each with pair_force summed
+        # over every other alive bubble at its start-of-sweep position
         n = 40
         xy = rng.uniform(0.0, 3.5, size=(n, 2))
         radii = rng.uniform(0.2, 0.5, size=n)
-        kinds = [MOBILE if k % 3 else BOUNDARY for k in range(n)]
+        kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE)[k % 3] for k in range(n)]
         bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
         dyn = DynamicsParams()
         state = RelaxState(bubbles)
         max_f = relax_step(state, FORCE, dyn)
 
-        ref = [Bubble(b.x, b.y, b.radius, b.kind) for b in bubbles]
-        colour = reach_colours(bubbles, FORCE.cutoff)
+        ref = [(b.x, b.y) for b in bubbles]
         ref_max_f = 0.0
-        for i in sorted(colour, key=lambda i: (colour[i], i)):
-            b = ref[i]
+        for i, b in enumerate(bubbles):
+            if b.kind == BOUNDARY:
+                continue
 
             def net(x):
                 probe = Bubble(x[0], x[1], b.radius)
                 return sum((pair_force(probe, other, FORCE, i, j)
-                            for j, other in enumerate(ref) if j != i), np.zeros(2))
+                            for j, other in enumerate(bubbles) if j != i), np.zeros(2))
 
             ref_max_f = max(ref_max_f, float(np.linalg.norm(net([b.x, b.y]))))
             x1, _ = rk4_damped_step(np.array([b.x, b.y]), np.zeros(2), net,
                                     dyn.m, dyn.c, dyn.dt)
-            b.x, b.y = x1
+            ref[i] = tuple(x1)
         assert max_f == pytest.approx(ref_max_f, abs=1e-12)
         moved = sum(math.hypot(s - b.x, t - b.y) > 1e-3
                     for s, t, b in zip(state.x, state.y, bubbles))
         assert moved >= 10
-        assert state.x == pytest.approx([b.x for b in ref], abs=1e-12)
-        assert state.y == pytest.approx([b.y for b in ref], abs=1e-12)
-
-    def test_colour_classes_hold_no_neighbours(self, rng):
-        # a colour class steps at once, so no two of its bubbles may lie
-        # within reach + slack of each other; the colouring is the greedy
-        # one in index order, and anchors move while boundary bubbles do not
-        n = 300
-        xy = rng.uniform(0.0, 8.0, size=(n, 2))
-        radii = rng.uniform(0.15, 0.5, size=n)
-        kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE, MOBILE)[k % 4] for k in range(n)]
-        bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
-        state = RelaxState(bubbles)
-        colour = _greedy_colours(state, *sweep_neighbors(state, FORCE.cutoff))
-        expected = reach_colours(bubbles, FORCE.cutoff)
-        assert colour.tolist() == [expected.get(i, -1) for i in range(n)]
-        slack = 0.5 * radii.max()
-        for a in range(n):
-            for b in range(a + 1, n):
-                if colour[a] >= 0 and colour[a] == colour[b]:
-                    assert (math.hypot(*(xy[a] - xy[b]))
-                            > FORCE.cutoff * (radii[a] + radii[b]) + slack)
-        assert colour.max() >= 3
+        assert state.x == pytest.approx([x for x, _ in ref], abs=1e-12)
+        assert state.y == pytest.approx([y for _, y in ref], abs=1e-12)
 
     def test_coincident_pair_separates_along_hashed_direction(self):
-        # coincident centres push apart along the seeded hashed direction,
-        # as pair_force defines it; bubble 0 (colour 0) steps first
+        # coincident centres push apart along the seeded hashed direction of
+        # the pair, as pair_force defines it: both bubbles step at once, so
+        # they end on that line, on opposite sides of their start
         seed = 5
         bubbles = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
         dyn = DynamicsParams()
         state = RelaxState(bubbles, seed=seed)
         relax_step(state, FORCE, dyn)
 
-        ref = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
+        ref = []
         for i, j in ((0, 1), (1, 0)):
             def net(x):
-                return pair_force(Bubble(x[0], x[1], 0.5), ref[j], FORCE, i, j, seed)
+                return pair_force(Bubble(x[0], x[1], 0.5), bubbles[j], FORCE, i, j, seed)
 
-            x1, _ = rk4_damped_step(np.array([ref[i].x, ref[i].y]), np.zeros(2), net,
-                                    dyn.m, dyn.c, dyn.dt)
-            ref[i].x, ref[i].y = x1
-        assert state.x == pytest.approx([b.x for b in ref], abs=1e-12)
-        assert state.y == pytest.approx([b.y for b in ref], abs=1e-12)
+            ref.append(rk4_damped_step(np.array([2.0, 2.0]), np.zeros(2), net,
+                                       dyn.m, dyn.c, dyn.dt)[0])
+        assert state.x == pytest.approx([x for x, _ in ref], abs=1e-12)
+        assert state.y == pytest.approx([y for _, y in ref], abs=1e-12)
         ux, uy = hashed_unit_direction(0, 1, seed)
-        dx, dy = state.x[0] - 2.0, state.y[0] - 2.0
-        assert dx * ux + dy * uy > 1e-3
-        assert abs(dx * uy - dy * ux) < 1e-12
-        assert math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0]) > 1e-3
+        for k, side in ((0, 1.0), (1, -1.0)):
+            dx, dy = state.x[k] - 2.0, state.y[k] - 2.0
+            assert side * (dx * ux + dy * uy) > 1e-3
+            assert abs(dx * uy - dy * ux) < 1e-12
 
 
 def graded_plate_runs(dyn):
@@ -541,139 +511,172 @@ def graded_plate_runs(dyn):
 
 class TestSweepPairs:
     def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
-        # the pairs that the Verlet list's mask keeps equal a fresh k-d tree
-        # query's at every sweep of a new-qc run and of an original-qc run
+        # at every sweep of a new-qc run and of an original-qc run the list
+        # holds the pairs within reach and slack of a fresh k-d tree query,
+        # and a list just built holds those within reach, slack and skin
         seen = []
-        in_reach = SweepPairs.in_reach
+        moves = SweepPairs.moves
 
-        def checked(self, state, cutoff):
-            mask = in_reach(self, state, cutoff)
-            want = sweep_neighbors(state, cutoff)
-            assert np.array_equal(self.i[mask], want[0]) and np.array_equal(self.j[mask], want[1])
-            seen.append((state.count, state.max_radius()))
-            return mask
+        def checked(self, state, force):
+            builds = self.rebuilds
+            moved = moves(self, state, force)
+            r_max = state.max_radius()
+            listed = set(zip(self.i.tolist(), self.j.tolist()))
+            assert set(zip(*(a.tolist() for a in sweep_neighbors(
+                state, force.cutoff, 0.5 * r_max)))) <= listed
+            if self.rebuilds > builds:
+                want = sweep_neighbors(state, force.cutoff, (0.5 + relaxation._SKIN) * r_max)
+                assert np.array_equal(self.i, want[0]) and np.array_equal(self.j, want[1])
+            seen.append((frozenset(state.alive_indices().tolist()), r_max))
+            return moved
 
-        monkeypatch.setattr(SweepPairs, "in_reach", checked)
+        monkeypatch.setattr(SweepPairs, "moves", checked)
         dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
         new, original = graded_plate_runs(dyn)
         assert len(seen) == new.sweeps + original.sweeps == 80
-        assert new.pair_rebuilds > 1 and new.colour_reuses > 0
+        assert 1 < new.pair_rebuilds < new.sweeps and new.sweep_redos == 0
         seen = seen[40:]
-        counts = [count for count, _ in seen]
-        assert any(b > a for a, b in zip(counts, counts[1:]))   # an insertion
-        assert any(b < a for a, b in zip(counts, counts[1:]))   # a deletion
+        alive = [slots for slots, _ in seen]
+        assert any(b - a for a, b in zip(alive, alive[1:]))   # an insertion
+        assert any(a - b for a, b in zip(alive, alive[1:]))   # a deletion
         assert seen[0][1] == 0.9 and seen[-1][1] == 0.5
         population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
         assert original.pair_rebuilds > 1 + population_changes  # moves rebuilt it too
 
-    def test_kept_colouring_equals_fresh_greedy_every_sweep(self, monkeypatch):
-        # at every sweep of both runs the kept colouring equals the greedy
-        # colouring of that sweep's fresh pairs, and the plan's
-        # classes hold its colours' members; colours change between list
-        # builds, so the incremental recolouring is what keeps them
-        recoloured = []
-        plan = SweepPairs.plan
+    def test_no_unlisted_pair_within_reach_at_any_stage(self, monkeypatch):
+        # at every force evaluation of both runs, every pair within its
+        # force reach (a member at its stage position, the other bubble at
+        # its start-of-sweep position) is on the list, and no sweep is redone
+        at = {}
+        evaluations = []
+        moves, rk4 = SweepPairs.moves, relaxation.rk4_damped_step
 
-        def checked(self, state, force):
-            last = (self.rebuilds, np.copy(self.colour))
-            got = plan(self, state, force)
-            colour = _greedy_colours(state, *sweep_neighbors(state, force.cutoff))
-            assert np.array_equal(self.colour, colour)
-            assert [m.tolist() for m, *_ in got[0].classes] == [
-                np.flatnonzero(colour == k).tolist() for k in range(colour.max() + 1)]
-            if last[0] == self.rebuilds and not np.array_equal(last[1], colour):
-                recoloured.append(state.count)
-            return got
+        def kept(self, state, force):
+            at.update(pairs=self, state=state, cutoff=force.cutoff)
+            return moves(self, state, force)
 
-        monkeypatch.setattr(SweepPairs, "plan", checked)
-        dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
-        for trace in graded_plate_runs(dyn):
-            assert trace.colour_reuses > 0
-            assert trace.pair_rebuilds < trace.plan_builds < trace.sweeps
-            assert trace.colour_reuses + trace.plan_builds == trace.sweeps
-        assert len(recoloured) >= 10
+        def checked_rk4(x, v, force_fn, *args):
+            def checked(p):
+                pairs, state = at["pairs"], at["state"]
+                ids, n = state.alive_indices(), len(state.alive)
+                dx = p[0][:, None] - state.x[ids]
+                dy = p[1][:, None] - state.y[ids]
+                reach = at["cutoff"] * (state.r[pairs.members][:, None] + state.r[ids])
+                i, j = np.nonzero(dx * dx + dy * dy < reach * reach)
+                i, j = pairs.members[i], ids[j]
+                within = (i * n + j)[i != j]
+                assert np.isin(within, pairs.i * n + pairs.j).all()
+                evaluations.append(len(within))
+                return force_fn(p)
 
-    def test_one_flip_recolours_a_chain_upwards(self):
-        # a path of bubbles, each within reach of the next, takes colours
-        # 0, 1, 0, 1, ...; once bubble 0 drifts out of bubble 1's reach (but
-        # not out of the list) bubble 1 takes colour 0 and every higher one
-        # of the path must change colour in turn
-        n, gap = 7, 1.7  # reach + slack 1.75, the list holds pairs to 1.9
-        state = RelaxState([Bubble(gap * k, 0.0, 0.5, MOBILE) for k in range(n)])
-        pairs = SweepPairs()
-        pairs.plan(state, FORCE)
-        assert pairs.colour.tolist() == [k % 2 for k in range(n)]
-        state.x[0] -= 0.07  # under half the skin: the list is kept
-        plan, reach = pairs.plan(state, FORCE)
-        assert pairs.rebuilds == 1 and pairs.plan_builds == 2
-        assert (0, 1) in set(zip(pairs.i.tolist(), pairs.j.tolist()))
-        want = _greedy_colours(state, *sweep_neighbors(state, FORCE.cutoff))
-        assert want.tolist() == [0] + [(k + 1) % 2 for k in range(1, n)]
-        assert np.array_equal(pairs.colour, want)
-        # the dropped pair stays laid out, with force reach -inf
-        assert np.count_nonzero(reach == -np.inf) == 2
-        pairs.plan(state, FORCE)
-        assert pairs.colour_reuses == 1 and pairs.plan_builds == 2
+            return rk4(x, v, checked, *args)
+
+        monkeypatch.setattr(SweepPairs, "moves", kept)
+        monkeypatch.setattr(relaxation, "rk4_damped_step", checked_rk4)
+        traces = graded_plate_runs(DynamicsParams())
+        assert len(evaluations) == 4 * sum(trace.sweeps for trace in traces)
+        assert [trace.sweep_redos for trace in traces] == [0, 0]
 
     @pytest.mark.parametrize("speed", [18.5, 10.0])
-    def test_listed_pair_out_of_reach_at_the_start_gets_no_force(self, speed):
+    def test_listed_pair_closing_mid_sweep_gets_its_force(self, speed):
         # bubble 0 starts 1.85 from bubble 1, listed (reach + slack + skin
-        # is 1.9) but out of reach (1.75), and its velocity takes its RK4
-        # midpoint stage onto bubble 1 (a coincident pair) or 0.85 from it
-        # (well within the force cutoff 1.5); the pair was not in reach at
-        # the start of the sweep, so it gets no force and no push
+        # is 1.9) but out of reach (1.5), and its velocity takes its RK4
+        # midpoint stage onto bubble 1 (a coincident pair) or 0.85 from it:
+        # the pair gets its force there, as the all-pairs reference gives it
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.85, 0.0, 0.5, MOBILE)]
-        kept, ref = RelaxState(bubbles, seed=2), RelaxState(bubbles, seed=2)
-        kept.vx[0] = ref.vx[0] = speed
+        kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
+        kept.vx[0] = ref.vx[0] = free.vx[0] = speed
         pairs = SweepPairs()
         dyn = DynamicsParams()
-        assert relax_step(kept, FORCE, dyn, pairs=pairs) == mask_sweep(ref, FORCE, dyn) == 0.0
-        assert pairs.i.tolist() == [0, 1] and not pairs.colour.any()
+        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn) == 0.0
+        assert pairs.i.tolist() == [0, 1]
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert ref.y.tolist() == [0.0, 0.0]
-        pushed = RelaxState(bubbles, seed=2)
-        pushed.x[1] = 1.7  # in reach: the same sweep meets bubble 1
-        pushed.vx[0] = speed
-        relax_step(pushed, FORCE, dyn)
-        assert pushed.x[0] != ref.x[0]
+        free.alive[1] = False  # bubble 0 alone
+        relax_step(free, FORCE, dyn)
+        assert ref.vx[0] != free.vx[0]
+        assert (ref.y[0] != 0.0) == (speed == 18.5)  # the coincident push
+
+    def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
+        # bubble 0 starts 2.5 from bubble 1, beyond the list (1.9), and its
+        # stages pass within 0.65 of it: its stage moves fail the
+        # certificate, and the sweep is done again once over a list wide
+        # enough to hold the pair, ending where the all-pairs reference ends
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(2.5, 0.0, 0.5, MOBILE),
+                   Bubble(0.0, 5.0, 0.5, MOBILE)]
+        kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
+        kept.vx[0] = ref.vx[0] = free.vx[0] = 18.5
+        pairs = SweepPairs()
+        dyn = DynamicsParams()
+        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn)
+        for name in ("x", "y", "vx", "vy"):
+            assert np.array_equal(getattr(kept, name), getattr(ref, name))
+        assert (pairs.rebuilds, pairs.redos) == (2, 1)
+        assert pairs.i.tolist() == [0, 1] and pairs.margin > 1.85
+        free.alive[1] = False
+        relax_step(free, FORCE, dyn)
+        assert ref.x[0] != free.x[0]  # bubble 1 pushed it back
+
+    def test_neighbours_move_counts_against_the_margin(self):
+        # the list holds pairs within reach + 0.4 (slack 0.25, skin 0.15);
+        # bubble 1 starts 0.02 beyond it, then both bubbles move 0.07 (under
+        # half the skin, so the list is kept) towards each other, and bubble
+        # 0's stages move it another ~0.32: its own moves fit the margin, but
+        # with bubble 1's the pair can come within reach, so the sweep is
+        # redone, and it meets bubble 1 at its last stage as the reference does
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.92, 0.0, 0.5, BOUNDARY)]
+        kept, ref, free = (RelaxState(bubbles) for _ in range(3))
+        pairs = SweepPairs()
+        pairs.moves(kept, FORCE)
+        assert pairs.i.tolist() == []
+        for state in (kept, ref, free):
+            state.x[:] = [0.07, 1.85]
+            state.vx[0] = 1.82
+        dyn = DynamicsParams()
+        relax_step(kept, FORCE, dyn, pairs=pairs)
+        jacobi_sweep(ref, FORCE, dyn)
+        for name in ("x", "y", "vx", "vy"):
+            assert np.array_equal(getattr(kept, name), getattr(ref, name))
+        assert (pairs.rebuilds, pairs.redos) == (2, 1)
+        free.alive[1] = False
+        relax_step(free, FORCE, dyn)
+        assert ref.vx[0] != free.vx[0]
 
     def test_kept_bookkeeping_sweeps_as_the_mask_reference(self):
-        # sweeps that keep their pair list, colouring and class layout end
-        # bit for bit where the per-class-mask reference sweep ends
+        # sweeps that keep their pair list and its layout end bit for bit
+        # where the all-pairs reference sweep ends
         domain, bubbles = graded_holed_plate()
         kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
         walls, ref_walls = WallClamp(domain), WallClamp(domain)
         pairs = SweepPairs()
         dyn = DynamicsParams()
         for _ in range(40):
-            assert relax_step(kept, FORCE, dyn, walls, pairs) == mask_sweep(ref, FORCE, dyn,
-                                                                            ref_walls)
+            assert relax_step(kept, FORCE, dyn, walls, pairs) == jacobi_sweep(ref, FORCE, dyn,
+                                                                              ref_walls)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert pairs.rebuilds > 1 and pairs.colour_reuses > 0
-        assert pairs.rebuilds < pairs.plan_builds < 40
+        assert 1 < pairs.rebuilds < 40 and pairs.redos == 0
 
     def test_skin_covers_moves_until_a_rebuild(self):
-        # two bubbles start a fifth of the skin beyond reach and each moves
-        # under half the skin towards the other: the kept list has their
-        # pair; a move past half the skin rebuilds it, and the moved bubble
-        # meets its new neighbour
+        # two bubbles start a fifth of the skin beyond reach and slack, and
+        # each moves under half the skin towards the other: the kept list
+        # has their pair; a move past half the skin rebuilds it, and the
+        # moved bubble meets its new neighbour
         skin = relaxation._SKIN * 0.5
         reach = FORCE.cutoff * 1.0 + 0.25
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(reach + 0.8 * skin, 0.0, 0.5, MOBILE),
                    Bubble(0.0, 4.0, 0.5, MOBILE), Bubble(6.0, 6.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         pairs = SweepPairs()
-        assert not pairs.in_reach(state, FORCE.cutoff).any()
+        assert not pairs.moves(state, FORCE).any()
+        assert not sweep_neighbors(state, FORCE.cutoff, 0.25)[0].size
         state.x[0] += 0.45 * skin
         state.x[1] -= 0.45 * skin
         for expected_rebuilds, pair in ((1, (0, 1)), (2, (2, 3))):
-            mask = pairs.in_reach(state, FORCE.cutoff)
-            got = pairs.i[mask], pairs.j[mask]
-            want = sweep_neighbors(state, FORCE.cutoff)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert pair in set(zip(*(a.tolist() for a in got)))
+            pairs.moves(state, FORCE)
+            want = set(zip(*(a.tolist() for a in sweep_neighbors(state, FORCE.cutoff, 0.25))))
+            assert pair in want
+            assert want <= set(zip(pairs.i.tolist(), pairs.j.tolist()))
             assert pairs.rebuilds == expected_rebuilds
             state.x[2], state.y[2] = 6.0, 4.5
 
@@ -710,6 +713,15 @@ class TestRelaxStep:
         d = math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0])
         assert d == pytest.approx(1.0, abs=0.05)
 
+    def test_huge_time_step_diverges(self):
+        # no walls to project them back: an overlapping pair stepped with a
+        # huge dt leaves the floats, and the sweep says so
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.6, 0.0, 0.5, MOBILE)]
+        state = RelaxState(bubbles)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RelaxationError, match="diverged"):
+            relax_step(state, FORCE, DynamicsParams(dt=1e200))
+        assert state.x.tolist() == [0.0, 0.6]  # nothing written
 
     @pytest.mark.parametrize("outer,hole", [
         (RECTANGLE, SQUARE_HOLE),
@@ -1134,20 +1146,20 @@ class TestRelaxUntilConverged:
                                                strategy="original-qc", qc_period=5, seed=3)
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
-                         (trace.pair_rebuilds, trace.colour_reuses, trace.plan_builds,
-                          trace.wall_checks, trace.qc_insert_attempts, trace.qc_inserts)))
+                         (trace.pair_rebuilds, trace.sweep_redos, trace.wall_checks,
+                          trace.qc_insert_attempts, trace.qc_inserts)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, reuses, builds, wall_checks, attempts, inserts = runs[0][2]
-        assert rebuilds > 1 and wall_checks > 0 and reuses > 0
-        assert rebuilds < builds and attempts > inserts > 0
+        rebuilds, redos, wall_checks, attempts, inserts = runs[0][2]
+        assert 1 < rebuilds < 30 and wall_checks > 0 and redos == 0
+        assert attempts > inserts > 0
 
     def test_energy_dissipation_proxy(self):
         # no QC, small dt: the decay envelope of the max net force (running
         # 20-sweep maximum) is non-increasing after the first 10 sweeps,
         # within a 5% transient-violation allowance. The raw per-sweep max
-        # oscillates as the Gauss-Seidel wavefront moves between bubbles.
+        # oscillates as the damped bubbles overshoot and swing back.
         domain = square_domain(side=8.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
