@@ -8,7 +8,6 @@ its file syntax follows the field type. CLI flags override file values.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +55,6 @@ class PipelineConfig:
     qc_low: float = 5.0
     qc_high: float = 8.0
     qc_period: int = 10
-    stiffness: float = 1.0
     max_sweeps: int = 400
     stall_window: int = 30
     force_tol_factor: float = 0.01
@@ -150,17 +148,18 @@ def relax_params(cfg: PipelineConfig, bubbles) -> dict:
     force and dynamics scaled to the bubble population.
 
     f0 = k * r_min keeps the cubic law repulsive below tangency and
-    attractive up to the cutoff for every pair scale in the population.
+    attractive up to the cutoff for every pair scale in the population. The
+    stiffness k, c and dt keep their defaults: scaling k scales f0, c^2,
+    1/dt^2 and the force tolerance together, so no other k would change a
+    trajectory in sweeps.
     """
     radii = [b.radius for b in bubbles]
     r_min = min(radii)
     r_mean = float(np.mean(radii))
     return dict(
-        force=ForceParams(k=cfg.stiffness, f0=cfg.stiffness * r_min),
+        force=ForceParams(f0=r_min),
         dyn=DynamicsParams(
-            c=1.4 * math.sqrt(cfg.stiffness),
-            dt=0.2 / math.sqrt(cfg.stiffness),
-            force_tol=cfg.force_tol_factor * cfg.stiffness * r_mean,
+            force_tol=cfg.force_tol_factor * r_mean,
             max_sweeps=cfg.max_sweeps,
             stall_window=cfg.stall_window,
         ),

@@ -5,7 +5,8 @@ outside the domain.
 Relaxation measures it after every sweep, and between two sweeps the
 triangulation barely changes. A `MonitorCache` keeps the last sweep's
 triangulation and repairs it with the Delaunay engine of `delaunay`: filtered
-exact predicates certify the faces and edges that moved vertices touch,
+exact predicates certify every face and interior edge (a relaxation sweep
+moves nearly every vertex, so nothing is gained by picking the moved ones),
 Lawson flips fix the edges that fail, and only the flipped faces and those
 that may have crossed a wall are tested against the domain again. It falls
 back to Qhull when a hull vertex moves, a face inverts, the flips exceed a
@@ -66,11 +67,10 @@ class MonitorCache:
     it. A repair, in this order:
 
     - falls back to Qhull if a hull vertex moved, or if `orient2d_array`
-      does not certify every face with a moved vertex as CCW;
-    - certifies with `illegal_edges` each interior edge with a moved vertex
-      among its quad's four (an edge of four unmoved vertices keeps its
-      diagonal, so a cocircular quad keeps Qhull's choice until a flip
-      reaches it; then the tie rule decides);
+      does not certify every face as CCW;
+    - certifies every interior edge with `illegal_edges` (so an exactly
+      cocircular quad takes the tie rule at its first repair, whether or
+      not its vertices moved);
     - Lawson-flips the edges that fail, falling back to Qhull if a flip
       would invert a face or the flips outnumber the faces;
     - tests against the domain again only the flipped faces and the faces
@@ -153,14 +153,10 @@ class MonitorCache:
         moved = (x != self.x) | (y != self.y)
         if moved.take(self.hull).any():
             return False
-        m = moved.take(self.cols)
-        c = self.cols[:, m[0] | m[1] | m[2]]
-        cx, cy = x.take(c), y.take(c)
-        if (orient2d_array(cx[0], cy[0], cx[1], cy[1], cx[2], cy[2]) <= 0).any():
+        fx, fy = x.take(self.cols), y.take(self.cols)
+        if (orient2d_array(fx[0], fy[0], fx[1], fy[1], fx[2], fy[2]) <= 0).any():
             return False
-        m = moved.take(self.quads)
-        near = np.flatnonzero(m[0] | m[1] | m[2] | m[3])
-        bad = near[illegal_edges(x, y, self.quads[:, near])]
+        bad = np.flatnonzero(illegal_edges(x, y, self.quads))
         flipped = []
         if len(bad):
             flipped, flips = lawson_flip(self.faces, self.nbr, points,
@@ -169,8 +165,8 @@ class MonitorCache:
             if flipped is None:
                 return False
             self._index()
-        self.x, self.y = x, y
-        self.fx, self.fy = x.take(self.cols), y.take(self.cols)
+            fx, fy = x.take(self.cols), y.take(self.cols)
+        self.x, self.y, self.fx, self.fy = x, y, fx, fy
         if self.domain is not None:
             dx = self.fx.sum(axis=0) - self.sx
             dy = self.fy.sum(axis=0) - self.sy

@@ -262,26 +262,23 @@ _QUERY_PAD = 1.0 + 1e-9
 # ---------------------------------------------------------------------------
 # One relaxation sweep
 
-_SKIN = 0.3  # Verlet skin of the sweep pair list, in units of the largest radius
-
-
 class SweepPairs:
     """Verlet pair list (Verlet 1967) of one relaxation, with the sweep's
     force terms laid out over it, kept from sweep to sweep. It holds the
     directed pairs (i, j), i mobile and j any other alive bubble, within
-    force reach cutoff * (r_i + r_j) plus a margin at the positions of its
+    force reach cutoff * (r_i + r_j) plus a `margin` at the positions of its
     build, sorted by i, then j. The margin is a slack of half the largest
-    radius for the moves during a sweep and a skin for the moves between
-    builds. Laid out with the list: `members` (the alive mobile slots,
-    ascending), `bins` (each pair's owner, the row of i among the members,
-    then the owners again offset by the member count: the bins of the
-    forces' x then y components), rest length l0 = r_i + r_j and the
-    `_cubic_law` terms `law`.
+    radius, or the failed sweep's stage displacement when that is wider.
+    Laid out with the list: `members` (the alive mobile slots, ascending),
+    `bins` (each pair's owner, the row of i among the members, then the
+    owners again offset by the member count: the bins of the forces' x then
+    y components), rest length l0 = r_i + r_j and the `_cubic_law` terms
+    `law`.
 
-    It is built again once a bubble has moved half the skin, when the force
-    law or the alive set (and with it the radii) changes, and when a sweep
-    fails `certified`. `rebuilds` counts the builds and `redos` the sweeps
-    done again over a list built for them."""
+    It is built again when the force law or the alive set (and with it the
+    radii) changes, and when a sweep fails `certified`. `rebuilds` counts
+    the builds and `redos` the sweeps done again over a list built for
+    them."""
 
     def __init__(self):
         self.rebuilds = 0
@@ -290,12 +287,10 @@ class SweepPairs:
 
     def moves(self, state: RelaxState, force: ForceParams) -> np.ndarray:
         """Each slot's distance from where the list's build found it, after
-        building the list again if it has gone stale."""
+        building the list again if the force law or the alive set changed."""
         if (self._key is not None and self._key[0] == force
                 and np.array_equal(self._key[1], state.alive)):
-            moved = np.hypot(state.x - self._x, state.y - self._y)
-            if moved.max(initial=0.0) <= self._limit:
-                return moved
+            return np.hypot(state.x - self._x, state.y - self._y)
         self._build(state, force)
         return np.zeros(len(state.alive))
 
@@ -312,13 +307,16 @@ class SweepPairs:
         """The list with a slack of half the largest radius, or `slack`
         when that is wider."""
         r_max = state.max_radius()
-        slack, skin = max(0.5 * r_max, slack), _SKIN * r_max
+        slack = max(0.5 * r_max, slack)
         ids = state.alive_indices()
         px, py, pr = state.x[ids], state.y[ids], state.r[ids]
+        if len(ids) and not np.isfinite(np.ptp(px) ** 2 + np.ptp(py) ** 2):
+            # the k-d tree squares the extent of the points
+            raise RelaxationError("dynamics diverged; reduce dt")
         a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-            (2.0 * force.cutoff * r_max + slack + skin) * _QUERY_PAD,
+            (2.0 * force.cutoff * r_max + slack) * _QUERY_PAD,
             output_type="ndarray").T
-        reach = force.cutoff * (pr[a] + pr[b]) + slack + skin
+        reach = force.cutoff * (pr[a] + pr[b]) + slack
         near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
         a, b = a[near], b[near]
         i = ids[np.concatenate([a, b])]
@@ -332,10 +330,9 @@ class SweepPairs:
         self.bins = np.concatenate([owner, owner + len(self.members)])
         self.l0 = state.r[self.i] + state.r[self.j]
         self.law = _cubic_law(self.l0, force)
-        self.margin = slack + skin
+        self.margin = slack
         self._key = (force, state.alive.copy())
         self._x, self._y = state.x.copy(), state.y.copy()
-        self._limit = 0.5 * skin
         self.rebuilds += 1
 
 

@@ -176,9 +176,9 @@ class TestMinAngleMonitor:
 
     def test_jittered_cocircular_lattice_within_1e12_degrees(self, rng):
         # every unit square of the lattice is cocircular; once some corners
-        # move, the squares that kept theirs keep the diagonal of the first
-        # Qhull call, which a fresh call may choose otherwise; either
-        # diagonal gives the same smallest angle
+        # move, the squares that kept theirs take the tie rule's diagonal,
+        # which a fresh Qhull call may choose otherwise; either diagonal
+        # gives the same smallest angle
         i, j = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
         pts = np.column_stack([i.ravel(), j.ravel()]).astype(float)
         inner = np.flatnonzero((pts > 0).all(axis=1) & (pts < 11).all(axis=1))

@@ -257,14 +257,12 @@ class TestSurfaceRelaxationKeys:
 
         monkeypatch.setattr(remesh, "relax_until_converged", capture)
         cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3",
-                                     stiffness="2.0", force_tol_factor="0.05",
+                                     force_tol_factor="0.05",
                                      stall_window="7", qc="original"))
         run_surface_pipeline(cfg)
-        assert seen["force"].k == 2.0
         assert seen["dyn"].max_sweeps == 3
         assert seen["dyn"].stall_window == 7
-        assert seen["dyn"].c == pytest.approx(1.4 * np.sqrt(2.0))
-        assert seen["dyn"].force_tol == pytest.approx(0.05 * 2.0 * seen["r_mean"])
+        assert seen["dyn"].force_tol == pytest.approx(0.05 * seen["r_mean"])
         assert seen["strategy"] == "original-qc"
 
 
@@ -305,6 +303,34 @@ class TestCompareQC:
                 orig_at_budget = row[3]
         assert new_t.final_min_angle >= orig_at_budget - 1e-9
         assert "time ratio" in result["summary"]
+
+    def test_surface_source_gives_both_strategies_the_same_bubbles(self, tmp_path,
+                                                                   monkeypatch):
+        # compare_source = surface: both strategies start from the bubbles
+        # reconstructed on the flattened sphere patch, in the same domain
+        from bubblemesh import pipeline
+        from bubblemesh.packing import INTERIOR_ANCHOR
+        seen = {}
+        real = pipeline._relax
+
+        def capture(cfg, domain, bubbles, strategy=None):
+            seen[strategy] = (domain, [(b.x, b.y, b.radius, b.kind) for b in bubbles])
+            return real(cfg, domain, bubbles, strategy=strategy)
+
+        monkeypatch.setattr(pipeline, "_relax", capture)
+        cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path / "cmp"),
+                                     mode="compare-qc", compare_source="surface",
+                                     epsilon="0.0005", max_sweeps="12"))
+        result = pipeline.run_compare_qc(cfg)
+        _, want = pipeline.compare_initial_bubbles(cfg)
+        want = [(b.x, b.y, b.radius, b.kind) for b in want]
+        (new_domain, new), (original_domain, original) = seen["new-qc"], seen["original-qc"]
+        assert new == original == want
+        assert new_domain is original_domain
+        assert any(kind == INTERIOR_ANCHOR for *_, kind in want)
+        for label in ("new", "original"):
+            assert 0 < result[label]["trace"].sweeps <= 12
+            assert (result["out"] / f"trace_{label}.csv").exists()
 
 
 def test_stage_labels_failures():

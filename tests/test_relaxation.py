@@ -511,49 +511,57 @@ def graded_plate_runs(dyn):
 
 class TestSweepPairs:
     def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
-        # at every sweep of a new-qc run and of an original-qc run the list
-        # holds the pairs within reach and slack of a fresh k-d tree query,
-        # and a list just built holds those within reach, slack and skin
+        # in a new-qc run and an original-qc run, a list just built holds
+        # the pairs within reach and slack of a fresh k-d tree query, the
+        # slack being half the largest radius or the failed sweep's stage
+        # displacement when that is wider; it is built at the start, when
+        # the alive set changes and when a sweep is redone, and only then
         seen = []
-        moves = SweepPairs.moves
+        moves, build = SweepPairs.moves, SweepPairs._build
 
-        def checked(self, state, force):
-            builds = self.rebuilds
-            moved = moves(self, state, force)
-            r_max = state.max_radius()
-            listed = set(zip(self.i.tolist(), self.j.tolist()))
-            assert set(zip(*(a.tolist() for a in sweep_neighbors(
-                state, force.cutoff, 0.5 * r_max)))) <= listed
-            if self.rebuilds > builds:
-                want = sweep_neighbors(state, force.cutoff, (0.5 + relaxation._SKIN) * r_max)
-                assert np.array_equal(self.i, want[0]) and np.array_equal(self.j, want[1])
-            seen.append((frozenset(state.alive_indices().tolist()), r_max))
-            return moved
+        def checked_build(self, state, force, slack=0.0):
+            build(self, state, force, slack)
+            assert self.margin == max(0.5 * state.max_radius(), slack)
+            want = sweep_neighbors(state, force.cutoff, self.margin)
+            assert np.array_equal(self.i, want[0]) and np.array_equal(self.j, want[1])
 
-        monkeypatch.setattr(SweepPairs, "moves", checked)
+        def kept(self, state, force):
+            seen.append((frozenset(state.alive_indices().tolist()), state.max_radius()))
+            return moves(self, state, force)
+
+        monkeypatch.setattr(SweepPairs, "_build", checked_build)
+        monkeypatch.setattr(SweepPairs, "moves", kept)
         dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
         new, original = graded_plate_runs(dyn)
         assert len(seen) == new.sweeps + original.sweeps == 80
-        assert 1 < new.pair_rebuilds < new.sweeps and new.sweep_redos == 0
+        assert new.pair_rebuilds == 1 + new.sweep_redos < new.sweeps
+        assert new.sweep_redos > 0
         seen = seen[40:]
         alive = [slots for slots, _ in seen]
         assert any(b - a for a, b in zip(alive, alive[1:]))   # an insertion
         assert any(a - b for a, b in zip(alive, alive[1:]))   # a deletion
         assert seen[0][1] == 0.9 and seen[-1][1] == 0.5
         population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
-        assert original.pair_rebuilds > 1 + population_changes  # moves rebuilt it too
+        assert original.sweep_redos > 0
+        assert original.pair_rebuilds == 1 + population_changes + original.sweep_redos
 
     def test_no_unlisted_pair_within_reach_at_any_stage(self, monkeypatch):
-        # at every force evaluation of both runs, every pair within its
-        # force reach (a member at its stage position, the other bubble at
-        # its start-of-sweep position) is on the list, and no sweep is redone
+        # at every force evaluation of the sweeps that pass the certificate,
+        # in both runs, every pair within its force reach (a member at its
+        # stage position, the other bubble at its start-of-sweep position)
+        # is on the list
         at = {}
-        evaluations = []
+        evaluations, verdicts = [], []
         moves, rk4 = SweepPairs.moves, relaxation.rk4_damped_step
+        certified = SweepPairs.certified
 
         def kept(self, state, force):
             at.update(pairs=self, state=state, cutoff=force.cutoff)
             return moves(self, state, force)
+
+        def judged(self, moved, stage):
+            verdicts.append(certified(self, moved, stage))
+            return verdicts[-1]
 
         def checked_rk4(x, v, force_fn, *args):
             def checked(p):
@@ -565,25 +573,28 @@ class TestSweepPairs:
                 i, j = np.nonzero(dx * dx + dy * dy < reach * reach)
                 i, j = pairs.members[i], ids[j]
                 within = (i * n + j)[i != j]
-                assert np.isin(within, pairs.i * n + pairs.j).all()
-                evaluations.append(len(within))
+                evaluations.append(np.isin(within, pairs.i * n + pairs.j).all())
                 return force_fn(p)
 
             return rk4(x, v, checked, *args)
 
         monkeypatch.setattr(SweepPairs, "moves", kept)
+        monkeypatch.setattr(SweepPairs, "certified", judged)
         monkeypatch.setattr(relaxation, "rk4_damped_step", checked_rk4)
         traces = graded_plate_runs(DynamicsParams())
-        assert len(evaluations) == 4 * sum(trace.sweeps for trace in traces)
-        assert [trace.sweep_redos for trace in traces] == [0, 0]
+        attempts = sum(trace.sweeps + trace.sweep_redos for trace in traces)
+        assert len(evaluations) == 4 * attempts == 4 * len(verdicts)
+        assert sum(verdicts) == sum(trace.sweeps for trace in traces) < attempts
+        listed = np.reshape(evaluations, (-1, 4)).all(axis=1)
+        assert listed[verdicts].all()
 
     @pytest.mark.parametrize("speed", [18.5, 10.0])
     def test_listed_pair_closing_mid_sweep_gets_its_force(self, speed):
-        # bubble 0 starts 1.85 from bubble 1, listed (reach + slack + skin
-        # is 1.9) but out of reach (1.5), and its velocity takes its RK4
+        # bubble 0 starts 1.85 from bubble 1, listed (reach + slack is
+        # 1.925) but out of reach (1.65), and its velocity takes its RK4
         # midpoint stage onto bubble 1 (a coincident pair) or 0.85 from it:
         # the pair gets its force there, as the all-pairs reference gives it
-        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.85, 0.0, 0.5, MOBILE)]
+        bubbles = [Bubble(0.0, 0.0, 0.55, MOBILE), Bubble(1.85, 0.0, 0.55, MOBILE)]
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
         kept.vx[0] = ref.vx[0] = free.vx[0] = speed
         pairs = SweepPairs()
@@ -598,7 +609,7 @@ class TestSweepPairs:
         assert (ref.y[0] != 0.0) == (speed == 18.5)  # the coincident push
 
     def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
-        # bubble 0 starts 2.5 from bubble 1, beyond the list (1.9), and its
+        # bubble 0 starts 2.5 from bubble 1, beyond the list (1.75), and its
         # stages pass within 0.65 of it: its stage moves fail the
         # certificate, and the sweep is done again once over a list wide
         # enough to hold the pair, ending where the all-pairs reference ends
@@ -618,20 +629,20 @@ class TestSweepPairs:
         assert ref.x[0] != free.x[0]  # bubble 1 pushed it back
 
     def test_neighbours_move_counts_against_the_margin(self):
-        # the list holds pairs within reach + 0.4 (slack 0.25, skin 0.15);
-        # bubble 1 starts 0.02 beyond it, then both bubbles move 0.07 (under
-        # half the skin, so the list is kept) towards each other, and bubble
-        # 0's stages move it another ~0.32: its own moves fit the margin, but
-        # with bubble 1's the pair can come within reach, so the sweep is
-        # redone, and it meets bubble 1 at its last stage as the reference does
-        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.92, 0.0, 0.5, BOUNDARY)]
+        # the list holds pairs within reach + 0.25 (the slack); bubble 1
+        # starts 0.02 beyond it, then both bubbles move 0.05 towards each
+        # other, and bubble 0's stages move it another ~0.185: its own moves
+        # fit the margin, but with bubble 1's the pair can come within
+        # reach, so the sweep is redone, and it meets bubble 1 at its last
+        # stage as the reference does
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.77, 0.0, 0.5, BOUNDARY)]
         kept, ref, free = (RelaxState(bubbles) for _ in range(3))
         pairs = SweepPairs()
         pairs.moves(kept, FORCE)
         assert pairs.i.tolist() == []
         for state in (kept, ref, free):
-            state.x[:] = [0.07, 1.85]
-            state.vx[0] = 1.82
+            state.x[:] = [0.05, 1.72]
+            state.vx[0] = 1.05
         dyn = DynamicsParams()
         relax_step(kept, FORCE, dyn, pairs=pairs)
         jacobi_sweep(ref, FORCE, dyn)
@@ -655,30 +666,7 @@ class TestSweepPairs:
                                                                               ref_walls)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert 1 < pairs.rebuilds < 40 and pairs.redos == 0
-
-    def test_skin_covers_moves_until_a_rebuild(self):
-        # two bubbles start a fifth of the skin beyond reach and slack, and
-        # each moves under half the skin towards the other: the kept list
-        # has their pair; a move past half the skin rebuilds it, and the
-        # moved bubble meets its new neighbour
-        skin = relaxation._SKIN * 0.5
-        reach = FORCE.cutoff * 1.0 + 0.25
-        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(reach + 0.8 * skin, 0.0, 0.5, MOBILE),
-                   Bubble(0.0, 4.0, 0.5, MOBILE), Bubble(6.0, 6.0, 0.5, MOBILE)]
-        state = RelaxState(bubbles)
-        pairs = SweepPairs()
-        assert not pairs.moves(state, FORCE).any()
-        assert not sweep_neighbors(state, FORCE.cutoff, 0.25)[0].size
-        state.x[0] += 0.45 * skin
-        state.x[1] -= 0.45 * skin
-        for expected_rebuilds, pair in ((1, (0, 1)), (2, (2, 3))):
-            pairs.moves(state, FORCE)
-            want = set(zip(*(a.tolist() for a in sweep_neighbors(state, FORCE.cutoff, 0.25))))
-            assert pair in want
-            assert want <= set(zip(pairs.i.tolist(), pairs.j.tolist()))
-            assert pairs.rebuilds == expected_rebuilds
-            state.x[2], state.y[2] = 6.0, 4.5
+        assert 1 < pairs.rebuilds == 1 + pairs.redos < 40
 
 
 class TestRelaxStep:
@@ -722,6 +710,25 @@ class TestRelaxStep:
                 pytest.raises(RelaxationError, match="diverged"):
             relax_step(state, FORCE, DynamicsParams(dt=1e200))
         assert state.x.tolist() == [0.0, 0.6]  # nothing written
+
+    @pytest.mark.parametrize("dt", [5.0, 10.0, 100.0, 1e10, 1e200])
+    def test_unstable_time_step_diverges_with_a_kept_list(self, dt):
+        # an overlapping pair stepped over and over with an unstable dt and
+        # a kept pair list: the relaxation says it diverged, whatever step
+        # first meets the floats' limits
+        state = RelaxState([Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.3, 0.0, 0.5, MOBILE)])
+        pairs, dyn = SweepPairs(), DynamicsParams(dt=dt)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RelaxationError, match="diverged"):
+            for _ in range(1000):
+                relax_step(state, FORCE, dyn, pairs=pairs)
+
+    def test_list_build_past_the_float_range_diverges(self):
+        # bubbles whose squared extent overflows the floats cannot be put in
+        # a k-d tree; building the pair list over them says they diverged
+        state = RelaxState([Bubble(-1e154, 0.0, 0.5, MOBILE), Bubble(1e154, 0.0, 0.5, MOBILE)])
+        with np.errstate(over="ignore"), pytest.raises(RelaxationError, match="diverged"):
+            SweepPairs().moves(state, FORCE)
 
     @pytest.mark.parametrize("outer,hole", [
         (RECTANGLE, SQUARE_HOLE),
@@ -1151,8 +1158,8 @@ class TestRelaxUntilConverged:
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, redos, wall_checks, attempts, inserts = runs[0][2]
-        assert 1 < rebuilds < 30 and wall_checks > 0 and redos == 0
+        rebuilds, _, wall_checks, attempts, inserts = runs[0][2]
+        assert 1 < rebuilds < 30 and wall_checks > 0
         assert attempts > inserts > 0
 
     def test_energy_dissipation_proxy(self):
