@@ -149,9 +149,10 @@ def relax_params(cfg: PipelineConfig, bubbles) -> dict:
 
     f0 = k * r_min keeps the cubic law repulsive below tangency and
     attractive up to the cutoff for every pair scale in the population. The
-    stiffness k, c and dt keep their defaults: scaling k scales f0, c^2,
-    1/dt^2 and the force tolerance together, so no other k would change a
-    trajectory in sweeps.
+    stiffness k, c and dt keep their defaults (`DynamicsParams`: c = 1.4,
+    and dt = 0.4 for the one-evaluation semi-implicit Euler step): scaling k
+    scales f0, c^2, 1/dt^2 and the force tolerance together, so no other k
+    would change a trajectory in sweeps.
     """
     radii = [b.radius for b in bubbles]
     r_min = min(radii)

@@ -1,21 +1,23 @@
 """Physically-based bubble relaxation and quantity control.
 
-Each bubble obeys m x'' + c x' = f where f sums pairwise interaction forces;
-the ODE is integrated with classical RK4. A sweep steps every mobile bubble
-at once (Jacobi), each against every other bubble frozen at its
-start-of-sweep position, as one RK4 step on (2,k) arrays. Two
-quantity-control strategies are provided: the original alternating
-insert/delete pass driven by a summed overlap ratio, and the
+Each bubble obeys m x'' + c x' = f where f sums pairwise interaction forces.
+Relaxation needs only the equilibrium, not an accurate trajectory, so the
+ODE is integrated with a damped semi-implicit Euler step, one force
+evaluation per sweep (bubble meshing as published uses classical RK4, four).
+A sweep steps every mobile bubble at once (Jacobi), each against every
+other bubble frozen at its start-of-sweep position, as one step on (2,k)
+arrays. Two quantity-control strategies are provided: the original
+alternating insert/delete pass driven by a summed overlap ratio, and the
 boundary-region pass that prunes bubbles overlapping anchors once, before
 any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
 with the same result: a `SweepPairs` Verlet list with the force terms laid
 out over it, and the wall clamp's room per bubble (`walls.WallClamp`). Each
-sweep is certified after its step: unless every bubble's move since the
-list was built and its RK4 stage displacements stay within the list's
-margin, an unlisted pair may have come within reach, and the sweep is done
-again over a list built again. After every sweep the min-angle monitor
+sweep is certified before its force evaluation: unless every bubble's move
+since the list was built stays within the list's margin, an unlisted pair
+may have come within reach, and the list is built again first. After every
+sweep the min-angle monitor
 (`monitor.triangulation_min_angle`, looked up here at call time) measures
 the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
 the last sweep's triangulation instead of building a new one.
@@ -62,13 +64,14 @@ class ForceParams:
 class DynamicsParams:
     """Mass-spring-damper integration and convergence controls.
 
-    Defaults realize near-critical damping c = 1.4*sqrt(m*k) and
-    dt = 0.2*sqrt(m/k) at unit mass and stiffness.
+    Defaults realize near-critical damping c = 1.4*sqrt(m*k) and the
+    semi-implicit Euler step dt = 0.4*sqrt(m/k) at unit mass and stiffness;
+    the step is unstable at dt = 0.8.
     """
 
     m: float = 1.0
     c: float = 1.4
-    dt: float = 0.2
+    dt: float = 0.4
     force_tol: float = 1e-3
     max_sweeps: int = 400
     stall_window: int = 30
@@ -86,8 +89,8 @@ class ConvergenceTrace:
     under tolerance), "stall" (min angle flat over the stall window) or
     "sweep-cap" (neither before max_sweeps; not converged). The counters,
     deterministic and not written to the CSV: `pair_rebuilds` (Verlet pair
-    list builds), `sweep_redos` (sweeps that failed the list's certificate
-    and were done again over a list built again), `wall_checks` (rows sent
+    list builds: the first, one per population change and one per sweep
+    that starts without the list's certificate), `wall_checks` (rows sent
     through the wall clamp's full check), and original-qc's
     `qc_insert_attempts` (bubbles whose summed overlap asked for an
     insertion) and `qc_inserts` (insertions placed).
@@ -99,7 +102,6 @@ class ConvergenceTrace:
         self.converged_sweep: int | None = None
         self.stop_reason = "sweep-cap"
         self.pair_rebuilds = 0
-        self.sweep_redos = 0
         self.wall_checks = 0
         self.qc_insert_attempts = 0
         self.qc_inserts = 0
@@ -190,7 +192,10 @@ def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
 
 def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
                     dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of m x'' + c x' = f(x) with frozen surroundings."""
+    """One classical RK4 step of m x'' + c x' = f(x) with frozen surroundings.
+
+    The integrator of bubble meshing as published; no relaxation sweep calls
+    it (`relax_step` takes one semi-implicit Euler step)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     a1 = (force_fn(x) - c * v) / m
@@ -267,8 +272,7 @@ class SweepPairs:
     force terms laid out over it, kept from sweep to sweep. It holds the
     directed pairs (i, j), i mobile and j any other alive bubble, within
     force reach cutoff * (r_i + r_j) plus a `margin` at the positions of its
-    build, sorted by i, then j. The margin is a slack of half the largest
-    radius, or the failed sweep's stage displacement when that is wider.
+    build, sorted by i, then j. The margin is half the largest radius.
     Laid out with the list: `members` (the alive mobile slots, ascending),
     `bins` (each pair's owner, the row of i among the members, then the
     owners again offset by the member count: the bins of the forces' x then
@@ -276,13 +280,11 @@ class SweepPairs:
     `law`.
 
     It is built again when the force law or the alive set (and with it the
-    radii) changes, and when a sweep fails `certified`. `rebuilds` counts
-    the builds and `redos` the sweeps done again over a list built for
-    them."""
+    radii) changes, and when a sweep starts without being `certified`.
+    `rebuilds` counts the builds."""
 
     def __init__(self):
         self.rebuilds = 0
-        self.redos = 0
         self._key = None
 
     def moves(self, state: RelaxState, force: ForceParams) -> np.ndarray:
@@ -294,29 +296,25 @@ class SweepPairs:
         self._build(state, force)
         return np.zeros(len(state.alive))
 
-    def certified(self, moved: np.ndarray, stage: np.ndarray) -> bool:
-        """Whether no unlisted pair can have come within force reach at a
-        sweep's RK4 stages, from each slot's `moves` at the start of the
-        sweep and each member's largest stage displacement. The neighbours
-        stay at their start positions, so a pair closes by at most its
-        member's move and stage displacement plus its neighbour's move."""
-        return ((moved.take(self.members) + stage).max(initial=0.0)
-                + moved.max(initial=0.0) <= self.margin)
+    def certified(self, moved: np.ndarray) -> bool:
+        """Whether no unlisted pair can have come within force reach, from
+        each slot's `moves` at the start of a sweep. The sweep evaluates its
+        forces at those positions only, so a pair has closed by at most its
+        member's move plus its neighbour's move."""
+        return moved.take(self.members).max(initial=0.0) + moved.max(initial=0.0) <= self.margin
 
-    def _build(self, state: RelaxState, force: ForceParams, slack: float = 0.0):
-        """The list with a slack of half the largest radius, or `slack`
-        when that is wider."""
+    def _build(self, state: RelaxState, force: ForceParams):
         r_max = state.max_radius()
-        slack = max(0.5 * r_max, slack)
+        margin = 0.5 * r_max
         ids = state.alive_indices()
         px, py, pr = state.x[ids], state.y[ids], state.r[ids]
         if len(ids) and not np.isfinite(np.ptp(px) ** 2 + np.ptp(py) ** 2):
             # the k-d tree squares the extent of the points
             raise RelaxationError("dynamics diverged; reduce dt")
         a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-            (2.0 * force.cutoff * r_max + slack) * _QUERY_PAD,
+            (2.0 * force.cutoff * r_max + margin) * _QUERY_PAD,
             output_type="ndarray").T
-        reach = force.cutoff * (pr[a] + pr[b]) + slack
+        reach = force.cutoff * (pr[a] + pr[b]) + margin
         near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
         a, b = a[near], b[near]
         i = ids[np.concatenate([a, b])]
@@ -330,7 +328,7 @@ class SweepPairs:
         self.bins = np.concatenate([owner, owner + len(self.members)])
         self.l0 = state.r[self.i] + state.r[self.j]
         self.law = _cubic_law(self.l0, force)
-        self.margin = slack
+        self.margin = margin
         self._key = (force, state.alive.copy())
         self._x, self._y = state.x.copy(), state.y.copy()
         self.rebuilds += 1
@@ -345,63 +343,43 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     `walls`, a bubble that ends its step without a radius of clearance from
     the domain boundary is projected back and stopped.
 
-    The members take one RK4 step on (2,k) arrays over the pairs of `pairs`
-    (a fresh `SweepPairs` when None), each listed pair with its force, 0
-    beyond its reach, at every stage, summed per bubble in ascending
-    neighbour order. A sweep that fails the list's certificate is done
-    again from the same start over a list built again, with a slack as wide
-    as the failed sweep's stage displacements when they exceed half the
-    largest radius.
+    The members take one damped semi-implicit Euler step on (2,k) arrays,
+    v1 = v0 + dt (f - c v0) / m, then p1 = p0 + dt v1, with f the forces at
+    the start positions: each pair of `pairs` (a fresh `SweepPairs` when
+    None) with its force, 0 beyond its reach, summed per bubble in ascending
+    neighbour order. The list is built again first when the bubbles' moves
+    since its build fail its certificate.
     """
     pairs = SweepPairs() if pairs is None else pairs
-    moved = pairs.moves(state, force)
-    members = pairs.members
+    if not pairs.certified(pairs.moves(state, force)):
+        pairs._build(state, force)
+    members, i, j, bins = pairs.members, pairs.i, pairs.j, pairs.bins
     if not len(members):
         return 0.0
     x, y, k = state.x, state.y, len(members)
     p0 = np.stack([x.take(members), y.take(members)])
     v0 = np.stack([state.vx.take(members), state.vy.take(members)])
-    while True:
-        i, j, bins, l0, law = pairs.i, pairs.j, pairs.bins, pairs.l0, pairs.law
-        owner = bins[:len(i)]
-        pj = np.stack([x.take(j), y.take(j)])
-        stage = np.zeros(k)  # squared, then the largest stage displacement
-        evaluations = []
-
-        def net(p):
-            # force that bubble j exerts on bubble i, summed per row of i
-            off = p - p0
-            off *= off
-            np.maximum(stage, off[0] + off[1], out=stage)
-            d = p.take(owner, axis=1) - pj
-            dd = d * d
-            l = np.sqrt(dd[0] + dd[1])
-            coincident = np.flatnonzero(l < _COINCIDENT)
-            l[coincident] = 1.0
-            f = force_magnitude(l, l0, force, law) * d / l
-            for e in coincident.tolist():
-                f[:, e] = _coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
-            f = np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
-            evaluations.append(f)
-            return f
-
-        p1, v1 = rk4_damped_step(p0, v0, net, dyn.m, dyn.c, dyn.dt)
-        if not all(np.isfinite(a).all() for a in (p1, v1, stage)):
-            raise RelaxationError("dynamics diverged; reduce dt")
-        np.sqrt(stage, out=stage)
-        if pairs.certified(moved, stage):
-            break
-        pairs.redos += 1
-        pairs._build(state, force, float(stage.max()))
-        moved = np.zeros(len(state.alive))
-    f1 = evaluations[0]
+    # force that bubble j exerts on bubble i, summed per row of i
+    d = p0.take(bins[:len(i)], axis=1) - np.stack([x.take(j), y.take(j)])
+    dd = d * d
+    l = np.sqrt(dd[0] + dd[1])
+    coincident = np.flatnonzero(l < _COINCIDENT)
+    l[coincident] = 1.0
+    f = force_magnitude(l, pairs.l0, force, pairs.law) * d / l
+    for e in coincident.tolist():
+        f[:, e] = _coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
+    f = np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
+    v1 = v0 + dyn.dt * (f - dyn.c * v0) / dyn.m
+    p1 = p0 + dyn.dt * v1
+    if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
+        raise RelaxationError("dynamics diverged; reduce dt")
     if walls is not None:
         p1, stopped = walls.clamp(members, p1.T, state.r[members])
         p1 = p1.T
         v1[:, stopped] = 0.0
     x[members], y[members] = p1
     state.vx[members], state.vy[members] = v1
-    return float(np.sqrt(f1[0] * f1[0] + f1[1] * f1[1]).max())
+    return float(np.sqrt(f[0] * f[0] + f[1] * f[1]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +571,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             trace.stop_reason = reason
             break
 
-    trace.pair_rebuilds, trace.sweep_redos = pairs.rebuilds, pairs.redos
+    trace.pair_rebuilds = pairs.rebuilds
     trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

@@ -44,48 +44,45 @@ def sweep_neighbors(state, cutoff, margin):
     return i[order], j[order]
 
 
+def euler_step(x, v, f, dyn):
+    """The damped semi-implicit Euler step of m x'' + c x' = f that a sweep
+    takes: the new velocity first, then the position with it."""
+    v1 = v + dyn.dt * (f - dyn.c * v) / dyn.m
+    return x + dyn.dt * v1, v1
+
+
 def jacobi_sweep(state, force, dyn, walls=None):
     """One sweep as a fresh all-pairs list gives it: every mobile bubble
     steps at once against every other alive bubble at its start-of-sweep
     position, its forces summed in ascending neighbour order. A pair beyond
     its force reach adds an exact zero, so relax_step, over a list holding
-    every pair that comes within reach, must end here bit for bit."""
+    every pair within reach, must end here bit for bit."""
     x, y, r = state.x, state.y, state.r
     members, ids = state.mobile_indices(), state.alive_indices()
     i, j = np.repeat(members, len(ids)), np.tile(ids, len(members))
     i, j = i[i != j], j[i != j]
     owner = np.searchsorted(members, i)
-    l0 = r[i] + r[j]
-    xj, yj = x[j], y[j]
-    evaluations = []
-
-    def net(p):
-        dx, dy = p[owner, 0] - xj, p[owner, 1] - yj
-        l = np.sqrt(dx * dx + dy * dy)
-        coincident = l < 1e-12
-        l = np.where(coincident, 1.0, l)
-        mag = force_magnitude(l, l0, force)
-        fx, fy = mag * dx / l, mag * dy / l
-        for e in np.flatnonzero(coincident).tolist():
-            a, b = int(i[e]), int(j[e])
-            ux, uy = hashed_unit_direction(min(a, b), max(a, b), state.seed)
-            sign = force.f0 if a < b else -force.f0
-            fx[e], fy[e] = sign * ux, sign * uy
-        f = np.column_stack([np.bincount(owner, fx, len(members)),
-                             np.bincount(owner, fy, len(members))])
-        evaluations.append(f)
-        return f
-
-    p1, v1 = rk4_damped_step(state.positions(members),
-                             np.column_stack([state.vx[members], state.vy[members]]),
-                             net, dyn.m, dyn.c, dyn.dt)
-    f1 = evaluations[0]
+    p0 = state.positions(members)
+    dx, dy = p0[owner, 0] - x[j], p0[owner, 1] - y[j]
+    l = np.sqrt(dx * dx + dy * dy)
+    coincident = l < 1e-12
+    l = np.where(coincident, 1.0, l)
+    mag = force_magnitude(l, r[i] + r[j], force)
+    fx, fy = mag * dx / l, mag * dy / l
+    for e in np.flatnonzero(coincident).tolist():
+        a, b = int(i[e]), int(j[e])
+        ux, uy = hashed_unit_direction(min(a, b), max(a, b), state.seed)
+        sign = force.f0 if a < b else -force.f0
+        fx[e], fy[e] = sign * ux, sign * uy
+    f = np.column_stack([np.bincount(owner, fx, len(members)),
+                         np.bincount(owner, fy, len(members))])
+    p1, v1 = euler_step(p0, np.column_stack([state.vx[members], state.vy[members]]), f, dyn)
     if walls is not None:
         p1, stopped = walls.clamp(members, p1, r[members])
         v1[stopped] = 0.0
     x[members], y[members] = p1.T
     state.vx[members], state.vy[members] = v1.T
-    return float(np.sqrt(f1[:, 0] * f1[:, 0] + f1[:, 1] * f1[:, 1]).max())
+    return float(np.sqrt(f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]).max())
 
 
 def project_inside_loop(domain, x, y, radius):
@@ -401,7 +398,7 @@ class TestPairForce:
         assert np.linalg.norm(f1) == pytest.approx(FORCE.f0, rel=1e-12)
 
 
-class TestRK4:
+class TestStep:
     def test_matches_damped_closed_form(self):
         # m x'' + c x' = f with constant f has a closed-form response
         m, c, dt = 1.0, 1.0, 0.05
@@ -417,22 +414,15 @@ class TestRK4:
 
     def test_sweep_matches_reference_integrator(self):
         # a mobile bubble among frozen ones advances exactly like the
-        # reference single-bubble RK4 step
+        # reference single-bubble semi-implicit Euler step
         frozen = [Bubble(0.0, 0.0, 0.5, BOUNDARY), Bubble(1.4, 0.0, 0.5, BOUNDARY)]
         mobile = Bubble(0.6, 0.4, 0.5, MOBILE)
         dyn = DynamicsParams()
         state = RelaxState(frozen + [mobile])
         relax_step(state, FORCE, dyn)
 
-        def net(x):
-            total = np.zeros(2)
-            probe = Bubble(x[0], x[1], 0.5)
-            for b in frozen:
-                total += pair_force(probe, b, FORCE)
-            return total
-
-        x1, v1 = rk4_damped_step(np.array([0.6, 0.4]), np.zeros(2), net,
-                                 dyn.m, dyn.c, dyn.dt)
+        net = sum((pair_force(mobile, b, FORCE) for b in frozen), np.zeros(2))
+        x1, v1 = euler_step(np.array([0.6, 0.4]), np.zeros(2), net, dyn)
         assert state.x[2] == pytest.approx(x1[0], abs=1e-14)
         assert state.y[2] == pytest.approx(x1[1], abs=1e-14)
 
@@ -455,14 +445,10 @@ class TestRK4:
             if b.kind == BOUNDARY:
                 continue
 
-            def net(x):
-                probe = Bubble(x[0], x[1], b.radius)
-                return sum((pair_force(probe, other, FORCE, i, j)
-                            for j, other in enumerate(bubbles) if j != i), np.zeros(2))
-
-            ref_max_f = max(ref_max_f, float(np.linalg.norm(net([b.x, b.y]))))
-            x1, _ = rk4_damped_step(np.array([b.x, b.y]), np.zeros(2), net,
-                                    dyn.m, dyn.c, dyn.dt)
+            net = sum((pair_force(b, other, FORCE, i, j)
+                       for j, other in enumerate(bubbles) if j != i), np.zeros(2))
+            ref_max_f = max(ref_max_f, float(np.linalg.norm(net)))
+            x1, _ = euler_step(np.array([b.x, b.y]), np.zeros(2), net, dyn)
             ref[i] = tuple(x1)
         assert max_f == pytest.approx(ref_max_f, abs=1e-12)
         moved = sum(math.hypot(s - b.x, t - b.y) > 1e-3
@@ -481,13 +467,9 @@ class TestRK4:
         state = RelaxState(bubbles, seed=seed)
         relax_step(state, FORCE, dyn)
 
-        ref = []
-        for i, j in ((0, 1), (1, 0)):
-            def net(x):
-                return pair_force(Bubble(x[0], x[1], 0.5), bubbles[j], FORCE, i, j, seed)
-
-            ref.append(rk4_damped_step(np.array([2.0, 2.0]), np.zeros(2), net,
-                                       dyn.m, dyn.c, dyn.dt)[0])
+        ref = [euler_step(np.array([2.0, 2.0]), np.zeros(2),
+                          pair_force(bubbles[i], bubbles[j], FORCE, i, j, seed), dyn)[0]
+               for i, j in ((0, 1), (1, 0))]
         assert state.x == pytest.approx([x for x, _ in ref], abs=1e-12)
         assert state.y == pytest.approx([y for _, y in ref], abs=1e-12)
         ux, uy = hashed_unit_direction(0, 1, seed)
@@ -495,6 +477,58 @@ class TestRK4:
             dx, dy = state.x[k] - 2.0, state.y[k] - 2.0
             assert side * (dx * ux + dy * uy) > 1e-3
             assert abs(dx * uy - dy * ux) < 1e-12
+
+    def test_one_force_evaluation_per_sweep(self, monkeypatch):
+        # the sweep kernel calls the force law once per sweep, in both
+        # relaxations of the graded plate
+        calls = []
+        law = relaxation.force_magnitude
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return law(*args)
+
+        monkeypatch.setattr(relaxation, "force_magnitude", counted)
+        traces = graded_plate_runs(DynamicsParams())
+        assert len(calls) == sum(trace.sweeps for trace in traces) > 100
+        assert min(calls) > 0
+
+    @pytest.mark.parametrize("bubbles", [
+        # pairwise distances 1.25, 1.25 and 1.5, exact in binary, so that
+        # pair_force's hypot and the sweep's square root agree to the bit
+        [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.75, 1.0, 0.45, MOBILE),
+         Bubble(1.5, 0.0, 0.55, BOUNDARY)],
+        [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.75, 1.0, 0.45, INTERIOR_ANCHOR),
+         Bubble(1.5, 0.0, 0.55, MOBILE)],
+        [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)],
+    ], ids=["boundary", "anchor", "coincident"])
+    def test_sweep_equals_scalar_euler_oracle_bit_for_bit(self, bubbles):
+        # every mobile bubble, moving at its own velocity, takes the damped
+        # semi-implicit Euler step with pair_force summed over the others in
+        # ascending order, all at their start positions
+        seed = 4
+        state = RelaxState(bubbles, seed=seed)
+        velocity = [(0.3, -0.2), (-0.1, 0.25), (0.05, 0.4)]
+        state.vx[:], state.vy[:] = np.transpose(velocity[:len(bubbles)])
+        dyn = DynamicsParams()
+        max_f = relax_step(state, FORCE, dyn)
+
+        ref_max_f = 0.0
+        for i, b in enumerate(bubbles):
+            if b.kind == BOUNDARY:
+                assert (state.x[i], state.y[i]) == (b.x, b.y)
+                continue
+            net = np.zeros(2)
+            for j, other in enumerate(bubbles):
+                if j != i:
+                    net = net + pair_force(b, other, FORCE, i, j, seed)
+            ref_max_f = max(ref_max_f, math.sqrt(net[0] * net[0] + net[1] * net[1]))
+            x0 = np.array([b.x, b.y])
+            x1, v1 = euler_step(x0, np.array(velocity[i]), net, dyn)
+            assert np.abs(x1 - x0).max() > 1e-3
+            assert (state.x[i], state.y[i]) == tuple(x1)
+            assert (state.vx[i], state.vy[i]) == tuple(v1)
+        assert max_f == ref_max_f > 0.0
 
 
 def graded_plate_runs(dyn):
@@ -509,19 +543,60 @@ def graded_plate_runs(dyn):
     return new, original
 
 
+def unlisted_within_reach(pairs, state, cutoff):
+    """How many directed pairs (i, j), i a member of `pairs` and j any other
+    alive bubble, are within force reach at the current positions but not
+    on the list."""
+    ids, n, members = state.alive_indices(), len(state.alive), pairs.members
+    dx = state.x[members][:, None] - state.x[ids]
+    dy = state.y[members][:, None] - state.y[ids]
+    reach = cutoff * (state.r[members][:, None] + state.r[ids])
+    i, j = np.nonzero(dx * dx + dy * dy < reach * reach)
+    i, j = members[i], ids[j]
+    within = (i * n + j)[i != j]
+    return int(np.count_nonzero(~np.isin(within, pairs.i * n + pairs.j)))
+
+
+def listing_at_evaluations(monkeypatch, verdict=None):
+    """Runs `graded_plate_runs` at the default dynamics and returns their
+    traces, the certificate's verdicts at every sweep start and the count
+    of `unlisted_within_reach` at every force evaluation, when the sweep's
+    bubbles are still at their start positions. `verdict`, when given,
+    replaces the certificate's verdict."""
+    at, verdicts, unlisted = {}, [], []
+    moves, certified = SweepPairs.moves, SweepPairs.certified
+    law = relaxation.force_magnitude
+
+    def kept(self, state, force):
+        at.update(pairs=self, state=state, cutoff=force.cutoff)
+        return moves(self, state, force)
+
+    def judged(self, moved):
+        verdicts.append(certified(self, moved))
+        return verdicts[-1] if verdict is None else verdict
+
+    def evaluated(*args):
+        unlisted.append(unlisted_within_reach(at["pairs"], at["state"], at["cutoff"]))
+        return law(*args)
+
+    monkeypatch.setattr(SweepPairs, "moves", kept)
+    monkeypatch.setattr(SweepPairs, "certified", judged)
+    monkeypatch.setattr(relaxation, "force_magnitude", evaluated)
+    return graded_plate_runs(DynamicsParams()), verdicts, unlisted
+
+
 class TestSweepPairs:
     def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
         # in a new-qc run and an original-qc run, a list just built holds
-        # the pairs within reach and slack of a fresh k-d tree query, the
-        # slack being half the largest radius or the failed sweep's stage
-        # displacement when that is wider; it is built at the start, when
-        # the alive set changes and when a sweep is redone, and only then
-        seen = []
-        moves, build = SweepPairs.moves, SweepPairs._build
+        # the pairs within reach and half the largest radius of a fresh k-d
+        # tree query; it is built at the start, when the alive set changes
+        # and when a sweep starts without the certificate, and only then
+        seen, verdicts = [], []
+        moves, build, certified = SweepPairs.moves, SweepPairs._build, SweepPairs.certified
 
-        def checked_build(self, state, force, slack=0.0):
-            build(self, state, force, slack)
-            assert self.margin == max(0.5 * state.max_radius(), slack)
+        def checked_build(self, state, force):
+            build(self, state, force)
+            assert self.margin == 0.5 * state.max_radius()
             want = sweep_neighbors(state, force.cutoff, self.margin)
             assert np.array_equal(self.i, want[0]) and np.array_equal(self.j, want[1])
 
@@ -529,126 +604,115 @@ class TestSweepPairs:
             seen.append((frozenset(state.alive_indices().tolist()), state.max_radius()))
             return moves(self, state, force)
 
+        def judged(self, moved):
+            verdicts.append(certified(self, moved))
+            return verdicts[-1]
+
         monkeypatch.setattr(SweepPairs, "_build", checked_build)
         monkeypatch.setattr(SweepPairs, "moves", kept)
+        monkeypatch.setattr(SweepPairs, "certified", judged)
         dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
         new, original = graded_plate_runs(dyn)
-        assert len(seen) == new.sweeps + original.sweeps == 80
-        assert new.pair_rebuilds == 1 + new.sweep_redos < new.sweeps
-        assert new.sweep_redos > 0
+        assert len(seen) == len(verdicts) == new.sweeps + original.sweeps == 80
+        new_fails = verdicts[:40].count(False)
+        assert new.pair_rebuilds == 1 + new_fails < new.sweeps
+        assert new_fails > 0
         seen = seen[40:]
         alive = [slots for slots, _ in seen]
         assert any(b - a for a, b in zip(alive, alive[1:]))   # an insertion
         assert any(a - b for a, b in zip(alive, alive[1:]))   # a deletion
         assert seen[0][1] == 0.9 and seen[-1][1] == 0.5
         population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
-        assert original.sweep_redos > 0
-        assert original.pair_rebuilds == 1 + population_changes + original.sweep_redos
+        original_fails = verdicts[40:].count(False)
+        assert original_fails > 0
+        assert original.pair_rebuilds == 1 + population_changes + original_fails
 
     def test_no_unlisted_pair_within_reach_at_any_stage(self, monkeypatch):
-        # at every force evaluation of the sweeps that pass the certificate,
-        # in both runs, every pair within its force reach (a member at its
-        # stage position, the other bubble at its start-of-sweep position)
-        # is on the list
-        at = {}
-        evaluations, verdicts = [], []
-        moves, rk4 = SweepPairs.moves, relaxation.rk4_damped_step
-        certified = SweepPairs.certified
+        # a sweep evaluates its forces once, at the start positions, after
+        # the certificate: in both runs, every pair within its force reach
+        # at every evaluation is on the list, the certificate having built
+        # the list again first whenever moves since its build could have
+        # closed an unlisted pair
+        traces, verdicts, unlisted = listing_at_evaluations(monkeypatch)
+        assert len(unlisted) == len(verdicts) == sum(trace.sweeps for trace in traces)
+        assert not any(unlisted)
+        assert not all(verdicts)
 
-        def kept(self, state, force):
-            at.update(pairs=self, state=state, cutoff=force.cutoff)
-            return moves(self, state, force)
-
-        def judged(self, moved, stage):
-            verdicts.append(certified(self, moved, stage))
-            return verdicts[-1]
-
-        def checked_rk4(x, v, force_fn, *args):
-            def checked(p):
-                pairs, state = at["pairs"], at["state"]
-                ids, n = state.alive_indices(), len(state.alive)
-                dx = p[0][:, None] - state.x[ids]
-                dy = p[1][:, None] - state.y[ids]
-                reach = at["cutoff"] * (state.r[pairs.members][:, None] + state.r[ids])
-                i, j = np.nonzero(dx * dx + dy * dy < reach * reach)
-                i, j = pairs.members[i], ids[j]
-                within = (i * n + j)[i != j]
-                evaluations.append(np.isin(within, pairs.i * n + pairs.j).all())
-                return force_fn(p)
-
-            return rk4(x, v, checked, *args)
-
-        monkeypatch.setattr(SweepPairs, "moves", kept)
-        monkeypatch.setattr(SweepPairs, "certified", judged)
-        monkeypatch.setattr(relaxation, "rk4_damped_step", checked_rk4)
-        traces = graded_plate_runs(DynamicsParams())
-        attempts = sum(trace.sweeps + trace.sweep_redos for trace in traces)
-        assert len(evaluations) == 4 * attempts == 4 * len(verdicts)
-        assert sum(verdicts) == sum(trace.sweeps for trace in traces) < attempts
-        listed = np.reshape(evaluations, (-1, 4)).all(axis=1)
-        assert listed[verdicts].all()
+    def test_unlisted_pairs_come_within_reach_without_the_certificate(self, monkeypatch):
+        # the same runs with every certificate passed: moves since the
+        # build bring pairs that the list does not hold within reach, so the
+        # certificate's rebuild is what lists them before the evaluation
+        traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, verdict=True)
+        assert len(unlisted) == sum(trace.sweeps for trace in traces)
+        assert sum(count > 0 for count in unlisted) > 10
 
     @pytest.mark.parametrize("speed", [18.5, 10.0])
     def test_listed_pair_closing_mid_sweep_gets_its_force(self, speed):
-        # bubble 0 starts 1.85 from bubble 1, listed (reach + slack is
-        # 1.925) but out of reach (1.65), and its velocity takes its RK4
-        # midpoint stage onto bubble 1 (a coincident pair) or 0.85 from it:
-        # the pair gets its force there, as the all-pairs reference gives it
+        # bubble 1 starts 1.85 from bubble 0, listed (reach + margin is
+        # 1.925) but out of reach (1.65); then both move 0.125 towards each
+        # other, 1.6 apart, within reach, and the moves (0.25 with the
+        # neighbour's) keep the certificate. Bubble 0 is stepped at `speed`:
+        # the pair gets its force over the kept list, as the all-pairs
+        # reference gives it
         bubbles = [Bubble(0.0, 0.0, 0.55, MOBILE), Bubble(1.85, 0.0, 0.55, MOBILE)]
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
-        kept.vx[0] = ref.vx[0] = free.vx[0] = speed
         pairs = SweepPairs()
-        dyn = DynamicsParams()
-        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn) == 0.0
+        pairs.moves(kept, FORCE)
         assert pairs.i.tolist() == [0, 1]
+        for state in (kept, ref, free):
+            state.x[:] = [0.125, 1.725]
+            state.vx[0] = speed
+        dyn = DynamicsParams()
+        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn) > 0.0
+        assert pairs.rebuilds == 1
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         free.alive[1] = False  # bubble 0 alone
         relax_step(free, FORCE, dyn)
         assert ref.vx[0] != free.vx[0]
-        assert (ref.y[0] != 0.0) == (speed == 18.5)  # the coincident push
 
     def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
         # bubble 0 starts 2.5 from bubble 1, beyond the list (1.75), and its
-        # stages pass within 0.65 of it: its stage moves fail the
-        # certificate, and the sweep is done again once over a list wide
-        # enough to hold the pair, ending where the all-pairs reference ends
+        # first sweep takes it to 3.256, within 0.76 of bubble 1: its move
+        # fails the certificate at the next sweep's start, the list is built
+        # again first, and the sweep ends where the all-pairs reference ends
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(2.5, 0.0, 0.5, MOBILE),
                    Bubble(0.0, 5.0, 0.5, MOBILE)]
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
         kept.vx[0] = ref.vx[0] = free.vx[0] = 18.5
+        free.alive[1] = False
         pairs = SweepPairs()
         dyn = DynamicsParams()
-        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn)
+        for _ in range(2):
+            assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn)
+            relax_step(free, FORCE, dyn)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert (pairs.rebuilds, pairs.redos) == (2, 1)
-        assert pairs.i.tolist() == [0, 1] and pairs.margin > 1.85
-        free.alive[1] = False
-        relax_step(free, FORCE, dyn)
+        assert pairs.rebuilds == 2
+        assert pairs.i.tolist() == [0, 1] and pairs.margin == 0.25
         assert ref.x[0] != free.x[0]  # bubble 1 pushed it back
 
     def test_neighbours_move_counts_against_the_margin(self):
-        # the list holds pairs within reach + 0.25 (the slack); bubble 1
-        # starts 0.02 beyond it, then both bubbles move 0.05 towards each
-        # other, and bubble 0's stages move it another ~0.185: its own moves
-        # fit the margin, but with bubble 1's the pair can come within
-        # reach, so the sweep is redone, and it meets bubble 1 at its last
-        # stage as the reference does
+        # the list holds pairs within reach + 0.25 (the margin); bubble 1
+        # starts 0.02 beyond it, then bubble 0 moves 0.05 and bubble 1 0.25
+        # towards each other, 1.47 apart, within reach: bubble 0's own moves
+        # fit the margin, but with bubble 1's the pair can have come within
+        # reach, so the list is built again before the sweep's evaluation,
+        # and the sweep ends as the reference does
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.77, 0.0, 0.5, BOUNDARY)]
         kept, ref, free = (RelaxState(bubbles) for _ in range(3))
         pairs = SweepPairs()
         pairs.moves(kept, FORCE)
         assert pairs.i.tolist() == []
         for state in (kept, ref, free):
-            state.x[:] = [0.05, 1.72]
-            state.vx[0] = 1.05
+            state.x[:] = [0.05, 1.52]
+        assert 2 * 0.05 <= pairs.margin < 0.05 + 0.25
         dyn = DynamicsParams()
         relax_step(kept, FORCE, dyn, pairs=pairs)
         jacobi_sweep(ref, FORCE, dyn)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert (pairs.rebuilds, pairs.redos) == (2, 1)
+        assert pairs.rebuilds == 2
         free.alive[1] = False
         relax_step(free, FORCE, dyn)
         assert ref.vx[0] != free.vx[0]
@@ -666,7 +730,7 @@ class TestSweepPairs:
                                                                               ref_walls)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert 1 < pairs.rebuilds == 1 + pairs.redos < 40
+        assert 1 < pairs.rebuilds < 40
 
 
 class TestRelaxStep:
@@ -1153,12 +1217,12 @@ class TestRelaxUntilConverged:
                                                strategy="original-qc", qc_period=5, seed=3)
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
-                         (trace.pair_rebuilds, trace.sweep_redos, trace.wall_checks,
+                         (trace.pair_rebuilds, trace.wall_checks,
                           trace.qc_insert_attempts, trace.qc_inserts)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, _, wall_checks, attempts, inserts = runs[0][2]
+        rebuilds, wall_checks, attempts, inserts = runs[0][2]
         assert 1 < rebuilds < 30 and wall_checks > 0
         assert attempts > inserts > 0
 
