@@ -10,8 +10,8 @@ corner: a symbolic perturbation (Edelsbrunner & Mücke 1990) under which the
 flips end at one triangulation, whatever diagonals Qhull picked at ties.
 `delaunay_triangulate` repairs Qhull's triangulation of the bubble centres
 this way, flips the boundary segments in (Sloan 1993) and culls the faces
-outside the domain; `monitor.MonitorCache` repairs the last sweep's
-triangulation with the same engine.
+outside the domain. It is the only user of the engine; the min-angle
+monitor takes Qhull's triangulation as it is.
 """
 from __future__ import annotations
 

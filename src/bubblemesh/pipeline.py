@@ -277,7 +277,7 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
 
 
 def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
-    """Minimal line chart of min angle vs sweep for each trace."""
+    """Minimal line chart of min angle vs sweep for each trace's sampled rows."""
     width, height, margin = 640, 400, 46
     max_sweep = max((t.sweeps for t in traces.values()), default=1) or 1
     colors = {"new": "#1563c0", "original": "#c03a15"}
@@ -303,7 +303,7 @@ def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
                      f'text-anchor="end">{gy}</text>')
     for k, (label, trace) in enumerate(sorted(traces.items())):
         color = colors.get(label, "black")
-        pts = " ".join(f"{sx(row[0]):.1f},{sy(row[3]):.1f}" for row in trace.rows)
+        pts = " ".join(f"{sx(row[0]):.1f},{sy(row[3]):.1f}" for row in trace.sampled_rows())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 16 * (k + 1)}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')

@@ -16,11 +16,12 @@ with the same result: a `SweepPairs` Verlet list with the force terms laid
 out over it, and the wall clamp's room per bubble (`walls.WallClamp`). Each
 sweep is certified before its force evaluation: unless every bubble's move
 since the list was built stays within the list's margin, an unlisted pair
-may have come within reach, and the list is built again first. After every
-sweep the min-angle monitor
-(`monitor.triangulation_min_angle`, looked up here at call time) measures
-the Delaunay triangulation of the bubble centres; its `MonitorCache` repairs
-the last sweep's triangulation instead of building a new one.
+may have come within reach, and the list is built again first.
+
+The force test runs after every sweep. The min-angle monitor
+(`monitor.triangulation_min_angle`, one Qhull call, looked up here at call
+time) runs only every `_ANGLE_EVERY` sweeps and at the run's last sweep, and
+the stall test compares those samples.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import hashed_unit_direction
-from .monitor import MonitorCache, triangulation_min_angle
+from .monitor import triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, _anchor_pairs, interpolate_radius,
                       overlap_ratio)
@@ -41,6 +42,9 @@ from .walls import WallClamp
 
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+
+# sweeps between two samples of the min-angle monitor
+_ANGLE_EVERY = 10
 
 
 class RelaxationError(Exception):
@@ -66,7 +70,9 @@ class DynamicsParams:
 
     Defaults realize near-critical damping c = 1.4*sqrt(m*k) and the
     semi-implicit Euler step dt = 0.4*sqrt(m/k) at unit mass and stiffness;
-    the step is unstable at dt = 0.8.
+    the step is unstable at dt = 0.8. `stall_window` counts sweeps; the stall
+    test sees the min angle every `_ANGLE_EVERY` sweeps, so the window must
+    hold two samples at least.
     """
 
     m: float = 1.0
@@ -80,10 +86,16 @@ class DynamicsParams:
     def __post_init__(self):
         if min(self.m, self.c, self.dt, self.force_tol) <= 0:
             raise ValueError("m, c, dt and force_tol must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
+        if self.stall_window < _ANGLE_EVERY:
+            raise ValueError(f"stall_window must be at least {_ANGLE_EVERY} sweeps")
 
 
 class ConvergenceTrace:
     """Per-sweep record: bubble count, max net force, min mesh angle, wall time.
+    The angle is NaN on the sweeps the monitor did not sample, and the last
+    row is always sampled.
 
     `stop_reason` says why the relaxation ended: "force" (max net force
     under tolerance), "stall" (min angle flat over the stall window) or
@@ -122,11 +134,15 @@ class ConvergenceTrace:
     def elapsed(self) -> float:
         return self.rows[-1][4] if self.rows else 0.0
 
+    def sampled_rows(self) -> list[tuple[int, int, float, float, float]]:
+        """The rows whose min angle was measured."""
+        return [row for row in self.rows if not math.isnan(row[3])]
+
     def time_to_sustain_angle(self, angle: float) -> float | None:
-        """Wall time of the first sweep from which the min angle never drops
-        below the target again (transient spikes do not count)."""
+        """Wall time of the first sampled sweep from which the min angle
+        never drops below the target again (transient spikes do not count)."""
         result = None
-        for _, _, _, ang, elapsed in self.rows:
+        for _, _, _, ang, elapsed in self.sampled_rows():
             if ang >= angle:
                 if result is None:
                     result = elapsed
@@ -139,7 +155,8 @@ class ConvergenceTrace:
             writer = csv.writer(fh)
             writer.writerow(["sweep", "bubble_count", "max_force", "min_angle_deg", "elapsed_s"])
             for row in self.rows:
-                writer.writerow([row[0], row[1], f"{row[2]:.9g}", f"{row[3]:.9g}", f"{row[4]:.6f}"])
+                angle = "" if math.isnan(row[3]) else f"{row[3]:.9g}"
+                writer.writerow([row[0], row[1], f"{row[2]:.9g}", angle, f"{row[4]:.6f}"])
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +534,16 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     original-qc: a quantity-control pass every `qc_period` sweeps; converges
     only when the force/stall tests pass and a pass makes zero changes.
     none: pure relaxation (no quantity control).
+
+    The force test runs every sweep. The stall test runs on the min-angle
+    samples, taken every `_ANGLE_EVERY` sweeps: it passes when the samples
+    spanning the last `stall_window` sweeps lie within `stall_angle`, and a
+    quantity-control pass that changes the population clears them.
     """
     if strategy not in ("new-qc", "original-qc", "none"):
         raise ValueError(f"unknown strategy '{strategy}'")
+    if qc_period < 1:
+        raise ValueError("qc_period must be at least 1")
     if strategy == "original-qc" and qc_low >= qc_high:
         raise ValueError("original-qc needs qc_low < qc_high")
     force = force or ForceParams()
@@ -533,9 +557,9 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
 
     walls = None if domain is None else WallClamp(domain)
     anchors = [b for b in bubbles if b.kind != MOBILE]
-    history: list[float] = []
+    history: list[float] = []  # min-angle samples since the last population change
+    span = dyn.stall_window // _ANGLE_EVERY + 1
     qc_clean = strategy != "original-qc"
-    monitor = MonitorCache()
     pairs = SweepPairs()
 
     def quantity_control() -> bool:
@@ -548,27 +572,31 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
 
     for sweep in range(1, dyn.max_sweeps + 1):
         max_f = relax_step(state, force, dyn, walls, pairs)
-        ids = state.alive_indices()
-        monitor.key(ids)
-        ang = triangulation_min_angle(state.positions(ids), domain, monitor)
-        trace.add(sweep, state.count, max_f, ang, time.perf_counter() - t0)
-        history.append(ang)
+        count, points = state.count, state.positions()
+        ang = math.nan
+        if sweep % _ANGLE_EVERY == 0:
+            ang = triangulation_min_angle(points, domain)
+            history.append(ang)
+        elapsed = time.perf_counter() - t0
 
         if strategy == "original-qc" and sweep % qc_period == 0:
             quantity_control()
 
         reason = "force" if max_f < dyn.force_tol else None
-        if reason is None and len(history) >= dyn.stall_window:
-            window = history[-dyn.stall_window:]
+        if reason is None and not math.isnan(ang) and len(history) >= span:
+            window = history[-span:]
             if (max(window) - min(window)) < dyn.stall_angle:
                 reason = "stall"
-        if reason:
-            # original-qc stops only after a pass that changes nothing
-            if not qc_clean and not quantity_control():
-                continue
+        # original-qc stops only after a pass that changes nothing
+        if reason and (qc_clean or quantity_control()):
             trace.converged = True
             trace.converged_sweep = sweep
             trace.stop_reason = reason
+        if math.isnan(ang) and (trace.converged or sweep == dyn.max_sweeps):
+            ang = triangulation_min_angle(points, domain)
+            elapsed = time.perf_counter() - t0
+        trace.add(sweep, count, max_f, ang, elapsed)
+        if trace.converged:
             break
 
     trace.pair_rebuilds = pairs.rebuilds

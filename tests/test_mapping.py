@@ -289,6 +289,34 @@ class TestDelaunay:
         with pytest.raises(TriangulationError, match="left out point|not CCW"):
             delaunay_triangulate(bubbles, domain)
 
+    def test_flip_budget_ends_a_repair_that_would_not_end(self, monkeypatch):
+        # predicates that always ask for one more flip: only the budget (one
+        # flip per face) stops the Lawson loop, and the repair of Qhull's
+        # triangulation is refused
+        xy = strip_with_a_segment(np.random.RandomState(5))
+        calls, repairs = [], []
+        real = delaunay.lawson_flip
+
+        def always_flip(*args):
+            calls.append(args)
+            assert len(calls) < 100_000  # fail rather than spin
+            return 1
+
+        def recorded(faces, *args):
+            result = real(faces, *args)
+            repairs.append((len(faces), result))
+            return result
+
+        monkeypatch.setattr(delaunay, "incircle", always_flip)
+        monkeypatch.setattr(delaunay, "orient2d", always_flip)
+        monkeypatch.setattr(delaunay, "incircle_array",
+                            lambda *columns: np.ones(len(columns[0]), dtype=np.int8))
+        monkeypatch.setattr(delaunay, "lawson_flip", recorded)
+        with pytest.raises(TriangulationError, match="Delaunay repair did not converge"):
+            delaunay._qhull_delaunay(xy)
+        [(n_faces, (flipped, flips))] = repairs
+        assert flipped is None and flips == n_faces + 1
+
     def test_collinear_rejected(self):
         bubbles = [Bubble(float(x), 0.0, 0.3, MOBILE) for x in range(5)]
         with pytest.raises(TriangulationError, match="collinear"):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bubblemesh import delaunay, monitor, relaxation
-from bubblemesh.geometry import orient2d_array
-from bubblemesh.monitor import MonitorCache, triangulation_min_angle
+from bubblemesh import monitor, relaxation
+from bubblemesh.monitor import triangulation_min_angle
 from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
 from bubblemesh.relaxation import DynamicsParams, ForceParams, relax_until_converged
 
@@ -20,176 +19,96 @@ def plate_with_hole(sizing):
     return PackingDomain(outer=outer, holes=[hole], sizing=sizing)
 
 
-def checked_relaxation(monkeypatch, bubbles, domain, **kwargs):
-    """relax_until_converged with every monitor call also made without a
-    cache (a fresh Qhull); returns the trace and per sweep (cached value,
-    fresh value, cache)."""
-    seen = []
+def sampled_relaxation(monkeypatch, bubbles, domain, **kwargs):
+    """relax_until_converged with a copy of the positions after every sweep's
+    step, and the (sweep, changes) of every quantity-control pass."""
+    positions, passes = [], []
+    step, qc = relaxation.relax_step, relaxation._qc_original_state
 
-    def both(points, dom, cache=None):
-        got = triangulation_min_angle(points, dom, cache)
-        seen.append((got, triangulation_min_angle(points, dom), cache))
-        return got
+    def recorded_step(state, *args):
+        max_f = step(state, *args)
+        positions.append(state.positions().copy())
+        return max_f
 
-    monkeypatch.setattr(relaxation, "triangulation_min_angle", both)
+    def recorded_qc(*args):
+        changes = qc(*args)
+        passes.append((len(positions), changes))
+        return changes
+
+    monkeypatch.setattr(relaxation, "relax_step", recorded_step)
+    monkeypatch.setattr(relaxation, "_qc_original_state", recorded_qc)
     _, trace = relax_until_converged(bubbles, domain, force=FORCE, **kwargs)
-    return trace, seen
+    return trace, positions, passes
 
 
-def jittered_grid(rng, n=9, jitter=0.2):
-    """n x n unit lattice with every point but the hull's jittered."""
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    pts = np.column_stack([i.ravel(), j.ravel()]).astype(float)
-    inner = (pts > 0).all(axis=1) & (pts < n - 1).all(axis=1)
-    pts[inner] += rng.uniform(-jitter, jitter, size=(inner.sum(), 2))
-    return pts, inner
+def stop_rule(rows, passes, dyn, qc_period=None):
+    """(stop reason, sweep) recomputed from the rows: the force test every
+    sweep, the stall test on the samples of every 10th sweep spanning the
+    last stall window, and under quantity control (every qc_period sweeps,
+    and again before a stop unless the last pass was clean) samples cleared
+    by a pass that changed the population, and no stop before a clean pass."""
+    samples, clean = [], qc_period is None
+    span = dyn.stall_window // 10 + 1
+    todo = list(passes)
+
+    def qc_pass(sweep):
+        at, changes = todo.pop(0)
+        assert at == sweep
+        if changes:
+            samples.clear()
+        return changes == 0
+
+    for sweep, _, max_f, angle, _ in rows:
+        if sweep % 10 == 0:
+            samples.append(angle)
+        if qc_period and sweep % qc_period == 0:
+            clean = qc_pass(sweep)
+        window = samples[-span:]
+        reason = "force" if max_f < dyn.force_tol else None
+        if (reason is None and sweep % 10 == 0 and len(window) == span
+                and max(window) - min(window) < dyn.stall_angle):
+            reason = "stall"
+        if reason and not clean:
+            clean = qc_pass(sweep)
+        if reason and clean:
+            assert not todo
+            return reason, sweep
+    assert not todo
+    return "sweep-cap", rows[-1][0]
 
 
 class TestMinAngleMonitor:
-    def test_plate_relaxation_equals_fresh_qhull_every_sweep(self, monkeypatch):
-        domain = plate_with_hole(lambda x, y: 0.3)
-        boundary = pack_boundary(domain)
-        bubbles = boundary + pack_interior_quadtree(domain, boundary)
-        trace, seen = checked_relaxation(monkeypatch, bubbles, domain,
-                                         dyn=DynamicsParams(max_sweeps=80))
-        assert [got for got, _, _ in seen] == [want for _, want, _ in seen]
-        assert [row[3] for row in trace.rows] == [got for got, _, _ in seen]
-        cache = seen[0][2]
-        assert all(c is cache for _, _, c in seen)
-        assert cache.rebuilds == 1 and cache.flips > 0
-
-    def test_original_qc_relaxation_equals_fresh_qhull_every_sweep(self, monkeypatch):
-        def sizing(x, y):
-            return 0.25 + 0.25 * np.minimum(np.abs(x - 4.0) / 4.0, 1.0)
-
-        domain = plate_with_hole(sizing)
-        boundary = pack_boundary(domain)
-        bubbles = boundary + pack_interior_quadtree(domain, boundary)
-        trace, seen = checked_relaxation(monkeypatch, bubbles, domain,
-                                         dyn=DynamicsParams(max_sweeps=60),
-                                         strategy="original-qc", qc_period=5)
-        assert [got for got, _, _ in seen] == [want for _, want, _ in seen]
-        cache = seen[0][2]
-        counts = [row[1] for row in trace.rows]
-        changes = sum(a != b for a, b in zip(counts, counts[1:]))
-        assert changes >= 2  # quantity control inserted or deleted bubbles
-        assert changes < cache.rebuilds < len(seen) / 2
-        assert cache.flips > 0
-
-    def test_repairs_without_qhull_while_only_inner_points_move(self, rng):
-        pts, inner = jittered_grid(rng)
-        cache = MonitorCache()
-        cache.key(np.arange(len(pts)))
-        for step in range(6):
-            got = triangulation_min_angle(pts, None, cache)
-            assert got == triangulation_min_angle(pts, None)
-            pts[inner] += rng.normal(0.0, 0.03, size=(inner.sum(), 2))
-        assert cache.rebuilds == 1 and cache.flips > 0
-
-    @pytest.mark.parametrize("change", ["hull vertex", "inverted face", "same-count set"])
-    def test_falls_back_to_qhull(self, rng, monkeypatch, change):
-        pts, inner = jittered_grid(rng)
-        ids = np.arange(len(pts))
-        cache = MonitorCache()
-        cache.key(ids)
-        triangulation_min_angle(pts, None, cache)
-        if change == "hull vertex":
-            pts[0] += (-0.01, 0.0)
-        elif change == "inverted face":
-            # an inner point pushed through the far side of its cell: every
-            # face around it turns over, though nothing leaves the hull; the
-            # orientation check must catch it before any flip is tried
-            k = np.flatnonzero(inner)[10]
-            pts[k] += (1.6, 0.0)
-            monkeypatch.setattr(monitor, "lawson_flip", None)
+    @pytest.mark.parametrize("case", ["plate-new-qc", "graded-original-qc", "wide-stall"])
+    def test_sampled_every_10_sweeps_and_last(self, monkeypatch, case):
+        if case == "plate-new-qc":
+            domain = plate_with_hole(lambda x, y: 0.3)
+            dyn, kwargs = DynamicsParams(max_sweeps=80), {}
         else:
-            # one bubble deleted and one appended where it was: the count
-            # and every position are unchanged, so only the key tells
-            ids = np.append(np.delete(ids, 5), len(pts))
-            cache.key(ids)
-        got = triangulation_min_angle(pts, None, cache)
-        assert got == triangulation_min_angle(pts, None)
-        assert cache.rebuilds == 2
+            def sizing(x, y):
+                return 0.25 + 0.25 * np.minimum(np.abs(x - 4.0) / 4.0, 1.0)
 
-    def test_flip_budget_ends_a_repair_that_would_not_end(self, rng, monkeypatch):
-        # predicates that always ask for one more flip: only the budget
-        # (one flip per face) stops the Lawson loop, and Qhull takes over
-        pts, inner = jittered_grid(rng)
-        cache = MonitorCache()
-        cache.key(np.arange(len(pts)))
-        triangulation_min_angle(pts, None, cache)
-        calls = []
-
-        def always_flip(*args):
-            calls.append(args)
-            assert len(calls) < 100_000  # fail rather than spin
-            return 1
-
-        monkeypatch.setattr(delaunay, "incircle", always_flip)
-        monkeypatch.setattr(delaunay, "orient2d", always_flip)
-        monkeypatch.setattr(delaunay, "incircle_array",
-                            lambda *columns: np.ones(len(columns[0]), dtype=np.int8))
-        pts[inner] += 0.01
-        got = triangulation_min_angle(pts, None, cache)
-        monkeypatch.undo()
-        assert got == triangulation_min_angle(pts, None)
-        assert cache.rebuilds == 2
-        assert cache.flips == len(cache.faces) + 1
-
-    def test_kept_faces_equal_fresh_qhull_faces_in_a_domain_with_a_hole(self):
-        # inner points wander, so faces flip and centroids cross the hole's
-        # edges; the kept faces, as sets of corners, stay Qhull's. Qhull runs
-        # only while no triangulation is kept (at the first step) and at a
-        # step that inverts a kept face or moves a hull vertex (a point that
-        # wandered out of the lattice); the walks of seeds 13 and 14 invert
-        def face_set(fx, fy):
-            return {frozenset(zip(x, y)) for x, y in zip(fx.T.tolist(), fy.T.tolist())}
-
-        outer = np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
-        hole = np.array([[4.0, 2.3], [2.3, 4.0], [4.0, 5.7], [5.7, 4.0]])
-        domain = PackingDomain(outer=outer, holes=[hole], sizing=lambda x, y: 0.5)
-        fallbacks = 0
-        for seed in range(15):
-            rng = np.random.RandomState(seed)
-            pts, inner = jittered_grid(rng)
-            cache = MonitorCache()
-            cache.key(np.arange(len(pts)))
-            qhull_steps = 0
-            for step in range(40):
-                if cache.faces is None:
-                    qhull_steps += 1
-                else:
-                    fx, fy = pts[:, 0][cache.faces.T], pts[:, 1][cache.faces.T]
-                    inverted = (orient2d_array(fx[0], fy[0], fx[1], fy[1],
-                                               fx[2], fy[2]) <= 0).any()
-                    hull = pts[cache.hull]
-                    qhull_steps += bool(inverted or (hull[:, 0] != cache.x[cache.hull]).any()
-                                        or (hull[:, 1] != cache.y[cache.hull]).any())
-                tri, inside = monitor._qhull_faces(pts, domain)
-                faces = tri.simplices[inside].T
-                want = face_set(pts[:, 0][faces], pts[:, 1][faces])
-                assert face_set(*cache.kept_corners(pts, domain)) == want
-                pts[inner] += rng.normal(0.0, 0.04, size=(inner.sum(), 2))
-            assert cache.rebuilds == qhull_steps and cache.flips > 0
-            fallbacks += qhull_steps - 1
-        assert fallbacks > 0
-
-    def test_jittered_cocircular_lattice_within_1e12_degrees(self, rng):
-        # every unit square of the lattice is cocircular; once some corners
-        # move, the squares that kept theirs take the tie rule's diagonal,
-        # which a fresh Qhull call may choose otherwise; either diagonal
-        # gives the same smallest angle
-        i, j = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
-        pts = np.column_stack([i.ravel(), j.ravel()]).astype(float)
-        inner = np.flatnonzero((pts > 0).all(axis=1) & (pts < 11).all(axis=1))
-        cache = MonitorCache()
-        cache.key(np.arange(len(pts)))
-        for step in range(5):
-            got = triangulation_min_angle(pts, None, cache)
-            assert abs(got - triangulation_min_angle(pts, None)) <= 1e-12
-            moving = rng.choice(inner, size=len(inner) // 3, replace=False)
-            pts[moving] += rng.normal(0.0, 1e-3, size=(len(moving), 2))
-        assert cache.rebuilds == 1
+            domain = plate_with_hole(sizing)
+            # at 180 degrees every full window stalls, so where the run stops
+            # shows where quantity control cleared the samples
+            dyn = DynamicsParams(stall_angle=180.0 if case == "wide-stall" else 0.1)
+            kwargs = dict(strategy="original-qc", qc_period=5)
+        boundary = pack_boundary(domain)
+        bubbles = boundary + pack_interior_quadtree(domain, boundary)
+        trace, positions, passes = sampled_relaxation(monkeypatch, bubbles, domain,
+                                                      dyn=dyn, **kwargs)
+        last = trace.sweeps
+        assert [row[0] for row in trace.rows] == list(range(1, last + 1))
+        assert len(positions) == last
+        sampled = [row[0] for row in trace.rows if not math.isnan(row[3])]
+        assert sampled == sorted({*range(10, last + 1, 10), last})
+        for sweep, _, _, angle, _ in trace.sampled_rows():
+            assert angle == triangulation_min_angle(positions[sweep - 1], domain)
+        assert trace.final_min_angle == trace.rows[-1][3] > 0.0
+        want = stop_rule(trace.rows, passes, dyn, kwargs.get("qc_period"))
+        assert (trace.stop_reason, trace.sweeps) == want
+        assert trace.converged == (want[0] != "sweep-cap")
+        if kwargs:  # quantity control inserted or deleted bubbles on the way
+            assert sum(changes > 0 for _, changes in passes) >= 2
 
     def test_angle_pass_equals_per_corner_arithmetic(self, rng):
         # the angle pass takes each corner's cosine from the face's three

@@ -8,7 +8,7 @@ import pytest
 from bubblemesh.cli import main as cli_main
 from bubblemesh.mesh import load_mesh, quality_report
 from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
-                                 load_anchor_csv, load_config, plane_domain,
+                                 load_anchor_csv, load_config, plane_domain, run,
                                  run_plane_pipeline, run_remesh_pipeline,
                                  run_surface_pipeline)
 
@@ -258,12 +258,26 @@ class TestSurfaceRelaxationKeys:
         monkeypatch.setattr(remesh, "relax_until_converged", capture)
         cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3",
                                      force_tol_factor="0.05",
-                                     stall_window="7", qc="original"))
+                                     stall_window="20", qc="original"))
         run_surface_pipeline(cfg)
         assert seen["dyn"].max_sweeps == 3
-        assert seen["dyn"].stall_window == 7
+        assert seen["dyn"].stall_window == 20
         assert seen["dyn"].force_tol == pytest.approx(0.05 * seen["r_mean"])
         assert seen["strategy"] == "original-qc"
+
+
+@pytest.mark.parametrize("key, value, qc", [("qc_period", "0", "original"),
+                                            ("max_sweeps", "0", "new"),
+                                            ("stall_window", "0", "new"),
+                                            ("stall_window", "9", "new")])
+def test_meaningless_relaxation_settings_rejected(tmp_path, small_plane_cfg, key, value, qc):
+    # otherwise qc_period = 0 divides by zero, max_sweeps = 0 triangulates
+    # the raw packing, and a stall window below 10 sweeps holds one min-angle
+    # sample, whose range of 0 would stop the run as a stall
+    cfg = load_config(None, dict(small_plane_cfg, out=str(tmp_path), qc=qc, **{key: value}))
+    with pytest.raises(PipelineError, match=rf"^\[relax\] {key} must be at least"):
+        run(cfg)
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_plane_surface_degenerate_case(tmp_path):
@@ -295,12 +309,13 @@ class TestCompareQC:
             assert (out / name).exists(), name
         new_t = result["new"]["trace"]
         orig_t = result["original"]["trace"]
-        # at equal wall-time budget the new strategy is at least as good
+        # at equal wall-time budget the new strategy is at least as good; the
+        # original's angle at the budget is its first sample taken after it
+        # (the last one before it is sweep 10's, taken before its first
+        # quantity-control pass, on the trajectory new-qc follows too)
         budget = new_t.elapsed
-        orig_at_budget = 0.0
-        for row in orig_t.rows:
-            if row[4] <= budget:
-                orig_at_budget = row[3]
+        later = [row[3] for row in orig_t.sampled_rows() if row[4] >= budget]
+        orig_at_budget = later[0] if later else orig_t.final_min_angle
         assert new_t.final_min_angle >= orig_at_budget - 1e-9
         assert "time ratio" in result["summary"]
 
@@ -394,13 +409,25 @@ def test_bench_tracer_finds_every_attribute_it_wraps():
 
 def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
     # relaxation.monitor_s is the self time of the spans the tracer puts
-    # around relaxation.triangulation_min_angle: a monitor that stopped
-    # looking the name up at call time would read 0 without failing
+    # around relaxation.triangulation_min_angle, one per sampled sweep: a
+    # monitor that stopped looking the name up at call time would read 0
+    # without failing
     tracing, workloads = bench_module("tracing"), bench_module("workloads")
     wl, cfg = workloads.load("tiny", 3, tmp_path)
     tracer = tracing.Tracer("tiny")
     with tracing.traced(tracer):
         result = workloads.entry_point(wl)(cfg)
     spans = [span for span in tracer.spans if span[0] == "relaxation.monitor"]
-    assert len(spans) == result["trace"].sweeps > 1
+    assert len(spans) == len(result["trace"].sampled_rows()) > 1
     assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
+
+
+@pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
+def test_benchmark_workloads_converge(tmp_path, name):
+    # the benchmark fails a call whose relaxation stops at the sweep cap, and
+    # graded-qc's original-qc does so at dt 0.35 and 0.45: a change to the
+    # trajectory shows here, not only in a benchmark run
+    workloads = bench_module("workloads")
+    wl, cfg = workloads.load(name, 0, tmp_path)
+    traces = workloads.traces(wl, workloads.entry_point(wl)(cfg))
+    assert all(t.converged for t in traces), [(t.stop_reason, t.sweeps) for t in traces]
