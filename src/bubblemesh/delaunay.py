@@ -88,14 +88,12 @@ def lawson_flip(faces: np.ndarray, nbr: np.ndarray, xy: np.ndarray,
                 edge_faces: np.ndarray, quads: np.ndarray):
     """Lawson flips, in place, from illegal edges, given as `interior_edges`
     gives them, until every edge they reach is legal under the tie rule.
-    Returns the flipped faces, sorted, and the number of flips; the faces
-    are None when a flip would invert a face or the flips outnumber the
-    faces."""
+    Returns whether the repair finished: False when a flip would invert a
+    face or the flips outnumber the faces."""
     pts = xy.tolist()
     # (face, a, b, c, d) of an edge bc to test; a quad still equal to one
     # the caller certified illegal is not tested again
     queue = list(zip(edge_faces.tolist(), *quads.tolist()))
-    flipped: set[int] = set()
     flips = 0
     while queue:
         f, a0, b, c, d0 = queue.pop()
@@ -111,14 +109,13 @@ def lawson_flip(faces: np.ndarray, nbr: np.ndarray, xy: np.ndarray,
             if not (sign > 0 or sign == 0 and max(b, c) > max(a, d)):
                 continue
         if _orient(pts, a, b, d) <= 0 or _orient(pts, a, d, c) <= 0:
-            return None, flips
+            return False
         flips += 1
         if flips > len(faces):
-            return None, flips
+            return False
         _flip(faces, nbr, f, k)
-        flipped.update((f, g))
         queue += [(f, -1, b, d, -1), (f, -1, a, b, -1), (g, -1, d, c, -1), (g, -1, c, a, -1)]
-    return sorted(flipped), flips
+    return True
 
 
 def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[tuple[int, int]]:
@@ -175,7 +172,7 @@ def _qhull_delaunay(xy: np.ndarray):
         raise TriangulationError("Qhull returned a face that is not CCW")
     edge_faces, quads = interior_edges(faces, nbr)
     bad = illegal_edges(x, y, quads)
-    if bad.any() and lawson_flip(faces, nbr, xy, edge_faces[bad], quads[:, bad])[0] is None:
+    if bad.any() and not lawson_flip(faces, nbr, xy, edge_faces[bad], quads[:, bad]):
         raise TriangulationError("Delaunay repair did not converge")
     return faces, nbr
 

@@ -119,27 +119,18 @@ class PackingDomain:
                                 ay + t * vy + vx / ln * radius])
 
 
-def interpolate_radius(x: float, y: float, anchors: list[Bubble],
-                       bound: Callable[[float, float], float] | None = None) -> float:
-    """Inverse-square-distance weighted anchor radius, clamped by the radius bound."""
+def interpolate_radius(x, y, anchors: list[Bubble],
+                       bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
+    """Inverse-square-distance weighted anchor radius (the radius of the first
+    anchor a point hits), clamped by the radius bound. Takes scalars or
+    equal-shape arrays and returns values of their shape: the rows of
+    `_interpolate_radii`, so a batch gives exactly the pointwise results."""
     if not anchors:
         raise PackingError("no anchor bubbles to interpolate from")
-    wsum = 0.0
-    rsum = 0.0
-    r = None
-    for a in anchors:
-        d2 = (x - a.x) ** 2 + (y - a.y) ** 2
-        if d2 < 1e-24:
-            r = a.radius
-            break
-        w = 1.0 / d2
-        wsum += w
-        rsum += w * a.radius
-    if r is None:
-        r = rsum / wsum
-    if bound is not None:
-        r = min(r, float(bound(x, y)))
-    return r
+    x, y = np.broadcast_arrays(x, y)
+    pts = np.column_stack([np.ravel(x), np.ravel(y)])
+    r = _interpolate_radii(pts, *_anchor_arrays(anchors)).reshape(x.shape)[()]
+    return r if bound is None else np.minimum(r, bound(x, y))
 
 
 def _anchor_arrays(anchors: list[Bubble]):

@@ -29,6 +29,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -105,7 +106,10 @@ class ConvergenceTrace:
     that starts without the list's certificate), `wall_checks` (rows sent
     through the wall clamp's full check), and original-qc's
     `qc_insert_attempts` (bubbles whose summed overlap asked for an
-    insertion) and `qc_inserts` (insertions placed).
+    insertion), `qc_inserts` (insertions placed) and `qc_candidates_redone`
+    (insertion candidates derived again on their own row inside a pass,
+    because an earlier change of the pass reached them or the bubble's sum
+    fell under the low threshold after the pass's batch).
     """
 
     def __init__(self):
@@ -117,6 +121,7 @@ class ConvergenceTrace:
         self.wall_checks = 0
         self.qc_insert_attempts = 0
         self.qc_inserts = 0
+        self.qc_candidates_redone = 0
 
     def add(self, sweep, count, max_force, min_angle, elapsed):
         self.rows.append((int(sweep), int(count), float(max_force),
@@ -413,89 +418,154 @@ def _overlap_sums(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return np.bincount(i[near], ((2.0 * ri + state.r[j] - l) / ri)[near], len(state.alive))
 
 
+def _pass_queries(state: RelaxState):
+    """Ball queries of one original-qc pass: the alive slots `ids` at its
+    start, their k-d tree, and `near(x, y, radius)`, the (row, slot) pairs
+    of the alive slots within the padded radius of each point (x[row],
+    y[row]) of the arrays, by row, then slot, from a tree built again after
+    insertions."""
+    ids = state.alive_indices()
+    tree = cKDTree(state.positions(ids))
+    built = [len(state.alive), ids, tree]
+
+    def near(x, y, radius):
+        if built[0] != len(state.alive):
+            slots = state.alive_indices()
+            built[:] = len(state.alive), slots, cKDTree(state.positions(slots))
+        hits = built[2].query_ball_point(np.column_stack([x, y]), radius * _QUERY_PAD,
+                                         return_sorted=True)
+        own = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+        slot = built[1][np.fromiter(chain.from_iterable(hits), np.intp, len(own))]
+        keep = state.alive[slot]
+        return own[keep], slot[keep]
+
+    return ids, tree, near
+
+
+def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: list[Bubble],
+                          walls: WallClamp | None, max_r: float):
+    """The original-qc insertion candidate of each mobile slot in `rows`,
+    each row derived on its own, so a batch equals one-row calls bit for
+    bit: the new bubble's centre x and y, its radius, whether the wall check
+    (`walls.clear`) leaves it alone, and its blockers as (row, slot) pairs,
+    by row: the alive slots within r_new + max_r of the new bubble that it
+    would overlap by a ratio above 1.
+
+    The new bubble is tangent to the slot's bubble (radius r0), in the middle
+    of the largest angular gap (the first of equals) between the other
+    bubbles within 3 r0, opposite the only one, or along the slot's hashed
+    direction when there is none. Its radius is interpolated from the
+    anchors 2 r0 out in that direction (r0 without anchors). Angles and
+    distances come from `math`, which rounds apart from numpy's."""
+    x0, y0, r0 = state.x[rows], state.y[rows], state.r[rows]
+    # gap directions come from the wider force neighborhood so the
+    # insertion never aims at a bubble just beyond the 2 r0 window
+    own, j = near(x0, y0, 3.0 * r0)
+    dx, dy = (state.x[j] - x0[own]).tolist(), (state.y[j] - y0[own]).tolist()
+    wide = (j != rows[own]) & (np.array(list(map(math.hypot, dx, dy))) <= 3.0 * r0[own])
+    angle = np.array(list(map(math.atan2, dy, dx)))[wide]
+    own = own[wide]
+    angle = angle[np.lexsort((angle, own))]  # own is sorted already
+    count = np.bincount(own, minlength=len(rows))
+    first = np.cumsum(count) - count
+    at = np.arange(len(own))
+    following = np.where(at + 1 < (first + count)[own], at + 1, first[own])
+    gap = (angle[following] - angle) % (2.0 * math.pi)
+    direction = np.empty(len(rows))
+    some = count > 0
+    best = np.lexsort((at, -gap, own))[first[some]]  # largest gap, then lowest k
+    direction[some] = np.where(count[some] == 1, angle[best] + math.pi,
+                               angle[best] + 0.5 * gap[best])
+    for k in np.flatnonzero(~some).tolist():
+        ux, uy = hashed_unit_direction(int(rows[k]), int(rows[k]), state.seed)
+        direction[k] = math.atan2(uy, ux)
+    ca = np.array(list(map(math.cos, direction.tolist())))
+    sa = np.array(list(map(math.sin, direction.tolist())))
+    if anchors:
+        sizing = walls.domain.sizing if walls is not None else None
+        r_new = interpolate_radius(x0 + 2.0 * r0 * ca, y0 + 2.0 * r0 * sa, anchors, sizing)
+    else:
+        r_new = r0
+    nx = x0 + (r0 + r_new) * ca
+    ny = y0 + (r0 + r_new) * sa
+    clear = (np.ones(len(rows), dtype=bool) if walls is None
+             else walls.clear(np.column_stack([nx, ny]), r_new))
+    # block only severe collisions; milder crowding is the original
+    # method's own churn and gets resolved by its delete branch
+    own, j = near(nx, ny, r_new + max_r)
+    l = np.array(list(map(math.hypot, (state.x[j] - nx[own]).tolist(),
+                          (state.y[j] - ny[own]).tolist())))
+    hit = overlap_ratio(l, r_new[own], state.r[j]) > 1.0
+    return nx, ny, r_new, clear, own[hit], j[hit]
+
+
 def _qc_original_state(state: RelaxState, low: float, high: float,
                        anchors: list[Bubble], walls: WallClamp | None,
                        trace: ConvergenceTrace | None = None) -> int:
     """Single pass over bubble indices: insert into the largest angular gap
-    when the summed overlap is below `low`, delete when above `high`;
-    returns the number of changes, and adds the insertions attempted and
-    placed to `trace`'s counters.
+    (`_insertion_candidates`) when the summed overlap is below `low`, delete
+    when above `high`; returns the number of changes, and adds the
+    insertions attempted, placed and derived again to `trace`'s counters.
 
     The summed overlaps come from one k-d tree pair pass; a bubble is summed
     again, on its own row, when a change earlier in the pass fell within
-    2 r_max of it. An insertion is skipped unless the wall check
-    (`walls.clear`) would leave it alone."""
+    2 r_max of it. The insertion candidates of the bubbles under `low` at
+    the pass start come from one batch; one is derived again, on its own
+    row, when a change earlier in the pass fell within 3 r0 of its bubble or
+    an insertion within r_new + max_r of its new bubble, and so is that of a
+    bubble whose summed overlap fell under `low` since the start. A
+    candidate is placed unless the wall check (`walls.clear`) would move it
+    or a blocker is alive."""
     n0 = len(state.alive)
-    ids = state.alive_indices()
-    tree = cKDTree(state.positions(ids))
+    ids, tree, near = _pass_queries(state)
     max_r = state.max_radius()
     window = 2.0 * max_r * _QUERY_PAD
-
-    def near(x: float, y: float, radius: float) -> np.ndarray:
-        # alive slots within the padded radius, ascending; insertions last
-        hits = ids[tree.query_ball_point((x, y), radius * _QUERY_PAD, return_sorted=True)]
-        new = np.arange(n0, len(state.alive))
-        new = new[np.hypot(state.x[new] - x, state.y[new] - y) <= radius * _QUERY_PAD]
-        return np.concatenate([hits[state.alive[hits]], new])
-
     pairs = ids[tree.query_pairs(window, output_type="ndarray")].reshape(-1, 2)
     pairs = np.concatenate([pairs, pairs[:, ::-1]])  # both ways, then sorted by i, j
     totals = _overlap_sums(state, *pairs[np.lexsort(pairs.T[::-1])].T)
     stale = np.zeros(n0, dtype=bool)
-    sizing = walls.domain.sizing if walls is not None else None
-    changes = attempts = 0
-    for i in np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE])).tolist():
-        r0 = state.r[i]
-        x0, y0 = state.x[i], state.y[i]
+    mobile = np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE]))
+    want = mobile[totals[mobile] < low]
+    batch = _insertion_candidates(state, want, near, anchors, walls, max_r)
+    row_of = dict(zip(want.tolist(), range(len(want))))
+    fresh = np.ones(len(want), dtype=bool)  # reached by no change so far
+    wide_reach = 3.0 * state.r[want] * _QUERY_PAD
+    block_reach = (batch[2] + max_r) * _QUERY_PAD
+    changes = attempts = redone = 0
+    for i in mobile.tolist():
         total = totals[i]
         if stale[i]:
-            row = near(x0, y0, 2.0 * r0)
+            _, row = near(state.x[i:i + 1], state.y[i:i + 1], 2.0 * state.r[i:i + 1])
             total = _overlap_sums(state, np.full(len(row), i), row)[i]
         if total > high:
             state.alive[i] = False
-            at = (x0, y0)
+            at = (state.x[i], state.y[i])
         elif total < low:
             attempts += 1
-            # gap directions come from the wider force neighborhood so the
-            # insertion never aims at a bubble just beyond the 2 r0 window
-            wide = [j for j in near(x0, y0, 3.0 * r0).tolist()
-                    if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
-            if wide:
-                angles = sorted(math.atan2(state.y[j] - y0, state.x[j] - x0) for j in wide)
-                gaps = [(angles[(k + 1) % len(angles)] - angles[k]) % (2.0 * math.pi)
-                        for k in range(len(angles))]
-                if len(angles) == 1:
-                    direction = angles[0] + math.pi
-                else:
-                    kbest = max(range(len(gaps)), key=lambda k: (gaps[k], -k))
-                    direction = angles[kbest] + 0.5 * gaps[kbest]
-            else:
-                ux, uy = hashed_unit_direction(i, i, state.seed)
-                direction = math.atan2(uy, ux)
-            ca, sa = math.cos(direction), math.sin(direction)
-            probe_x = x0 + 2.0 * r0 * ca
-            probe_y = y0 + 2.0 * r0 * sa
-            r_new = interpolate_radius(probe_x, probe_y, anchors, sizing) if anchors else r0
-            nx = x0 + (r0 + r_new) * ca
-            ny = y0 + (r0 + r_new) * sa
-            if walls is not None and not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
+            cand, k = batch, row_of.get(i)
+            if k is None or not fresh[k]:
+                cand, k = _insertion_candidates(state, np.array([i]), near, anchors,
+                                                walls, max_r), 0
+                redone += 1
+            nx, ny, r_new, clear, own, blockers = cand
+            if not clear[k] or state.alive[blockers[own == k]].any():
                 continue
-            # block only severe collisions; milder crowding is the original
-            # method's own churn and gets resolved by its delete branch
-            js = near(nx, ny, r_new + max_r)
-            l = np.array([math.hypot(state.x[j] - nx, state.y[j] - ny) for j in js.tolist()])
-            if np.any(overlap_ratio(l, r_new, state.r[js]) > 1.0):
-                continue
+            nx, ny, r_new = nx[k], ny[k], r_new[k]
             state.append(nx, ny, r_new, MOBILE)
             at = (nx, ny)
+            # an insertion may block the candidates within its reach
+            fresh &= np.hypot(batch[0] - nx, batch[1] - ny) > block_reach
         else:
             continue
         changes += 1
+        # a deletion or insertion moves the gaps of the bubbles within 3 r0
+        fresh &= np.hypot(state.x[want] - at[0], state.y[want] - at[1]) > wide_reach
         # a deletion or insertion moves the sums of the bubbles within 2 r_max
         stale[ids[tree.query_ball_point(at, window)]] = True
     if trace is not None:
         trace.qc_insert_attempts += attempts
         trace.qc_inserts += len(state.alive) - n0
+        trace.qc_candidates_redone += redone
     return changes
 
 

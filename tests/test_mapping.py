@@ -254,10 +254,10 @@ class TestDelaunay:
             edge_faces, quads = delaunay.interior_edges(faces, nbr)
             bad = delaunay.illegal_edges(xy[:, 0], xy[:, 1], quads)
             assert bad.sum() > 10
-            flipped, flips = delaunay.lawson_flip(faces, nbr, xy, edge_faces[bad],
-                                                  quads[:, bad])
-            assert flipped is not None and flips >= bad.sum()
+            assert delaunay.lawson_flip(faces, nbr, xy, edge_faces[bad], quads[:, bad])
             assert sorted(sorted(f) for f in faces.tolist()) == want
+            assert not delaunay.illegal_edges(
+                xy[:, 0], xy[:, 1], delaunay.interior_edges(faces, nbr)[1]).any()
 
     def test_crossing_constraint_segments_rejected(self):
         xy = strip_with_a_segment(np.random.RandomState(5))
@@ -294,17 +294,22 @@ class TestDelaunay:
         # flip per face) stops the Lawson loop, and the repair of Qhull's
         # triangulation is refused
         xy = strip_with_a_segment(np.random.RandomState(5))
-        calls, repairs = [], []
-        real = delaunay.lawson_flip
+        calls, flips, repairs = [], [], []
+        real, real_flip = delaunay.lawson_flip, delaunay._flip
 
         def always_flip(*args):
             calls.append(args)
             assert len(calls) < 100_000  # fail rather than spin
             return 1
 
+        def counted_flip(faces, nbr, f, k):
+            flips.append((f, k))
+            return real_flip(faces, nbr, f, k)
+
         def recorded(faces, *args):
+            before = faces.copy()
             result = real(faces, *args)
-            repairs.append((len(faces), result))
+            repairs.append((before, faces.copy(), result))
             return result
 
         monkeypatch.setattr(delaunay, "incircle", always_flip)
@@ -312,10 +317,14 @@ class TestDelaunay:
         monkeypatch.setattr(delaunay, "incircle_array",
                             lambda *columns: np.ones(len(columns[0]), dtype=np.int8))
         monkeypatch.setattr(delaunay, "lawson_flip", recorded)
+        monkeypatch.setattr(delaunay, "_flip", counted_flip)
         with pytest.raises(TriangulationError, match="Delaunay repair did not converge"):
             delaunay._qhull_delaunay(xy)
-        [(n_faces, (flipped, flips))] = repairs
-        assert flipped is None and flips == n_faces + 1
+        # it gives up when flip number faces + 1 comes due, after making
+        # the first `faces` flips in place
+        [(before, after, finished)] = repairs
+        assert finished is False and len(flips) == len(before)
+        assert not np.array_equal(after, before)
 
     def test_collinear_rejected(self):
         bubbles = [Bubble(float(x), 0.0, 0.3, MOBILE) for x in range(5)]

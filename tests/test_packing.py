@@ -104,6 +104,20 @@ class TestPackBoundary:
         assert [b.radius for b in bubbles] == [float(field_fn(b.x, b.y)) for b in bubbles]
 
 
+def sequential_interpolation(x, y, anchors):
+    """Inverse-square-distance anchor radius summed one anchor at a time: the
+    reference for interpolate_radius up to rounding."""
+    wsum = rsum = 0.0
+    for a in anchors:
+        d2 = (x - a.x) ** 2 + (y - a.y) ** 2
+        if d2 < 1e-24:
+            return a.radius
+        w = 1.0 / d2
+        wsum += w
+        rsum += w * a.radius
+    return rsum / wsum
+
+
 class TestInterpolateRadius:
     def test_coincident_anchor(self):
         anchors = [Bubble(1.0, 2.0, 0.3, BOUNDARY), Bubble(5.0, 5.0, 0.9, BOUNDARY)]
@@ -127,6 +141,30 @@ class TestInterpolateRadius:
     def test_no_anchors(self):
         with pytest.raises(PackingError):
             interpolate_radius(0.0, 0.0, [])
+        with pytest.raises(PackingError):
+            interpolate_radius(np.zeros(3), np.zeros(3), [])
+
+    @pytest.mark.parametrize("bound", [None, lambda x, y: 0.3,
+                                       lambda x, y: 0.2 + 0.02 * np.asarray(x)],
+                             ids=["none", "scalar-bound", "array-bound"])
+    def test_arrays_equal_pointwise_calls_bit_for_bit(self, bound):
+        rng = np.random.default_rng(11)
+        anchors = [Bubble(float(x), float(y), float(r), BOUNDARY)
+                   for (x, y), r in zip(rng.uniform(0, 10, (40, 2)), rng.uniform(0.1, 0.5, 40))]
+        # a second anchor on the fourth: a point there takes the first's radius
+        anchors.append(Bubble(anchors[3].x, anchors[3].y, 0.77, BOUNDARY))
+        xs, ys = rng.uniform(-1, 11, (2, 5, 7))
+        xs[0, :2], ys[0, :2] = (anchors[3].x, anchors[9].x), (anchors[3].y, anchors[9].y)
+        got = interpolate_radius(xs, ys, anchors, bound)
+        want = [[interpolate_radius(x, y, anchors, bound) for x, y in zip(*row)]
+                for row in zip(xs.tolist(), ys.tolist())]
+        assert got.shape == xs.shape and got.tolist() == want
+        if bound is None:
+            assert got[0, :2].tolist() == [anchors[3].radius, anchors[9].radius]
+            # the running sums of a loop over the anchors round differently
+            assert got.ravel().tolist() == pytest.approx(
+                [sequential_interpolation(x, y, anchors) for x, y in zip(xs.flat, ys.flat)],
+                rel=1e-13)
 
 
 class TestPackInterior:

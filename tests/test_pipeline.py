@@ -422,6 +422,22 @@ def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
     assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
 
 
+def test_bench_tracer_counts_the_qc_interpolation(tmp_path):
+    # packing.interp_calls and packing.interp_s come from the spans the
+    # tracer puts around relaxation.interpolate_radius: an original-qc pass
+    # that sized its candidates under a name the tracer does not wrap would
+    # read 0 there without failing
+    tracing, workloads = bench_module("tracing"), bench_module("workloads")
+    wl, cfg = workloads.load("graded-qc", 0, tmp_path)
+    tracer = tracing.Tracer("graded-qc")
+    with tracing.traced(tracer):
+        workloads.entry_point(wl)(cfg)
+    spans = tracer.spans
+    assert any(name == "packing.interp" and parent >= 0 and spans[parent][0] == "relaxation.qc"
+               for name, _, _, parent in spans)
+    assert tracing.layer_metrics(tracer)["packing.interp_calls"][0] > 1
+
+
 @pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
 def test_benchmark_workloads_converge(tmp_path, name):
     # the benchmark fails a call whose relaxation stops at the sweep cap, and

@@ -1065,12 +1065,74 @@ def random_case(seed):
     return lambda: (square_domain(side=10.0, radius=0.35), random_population(seed))
 
 
+def crowd(x, y, degrees):
+    """Anchors of radius 0.5 at 0.6 from (x, y), one per angle: nine of them
+    sum a radius-0.5 bubble there to 16.2, over every high threshold."""
+    return [Bubble(x + 0.6 * math.cos(math.radians(a)), y + 0.6 * math.sin(math.radians(a)),
+                   0.5, BOUNDARY) for a in degrees]
+
+
+# Passes whose earlier change reaches a later insertion candidate. Every
+# mobile bubble but the crowded one sums to 0, so it asks for an insertion
+# at the (5, 8) and (4, 10) thresholds.
+
+def deleted_blocker_case():
+    # the crowded bubble at (1, 0) is deleted first; it blocked the
+    # candidate of the small bubble at the origin, aimed away from the
+    # anchor at (-0.55, 0) to (0.7, 0), and lies beyond that bubble's 3 r0
+    return None, (crowd(1.0, 0.0, range(-80, 81, 20))
+                  + [Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 0.0, 0.5, MOBILE),
+                     Bubble(0.0, 0.0, 0.2, MOBILE)])
+
+
+def deleted_wide_neighbour_case():
+    # the crowded bubble at the origin is deleted first; it lies 1.4 from
+    # the bubble at (1.4, 0), inside that bubble's 3 r0 and beyond its 2 r_max
+    # stale window, and was one of the two neighbours that set its gap
+    return None, (crowd(0.0, 0.0, range(100, 261, 20))
+                  + [Bubble(1.4, 1.2, 0.5, BOUNDARY), Bubble(0.0, 0.0, 0.5, MOBILE),
+                     Bubble(1.4, 0.0, 0.5, MOBILE)])
+
+
+def inserted_in_wide_window_case():
+    # the bubble at (-0.5, 2.2) inserts at (-0.5, 1.2), 1.3 from the bubble at
+    # the origin: inside its 3 r0 and beyond the 2 r_max stale window, and 2
+    # from the candidate it aimed at (1, 0) away from the anchor at (-1.2, 0)
+    return None, [Bubble(-1.2, 0.0, 0.5, BOUNDARY), Bubble(-0.5, 3.4, 0.5, BOUNDARY),
+                  Bubble(-0.5, 2.2, 0.5, MOBILE), Bubble(0.0, 0.0, 0.5, MOBILE)]
+
+
+def inserted_blocker_case():
+    # the bubble at (1, 1.15) inserts at (1, 0.15), 1.01 from the small bubble
+    # at the origin (beyond its 3 r0 and the stale window) and 0.34 from
+    # that bubble's candidate at (0.7, 0), which it blocks
+    return None, [Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 2.35, 0.5, BOUNDARY),
+                  Bubble(1.0, 1.15, 0.5, MOBILE), Bubble(0.0, 0.0, 0.2, MOBILE)]
+
+
+@functools.lru_cache(maxsize=None)
+def relaxed_graded_square():
+    """graded_holed_square's packing after 12 sweeps without quantity
+    control, where insertion candidates fail on the walls and on collisions
+    as in the graded-qc benchmark workload (one list shared by the callers,
+    as graded_holed_square's)."""
+    domain, bubbles = graded_holed_square()
+    out, _ = relax_until_converged(bubbles, domain, force=FORCE, strategy="none",
+                                   dyn=DynamicsParams(max_sweeps=12, force_tol=1e-12))
+    return domain, out
+
+
 # (domain or None, bubbles) on which the pair-array and scalar passes are compared
 QC_CASES = {
     "hex-lattice": lambda: (None, hex_lattice()),
     "hex-lattice-crowded": lambda: (None, hex_lattice() + hex_neighbors(9, center=(2.0, 1.7))),
     "graded": graded_holed_square,
+    "graded-relaxed": relaxed_graded_square,
     "insertions-visible": insertions_visible_case,
+    "deleted-blocker": deleted_blocker_case,
+    "deleted-wide-neighbour": deleted_wide_neighbour_case,
+    "inserted-in-wide-window": inserted_in_wide_window_case,
+    "inserted-blocker": inserted_blocker_case,
     "random-0": random_case(0),
     "random-1": random_case(1),
 }
@@ -1105,6 +1167,18 @@ class TestQCMatchesScalarPasses:
         inserted = len(state.alive) - len(bubbles)
         assert deleted > 0 and inserted > 0 and changes == deleted + inserted
         assert tally.qc_inserts == inserted < tally.qc_insert_attempts
+        assert 0 < tally.qc_candidates_redone < tally.qc_insert_attempts
+
+    def test_redone_candidates_counted(self):
+        # each case whose earlier change reaches a later candidate derives
+        # that candidate again, and places it unless the change blocked it;
+        # a deleted blocker only lifts the block (alive mask)
+        for case, inserts, redone in [("deleted-blocker", 1, 0), ("deleted-wide-neighbour", 1, 1),
+                                      ("inserted-in-wide-window", 2, 1),
+                                      ("inserted-blocker", 1, 1)]:
+            tally = ConvergenceTrace()
+            qc_original(QC_CASES[case]()[1], trace=tally)
+            assert (tally.qc_inserts, tally.qc_candidates_redone) == (inserts, redone), case
 
     @pytest.mark.parametrize("threshold", [1.0, 1.2, 0.5, -0.5])
     @pytest.mark.parametrize("case", sorted(QC_CASES))
@@ -1114,6 +1188,44 @@ class TestQCMatchesScalarPasses:
         old, want = qc_boundary_region(bubbles, threshold, qc=scalar_qc_boundary_region)
         assert removed == want
         assert np.array_equal(new.alive, old.alive)
+
+
+class TestInsertionCandidates:
+    def candidates(self, case):
+        """The batch of every mobile slot of a case at the start of a pass,
+        and a function deriving the candidates of some of its rows."""
+        domain, bubbles = QC_CASES[case]()
+        state = RelaxState(bubbles, seed=4)
+        anchors = [b for b in bubbles if b.kind != MOBILE]
+        walls = None if domain is None else WallClamp(domain)
+        _, _, near = relaxation._pass_queries(state)
+        rows = state.mobile_indices()
+
+        def derive(some):
+            return relaxation._insertion_candidates(state, some, near, anchors, walls,
+                                                    state.max_radius())
+        return rows, derive
+
+    @pytest.mark.parametrize("case", ["graded-relaxed", "random-0", "deleted-wide-neighbour",
+                                      "hex-lattice"])
+    def test_batch_rows_equal_one_row_calls(self, case):
+        rows, derive = self.candidates(case)
+        *batch, own, blockers = derive(rows)
+        for k in range(len(rows)):
+            *one, one_own, one_blockers = derive(rows[k:k + 1])
+            assert [column[k] for column in batch] == [column[0] for column in one]
+            assert one_own.tolist() == [0] * len(one_own)
+            assert blockers[own == k].tolist() == one_blockers.tolist()
+
+    def test_relaxed_graded_candidates_fail_on_walls_and_collisions(self):
+        rows, derive = self.candidates("graded-relaxed")
+        _, _, _, clear, own, _ = derive(rows)
+        blocked = np.isin(np.arange(len(rows)), own)
+        assert (~clear).sum() > 10 and (clear & blocked).sum() > 10
+
+    def test_no_rows(self):
+        rows, derive = self.candidates("graded-relaxed")
+        assert [len(column) for column in derive(rows[:0])] == [0] * 6
 
 
 class TestQCBoundaryRegion:
@@ -1217,14 +1329,14 @@ class TestRelaxUntilConverged:
                                                strategy="original-qc", qc_period=5, seed=3)
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
-                         (trace.pair_rebuilds, trace.wall_checks,
-                          trace.qc_insert_attempts, trace.qc_inserts)))
+                         (trace.pair_rebuilds, trace.wall_checks, trace.qc_insert_attempts,
+                          trace.qc_inserts, trace.qc_candidates_redone)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, wall_checks, attempts, inserts = runs[0][2]
+        rebuilds, wall_checks, attempts, inserts, redone = runs[0][2]
         assert 1 < rebuilds < 30 and wall_checks > 0
-        assert attempts > inserts > 0
+        assert attempts > inserts > 0 and attempts > redone
 
     def test_energy_dissipation_proxy(self):
         # no QC, small dt: the decay envelope of the max net force (running
