@@ -147,12 +147,13 @@ def relax_params(cfg: PipelineConfig, bubbles) -> dict:
     """Keyword arguments of `relax_until_converged` for this config, with the
     force and dynamics scaled to the bubble population.
 
-    f0 = k * r_min keeps the cubic law repulsive below tangency and
-    attractive up to the cutoff for every pair scale in the population. The
-    stiffness k, c and dt keep their defaults (`DynamicsParams`: c = 1.4,
-    and dt = 0.4 for the one-evaluation semi-implicit Euler step): scaling k
-    scales f0, c^2, 1/dt^2 and the force tolerance together, so no other k
-    would change a trajectory in sweeps.
+    f0 = r_min, at the force law's unit stiffness, keeps the cubic law
+    repulsive below tangency and attractive up to the cutoff for every pair
+    scale in the population. Mass and stiffness are one, and c and dt keep
+    their defaults (`DynamicsParams`: c = 1.4, and dt = 0.4 for the
+    one-evaluation semi-implicit Euler step): another stiffness would scale
+    f0, c^2, 1/dt^2 and the force tolerance together, and change no
+    trajectory in sweeps.
     """
     radii = [b.radius for b in bubbles]
     r_min = min(radii)

@@ -37,26 +37,34 @@ class FlattenResult:
         return float(self.qc_distortion.max())
 
 
-def _cotangent_weights(verts: np.ndarray, faces: np.ndarray):
-    """Per-edge cotangent weights accumulated over faces."""
-    weights: dict[tuple[int, int], float] = {}
-    v = verts[faces]
+def _conformal_operator(mesh: TriangleMesh, loop: list[int]) -> sp.csr_matrix:
+    """The (2n, 2n) quadratic form of the conformal energy over the stacked
+    coordinates (x, y): the cotangent Dirichlet block for x and again for y,
+    less the signed area enclosed by the boundary loop. Each face corner
+    adds half its cotangent to the weight of the edge (i, j) it faces, as
+    four entries per block; duplicate entries are summed."""
+    n = mesh.n_vertices
+    v = mesh.vertices[mesh.faces]
+    half = []
     for corner in range(3):
         a = v[:, corner]
-        b = v[:, (corner + 1) % 3]
-        c = v[:, (corner + 2) % 3]
-        e1 = b - a
-        e2 = c - a
+        e1 = v[:, (corner + 1) % 3] - a
+        e2 = v[:, (corner + 2) % 3] - a
         cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cot = np.einsum("ij,ij->i", e1, e2) / np.maximum(cross, 1e-300)
-        i_idx = faces[:, (corner + 1) % 3]
-        j_idx = faces[:, (corner + 2) % 3]
-        for fi in range(len(faces)):
-            key = (int(i_idx[fi]), int(j_idx[fi]))
-            if key[0] > key[1]:
-                key = (key[1], key[0])
-            weights[key] = weights.get(key, 0.0) + 0.5 * float(cot[fi])
-    return weights
+        half.append(0.5 * (np.einsum("ij,ij->i", e1, e2) / np.maximum(cross, 1e-300)))
+    w = np.concatenate(half)
+    i, j = mesh.faces[:, [1, 2, 0]].T.ravel(), mesh.faces[:, [2, 0, 1]].T.ravel()
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    vals = np.concatenate([-w, -w, w, w])
+    # area term: z^T K z = 2 * signed flat area over the boundary loop
+    a = np.asarray(loop)
+    b = np.roll(a, -1)
+    half = np.full(len(a), 0.5)
+    rows = np.concatenate([rows, rows + n, a, b + n, b, a + n])
+    cols = np.concatenate([cols, cols + n, b + n, a, a + n, b])
+    vals = np.concatenate([vals, vals, -half, -half, half, half])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
 
 
 def _pin_vertices(mesh: TriangleMesh, loop: list[int]) -> tuple[int, int]:
@@ -80,36 +88,8 @@ def flatten(mesh: TriangleMesh) -> FlattenResult:
         raise MeshError("flatten requires a mesh without degenerate faces")
 
     n = mesh.n_vertices
-    weights = _cotangent_weights(mesh.vertices, mesh.faces)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add(r, c, val):
-        rows.append(r)
-        cols.append(c)
-        vals.append(val)
-
-    # Dirichlet block, duplicated for x (offset 0) and y (offset n)
-    for (i, j), w in weights.items():
-        for off in (0, n):
-            add(i + off, j + off, -w)
-            add(j + off, i + off, -w)
-            add(i + off, i + off, w)
-            add(j + off, j + off, w)
-
-    # area term: z^T K z = 2 * signed flat area over the boundary loop
     loop = mesh.boundary_loop
-    for k in range(len(loop)):
-        i = loop[k]
-        j = loop[(k + 1) % len(loop)]
-        add(i, j + n, -0.5)
-        add(j + n, i, -0.5)
-        add(j, i + n, 0.5)
-        add(i + n, j, 0.5)
-
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    M = _conformal_operator(mesh, loop)
 
     p0, p1 = _pin_vertices(mesh, loop)
     pinned = np.array([p0, p0 + n, p1, p1 + n])

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,16 @@ class MeshQualityReport:
         return "\n".join(lines) + "\n"
 
 
+class EdgeTable(NamedTuple):
+    """A mesh's edges as sorted int64 keys over its vertex count V: the
+    distinct half-edges a -> b of its faces (a*V+b), the distinct edges
+    i < j (i*V+j), and the number of faces on each of the latter."""
+
+    directed: np.ndarray
+    undirected: np.ndarray
+    faces: np.ndarray
+
+
 class _MeshBase:
     """Shared topology queries for 2D and 3D triangle meshes."""
 
@@ -76,20 +87,23 @@ class _MeshBase:
     def n_faces(self) -> int:
         return len(self.faces)
 
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """The edges of the faces, derived once (meshes are immutable)."""
+        n = self.n_vertices
+        a = self.faces.ravel()
+        b = self.faces[:, [1, 2, 0]].ravel()
+        undirected, faces = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                      return_counts=True)
+        return EdgeTable(np.unique(a * n + b), undirected, faces)
+
     def undirected_edges(self) -> np.ndarray:
         """(E,2) array of unique undirected edges, i<j, lexicographically sorted."""
-        f = self.faces
-        e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return np.column_stack(np.divmod(self.edge_table.undirected, self.n_vertices))
 
     def directed_edge_set(self) -> set[tuple[int, int]]:
-        out = set()
-        for a, b, c in self.faces:
-            out.add((int(a), int(b)))
-            out.add((int(b), int(c)))
-            out.add((int(c), int(a)))
-        return out
+        a, b = np.divmod(self.edge_table.directed, self.n_vertices)
+        return set(zip(a.tolist(), b.tolist()))
 
     def boundary_loops(self) -> list[list[int]]:
         """All boundary loops, longest first, each rotated to start at its
@@ -99,26 +113,29 @@ class _MeshBase:
 
     @cached_property
     def _boundary_loops(self) -> list[list[int]]:
-        directed = self.directed_edge_set()
-        boundary = [(a, b) for (a, b) in directed if (b, a) not in directed]
-        succ: dict[int, int] = {}
-        for a, b in boundary:
-            if a in succ:
-                raise MeshError(f"non-manifold boundary at vertex {a}")
-            succ[a] = b
+        n = self.n_vertices
+        directed = self.edge_table.directed
+        a, b = np.divmod(directed, n)
+        # a half-edge is on the boundary when no face has its reverse
+        on = ~np.isin(b * n + a, directed)
+        a, b = a[on], b[on]
+        out_degree = np.bincount(a, minlength=n)
+        bad = np.flatnonzero((out_degree > 1) | (out_degree != np.bincount(b, minlength=n)))
+        if len(bad):
+            raise MeshError(f"non-manifold boundary at vertex {bad[0]}")
+        # every boundary vertex has one successor: the loops are its cycles,
+        # each walked from its smallest vertex
+        succ = np.full(n, -1)
+        succ[a] = b
+        succ = succ.tolist()
         loops = []
-        remaining = set(succ)
-        while remaining:
-            start = min(remaining)
-            loop = [start]
-            remaining.discard(start)
-            cur = succ[start]
-            while cur != start:
-                loop.append(cur)
-                remaining.discard(cur)
-                cur = succ[cur]
-            k = loop.index(min(loop))
-            loops.append(loop[k:] + loop[:k])
+        for v in a.tolist():
+            loop = []
+            while succ[v] >= 0:
+                loop.append(v)
+                succ[v], v = -1, succ[v]
+            if loop:
+                loops.append(loop)
         loops.sort(key=lambda lp: (-len(lp), lp[0]))
         return loops
 
@@ -131,15 +148,16 @@ class _MeshBase:
         return loops[0]
 
     def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.undirected_edges()) + self.n_faces
+        return self.n_vertices - len(self.edge_table.undirected) + self.n_faces
 
     def vertex_neighbors(self) -> list[list[int]]:
         """Sorted neighbor lists per vertex."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for a, b in self.undirected_edges():
-            nbrs[a].add(int(b))
-            nbrs[b].add(int(a))
-        return [sorted(s) for s in nbrs]
+        n = self.n_vertices
+        i, j = np.divmod(self.edge_table.undirected, n)
+        owner, nbr = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
+        bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+        nbr = nbr.tolist()
+        return [nbr[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     def face_corner_angles(self) -> np.ndarray:
         """(F,3) corner angles in degrees, corner k opposite edge k."""
@@ -213,16 +231,14 @@ def validate_disk_topology(mesh: _MeshBase) -> ValidationResult:
     """Accept iff the mesh is an edge-manifold disk: V - E + F = 1, one boundary loop."""
     if mesh.n_faces == 0:
         return ValidationResult(False, "mesh has no faces")
-    directed = mesh.directed_edge_set()
-    if len(directed) != 3 * mesh.n_faces:
-        return ValidationResult(False, "duplicate directed edge (inconsistent orientation or repeated face)")
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in directed:
-        key = (a, b) if a < b else (b, a)
-        counts[key] = counts.get(key, 0) + 1
-    if any(c > 2 for c in counts.values()):
-        bad = next(k for k, c in counts.items() if c > 2)
+    edges = mesh.edge_table
+    # checked first: three faces on an edge repeat one of its directions
+    over = edges.undirected[edges.faces > 2]
+    if len(over):
+        bad = divmod(int(over[0]), mesh.n_vertices)
         return ValidationResult(False, f"non-manifold edge {bad} (more than two incident faces)")
+    if len(edges.directed) != 3 * mesh.n_faces:
+        return ValidationResult(False, "duplicate directed edge (inconsistent orientation or repeated face)")
     try:
         loops = mesh.boundary_loops()
     except MeshError as exc:

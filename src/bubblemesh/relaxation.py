@@ -1,9 +1,10 @@
 """Physically-based bubble relaxation and quantity control.
 
-Each bubble obeys m x'' + c x' = f where f sums pairwise interaction forces.
-Relaxation needs only the equilibrium, not an accurate trajectory, so the
-ODE is integrated with a damped semi-implicit Euler step, one force
-evaluation per sweep (bubble meshing as published uses classical RK4, four).
+Each bubble, of unit mass, obeys x'' + c x' = f where f sums pairwise
+interaction forces. Relaxation needs only the equilibrium, not an accurate
+trajectory, so the ODE is integrated with a damped semi-implicit Euler
+step, one force evaluation per sweep (bubble meshing as published uses
+classical RK4, four).
 A sweep steps every mobile bubble at once (Jacobi), each against every
 other bubble frozen at its start-of-sweep position, as one step on (2,k)
 arrays. Two quantity-control strategies are provided: the original
@@ -54,29 +55,28 @@ class RelaxationError(Exception):
 
 @dataclass(frozen=True)
 class ForceParams:
-    """Cubic pair-force law: F(0)=f0, F(1)=0, F'(1)=-k*l0, F(cutoff)=0 in w=l/l0."""
+    """Cubic pair-force law of unit stiffness: F(0)=f0, F(1)=0, F'(1)=-l0,
+    F(cutoff)=0 in w=l/l0."""
 
-    k: float = 1.0
     f0: float = 1.0
     cutoff: float = 1.5
 
     def __post_init__(self):
-        if self.k <= 0 or self.f0 <= 0:
-            raise ValueError("k and f0 must be positive")
+        if self.f0 <= 0:
+            raise ValueError("f0 must be positive")
 
 
 @dataclass(frozen=True)
 class DynamicsParams:
     """Mass-spring-damper integration and convergence controls.
 
-    Defaults realize near-critical damping c = 1.4*sqrt(m*k) and the
-    semi-implicit Euler step dt = 0.4*sqrt(m/k) at unit mass and stiffness;
-    the step is unstable at dt = 0.8. `stall_window` counts sweeps; the stall
-    test sees the min angle every `_ANGLE_EVERY` sweeps, so the window must
-    hold two samples at least.
+    Bubbles have unit mass and the force law unit stiffness, so the
+    defaults realize near-critical damping c = 1.4 and the semi-implicit
+    Euler step dt = 0.4; the step is unstable at dt = 0.8. `stall_window`
+    counts sweeps; the stall test sees the min angle every `_ANGLE_EVERY`
+    sweeps, so the window must hold two samples at least.
     """
 
-    m: float = 1.0
     c: float = 1.4
     dt: float = 0.4
     force_tol: float = 1e-3
@@ -85,8 +85,8 @@ class DynamicsParams:
     stall_angle: float = 0.1
 
     def __post_init__(self):
-        if min(self.m, self.c, self.dt, self.force_tol) <= 0:
-            raise ValueError("m, c, dt and force_tol must be positive")
+        if min(self.c, self.dt, self.force_tol) <= 0:
+            raise ValueError("c, dt and force_tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.stall_window < _ANGLE_EVERY:
@@ -171,10 +171,9 @@ def _cubic_law(l0, params: ForceParams):
     """Per-pair terms of the cubic at rest length l0: the cutoff distance
     cutoff * l0 and the coefficients c1, c2, c3 of F(w) = ((c3 w + c2) w +
     c1) w + f0."""
-    kl = params.k * l0
-    c3 = 2.0 * kl - (2.0 / 3.0) * params.f0
-    c2 = (7.0 / 3.0) * params.f0 - 5.0 * kl
-    c1 = 3.0 * kl - (8.0 / 3.0) * params.f0
+    c3 = 2.0 * l0 - (2.0 / 3.0) * params.f0
+    c2 = (7.0 / 3.0) * params.f0 - 5.0 * l0
+    c1 = 3.0 * l0 - (8.0 / 3.0) * params.f0
     return params.cutoff * l0, c1, c2, c3
 
 
@@ -391,7 +390,7 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     for e in coincident.tolist():
         f[:, e] = _coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
     f = np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
-    v1 = v0 + dyn.dt * (f - dyn.c * v0) / dyn.m
+    v1 = v0 + dyn.dt * (f - dyn.c * v0)
     p1 = p0 + dyn.dt * v1
     if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
         raise RelaxationError("dynamics diverged; reduce dt")

@@ -47,28 +47,26 @@ def reconstruct_interior_bubbles(flat: PlanarMesh) -> list[Bubble]:
 
     The radius is half the inverse-length-weighted average of the incident
     edge lengths, which keeps short edges authoritative and stops long
-    stretched edges from inflating the bubble.
+    stretched edges from inflating the bubble. In closed form it is half
+    their harmonic mean: 0.5 * deg / sum(1 / l).
     """
-    on_boundary = set()
-    for loop in flat.boundary_loops():
-        on_boundary.update(loop)
-    neighbors = flat.vertex_neighbors()
-    out = []
-    for i in range(flat.n_vertices):
-        if i in on_boundary:
-            continue
-        nbrs = neighbors[i]
-        if not nbrs:
-            raise MeshError(f"isolated vertex {i}")
-        lens = np.linalg.norm(flat.vertices[nbrs] - flat.vertices[i], axis=1)
-        if np.any(lens <= 0.0):
-            raise MeshError(f"zero-length edge at vertex {i}")
-        inv = 1.0 / lens
-        weights = inv / inv.sum()
-        radius = 0.5 * float((weights * lens).sum())
-        out.append(Bubble(float(flat.vertices[i, 0]), float(flat.vertices[i, 1]),
-                          radius, INTERIOR_ANCHOR))
-    return out
+    n = flat.n_vertices
+    interior = np.ones(n, dtype=bool)
+    interior[[v for loop in flat.boundary_loops() for v in loop]] = False
+    ends = flat.undirected_edges()
+    lens = np.linalg.norm(flat.vertices[ends[:, 1]] - flat.vertices[ends[:, 0]], axis=1)
+    ends = ends.T.ravel()
+    degree = np.bincount(ends, minlength=n)
+    zero = np.bincount(ends, np.tile(lens <= 0.0, 2), minlength=n) > 0
+    bad = np.flatnonzero(interior & ((degree == 0) | zero))
+    if len(bad):
+        i = int(bad[0])
+        raise MeshError(f"isolated vertex {i}" if degree[i] == 0 else f"zero-length edge at vertex {i}")
+    with np.errstate(divide="ignore"):
+        radius = 0.5 * degree / np.bincount(ends, np.tile(1.0 / lens, 2), minlength=n)
+    x, y = flat.vertices[interior].T
+    return [Bubble(*b, INTERIOR_ANCHOR)
+            for b in zip(x.tolist(), y.tolist(), radius[interior].tolist())]
 
 
 def anchor_sizing(anchors: list[Bubble]):
@@ -127,10 +125,7 @@ def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
     anchors at its corners, less the rounding margin on the coordinate
     scale, holds no surviving candidate: it is covered. A face with a corner
     that has no anchor is never covered."""
-    edges = np.sort(flat.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, faces_per_edge = np.unique(edges[:, 0] * flat.n_vertices + edges[:, 1],
-                                  return_counts=True)
-    if not anchors or np.count_nonzero(faces_per_edge % 2) != loop_length:
+    if not anchors or np.count_nonzero(flat.edge_table.faces % 2) != loop_length:
         return None
     ax, ay, ar = _anchor_arrays(anchors)
     reach = ar + (1.0 - FILL_MAX_ANCHOR_OVERLAP) * np.minimum(ar.min(), ar)

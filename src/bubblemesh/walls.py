@@ -35,8 +35,7 @@ class WallClamp:
         self.segments = domain.all_segments()
         self.margin = ROUNDING_MARGIN * float(np.abs(self.segments).max())
         # per segment: start, direction, length and inward (left) unit
-        # normal, in the scalar projection's arithmetic; a zero-length
-        # segment sends its bubbles to domain.project_inside
+        # normal (NaN for a zero-length segment)
         ax, ay, bx, by = self.segments.T
         vx, vy = bx - ax, by - ay
         length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
@@ -63,16 +62,13 @@ class WallClamp:
 
     def _check(self, p: np.ndarray, radius: np.ndarray):
         """The full check of each row of p from one distance pass over
-        every segment: its nearest segment (the first of equals), t of the
-        closest point on it, whether it is clear, and its room (0 unless
-        clear): how far it can move before the verdict could change. The
+        every segment: whether it is clear, and its room (0 unless clear):
+        how far it can move before the verdict could change. The
         room is the smaller of its clearance beyond WALL_CLEARANCE * radius
         and, for every segment, the larger of its signed distance to the
         segment's line (inward positive; none for a zero-length segment)
         and half its distance beyond the nearest (the move after which the
         segment could become the nearest). Less the rounding margin."""
-        seg = np.empty(len(p), dtype=np.int64)
-        t = np.empty(len(p))
         clear = np.empty(len(p), dtype=bool)
         room = np.zeros(len(p))
         ax, ay, _, _, _, nx, ny = self.terms
@@ -80,10 +76,10 @@ class WallClamp:
         for start in range(0, len(p), chunk):
             rows = slice(start, start + chunk)
             pr = p[rows]
-            tt, dd = segment_distances(pr, self.segments)
-            pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
-            seg[rows], t[rows], d2 = pick[1], tt[pick], dd[pick]
-            clear[rows] = ok = self._clear(pr, radius[rows], pick[1], d2)
+            dd = segment_distances(pr, self.segments)[1]
+            seg = np.argmin(dd, axis=1)
+            d2 = dd[np.arange(len(dd)), seg]
+            clear[rows] = ok = self._clear(pr, radius[rows], seg, d2)
             d = np.sqrt(d2[ok])
             dist = np.sqrt(dd[ok])
             # fmax skips the NaN line distance of a zero-length segment
@@ -91,13 +87,14 @@ class WallClamp:
             reach = np.fmax(line, 0.5 * (dist - d[:, None])).min(axis=1)
             room[start + np.flatnonzero(ok)] = np.minimum(
                 d - WALL_CLEARANCE * radius[rows][ok], reach) - self.margin
-        return seg, t, clear, room
+        return clear, room
 
     def clamp(self, slots: np.ndarray, p: np.ndarray, radius: np.ndarray):
         """Wall check of the bubbles `slots` at the rows of p (k,2): one that
         escaped or hugs the wall is projected back to a full radius of
-        clearance from its nearest segment (the first of equals), and checked
-        again on its next step. A row still within its room of where a check
+        clearance from its nearest segment of non-zero length (the first of
+        equals; `PackingDomain.project_inside`), and checked again on its
+        next step. A row still within its room of where a check
         last left it alone is left alone without a check. Returns the
         corrected positions and the mask of projected rows."""
         grow = int(slots.max(initial=-1)) + 1 - len(self.room2)
@@ -110,7 +107,7 @@ class WallClamp:
         fix = np.zeros(len(p), dtype=bool)
         if not len(near):
             return p, fix
-        seg, t, clear, room = self._check(p[near], radius[near])
+        clear, room = self._check(p[near], radius[near])
         rows = slots[near]
         self.at[rows] = p[near]
         self.room2[rows] = np.square(np.maximum(room, 0.0))
@@ -120,11 +117,5 @@ class WallClamp:
         if not len(bad):
             return p, fix
         out = p.copy()
-        ax, ay, vx, vy, length, nx, ny = self.terms[:, seg[~clear]]
-        t, r = t[~clear], radius[bad]
-        flat = ~(length > 0.0)  # a zero-length nearest segment
-        out[bad[~flat], 0] = (ax + t * vx + nx * r)[~flat]
-        out[bad[~flat], 1] = (ay + t * vy + ny * r)[~flat]
-        if flat.any():
-            out[bad[flat]] = self.domain.project_inside(p[bad[flat]], r[flat])
+        out[bad] = self.domain.project_inside(p[bad], radius[bad])
         return out, fix

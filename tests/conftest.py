@@ -1,10 +1,13 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from bubblemesh.mesh import TriangleMesh
+from bubblemesh.mesh import MeshError, TriangleMesh, ValidationResult
 from bubblemesh.packing import MOBILE
 from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
 
@@ -122,6 +125,129 @@ def single_triangle_mesh():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     faces = np.array([[0, 1, 2]])
     return TriangleMesh(verts, faces)
+
+
+def bench_module(name):
+    """A module of perfbench/, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# Scalar topology oracles: the set, dict and per-vertex loops of the mesh
+# topology queries that bubblemesh.mesh derives from its edge table.
+
+def loop_directed_edge_set(mesh):
+    out = set()
+    for a, b, c in mesh.faces.tolist():
+        out.update([(a, b), (b, c), (c, a)])
+    return out
+
+
+def loop_edge_counts(mesh):
+    """Faces per undirected edge (i, j), i < j."""
+    counts = {}
+    for a, b, c in mesh.faces.tolist():
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (min(i, j), max(i, j))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def loop_boundary_loops(mesh):
+    """The boundary loops traced over a successor dict, longest first, each
+    starting at its smallest vertex. The lowest boundary vertex without
+    exactly one boundary out-edge and one in-edge is named."""
+    directed = loop_directed_edge_set(mesh)
+    boundary = [(a, b) for a, b in directed if (b, a) not in directed]
+    out, into = {}, {}
+    for a, b in boundary:
+        out[a] = out.get(a, 0) + 1
+        into[b] = into.get(b, 0) + 1
+    bad = [v for v in set(out) | set(into) if out.get(v) != 1 or into.get(v) != 1]
+    if bad:
+        raise MeshError(f"non-manifold boundary at vertex {min(bad)}")
+    succ = dict(boundary)
+    loops = []
+    remaining = set(succ)
+    while remaining:
+        start = min(remaining)
+        loop = [start]
+        remaining.discard(start)
+        cur = succ[start]
+        while cur != start:
+            loop.append(cur)
+            remaining.discard(cur)
+            cur = succ[cur]
+        loops.append(loop)
+    loops.sort(key=lambda lp: (-len(lp), lp[0]))
+    return loops
+
+
+def loop_vertex_neighbors(mesh):
+    nbrs = [set() for _ in range(mesh.n_vertices)]
+    for i, j in loop_edge_counts(mesh):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return [sorted(s) for s in nbrs]
+
+
+def loop_validate_disk_topology(mesh):
+    """validate_disk_topology's verdict from the set, the dict of counts and
+    the traced loops; the lowest non-manifold edge is named."""
+    if mesh.n_faces == 0:
+        return ValidationResult(False, "mesh has no faces")
+    counts = loop_edge_counts(mesh)
+    over = sorted(k for k, c in counts.items() if c > 2)
+    if over:
+        return ValidationResult(False, f"non-manifold edge {over[0]} (more than two incident faces)")
+    if len(loop_directed_edge_set(mesh)) != 3 * mesh.n_faces:
+        return ValidationResult(False, "duplicate directed edge (inconsistent orientation or repeated face)")
+    try:
+        loops = loop_boundary_loops(mesh)
+    except MeshError as exc:
+        return ValidationResult(False, str(exc))
+    chi = mesh.n_vertices - len(counts) + mesh.n_faces
+    if len(loops) != 1:
+        return ValidationResult(
+            False, f"found {len(loops)} boundary loops, expected exactly 1 "
+                   f"(Euler characteristic {chi})")
+    if chi != 1:
+        return ValidationResult(False, f"Euler characteristic is {chi}, expected 1 (disk)")
+    return ValidationResult(True)
+
+
+def duplicated_face_mesh():
+    mesh = single_triangle_mesh()
+    return TriangleMesh(mesh.vertices, np.array([[0, 1, 2], [0, 1, 2]]))
+
+
+def pinched_mesh():
+    """Three triangles in a chain, pinched at vertices 1 and 2: each has two
+    boundary out-edges."""
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                      [3.0, 1.0, 0.0], [3.0, -1.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, -1.0, 0.0]])
+    return TriangleMesh(verts, np.array([[2, 3, 4], [1, 5, 6], [2, 1, 0]]))
+
+
+def fin_mesh():
+    """Edges {0, 1} and {2, 3} each carry three faces."""
+    verts = np.arange(30.0).reshape(10, 3) ** 1.5
+    return TriangleMesh(verts, np.array([[2, 3, 4], [3, 2, 5], [2, 3, 6],
+                                         [0, 1, 7], [1, 0, 8], [0, 1, 9]]))
+
+
+@pytest.fixture(scope="session")
+def sphere_workload_mesh(tmp_path_factory):
+    """The initial surface mesh of the `sphere` benchmark workload, seed 0."""
+    from bubblemesh.pipeline import initial_surface_mesh
+
+    _, cfg = bench_module("workloads").load("sphere", 0, tmp_path_factory.mktemp("sphere"))
+    return initial_surface_mesh(cfg)[2]
 
 
 # Scalar quantity-control helpers: the oracles of the pair-array passes in

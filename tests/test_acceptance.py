@@ -239,7 +239,7 @@ def test_criterion_6a_delaunay_oracle():
 
 
 def test_criterion_6b_force_law():
-    params = ForceParams(k=1.0, f0=1.0)
+    params = ForceParams(f0=1.0)
     a = Bubble(0.0, 0.0, 0.6)
     b = Bubble(1.2, 0.0, 0.6)   # exactly tangent
     tangent_mag = float(np.linalg.norm(pair_force(a, b, params)))

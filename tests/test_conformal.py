@@ -1,11 +1,45 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from bubblemesh.conformal import conformal_factors, flatten
+from bubblemesh.conformal import _conformal_operator, conformal_factors, flatten
 from bubblemesh.mesh import MeshError, PlanarMesh, TriangleMesh
 from bubblemesh.surfaces import cylinder_patch, plane
 
 from conftest import annulus_mesh, cap_mesh, grid_mesh_on_surface
+
+
+def dict_conformal_operator(mesh, loop):
+    """The conformal energy's operator assembled face by face: each edge's
+    cotangent weight summed in a dict, then four entries per edge and
+    coordinate block and four per boundary-loop edge. The reference for
+    `conformal._conformal_operator`."""
+    v = mesh.vertices.tolist()
+    weights = {}
+    for face in mesh.faces.tolist():
+        for corner in range(3):
+            a, i, j = (face[(corner + k) % 3] for k in range(3))
+            e1 = [v[i][d] - v[a][d] for d in range(3)]
+            e2 = [v[j][d] - v[a][d] for d in range(3)]
+            cross = math.sqrt((e1[1] * e2[2] - e1[2] * e2[1]) ** 2
+                              + (e1[2] * e2[0] - e1[0] * e2[2]) ** 2
+                              + (e1[0] * e2[1] - e1[1] * e2[0]) ** 2)
+            cot = sum(p * q for p, q in zip(e1, e2)) / max(cross, 1e-300)
+            key = (min(i, j), max(i, j))
+            weights[key] = weights.get(key, 0.0) + 0.5 * cot
+    n = mesh.n_vertices
+    entries = []
+    for (i, j), w in weights.items():
+        for off in (0, n):
+            entries += [(i + off, j + off, -w), (j + off, i + off, -w),
+                        (i + off, i + off, w), (j + off, j + off, w)]
+    for k, i in enumerate(loop):
+        j = loop[(k + 1) % len(loop)]
+        entries += [(i, j + n, -0.5), (j + n, i, -0.5), (j, i + n, 0.5), (i + n, j, 0.5)]
+    rows, cols, vals = zip(*entries)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +123,30 @@ class TestFlattenErrors:
         mesh = TriangleMesh(verts, np.array([[0, 1, 3], [0, 1, 2]]))
         with pytest.raises(MeshError):
             flatten(mesh)
+
+
+class TestConformalOperator:
+    @pytest.mark.parametrize("make", [
+        lambda: grid_mesh_on_surface(plane(0.0, 2.0, 0.0, 1.0), 9, 5),
+        lambda: grid_mesh_on_surface(cylinder_patch(1.0, 0.0, 0.9 * np.pi, 0.0, 2.0), 25, 12),
+        lambda: cap_mesh(rings=8),
+    ], ids=["plane", "cylinder", "cap"])
+    def test_matches_dict_assembly(self, make):
+        self.check(make())
+
+    def test_matches_dict_assembly_on_sphere_workload(self, sphere_workload_mesh):
+        self.check(sphere_workload_mesh)
+
+    @staticmethod
+    def check(mesh):
+        # same sparsity; the sums over a row's entries differ in order only
+        loop = mesh.boundary_loop
+        got, want = _conformal_operator(mesh, loop), dict_conformal_operator(mesh, loop)
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
 
 
 class TestConformalFactors:

@@ -7,8 +7,11 @@ from bubblemesh.mesh import (MeshError, PlanarMesh, TriangleMesh,
                              save_mesh, validate_disk_topology, write_svg)
 from bubblemesh.surfaces import plane, sphere_patch
 
-from conftest import (annulus_mesh, grid_mesh_on_surface, single_triangle_mesh,
-                      tetrahedron_mesh)
+from conftest import (annulus_mesh, duplicated_face_mesh, fin_mesh,
+                      grid_mesh_on_surface, loop_boundary_loops,
+                      loop_directed_edge_set, loop_edge_counts,
+                      loop_validate_disk_topology, loop_vertex_neighbors,
+                      pinched_mesh, single_triangle_mesh, tetrahedron_mesh)
 
 
 class TestIO:
@@ -79,9 +82,67 @@ class TestValidation:
         assert validate_disk_topology(mesh).ok
 
     def test_duplicated_face_rejected(self):
-        mesh = single_triangle_mesh()
-        bad = TriangleMesh(mesh.vertices, np.array([[0, 1, 2], [0, 1, 2]]))
-        assert not validate_disk_topology(bad).ok
+        assert not validate_disk_topology(duplicated_face_mesh()).ok
+
+    def test_lowest_non_manifold_edge_named(self):
+        # edges (2, 3) and (0, 1) both carry three faces
+        result = validate_disk_topology(fin_mesh())
+        assert not result.ok
+        assert result.reason.startswith("non-manifold edge (0, 1)")
+
+    def test_lowest_pinched_vertex_named(self):
+        # vertices 2 and 1 both have two boundary out-edges
+        with pytest.raises(MeshError, match="non-manifold boundary at vertex 1$"):
+            pinched_mesh().boundary_loops()
+        assert validate_disk_topology(pinched_mesh()).reason == \
+            "non-manifold boundary at vertex 1"
+
+
+TOPOLOGY_MESHES = {
+    "triangle": single_triangle_mesh,
+    "grid": lambda: grid_mesh_on_surface(plane(), 5, 4),
+    "annulus": annulus_mesh,
+    "tetrahedron": tetrahedron_mesh,
+    "duplicated-face": duplicated_face_mesh,
+    "fin": fin_mesh,
+    "pinched": pinched_mesh,
+    "empty": lambda: TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=np.int64)),
+}
+
+
+class TestEdgeTableOracles:
+    """Every topology query read from the edge table equals the set, dict
+    and per-vertex loops it replaced."""
+
+    def check(self, mesh):
+        assert [tuple(e) for e in mesh.undirected_edges().tolist()] == \
+            sorted(loop_edge_counts(mesh))
+        assert mesh.directed_edge_set() == loop_directed_edge_set(mesh)
+        assert mesh.vertex_neighbors() == loop_vertex_neighbors(mesh)
+        assert mesh.euler_characteristic() == \
+            mesh.n_vertices - len(loop_edge_counts(mesh)) + mesh.n_faces
+        try:
+            want = loop_boundary_loops(mesh)
+        except MeshError as exc:
+            with pytest.raises(MeshError, match=f"^{exc}$"):
+                mesh.boundary_loops()
+        else:
+            assert mesh.boundary_loops() == want
+        assert validate_disk_topology(mesh) == loop_validate_disk_topology(mesh)
+
+    @pytest.mark.parametrize("name", TOPOLOGY_MESHES)
+    def test_small_meshes(self, name):
+        self.check(TOPOLOGY_MESHES[name]())
+
+    def test_sphere_workload_mesh(self, sphere_workload_mesh):
+        assert validate_disk_topology(sphere_workload_mesh).ok
+        self.check(sphere_workload_mesh)
+
+    def test_undirected_edges_fresh_each_call(self):
+        mesh = grid_mesh_on_surface(plane(), 5, 4)
+        first = mesh.undirected_edges()
+        first[:] = -1
+        assert mesh.undirected_edges().min() == 0
 
 
 class TestQualityReport:

@@ -8,7 +8,7 @@ from bubblemesh.monitor import triangulation_min_angle
 from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
 from bubblemesh.relaxation import DynamicsParams, ForceParams, relax_until_converged
 
-FORCE = ForceParams(k=1.0, f0=1.0)
+FORCE = ForceParams(f0=1.0)
 
 
 def plate_with_hole(sizing):

@@ -1,7 +1,3 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,6 +7,8 @@ from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
                                  load_anchor_csv, load_config, plane_domain, run,
                                  run_plane_pipeline, run_remesh_pipeline,
                                  run_surface_pipeline)
+
+from conftest import bench_module
 
 
 class TestConfig:
@@ -147,8 +145,6 @@ class TestRemeshPipeline:
     def test_remesh_obj_file(self, tmp_path):
         from bubblemesh.mesh import save_mesh
         from bubblemesh.surfaces import sphere_patch
-        import sys
-        sys.path.insert(0, "tests")
         from conftest import grid_mesh_on_surface
         mesh = grid_mesh_on_surface(
             sphere_patch(radius=1.0, u0=0.0, u1=1.0, v0=1.0, v1=2.0), 14, 14)
@@ -386,16 +382,6 @@ class TestCLI:
         assert "error" in capsys.readouterr().err
 
 
-def bench_module(name):
-    """A module of perfbench/, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_tracer_finds_every_attribute_it_wraps():
     # perfbench/tracing.py wraps program functions by module attribute name;
     # a renamed attribute makes install() raise here, not only in the
@@ -436,6 +422,20 @@ def test_bench_tracer_counts_the_qc_interpolation(tmp_path):
     assert any(name == "packing.interp" and parent >= 0 and spans[parent][0] == "relaxation.qc"
                for name, _, _, parent in spans)
     assert tracing.layer_metrics(tracer)["packing.interp_calls"][0] > 1
+
+
+def test_surface_workload_artifacts_are_deterministic(tmp_path):
+    # criterion 6f runs the plane pipeline only: two seed-0 calls of the
+    # `sphere` workload (flatten, re-mesh, inverse map) must write the same
+    # bytes, the benchmark's digests compared
+    workloads, child = bench_module("workloads"), bench_module("child")
+    digests = []
+    for run in range(2):
+        wl, cfg = workloads.load("sphere", 0, tmp_path / f"run{run}")
+        workloads.entry_point(wl)(cfg)
+        digests.append(child.artifact_digests(tmp_path / f"run{run}"))
+    assert digests[0] == digests[1]
+    assert {"flat_initial.obj", "final_surface.obj", "trace.csv"} <= set(digests[0])
 
 
 @pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])

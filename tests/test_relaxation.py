@@ -21,7 +21,7 @@ from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 from conftest import (closest_point_on_segment, scalar_ball_query,
                       scalar_qc_boundary_region)
 
-FORCE = ForceParams(k=1.0, f0=1.0)
+FORCE = ForceParams(f0=1.0)
 
 
 def sweep_neighbors(state, cutoff, margin):
@@ -45,9 +45,9 @@ def sweep_neighbors(state, cutoff, margin):
 
 
 def euler_step(x, v, f, dyn):
-    """The damped semi-implicit Euler step of m x'' + c x' = f that a sweep
+    """The damped semi-implicit Euler step of x'' + c x' = f that a sweep
     takes: the new velocity first, then the position with it."""
-    v1 = v + dyn.dt * (f - dyn.c * v) / dyn.m
+    v1 = v + dyn.dt * (f - dyn.c * v)
     return x + dyn.dt * v1, v1
 
 

@@ -19,7 +19,8 @@ from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
                                reconstruct_interior_bubbles, remesh_planar)
 from bubblemesh.surfaces import plane
 
-from conftest import cap_mesh, grid_mesh_on_surface, scalar_qc_boundary_region
+from conftest import (cap_mesh, grid_mesh_on_surface, loop_boundary_loops,
+                      loop_vertex_neighbors, scalar_qc_boundary_region)
 
 
 def planar_flat(nu=9, nv=5, width=2.0, height=1.0):
@@ -37,6 +38,27 @@ def stretched_flat():
              for j in range(4) for i in range(n - 1)]
     faces = [f for a, b, c, d in cells for f in ([a, b, d], [a, d, c])]
     return PlanarMesh(np.column_stack([X.ravel(), Y.ravel()]), np.array(faces))
+
+
+def loop_interior_bubbles(flat):
+    """(x, y, radius) of one anchor per interior vertex, vertex by vertex:
+    half the inverse-length-weighted mean of its incident edge lengths. The
+    reference for reconstruct_interior_bubbles."""
+    on_boundary = {v for loop in loop_boundary_loops(flat) for v in loop}
+    neighbors = loop_vertex_neighbors(flat)
+    out = []
+    for i in range(flat.n_vertices):
+        if i in on_boundary:
+            continue
+        if not neighbors[i]:
+            raise MeshError(f"isolated vertex {i}")
+        lens = np.linalg.norm(flat.vertices[neighbors[i]] - flat.vertices[i], axis=1)
+        if np.any(lens <= 0.0):
+            raise MeshError(f"zero-length edge at vertex {i}")
+        inv = 1.0 / lens
+        weights = inv / inv.sum()
+        out.append((*flat.vertices[i].tolist(), 0.5 * float((weights * lens).sum())))
+    return out
 
 
 def fan_mesh(edge_lengths):
@@ -149,6 +171,50 @@ class TestInteriorReconstruction:
             inv = 1.0 / lens
             w = inv / inv.sum()
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestInteriorReconstructionOracle:
+    @pytest.mark.parametrize("make", [
+        planar_flat, stretched_flat, lambda: flatten(cap_mesh(rings=8)).flat,
+    ], ids=["grid", "stretched", "cap"])
+    def test_matches_vertex_loop(self, make):
+        self.check(make())
+
+    def test_matches_vertex_loop_on_sphere_workload(self, sphere_workload_mesh):
+        self.check(flatten(sphere_workload_mesh).flat)
+
+    @staticmethod
+    def check(flat):
+        got = reconstruct_interior_bubbles(flat)
+        want = np.array(loop_interior_bubbles(flat))
+        assert len(got) == len(want) > 0
+        assert all(b.kind == INTERIOR_ANCHOR for b in got)
+        assert np.array_equal([[b.x, b.y] for b in got], want[:, :2])
+        radii = np.array([b.radius for b in got])
+        assert np.all(np.abs(radii - want[:, 2]) <= 1e-14 * want[:, 2])
+
+    @pytest.mark.parametrize("isolated,zero,named", [
+        (True, False, "isolated vertex 5"),
+        (False, True, "zero-length edge at vertex 4"),
+        (True, True, "zero-length edge at vertex 4"),
+    ])
+    def test_same_error_as_vertex_loop(self, isolated, zero, named):
+        # a 3 x 3 grid has one interior vertex, 4; vertex 5 is appended
+        # without faces, and a zero-length edge moves vertex 1 onto 4
+        flat = planar_flat(3, 3, 1.0, 1.0)
+        verts = flat.vertices.copy()
+        if zero:
+            verts[1] = verts[4]
+        if isolated:
+            verts = np.vstack([verts[:5], [[9.0, 9.0]], verts[5:]])
+            faces = np.where(flat.faces >= 5, flat.faces + 1, flat.faces)
+        else:
+            faces = flat.faces
+        bad = PlanarMesh(verts, faces)
+        with pytest.raises(MeshError, match=f"^{named}$"):
+            loop_interior_bubbles(bad)
+        with pytest.raises(MeshError, match=f"^{named}$"):
+            reconstruct_interior_bubbles(bad)
 
 
 def equilateral_flat(rows=9, cols=12, r=0.25):
