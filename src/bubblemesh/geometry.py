@@ -184,15 +184,26 @@ def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _segment_terms(segments):
+    """The start (ax, ay), direction (vx, vy) and squared length
+    vx * vx + vy * vy of each of the (S,4) segments (ax, ay, bx, by): five
+    arrays."""
+    ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
+    vx, vy = bx - ax, by - ay
+    return ax, ay, vx, vy, vx * vx + vy * vy
+
+
 def segment_distances(points, segments):
     """t in [0, 1] of the closest point a + t (b - a) of each of the (S,4)
     segments (ax, ay, bx, by) to each (n,2) point (0 on a zero-length
     segment) and its squared distance, taken as dx = px - (ax + t vx): two
     (n,S) arrays."""
+    return _segment_distances(points, *_segment_terms(segments))
+
+
+def _segment_distances(points, ax, ay, vx, vy, denom):
+    """`segment_distances` of segments given by their `_segment_terms`."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
-    vx, vy = bx - ax, by - ay
-    denom = vx * vx + vy * vy
     px, py = points[:, :1], points[:, 1:]
     t = ((px - ax) * vx + (py - ay) * vy) / np.where(denom > 0.0, denom, 1.0)
     # min(1, max(0, t)) as Python takes it: 0.0 for t <= 0, -0.0 included
@@ -206,16 +217,20 @@ def nearest_segments(points, segments):
     """Nearest of the (S,4) segments (ax, ay, bx, by) to each (n,2) point.
     Returns per point the segment index (the first of equal distances), and
     t and the squared distance of `segment_distances`."""
+    return _nearest_segments(points, *_segment_terms(segments))
+
+
+def _nearest_segments(points, ax, ay, vx, vy, denom):
+    """`nearest_segments` of segments given by their `_segment_terms`."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    segments = np.asarray(segments, dtype=float).reshape(-1, 4)
     index = np.empty(len(points), dtype=np.int64)
     t = np.empty(len(points))
     d2 = np.empty(len(points))
     # points x segments temporaries, a bounded number of elements at a time
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(segments), 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
     for start in range(0, len(points), chunk):
         rows = slice(start, start + chunk)
-        tt, dd = segment_distances(points[rows], segments)
+        tt, dd = _segment_distances(points[rows], ax, ay, vx, vy, denom)
         pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
         index[rows] = pick[1]
         t[rows] = tt[pick]

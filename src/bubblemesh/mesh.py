@@ -372,27 +372,26 @@ def _vertex_rows_3d(mesh) -> np.ndarray:
     return v
 
 
+def _rows(row_format: str, values: np.ndarray) -> str:
+    """`row_format` once per row of the 2-D array, all rows formatted in one
+    operation from the array's flat list of Python numbers (no container
+    per row, no numpy scalar formatted on its own)."""
+    return (row_format * len(values)) % tuple(values.ravel().tolist())
+
+
 def save_mesh(path, mesh) -> None:
     """Write OBJ or OFF (by extension); planar meshes are written with z=0."""
     path = Path(path)
     v = _vertex_rows_3d(mesh)
     ext = path.suffix.lower()
-    lines = []
     if ext == ".obj":
-        for p in v:
-            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-        for f in mesh.faces:
-            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+        text = _rows("v %.9g %.9g %.9g\n", v) + _rows("f %d %d %d\n", mesh.faces + 1)
     elif ext == ".off":
-        lines.append("OFF")
-        lines.append(f"{len(v)} {len(mesh.faces)} 0")
-        for p in v:
-            lines.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-        for f in mesh.faces:
-            lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+        text = (f"OFF\n{len(v)} {len(mesh.faces)} 0\n" + _rows("%.9g %.9g %.9g\n", v)
+                + _rows("3 %d %d %d\n", mesh.faces))
     else:
         raise MeshError(f"unsupported mesh format '{ext}' (expected .obj or .off)")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text or "\n")  # an empty OBJ is one empty line
 
 
 def write_svg(path, mesh: PlanarMesh, stroke_width: float | None = None) -> None:
@@ -406,19 +405,14 @@ def write_svg(path, mesh: PlanarMesh, stroke_width: float | None = None) -> None
         stroke_width = 0.002 * max(float(span[0]), float(span[1]), 1e-12)
     # SVG y axis points down; flip about the bbox midline so the image is upright
     ymid = 0.5 * (lo[1] + hi[1])
-    out = [
+    a, b = mesh.undirected_edges().T
+    ends = np.column_stack([v[a, 0], 2 * ymid - v[a, 1], v[b, 0], 2 * ymid - v[b, 1]])
+    path.write_text(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{lo[0]:.9g} {lo[1]:.9g} {span[0]:.9g} {span[1]:.9g}">',
-        f'<g stroke="black" stroke-width="{stroke_width:.9g}" stroke-linecap="round">',
-    ]
-    for a, b in mesh.undirected_edges():
-        pa, pb = v[a], v[b]
-        out.append(
-            f'<line x1="{pa[0]:.9g}" y1="{2 * ymid - pa[1]:.9g}" '
-            f'x2="{pb[0]:.9g}" y2="{2 * ymid - pb[1]:.9g}"/>'
-        )
-    out.append("</g></svg>")
-    path.write_text("\n".join(out) + "\n")
+        f'viewBox="{lo[0]:.9g} {lo[1]:.9g} {span[0]:.9g} {span[1]:.9g}">\n'
+        f'<g stroke="black" stroke-width="{stroke_width:.9g}" stroke-linecap="round">\n'
+        + _rows('<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g"/>\n', ends)
+        + "</g></svg>\n")
 
 
 def planar_orientation_residual(mesh: PlanarMesh) -> float:

@@ -8,8 +8,10 @@ sized region packs tangentially with vertex degree 6.
 A domain's sizing field is a callable `sizing(xs, ys) -> ndarray`: it takes
 equal-shape coordinate arrays (or scalars) and returns the bubble-radius
 bound at every point, as an array that broadcasts to their shape (a
-constant field may return a scalar). Packing evaluates it in batches: one
-call per quadtree level and one per boundary loop for the boundary radii.
+constant field may return a scalar). Packing evaluates it in batches: two
+calls per step of the boundary march, over every edge of every loop at
+once, one per boundary loop for the boundary radii and one per quadtree
+level.
 Distances to the domain's walls come from `geometry.nearest_segments`.
 """
 from __future__ import annotations
@@ -146,16 +148,22 @@ def _interpolate_radii_batch(points: np.ndarray, anchors: list[Bubble]) -> np.nd
 
 def _interpolate_radii(points: np.ndarray, ax: np.ndarray, ay: np.ndarray,
                        ar: np.ndarray) -> np.ndarray:
-    """`_interpolate_radii_batch` over anchors given as x, y and radius arrays."""
+    """`_interpolate_radii_batch` over anchors given as x, y and radius arrays.
+    The (points x anchors) terms of a chunk live in two buffers that every
+    chunk reuses."""
     out = np.empty(len(points))
     chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
+    buf = np.empty((2, min(chunk, len(points)), len(ax)))
     for start in range(0, len(points), chunk):
         p = points[start:start + chunk]
-        d2 = (p[:, 0, None] - ax[None, :]) ** 2 + (p[:, 1, None] - ay[None, :]) ** 2
-        hit = d2 < 1e-24
-        d2 = np.maximum(d2, 1e-24)
-        w = 1.0 / d2
-        vals = (w * ar[None, :]).sum(axis=1) / w.sum(axis=1)
+        w, t = buf[:, :len(p)]
+        # d2 = dx ** 2 + dy ** 2, then w = 1 / max(d2, 1e-24)
+        np.square(np.subtract(p[:, :1], ax, out=w), out=w)
+        np.square(np.subtract(p[:, 1:], ay, out=t), out=t)
+        np.add(w, t, out=w)
+        hit = w < 1e-24
+        np.divide(1.0, np.maximum(w, 1e-24, out=w), out=w)
+        vals = np.multiply(w, ar, out=t).sum(axis=1) / w.sum(axis=1)
         rows = np.any(hit, axis=1)
         if np.any(rows):
             vals[rows] = ar[np.argmax(hit[rows], axis=1)]
@@ -180,19 +188,21 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     corners included. Output is ordered along the outer loop, then along
     each hole.
     """
-    out: list[Bubble] = []
-    for loop in domain.loops():
-        perimeter = polygon_perimeter(loop)
+    loops = domain.loops()
+    for loop in loops:
         first_r = float(domain.sizing(float(loop[0, 0]), float(loop[0, 1])))
-        if perimeter < 2.0 * first_r:
+        if polygon_perimeter(loop) < 2.0 * first_r:
             raise PackingError("boundary too small for sizing")
+    # every edge of every loop, from each corner to the next
+    a = np.concatenate(loops)
+    b = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops])
+    marched = _march_edges(domain, a, b)
+    out: list[Bubble] = []
+    first = 0
+    for loop in loops:
         n = len(loop)
-        edges = []
-        for i in range(n):
-            ax, ay = loop[i]
-            bx, by = loop[(i + 1) % n]
-            edges.append(_march_edge(domain, float(ax), float(ay),
-                                     float(bx), float(by)))
+        edges = marched[first:first + n]
+        first += n
         _limit_loop_gradation(edges)
         # corners and march positions in loop order, then one sizing call
         pos = []
@@ -214,31 +224,47 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     return out
 
 
-def _march_edge(domain, ax, ay, bx, by):
-    """March one edge at the local tangent spacing; returns (length, steps)
-    with steps summing exactly to length."""
-    length = math.hypot(bx - ax, by - ay)
-    if length <= 0.0:
-        return length, []
-    ux = (bx - ax) / length
-    uy = (by - ay) / length
+def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> list:
+    """March every edge from a to b ((E,2) arrays) at its local tangent
+    spacing, all edges in lockstep; returns (length, steps) per edge with
+    steps summing exactly to length.
 
-    def radius_at(s: float) -> float:
-        return float(domain.sizing(ax + ux * s, ay + uy * s))
-
-    arcs = [0.0]
-    while arcs[-1] < length and len(arcs) < 100000:
-        s = arcs[-1]
-        r_here = radius_at(s)
-        arcs.append(s + r_here + radius_at(min(s + 2.0 * r_here, length)))
-    # marched past the corner, or stop one step short: keep the count whose
-    # uniform rescale factor is closer to 1
-    over = len(arcs) - 1
-    pick = over
-    if over >= 2 and abs(length / arcs[over - 1] - 1.0) < abs(length / arcs[over] - 1.0):
-        pick = over - 1
-    scale = length / arcs[pick]
-    return length, [(arcs[k + 1] - arcs[k]) * scale for k in range(pick)]
+    A step from arc position s takes the radius r at s and the radius at
+    the look-ahead min(s + 2r, length): one sizing call per half-step over
+    every edge still short of its far corner and of the step cap. Each
+    edge then keeps the step count, overshooting its corner or stopping one
+    step short, whose uniform rescale factor is closer to 1."""
+    (ax, ay), (bx, by) = a.T.tolist(), b.T.tolist()
+    length = np.array([math.hypot(x1 - x0, y1 - y0)
+                       for x0, y0, x1, y1 in zip(ax, ay, bx, by)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (b - a) / length[:, None]
+    s = np.zeros(len(a))
+    arcs = [s]
+    count = np.zeros(len(a), dtype=np.int64)
+    live = np.flatnonzero(s < length)
+    while len(live):
+        start, unit, end, here = a[live], u[live], length[live], s[live]
+        r = _sizing_at(domain, start[:, 0] + unit[:, 0] * here,
+                       start[:, 1] + unit[:, 1] * here)
+        ahead = np.minimum(here + 2.0 * r, end)
+        s = s.copy()
+        s[live] = here + r + _sizing_at(domain, start[:, 0] + unit[:, 0] * ahead,
+                                        start[:, 1] + unit[:, 1] * ahead)
+        arcs.append(s)
+        count[live] += 1
+        live = live[(s[live] < end) & (len(arcs) < 100000)]
+    out = []
+    for ln, over, arc in zip(length.tolist(), count.tolist(), np.array(arcs).T.tolist()):
+        if ln <= 0.0:
+            out.append((ln, []))
+            continue
+        pick = over
+        if over >= 2 and abs(ln / arc[over - 1] - 1.0) < abs(ln / arc[over] - 1.0):
+            pick = over - 1
+        scale = ln / arc[pick]
+        out.append((ln, [(arc[k + 1] - arc[k]) * scale for k in range(pick)]))
+    return out
 
 
 def _limit_loop_gradation(edges) -> None:

@@ -61,8 +61,11 @@ def _require_regular(bad, u, v) -> None:
 
 def fundamental_forms(surface, u, v):
     """First (E,F,G) and second (L,M,N) fundamental form coefficients."""
-    fu = surface.du(u, v)
-    fv = surface.dv(u, v)
+    return _fundamental_forms(surface, u, v, surface.du(u, v), surface.dv(u, v))
+
+
+def _fundamental_forms(surface, u, v, fu, fv):
+    """`fundamental_forms` from the partials fu, fv at (u, v)."""
     E = _dot(fu, fu)
     F = _dot(fu, fv)
     G = _dot(fv, fv)
@@ -78,7 +81,10 @@ def fundamental_forms(surface, u, v):
 
 def principal_curvatures(surface, u, v):
     """Principal curvatures from the fundamental-form eigenproblem."""
-    E, F, G, L, M, N = fundamental_forms(surface, u, v)
+    return _principal_curvatures(*fundamental_forms(surface, u, v))
+
+
+def _principal_curvatures(E, F, G, L, M, N):
     a = E * G - F * F
     b = E * N + G * L - 2.0 * F * M
     c = L * N - M * M
@@ -88,20 +94,32 @@ def principal_curvatures(surface, u, v):
 
 def max_normal_curvature(surface, u, v):
     """Largest principal curvature magnitude (sizing treats curvature as a magnitude)."""
-    k1, k2 = principal_curvatures(surface, u, v)
+    return _max_normal_curvature(fundamental_forms(surface, u, v))
+
+
+def _max_normal_curvature(forms):
+    k1, k2 = _principal_curvatures(*forms)
     return np.maximum(np.abs(k1), np.abs(k2))
 
 
 def allowable_edge_3d(surface, u, v, params: SizingParams):
     """Maximum allowable 3D edge length g(eps)/kappa_max; +inf on flat points."""
-    kappa = max_normal_curvature(surface, u, v)
+    return _allowable_edge_3d(fundamental_forms(surface, u, v), params)
+
+
+def _allowable_edge_3d(forms, params: SizingParams):
+    kappa = _max_normal_curvature(forms)
     with np.errstate(divide="ignore"):
         return g_of_eps(params.epsilon) / kappa
 
 
 def jacobian(surface, u, v) -> np.ndarray:
     """(..., 3, 2) Jacobian of the surface map."""
-    return np.stack([surface.du(u, v), surface.dv(u, v)], axis=-1)
+    return _jacobian(surface.du(u, v), surface.dv(u, v))
+
+
+def _jacobian(fu, fv) -> np.ndarray:
+    return np.stack([fu, fv], axis=-1)
 
 
 def sigma1(surface, u, v):
@@ -111,14 +129,22 @@ def sigma1(surface, u, v):
     point; the closed form sqrt of the largest eigenvalue of the first
     fundamental form differs in the last bits, which the discriminant's
     square root in the curvature amplifies at umbilic points."""
-    s = np.linalg.svd(jacobian(surface, u, v), compute_uv=False)[..., 0]
+    return _sigma1(jacobian(surface, u, v), u, v)
+
+
+def _sigma1(J, u, v):
+    s = np.linalg.svd(J, compute_uv=False)[..., 0]
     _require_regular((s <= 0.0) | (s * s <= _REGULARITY_TOL), u, v)
     return s
 
 
 def radius_bound(surface, u, v, params: SizingParams):
-    """Maximum bubble radius in parameter units: clamp(l_p/sigma1, 2 r_min, 2 r_max)/2."""
-    lp_param = allowable_edge_3d(surface, u, v, params) / sigma1(surface, u, v)
+    """Maximum bubble radius in parameter units: clamp(l_p/sigma1, 2 r_min, 2 r_max)/2.
+    The partials du, dv are evaluated once, for both the curvature and the
+    Jacobian."""
+    fu, fv = surface.du(u, v), surface.dv(u, v)
+    lp_param = (_allowable_edge_3d(_fundamental_forms(surface, u, v, fu, fv), params)
+                / _sigma1(_jacobian(fu, fv), u, v))
     return np.minimum(np.maximum(lp_param, 2.0 * params.r_min), 2.0 * params.r_max) / 2.0
 
 

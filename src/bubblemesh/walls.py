@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
-                       segment_distances)
+from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, _nearest_segments,
+                       _segment_distances, _segment_terms)
 from .packing import PackingDomain
 
 WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
@@ -34,20 +34,20 @@ class WallClamp:
         self.domain = domain
         self.segments = domain.all_segments()
         self.margin = ROUNDING_MARGIN * float(np.abs(self.segments).max())
-        # per segment: start, direction, length and inward (left) unit
-        # normal (NaN for a zero-length segment)
-        ax, ay, bx, by = self.segments.T
-        vx, vy = bx - ax, by - ay
+        # per segment: start, direction and inward (left) unit normal (NaN
+        # for a zero-length segment), and the squared length the distance
+        # passes divide by
+        ax, ay, vx, vy, self.length2 = _segment_terms(self.segments)
         length = np.array([math.hypot(u, v) for u, v in zip(vx, vy)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.terms = np.stack([ax, ay, vx, vy, length, -vy / length, vx / length])
+            self.terms = np.stack([ax, ay, vx, vy, -vy / length, vx / length])
         self.at = np.zeros((0, 2))
         self.room2 = np.zeros(0)
         self.checks = 0
 
     def clear(self, points: np.ndarray, radius: np.ndarray) -> np.ndarray:
         """Which of the (n,2) points the full check leaves alone."""
-        seg, _, d2 = nearest_segments(points, self.segments)
+        seg, _, d2 = _nearest_segments(points, *self.terms[:4], self.length2)
         return self._clear(points, radius, seg, d2)
 
     def _clear(self, p, radius, seg, d2):
@@ -71,12 +71,12 @@ class WallClamp:
         segment could become the nearest). Less the rounding margin."""
         clear = np.empty(len(p), dtype=bool)
         room = np.zeros(len(p))
-        ax, ay, _, _, _, nx, ny = self.terms
+        ax, ay, _, _, nx, ny = self.terms
         chunk = max(1, _CHUNK_ELEMENTS // len(self.segments))
         for start in range(0, len(p), chunk):
             rows = slice(start, start + chunk)
             pr = p[rows]
-            dd = segment_distances(pr, self.segments)[1]
+            dd = _segment_distances(pr, *self.terms[:4], self.length2)[1]
             seg = np.argmin(dd, axis=1)
             d2 = dd[np.arange(len(dd)), seg]
             clear[rows] = ok = self._clear(pr, radius[rows], seg, d2)

@@ -59,6 +59,83 @@ class TestIO:
         assert text.startswith("<svg")
         assert text.count("<line") == 3
 
+    @pytest.mark.parametrize("special", [False, True], ids=["plain", "special-values"])
+    @pytest.mark.parametrize("source", ["planar", "sphere-workload"])
+    def test_writers_equal_row_writers(self, tmp_path, request, source, special):
+        if source == "planar":
+            grid = grid_mesh_on_surface(plane(), 6, 5)
+            mesh = flat = PlanarMesh(grid.vertices[:, :2], grid.faces)
+        else:
+            mesh = request.getfixturevalue("sphere_workload_mesh")
+            flat = PlanarMesh(mesh.uv, mesh.faces)
+        if special:
+            mesh = type(mesh)(with_special_values(mesh.vertices), mesh.faces)
+            flat = PlanarMesh(with_special_values(flat.vertices), flat.faces)
+        for ext in ("obj", "off"):
+            save_mesh(tmp_path / f"flat.{ext}", mesh)
+            row_save_mesh(tmp_path / f"rows.{ext}", mesh)
+            assert (tmp_path / f"flat.{ext}").read_bytes() == (tmp_path / f"rows.{ext}").read_bytes()
+        with np.errstate(invalid="ignore"):  # inf - inf in the bounding box
+            write_svg(tmp_path / "flat.svg", flat)
+            row_write_svg(tmp_path / "rows.svg", flat)
+        assert (tmp_path / "flat.svg").read_bytes() == (tmp_path / "rows.svg").read_bytes()
+
+
+def with_special_values(vertices):
+    """A copy whose first coordinates are -0.0, infinities and very large
+    and very small numbers."""
+    v = vertices.copy()
+    special = [-0.0, np.inf, -np.inf, 1e300, -1e-300, 5e-324, 123456789.123456789,
+               1.0000000005, -2.5e-17, 0.0]
+    v.flat[:len(special)] = special
+    return v
+
+
+def row_save_mesh(path, mesh):
+    """`save_mesh` with one f-string per vertex and face row, formatting
+    numpy scalars: the oracle for the writer of flat lists."""
+    v = mesh.vertices
+    if v.shape[1] == 2:
+        v = np.column_stack([v, np.zeros(len(v))])
+    lines = []
+    if path.suffix == ".obj":
+        for p in v:
+            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+        for f in mesh.faces:
+            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    else:
+        lines.append("OFF")
+        lines.append(f"{len(v)} {len(mesh.faces)} 0")
+        for p in v:
+            lines.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+        for f in mesh.faces:
+            lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def row_write_svg(path, mesh):
+    """`write_svg` with one f-string per edge, formatting numpy scalars: the
+    oracle for the writer of flat lists."""
+    v = mesh.vertices
+    lo = v.min(axis=0)
+    hi = v.max(axis=0)
+    span = hi - lo
+    stroke_width = 0.002 * max(float(span[0]), float(span[1]), 1e-12)
+    ymid = 0.5 * (lo[1] + hi[1])
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{lo[0]:.9g} {lo[1]:.9g} {span[0]:.9g} {span[1]:.9g}">',
+        f'<g stroke="black" stroke-width="{stroke_width:.9g}" stroke-linecap="round">',
+    ]
+    for a, b in mesh.undirected_edges():
+        pa, pb = v[a], v[b]
+        out.append(
+            f'<line x1="{pa[0]:.9g}" y1="{2 * ymid - pa[1]:.9g}" '
+            f'x2="{pb[0]:.9g}" y2="{2 * ymid - pb[1]:.9g}"/>'
+        )
+    out.append("</g></svg>")
+    path.write_text("\n".join(out) + "\n")
+
 
 class TestValidation:
     def test_single_triangle_accepted(self):

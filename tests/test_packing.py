@@ -29,6 +29,64 @@ def square_domain(side=10.0, radius=0.5):
     return PackingDomain(outer=outer, holes=[], sizing=lambda x, y: radius)
 
 
+def loop_edges(domain):
+    """Start and end corners ((E,2) arrays) of every edge of every loop."""
+    loops = domain.loops()
+    return np.concatenate(loops), np.concatenate([np.roll(lp, -1, axis=0) for lp in loops])
+
+
+def scalar_march_edge(domain, ax, ay, bx, by):
+    """One edge marched alone, with one scalar sizing call per probe: the
+    oracle for the lockstep `packing._march_edges`. Returns (length, steps)
+    and the probe points in call order."""
+    probes = []
+    length = math.hypot(bx - ax, by - ay)
+    if length <= 0.0:
+        return (length, []), probes
+    ux = (bx - ax) / length
+    uy = (by - ay) / length
+
+    def radius_at(s: float) -> float:
+        probes.append([ax + ux * s, ay + uy * s])
+        return float(domain.sizing(ax + ux * s, ay + uy * s))
+
+    arcs = [0.0]
+    while arcs[-1] < length and len(arcs) < 100000:
+        s = arcs[-1]
+        r_here = radius_at(s)
+        arcs.append(s + r_here + radius_at(min(s + 2.0 * r_here, length)))
+    # marched past the corner, or stop one step short: keep the count whose
+    # uniform rescale factor is closer to 1
+    over = len(arcs) - 1
+    pick = over
+    if over >= 2 and abs(length / arcs[over - 1] - 1.0) < abs(length / arcs[over] - 1.0):
+        pick = over - 1
+    scale = length / arcs[pick]
+    return (length, [(arcs[k + 1] - arcs[k]) * scale for k in range(pick)]), probes
+
+
+def _linear_field(x, y):
+    return 0.3 + 0.02 * np.asarray(x)
+
+
+# domains whose boundary march the lockstep march must reproduce
+MARCH_DOMAINS = {
+    "graded-plate": lambda: QUADTREE_FIELDS["graded-plate"]()[0],
+    "curvature": lambda: QUADTREE_FIELDS["curvature"]()[0],
+    # the benchmark's plate geometry with its hole, at its constant radius
+    "plate": lambda: plane_domain(PipelineConfig(
+        holes=[(10.0, 5.0, 2.0)], r_min=0.38, r_max=0.38)),
+    # a repeated corner: a zero-length edge that never marches
+    "zero-length-edge": lambda: PackingDomain(
+        outer=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
+        sizing=_linear_field),
+    # a 0.2-long edge under radii of about 0.38: a single step
+    "short-edge": lambda: PackingDomain(
+        outer=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.2], [0.0, 3.0]]),
+        sizing=_linear_field),
+}
+
+
 class TestPackBoundary:
     def test_square_uniform_spacing(self):
         domain = square_domain(side=4.0, radius=0.5)
@@ -85,22 +143,37 @@ class TestPackBoundary:
         with pytest.raises(PackingError, match="too small"):
             pack_boundary(domain)
 
+    @pytest.mark.parametrize("case", sorted(MARCH_DOMAINS))
+    def test_lockstep_march_equals_scalar_march(self, case):
+        domain = MARCH_DOMAINS[case]()
+        a, b = loop_edges(domain)
+        want = [scalar_march_edge(domain, *p, *q)[0] for p, q in zip(a.tolist(), b.tolist())]
+        assert packing._march_edges(domain, a, b) == want
+
     @pytest.mark.parametrize("field", ["graded-plate", "curvature"])
     def test_radii_from_one_sizing_call_per_loop(self, field):
         domain, _ = QUADTREE_FIELDS[field]()
         field_fn = domain.sizing
+        a, b = loop_edges(domain)
+        probes = [scalar_march_edge(domain, *p, *q)[1] for p, q in zip(a.tolist(), b.tolist())]
         batches = []
 
         def recorded(x, y):
             if np.ndim(x):
-                batches.append(np.size(x))
+                batches.append(np.column_stack([np.ravel(x), np.ravel(y)]).tolist())
             return field_fn(x, y)
 
         domain.sizing = recorded
         bubbles = pack_boundary(domain)
-        # the march probes one point at a time; the radii come from one
-        # array call per loop, equal to scalar calls bit for bit
-        assert len(batches) == len(domain.loops()) and sum(batches) == len(bubbles)
+        # the march makes two array calls per step of its longest edge; the
+        # k-th holds the k-th probe of every edge still marching, in edge
+        # order. Then the radii come from one array call per loop, equal to
+        # scalar calls bit for bit.
+        most = max(len(p) for p in probes) // 2
+        assert len(batches) == 2 * most + len(domain.loops())
+        assert batches[:2 * most] == [[p[k] for p in probes if k < len(p)]
+                                      for k in range(2 * most)]
+        assert sum(batches[2 * most:], []) == [[b.x, b.y] for b in bubbles]
         assert [b.radius for b in bubbles] == [float(field_fn(b.x, b.y)) for b in bubbles]
 
 

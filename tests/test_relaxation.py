@@ -138,7 +138,7 @@ def two_pass_clamp(walls, slots, p, radius):
     if not len(near):
         return p, fix
     seg, t, d2 = nearest_segments(p[near], walls.segments)
-    ax, ay, vx, vy, length, nx, ny = walls.terms
+    ax, ay, vx, vy, nx, ny = walls.terms
     clearance = WALL_CLEARANCE * radius[near]
     inside = vx[seg] * (p[near, 1] - ay[seg]) - vy[seg] * (p[near, 0] - ax[seg]) > 0.0
     clear = (d2 >= clearance * clearance) & inside
@@ -155,7 +155,7 @@ def two_pass_clamp(walls, slots, p, radius):
     fix[bad] = True
     out = p.copy()
     for row, k, tk in zip(bad, seg[~clear], t[~clear]):
-        if length[k] > 0.0:
+        if vx[k] != 0.0 or vy[k] != 0.0:
             out[row] = (ax[k] + tk * vx[k] + nx[k] * radius[row],
                         ay[k] + tk * vy[k] + ny[k] * radius[row])
         else:

@@ -11,7 +11,7 @@ from bubblemesh.mesh import MeshError, PlanarMesh, quality_report
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 _interpolate_radii_batch, _quadtree_corners,
                                 _self_thin)
-from bubblemesh.pipeline import initial_surface_mesh, load_config
+from bubblemesh.pipeline import initial_surface_mesh
 from bubblemesh.relaxation import RelaxState, _qc_boundary_region_state
 from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
                                fill_gaps, flat_domain,
@@ -19,8 +19,9 @@ from bubblemesh.remesh import (FILL_MAX_ANCHOR_OVERLAP, _covered_faces,
                                reconstruct_interior_bubbles, remesh_planar)
 from bubblemesh.surfaces import plane
 
-from conftest import (cap_mesh, grid_mesh_on_surface, loop_boundary_loops,
-                      loop_vertex_neighbors, scalar_qc_boundary_region)
+from conftest import (bench_module, cap_mesh, grid_mesh_on_surface,
+                      loop_boundary_loops, loop_vertex_neighbors,
+                      scalar_qc_boundary_region)
 
 
 def planar_flat(nu=9, nv=5, width=2.0, height=1.0):
@@ -307,11 +308,8 @@ def brute_force_fill(flat, anchors):
 
 
 def sphere_workload_flat():
-    # the flat mesh of the benchmark's `sphere` workload
-    cfg = load_config(None, {
-        "out": "unused", "mode": "surface", "surface": "sphere",
-        "surface_params": "radius=1.0, u0=0.0, u1=0.7, v0=1.07, v1=1.57",
-        "epsilon": "0.00005", "r_min": "0.00001", "r_max": "10.0"})
+    # the flat mesh of the benchmark's `sphere` workload, seed 0
+    _, cfg = bench_module("workloads").load("sphere", 0, "unused")
     return flatten(initial_surface_mesh(cfg)[2]).flat
 
 
