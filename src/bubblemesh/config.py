@@ -49,7 +49,8 @@ class PipelineConfig:
     # compare-qc mode: take initial bubbles from the plane packing or from a
     # surface-pipeline flatten + reconstruction
     compare_source: str = "plane"
-    # relaxation / quantity control, in every mode
+    # relaxation / quantity control, in every mode; qc_low, qc_high,
+    # qc_period and stall_window act under qc = original only
     qc: Literal["new", "original"] = "new"
     qc_threshold: float = 1.0
     qc_low: float = 5.0

@@ -3,7 +3,8 @@ triangulation of the bubble centres, ignoring triangles whose centroid lies
 outside the domain.
 
 It is a monitoring statistic, not part of the method: relaxation samples it
-every few sweeps and at its last sweep, and each call runs Qhull afresh.
+at its last sweep, and under original-qc every few sweeps for the stall
+test; each call runs Qhull afresh.
 """
 from __future__ import annotations
 

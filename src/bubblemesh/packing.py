@@ -171,6 +171,9 @@ def _interpolate_radii(points: np.ndarray, ax: np.ndarray, ay: np.ndarray,
     return out
 
 
+# an edge stops marching after this many steps, even short of its far corner
+_MAX_MARCH_STEPS = 99_999
+
 # adjacent boundary intervals may differ by at most this ratio; steeper
 # sizing slopes would leave edges longer than their reconstruction radii
 # and pin wall slivers after flattening
@@ -189,17 +192,18 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     each hole.
     """
     loops = domain.loops()
-    for loop in loops:
-        first_r = float(domain.sizing(float(loop[0, 0]), float(loop[0, 1])))
-        if polygon_perimeter(loop) < 2.0 * first_r:
-            raise PackingError("boundary too small for sizing")
     # every edge of every loop, from each corner to the next
     a = np.concatenate(loops)
     b = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops])
-    marched = _march_edges(domain, a, b)
+    marched, start_r = _march_edges(domain, a, b)
     out: list[Bubble] = []
     first = 0
     for loop in loops:
+        first_r = start_r[first]
+        if math.isnan(first_r):  # a zero-length first edge does not march
+            first_r = float(domain.sizing(float(loop[0, 0]), float(loop[0, 1])))
+        if polygon_perimeter(loop) < 2.0 * first_r:
+            raise PackingError("boundary too small for sizing")
         n = len(loop)
         edges = marched[first:first + n]
         first += n
@@ -224,14 +228,15 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     return out
 
 
-def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> list:
+def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
     """March every edge from a to b ((E,2) arrays) at its local tangent
     spacing, all edges in lockstep; returns (length, steps) per edge with
-    steps summing exactly to length.
+    steps summing exactly to length, and the radius at each edge's start
+    from its first step (NaN for a zero-length edge, which does not march).
 
     A step from arc position s takes the radius r at s and the radius at
     the look-ahead min(s + 2r, length): one sizing call per half-step over
-    every edge still short of its far corner and of the step cap. Each
+    every edge still short of its far corner and of `_MAX_MARCH_STEPS`. Each
     edge then keeps the step count, overshooting its corner or stopping one
     step short, whose uniform rescale factor is closer to 1."""
     (ax, ay), (bx, by) = a.T.tolist(), b.T.tolist()
@@ -243,17 +248,20 @@ def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> list:
     arcs = [s]
     count = np.zeros(len(a), dtype=np.int64)
     live = np.flatnonzero(s < length)
+    start_r = np.full(len(a), np.nan)
     while len(live):
         start, unit, end, here = a[live], u[live], length[live], s[live]
         r = _sizing_at(domain, start[:, 0] + unit[:, 0] * here,
                        start[:, 1] + unit[:, 1] * here)
+        if len(arcs) == 1:
+            start_r[live] = r
         ahead = np.minimum(here + 2.0 * r, end)
         s = s.copy()
         s[live] = here + r + _sizing_at(domain, start[:, 0] + unit[:, 0] * ahead,
                                         start[:, 1] + unit[:, 1] * ahead)
         arcs.append(s)
         count[live] += 1
-        live = live[(s[live] < end) & (len(arcs) < 100000)]
+        live = live[(s[live] < end) & (len(arcs) <= _MAX_MARCH_STEPS)]
     out = []
     for ln, over, arc in zip(length.tolist(), count.tolist(), np.array(arcs).T.tolist()):
         if ln <= 0.0:
@@ -264,7 +272,7 @@ def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> list:
             pick = over - 1
         scale = ln / arc[pick]
         out.append((ln, [(arc[k + 1] - arc[k]) * scale for k in range(pick)]))
-    return out
+    return out, start_r
 
 
 def _limit_loop_gradation(edges) -> None:

@@ -277,7 +277,8 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
 
 
 def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
-    """Minimal line chart of min angle vs sweep for each trace's sampled rows."""
+    """Minimal line chart of min angle vs sweep for each trace's sampled rows,
+    the last one marked with a dot: a one-point polyline draws nothing."""
     width, height, margin = 640, 400, 46
     max_sweep = max((t.sweeps for t in traces.values()), default=1) or 1
     colors = {"new": "#1563c0", "original": "#c03a15"}
@@ -303,8 +304,12 @@ def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
                      f'text-anchor="end">{gy}</text>')
     for k, (label, trace) in enumerate(sorted(traces.items())):
         color = colors.get(label, "black")
-        pts = " ".join(f"{sx(row[0]):.1f},{sy(row[3]):.1f}" for row in trace.sampled_rows())
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        pts = [(sx(row[0]), sy(row[3])) for row in trace.sampled_rows()]
+        line = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+        parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        if pts:
+            parts.append(f'<circle cx="{pts[-1][0]:.1f}" cy="{pts[-1][1]:.1f}" r="3" '
+                         f'fill="{color}"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 16 * (k + 1)}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")

@@ -21,8 +21,10 @@ may have come within reach, and the list is built again first.
 
 The force test runs after every sweep. The min-angle monitor
 (`monitor.triangulation_min_angle`, one Qhull call, looked up here at call
-time) runs only every `_ANGLE_EVERY` sweeps and at the run's last sweep, and
-the stall test compares those samples.
+time) runs only where a reader needs it: at every run's last sweep, and
+under original-qc, whose population changes while it relaxes, every
+`_ANGLE_EVERY` sweeps for the stall test. A fixed population (new-qc, none)
+stops by the force test or at the sweep cap.
 """
 from __future__ import annotations
 
@@ -73,8 +75,9 @@ class DynamicsParams:
     Bubbles have unit mass and the force law unit stiffness, so the
     defaults realize near-critical damping c = 1.4 and the semi-implicit
     Euler step dt = 0.4; the step is unstable at dt = 0.8. `stall_window`
-    counts sweeps; the stall test sees the min angle every `_ANGLE_EVERY`
-    sweeps, so the window must hold two samples at least.
+    and `stall_angle` act under original-qc only; the window counts sweeps,
+    and the stall test sees the min angle every `_ANGLE_EVERY` sweeps, so
+    the window must hold two samples at least.
     """
 
     c: float = 1.4
@@ -95,21 +98,21 @@ class DynamicsParams:
 
 class ConvergenceTrace:
     """Per-sweep record: bubble count, max net force, min mesh angle, wall time.
-    The angle is NaN on the sweeps the monitor did not sample, and the last
-    row is always sampled.
+    The angle is NaN on the sweeps the monitor did not sample: the last row
+    is always sampled, and under original-qc every `_ANGLE_EVERY`-th too.
 
     `stop_reason` says why the relaxation ended: "force" (max net force
-    under tolerance), "stall" (min angle flat over the stall window) or
-    "sweep-cap" (neither before max_sweeps; not converged). The counters,
-    deterministic and not written to the CSV: `pair_rebuilds` (Verlet pair
-    list builds: the first, one per population change and one per sweep
-    that starts without the list's certificate), `wall_checks` (rows sent
-    through the wall clamp's full check), and original-qc's
-    `qc_insert_attempts` (bubbles whose summed overlap asked for an
-    insertion), `qc_inserts` (insertions placed) and `qc_candidates_redone`
-    (insertion candidates derived again on their own row inside a pass,
-    because an earlier change of the pass reached them or the bubble's sum
-    fell under the low threshold after the pass's batch).
+    under tolerance), "stall" (original-qc only: min angle flat over the
+    stall window) or "sweep-cap" (neither before max_sweeps; not
+    converged). The counters, deterministic and not written to the CSV:
+    `pair_rebuilds` (Verlet pair list builds: the first, one per population
+    change and one per sweep that starts without the list's certificate),
+    `wall_checks` (rows sent through the wall clamp's full check), and
+    original-qc's `qc_insert_attempts` (bubbles whose summed overlap asked
+    for an insertion), `qc_inserts` (insertions placed) and
+    `qc_candidates_redone` (insertion candidates derived again on their own
+    row inside a pass, because an earlier change of the pass reached them or
+    the bubble's sum fell under the low threshold after the pass's batch).
     """
 
     def __init__(self):
@@ -604,10 +607,12 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     only when the force/stall tests pass and a pass makes zero changes.
     none: pure relaxation (no quantity control).
 
-    The force test runs every sweep. The stall test runs on the min-angle
-    samples, taken every `_ANGLE_EVERY` sweeps: it passes when the samples
-    spanning the last `stall_window` sweeps lie within `stall_angle`, and a
-    quantity-control pass that changes the population clears them.
+    The force test runs every sweep; new-qc and none stop by it or at
+    `max_sweeps`. Under original-qc, the stall test also runs on the
+    min-angle samples, taken every `_ANGLE_EVERY` sweeps: it passes when the
+    samples spanning the last `stall_window` sweeps lie within
+    `stall_angle`, and a quantity-control pass that changes the population
+    clears them. Every run samples its last sweep for `final_min_angle`.
     """
     if strategy not in ("new-qc", "original-qc", "none"):
         raise ValueError(f"unknown strategy '{strategy}'")
@@ -626,9 +631,10 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
 
     walls = None if domain is None else WallClamp(domain)
     anchors = [b for b in bubbles if b.kind != MOBILE]
+    original = strategy == "original-qc"
     history: list[float] = []  # min-angle samples since the last population change
     span = dyn.stall_window // _ANGLE_EVERY + 1
-    qc_clean = strategy != "original-qc"
+    qc_clean = not original
     pairs = SweepPairs()
 
     def quantity_control() -> bool:
@@ -641,18 +647,21 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
 
     for sweep in range(1, dyn.max_sweeps + 1):
         max_f = relax_step(state, force, dyn, walls, pairs)
-        count, points = state.count, state.positions()
-        ang = math.nan
-        if sweep % _ANGLE_EVERY == 0:
+        count, ang = state.count, math.nan
+        sample = original and sweep % _ANGLE_EVERY == 0
+        qc_due = original and sweep % qc_period == 0
+        # a row describes the population before the sweep's quantity control
+        points = state.positions() if sample or qc_due or sweep == dyn.max_sweeps else None
+        if sample:
             ang = triangulation_min_angle(points, domain)
             history.append(ang)
         elapsed = time.perf_counter() - t0
 
-        if strategy == "original-qc" and sweep % qc_period == 0:
+        if qc_due:
             quantity_control()
 
         reason = "force" if max_f < dyn.force_tol else None
-        if reason is None and not math.isnan(ang) and len(history) >= span:
+        if reason is None and sample and len(history) >= span:
             window = history[-span:]
             if (max(window) - min(window)) < dyn.stall_angle:
                 reason = "stall"
@@ -662,7 +671,9 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             trace.converged_sweep = sweep
             trace.stop_reason = reason
         if math.isnan(ang) and (trace.converged or sweep == dyn.max_sweeps):
-            ang = triangulation_min_angle(points, domain)
+            # without a due pass, only a pass that changed nothing ran
+            ang = triangulation_min_angle(state.positions() if points is None else points,
+                                          domain)
             elapsed = time.perf_counter() - t0
         trace.add(sweep, count, max_f, ang, elapsed)
         if trace.converged:

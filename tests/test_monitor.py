@@ -43,10 +43,11 @@ def sampled_relaxation(monkeypatch, bubbles, domain, **kwargs):
 
 def stop_rule(rows, passes, dyn, qc_period=None):
     """(stop reason, sweep) recomputed from the rows: the force test every
-    sweep, the stall test on the samples of every 10th sweep spanning the
-    last stall window, and under quantity control (every qc_period sweeps,
-    and again before a stop unless the last pass was clean) samples cleared
-    by a pass that changed the population, and no stop before a clean pass."""
+    sweep, and under quantity control (every qc_period sweeps, and again
+    before a stop unless the last pass was clean) the stall test on the
+    samples of every 10th sweep spanning the last stall window, samples
+    cleared by a pass that changed the population, and no stop before a
+    clean pass. Without quantity control there is no stall test."""
     samples, clean = [], qc_period is None
     span = dyn.stall_window // 10 + 1
     todo = list(passes)
@@ -65,7 +66,7 @@ def stop_rule(rows, passes, dyn, qc_period=None):
             clean = qc_pass(sweep)
         window = samples[-span:]
         reason = "force" if max_f < dyn.force_tol else None
-        if (reason is None and sweep % 10 == 0 and len(window) == span
+        if (reason is None and qc_period and sweep % 10 == 0 and len(window) == span
                 and max(window) - min(window) < dyn.stall_angle):
             reason = "stall"
         if reason and not clean:
@@ -100,7 +101,10 @@ class TestMinAngleMonitor:
         assert [row[0] for row in trace.rows] == list(range(1, last + 1))
         assert len(positions) == last
         sampled = [row[0] for row in trace.rows if not math.isnan(row[3])]
-        assert sampled == sorted({*range(10, last + 1, 10), last})
+        if kwargs:  # the stall test reads every 10th sweep under quantity control
+            assert sampled == sorted({*range(10, last + 1, 10), last})
+        else:
+            assert sampled == [last]
         for sweep, _, _, angle, _ in trace.sampled_rows():
             assert angle == triangulation_min_angle(positions[sweep - 1], domain)
         assert trace.final_min_angle == trace.rows[-1][3] > 0.0
@@ -109,6 +113,32 @@ class TestMinAngleMonitor:
         assert trace.converged == (want[0] != "sweep-cap")
         if kwargs:  # quantity control inserted or deleted bubbles on the way
             assert sum(changes > 0 for _, changes in passes) >= 2
+
+    def test_last_row_describes_the_population_before_its_pass(self, monkeypatch):
+        # a due pass that deletes every other mobile bubble on the last
+        # sweep, then the clean pass that lets the force test stop the run:
+        # the row's count and min angle are those of the sweep's step, as on
+        # every sampled sweep, not those after the pass
+        domain = plate_with_hole(lambda x, y: 0.3)
+        boundary = pack_boundary(domain)
+        bubbles = boundary + pack_interior_quadtree(domain, boundary)
+        after = []
+
+        def one_deleting_pass(state, *args):
+            if not after:
+                state.alive[state.mobile_indices()[::2]] = False
+                after.append(state.positions().copy())
+                return 1
+            return 0
+
+        monkeypatch.setattr(relaxation, "_qc_original_state", one_deleting_pass)
+        trace, positions, passes = sampled_relaxation(
+            monkeypatch, bubbles, domain, dyn=DynamicsParams(force_tol=1e9),
+            strategy="original-qc", qc_period=1)
+        assert (trace.sweeps, trace.stop_reason, passes) == (1, "force", [(1, 1), (1, 0)])
+        assert trace.rows[-1][1] == len(positions[0]) > len(after[0])
+        assert trace.final_min_angle == triangulation_min_angle(positions[0], domain)
+        assert trace.final_min_angle != triangulation_min_angle(after[0], domain)
 
     def test_angle_pass_equals_per_corner_arithmetic(self, rng):
         # the angle pass takes each corner's cosine from the face's three

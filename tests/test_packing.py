@@ -51,7 +51,7 @@ def scalar_march_edge(domain, ax, ay, bx, by):
         return float(domain.sizing(ax + ux * s, ay + uy * s))
 
     arcs = [0.0]
-    while arcs[-1] < length and len(arcs) < 100000:
+    while arcs[-1] < length and len(arcs) <= packing._MAX_MARCH_STEPS:
         s = arcs[-1]
         r_here = radius_at(s)
         arcs.append(s + r_here + radius_at(min(s + 2.0 * r_here, length)))
@@ -148,7 +148,30 @@ class TestPackBoundary:
         domain = MARCH_DOMAINS[case]()
         a, b = loop_edges(domain)
         want = [scalar_march_edge(domain, *p, *q)[0] for p, q in zip(a.tolist(), b.tolist())]
-        assert packing._march_edges(domain, a, b) == want
+        marched, start_r = packing._march_edges(domain, a, b)
+        assert marched == want
+        # the first step's radius at each start corner, as pack_boundary's
+        # perimeter check reads it; a zero-length edge takes no step
+        assert [None if math.isnan(r) else r for r in start_r.tolist()] == [
+            float(domain.sizing(*p)) if length > 0.0 else None
+            for p, (length, _) in zip(a.tolist(), want)]
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_march_stops_every_edge_at_the_step_cap(self, monkeypatch, cap):
+        # a 10 x 1 plate at radius 0.05 takes 100 steps on a long edge and
+        # 10 on a short one: every edge stops at exactly `cap` steps,
+        # rescaled to end on its far corner
+        monkeypatch.setattr(packing, "_MAX_MARCH_STEPS", cap)
+        domain = PackingDomain(
+            outer=np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0], [0.0, 1.0]]),
+            sizing=lambda x, y: 0.05)
+        a, b = loop_edges(domain)
+        marched, _ = packing._march_edges(domain, a, b)
+        assert [len(steps) for _, steps in marched] == [cap] * 4
+        for length, steps in marched:
+            assert sum(steps) == pytest.approx(length, rel=1e-12)
+        want = [scalar_march_edge(domain, *p, *q)[0] for p, q in zip(a.tolist(), b.tolist())]
+        assert marched == want
 
     @pytest.mark.parametrize("field", ["graded-plate", "curvature"])
     def test_radii_from_one_sizing_call_per_loop(self, field):

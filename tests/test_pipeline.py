@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -397,15 +399,20 @@ def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
     # relaxation.monitor_s is the self time of the spans the tracer puts
     # around relaxation.triangulation_min_angle, one per sampled sweep: a
     # monitor that stopped looking the name up at call time would read 0
-    # without failing
+    # without failing. A fixed population samples only its last sweep;
+    # original-qc samples every 10th for its stall test too.
     tracing, workloads = bench_module("tracing"), bench_module("workloads")
     wl, cfg = workloads.load("tiny", 3, tmp_path)
-    tracer = tracing.Tracer("tiny")
-    with tracing.traced(tracer):
-        result = workloads.entry_point(wl)(cfg)
-    spans = [span for span in tracer.spans if span[0] == "relaxation.monitor"]
-    assert len(spans) == len(result["trace"].sampled_rows()) > 1
-    assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
+    counts = {}
+    for qc in ("new", "original"):
+        tracer = tracing.Tracer(f"tiny-{qc}")
+        with tracing.traced(tracer):
+            result = workloads.entry_point(wl)(replace(cfg, qc=qc, out=tmp_path / qc))
+        spans = [span for span in tracer.spans if span[0] == "relaxation.monitor"]
+        assert len(spans) == len(result["trace"].sampled_rows())
+        assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
+        counts[qc] = len(spans)
+    assert counts["new"] == 1 and counts["original"] > 1
 
 
 def test_bench_tracer_counts_the_qc_interpolation(tmp_path):
@@ -447,3 +454,12 @@ def test_benchmark_workloads_converge(tmp_path, name):
     wl, cfg = workloads.load(name, 0, tmp_path)
     traces = workloads.traces(wl, workloads.entry_point(wl)(cfg))
     assert all(t.converged for t in traces), [(t.stop_reason, t.sweeps) for t in traces]
+    # the min-angle monitor runs where it is read: on the last sweep of a
+    # new-qc run, and for the stall test every 10th sweep of original-qc
+    # (graded-qc's second trace)
+    for k, t in enumerate(traces):
+        sampled = [row[0] for row in t.sampled_rows()]
+        if k == 0:
+            assert sampled == [t.sweeps]
+        else:
+            assert sampled == sorted({*range(10, t.sweeps + 1, 10), t.sweeps})

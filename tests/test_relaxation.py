@@ -1293,14 +1293,21 @@ class TestRelaxUntilConverged:
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        cases = [(DynamicsParams(max_sweeps=4, force_tol=1e-9), ("sweep-cap", False, 4)),
-                 (DynamicsParams(force_tol=1e9), ("force", True, 1)),
-                 (DynamicsParams(force_tol=1e-9, stall_window=10, stall_angle=180.0),
-                  ("stall", True, 20))]
-        for dyn, expected in cases:
+        # at 180 degrees every full stall window stalls: under original-qc
+        # with passes that never change the population (no sum is below 0
+        # or above 1e9) the run stops at the second sample; a fixed
+        # population has no stall test and runs to the sweep cap
+        stall = DynamicsParams(max_sweeps=40, force_tol=1e-9, stall_window=10,
+                               stall_angle=180.0)
+        cases = [(DynamicsParams(max_sweeps=4, force_tol=1e-9), "none", ("sweep-cap", False, 4)),
+                 (DynamicsParams(force_tol=1e9), "none", ("force", True, 1)),
+                 (stall, "original-qc", ("stall", True, 20)),
+                 (stall, "none", ("sweep-cap", False, 40)),
+                 (stall, "new-qc", ("sweep-cap", False, 40))]
+        for dyn, strategy, expected in cases:
             bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
             _, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
-                                             strategy="none")
+                                             strategy=strategy, qc_low=0.0, qc_high=1e9)
             assert (trace.stop_reason, trace.converged, trace.sweeps) == expected
 
     def test_deterministic_traces(self):
