@@ -36,6 +36,9 @@ BOUNDARY_GAP_TOL = 0.1
 
 _SHEAR = (0.5, math.sqrt(3.0) / 2.0)  # second lattice basis vector
 _MAX_DEPTH = 24
+# a quadtree cell splits only when wider than twice its radius bound by more
+# than this relative slack (see `_quadtree_corners`)
+_SPLIT_SLACK = 1e-6
 
 
 class PackingError(Exception):
@@ -434,7 +437,13 @@ def _quadtree_corners(domain: PackingDomain, gaps: np.ndarray | None = None) -> 
                                   xs + (1.0 + _SHEAR[0]) * s]),
                         np.stack([cy, ys, ys, ys + _SHEAR[1] * s,
                                   ys + _SHEAR[1] * s])).min(axis=0)
-        split = (s > 2.0 * rb) & (d < _MAX_DEPTH)
+        # a field that is constant in exact arithmetic (a sphere's bound)
+        # still spreads by ~1e-8 relative in floating point, and the root is
+        # sized from the largest probe: without the slack, almost every cell
+        # at the tangent depth would split once more on that noise alone,
+        # and thinning would drop three in four of the doubled lattice. A
+        # leaf up to the slack too wide changes the density by that much.
+        split = (s > 2.0 * rb * (1.0 + _SPLIT_SLACK)) & (d < _MAX_DEPTH)
         shift = _MAX_DEPTH - d
         leaf_i.append(i[~split] << shift)
         leaf_j.append(j[~split] << shift)

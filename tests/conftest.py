@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from bubblemesh import packing
 from bubblemesh.mesh import MeshError, TriangleMesh, ValidationResult
 from bubblemesh.packing import MOBILE
 from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
@@ -239,6 +240,22 @@ def fin_mesh():
     verts = np.arange(30.0).reshape(10, 3) ** 1.5
     return TriangleMesh(verts, np.array([[2, 3, 4], [3, 2, 5], [2, 3, 6],
                                          [0, 1, 7], [1, 0, 8], [0, 1, 9]]))
+
+
+@pytest.fixture
+def thin_counts(monkeypatch):
+    """(candidates in, candidates kept) of each `packing._self_thin` call
+    made while the test runs."""
+    counts = []
+    thin = packing._self_thin
+
+    def spy(pts, radii):
+        kept = thin(pts, radii)
+        counts.append((len(pts), len(kept[0])))
+        return kept
+
+    monkeypatch.setattr(packing, "_self_thin", spy)
+    return counts
 
 
 @pytest.fixture(scope="session")

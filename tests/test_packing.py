@@ -8,8 +8,8 @@ from bubblemesh import geometry, packing
 from bubblemesh.conformal import flatten
 from bubblemesh.delaunay import delaunay_triangulate
 from bubblemesh.geometry import nearest_segments
-from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, BOUNDARY, MOBILE,
-                                SELF_OVERLAP_LIMIT, Bubble, PackingDomain,
+from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, _SPLIT_SLACK, BOUNDARY,
+                                MOBILE, SELF_OVERLAP_LIMIT, Bubble, PackingDomain,
                                 PackingError, _anchor_overlap_below,
                                 _inside_any_anchor, _interpolate_radii_batch,
                                 _quadtree_corners, _self_thin,
@@ -405,7 +405,7 @@ def recursive_corners(domain, gaps=None):
                  sizing(xs + s, ys),
                  sizing(xs + _SHEAR[0] * s, ys + _SHEAR[1] * s),
                  sizing(xs + (1.0 + _SHEAR[0]) * s, ys + _SHEAR[1] * s))
-        if s > 2.0 * rb and d < _MAX_DEPTH:
+        if s > 2.0 * rb * (1.0 + _SPLIT_SLACK) and d < _MAX_DEPTH:
             recurse(2 * i, 2 * j, d + 1)
             recurse(2 * i + 1, 2 * j, d + 1)
             recurse(2 * i, 2 * j + 1, d + 1)
@@ -467,6 +467,32 @@ class TestQuadtreeCorners:
         assert 3 <= len(probes) <= _MAX_DEPTH + 2
         probes = np.concatenate(probes)
         assert np.array_equal(probes[np.lexsort(probes.T)], ref_probes[np.lexsort(ref_probes.T)])
+
+    @pytest.mark.parametrize("field", ["constant", "curvature"])
+    def test_uniform_field_packs_at_the_root_spacing(self, field, thin_counts):
+        # the curvature field (a sphere patch) is constant in exact
+        # arithmetic but spreads by ~1e-8 relative in floating point: no
+        # cell may split on that noise, so the leaf rows sit at the tangent
+        # spacing of the root and thinning drops nothing
+        domain, _ = QUADTREE_FIELDS[field]()
+        lo, hi = domain.bbox()
+        tx, ty = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        rb_ref = float(np.max(domain.sizing(lo[0] + tx * (hi[0] - lo[0]),
+                                            lo[1] + ty * (hi[1] - lo[1]))))
+        rows = np.unique(_quadtree_corners(domain)[:, 1])
+        assert np.diff(rows) == pytest.approx(2.0 * rb_ref * _SHEAR[1], rel=1e-9)
+        interior = pack_interior_quadtree(domain, pack_boundary(domain))
+        assert thin_counts == [(len(interior), len(interior))]
+
+    def test_a_dip_beyond_the_slack_still_splits(self):
+        # the bound is 1e-4 lower left of x = 3: cells there split once more
+        domain = PackingDomain(
+            outer=np.array([[0.0, 0.0], [9.0, 0.0], [9.0, 9.0], [0.0, 9.0]]),
+            sizing=lambda x, y: np.where(np.asarray(x) < 3.0, 0.5 * (1.0 - 1e-4), 0.5))
+        pts = _quadtree_corners(domain)
+        for region, side in ((pts[:, 0] < 1.0, 0.5), (pts[:, 0] > 5.0, 1.0)):
+            rows = np.unique(pts[region, 1])
+            assert np.diff(rows) == pytest.approx(side * _SHEAR[1], rel=1e-9)
 
     def test_chunking_never_changes_a_row(self, rng, monkeypatch):
         pts = rng.uniform(0.0, 5.0, size=(400, 2))

@@ -6,9 +6,9 @@ import pytest
 from bubblemesh.cli import main as cli_main
 from bubblemesh.mesh import load_mesh, quality_report
 from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
-                                 load_anchor_csv, load_config, plane_domain, run,
-                                 run_plane_pipeline, run_remesh_pipeline,
-                                 run_surface_pipeline)
+                                 initial_surface_mesh, load_anchor_csv, load_config,
+                                 plane_domain, run, run_plane_pipeline,
+                                 run_remesh_pipeline, run_surface_pipeline)
 
 from conftest import bench_module
 
@@ -463,3 +463,12 @@ def test_benchmark_workloads_converge(tmp_path, name):
             assert sampled == [t.sweeps]
         else:
             assert sampled == sorted({*range(10, t.sweeps + 1, 10), t.sweeps})
+
+
+def test_sphere_workload_packs_without_thinning(thin_counts):
+    # the sphere's radius bound is constant up to rounding noise, so the
+    # quadtree's leaves are already tangent and thinning keeps every one
+    _, cfg = bench_module("workloads").load("sphere", 0, "unused")
+    initial_surface_mesh(cfg)
+    assert len(thin_counts) == 1
+    assert thin_counts[0][1] == thin_counts[0][0] > 0
