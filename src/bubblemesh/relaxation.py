@@ -4,7 +4,11 @@ Each bubble, of unit mass, obeys x'' + c x' = f where f sums pairwise
 interaction forces. Relaxation needs only the equilibrium, not an accurate
 trajectory, so the ODE is integrated with a damped semi-implicit Euler
 step, one force evaluation per sweep (bubble meshing as published uses
-classical RK4, four).
+classical RK4, four). A population that stays fixed while it relaxes
+(new-qc, none) takes FIRE steps (`FireState`: the same step with a
+per-sweep dt, velocity mixing and restarts, which the system's potential
+allows); original-qc, which inserts and deletes bubbles, takes the plain
+step at `DynamicsParams`' dt and c.
 A sweep steps every mobile bubble at once (Jacobi), each against every
 other bubble frozen at its start-of-sweep position, as one step on (2,k)
 arrays. Two quantity-control strategies are provided: the original
@@ -13,11 +17,12 @@ boundary-region pass that prunes bubbles overlapping anchors once, before
 any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
-with the same result: a `SweepPairs` Verlet list with the force terms laid
-out over it, and the wall clamp's room per bubble (`walls.WallClamp`). Each
-sweep is certified before its force evaluation: unless every bubble's move
-since the list was built stays within the list's margin, an unlisted pair
-may have come within reach, and the list is built again first.
+with the same result: a `SweepPairs` Verlet list, which holds each pair once
+and has the force terms laid out over it, and the wall clamp's room per
+bubble (`walls.WallClamp`). Each sweep is certified before its force
+evaluation: unless every bubble's move since the list was built stays
+within the list's margin, an unlisted pair may have come within reach, and
+the list is built again first.
 
 The force test runs after every sweep. The min-angle monitor
 (`monitor.triangulation_min_angle`, one Qhull call, looked up here at call
@@ -74,10 +79,12 @@ class DynamicsParams:
 
     Bubbles have unit mass and the force law unit stiffness, so the
     defaults realize near-critical damping c = 1.4 and the semi-implicit
-    Euler step dt = 0.4; the step is unstable at dt = 0.8. `stall_window`
-    and `stall_angle` act under original-qc only; the window counts sweeps,
-    and the stall test sees the min angle every `_ANGLE_EVERY` sweeps, so
-    the window must hold two samples at least.
+    Euler step dt = 0.4; the step is unstable at dt = 0.8. These are
+    original-qc's step. A fixed population's FIRE steps (`FireState`) start
+    at dt, grow it up to 1.5 dt, and take the residual damping c / 2.
+    `stall_window` and `stall_angle` act under original-qc only; the window
+    counts sweeps, and the stall test sees the min angle every
+    `_ANGLE_EVERY` sweeps, so the window must hold two samples at least.
     """
 
     c: float = 1.4
@@ -107,7 +114,9 @@ class ConvergenceTrace:
     converged). The counters, deterministic and not written to the CSV:
     `pair_rebuilds` (Verlet pair list builds: the first, one per population
     change and one per sweep that starts without the list's certificate),
-    `wall_checks` (rows sent through the wall clamp's full check), and
+    `fire_restarts` (FIRE's sweeps with P <= 0, the first sweep among them;
+    0 under original-qc, which takes no FIRE steps), `wall_checks` (rows
+    sent through the wall clamp's full check), and
     original-qc's `qc_insert_attempts` (bubbles whose summed overlap asked
     for an insertion), `qc_inserts` (insertions placed) and
     `qc_candidates_redone` (insertion candidates derived again on their own
@@ -121,6 +130,7 @@ class ConvergenceTrace:
         self.converged_sweep: int | None = None
         self.stop_reason = "sweep-cap"
         self.pair_rebuilds = 0
+        self.fire_restarts = 0
         self.wall_checks = 0
         self.qc_insert_attempts = 0
         self.qc_inserts = 0
@@ -293,15 +303,18 @@ _QUERY_PAD = 1.0 + 1e-9
 
 class SweepPairs:
     """Verlet pair list (Verlet 1967) of one relaxation, with the sweep's
-    force terms laid out over it, kept from sweep to sweep. It holds the
-    directed pairs (i, j), i mobile and j any other alive bubble, within
-    force reach cutoff * (r_i + r_j) plus a `margin` at the positions of its
-    build, sorted by i, then j. The margin is half the largest radius.
+    force terms laid out over it, kept from sweep to sweep. It holds each
+    undirected pair (a, b) of slots once, a < b and at least one of them
+    mobile, within force reach cutoff * (r_a + r_b) plus a `margin` at the
+    positions of its build. The margin is the largest radius.
+
     Laid out with the list: `members` (the alive mobile slots, ascending),
-    `bins` (each pair's owner, the row of i among the members, then the
-    owners again offset by the member count: the bins of the forces' x then
-    y components), rest length l0 = r_i + r_j and the `_cubic_law` terms
-    `law`.
+    the directed view (i, j), i mobile, sorted by i, then j: each pair as
+    (a, b) when a is mobile and as (b, a) when b is, `spread` (the entry of
+    each directed pair in the pairs' forces on a, then on b, for the x and
+    then the y components) and `bins` (each directed pair's owner, the row
+    of i among the members, then the owners again offset by the member
+    count), rest length l0 = r_a + r_b and the `_cubic_law` terms `law`.
 
     It is built again when the force law or the alive set (and with it the
     radii) changes, and when a sweep starts without being `certified`.
@@ -327,9 +340,26 @@ class SweepPairs:
         member's move plus its neighbour's move."""
         return moved.take(self.members).max(initial=0.0) + moved.max(initial=0.0) <= self.margin
 
+    def forces(self, state: RelaxState, force: ForceParams) -> np.ndarray:
+        """The (2, k) net forces on the k members at the current positions.
+        Each pair's force on a is evaluated once, 0 beyond its reach, and
+        its force on b is its exact negation; each member sums its forces
+        in ascending neighbour order."""
+        a, b, x, y = self.a, self.b, state.x, state.y
+        d = np.stack([x.take(a) - x.take(b), y.take(a) - y.take(b)])
+        dd = d * d
+        l = np.sqrt(dd[0] + dd[1])
+        coincident = np.flatnonzero(l < _COINCIDENT)
+        l[coincident] = 1.0
+        f = force_magnitude(l, self.l0, force, self.law) * d / l
+        for e in coincident.tolist():
+            f[:, e] = _coincident_push(int(a[e]), int(b[e]), state.seed, force.f0)
+        f = np.concatenate([f, -f], axis=1).ravel().take(self.spread)
+        return np.bincount(self.bins, f, 2 * len(self.members)).reshape(2, -1)
+
     def _build(self, state: RelaxState, force: ForceParams):
         r_max = state.max_radius()
-        margin = 0.5 * r_max
+        margin = r_max
         ids = state.alive_indices()
         px, py, pr = state.x[ids], state.y[ids], state.r[ids]
         if len(ids) and not np.isfinite(np.ptp(px) ** 2 + np.ptp(py) ** 2):
@@ -340,17 +370,24 @@ class SweepPairs:
             output_type="ndarray").T
         reach = force.cutoff * (pr[a] + pr[b]) + margin
         near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
-        a, b = a[near], b[near]
-        i = ids[np.concatenate([a, b])]
-        j = ids[np.concatenate([b, a])]
-        moving = state.kind[i] != _KIND_CODE[BOUNDARY]
-        i, j = i[moving], j[moving]
-        order = np.lexsort((j, i))
+        a, b = ids[a[near]], ids[b[near]]
+        mobile = state.kind != _KIND_CODE[BOUNDARY]
+        on_a, on_b = mobile[a], mobile[b]
+        keep = np.flatnonzero(on_a | on_b)
+        a, b, on_a, on_b = a[keep], b[keep], on_a[keep], on_b[keep]
+        # the directed pairs, sorted by their unique keys i * n + j, and
+        # where each finds its force among the pairs' forces on a, then on b
+        i = np.concatenate([a[on_a], b[on_b]])
+        j = np.concatenate([b[on_a], a[on_b]])
+        order = np.argsort(i * len(state.alive) + j)
         self.i, self.j = i[order], j[order]
+        at = np.concatenate([np.flatnonzero(on_a), np.flatnonzero(on_b) + len(a)])[order]
+        self.spread = np.concatenate([at, at + 2 * len(a)])
         self.members = state.mobile_indices()
         owner = np.searchsorted(self.members, self.i)
         self.bins = np.concatenate([owner, owner + len(self.members)])
-        self.l0 = state.r[self.i] + state.r[self.j]
+        self.a, self.b = a, b
+        self.l0 = state.r[a] + state.r[b]
         self.law = _cubic_law(self.l0, force)
         self.margin = margin
         self._key = (force, state.alive.copy())
@@ -358,43 +395,98 @@ class SweepPairs:
         self.rebuilds += 1
 
 
+# FIRE's constants: alpha at the start and after a restart, the positive
+# sweeps before dt may grow, dt's growth and alpha's decay per sweep after
+# them, and the largest dt in units of DynamicsParams.dt
+_FIRE_ALPHA = 0.1
+_FIRE_DELAY = 5
+_FIRE_GROW, _FIRE_DECAY = 1.1, 0.99
+_FIRE_DT_MAX = 1.5
+
+
+class FireState:
+    """FIRE (Bitzek et al. 2006) over one relaxation of a fixed population:
+    the sweep's dt, the mixing weight `alpha`, the positive sweeps since the
+    last restart and the count of `restarts`.
+
+    Each sweep weighs the power P = sum f . v at its start positions (each
+    sum taken in member order, one bubble after another). If P > 0 it mixes
+    v <- (1 - alpha) v + alpha |v| f / |f| over all members at once, and
+    from the `_FIRE_DELAY + 1`-th positive sweep on grows dt by
+    `_FIRE_GROW` up to `_FIRE_DT_MAX` times `DynamicsParams.dt` and decays
+    alpha by `_FIRE_DECAY`; otherwise it zeroes v, halves dt and restarts
+    alpha at `_FIRE_ALPHA`. A relaxation starts at rest, so its first sweep
+    restarts too. The damped semi-implicit Euler step (the MD step of FIRE
+    2.0, Guenole et al. 2020) then takes that dt and the residual damping
+    c / 2."""
+
+    def __init__(self, dyn: DynamicsParams):
+        self.dt = dyn.dt
+        self.dt_max = _FIRE_DT_MAX * dyn.dt
+        self.alpha = _FIRE_ALPHA
+        self.positive = 0
+        self.restarts = 0
+
+    def mix(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The (2, k) velocities v that the sweep steps with, given the
+        forces f at its start positions; updates dt and alpha."""
+        power = _running_sum(f[0] * v[0] + f[1] * v[1])
+        if not power > 0.0:
+            self.dt *= 0.5
+            self.alpha = _FIRE_ALPHA
+            self.positive = 0
+            self.restarts += 1
+            return np.zeros_like(v)
+        v_norm = math.sqrt(_running_sum(v[0] * v[0] + v[1] * v[1]))
+        f_norm = math.sqrt(_running_sum(f[0] * f[0] + f[1] * f[1]))
+        v = (1.0 - self.alpha) * v + (self.alpha * v_norm / f_norm) * f
+        self.positive += 1
+        if self.positive > _FIRE_DELAY:
+            self.dt = min(_FIRE_GROW * self.dt, self.dt_max)
+            self.alpha *= _FIRE_DECAY
+        return v
+
+
+def _running_sum(a: np.ndarray) -> float:
+    """The sum of a's entries added one after another, in order."""
+    return float(np.cumsum(a)[-1])
+
+
 def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
                walls: WallClamp | None = None,
-               pairs: SweepPairs | None = None) -> float:
-    """Integrate every mobile bubble over one dt at once (a Jacobi sweep),
-    each against every other bubble frozen at its start-of-sweep position;
-    returns the max net-force magnitude at the start positions. With
-    `walls`, a bubble that ends its step without a radius of clearance from
-    the domain boundary is projected back and stopped.
+               pairs: SweepPairs | None = None,
+               fire: FireState | None = None) -> float:
+    """Integrate every mobile bubble over one time step at once (a Jacobi
+    sweep), each against every other bubble frozen at its start-of-sweep
+    position; returns the max net-force magnitude at the start positions.
+    With `walls`, a bubble that ends its step without a radius of clearance
+    from the domain boundary is projected back and stopped.
 
     The members take one damped semi-implicit Euler step on (2,k) arrays,
     v1 = v0 + dt (f - c v0) / m, then p1 = p0 + dt v1, with f the forces at
-    the start positions: each pair of `pairs` (a fresh `SweepPairs` when
-    None) with its force, 0 beyond its reach, summed per bubble in ascending
-    neighbour order. The list is built again first when the bubbles' moves
-    since its build fail its certificate.
+    the start positions (`SweepPairs.forces` over `pairs`, a fresh
+    `SweepPairs` when None). Without `fire` the step takes `dyn`'s dt and c
+    (original-qc's step); with it, FIRE first mixes or zeroes v0 and sets
+    dt (`FireState.mix`), and the step takes c / 2. The list is built again
+    first when the bubbles' moves since its build fail its certificate.
     """
     pairs = SweepPairs() if pairs is None else pairs
     if not pairs.certified(pairs.moves(state, force)):
         pairs._build(state, force)
-    members, i, j, bins = pairs.members, pairs.i, pairs.j, pairs.bins
+    members = pairs.members
     if not len(members):
         return 0.0
-    x, y, k = state.x, state.y, len(members)
+    x, y = state.x, state.y
     p0 = np.stack([x.take(members), y.take(members)])
     v0 = np.stack([state.vx.take(members), state.vy.take(members)])
-    # force that bubble j exerts on bubble i, summed per row of i
-    d = p0.take(bins[:len(i)], axis=1) - np.stack([x.take(j), y.take(j)])
-    dd = d * d
-    l = np.sqrt(dd[0] + dd[1])
-    coincident = np.flatnonzero(l < _COINCIDENT)
-    l[coincident] = 1.0
-    f = force_magnitude(l, pairs.l0, force, pairs.law) * d / l
-    for e in coincident.tolist():
-        f[:, e] = _coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
-    f = np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
-    v1 = v0 + dyn.dt * (f - dyn.c * v0)
-    p1 = p0 + dyn.dt * v1
+    f = pairs.forces(state, force)
+    if fire is None:
+        dt, c = dyn.dt, dyn.c
+    else:
+        v0 = fire.mix(v0, f)
+        dt, c = fire.dt, 0.5 * dyn.c
+    v1 = v0 + dt * (f - c * v0)
+    p1 = p0 + dt * v1
     if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
         raise RelaxationError("dynamics diverged; reduce dt")
     if walls is not None:
@@ -602,10 +694,11 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                           seed: int = 0) -> tuple[list[Bubble], ConvergenceTrace]:
     """Relax bubbles to equilibrium under the chosen quantity-control strategy.
 
-    new-qc: one boundary-region pruning pass, then pure relaxation sweeps.
-    original-qc: a quantity-control pass every `qc_period` sweeps; converges
-    only when the force/stall tests pass and a pass makes zero changes.
-    none: pure relaxation (no quantity control).
+    new-qc: one boundary-region pruning pass, then FIRE sweeps (`FireState`).
+    original-qc: a quantity-control pass every `qc_period` sweeps between
+    plain Euler sweeps; converges only when the force/stall tests pass and
+    a pass makes zero changes.
+    none: FIRE sweeps, no quantity control.
 
     The force test runs every sweep; new-qc and none stop by it or at
     `max_sweeps`. Under original-qc, the stall test also runs on the
@@ -636,6 +729,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     span = dyn.stall_window // _ANGLE_EVERY + 1
     qc_clean = not original
     pairs = SweepPairs()
+    fire = None if original else FireState(dyn)
 
     def quantity_control() -> bool:
         """One original-qc pass; whether it left the population as it was."""
@@ -646,7 +740,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         return qc_clean
 
     for sweep in range(1, dyn.max_sweeps + 1):
-        max_f = relax_step(state, force, dyn, walls, pairs)
+        max_f = relax_step(state, force, dyn, walls, pairs, fire)
         count, ang = state.count, math.nan
         sample = original and sweep % _ANGLE_EVERY == 0
         qc_due = original and sweep % qc_period == 0
@@ -680,5 +774,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             break
 
     trace.pair_rebuilds = pairs.rebuilds
+    trace.fire_restarts = 0 if fire is None else fire.restarts
     trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

@@ -465,6 +465,20 @@ def test_benchmark_workloads_converge(tmp_path, name):
             assert sampled == sorted({*range(10, t.sweeps + 1, 10), t.sweeps})
 
 
+def test_criterion_1_plate_at_half_the_radius_converges_under_the_default_cap(tmp_path):
+    # the criterion-1 plate at r = 0.095 (6,217 bubbles) relaxes to its force
+    # stop within the default max_sweeps, with criterion 1's quality
+    cfg = load_config(None, {"out": str(tmp_path), "plane_width": "20", "plane_height": "10",
+                             "holes": "10,5,2", "r_min": "0.095", "r_max": "0.095"})
+    assert cfg.max_sweeps == PipelineConfig().max_sweeps == 400
+    result = run_plane_pipeline(cfg)
+    trace, rep = result["trace"], result["report"]
+    assert trace.rows[-1][1] == 6217
+    assert (trace.converged, trace.stop_reason) == (True, "force")
+    assert trace.sweeps < cfg.max_sweeps
+    assert rep.fraction_at_least(30.0) >= 0.99 and rep.fraction_at_least(45.0) >= 0.80
+
+
 def test_sphere_workload_packs_without_thinning(thin_counts):
     # the sphere's radius bound is constant up to rounding noise, so the
     # quadtree's leaves are already tangent and thinning keeps every one

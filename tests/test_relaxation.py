@@ -12,13 +12,13 @@ from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
-                                   ForceParams, RelaxationError, RelaxState,
-                                   SweepPairs, _overlap_sums, force_magnitude,
-                                   pair_force, relax_step, relax_until_converged,
-                                   rk4_damped_step)
+                                   FireState, ForceParams, RelaxationError,
+                                   RelaxState, SweepPairs, _overlap_sums,
+                                   force_magnitude, pair_force, relax_step,
+                                   relax_until_converged, rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
-from conftest import (closest_point_on_segment, scalar_ball_query,
+from conftest import (bench_module, closest_point_on_segment, scalar_ball_query,
                       scalar_qc_boundary_region)
 
 FORCE = ForceParams(f0=1.0)
@@ -42,6 +42,27 @@ def sweep_neighbors(state, cutoff, margin):
     i, j = i[moving], j[moving]
     order = np.lexsort((j, i))
     return i[order], j[order]
+
+
+def directed_forces(state, force, members, i, j):
+    """The (2, k) net forces on the members over the directed pairs (i, j),
+    sorted by i, then j: each pair's force on i evaluated on its own, once
+    per direction, and summed per member in that order. The sweep kernel of
+    the list that held both directions of a pair, kept as the oracle of
+    `SweepPairs.forces`."""
+    x, y, k = state.x, state.y, len(members)
+    owner = np.searchsorted(members, i)
+    bins = np.concatenate([owner, owner + k])
+    p0 = np.stack([x.take(members), y.take(members)])
+    d = p0.take(owner, axis=1) - np.stack([x.take(j), y.take(j)])
+    dd = d * d
+    l = np.sqrt(dd[0] + dd[1])
+    coincident = np.flatnonzero(l < 1e-12)
+    l[coincident] = 1.0
+    f = force_magnitude(l, state.r[i] + state.r[j], force) * d / l
+    for e in coincident.tolist():
+        f[:, e] = relaxation._coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
+    return np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
 
 
 def euler_step(x, v, f, dyn):
@@ -83,6 +104,59 @@ def jacobi_sweep(state, force, dyn, walls=None):
     x[members], y[members] = p1.T
     state.vx[members], state.vy[members] = v1.T
     return float(np.sqrt(f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]).max())
+
+
+def scalar_fire_sweep(state, force, dyn, walls, fire):
+    """One FIRE sweep in Python floats, one mobile bubble after another:
+    each bubble's force summed over every other alive bubble in ascending
+    order at the start positions, the power and the norms summed bubble by
+    bubble, then the mixing or the restart, dt and alpha, and the damped
+    semi-implicit Euler step with the residual damping c / 2, and the
+    scalar wall check. `fire` is a dict of dt, alpha, positive and restarts,
+    updated in place; the oracle of relax_step with a `FireState`. Returns
+    the max net force and the rows the walls stopped."""
+    x, y, r = state.x.tolist(), state.y.tolist(), state.r.tolist()
+    vx0, vy0 = state.vx.tolist(), state.vy.tolist()
+    members, alive = state.mobile_indices().tolist(), state.alive_indices().tolist()
+    f = []
+    for i in members:
+        fx = fy = 0.0
+        for j in alive:
+            if j == i:
+                continue
+            dx, dy = x[i] - x[j], y[i] - y[j]
+            l = math.sqrt(dx * dx + dy * dy)
+            mag = float(force_magnitude(l, r[i] + r[j], force))
+            fx += mag * dx / l
+            fy += mag * dy / l
+        f.append((fx, fy))
+    v = [(vx0[i], vy0[i]) for i in members]
+    power = v_sq = f_sq = 0.0
+    for (fx, fy), (vx, vy) in zip(f, v):
+        power += fx * vx + fy * vy
+        v_sq += vx * vx + vy * vy
+        f_sq += fx * fx + fy * fy
+    if power > 0.0:
+        scale = fire["alpha"] * math.sqrt(v_sq) / math.sqrt(f_sq)
+        v = [((1.0 - fire["alpha"]) * vx + scale * fx, (1.0 - fire["alpha"]) * vy + scale * fy)
+             for (fx, fy), (vx, vy) in zip(f, v)]
+        fire["positive"] += 1
+        if fire["positive"] > 5:
+            fire["dt"] = min(1.1 * fire["dt"], 1.5 * dyn.dt)
+            fire["alpha"] *= 0.99
+    else:
+        v = [(0.0, 0.0)] * len(members)
+        fire.update(dt=0.5 * fire["dt"], alpha=0.1, positive=0, restarts=fire["restarts"] + 1)
+    dt, c, stopped = fire["dt"], 0.5 * dyn.c, []
+    for k, (i, (fx, fy), (vx, vy)) in enumerate(zip(members, f, v)):
+        vx, vy = vx + dt * (fx - c * vx), vy + dt * (fy - c * vy)
+        px, py = x[i] + dt * vx, y[i] + dt * vy
+        fixed = enforce_clearance(walls, px, py, r[i])
+        if fixed is not None:
+            (px, py), vx, vy = fixed, 0.0, 0.0
+            stopped.append(k)
+        state.x[i], state.y[i], state.vx[i], state.vy[i] = px, py, vx, vy
+    return max(math.sqrt(fx * fx + fy * fy) for fx, fy in f), stopped
 
 
 def project_inside_loop(domain, x, y, radius):
@@ -557,12 +631,13 @@ def unlisted_within_reach(pairs, state, cutoff):
     return int(np.count_nonzero(~np.isin(within, pairs.i * n + pairs.j)))
 
 
-def listing_at_evaluations(monkeypatch, verdict=None):
-    """Runs `graded_plate_runs` at the default dynamics and returns their
-    traces, the certificate's verdicts at every sweep start and the count
-    of `unlisted_within_reach` at every force evaluation, when the sweep's
-    bubbles are still at their start positions. `verdict`, when given,
-    replaces the certificate's verdict."""
+def listing_at_evaluations(monkeypatch, verdict=None,
+                           runs=lambda: graded_plate_runs(DynamicsParams())):
+    """Calls `runs` (`graded_plate_runs` at the default dynamics unless
+    given) and returns the traces it returns, the certificate's verdicts at
+    every sweep start and the count of `unlisted_within_reach` at every
+    force evaluation, when the sweep's bubbles are still at their start
+    positions. `verdict`, when given, replaces the certificate's verdict."""
     at, verdicts, unlisted = {}, [], []
     moves, certified = SweepPairs.moves, SweepPairs.certified
     law = relaxation.force_magnitude
@@ -582,23 +657,28 @@ def listing_at_evaluations(monkeypatch, verdict=None):
     monkeypatch.setattr(SweepPairs, "moves", kept)
     monkeypatch.setattr(SweepPairs, "certified", judged)
     monkeypatch.setattr(relaxation, "force_magnitude", evaluated)
-    return graded_plate_runs(DynamicsParams()), verdicts, unlisted
+    return runs(), verdicts, unlisted
 
 
 class TestSweepPairs:
     def test_pairs_equal_fresh_query_every_sweep(self, monkeypatch):
-        # in a new-qc run and an original-qc run, a list just built holds
-        # the pairs within reach and half the largest radius of a fresh k-d
-        # tree query; it is built at the start, when the alive set changes
-        # and when a sweep starts without the certificate, and only then
+        # in a new-qc run and an original-qc run, a list just built holds,
+        # in its directed view, the pairs within reach and the largest
+        # radius of a fresh k-d tree query, and holds each of them once; it
+        # is built at the start, when the alive set changes and when a sweep
+        # starts without the certificate, and only then
         seen, verdicts = [], []
         moves, build, certified = SweepPairs.moves, SweepPairs._build, SweepPairs.certified
 
         def checked_build(self, state, force):
             build(self, state, force)
-            assert self.margin == 0.5 * state.max_radius()
+            assert self.margin == state.max_radius()
             want = sweep_neighbors(state, force.cutoff, self.margin)
             assert np.array_equal(self.i, want[0]) and np.array_equal(self.j, want[1])
+            assert (self.a < self.b).all()
+            held = set(zip(self.a.tolist(), self.b.tolist()))
+            assert len(held) == len(self.a)
+            assert held == {(min(i, j), max(i, j)) for i, j in zip(*want)}
 
         def kept(self, state, force):
             seen.append((frozenset(state.alive_indices().tolist()), state.max_radius()))
@@ -639,17 +719,29 @@ class TestSweepPairs:
         assert not all(verdicts)
 
     def test_unlisted_pairs_come_within_reach_without_the_certificate(self, monkeypatch):
-        # the same runs with every certificate passed: moves since the
-        # build bring pairs that the list does not hold within reach, so the
-        # certificate's rebuild is what lists them before the evaluation
-        traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, verdict=True)
-        assert len(unlisted) == sum(trace.sweeps for trace in traces)
+        # a scattered population whose deep overlaps throw bubbles far, run
+        # with every certificate passed: moves since the build bring pairs
+        # that the list does not hold within reach, so the certificate's
+        # rebuild is what lists them before the evaluation. The same run
+        # with the certificate evaluates no unlisted pair within reach
+        def runs():
+            _, trace = relax_until_converged(random_population(0), square_domain(),
+                                             force=FORCE, dyn=DynamicsParams(max_sweeps=60),
+                                             strategy="none")
+            return [trace]
+
+        traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, True, runs)
+        assert len(unlisted) == sum(trace.sweeps for trace in traces) == 60
         assert sum(count > 0 for count in unlisted) > 10
+        monkeypatch.undo()
+        traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, None, runs)
+        assert len(unlisted) == 60 and not any(unlisted)
+        assert not all(verdicts)
 
     @pytest.mark.parametrize("speed", [18.5, 10.0])
     def test_listed_pair_closing_mid_sweep_gets_its_force(self, speed):
         # bubble 1 starts 1.85 from bubble 0, listed (reach + margin is
-        # 1.925) but out of reach (1.65); then both move 0.125 towards each
+        # 2.2) but out of reach (1.65); then both move 0.125 towards each
         # other, 1.6 apart, within reach, and the moves (0.25 with the
         # neighbour's) keep the certificate. Bubble 0 is stepped at `speed`:
         # the pair gets its force over the kept list, as the all-pairs
@@ -672,7 +764,7 @@ class TestSweepPairs:
         assert ref.vx[0] != free.vx[0]
 
     def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
-        # bubble 0 starts 2.5 from bubble 1, beyond the list (1.75), and its
+        # bubble 0 starts 2.5 from bubble 1, beyond the list (2.0), and its
         # first sweep takes it to 3.256, within 0.76 of bubble 1: its move
         # fails the certificate at the next sweep's start, the list is built
         # again first, and the sweep ends where the all-pairs reference ends
@@ -689,30 +781,31 @@ class TestSweepPairs:
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert pairs.rebuilds == 2
-        assert pairs.i.tolist() == [0, 1] and pairs.margin == 0.25
+        assert pairs.i.tolist() == [0, 1] and pairs.margin == 0.5
+        assert pairs.a.tolist() == [0] and pairs.b.tolist() == [1]
         assert ref.x[0] != free.x[0]  # bubble 1 pushed it back
 
     def test_neighbours_move_counts_against_the_margin(self):
-        # the list holds pairs within reach + 0.25 (the margin); bubble 1
-        # starts 0.02 beyond it, then bubble 0 moves 0.05 and bubble 1 0.25
+        # the list holds pairs within reach + 0.5 (the margin); bubble 1
+        # starts 0.02 beyond it, then bubble 0 moves 0.05 and bubble 1 0.5
         # towards each other, 1.47 apart, within reach: bubble 0's own moves
         # fit the margin, but with bubble 1's the pair can have come within
         # reach, so the list is built again before the sweep's evaluation,
         # and the sweep ends as the reference does
-        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.77, 0.0, 0.5, BOUNDARY)]
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(2.02, 0.0, 0.5, BOUNDARY)]
         kept, ref, free = (RelaxState(bubbles) for _ in range(3))
         pairs = SweepPairs()
         pairs.moves(kept, FORCE)
-        assert pairs.i.tolist() == []
+        assert pairs.i.tolist() == [] and pairs.a.tolist() == []
         for state in (kept, ref, free):
             state.x[:] = [0.05, 1.52]
-        assert 2 * 0.05 <= pairs.margin < 0.05 + 0.25
+        assert 2 * 0.05 <= pairs.margin < 0.05 + 0.5
         dyn = DynamicsParams()
         relax_step(kept, FORCE, dyn, pairs=pairs)
         jacobi_sweep(ref, FORCE, dyn)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
-        assert pairs.rebuilds == 2
+        assert pairs.rebuilds == 2 and pairs.a.tolist() == [0]
         free.alive[1] = False
         relax_step(free, FORCE, dyn)
         assert ref.vx[0] != free.vx[0]
@@ -731,6 +824,151 @@ class TestSweepPairs:
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert 1 < pairs.rebuilds < 40
+
+
+    @pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
+    def test_forces_equal_the_directed_kernel_on_the_workloads(self, monkeypatch, tmp_path,
+                                                                name):
+        # at every sweep of the benchmark workload's seed-0 relaxations
+        # (graded-qc's two), the forces over the list, each pair evaluated
+        # once, equal bit for bit those of the directed kernel over the
+        # fresh query's pairs at the list's build
+        build, forces = SweepPairs._build, SweepPairs.forces
+        listed, compared = {}, []
+
+        def built(self, state, force):
+            build(self, state, force)
+            listed[self] = sweep_neighbors(state, force.cutoff, self.margin)
+
+        def checked(self, state, force):
+            got = forces(self, state, force)
+            want = directed_forces(state, force, state.mobile_indices(), *listed[self])
+            assert got.tobytes() == want.tobytes()
+            compared.append(len(self.i) - len(self.a))
+            return got
+
+        monkeypatch.setattr(SweepPairs, "_build", built)
+        monkeypatch.setattr(SweepPairs, "forces", checked)
+        workloads = bench_module("workloads")
+        wl, cfg = workloads.load(name, 0, tmp_path)
+        traces = workloads.traces(wl, workloads.entry_point(wl)(cfg))
+        assert len(compared) == sum(trace.sweeps for trace in traces)
+        assert min(compared) > 0  # pairs of two mobile bubbles, held once
+
+
+def copy_state(state):
+    """A RelaxState with copies of `state`'s arrays."""
+    out = RelaxState([], seed=state.seed)
+    for name in ("x", "y", "vx", "vy", "r", "kind", "alive"):
+        setattr(out, name, getattr(state, name).copy())
+    return out
+
+
+def walled_fire_system():
+    """Nine bubbles of radii 0.3 to 0.5 scattered over a 4 x 4 box with deep
+    overlaps, the first a boundary bubble: FIRE restarts after its first
+    sweep, its dt reaches the largest value, and the walls stop bubbles."""
+    rng = np.random.RandomState(5)
+    xy = rng.uniform(0.6, 3.4, size=(9, 2))
+    radii = rng.uniform(0.3, 0.5, size=9)
+    return square_domain(side=4.0), [
+        Bubble(float(x), float(y), float(r), BOUNDARY if k == 0 else MOBILE)
+        for k, ((x, y), r) in enumerate(zip(xy, radii))]
+
+
+class TestFire:
+    def test_sweeps_equal_the_scalar_fire_oracle_bit_for_bit(self):
+        # 40 FIRE sweeps over a kept pair list and a kept wall clamp end each
+        # sweep where the scalar oracle ends it, bit for bit, with the same
+        # max force, dt, alpha, positive sweeps and restarts
+        domain, bubbles = walled_fire_system()
+        state, ref = RelaxState(bubbles, seed=5), RelaxState(bubbles, seed=5)
+        walls, ref_walls, pairs, dyn = WallClamp(domain), WallClamp(domain), SweepPairs(), \
+            DynamicsParams()
+        fire = FireState(dyn)
+        want = dict(dt=dyn.dt, alpha=0.1, positive=0, restarts=0)
+        dts, stops = [], 0
+        for _ in range(40):
+            max_f = relax_step(state, FORCE, dyn, walls, pairs, fire)
+            ref_max_f, stopped = scalar_fire_sweep(ref, FORCE, dyn, ref_walls, want)
+            assert max_f == ref_max_f
+            for name in ("x", "y", "vx", "vy"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name))
+            assert (fire.dt, fire.alpha, fire.positive, fire.restarts) == (
+                want["dt"], want["alpha"], want["positive"], want["restarts"])
+            dts.append(fire.dt)
+            stops += len(stopped)
+        assert fire.restarts >= 2 and stops > 0 and pairs.rebuilds > 1
+        assert max(dts) == 1.5 * dyn.dt
+
+    def test_restart_zeroes_velocities_halves_dt_and_resets_alpha(self):
+        # eight sweeps whose velocities point along the forces (P > 0) grow
+        # dt from the sixth on and decay alpha; one against them (P < 0),
+        # and one at rest (P = 0), restart
+        dyn = DynamicsParams()
+        fire = FireState(dyn)
+        f = np.array([[1.0, -0.5, 0.25], [0.5, 0.0, -1.0]])
+        for _ in range(8):
+            fire.mix(0.3 * f, f)
+        assert fire.positive == 8 and fire.restarts == 0
+        assert fire.dt == 1.1 * (1.1 * (1.1 * 0.4)) and fire.alpha == 0.1 * 0.99 * 0.99 * 0.99
+        for k, v in enumerate((-0.3 * f, np.zeros_like(f)), start=1):
+            dt = fire.dt
+            mixed = fire.mix(v, f)
+            assert mixed.shape == f.shape and not mixed.any()
+            assert (fire.dt, fire.alpha, fire.positive, fire.restarts) == (0.5 * dt, 0.1, 0, k)
+
+    @pytest.mark.parametrize("strategy", ["new-qc", "none"])
+    def test_dt_never_exceeds_one_and_a_half_dyn_dt(self, monkeypatch, strategy):
+        # FIRE grows dt only after five positive sweeps in a row, by 1.1 a
+        # sweep, never past 1.5 dyn.dt, which the graded plate's fixed
+        # population reaches; a restart halves it
+        step, seen = relaxation.relax_step, []
+
+        def watched(state, force, dyn, walls, pairs, fire):
+            before = fire.dt, fire.restarts
+            max_f = step(state, force, dyn, walls, pairs, fire)
+            seen.append((before, (fire.dt, fire.restarts, fire.positive), dyn.dt))
+            return max_f
+
+        monkeypatch.setattr(relaxation, "relax_step", watched)
+        domain, bubbles = graded_holed_plate()
+        _, trace = relax_until_converged(bubbles(), domain, force=FORCE, strategy=strategy)
+        assert trace.converged and len(seen) == trace.sweeps
+        for (dt0, restarts0), (dt1, restarts1, positive), base in seen:
+            assert dt1 <= 1.5 * base
+            if restarts1 > restarts0:
+                assert dt1 == 0.5 * dt0 and positive == 0
+            else:
+                assert dt1 == (min(1.1 * dt0, 1.5 * base) if positive > 5 else dt0)
+        assert max(dt for (_, (dt, _, _), _) in seen) == 1.5 * DynamicsParams().dt
+        assert trace.fire_restarts == seen[-1][1][1] >= 1
+
+    def test_original_qc_takes_the_euler_step_every_sweep(self, monkeypatch):
+        # FIRE never acts under original-qc: every sweep of a run whose
+        # passes insert and delete ends, bit for bit, where the all-pairs
+        # damped semi-implicit Euler sweep from the same state ends, and the
+        # trace counts no restart
+        step, counts = relaxation.relax_step, []
+
+        def checked(state, force, dyn, walls, pairs, fire):
+            assert fire is None
+            ref = copy_state(state)
+            want = jacobi_sweep(ref, force, dyn, WallClamp(walls.domain))
+            assert step(state, force, dyn, walls, pairs, fire) == want
+            for name in ("x", "y", "vx", "vy"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name))
+            counts.append(state.count)
+            return want
+
+        monkeypatch.setattr(relaxation, "relax_step", checked)
+        domain, bubbles = graded_holed_plate()
+        _, trace = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)], domain,
+                                         force=FORCE,
+                                         dyn=DynamicsParams(max_sweeps=60, force_tol=1e-9),
+                                         strategy="original-qc", qc_period=5, seed=3)
+        assert len(counts) == trace.sweeps == 60 and len(set(counts)) > 1
+        assert trace.fire_restarts == 0
 
 
 class TestRelaxStep:
@@ -1321,8 +1559,10 @@ class TestRelaxUntilConverged:
             out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
                                                strategy="new-qc", seed=7)
             runs.append((tuple((b.x, b.y, b.radius) for b in out),
-                         tuple(r[:4] for r in trace.rows)))
+                         tuple(r[:4] for r in trace.rows),
+                         (trace.pair_rebuilds, trace.fire_restarts)))
         assert runs[0] == runs[1]
+        assert runs[0][2][1] >= 1  # FIRE's first sweep starts at rest
 
     def test_original_qc_runs_repeat_exactly(self):
         # quantity control inserts and deletes and the wall clamp acts, yet
@@ -1337,12 +1577,12 @@ class TestRelaxUntilConverged:
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
                          (trace.pair_rebuilds, trace.wall_checks, trace.qc_insert_attempts,
-                          trace.qc_inserts, trace.qc_candidates_redone)))
+                          trace.qc_inserts, trace.qc_candidates_redone, trace.fire_restarts)))
         assert runs[0] == runs[1]
         counts = {row[1] for row in runs[0][1]}
         assert len(counts) > 1  # quantity control changed the population
-        rebuilds, wall_checks, attempts, inserts, redone = runs[0][2]
-        assert 1 < rebuilds < 30 and wall_checks > 0
+        rebuilds, wall_checks, attempts, inserts, redone, restarts = runs[0][2]
+        assert 1 < rebuilds < 30 and wall_checks > 0 and restarts == 0
         assert attempts > inserts > 0 and attempts > redone
 
     def test_energy_dissipation_proxy(self):
