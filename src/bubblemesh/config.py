@@ -150,11 +150,10 @@ def relax_params(cfg: PipelineConfig, bubbles) -> dict:
 
     f0 = r_min, at the force law's unit stiffness, keeps the cubic law
     repulsive below tangency and attractive up to the cutoff for every pair
-    scale in the population. Mass and stiffness are one, and c and dt keep
-    their defaults (`DynamicsParams`: c = 1.4 and dt = 0.4, original-qc's
-    one-evaluation semi-implicit Euler step, and the start of new-qc's and
-    none's FIRE steps, which grow dt up to 0.6 with the residual damping
-    0.7): another stiffness would scale f0, c^2, 1/dt^2 and the force
+    scale in the population. Mass and stiffness are one, and dt keeps its
+    default (`DynamicsParams`: dt = 0.4, where every strategy's FIRE steps
+    start, growing it up to 0.6 with the residual damping 0.7): another
+    stiffness would scale f0, the damping's square, 1/dt^2 and the force
     tolerance together, and change no trajectory in sweeps.
     """
     radii = [b.radius for b in bubbles]

@@ -30,12 +30,17 @@ _CHUNK_ELEMENTS = 200_000
 ROUNDING_MARGIN = 1e-9
 
 
-def orient2d(ax, ay, bx, by, cx, cy):
-    """Sign of twice the signed area of triangle abc: +1 CCW, -1 CW, 0 collinear."""
+def _orient2d_terms(ax, ay, bx, by, cx, cy):
+    """The orientation determinant and the sum of its two products'
+    magnitudes, which bounds its rounding; on Python floats or on arrays."""
     detleft = (ax - cx) * (by - cy)
     detright = (ay - cy) * (bx - cx)
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
+    return detleft - detright, abs(detleft) + abs(detright)
+
+
+def orient2d(ax, ay, bx, by, cx, cy):
+    """Sign of twice the signed area of triangle abc: +1 CCW, -1 CW, 0 collinear."""
+    det, detsum = _orient2d_terms(ax, ay, bx, by, cx, cy)
     if abs(det) > _CCW_BOUND * detsum:
         return 1 if det > 0.0 else -1
     return _orient2d_exact(ax, ay, bx, by, cx, cy)
@@ -56,8 +61,10 @@ def _orient2d_exact(ax, ay, bx, by, cx, cy):
     return (det > 0) - (det < 0)
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """+1 if d is strictly inside the circumcircle of CCW triangle abc, -1 outside, 0 on."""
+def _incircle_terms(ax, ay, bx, by, cx, cy, dx, dy):
+    """The in-circle determinant and its permanent (the same sum with every
+    product's magnitude), which bounds its rounding; on Python floats or on
+    arrays."""
     adx = ax - dx
     ady = ay - dy
     bdx = bx - dx
@@ -81,6 +88,12 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
                  + (abs(cdxady) + abs(adxcdy)) * blift
                  + (abs(adxbdy) + abs(bdxady)) * clift)
+    return det, permanent
+
+
+def incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    """+1 if d is strictly inside the circumcircle of CCW triangle abc, -1 outside, 0 on."""
+    det, permanent = _incircle_terms(ax, ay, bx, by, cx, cy, dx, dy)
     if abs(det) > _INCIRCLE_BOUND * permanent:
         return 1 if det > 0.0 else -1
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
@@ -110,10 +123,7 @@ def orient2d_array(ax, ay, bx, by, cx, cy):
     """`orient2d` of equal-length coordinate arrays, one triangle per row,
     as int8 signs: the scalar filter's arithmetic on whole arrays, so each
     row gets the scalar sign."""
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
-    det = detleft - detright
-    detsum = np.abs(detleft) + np.abs(detright)
+    det, detsum = _orient2d_terms(ax, ay, bx, by, cx, cy)
     return _signs(det, np.abs(det) > _CCW_BOUND * detsum, _orient2d_exact,
                   ax, ay, bx, by, cx, cy)
 
@@ -122,29 +132,7 @@ def incircle_array(ax, ay, bx, by, cx, cy, dx, dy):
     """`incircle` of equal-length coordinate arrays, one row per (CCW
     triangle abc, point d), as int8 signs: the scalar filter's arithmetic
     on whole arrays, so each row gets the scalar sign."""
-    adx = ax - dx
-    ady = ay - dy
-    bdx = bx - dx
-    bdy = by - dy
-    cdx = cx - dx
-    cdy = cy - dy
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
-
-    det = (alift * (bdxcdy - cdxbdy)
-           + blift * (cdxady - adxcdy)
-           + clift * (adxbdy - bdxady))
-    permanent = ((np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
-                 + (np.abs(cdxady) + np.abs(adxcdy)) * blift
-                 + (np.abs(adxbdy) + np.abs(bdxady)) * clift)
+    det, permanent = _incircle_terms(ax, ay, bx, by, cx, cy, dx, dy)
     return _signs(det, np.abs(det) > _INCIRCLE_BOUND * permanent, _incircle_exact,
                   ax, ay, bx, by, cx, cy, dx, dy)
 

@@ -2,13 +2,12 @@
 
 Each bubble, of unit mass, obeys x'' + c x' = f where f sums pairwise
 interaction forces. Relaxation needs only the equilibrium, not an accurate
-trajectory, so the ODE is integrated with a damped semi-implicit Euler
-step, one force evaluation per sweep (bubble meshing as published uses
-classical RK4, four). A population that stays fixed while it relaxes
-(new-qc, none) takes FIRE steps (`FireState`: the same step with a
-per-sweep dt, velocity mixing and restarts, which the system's potential
-allows); original-qc, which inserts and deletes bubbles, takes the plain
-step at `DynamicsParams`' dt and c.
+trajectory, so every strategy relaxes by FIRE (`FireState`): a damped
+semi-implicit Euler step, one force evaluation per sweep (bubble meshing as
+published uses classical RK4, four), with a per-sweep dt, velocity mixing
+and restarts, which the system's potential allows. Under original-qc, which
+inserts and deletes bubbles, a pass that changes the population puts FIRE's
+dt and mixing back to their start.
 A sweep steps every mobile bubble at once (Jacobi), each against every
 other bubble frozen at its start-of-sweep position, as one step on (2,k)
 arrays. Two quantity-control strategies are provided: the original
@@ -75,19 +74,15 @@ class ForceParams:
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Mass-spring-damper integration and convergence controls.
+    """Integration and convergence controls.
 
-    Bubbles have unit mass and the force law unit stiffness, so the
-    defaults realize near-critical damping c = 1.4 and the semi-implicit
-    Euler step dt = 0.4; the step is unstable at dt = 0.8. These are
-    original-qc's step. A fixed population's FIRE steps (`FireState`) start
-    at dt, grow it up to 1.5 dt, and take the residual damping c / 2.
+    Bubbles have unit mass and the force law unit stiffness. FIRE's steps
+    (`FireState`) start at dt = 0.4 and grow it up to 1.5 dt.
     `stall_window` and `stall_angle` act under original-qc only; the window
     counts sweeps, and the stall test sees the min angle every
     `_ANGLE_EVERY` sweeps, so the window must hold two samples at least.
     """
 
-    c: float = 1.4
     dt: float = 0.4
     force_tol: float = 1e-3
     max_sweeps: int = 400
@@ -95,8 +90,8 @@ class DynamicsParams:
     stall_angle: float = 0.1
 
     def __post_init__(self):
-        if min(self.c, self.dt, self.force_tol) <= 0:
-            raise ValueError("c, dt and force_tol must be positive")
+        if min(self.dt, self.force_tol) <= 0:
+            raise ValueError("dt and force_tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.stall_window < _ANGLE_EVERY:
@@ -115,8 +110,8 @@ class ConvergenceTrace:
     `pair_rebuilds` (Verlet pair list builds: the first, one per population
     change and one per sweep that starts without the list's certificate),
     `fire_restarts` (FIRE's sweeps with P <= 0, the first sweep among them;
-    0 under original-qc, which takes no FIRE steps), `wall_checks` (rows
-    sent through the wall clamp's full check), and
+    `FireState.start` after a population change is not one), `wall_checks`
+    (rows sent through the wall clamp's full check), and
     original-qc's `qc_insert_attempts` (bubbles whose summed overlap asked
     for an insertion), `qc_inserts` (insertions placed) and
     `qc_candidates_redone` (insertion candidates derived again on their own
@@ -308,13 +303,11 @@ class SweepPairs:
     mobile, within force reach cutoff * (r_a + r_b) plus a `margin` at the
     positions of its build. The margin is the largest radius.
 
-    Laid out with the list: `members` (the alive mobile slots, ascending),
-    the directed view (i, j), i mobile, sorted by i, then j: each pair as
-    (a, b) when a is mobile and as (b, a) when b is, `spread` (the entry of
-    each directed pair in the pairs' forces on a, then on b, for the x and
-    then the y components) and `bins` (each directed pair's owner, the row
-    of i among the members, then the owners again offset by the member
-    count), rest length l0 = r_a + r_b and the `_cubic_law` terms `law`.
+    Laid out with the list, the pairs sorted by a * n + b over the n slots:
+    `members` (the alive mobile slots, ascending), `bins` (the slots b, a,
+    b + n and a + n, where the pairs' x forces on b, on a, then their y
+    forces on b and on a go), rest length l0 = r_a + r_b and the
+    `_cubic_law` terms `law`.
 
     It is built again when the force law or the alive set (and with it the
     radii) changes, and when a sweep starts without being `certified`.
@@ -343,7 +336,8 @@ class SweepPairs:
     def forces(self, state: RelaxState, force: ForceParams) -> np.ndarray:
         """The (2, k) net forces on the k members at the current positions.
         Each pair's force on a is evaluated once, 0 beyond its reach, and
-        its force on b is its exact negation; each member sums its forces
+        its force on b is its exact negation; each slot sums its forces from
+        its lower neighbours, then its higher ones, each in ascending order:
         in ascending neighbour order."""
         a, b, x, y = self.a, self.b, state.x, state.y
         d = np.stack([x.take(a) - x.take(b), y.take(a) - y.take(b)])
@@ -354,8 +348,8 @@ class SweepPairs:
         f = force_magnitude(l, self.l0, force, self.law) * d / l
         for e in coincident.tolist():
             f[:, e] = _coincident_push(int(a[e]), int(b[e]), state.seed, force.f0)
-        f = np.concatenate([f, -f], axis=1).ravel().take(self.spread)
-        return np.bincount(self.bins, f, 2 * len(self.members)).reshape(2, -1)
+        f = np.bincount(self.bins, np.concatenate([-f, f], axis=1).ravel(), 2 * len(x))
+        return f.reshape(2, -1).take(self.members, axis=1)
 
     def _build(self, state: RelaxState, force: ForceParams):
         r_max = state.max_radius()
@@ -372,21 +366,12 @@ class SweepPairs:
         near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
         a, b = ids[a[near]], ids[b[near]]
         mobile = state.kind != _KIND_CODE[BOUNDARY]
-        on_a, on_b = mobile[a], mobile[b]
-        keep = np.flatnonzero(on_a | on_b)
-        a, b, on_a, on_b = a[keep], b[keep], on_a[keep], on_b[keep]
-        # the directed pairs, sorted by their unique keys i * n + j, and
-        # where each finds its force among the pairs' forces on a, then on b
-        i = np.concatenate([a[on_a], b[on_b]])
-        j = np.concatenate([b[on_a], a[on_b]])
-        order = np.argsort(i * len(state.alive) + j)
-        self.i, self.j = i[order], j[order]
-        at = np.concatenate([np.flatnonzero(on_a), np.flatnonzero(on_b) + len(a)])[order]
-        self.spread = np.concatenate([at, at + 2 * len(a)])
+        keep = mobile[a] | mobile[b]
+        a, b, n = a[keep], b[keep], len(state.alive)
+        order = np.argsort(a * n + b)
+        self.a, self.b = a, b = a[order], b[order]
         self.members = state.mobile_indices()
-        owner = np.searchsorted(self.members, self.i)
-        self.bins = np.concatenate([owner, owner + len(self.members)])
-        self.a, self.b = a, b
+        self.bins = np.concatenate([b, a, b + n, a + n])
         self.l0 = state.r[a] + state.r[b]
         self.law = _cubic_law(self.l0, force)
         self.margin = margin
@@ -397,17 +382,19 @@ class SweepPairs:
 
 # FIRE's constants: alpha at the start and after a restart, the positive
 # sweeps before dt may grow, dt's growth and alpha's decay per sweep after
-# them, and the largest dt in units of DynamicsParams.dt
+# them, the largest dt in units of DynamicsParams.dt, and the residual
+# damping of its step
 _FIRE_ALPHA = 0.1
 _FIRE_DELAY = 5
 _FIRE_GROW, _FIRE_DECAY = 1.1, 0.99
 _FIRE_DT_MAX = 1.5
+_FIRE_DAMPING = 0.7
 
 
 class FireState:
-    """FIRE (Bitzek et al. 2006) over one relaxation of a fixed population:
-    the sweep's dt, the mixing weight `alpha`, the positive sweeps since the
-    last restart and the count of `restarts`.
+    """FIRE (Bitzek et al. 2006) over one relaxation: the sweep's dt, the
+    mixing weight `alpha`, the positive sweeps since the last restart and
+    the count of `restarts`.
 
     Each sweep weighs the power P = sum f . v at its start positions (each
     sum taken in member order, one bubble after another). If P > 0 it mixes
@@ -418,14 +405,17 @@ class FireState:
     alpha at `_FIRE_ALPHA`. A relaxation starts at rest, so its first sweep
     restarts too. The damped semi-implicit Euler step (the MD step of FIRE
     2.0, Guenole et al. 2020) then takes that dt and the residual damping
-    c / 2."""
+    `_FIRE_DAMPING`."""
 
     def __init__(self, dyn: DynamicsParams):
-        self.dt = dyn.dt
         self.dt_max = _FIRE_DT_MAX * dyn.dt
-        self.alpha = _FIRE_ALPHA
-        self.positive = 0
         self.restarts = 0
+        self.start(dyn)
+
+    def start(self, dyn: DynamicsParams):
+        """Put dt, alpha and the positive sweeps back to their start values,
+        as after a population change; `restarts` carries over."""
+        self.dt, self.alpha, self.positive = dyn.dt, _FIRE_ALPHA, 0
 
     def mix(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The (2, k) velocities v that the sweep steps with, given the
@@ -462,15 +452,16 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     With `walls`, a bubble that ends its step without a radius of clearance
     from the domain boundary is projected back and stopped.
 
-    The members take one damped semi-implicit Euler step on (2,k) arrays,
-    v1 = v0 + dt (f - c v0) / m, then p1 = p0 + dt v1, with f the forces at
+    The members take one FIRE step on (2,k) arrays, with f the forces at
     the start positions (`SweepPairs.forces` over `pairs`, a fresh
-    `SweepPairs` when None). Without `fire` the step takes `dyn`'s dt and c
-    (original-qc's step); with it, FIRE first mixes or zeroes v0 and sets
-    dt (`FireState.mix`), and the step takes c / 2. The list is built again
-    first when the bubbles' moves since its build fail its certificate.
+    `SweepPairs` when None): FIRE mixes or zeroes v0 and sets dt
+    (`FireState.mix` of `fire`, a fresh `FireState` when None), then the
+    damped semi-implicit Euler step v1 = v0 + dt (f - c v0) / m, p1 = p0 +
+    dt v1, takes c = `_FIRE_DAMPING`. The list is built again first when
+    the bubbles' moves since its build fail its certificate.
     """
     pairs = SweepPairs() if pairs is None else pairs
+    fire = FireState(dyn) if fire is None else fire
     if not pairs.certified(pairs.moves(state, force)):
         pairs._build(state, force)
     members = pairs.members
@@ -480,13 +471,9 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     p0 = np.stack([x.take(members), y.take(members)])
     v0 = np.stack([state.vx.take(members), state.vy.take(members)])
     f = pairs.forces(state, force)
-    if fire is None:
-        dt, c = dyn.dt, dyn.c
-    else:
-        v0 = fire.mix(v0, f)
-        dt, c = fire.dt, 0.5 * dyn.c
-    v1 = v0 + dt * (f - c * v0)
-    p1 = p0 + dt * v1
+    v0 = fire.mix(v0, f)
+    v1 = v0 + fire.dt * (f - _FIRE_DAMPING * v0)
+    p1 = p0 + fire.dt * v1
     if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
         raise RelaxationError("dynamics diverged; reduce dt")
     if walls is not None:
@@ -502,8 +489,8 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
 # Quantity control
 
 def _overlap_sums(state: RelaxState, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Original-qc summed overlap of every slot over the pairs (i, j), sorted
-    by i, then j, added in that order (`np.bincount`): each other bubble j
+    """Original-qc summed overlap of every slot over the directed pairs
+    (i, j), added in the order given (`np.bincount`): each other bubble j
     within 2 r_i (1 + 1e-12), the slack keeping exact tangency inclusive,
     adds (2 r_i + r_j - l) / r_i, so a tangent equal-radius neighbour adds 1."""
     ri = state.r[i]
@@ -614,9 +601,11 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
     ids, tree, near = _pass_queries(state)
     max_r = state.max_radius()
     window = 2.0 * max_r * _QUERY_PAD
-    pairs = ids[tree.query_pairs(window, output_type="ndarray")].reshape(-1, 2)
-    pairs = np.concatenate([pairs, pairs[:, ::-1]])  # both ways, then sorted by i, j
-    totals = _overlap_sums(state, *pairs[np.lexsort(pairs.T[::-1])].T)
+    a, b = ids[tree.query_pairs(window, output_type="ndarray")].reshape(-1, 2).T
+    order = np.argsort(a * n0 + b)
+    a, b = a[order], b[order]
+    # each slot sums its lower neighbours, then its higher ones: in ascending order
+    totals = _overlap_sums(state, np.concatenate([b, a]), np.concatenate([a, b]))
     stale = np.zeros(n0, dtype=bool)
     mobile = np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE]))
     want = mobile[totals[mobile] < low]
@@ -694,11 +683,14 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                           seed: int = 0) -> tuple[list[Bubble], ConvergenceTrace]:
     """Relax bubbles to equilibrium under the chosen quantity-control strategy.
 
-    new-qc: one boundary-region pruning pass, then FIRE sweeps (`FireState`).
-    original-qc: a quantity-control pass every `qc_period` sweeps between
-    plain Euler sweeps; converges only when the force/stall tests pass and
-    a pass makes zero changes.
-    none: FIRE sweeps, no quantity control.
+    Every strategy takes FIRE sweeps (`FireState`, one per relaxation).
+    new-qc: one boundary-region pruning pass before the sweeps.
+    original-qc: a quantity-control pass every `qc_period` sweeps; a pass
+    that changes the population puts FIRE's dt, alpha and positive sweeps
+    back to their start (`FireState.start`), keeping the velocities. It
+    converges only when the force/stall tests pass and a pass makes zero
+    changes.
+    none: no quantity control.
 
     The force test runs every sweep; new-qc and none stop by it or at
     `max_sweeps`. Under original-qc, the stall test also runs on the
@@ -729,7 +721,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     span = dyn.stall_window // _ANGLE_EVERY + 1
     qc_clean = not original
     pairs = SweepPairs()
-    fire = None if original else FireState(dyn)
+    fire = FireState(dyn)
 
     def quantity_control() -> bool:
         """One original-qc pass; whether it left the population as it was."""
@@ -737,6 +729,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         qc_clean = _qc_original_state(state, qc_low, qc_high, anchors, walls, trace) == 0
         if not qc_clean:
             history.clear()
+            fire.start(dyn)
         return qc_clean
 
     for sweep in range(1, dyn.max_sweeps + 1):
@@ -774,6 +767,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
             break
 
     trace.pair_rebuilds = pairs.rebuilds
-    trace.fire_restarts = 0 if fire is None else fire.restarts
+    trace.fire_restarts = fire.restarts
     trace.wall_checks = 0 if walls is None else walls.checks
     return state.to_bubbles(), trace

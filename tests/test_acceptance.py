@@ -135,12 +135,17 @@ def test_criterion_3_qc_speed():
     common = min(new_t.final_min_angle, orig_t.final_min_angle)
     sustain = {label: t.time_to_sustain_angle(common) for label, t in traces.items()}
     elapsed = time.perf_counter() - t_start
-    ok = ratio <= 0.5 and len(bubbles) <= 5000 and elapsed < 300
+    stops = {label: t.stop_reason for label, t in traces.items()}
+    capped = "sweep-cap" in stops.values()
+    ok = ratio <= 0.5 and len(bubbles) <= 5000 and elapsed < 300 and not capped
     report_line("criterion 3 (QC speed)", ok,
                 f"{len(bubbles)} bubbles; new {t_new:.2f}s to {target:.2f} deg; "
                 f"{note}; measured ratio {ratio:.3f} (target <= 0.5); "
                 f"to sustain {common:.2f} deg: new {sustain['new']:.2f}s, "
-                f"original {sustain['original']:.2f}s; total {elapsed:.0f}s")
+                f"original {sustain['original']:.2f}s; stopped by {stops}; "
+                f"total {elapsed:.0f}s")
+    # a run that hit the sweep cap gives no figure to compare
+    assert not capped
     assert len(bubbles) <= 5000
     assert ratio <= 0.5
     assert elapsed < 300
@@ -173,12 +178,15 @@ def test_criterion_4_threshold_sensitivity():
 
     orig_ratio = max(orig_sweeps.values()) / min(orig_sweeps.values())
     new_spread = (max(new_sweeps.values()) - min(new_sweeps.values())) / min(new_sweeps.values())
-    ok = orig_ratio >= 2.0 and new_spread < 0.20
+    capped = "sweep-cap" in [*orig_stops.values(), *new_stops.values()]
+    ok = orig_ratio >= 2.0 and new_spread < 0.20 and not capped
     report_line("criterion 4 (threshold sensitivity)", ok,
                 f"original sweeps {orig_sweeps} (max/min {orig_ratio:.2f}, need >= 2), "
                 f"stopped by {orig_stops}; "
                 f"new sweeps {new_sweeps} (spread {100 * new_spread:.1f}%, need < 20%), "
                 f"stopped by {new_stops}")
+    # a run that hit the sweep cap counts the cap, not its own sweeps
+    assert not capped
     assert orig_ratio >= 2.0
     assert new_spread < 0.20
     # the tight thresholds take at least twice as many sweeps as the
