@@ -337,8 +337,8 @@ class SweepPairs:
         """The (2, k) net forces on the k members at the current positions.
         Each pair's force on a is evaluated once, 0 beyond its reach, and
         its force on b is its exact negation; each slot sums its forces from
-        its lower neighbours, then its higher ones, each in ascending order:
-        in ascending neighbour order."""
+        its lower neighbours, then its higher ones, each group in ascending
+        order, so in ascending neighbour order."""
         a, b, x, y = self.a, self.b, state.x, state.y
         d = np.stack([x.take(a) - x.take(b), y.take(a) - y.take(b)])
         dd = d * d
