@@ -7,8 +7,7 @@ back with curvature-adaptive sizing.
 
 from .conformal import FlattenResult, conformal_factors, flatten
 from .delaunay import TriangulationError, delaunay_triangulate
-from .mapping import (BarycentricLocation, FaceGrid, MappingError, inverse_map, locate,
-                      locate_points)
+from .mapping import FaceGrid, MappingError, inverse_map, locate_points
 from .mesh import (MeshError, MeshQualityReport, PlanarMesh, TriangleMesh,
                    ValidationResult, hausdorff_estimate, load_mesh,
                    quality_report, save_mesh, validate_disk_topology, write_svg)
@@ -19,12 +18,12 @@ from .pipeline import (PipelineConfig, PipelineError, load_config,
                        run_compare_qc, run_plane_pipeline, run_remesh_pipeline,
                        run_surface_pipeline)
 from .relaxation import (ConvergenceTrace, DynamicsParams, ForceParams,
-                         RelaxationError, RelaxState, pair_force, relax_step,
+                         RelaxationError, RelaxState, relax_step,
                          relax_until_converged, rk4_damped_step)
 from .remesh import (fill_gaps, reconstruct_boundary_bubbles,
                      reconstruct_interior_bubbles, remesh_planar)
 from .sizing import (SizingError, SizingParams, allowable_edge_3d, g_of_eps,
-                     max_normal_curvature, radius_bound, sigma1)
+                     radius_bound, sigma1)
 from .surfaces import ParametricSurface, make_surface
 
 __version__ = "0.1.0"

@@ -48,16 +48,15 @@ class PipelineConfig:
     input_mesh: str = ""
     # compare-qc mode: take initial bubbles from the plane packing or from a
     # surface-pipeline flatten + reconstruction
-    compare_source: str = "plane"
-    # relaxation / quantity control, in every mode; qc_low, qc_high,
-    # qc_period and stall_window act under qc = original only
+    compare_source: Literal["plane", "surface"] = "plane"
+    # relaxation / quantity control, in every mode; qc_low, qc_high and
+    # qc_period act under qc = original only
     qc: Literal["new", "original"] = "new"
     qc_threshold: float = 1.0
     qc_low: float = 5.0
     qc_high: float = 8.0
     qc_period: int = 10
     max_sweeps: int = 400
-    stall_window: int = 30
     force_tol_factor: float = 0.01
 
 
@@ -164,7 +163,6 @@ def relax_params(cfg: PipelineConfig, bubbles) -> dict:
         dyn=DynamicsParams(
             force_tol=cfg.force_tol_factor * r_mean,
             max_sweeps=cfg.max_sweeps,
-            stall_window=cfg.stall_window,
         ),
         strategy=f"{cfg.qc}-qc",
         qc_threshold=cfg.qc_threshold, qc_low=cfg.qc_low, qc_high=cfg.qc_high,

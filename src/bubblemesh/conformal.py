@@ -29,10 +29,6 @@ class FlattenResult:
     qc_distortion: np.ndarray  # per-face quasi-conformal ratio, >= 1
 
     @property
-    def mean_distortion(self) -> float:
-        return float(self.qc_distortion.mean())
-
-    @property
     def max_distortion(self) -> float:
         return float(self.qc_distortion.max())
 

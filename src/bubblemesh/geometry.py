@@ -226,6 +226,14 @@ def _nearest_segments(points, ax, ay, vx, vy, denom):
     return index, t, d2
 
 
+def _rowdot(a, b):
+    """Row-wise dot products of equal-shape (..., k) arrays. A (1,k) @ (k,1)
+    product per row runs the same dot kernel as np.dot on one pair of
+    k-vectors, so a batch reproduces the pointwise values bit for bit (an
+    elementwise sum or einsum rounds differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def hashed_unit_direction(i: int, j: int, seed: int = 0):
     """Deterministic pseudo-random unit vector from a pair of indices and a seed.
 

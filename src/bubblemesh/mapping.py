@@ -11,11 +11,10 @@ of the one-point arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import _rowdot
 from .mesh import MeshError, PlanarMesh, TriangleMesh
 
 SNAP_TOL_FACTOR = 1e-9
@@ -24,12 +23,6 @@ _BARY_SLACK = -1e-10
 
 class MappingError(Exception):
     pass
-
-
-@dataclass
-class BarycentricLocation:
-    face: int
-    coords: tuple[float, float, float]
 
 
 class FaceGrid:
@@ -51,12 +44,6 @@ class FaceGrid:
         centroid lies within reach."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         return list(self.tree.query_ball_point(points, self.reach, return_sorted=True))
-
-
-def _rowdot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (m,k) arrays as (m,1,k) @ (m,k,1) matmuls,
-    which give each row the float of the 1-D `u[i] @ w[i]`."""
-    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
 
 
 def _barycentric_rows(a, b, c, p):
@@ -128,16 +115,6 @@ def locate_points(flat: PlanarMesh, points, grid: FaceGrid | None = None):
     faces[located[keep]] = face[k[keep]]
     coords[located[keep]] = clamped[keep]
     return faces, coords
-
-
-def locate(flat: PlanarMesh, point, grid: FaceGrid | None = None) -> BarycentricLocation:
-    """Containing face and barycentric coordinates of one query point (see
-    `locate_points`); a point beyond the snap tolerance outside the mesh is
-    an error."""
-    faces, coords = locate_points(flat, point, grid)
-    if faces[0] < 0:
-        raise MappingError("outside flattened domain")
-    return BarycentricLocation(int(faces[0]), tuple(float(x) for x in coords[0]))
 
 
 def inverse_map(new_flat: PlanarMesh, initial_flat: PlanarMesh,

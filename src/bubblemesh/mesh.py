@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import polygon_signed_area
-
 DEGENERATE_AREA_FACTOR = 1e-14  # relative to squared bbox diagonal
 ANGLE_BUCKET_EDGES = (0.0, 15.0, 30.0, 45.0, 60.0)
 
@@ -149,15 +147,6 @@ class _MeshBase:
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edge_table.undirected) + self.n_faces
-
-    def vertex_neighbors(self) -> list[list[int]]:
-        """Sorted neighbor lists per vertex."""
-        n = self.n_vertices
-        i, j = np.divmod(self.edge_table.undirected, n)
-        owner, nbr = np.divmod(np.sort(np.concatenate([i * n + j, j * n + i])), n)
-        bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
-        nbr = nbr.tolist()
-        return [nbr[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
     def face_corner_angles(self) -> np.ndarray:
         """(F,3) corner angles in degrees, corner k opposite edge k."""
@@ -414,11 +403,3 @@ def write_svg(path, mesh: PlanarMesh, stroke_width: float | None = None) -> None
         + _rows('<line x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g"/>\n', ends)
         + "</g></svg>\n")
 
-
-def planar_orientation_residual(mesh: PlanarMesh) -> float:
-    """Relative difference between summed signed face areas and the shoelace
-    area of the boundary loops (zero for a consistently oriented mesh)."""
-    total = float(mesh.signed_areas().sum())
-    loop_area = sum(polygon_signed_area(mesh.vertices[lp]) for lp in mesh.boundary_loops())
-    scale = max(abs(total), abs(loop_area), 1e-300)
-    return abs(total - loop_area) / scale

@@ -83,9 +83,6 @@ class PackingDomain:
     def loops(self) -> list[np.ndarray]:
         return [self.outer] + list(self.holes)
 
-    def contains(self, x: float, y: float) -> bool:
-        return bool(self.contains_points(np.array([[x, y]]))[0])
-
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Which of the (n,2) points lie inside the outer loop and outside
         every hole (even-odd tests; boundary points are unreliable)."""

@@ -51,8 +51,11 @@ from .walls import WallClamp
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
 _KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 
-# sweeps between two samples of the min-angle monitor
+# sweeps between two samples of the min-angle monitor, and original-qc's
+# stall test: its window in sweeps and the range in degrees it must stay under
 _ANGLE_EVERY = 10
+_STALL_WINDOW = 30
+_STALL_ANGLE = 0.1
 
 
 class RelaxationError(Exception):
@@ -78,24 +81,17 @@ class DynamicsParams:
 
     Bubbles have unit mass and the force law unit stiffness. FIRE's steps
     (`FireState`) start at dt = 0.4 and grow it up to 1.5 dt.
-    `stall_window` and `stall_angle` act under original-qc only; the window
-    counts sweeps, and the stall test sees the min angle every
-    `_ANGLE_EVERY` sweeps, so the window must hold two samples at least.
     """
 
     dt: float = 0.4
     force_tol: float = 1e-3
     max_sweeps: int = 400
-    stall_window: int = 30
-    stall_angle: float = 0.1
 
     def __post_init__(self):
         if min(self.dt, self.force_tol) <= 0:
             raise ValueError("dt and force_tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.stall_window < _ANGLE_EVERY:
-            raise ValueError(f"stall_window must be at least {_ANGLE_EVERY} sweeps")
 
 
 class ConvergenceTrace:
@@ -204,19 +200,6 @@ def _coincident_push(i: int, j: int, seed: int, f0: float) -> tuple[float, float
     ux, uy = hashed_unit_direction(min(i, j), max(i, j), seed)
     s = f0 if i < j else -f0
     return s * ux, s * uy
-
-
-def pair_force(b_i: Bubble, b_j: Bubble, params: ForceParams,
-               i: int = 0, j: int = 1, seed: int = 0) -> np.ndarray:
-    """Force exerted on b_i by b_j, along the center line (`_coincident_push`
-    when the centers coincide); i and j are their indices."""
-    dx = b_i.x - b_j.x
-    dy = b_i.y - b_j.y
-    l = math.hypot(dx, dy)
-    if l < _COINCIDENT:
-        return np.array(_coincident_push(i, j, seed, params.f0))
-    mag = force_magnitude(l, b_i.radius + b_j.radius, params)
-    return np.array([mag * dx / l, mag * dy / l])
 
 
 def rk4_damped_step(x: np.ndarray, v: np.ndarray, force_fn, m: float, c: float,
@@ -695,9 +678,10 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     The force test runs every sweep; new-qc and none stop by it or at
     `max_sweeps`. Under original-qc, the stall test also runs on the
     min-angle samples, taken every `_ANGLE_EVERY` sweeps: it passes when the
-    samples spanning the last `stall_window` sweeps lie within
-    `stall_angle`, and a quantity-control pass that changes the population
-    clears them. Every run samples its last sweep for `final_min_angle`.
+    samples spanning the last `_STALL_WINDOW` sweeps lie within
+    `_STALL_ANGLE` degrees, and a quantity-control pass that changes the
+    population clears them. Every run samples its last sweep for
+    `final_min_angle`.
     """
     if strategy not in ("new-qc", "original-qc", "none"):
         raise ValueError(f"unknown strategy '{strategy}'")
@@ -718,7 +702,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     anchors = [b for b in bubbles if b.kind != MOBILE]
     original = strategy == "original-qc"
     history: list[float] = []  # min-angle samples since the last population change
-    span = dyn.stall_window // _ANGLE_EVERY + 1
+    span = _STALL_WINDOW // _ANGLE_EVERY + 1
     qc_clean = not original
     pairs = SweepPairs()
     fire = FireState(dyn)
@@ -750,7 +734,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         reason = "force" if max_f < dyn.force_tol else None
         if reason is None and sample and len(history) >= span:
             window = history[-span:]
-            if (max(window) - min(window)) < dyn.stall_angle:
+            if (max(window) - min(window)) < _STALL_ANGLE:
                 reason = "stall"
         # original-qc stops only after a pass that changes nothing
         if reason and (qc_clean or quantity_control()):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _rowdot
+
 EPS_MAX = 1.0 / 1.2  # argument of the inner square root must stay positive
 _REGULARITY_TOL = 1e-24
 
@@ -44,14 +46,6 @@ def g_of_eps(epsilon: float) -> float:
     return (1.0 - epsilon) * math.sqrt(40.0 * (1.0 - math.sqrt(1.0 - 1.2 * epsilon)))
 
 
-def _dot(a, b):
-    """Row-wise dot products of (..., 3) arrays. A (1,3) @ (3,1) product per
-    row runs the same dot kernel as np.dot on one pair of 3-vectors, so a
-    batch reproduces the pointwise values bit for bit (an elementwise sum
-    or einsum rounds differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _require_regular(bad, u, v) -> None:
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -66,26 +60,23 @@ def fundamental_forms(surface, u, v):
 
 def _fundamental_forms(surface, u, v, fu, fv):
     """`fundamental_forms` from the partials fu, fv at (u, v)."""
-    E = _dot(fu, fu)
-    F = _dot(fu, fv)
-    G = _dot(fv, fv)
+    E = _rowdot(fu, fu)
+    F = _rowdot(fu, fv)
+    G = _rowdot(fv, fv)
     n = np.cross(fu, fv)
-    nn = np.sqrt(_dot(n, n))
+    nn = np.sqrt(_rowdot(n, n))
     _require_regular(nn * nn <= _REGULARITY_TOL * np.maximum(E * G, 1e-300), u, v)
     n = n / nn[..., None]
-    L = _dot(surface.duu(u, v), n)
-    M = _dot(surface.duv(u, v), n)
-    N = _dot(surface.dvv(u, v), n)
+    L = _rowdot(surface.duu(u, v), n)
+    M = _rowdot(surface.duv(u, v), n)
+    N = _rowdot(surface.dvv(u, v), n)
     return E, F, G, L, M, N
 
 
-def principal_curvatures(surface, u, v):
-    """Principal curvatures from the fundamental-form eigenproblem."""
-    return _principal_curvatures(*fundamental_forms(surface, u, v))
-
-
 def _principal_curvatures(E, F, G, L, M, N):
-    """At an umbilic point (every point of a sphere) the discriminant
+    """Principal curvatures from the fundamental-form eigenproblem.
+
+    At an umbilic point (every point of a sphere) the discriminant
     b^2 - 4ac is zero in exact arithmetic, but b^2 and 4ac cancel only to
     a few rounding units, and the square root magnifies that to about
     sqrt(machine epsilon): a sphere's radius bound, constant in exact
@@ -97,12 +88,8 @@ def _principal_curvatures(E, F, G, L, M, N):
     return (b + root) / (2.0 * a), (b - root) / (2.0 * a)
 
 
-def max_normal_curvature(surface, u, v):
-    """Largest principal curvature magnitude (sizing treats curvature as a magnitude)."""
-    return _max_normal_curvature(fundamental_forms(surface, u, v))
-
-
 def _max_normal_curvature(forms):
+    """Largest principal curvature magnitude (sizing treats curvature as a magnitude)."""
     k1, k2 = _principal_curvatures(*forms)
     return np.maximum(np.abs(k1), np.abs(k2))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from bubblemesh import packing
+from bubblemesh import packing, relaxation
 from bubblemesh.mesh import MeshError, TriangleMesh, ValidationResult
 from bubblemesh.packing import MOBILE
 from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
@@ -265,6 +265,20 @@ def sphere_workload_mesh(tmp_path_factory):
 
     _, cfg = bench_module("workloads").load("sphere", 0, tmp_path_factory.mktemp("sphere"))
     return initial_surface_mesh(cfg)[2]
+
+
+def scalar_pair_force(b_i, b_j, params, i=0, j=1, seed=0):
+    """Force exerted on bubble b_i by b_j along the centre line
+    (`_coincident_push` when the centres coincide), one pair at a time in
+    Python floats; i and j are their indices. The scalar reference for the
+    pair terms of `SweepPairs.forces`."""
+    dx = b_i.x - b_j.x
+    dy = b_i.y - b_j.y
+    l = math.hypot(dx, dy)
+    if l < relaxation._COINCIDENT:
+        return np.array(relaxation._coincident_push(i, j, seed, params.f0))
+    mag = relaxation.force_magnitude(l, b_i.radius + b_j.radius, params)
+    return np.array([mag * dx / l, mag * dy / l])
 
 
 # Scalar quantity-control helpers: the oracles of the pair-array passes in

@@ -98,7 +98,7 @@ class TestFlattenCap:
     def test_distortion_decreases_under_refinement(self):
         coarse = flatten(cap_mesh(rings=6))
         fine = flatten(cap_mesh(rings=12))
-        assert fine.mean_distortion < coarse.mean_distortion
+        assert fine.qc_distortion.mean() < coarse.qc_distortion.mean()
 
     def test_distortion_at_least_one(self):
         result = flatten(cap_mesh(rings=6))

@@ -1,0 +1,45 @@
+"""A geometry family: the `graded-qc` benchmark plate with its hole moved over
+a 3 x 3 grid of offsets, relaxed under every quantity-control strategy.
+
+Where a relaxation stops is chaotic in the geometry: a hole shifted by a
+tenth can take a run from a force stop to the sweep cap, so one geometry can
+neither show a regression of the stop rules nor a fix. Each member prints
+its stop reason, sweeps and final min angle (run with `-s`).
+"""
+import itertools
+from dataclasses import replace
+
+import pytest
+
+from bubblemesh.pipeline import _relax, load_config, pack_plane
+
+# graded-qc's plate: 10 x 5, a hole of radius 1 at (5, 2.5), graded radii
+PLATE = {"plane_width": "10", "plane_height": "5", "r_min": "0.2", "r_max": "0.5",
+         "graded": "true", "grade_band": "2.0", "max_sweeps": "1000"}
+HOLE_X = ("4.9", "5", "5.1")
+HOLE_Y = ("2.4", "2.5", "2.6")
+
+# With the hole at (5, 2.6), original-qc's passes repeat a three-pass cycle:
+# one inserts a bubble, the next changes nothing, the third deletes it. Each
+# change clears the stall samples and blocks the force stop, so the run goes
+# to the sweep cap (ROADMAP item 3).
+CYCLES = {("original-qc", "5", "2.6")}
+
+
+def members():
+    for strategy in ("new-qc", "none", "original-qc"):
+        for x, y in itertools.product(HOLE_X, HOLE_Y):
+            marks = ([pytest.mark.xfail(strict=True, reason="quantity-control insert/delete "
+                                        "cycle (ROADMAP item 3)")]
+                     if (strategy, x, y) in CYCLES else [])
+            yield pytest.param(strategy, x, y, id=f"{strategy}-{x},{y}", marks=marks)
+
+
+@pytest.mark.parametrize("strategy, x, y", list(members()))
+def test_no_member_stops_at_the_sweep_cap(strategy, x, y):
+    cfg = load_config(None, {**PLATE, "holes": f"{x},{y},1.0"})
+    domain, bubbles = pack_plane(cfg)
+    _, trace = _relax(cfg, domain, [replace(b) for b in bubbles], strategy=strategy)
+    print(f"\n[family] {strategy}, hole at ({x}, {y}): stopped by {trace.stop_reason} "
+          f"after {trace.sweeps} sweeps, final min angle {trace.final_min_angle:.2f} deg")
+    assert trace.stop_reason != "sweep-cap"

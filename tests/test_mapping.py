@@ -9,7 +9,7 @@ from bubblemesh.delaunay import (TriangulationError, _boundary_constraints,
                                  delaunay_triangulate)
 from bubblemesh.geometry import incircle, orient2d_array
 from bubblemesh.mapping import (_BARY_SLACK, SNAP_TOL_FACTOR, FaceGrid,
-                                MappingError, inverse_map, locate, locate_points)
+                                MappingError, inverse_map, locate_points)
 from bubblemesh.mesh import PlanarMesh
 from bubblemesh.packing import BOUNDARY, MOBILE, Bubble, PackingDomain
 from bubblemesh.surfaces import plane, sphere_patch
@@ -122,7 +122,7 @@ class TestDelaunay:
         kept = 0
         while kept < 40:
             x, y = rng.uniform(0.3, 9.7, 2)
-            if domain.contains(x, y) and math.hypot(x - 5, y - 5) > 2.3:
+            if domain.contains_points(np.array([[x, y]]))[0] and math.hypot(x - 5, y - 5) > 2.3:
                 bubbles.append(Bubble(float(x), float(y), 0.5, MOBILE))
                 kept += 1
         mesh = delaunay_triangulate(bubbles, domain)
@@ -350,30 +350,37 @@ def flat():
     return PlanarMesh(m.uv, m.faces)
 
 
+def locate_one(flat, point, grid=None):
+    """`locate_points` of one point: its face and its coordinates as a
+    tuple of floats, None when the point is unlocatable."""
+    faces, coords = locate_points(flat, point, grid)
+    return None if faces[0] < 0 else (int(faces[0]), tuple(coords[0].tolist()))
+
+
 class TestLocate:
 
     def test_vertex_location(self, flat):
-        loc = locate(flat, flat.vertices[7])
-        lam = sorted(loc.coords)
+        _, coords = locate_one(flat, flat.vertices[7])
+        lam = sorted(coords)
         assert lam[-1] == pytest.approx(1.0, abs=1e-12)
         assert lam[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_centroid(self, flat):
         f = 11
         cent = flat.vertices[flat.faces[f]].mean(axis=0)
-        loc = locate(flat, cent)
-        assert loc.face == f
-        assert loc.coords == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
+        face, coords = locate_one(flat, cent)
+        assert face == f
+        assert coords == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
     def test_reconstruction_identity(self, flat, rng):
         grid = FaceGrid(flat)
         for _ in range(1000):
             p = np.array([rng.uniform(0.001, 1.999), rng.uniform(0.001, 0.999)])
-            loc = locate(flat, p, grid)
-            tri = flat.vertices[flat.faces[loc.face]]
-            rebuilt = np.asarray(loc.coords) @ tri
+            face, coords = locate_one(flat, p, grid)
+            tri = flat.vertices[flat.faces[face]]
+            rebuilt = np.asarray(coords) @ tri
             assert np.linalg.norm(rebuilt - p) < 1e-12
-            assert sum(loc.coords) == pytest.approx(1.0, abs=1e-12)
+            assert sum(coords) == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_tie_break_lowest_face(self, flat):
         # midpoint of a shared edge must resolve to the lowest face index
@@ -388,19 +395,17 @@ class TestLocate:
                 shared = (e, sorted(fs))
                 break
         mid = flat.vertices[list(shared[0])].mean(axis=0)
-        loc = locate(flat, mid)
-        assert loc.face == shared[1][0]
+        face, _ = locate_one(flat, mid)
+        assert face == shared[1][0]
 
-    def test_outside_raises(self, flat):
-        with pytest.raises(MappingError, match="outside"):
-            locate(flat, np.array([50.0, 50.0]))
-        with pytest.raises(MappingError, match="outside"):
-            locate(flat, np.array([2.1, 0.5]))
+    def test_outside_is_unlocatable(self, flat):
+        assert locate_one(flat, np.array([50.0, 50.0])) is None
+        assert locate_one(flat, np.array([2.1, 0.5])) is None
 
     def test_snap_tolerance(self, flat):
         # a point a hair outside the boundary snaps onto the nearest face
-        loc = locate(flat, np.array([1.0, -1e-12]))
-        assert min(loc.coords) >= 0.0
+        _, coords = locate_one(flat, np.array([1.0, -1e-12]))
+        assert min(coords) >= 0.0
 
 
 def _barycentric(a, b, c, p):
@@ -513,13 +518,8 @@ class TestLocateOracle:
         located = 0
         for p in probes:
             want = locate_by_scan(mesh, p)
-            if want is None:
-                with pytest.raises(MappingError):
-                    locate(mesh, p, grid)
-                continue
-            loc = locate(mesh, p, grid)
-            assert (loc.face, loc.coords) == want
-            located += 1
+            assert locate_one(mesh, p, grid) == want
+            located += want is not None
         assert len(mesh.vertices) < located < len(probes)
 
 
@@ -602,8 +602,8 @@ class TestInverseMap:
         # affine combination of one initial face's vertices
         grid = FaceGrid(flat)
         for k in range(3):
-            loc = locate(flat, pts[k], grid)
-            tri = initial.vertices[initial.faces[loc.face]]
+            face, _ = locate_one(flat, pts[k], grid)
+            tri = initial.vertices[initial.faces[face]]
             n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
             n /= np.linalg.norm(n)
             assert abs(np.dot(out.vertices[k] - tri[0], n)) < 1e-12

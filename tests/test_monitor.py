@@ -49,7 +49,7 @@ def stop_rule(rows, passes, dyn, qc_period=None):
     cleared by a pass that changed the population, and no stop before a
     clean pass. Without quantity control there is no stall test."""
     samples, clean = [], qc_period is None
-    span = dyn.stall_window // 10 + 1
+    span = relaxation._STALL_WINDOW // 10 + 1
     todo = list(passes)
 
     def qc_pass(sweep):
@@ -67,7 +67,7 @@ def stop_rule(rows, passes, dyn, qc_period=None):
         window = samples[-span:]
         reason = "force" if max_f < dyn.force_tol else None
         if (reason is None and qc_period and sweep % 10 == 0 and len(window) == span
-                and max(window) - min(window) < dyn.stall_angle):
+                and max(window) - min(window) < relaxation._STALL_ANGLE):
             reason = "stall"
         if reason and not clean:
             clean = qc_pass(sweep)
@@ -91,7 +91,9 @@ class TestMinAngleMonitor:
             domain = plate_with_hole(sizing)
             # at 180 degrees every full window stalls, so where the run stops
             # shows where quantity control cleared the samples
-            dyn = DynamicsParams(stall_angle=180.0 if case == "wide-stall" else 0.1)
+            if case == "wide-stall":
+                monkeypatch.setattr(relaxation, "_STALL_ANGLE", 180.0)
+            dyn = DynamicsParams()
             kwargs = dict(strategy="original-qc", qc_period=5)
         boundary = pack_boundary(domain)
         bubbles = boundary + pack_interior_quadtree(domain, boundary)

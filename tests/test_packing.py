@@ -21,7 +21,7 @@ from bubblemesh.remesh import (flat_domain, reconstruct_boundary_bubbles,
 from bubblemesh.sizing import SizingParams, radius_bound_evaluator
 from bubblemesh.surfaces import sphere_patch
 
-from conftest import cap_mesh, point_in_polygon
+from conftest import cap_mesh, loop_vertex_neighbors, point_in_polygon
 
 
 def square_domain(side=10.0, radius=0.5):
@@ -277,7 +277,7 @@ class TestPackInterior:
         interior = pack_interior_quadtree(domain, boundary)
         assert len(interior) > 50
         mesh = delaunay_triangulate(boundary + interior, domain)
-        nbrs = mesh.vertex_neighbors()
+        nbrs = loop_vertex_neighbors(mesh)
         bulk = [i for i, (x, y) in enumerate(mesh.vertices)
                 if 2.0 < x < 8.0 and 2.0 < y < 8.0]
         assert bulk
@@ -552,7 +552,6 @@ class TestDomainValidation:
                 and not any(point_in_polygon(x, y, h) for h in domain.holes)
                 for x, y in pts.tolist()]
         assert np.array_equal(domain.contains_points(pts), want)
-        assert [domain.contains(x, y) for x, y in pts[::50].tolist()] == want[::50]
         assert 0 < sum(want) < len(pts)
 
     def test_outer_must_be_ccw(self):

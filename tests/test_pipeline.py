@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ class TestConfig:
     def test_misspelled_qc_rejected(self):
         with pytest.raises(PipelineError, match="qc"):
             load_config(None, {"qc": "orignal"})
+
+    def test_misspelled_compare_source_rejected(self):
+        with pytest.raises(PipelineError, match="compare_source: 'bogus' is not one of"):
+            load_config(None, {"mode": "compare-qc", "compare_source": "bogus"})
 
     def test_misspelled_bool_rejected(self):
         with pytest.raises(PipelineError, match="graded"):
@@ -255,23 +260,18 @@ class TestSurfaceRelaxationKeys:
 
         monkeypatch.setattr(remesh, "relax_until_converged", capture)
         cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3",
-                                     force_tol_factor="0.05",
-                                     stall_window="20", qc="original"))
+                                     force_tol_factor="0.05", qc="original"))
         run_surface_pipeline(cfg)
         assert seen["dyn"].max_sweeps == 3
-        assert seen["dyn"].stall_window == 20
         assert seen["dyn"].force_tol == pytest.approx(0.05 * seen["r_mean"])
         assert seen["strategy"] == "original-qc"
 
 
 @pytest.mark.parametrize("key, value, qc", [("qc_period", "0", "original"),
-                                            ("max_sweeps", "0", "new"),
-                                            ("stall_window", "0", "new"),
-                                            ("stall_window", "9", "new")])
+                                            ("max_sweeps", "0", "new")])
 def test_meaningless_relaxation_settings_rejected(tmp_path, small_plane_cfg, key, value, qc):
-    # otherwise qc_period = 0 divides by zero, max_sweeps = 0 triangulates
-    # the raw packing, and a stall window below 10 sweeps holds one min-angle
-    # sample, whose range of 0 would stop the run as a stall
+    # otherwise qc_period = 0 divides by zero and max_sweeps = 0
+    # triangulates the raw packing
     cfg = load_config(None, dict(small_plane_cfg, out=str(tmp_path), qc=qc, **{key: value}))
     with pytest.raises(PipelineError, match=rf"^\[relax\] {key} must be at least"):
         run(cfg)
@@ -446,14 +446,20 @@ def test_surface_workload_artifacts_are_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
-def test_benchmark_workloads_converge(tmp_path, name):
+def test_benchmark_workloads_converge(tmp_path, monkeypatch, name):
     # the benchmark fails a call whose relaxation stops at the sweep cap, and
     # graded-qc's original-qc does so at dt 0.35 and 0.45: a change to the
     # trajectory shows here, not only in a benchmark run
     workloads = bench_module("workloads")
     wl, cfg = workloads.load(name, 0, tmp_path)
-    traces = workloads.traces(wl, workloads.entry_point(wl)(cfg))
+    result = workloads.entry_point(wl)(cfg)
+    traces = workloads.traces(wl, result)
     assert all(t.converged for t in traces), [(t.stop_reason, t.sweeps) for t in traces]
+    # the benchmark's other checks too, such as the topology of meshes with
+    # holes (plate, graded-qc); `check` imports workloads from perfbench/
+    monkeypatch.syspath_prepend(str(Path(workloads.__file__).parent))
+    errors, _ = bench_module("child").check(wl, result)
+    assert errors == []
     # the min-angle monitor runs where it is read: on the last sweep of a
     # new-qc run, and for the stall test every 10th sweep of original-qc
     # (graded-qc's second trace)

@@ -14,12 +14,12 @@ from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
 from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
                                    FireState, ForceParams, RelaxationError,
                                    RelaxState, SweepPairs, _overlap_sums,
-                                   force_magnitude, pair_force, relax_step,
+                                   force_magnitude, relax_step,
                                    relax_until_converged, rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
 from conftest import (bench_module, closest_point_on_segment, scalar_ball_query,
-                      scalar_qc_boundary_region)
+                      scalar_pair_force, scalar_qc_boundary_region)
 
 FORCE = ForceParams(f0=1.0)
 
@@ -437,18 +437,18 @@ class TestPairForce:
     def test_zero_at_tangency(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(1.0, 0.0, 0.5)
-        assert np.linalg.norm(pair_force(a, b, FORCE)) < 1e-12
+        assert np.linalg.norm(scalar_pair_force(a, b, FORCE)) < 1e-12
 
     def test_zero_beyond_cutoff(self):
         a = Bubble(0.0, 0.0, 0.5)
         for d in (1.5, 1.6, 4.0):
             b = Bubble(d, 0.0, 0.5)
-            assert np.linalg.norm(pair_force(a, b, FORCE)) == 0.0
+            assert np.linalg.norm(scalar_pair_force(a, b, FORCE)) == 0.0
 
     def test_repulsion_at_half_tangency(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(0.5, 0.0, 0.5)  # l = 0.5 * (r_i + r_j)
-        f = pair_force(a, b, FORCE)
+        f = scalar_pair_force(a, b, FORCE)
         assert f[0] < 0.0  # pushes a away from b
         assert abs(f[1]) == 0.0
         assert np.linalg.norm(f) > 0.0
@@ -456,7 +456,7 @@ class TestPairForce:
     def test_attraction_between_tangency_and_cutoff(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(1.25, 0.0, 0.5)
-        f = pair_force(a, b, FORCE)
+        f = scalar_pair_force(a, b, FORCE)
         assert f[0] > 0.0  # pulls a toward b
 
     def test_newtons_third_law_exact(self, rng):
@@ -465,16 +465,16 @@ class TestPairForce:
             ra, rb = rng.uniform(0.1, 1.0, 2)
             a = Bubble(xa, ya, ra)
             b = Bubble(xb, yb, rb)
-            fab = pair_force(a, b, FORCE, i=0, j=1)
-            fba = pair_force(b, a, FORCE, i=1, j=0)
+            fab = scalar_pair_force(a, b, FORCE, i=0, j=1)
+            fba = scalar_pair_force(b, a, FORCE, i=1, j=0)
             assert fab[0] == -fba[0] and fab[1] == -fba[1]
         # coincident centres push the two bubbles apart along one line
         a, b = Bubble(1.0, 1.0, 0.5), Bubble(1.0, 1.0, 0.3)
         for seed in range(8):
             for i in range(30):
                 for j in range(i + 1, 30):
-                    fab = pair_force(a, b, FORCE, i=i, j=j, seed=seed)
-                    fba = pair_force(b, a, FORCE, i=j, j=i, seed=seed)
+                    fab = scalar_pair_force(a, b, FORCE, i=i, j=j, seed=seed)
+                    fba = scalar_pair_force(b, a, FORCE, i=j, j=i, seed=seed)
                     assert fab[0] == -fba[0] and fab[1] == -fba[1]
                     assert (fab[0], fab[1]) == hashed_unit_direction(i, j, seed)
 
@@ -489,8 +489,8 @@ class TestPairForce:
     def test_coincident_centers_deterministic(self):
         a = Bubble(1.0, 1.0, 0.5)
         b = Bubble(1.0, 1.0, 0.5)
-        f1 = pair_force(a, b, FORCE, i=3, j=7, seed=42)
-        f2 = pair_force(a, b, FORCE, i=3, j=7, seed=42)
+        f1 = scalar_pair_force(a, b, FORCE, i=3, j=7, seed=42)
+        f2 = scalar_pair_force(a, b, FORCE, i=3, j=7, seed=42)
         assert np.array_equal(f1, f2)
         assert np.linalg.norm(f1) == pytest.approx(FORCE.f0, rel=1e-12)
 
@@ -519,16 +519,16 @@ class TestStep:
         state = RelaxState(frozen + [mobile])
         relax_step(state, FORCE, dyn)
 
-        net = sum((pair_force(mobile, b, FORCE) for b in frozen), np.zeros(2))
+        net = sum((scalar_pair_force(mobile, b, FORCE) for b in frozen), np.zeros(2))
         x1, v1 = euler_step(np.array([0.6, 0.4]), np.zeros(2), net, 0.5 * dyn.dt)
         assert state.x[2] == pytest.approx(x1[0], abs=1e-14)
         assert state.y[2] == pytest.approx(x1[1], abs=1e-14)
 
     def test_graded_sweep_matches_sequential_oracle(self, rng):
         # mixed radii exercise the per-pair force reach; the scalar oracle
-        # steps one mobile bubble after another, each with pair_force summed
-        # over every other alive bubble at its start-of-sweep position, at
-        # the dt / 2 of FIRE's first sweep
+        # steps one mobile bubble after another, each with scalar_pair_force
+        # summed over every other alive bubble at its start-of-sweep
+        # position, at the dt / 2 of FIRE's first sweep
         n = 40
         xy = rng.uniform(0.0, 3.5, size=(n, 2))
         radii = rng.uniform(0.2, 0.5, size=n)
@@ -544,7 +544,7 @@ class TestStep:
             if b.kind == BOUNDARY:
                 continue
 
-            net = sum((pair_force(b, other, FORCE, i, j)
+            net = sum((scalar_pair_force(b, other, FORCE, i, j)
                        for j, other in enumerate(bubbles) if j != i), np.zeros(2))
             ref_max_f = max(ref_max_f, float(np.linalg.norm(net)))
             x1, _ = euler_step(np.array([b.x, b.y]), np.zeros(2), net, 0.5 * dyn.dt)
@@ -558,8 +558,8 @@ class TestStep:
 
     def test_coincident_pair_separates_along_hashed_direction(self):
         # coincident centres push apart along the seeded hashed direction of
-        # the pair, as pair_force defines it: both bubbles step at once, so
-        # they end on that line, on opposite sides of their start
+        # the pair, as scalar_pair_force defines it: both bubbles step at
+        # once, so they end on that line, on opposite sides of their start
         seed = 5
         bubbles = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
         dyn = DynamicsParams()
@@ -567,7 +567,8 @@ class TestStep:
         relax_step(state, FORCE, dyn)
 
         ref = [euler_step(np.array([2.0, 2.0]), np.zeros(2),
-                          pair_force(bubbles[i], bubbles[j], FORCE, i, j, seed), 0.5 * dyn.dt)[0]
+                          scalar_pair_force(bubbles[i], bubbles[j], FORCE, i, j, seed),
+                          0.5 * dyn.dt)[0]
                for i, j in ((0, 1), (1, 0))]
         assert state.x == pytest.approx([x for x, _ in ref], abs=1e-12)
         assert state.y == pytest.approx([y for _, y in ref], abs=1e-12)
@@ -594,7 +595,8 @@ class TestStep:
 
     @pytest.mark.parametrize("bubbles", [
         # pairwise distances 1.25, 1.25 and 1.5, exact in binary, so that
-        # pair_force's hypot and the sweep's square root agree to the bit
+        # scalar_pair_force's hypot and the sweep's square root agree to the
+        # bit
         [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.75, 1.0, 0.45, MOBILE),
          Bubble(1.5, 0.0, 0.55, BOUNDARY)],
         [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.75, 1.0, 0.45, INTERIOR_ANCHOR),
@@ -602,12 +604,12 @@ class TestStep:
         [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)],
     ], ids=["boundary", "anchor", "coincident"])
     def test_sweep_equals_scalar_euler_oracle_bit_for_bit(self, bubbles):
-        # every mobile bubble, moving at its own velocity, has pair_force
-        # summed over the others in ascending order, all at their start
-        # positions; FIRE mixes the velocities (P > 0, the anchor and
-        # coincident cases) or zeroes them and halves dt (the boundary
-        # case), as scalar_fire_mix does, and each bubble takes the damped
-        # semi-implicit Euler step at FIRE's dt
+        # every mobile bubble, moving at its own velocity, has
+        # scalar_pair_force summed over the others in ascending order, all
+        # at their start positions; FIRE mixes the velocities (P > 0, the
+        # anchor and coincident cases) or zeroes them and halves dt (the
+        # boundary case), as scalar_fire_mix does, and each bubble takes the
+        # damped semi-implicit Euler step at FIRE's dt
         seed = 4
         state = RelaxState(bubbles, seed=seed)
         velocity = [(0.3, -0.2), (-0.1, 0.25), (0.05, 0.4)]
@@ -622,7 +624,7 @@ class TestStep:
             net = np.zeros(2)
             for j, other in enumerate(bubbles):
                 if j != i:
-                    net = net + pair_force(bubbles[i], other, FORCE, i, j, seed)
+                    net = net + scalar_pair_force(bubbles[i], other, FORCE, i, j, seed)
             nets.append(net)
         want = dict(dt=dyn.dt, alpha=0.1, positive=0, restarts=0)
         mixed = scalar_fire_mix([tuple(net.tolist()) for net in nets],
@@ -1598,7 +1600,7 @@ class TestRelaxUntilConverged:
         assert trace.sweeps == 1
         assert len(trace.rows) == 1
 
-    def test_stop_reason_names_the_test_that_ended_the_run(self):
+    def test_stop_reason_names_the_test_that_ended_the_run(self, monkeypatch):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
@@ -1606,8 +1608,9 @@ class TestRelaxUntilConverged:
         # with passes that never change the population (no sum is below 0
         # or above 1e9) the run stops at the second sample; a fixed
         # population has no stall test and runs to the sweep cap
-        stall = DynamicsParams(max_sweeps=40, force_tol=1e-9, stall_window=10,
-                               stall_angle=180.0)
+        monkeypatch.setattr(relaxation, "_STALL_WINDOW", 10)
+        monkeypatch.setattr(relaxation, "_STALL_ANGLE", 180.0)
+        stall = DynamicsParams(max_sweeps=40, force_tol=1e-9)
         cases = [(DynamicsParams(max_sweeps=4, force_tol=1e-9), "none", ("sweep-cap", False, 4)),
                  (DynamicsParams(force_tol=1e9), "none", ("force", True, 1)),
                  (stall, "original-qc", ("stall", True, 20)),
@@ -1664,7 +1667,7 @@ class TestRelaxUntilConverged:
         domain = square_domain(side=8.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        dyn = DynamicsParams(dt=0.1, max_sweeps=120, force_tol=1e-12, stall_window=10**6)
+        dyn = DynamicsParams(dt=0.1, max_sweeps=120, force_tol=1e-12)
         out, trace = relax_until_converged(boundary + interior, domain,
                                            force=FORCE, dyn=dyn, strategy="none")
         forces = [row[2] for row in trace.rows]
@@ -1677,7 +1680,7 @@ class TestRelaxUntilConverged:
     def test_nonconverged_flag(self):
         bubbles = [Bubble(4.0, 4.0, 0.5, MOBILE), Bubble(4.4, 4.0, 0.5, MOBILE)]
         domain = square_domain(side=8.0, radius=0.5)
-        dyn = DynamicsParams(max_sweeps=1, force_tol=1e-15, stall_window=10**6)
+        dyn = DynamicsParams(max_sweeps=1, force_tol=1e-15)
         out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
                                            strategy="none")
         assert not trace.converged

@@ -161,7 +161,7 @@ class TestInteriorReconstruction:
 
     def test_weight_normalization(self):
         flat = planar_flat(7, 6)
-        nbrs = flat.vertex_neighbors()
+        nbrs = loop_vertex_neighbors(flat)
         boundary = set()
         for loop in flat.boundary_loops():
             boundary.update(loop)

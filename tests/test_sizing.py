@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bubblemesh.sizing import (SizingError, SizingParams, allowable_edge_3d,
-                               g_of_eps, jacobian, max_normal_curvature,
-                               principal_curvatures, radius_bound,
+from bubblemesh.sizing import (SizingError, SizingParams, _max_normal_curvature,
+                               _principal_curvatures, allowable_edge_3d,
+                               fundamental_forms, g_of_eps, jacobian, radius_bound,
                                radius_bound_evaluator, sigma1)
 from bubblemesh.surfaces import (cylinder_patch, make_surface, plane,
                                  sphere_patch, torus_patch, wavy_patch)
@@ -34,6 +34,12 @@ class TestGofEps:
             g_of_eps(bad)
 
 
+def max_normal_curvature(surface, u, v):
+    """The largest principal curvature magnitude at (u, v), as the edge
+    bound `allowable_edge_3d` takes it."""
+    return _max_normal_curvature(fundamental_forms(surface, u, v))
+
+
 class TestCurvature:
     def test_plane_is_flat(self):
         assert max_normal_curvature(plane(), 0.3, 0.7) == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +51,7 @@ class TestCurvature:
 
     def test_cylinder(self):
         surf = cylinder_patch(radius=2.0)
-        k1, k2 = principal_curvatures(surf, 0.5, 0.5)
+        k1, k2 = _principal_curvatures(*fundamental_forms(surf, 0.5, 0.5))
         ks = sorted([abs(k1), abs(k2)])
         assert ks[0] == pytest.approx(0.0, abs=1e-12)
         assert ks[1] == pytest.approx(0.5, rel=1e-9)
