@@ -80,6 +80,8 @@ def _parse_holes(s: str) -> Holes:
         nums = [float(t) for t in part.split(",")]
         if len(nums) != 3:
             raise ValueError(f"hole spec '{part}' is not cx,cy,r")
+        if not nums[2] > 0.0:
+            raise ValueError(f"hole spec '{part}' has a radius that is not positive")
         out.append(tuple(nums))
     return out
 

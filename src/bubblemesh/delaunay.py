@@ -128,16 +128,16 @@ def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[
     if not boundary_ids:
         return []
     loops = domain.loops()
-    segs = domain.all_segments()
+    segs = domain.segments
     # loop of every segment, and the arc length along it where the segment starts
-    loop_of, arc_at = [], []
+    loop_of, arc_at, first = [], [], 0
     for li, loop in enumerate(loops):
-        steps = [math.hypot(dx, dy) for dx, dy in np.roll(loop, -1, axis=0) - loop]
         loop_of += [li] * len(loop)
-        arc_at += [0.0, *accumulate(steps)][:-1]
+        arc_at += [0.0, *accumulate(segs.length[first:first + len(loop) - 1].tolist())]
+        first += len(loop)
     seg, t, _ = nearest_segments([(bubbles[i].x, bubbles[i].y) for i in boundary_ids], segs)
-    ax, ay, bx, by = segs[seg].T
-    qx, qy = ax + t * (bx - ax), ay + t * (by - ay)
+    ax, ay = segs.ax[seg], segs.ay[seg]
+    qx, qy = ax + t * segs.vx[seg], ay + t * segs.vy[seg]
     per_loop: list[list[tuple[float, int]]] = [[] for _ in loops]
     for i, k, x0, y0, x1, y1 in zip(boundary_ids, seg.tolist(), ax, ay, qx, qy):
         per_loop[loop_of[k]].append((arc_at[k] + math.hypot(x1 - x0, y1 - y0), i))

@@ -5,13 +5,16 @@ forward error bound and fall back to exact integer arithmetic (every float
 is an integer over a power of two) when the filter cannot certify the sign.
 Their array forms (`orient2d_array`, `incircle_array`) run the same filter
 on whole columns and send only the uncertain rows to the exact fallback.
-`segment_distances` is the one projection of points onto segments and
-`nearest_segments` picks each point's nearest; every wall-distance query
-goes through them.
+`segment_table` derives the start, direction, length and inward normal of
+segments once, as the columns of a `Segments` table (each domain keeps
+one). `segment_distances` is the one projection of points onto a table's
+segments and `nearest_segments` picks each point's nearest; every
+wall-distance query goes through them.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,11 +148,6 @@ def polygon_signed_area(pts) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_perimeter(pts) -> float:
-    pts = np.asarray(pts, dtype=float)
-    return float(np.sum(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)))
-
-
 def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Vectorized even-odd test for an (n,2) array of query points: each
     point is tested against every edge at once, and is inside when the
@@ -172,53 +170,59 @@ def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _segment_terms(segments):
-    """The start (ax, ay), direction (vx, vy) and squared length
-    vx * vx + vy * vy of each of the (S,4) segments (ax, ay, bx, by): five
-    arrays."""
+class Segments(NamedTuple):
+    """A table of S boundary segments, one length-S array per column: start
+    (ax, ay), direction (vx, vy) = b - a, squared length vx * vx + vy * vy,
+    length (`math.hypot`) and inward (left) unit normal (nx, ny) =
+    (-vy, vx) / length. The unit direction is (ny, -nx)."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    length2: np.ndarray
+    length: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+
+
+def segment_table(segments) -> Segments:
+    """The `Segments` of the (S,4) segments (ax, ay, bx, by), none of zero
+    squared length (`PackingDomain` rejects a loop with one)."""
     ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
     vx, vy = bx - ax, by - ay
-    return ax, ay, vx, vy, vx * vx + vy * vy
+    length = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())), dtype=float)
+    return Segments(ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length)
 
 
-def segment_distances(points, segments):
-    """t in [0, 1] of the closest point a + t (b - a) of each of the (S,4)
-    segments (ax, ay, bx, by) to each (n,2) point (0 on a zero-length
-    segment) and its squared distance, taken as dx = px - (ax + t vx): two
-    (n,S) arrays."""
-    return _segment_distances(points, *_segment_terms(segments))
-
-
-def _segment_distances(points, ax, ay, vx, vy, denom):
-    """`segment_distances` of segments given by their `_segment_terms`."""
+def segment_distances(points, segments: Segments):
+    """t in [0, 1] of the closest point a + t (b - a) of each segment of the
+    table to each (n,2) point and its squared distance, taken as
+    dx = px - (ax + t vx): two (n,S) arrays."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     px, py = points[:, :1], points[:, 1:]
-    t = ((px - ax) * vx + (py - ay) * vy) / np.where(denom > 0.0, denom, 1.0)
+    ax, ay, vx, vy = segments[:4]
+    t = ((px - ax) * vx + (py - ay) * vy) / segments.length2
     # min(1, max(0, t)) as Python takes it: 0.0 for t <= 0, -0.0 included
-    t = np.where((denom > 0.0) & (t > 0.0), np.minimum(t, 1.0), 0.0)
+    t = np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
     dx = px - (ax + t * vx)
     dy = py - (ay + t * vy)
     return t, dx * dx + dy * dy
 
 
-def nearest_segments(points, segments):
-    """Nearest of the (S,4) segments (ax, ay, bx, by) to each (n,2) point.
-    Returns per point the segment index (the first of equal distances), and
-    t and the squared distance of `segment_distances`."""
-    return _nearest_segments(points, *_segment_terms(segments))
-
-
-def _nearest_segments(points, ax, ay, vx, vy, denom):
-    """`nearest_segments` of segments given by their `_segment_terms`."""
+def nearest_segments(points, segments: Segments):
+    """Nearest segment of the table to each (n,2) point. Returns per point
+    the segment index (the first of equal distances), and t and the squared
+    distance of `segment_distances`."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     index = np.empty(len(points), dtype=np.int64)
     t = np.empty(len(points))
     d2 = np.empty(len(points))
     # points x segments temporaries, a bounded number of elements at a time
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(segments.ax), 1))
     for start in range(0, len(points), chunk):
         rows = slice(start, start + chunk)
-        tt, dd = _segment_distances(points[rows], ax, ay, vx, vy, denom)
+        tt, dd = segment_distances(points[rows], segments)
         pick = (np.arange(len(dd)), np.argmin(dd, axis=1))
         index[rows] = pick[1]
         t[rows] = tt[pick]

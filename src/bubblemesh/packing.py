@@ -12,7 +12,11 @@ constant field may return a scalar). Packing evaluates it in batches: two
 calls per step of the boundary march, over every edge of every loop at
 once, one per boundary loop for the boundary radii and one per quadtree
 level.
-Distances to the domain's walls come from `geometry.nearest_segments`.
+A domain derives its boundary segments once, at construction, as the
+`geometry.Segments` table `PackingDomain.segments`: the march takes its
+edges' lengths and directions from it, and distances to the walls come
+from `geometry.nearest_segments` over it. No loop may repeat a vertex, so
+no segment has zero length.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
-                       points_in_polygon, polygon_perimeter, polygon_signed_area)
+                       points_in_polygon, polygon_signed_area, segment_table)
 
 BOUNDARY = "boundary"
 INTERIOR_ANCHOR = "interior-anchor"
@@ -64,7 +68,9 @@ class Bubble:
 @dataclass
 class PackingDomain:
     """Planar region bounded by a CCW outer polyline and CW hole polylines,
-    with an array-valued bubble-radius bound `sizing(xs, ys) -> ndarray`."""
+    none of which repeats a vertex, with an array-valued bubble-radius bound
+    `sizing(xs, ys) -> ndarray`. `segments` is the `geometry.Segments` table
+    of every loop's edges, from each corner to the next, built once."""
 
     outer: np.ndarray
     holes: list[np.ndarray] = field(default_factory=list)
@@ -74,11 +80,23 @@ class PackingDomain:
     def __post_init__(self):
         self.outer = np.asarray(self.outer, dtype=float).reshape(-1, 2)
         self.holes = [np.asarray(h, dtype=float).reshape(-1, 2) for h in self.holes]
+        names = ["outer loop"] + [f"hole {k}" for k in range(len(self.holes))]
+        for name, loop in zip(names, self.loops()):
+            seen: dict[tuple[float, float], int] = {}
+            for i, vertex in enumerate(map(tuple, loop.tolist())):
+                if (j := seen.setdefault(vertex, i)) != i:
+                    raise PackingError(f"{name} repeats vertex {j} at {vertex} as vertex {i}")
         if polygon_signed_area(self.outer) <= 0:
             raise PackingError("outer boundary must be counterclockwise")
         for h in self.holes:
             if polygon_signed_area(h) >= 0:
                 raise PackingError("holes must be clockwise")
+        self.segments = s = segment_table(np.concatenate(
+            [np.column_stack([loop, np.roll(loop, -1, axis=0)]) for loop in self.loops()]))
+        if not s.length2.all():  # distinct vertices whose squared distance underflows
+            k = int(np.argmin(s.length2))
+            raise PackingError(f"boundary segment {k} at {(float(s.ax[k]), float(s.ay[k]))} "
+                               "is too short")
 
     def loops(self) -> list[np.ndarray]:
         return [self.outer] + list(self.holes)
@@ -95,30 +113,6 @@ class PackingDomain:
         lo = self.outer.min(axis=0)
         hi = self.outer.max(axis=0)
         return lo, hi
-
-    def all_segments(self) -> np.ndarray:
-        """(S,4) array of boundary segments (ax, ay, bx, by) over all loops."""
-        segs = []
-        for loop in self.loops():
-            nxt = np.roll(loop, -1, axis=0)
-            segs.append(np.column_stack([loop, nxt]))
-        return np.concatenate(segs)
-
-    def project_inside(self, points: np.ndarray, radius: np.ndarray) -> np.ndarray:
-        """Nearest boundary point of each of the (n,2) points, on the first
-        nearest segment of non-zero length, pushed inward by its radius.
-
-        Interior lies to the left of directed boundary segments (outer CCW,
-        holes CW), so the inward offset uses the left normal.
-        """
-        segs = self.all_segments()
-        length = np.array([math.hypot(bx - ax, by - ay) for ax, ay, bx, by in segs])
-        segs, length = segs[length > 0.0], length[length > 0.0]
-        seg, t, _ = nearest_segments(points, segs)
-        ax, ay, bx, by = segs[seg].T
-        vx, vy, ln = bx - ax, by - ay, length[seg]
-        return np.column_stack([ax + t * vx - vy / ln * radius,
-                                ay + t * vy + vx / ln * radius])
 
 
 def interpolate_radius(x, y, anchors: list[Bubble],
@@ -191,82 +185,65 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     corners included. Output is ordered along the outer loop, then along
     each hole.
     """
-    loops = domain.loops()
-    # every edge of every loop, from each corner to the next
-    a = np.concatenate(loops)
-    b = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops])
-    marched, start_r = _march_edges(domain, a, b)
+    marched, start_r = _march_edges(domain)
+    segs = domain.segments
+    # each edge's unit direction: its inward normal turned back clockwise
+    ux, uy = segs.ny, -segs.nx
     out: list[Bubble] = []
     first = 0
-    for loop in loops:
-        first_r = start_r[first]
-        if math.isnan(first_r):  # a zero-length first edge does not march
-            first_r = float(domain.sizing(float(loop[0, 0]), float(loop[0, 1])))
-        if polygon_perimeter(loop) < 2.0 * first_r:
-            raise PackingError("boundary too small for sizing")
+    for loop in domain.loops():
         n = len(loop)
+        if segs.length[first:first + n].sum() < 2.0 * start_r[first]:
+            raise PackingError("boundary too small for sizing")
         edges = marched[first:first + n]
-        first += n
         _limit_loop_gradation(edges)
         # corners and march positions in loop order, then one sizing call
         pos = []
         for i in range(n):
             ax, ay = float(loop[i, 0]), float(loop[i, 1])
-            bx, by = loop[(i + 1) % n]
             pos.append((ax, ay))
-            length, steps = edges[i]
-            if length <= 0.0:
-                continue
-            ux = (bx - ax) / length
-            uy = (by - ay) / length
             s = 0.0
-            for step in steps[:-1]:
+            for step in edges[i][1][:-1]:
                 s += step
-                pos.append((ax + ux * s, ay + uy * s))
+                pos.append((ax + ux[first + i] * s, ay + uy[first + i] * s))
+        first += n
         radii = _sizing_at(domain, *np.array(pos).T)
         out += [Bubble(x, y, float(r), BOUNDARY) for (x, y), r in zip(pos, radii)]
     return out
 
 
-def _march_edges(domain, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
-    """March every edge from a to b ((E,2) arrays) at its local tangent
-    spacing, all edges in lockstep; returns (length, steps) per edge with
-    steps summing exactly to length, and the radius at each edge's start
-    from its first step (NaN for a zero-length edge, which does not march).
+def _march_edges(domain) -> tuple[list, np.ndarray]:
+    """March every edge of the domain's segment table from its start at its
+    local tangent spacing, all edges in lockstep; returns (length, steps)
+    per edge with steps summing exactly to length, and the radius at each
+    edge's start from its first step.
 
     A step from arc position s takes the radius r at s and the radius at
     the look-ahead min(s + 2r, length): one sizing call per half-step over
     every edge still short of its far corner and of `_MAX_MARCH_STEPS`. Each
     edge then keeps the step count, overshooting its corner or stopping one
     step short, whose uniform rescale factor is closer to 1."""
-    (ax, ay), (bx, by) = a.T.tolist(), b.T.tolist()
-    length = np.array([math.hypot(x1 - x0, y1 - y0)
-                       for x0, y0, x1, y1 in zip(ax, ay, bx, by)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (b - a) / length[:, None]
-    s = np.zeros(len(a))
+    segs = domain.segments
+    length = segs.length
+    s = np.zeros(len(length))
     arcs = [s]
-    count = np.zeros(len(a), dtype=np.int64)
-    live = np.flatnonzero(s < length)
-    start_r = np.full(len(a), np.nan)
+    count = np.zeros(len(length), dtype=np.int64)
+    live = np.arange(len(length))
     while len(live):
-        start, unit, end, here = a[live], u[live], length[live], s[live]
-        r = _sizing_at(domain, start[:, 0] + unit[:, 0] * here,
-                       start[:, 1] + unit[:, 1] * here)
+        # the unit direction is the inward normal turned back clockwise
+        ax, ay, ux, uy = segs.ax[live], segs.ay[live], segs.ny[live], -segs.nx[live]
+        end, here = length[live], s[live]
+        r = _sizing_at(domain, ax + ux * here, ay + uy * here)
         if len(arcs) == 1:
-            start_r[live] = r
+            start_r = r
         ahead = np.minimum(here + 2.0 * r, end)
         s = s.copy()
-        s[live] = here + r + _sizing_at(domain, start[:, 0] + unit[:, 0] * ahead,
-                                        start[:, 1] + unit[:, 1] * ahead)
+        s[live] = here + r + _sizing_at(domain, ax + ux * ahead, ay + uy * ahead)
         arcs.append(s)
         count[live] += 1
         live = live[(s[live] < end) & (len(arcs) <= _MAX_MARCH_STEPS)]
     out = []
     for ln, over, arc in zip(length.tolist(), count.tolist(), np.array(arcs).T.tolist()):
-        if ln <= 0.0:
-            out.append((ln, []))
-            continue
         pick = over
         if over >= 2 and abs(ln / arc[over - 1] - 1.0) < abs(ln / arc[over] - 1.0):
             pick = over - 1
@@ -282,8 +259,6 @@ def _limit_loop_gradation(edges) -> None:
         seq = []
         for ei, (_, steps) in enumerate(edges):
             seq.extend((ei, si) for si in range(len(steps)))
-        if len(seq) < 2:
-            return
         values = [edges[ei][1][si] for ei, si in seq]
         changed = False
         for k in range(len(values)):
@@ -301,12 +276,8 @@ def _limit_loop_gradation(edges) -> None:
         for (ei, si), val in zip(seq, values):
             edges[ei][1][si] = val
         for length, steps in edges:
-            if steps:
-                total = sum(steps)
-                if total > 0.0:
-                    factor = length / total
-                    for si in range(len(steps)):
-                        steps[si] *= factor
+            factor = length / sum(steps)
+            steps[:] = [step * factor for step in steps]
 
 
 def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
@@ -346,7 +317,7 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     if anchors:
         keep &= ~_inside_any_anchor(pts, anchors)
     edge_eps = 1e-9 * math.hypot(width, height)
-    keep &= nearest_segments(pts, domain.all_segments())[2] >= edge_eps ** 2
+    keep &= nearest_segments(pts, domain.segments)[2] >= edge_eps ** 2
     kept = pts[keep]
 
     if not len(kept):

@@ -217,7 +217,7 @@ def qc_speed(new_t: ConvergenceTrace,
     original-qc's time to sustain that angle (None if never: the ratio is 0
     when it plateaued below by its own tests, else bounded by its sweep-cap
     time) and the ratio of the two."""
-    time_new = new_t.rows[new_t.converged_sweep - 1][4] if new_t.converged else new_t.elapsed
+    time_new = new_t.elapsed
     reach_time = orig_t.time_to_sustain_angle(new_t.final_min_angle)
     if reach_time is None and orig_t.converged:
         return time_new, None, 0.0

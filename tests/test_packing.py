@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,8 +42,6 @@ def scalar_march_edge(domain, ax, ay, bx, by):
     and the probe points in call order."""
     probes = []
     length = math.hypot(bx - ax, by - ay)
-    if length <= 0.0:
-        return (length, []), probes
     ux = (bx - ax) / length
     uy = (by - ay) / length
 
@@ -76,10 +75,6 @@ MARCH_DOMAINS = {
     # the benchmark's plate geometry with its hole, at its constant radius
     "plate": lambda: plane_domain(PipelineConfig(
         holes=[(10.0, 5.0, 2.0)], r_min=0.38, r_max=0.38)),
-    # a repeated corner: a zero-length edge that never marches
-    "zero-length-edge": lambda: PackingDomain(
-        outer=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
-        sizing=_linear_field),
     # a 0.2-long edge under radii of about 0.38: a single step
     "short-edge": lambda: PackingDomain(
         outer=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.2], [0.0, 3.0]]),
@@ -148,13 +143,11 @@ class TestPackBoundary:
         domain = MARCH_DOMAINS[case]()
         a, b = loop_edges(domain)
         want = [scalar_march_edge(domain, *p, *q)[0] for p, q in zip(a.tolist(), b.tolist())]
-        marched, start_r = packing._march_edges(domain, a, b)
+        marched, start_r = packing._march_edges(domain)
         assert marched == want
         # the first step's radius at each start corner, as pack_boundary's
-        # perimeter check reads it; a zero-length edge takes no step
-        assert [None if math.isnan(r) else r for r in start_r.tolist()] == [
-            float(domain.sizing(*p)) if length > 0.0 else None
-            for p, (length, _) in zip(a.tolist(), want)]
+        # perimeter check reads it
+        assert start_r.tolist() == [float(domain.sizing(*p)) for p in a.tolist()]
 
     @pytest.mark.parametrize("cap", [1, 2, 5])
     def test_march_stops_every_edge_at_the_step_cap(self, monkeypatch, cap):
@@ -166,7 +159,7 @@ class TestPackBoundary:
             outer=np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0], [0.0, 1.0]]),
             sizing=lambda x, y: 0.05)
         a, b = loop_edges(domain)
-        marched, _ = packing._march_edges(domain, a, b)
+        marched, _ = packing._march_edges(domain)
         assert [len(steps) for _, steps in marched] == [cap] * 4
         for length, steps in marched:
             assert sum(steps) == pytest.approx(length, rel=1e-12)
@@ -501,7 +494,7 @@ class TestQuadtreeCorners:
                    for (x, y), r in zip(rng.uniform(0.0, 5.0, size=(90, 2)),
                                         rng.uniform(0.1, 0.4, size=90))]
         pts[0] = anchors[3].x, anchors[3].y  # exact hit
-        segs = square_domain(side=5.0).all_segments()
+        segs = square_domain(side=5.0).segments
 
         def run():
             return (_interpolate_radii_batch(pts, anchors),
@@ -564,3 +557,37 @@ class TestDomainValidation:
         ccw_hole = np.array([[4.0, 4.0], [6.0, 4.0], [6.0, 6.0], [4.0, 6.0]])
         with pytest.raises(PackingError, match="clockwise"):
             PackingDomain(outer=outer, holes=[ccw_hole])
+
+    @pytest.mark.parametrize("outer,hole,named", [
+        # a repeated corner: the CDT would meet two boundary bubbles there
+        ([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]], None,
+         "outer loop repeats vertex 1 at (4.0, 0.0) as vertex 2"),
+        # the same plate closed with its first vertex
+        ([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0], [0.0, 0.0]], None,
+         "outer loop repeats vertex 0 at (0.0, 0.0) as vertex 4"),
+        # a repeated corner of a hole
+        ([[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
+         [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]],
+         "hole 0 repeats vertex 1 at (3.0, 6.0) as vertex 2"),
+        # a loop that touches itself away from its neighbours
+        ([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0], [4.0, 4.0], [0.0, 4.0], [2.0, 2.0]], None,
+         "outer loop repeats vertex 2 at (2.0, 2.0) as vertex 5"),
+    ], ids=["outer", "first-is-last", "hole", "pinched"])
+    def test_repeated_vertex_rejected(self, outer, hole, named):
+        with pytest.raises(PackingError, match=re.escape(named)):
+            PackingDomain(outer=np.array(outer), holes=[] if hole is None else [np.array(hole)])
+
+    def test_segment_too_short_to_square_rejected(self):
+        # distinct vertices 1e-170 apart: the segment's squared length
+        # underflows to 0, which every distance pass would divide by
+        outer = np.array([[0.0, 0.0], [1e-170, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]])
+        with pytest.raises(PackingError, match=re.escape("segment 0 at (0.0, 0.0) is too short")):
+            PackingDomain(outer=outer)
+
+    def test_segment_table_of_every_loop(self):
+        # one row per edge, the outer loop first, each from a corner to the next
+        domain = plane_domain(PipelineConfig(holes=[(5.0, 5.0, 2.0), (14.0, 4.0, 1.5)]))
+        a, b = loop_edges(domain)
+        s = domain.segments
+        assert np.array_equal(np.column_stack([s.ax, s.ay]), a)
+        assert np.array_equal(np.column_stack([s.vx, s.vy]), b - a)

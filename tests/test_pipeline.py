@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bubblemesh import packing
 from bubblemesh.cli import main as cli_main
+from bubblemesh.geometry import segment_table
 from bubblemesh.mesh import load_mesh, quality_report
 from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
                                  initial_surface_mesh, load_anchor_csv, load_config,
@@ -79,6 +81,13 @@ class TestConfig:
         assert load_config(None, {"graded": "On"}).graded is True
         assert load_config(None, {"graded": "no"}).graded is False
 
+    @pytest.mark.parametrize("radius", ["0", "-2"])
+    def test_hole_radius_must_be_positive(self, radius):
+        # a zero radius would fail at packing as an unoriented hole, and a
+        # negative one would mesh a hole of the opposite radius
+        with pytest.raises(PipelineError, match=r"^\[config\] holes: .* not positive"):
+            load_config(None, {"holes": f"10,5,{radius}"})
+
     def test_missing_anchors_file(self):
         with pytest.raises(PipelineError, match="anchors file"):
             load_config(None, {"anchors_file": "/nonexistent/anchors.csv"})
@@ -130,6 +139,23 @@ class TestPlanePipeline:
         again = quality_report(load_mesh(out / "plane_mesh.obj"))
         assert again.min_angle_histogram == result["report"].min_angle_histogram
         assert again.min_angle == pytest.approx(result["report"].min_angle, abs=1e-6)
+
+    def test_segment_table_built_once_per_domain(self, tmp_path, small_plane_cfg, monkeypatch):
+        # packing, the wall clamp, the monitor and the CDT all read the
+        # domain's one table
+        calls = []
+
+        def spy(segments):
+            calls.append(len(segments))
+            return segment_table(segments)
+
+        monkeypatch.setattr(packing, "segment_table", spy)
+        cfg = load_config(None, dict(small_plane_cfg, holes="4,3,1",
+                                     out=str(tmp_path / "run")))
+        result = run_plane_pipeline(cfg)
+        assert result["trace"].wall_checks > 0
+        # one table of the outer loop's 4 edges and the hole's 8 or more
+        assert len(calls) == 1 and calls[0] >= 12
 
     def test_deterministic_outputs(self, tmp_path, small_plane_cfg):
         payloads = []

@@ -18,8 +18,8 @@ from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
                                    relax_until_converged, rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 
-from conftest import (bench_module, closest_point_on_segment, scalar_ball_query,
-                      scalar_pair_force, scalar_qc_boundary_region)
+from conftest import (bench_module, closest_point_on_segment, loop_segments,
+                      scalar_ball_query, scalar_pair_force, scalar_qc_boundary_region)
 
 FORCE = ForceParams(f0=1.0)
 
@@ -183,17 +183,15 @@ def scalar_fire_sweep(state, force, dyn, walls, fire):
 
 
 def project_inside_loop(domain, x, y, radius):
-    """Scalar boundary projection of one point: the reference for
-    PackingDomain.project_inside. The first nearest segment of non-zero
-    length wins; its left normal points inward."""
+    """Scalar boundary projection of one point: the reference for the wall
+    clamp's projection. The first nearest segment wins; its left normal
+    points inward."""
     best = (math.inf, x, y, 0.0, 0.0)
-    for ax, ay, bx, by in domain.all_segments():
+    for ax, ay, bx, by in loop_segments(domain):
         qx, qy, d2, _ = closest_point_on_segment(x, y, ax, ay, bx, by)
         if d2 < best[0]:
             ln = math.hypot(bx - ax, by - ay)
-            if ln > 0.0:
-                nx, ny = -(by - ay) / ln, (bx - ax) / ln
-                best = (d2, qx, qy, nx, ny)
+            best = (d2, qx, qy, -(by - ay) / ln, (bx - ax) / ln)
     _, qx, qy, nx, ny = best
     return qx + nx * radius, qy + ny * radius
 
@@ -203,7 +201,7 @@ def enforce_clearance(walls, x, y, radius):
     for the vector clamp. Returns the corrected centre, or None when no
     correction is needed."""
     best_d2 = math.inf
-    for ax, ay, bx, by in walls.segments:
+    for ax, ay, bx, by in loop_segments(walls.domain):
         qx, qy, d2, _ = closest_point_on_segment(x, y, ax, ay, bx, by)
         if d2 < best_d2:
             best_d2 = d2
@@ -214,8 +212,6 @@ def enforce_clearance(walls, x, y, radius):
     if best_d2 >= clearance * clearance and inside:
         return None
     ln = math.hypot(bx - ax, by - ay)
-    if ln <= 0.0:
-        return project_inside_loop(walls.domain, x, y, radius)
     nx, ny = -(by - ay) / ln, (bx - ax) / ln
     return qx + nx * radius, qy + ny * radius
 
@@ -235,7 +231,7 @@ def two_pass_clamp(walls, slots, p, radius):
     if not len(near):
         return p, fix
     seg, t, d2 = nearest_segments(p[near], walls.segments)
-    ax, ay, vx, vy, nx, ny = walls.terms
+    ax, ay, vx, vy, _, _, nx, ny = walls.segments
     clearance = WALL_CLEARANCE * radius[near]
     inside = vx[seg] * (p[near, 1] - ay[seg]) - vy[seg] * (p[near, 0] - ax[seg]) > 0.0
     clear = (d2 >= clearance * clearance) & inside
@@ -252,11 +248,8 @@ def two_pass_clamp(walls, slots, p, radius):
     fix[bad] = True
     out = p.copy()
     for row, k, tk in zip(bad, seg[~clear], t[~clear]):
-        if vx[k] != 0.0 or vy[k] != 0.0:
-            out[row] = (ax[k] + tk * vx[k] + nx[k] * radius[row],
-                        ay[k] + tk * vy[k] + ny[k] * radius[row])
-        else:
-            out[row] = walls.domain.project_inside(p[row:row + 1], radius[row:row + 1])[0]
+        out[row] = (ax[k] + tk * vx[k] + nx[k] * radius[row],
+                    ay[k] + tk * vy[k] + ny[k] * radius[row])
     return out, fix
 
 
@@ -272,6 +265,10 @@ def hex_neighbors(n, r=0.5, center=(0.0, 0.0)):
 
 RECTANGLE = [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]]
 SQUARE_HOLE = [[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]
+# the rectangle and the square hole, each with a straight corner that splits
+# an edge in two collinear segments
+COLLINEAR = [[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]]
+COLLINEAR_HOLE = [[3.0, 2.0], [3.0, 4.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]
 # the rectangle with a thin notch down from its top edge to a tip at (8.5, 4)
 NOTCHED = [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [8.7, 8.0], [8.5, 4.0], [8.3, 8.0],
            [0.0, 8.0]]
@@ -681,7 +678,7 @@ def listing_at_evaluations(monkeypatch, verdict=None,
     law = relaxation.force_magnitude
 
     def kept(self, state, force):
-        at.update(pairs=self, state=state, cutoff=force.cutoff)
+        at.update(pairs=self, state=state, cutoff=relaxation._CUTOFF)
         return moves(self, state, force)
 
     def judged(self, moved):
@@ -711,7 +708,7 @@ class TestSweepPairs:
         def checked_build(self, state, force):
             build(self, state, force)
             assert self.margin == state.max_radius()
-            want = sweep_neighbors(state, force.cutoff, self.margin)
+            want = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
             i, j = directed_view(self, state)
             assert np.array_equal(i, want[0]) and np.array_equal(j, want[1])
             assert (self.a < self.b).all()
@@ -886,7 +883,7 @@ class TestSweepPairs:
 
         def built(self, state, force):
             build(self, state, force)
-            listed[self] = sweep_neighbors(state, force.cutoff, self.margin)
+            listed[self] = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
 
         def checked(self, state, force):
             got = forces(self, state, force)
@@ -1107,13 +1104,13 @@ class TestRelaxStep:
 
     @pytest.mark.parametrize("outer,hole", [
         (RECTANGLE, SQUARE_HOLE),
-        # a repeated vertex makes a zero-length first segment
-        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]], SQUARE_HOLE),
+        # a straight corner: its two collinear segments tie there
+        (COLLINEAR, SQUARE_HOLE),
         # a diamond hole's corners tie between two segments
         (RECTANGLE, [[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]]),
-        # a zero-length segment on the hole
-        (RECTANGLE, [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]),
-    ], ids=["outer0", "outer1", "diamond-hole", "hole-zero-length"])
+        # a straight corner on the hole
+        (RECTANGLE, COLLINEAR_HOLE),
+    ], ids=["outer0", "outer1", "diamond-hole", "hole-collinear"])
     def test_wall_clamp_matches_scalar_check(self, rng, outer, hole):
         # the clamp equals the scalar check against every segment; a second
         # call at the same points checks again only the rows it did not
@@ -1166,11 +1163,10 @@ class TestRelaxStep:
         # a notch whose tip turns the boundary by ~175 degrees: moves below
         # the tip cross its sides' line extensions without nearing a wall
         (NOTCHED, SQUARE_HOLE, 0.0),
-        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
-         [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]], 0.0),
+        (COLLINEAR, COLLINEAR_HOLE, 0.0),
         (RECTANGLE, [[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]], 0.0),
         (NOTCHED, SQUARE_HOLE, 1e6),
-    ], ids=["notch", "zero-length", "diamond-hole", "notch-at-1e6"])
+    ], ids=["notch", "collinear", "diamond-hole", "notch-at-1e6"])
     def test_kept_clamp_equals_fresh_clamp_every_step(self, outer, hole, shift):
         # bubbles walk at random, across walls too; a clamp kept over the
         # walk, which skips rows within their room, gives at every step what
@@ -1203,7 +1199,7 @@ class TestRelaxStep:
         n = 400
         slots = np.arange(n)
         radii = rng.uniform(0.1, 0.5, size=n)
-        hole_walls = domain.all_segments()[4:] - shift
+        hole_walls = np.array(loop_segments(domain)[4:]) - shift
         a, b = np.split(hole_walls[rng.randint(len(hole_walls), size=n)], 2, axis=1)
         inward = (b - a)[:, ::-1] * [-1.0, 1.0] / np.hypot(*(b - a).T)[:, None]
         gap = radii + rng.uniform(0.001, 0.2, size=n)
@@ -1218,10 +1214,9 @@ class TestRelaxStep:
 
     @pytest.mark.parametrize("outer,hole", [
         (NOTCHED, SQUARE_HOLE),
-        # zero-length segments on the outer loop and on the hole
-        ([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
-         [[3.0, 2.0], [3.0, 6.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]]),
-    ], ids=["notch", "zero-length"])
+        # straight corners on the outer loop and on the hole
+        (COLLINEAR, COLLINEAR_HOLE),
+    ], ids=["notch", "collinear"])
     def test_one_pass_check_equals_two_pass_check(self, outer, hole):
         # random rows walking across the walls: positions, projected mask
         # and kept room equal those of the two-pass check at every step
@@ -1231,7 +1226,7 @@ class TestRelaxStep:
         n = 60
         radii = rng.uniform(0.1, 0.5, size=n)
         pts = rng.uniform(-1.0, 11.0, size=(n, 2))
-        pts[:4] = [[0.0, 0.0], [3.0, 6.0], [3.0, 6.2], [0.0, 0.3]]  # at the zero-length ends
+        pts[:4] = [[5.0, 0.0], [3.0, 4.0], [3.0, 4.2], [5.0, 0.3]]  # at the straight corners
         moved = 0
         for _ in range(60):
             slots = np.sort(rng.choice(n, size=n // 2, replace=False))
@@ -1244,14 +1239,12 @@ class TestRelaxStep:
             pts += rng.normal(0.0, 0.1, size=(n, 2))
         assert moved and 0 < np.count_nonzero(walls.room2) < n
 
-    @pytest.mark.parametrize("outer", [
-        [[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
-        # a repeated vertex makes a zero-length first segment
-        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]],
-    ])
+    @pytest.mark.parametrize("outer", [RECTANGLE, COLLINEAR])
     def test_project_inside_matches_scalar_loop(self, rng, outer):
         # a diamond hole's corners lie on the diagonals, equally far from
-        # two segments; corners and wall points tie between neighbours
+        # two segments; corners and wall points tie between neighbours.
+        # Radii beyond any room in the plate make the clamp project every
+        # row from its nearest segment and t.
         hole = np.array([[5.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 4.0]])
         domain = PackingDomain(outer=np.array(outer), holes=[hole])
         corners = np.concatenate([domain.outer, hole])
@@ -1260,12 +1253,13 @@ class TestRelaxStep:
         pts = np.concatenate([rng.uniform(-2.0, 12.0, size=(2000, 2)), corners,
                               np.array(on_walls), np.mgrid[-1:12, -1:10].reshape(2, -1).T,
                               [[5.0, 4.0], [1.0, 1.0], [9.0, 7.0]]])
-        radii = rng.uniform(0.1, 0.5, size=len(pts))
-        got = domain.project_inside(pts, radii)
+        radii = rng.uniform(4.0, 4.5, size=len(pts))
+        walls = WallClamp(domain)
+        got, moved = walls.clamp(np.arange(len(pts)), pts, radii)
         want = [project_inside_loop(domain, x, y, r)
                 for (x, y), r in zip(pts.tolist(), radii.tolist())]
-        assert np.array_equal(got, np.array(want, dtype=float))
-        assert domain.project_inside(pts[:0], radii[:0]).shape == (0, 2)
+        assert moved.all() and np.array_equal(got, np.array(want, dtype=float))
+        assert walls.clamp(np.arange(0), pts[:0], radii[:0])[0].shape == (0, 2)
 
 
 class TestOverlapOriginal:

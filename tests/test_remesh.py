@@ -298,7 +298,7 @@ def brute_force_fill(flat, anchors):
     lo, hi = domain.bbox()
     edge_eps = 1e-9 * math.hypot(float(hi[0] - lo[0]), float(hi[1] - lo[1]))
     keep = (domain.contains_points(pts)
-            & (nearest_segments(pts, domain.all_segments())[2] >= edge_eps ** 2))
+            & (nearest_segments(pts, domain.segments)[2] >= edge_eps ** 2))
     kept = pts[keep]
     radii = np.minimum(_interpolate_radii_batch(kept, anchors),
                        domain.sizing(kept[:, 0], kept[:, 1]))
