@@ -17,13 +17,11 @@ from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble, PackingDomain,
 from .pipeline import (PipelineConfig, PipelineError, load_config,
                        run_compare_qc, run_plane_pipeline, run_remesh_pipeline,
                        run_surface_pipeline)
-from .relaxation import (ConvergenceTrace, DynamicsParams, ForceParams,
-                         RelaxationError, RelaxState, relax_step,
+from .relaxation import (ConvergenceTrace, RelaxationError, RelaxState, relax_step,
                          relax_until_converged, rk4_damped_step)
 from .remesh import (fill_gaps, reconstruct_boundary_bubbles,
                      reconstruct_interior_bubbles, remesh_planar)
-from .sizing import (SizingError, SizingParams, allowable_edge_3d, g_of_eps,
-                     radius_bound, sigma1)
+from .sizing import SizingError, SizingParams, g_of_eps, radius_bound
 from .surfaces import ParametricSurface, make_surface
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Pipeline configuration: one typed table of keys and defaults, the
-key = value file reader, and the rule that turns a config into relaxation
-parameters scaled to a bubble population.
+"""Pipeline configuration: one typed table of keys and defaults, which
+rejects out-of-range values when it is built, and the key = value file
+reader.
 
 Every key is a `PipelineConfig` field; its default is the field default and
 its file syntax follows the field type. CLI flags override file values.
@@ -12,10 +12,6 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
-
-import numpy as np
-
-from .relaxation import DynamicsParams, ForceParams
 
 
 class PipelineError(Exception):
@@ -59,6 +55,27 @@ class PipelineConfig:
     max_sweeps: int = 400
     force_tol_factor: float = 0.01
 
+    def __post_init__(self):
+        """Reject every out-of-range value, however the config was built."""
+        for key, tp in typing.get_type_hints(PipelineConfig).items():
+            allowed = typing.get_args(tp)
+            if typing.get_origin(tp) is Literal and getattr(self, key) not in allowed:
+                _reject(key, f"'{getattr(self, key)}' is not one of {', '.join(allowed)}")
+        for hole in self.holes:
+            if not hole[2] > 0.0:
+                _reject("holes", f"hole {hole} has a radius that is not positive")
+        for key in ("max_sweeps", "qc_period"):
+            if getattr(self, key) < 1:
+                _reject(key, "must be at least 1")
+        if not self.force_tol_factor > 0.0:
+            _reject("force_tol_factor", "must be positive")
+        if not self.qc_low < self.qc_high:
+            _reject("qc_low", f"{self.qc_low} is not below qc_high {self.qc_high}")
+
+
+def _reject(key: str, why: str):
+    raise PipelineError(f"[config] {key}: {why}")
+
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
@@ -80,8 +97,6 @@ def _parse_holes(s: str) -> Holes:
         nums = [float(t) for t in part.split(",")]
         if len(nums) != 3:
             raise ValueError(f"hole spec '{part}' is not cx,cy,r")
-        if not nums[2] > 0.0:
-            raise ValueError(f"hole spec '{part}' has a radius that is not positive")
         out.append(tuple(nums))
     return out
 
@@ -102,11 +117,8 @@ _PARSERS = {int: int, float: float, str: str, Path: Path, bool: _parse_bool,
 
 
 def _parse_value(tp, s: str):
-    if typing.get_origin(tp) is Literal:
-        if s not in typing.get_args(tp):
-            raise ValueError(f"'{s}' is not one of {', '.join(typing.get_args(tp))}")
-        return s
-    return _PARSERS[tp](s)
+    # a Literal's value is checked with the others by PipelineConfig
+    return s if typing.get_origin(tp) is Literal else _PARSERS[tp](s)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -144,28 +156,3 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> PipelineC
         raise PipelineError(f"[config] input mesh not found: {cfg.input_mesh}")
     return cfg
 
-
-def relax_params(cfg: PipelineConfig, bubbles) -> dict:
-    """Keyword arguments of `relax_until_converged` for this config, with the
-    force and dynamics scaled to the bubble population.
-
-    f0 = r_min, at the force law's unit stiffness, keeps the cubic law
-    repulsive below tangency and attractive up to the cutoff for every pair
-    scale in the population. Mass and stiffness are one, and dt keeps its
-    default (`DynamicsParams`: dt = 0.4, where every strategy's FIRE steps
-    start, growing it up to 0.6 with the residual damping 0.7): another
-    stiffness would scale f0, the damping's square, 1/dt^2 and the force
-    tolerance together, and change no trajectory in sweeps.
-    """
-    radii = [b.radius for b in bubbles]
-    r_min = min(radii)
-    r_mean = float(np.mean(radii))
-    return dict(
-        force=ForceParams(f0=r_min),
-        dyn=DynamicsParams(
-            force_tol=cfg.force_tol_factor * r_mean,
-            max_sweeps=cfg.max_sweeps,
-        ),
-        strategy=f"{cfg.qc}-qc",
-        qc_threshold=cfg.qc_threshold, qc_low=cfg.qc_low, qc_high=cfg.qc_high,
-        qc_period=cfg.qc_period, seed=cfg.seed)

@@ -35,9 +35,6 @@ BOUNDARY = "boundary"
 INTERIOR_ANCHOR = "interior-anchor"
 MOBILE = "mobile"
 
-# relative gap tolerance for boundary tangency, in units of the smaller radius
-BOUNDARY_GAP_TOL = 0.1
-
 _SHEAR = (0.5, math.sqrt(3.0) / 2.0)  # second lattice basis vector
 _MAX_DEPTH = 24
 # a quadtree cell splits only when wider than twice its radius bound by more

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (PipelineConfig, PipelineError, load_config,  # noqa: F401
-                     relax_params)
+from .config import PipelineConfig, PipelineError, load_config  # noqa: F401
 from .delaunay import delaunay_triangulate
 from .conformal import flatten
 from .mapping import inverse_map
@@ -66,7 +65,8 @@ def plane_domain(cfg: PipelineConfig) -> PackingDomain:
 
 
 def load_anchor_csv(path) -> list[Bubble]:
-    """Pre-inserted interior anchors from a CSV of x,y,radius rows."""
+    """Pre-inserted interior anchors from a CSV of x,y,radius rows, each
+    radius positive."""
     out = []
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -77,7 +77,10 @@ def load_anchor_csv(path) -> list[Bubble]:
             continue
         if len(parts) != 3:
             raise PipelineError(f"[config] anchors line {ln}: expected x,y,radius")
-        out.append(Bubble(float(parts[0]), float(parts[1]), float(parts[2]), INTERIOR_ANCHOR))
+        x, y, radius = map(float, parts)
+        if not radius > 0.0:
+            raise PipelineError(f"[config] anchors line {ln}: radius {radius} is not positive")
+        out.append(Bubble(x, y, radius, INTERIOR_ANCHOR))
     return out
 
 
@@ -88,13 +91,6 @@ def pack_plane(cfg: PipelineConfig) -> tuple[PackingDomain, list[Bubble]]:
     anchors = boundary + pre
     interior = pack_interior_quadtree(domain, anchors)
     return domain, anchors + interior
-
-
-def _relax(cfg: PipelineConfig, domain, bubbles, strategy=None):
-    kwargs = relax_params(cfg, bubbles)
-    if strategy:
-        kwargs["strategy"] = strategy
-    return relax_until_converged(bubbles, domain, **kwargs)
 
 
 @contextmanager
@@ -118,7 +114,8 @@ def run_plane_pipeline(cfg: PipelineConfig) -> dict:
     with _stage("pack"):
         domain, bubbles = pack_plane(cfg)
     with _stage("relax"):
-        relaxed, trace = _relax(cfg, domain, bubbles)
+        relaxed, trace = relax_until_converged(bubbles, domain, cfg,
+                                               strategy=f"{cfg.qc}-qc")
         trace.write_csv(out / "trace.csv")
     with _stage("triangulate"):
         mesh = delaunay_triangulate(relaxed, domain)
@@ -205,8 +202,6 @@ def compare_initial_bubbles(cfg: PipelineConfig):
     """
     if cfg.compare_source == "plane":
         return pack_plane(cfg)
-    if cfg.compare_source != "surface":
-        raise PipelineError(f"[config] unknown compare_source '{cfg.compare_source}'")
     _, _, initial = initial_surface_mesh(cfg)
     return reconstruct_bubbles(flatten(initial).flat)
 
@@ -236,7 +231,7 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
     for label, strategy in (("new", "new-qc"), ("original", "original-qc")):
         with _stage(f"relax-{label}"):
             initial = [replace(b) for b in bubbles]
-            relaxed, trace = _relax(cfg, domain, initial, strategy=strategy)
+            relaxed, trace = relax_until_converged(initial, domain, cfg, strategy=strategy)
             mesh = delaunay_triangulate(relaxed, domain)
             report = quality_report(mesh)
             trace.write_csv(out / f"trace_{label}.csv")

@@ -35,12 +35,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import PipelineConfig
 from .geometry import hashed_unit_direction
 from .monitor import triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
@@ -63,37 +63,6 @@ _CUTOFF = 1.5
 
 class RelaxationError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ForceParams:
-    """Cubic pair-force law of unit stiffness: F(0)=f0, F(1)=0, F'(1)=-l0,
-    F(_CUTOFF)=0 in w=l/l0."""
-
-    f0: float = 1.0
-
-    def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("f0 must be positive")
-
-
-@dataclass(frozen=True)
-class DynamicsParams:
-    """Integration and convergence controls.
-
-    Bubbles have unit mass and the force law unit stiffness. FIRE's steps
-    (`FireState`) start at dt = 0.4 and grow it up to 1.5 dt.
-    """
-
-    dt: float = 0.4
-    force_tol: float = 1e-3
-    max_sweeps: int = 400
-
-    def __post_init__(self):
-        if min(self.dt, self.force_tol) <= 0:
-            raise ValueError("dt and force_tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 class ConvergenceTrace:
@@ -173,28 +142,29 @@ class ConvergenceTrace:
 
 
 # ---------------------------------------------------------------------------
-# Pair force law
+# Pair force law: a cubic of unit stiffness in w = l / l0 with F(0) = f0,
+# F(1) = 0, F'(1) = -l0 and F(_CUTOFF) = 0
 
-def _cubic_law(l0, params: ForceParams):
+def _cubic_law(l0, f0: float):
     """Per-pair terms of the cubic at rest length l0: the cutoff distance
     _CUTOFF * l0 and the coefficients c1, c2, c3 of F(w) = ((c3 w + c2) w +
     c1) w + f0."""
-    c3 = 2.0 * l0 - (2.0 / 3.0) * params.f0
-    c2 = (7.0 / 3.0) * params.f0 - 5.0 * l0
-    c1 = 3.0 * l0 - (8.0 / 3.0) * params.f0
+    c3 = 2.0 * l0 - (2.0 / 3.0) * f0
+    c2 = (7.0 / 3.0) * f0 - 5.0 * l0
+    c1 = 3.0 * l0 - (8.0 / 3.0) * f0
     return _CUTOFF * l0, c1, c2, c3
 
 
 _COINCIDENT = 1e-12  # centres closer than this push apart along a hashed direction
 
 
-def force_magnitude(l, l0, params: ForceParams, law=None):
+def force_magnitude(l, l0, f0: float, law=None):
     """Signed radial force: positive repels, negative attracts, 0 beyond cutoff.
     Takes scalars or equal-shape arrays of distances and rest lengths; `law`
-    is `_cubic_law(l0, params)`, passed in when it is already at hand."""
-    reach, c1, c2, c3 = _cubic_law(l0, params) if law is None else law
+    is `_cubic_law(l0, f0)`, passed in when it is already at hand."""
+    reach, c1, c2, c3 = _cubic_law(l0, f0) if law is None else law
     w = l / l0
-    return np.where(l >= reach, 0.0, ((c3 * w + c2) * w + c1) * w + params.f0)
+    return np.where(l >= reach, 0.0, ((c3 * w + c2) * w + c1) * w + f0)
 
 
 def _coincident_push(i: int, j: int, seed: int, f0: float) -> tuple[float, float]:
@@ -296,21 +266,21 @@ class SweepPairs:
     forces on b and on a go), rest length l0 = r_a + r_b and the
     `_cubic_law` terms `law`.
 
-    It is built again when the force law or the alive set (and with it the
-    radii) changes, and when a sweep starts without being `certified`.
+    It is built again when f0 or the alive set (and with it the radii)
+    changes, and when a sweep starts without being `certified`.
     `rebuilds` counts the builds."""
 
     def __init__(self):
         self.rebuilds = 0
         self._key = None
 
-    def moves(self, state: RelaxState, force: ForceParams) -> np.ndarray:
+    def moves(self, state: RelaxState, f0: float) -> np.ndarray:
         """Each slot's distance from where the list's build found it, after
-        building the list again if the force law or the alive set changed."""
-        if (self._key is not None and self._key[0] == force
+        building the list again if f0 or the alive set changed."""
+        if (self._key is not None and self._key[0] == f0
                 and np.array_equal(self._key[1], state.alive)):
             return np.hypot(state.x - self._x, state.y - self._y)
-        self._build(state, force)
+        self._build(state, f0)
         return np.zeros(len(state.alive))
 
     def certified(self, moved: np.ndarray) -> bool:
@@ -320,7 +290,7 @@ class SweepPairs:
         member's move plus its neighbour's move."""
         return moved.take(self.members).max(initial=0.0) + moved.max(initial=0.0) <= self.margin
 
-    def forces(self, state: RelaxState, force: ForceParams) -> np.ndarray:
+    def forces(self, state: RelaxState, f0: float) -> np.ndarray:
         """The (2, k) net forces on the k members at the current positions.
         Each pair's force on a is evaluated once, 0 beyond its reach, and
         its force on b is its exact negation; each slot sums its forces from
@@ -332,20 +302,20 @@ class SweepPairs:
         l = np.sqrt(dd[0] + dd[1])
         coincident = np.flatnonzero(l < _COINCIDENT)
         l[coincident] = 1.0
-        f = force_magnitude(l, self.l0, force, self.law) * d / l
+        f = force_magnitude(l, self.l0, f0, self.law) * d / l
         for e in coincident.tolist():
-            f[:, e] = _coincident_push(int(a[e]), int(b[e]), state.seed, force.f0)
+            f[:, e] = _coincident_push(int(a[e]), int(b[e]), state.seed, f0)
         f = np.bincount(self.bins, np.concatenate([-f, f], axis=1).ravel(), 2 * len(x))
         return f.reshape(2, -1).take(self.members, axis=1)
 
-    def _build(self, state: RelaxState, force: ForceParams):
+    def _build(self, state: RelaxState, f0: float):
         r_max = state.max_radius()
         margin = r_max
         ids = state.alive_indices()
         px, py, pr = state.x[ids], state.y[ids], state.r[ids]
         if len(ids) and not np.isfinite(np.ptp(px) ** 2 + np.ptp(py) ** 2):
             # the k-d tree squares the extent of the points
-            raise RelaxationError("dynamics diverged; reduce dt")
+            raise RelaxationError("dynamics diverged")
         a, b = cKDTree(np.column_stack([px, py])).query_pairs(
             (2.0 * _CUTOFF * r_max + margin) * _QUERY_PAD,
             output_type="ndarray").T
@@ -360,17 +330,20 @@ class SweepPairs:
         self.members = state.mobile_indices()
         self.bins = np.concatenate([b, a, b + n, a + n])
         self.l0 = state.r[a] + state.r[b]
-        self.law = _cubic_law(self.l0, force)
+        self.law = _cubic_law(self.l0, f0)
         self.margin = margin
-        self._key = (force, state.alive.copy())
+        self._key = (f0, state.alive.copy())
         self._x, self._y = state.x.copy(), state.y.copy()
         self.rebuilds += 1
 
 
-# FIRE's constants: alpha at the start and after a restart, the positive
-# sweeps before dt may grow, dt's growth and alpha's decay per sweep after
-# them, the largest dt in units of DynamicsParams.dt, and the residual
-# damping of its step
+# FIRE's constants: dt at the start, alpha at the start and after a restart,
+# the positive sweeps before dt may grow, dt's growth and alpha's decay per
+# sweep after them, the largest dt in units of the start dt, and the
+# residual damping of its step. Mass and stiffness are one: another
+# stiffness would scale f0, the damping's square, 1/dt^2 and the force
+# tolerance together, and change no trajectory in sweeps.
+_FIRE_DT = 0.4
 _FIRE_ALPHA = 0.1
 _FIRE_DELAY = 5
 _FIRE_GROW, _FIRE_DECAY = 1.1, 0.99
@@ -387,22 +360,21 @@ class FireState:
     sum taken in member order, one bubble after another). If P > 0 it mixes
     v <- (1 - alpha) v + alpha |v| f / |f| over all members at once, and
     from the `_FIRE_DELAY + 1`-th positive sweep on grows dt by
-    `_FIRE_GROW` up to `_FIRE_DT_MAX` times `DynamicsParams.dt` and decays
+    `_FIRE_GROW` up to `_FIRE_DT_MAX` times `_FIRE_DT` and decays
     alpha by `_FIRE_DECAY`; otherwise it zeroes v, halves dt and restarts
     alpha at `_FIRE_ALPHA`. A relaxation starts at rest, so its first sweep
     restarts too. The damped semi-implicit Euler step (the MD step of FIRE
     2.0, Guenole et al. 2020) then takes that dt and the residual damping
     `_FIRE_DAMPING`."""
 
-    def __init__(self, dyn: DynamicsParams):
-        self.dt_max = _FIRE_DT_MAX * dyn.dt
+    def __init__(self):
         self.restarts = 0
-        self.start(dyn)
+        self.start()
 
-    def start(self, dyn: DynamicsParams):
+    def start(self):
         """Put dt, alpha and the positive sweeps back to their start values,
         as after a population change; `restarts` carries over."""
-        self.dt, self.alpha, self.positive = dyn.dt, _FIRE_ALPHA, 0
+        self.dt, self.alpha, self.positive = _FIRE_DT, _FIRE_ALPHA, 0
 
     def mix(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The (2, k) velocities v that the sweep steps with, given the
@@ -419,7 +391,7 @@ class FireState:
         v = (1.0 - self.alpha) * v + (self.alpha * v_norm / f_norm) * f
         self.positive += 1
         if self.positive > _FIRE_DELAY:
-            self.dt = min(_FIRE_GROW * self.dt, self.dt_max)
+            self.dt = min(_FIRE_GROW * self.dt, _FIRE_DT_MAX * _FIRE_DT)
             self.alpha *= _FIRE_DECAY
         return v
 
@@ -429,7 +401,7 @@ def _running_sum(a: np.ndarray) -> float:
     return float(np.cumsum(a)[-1])
 
 
-def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
+def relax_step(state: RelaxState, f0: float,
                walls: WallClamp | None = None,
                pairs: SweepPairs | None = None,
                fire: FireState | None = None) -> float:
@@ -448,21 +420,21 @@ def relax_step(state: RelaxState, force: ForceParams, dyn: DynamicsParams,
     the bubbles' moves since its build fail its certificate.
     """
     pairs = SweepPairs() if pairs is None else pairs
-    fire = FireState(dyn) if fire is None else fire
-    if not pairs.certified(pairs.moves(state, force)):
-        pairs._build(state, force)
+    fire = FireState() if fire is None else fire
+    if not pairs.certified(pairs.moves(state, f0)):
+        pairs._build(state, f0)
     members = pairs.members
     if not len(members):
         return 0.0
     x, y = state.x, state.y
     p0 = np.stack([x.take(members), y.take(members)])
     v0 = np.stack([state.vx.take(members), state.vy.take(members)])
-    f = pairs.forces(state, force)
+    f = pairs.forces(state, f0)
     v0 = fire.mix(v0, f)
     v1 = v0 + fire.dt * (f - _FIRE_DAMPING * v0)
     p1 = p0 + fire.dt * v1
     if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
-        raise RelaxationError("dynamics diverged; reduce dt")
+        raise RelaxationError("dynamics diverged")
     if walls is not None:
         p1, stopped = walls.clamp(members, p1.T, state.r[members])
         p1 = p1.T
@@ -661,14 +633,20 @@ def _qc_boundary_region_state(state: RelaxState, threshold: float) -> int:
 # Convergence loop
 
 def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
-                          force: ForceParams | None = None,
-                          dyn: DynamicsParams | None = None,
-                          strategy: str = "new-qc",
-                          qc_threshold: float = 1.0,
-                          qc_low: float = 5.0, qc_high: float = 8.0,
-                          qc_period: int = 10,
-                          seed: int = 0) -> tuple[list[Bubble], ConvergenceTrace]:
-    """Relax bubbles to equilibrium under the chosen quantity-control strategy.
+                          cfg: PipelineConfig | None = None, *,
+                          strategy: str | None = None
+                          ) -> tuple[list[Bubble], ConvergenceTrace]:
+    """Relax bubbles to equilibrium under the chosen quantity-control strategy,
+    with the relaxation keys of `cfg` (`max_sweeps`, `force_tol_factor`,
+    `qc_*`, `seed`; the defaults when None). `strategy` defaults to
+    `cfg.qc` + "-qc"; "none" runs no quantity control.
+
+    The force and its tolerance scale with the input bubbles, before any
+    pruning: f0 is the smallest radius, which at the force law's unit
+    stiffness keeps the cubic repulsive below tangency and attractive up to
+    the cutoff for every pair scale in the population, and the sweeps stop
+    by force once the max net force is under `force_tol_factor` times the
+    mean radius.
 
     Every strategy takes FIRE sweeps (`FireState`, one per relaxation).
     new-qc: one boundary-region pruning pass before the sweeps.
@@ -677,7 +655,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     back to their start (`FireState.start`), keeping the velocities. It
     converges only when the force/stall tests pass and a pass makes zero
     changes.
-    none: no quantity control.
 
     The force test runs every sweep; new-qc and none stop by it or at
     `max_sweeps`. Under original-qc, the stall test also runs on the
@@ -687,20 +664,21 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     population clears them. Every run samples its last sweep for
     `final_min_angle`.
     """
+    cfg = PipelineConfig() if cfg is None else cfg
+    strategy = strategy or f"{cfg.qc}-qc"
     if strategy not in ("new-qc", "original-qc", "none"):
         raise ValueError(f"unknown strategy '{strategy}'")
-    if qc_period < 1:
-        raise ValueError("qc_period must be at least 1")
-    if strategy == "original-qc" and qc_low >= qc_high:
-        raise ValueError("original-qc needs qc_low < qc_high")
-    force = force or ForceParams()
-    dyn = dyn or DynamicsParams()
+    radii = [b.radius for b in bubbles]
+    f0 = float(np.min(radii))
+    if not f0 > 0.0:
+        raise RelaxationError(f"f0 (the smallest radius, {f0}) must be positive")
+    force_tol = cfg.force_tol_factor * float(np.mean(radii))
     t0 = time.perf_counter()
     trace = ConvergenceTrace()
 
-    state = RelaxState(bubbles, seed=seed)
+    state = RelaxState(bubbles, seed=cfg.seed)
     if strategy == "new-qc":
-        _qc_boundary_region_state(state, qc_threshold)
+        _qc_boundary_region_state(state, cfg.qc_threshold)
 
     walls = None if domain is None else WallClamp(domain)
     anchors = [b for b in bubbles if b.kind != MOBILE]
@@ -709,24 +687,25 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     span = _STALL_WINDOW // _ANGLE_EVERY + 1
     qc_clean = not original
     pairs = SweepPairs()
-    fire = FireState(dyn)
+    fire = FireState()
 
     def quantity_control() -> bool:
         """One original-qc pass; whether it left the population as it was."""
         nonlocal qc_clean
-        qc_clean = _qc_original_state(state, qc_low, qc_high, anchors, walls, trace) == 0
+        qc_clean = _qc_original_state(state, cfg.qc_low, cfg.qc_high, anchors, walls,
+                                      trace) == 0
         if not qc_clean:
             history.clear()
-            fire.start(dyn)
+            fire.start()
         return qc_clean
 
-    for sweep in range(1, dyn.max_sweeps + 1):
-        max_f = relax_step(state, force, dyn, walls, pairs, fire)
+    for sweep in range(1, cfg.max_sweeps + 1):
+        max_f = relax_step(state, f0, walls, pairs, fire)
         count, ang = state.count, math.nan
         sample = original and sweep % _ANGLE_EVERY == 0
-        qc_due = original and sweep % qc_period == 0
+        qc_due = original and sweep % cfg.qc_period == 0
         # a row describes the population before the sweep's quantity control
-        points = state.positions() if sample or qc_due or sweep == dyn.max_sweeps else None
+        points = state.positions() if sample or qc_due or sweep == cfg.max_sweeps else None
         if sample:
             ang = triangulation_min_angle(points, domain)
             history.append(ang)
@@ -735,7 +714,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         if qc_due:
             quantity_control()
 
-        reason = "force" if max_f < dyn.force_tol else None
+        reason = "force" if max_f < force_tol else None
         if reason is None and sample and len(history) >= span:
             window = history[-span:]
             if (max(window) - min(window)) < _STALL_ANGLE:
@@ -743,7 +722,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         # original-qc stops only after a pass that changes nothing
         if reason and (qc_clean or quantity_control()):
             trace.stop_reason = reason
-        if math.isnan(ang) and (trace.converged or sweep == dyn.max_sweeps):
+        if math.isnan(ang) and (trace.converged or sweep == cfg.max_sweeps):
             # without a due pass, only a pass that changed nothing ran
             ang = triangulation_min_angle(state.positions() if points is None else points,
                                           domain)

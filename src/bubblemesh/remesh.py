@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .config import PipelineConfig, relax_params
+from .config import PipelineConfig
 from .delaunay import delaunay_triangulate
 from .geometry import ROUNDING_MARGIN
 from .mesh import MeshError, PlanarMesh
@@ -93,13 +93,14 @@ def flat_domain(flat: PlanarMesh, anchors: list[Bubble]) -> PackingDomain:
 FILL_MAX_ANCHOR_OVERLAP = 0.4
 
 
-def fill_gaps(flat: PlanarMesh, anchors: list[Bubble]) -> list[Bubble]:
-    """Mobile bubbles filling the stretch-induced gaps between anchors.
+def fill_gaps(flat: PlanarMesh, anchors: list[Bubble],
+              domain: PackingDomain) -> list[Bubble]:
+    """Mobile bubbles filling the stretch-induced gaps between anchors in
+    `domain`, the `flat_domain` of the flat mesh and the anchors.
 
     The quadtree searches only the faces that `_covered_faces` cannot
     certify, and is skipped when it certifies every face; the fillers are
     those of a search over the whole domain."""
-    domain = flat_domain(flat, anchors)
     covered = _covered_faces(flat, anchors, len(domain.outer))
     gaps = None if covered is None else flat.vertices[flat.faces[~covered]]
     return pack_interior_quadtree(domain, anchors,
@@ -149,7 +150,8 @@ def reconstruct_bubbles(flat: PlanarMesh) -> tuple[PackingDomain, list[Bubble]]:
     """Anchors reconstructed at the flat mesh's vertices plus gap fillers,
     and the packing domain bounded by its boundary loop."""
     anchors = reconstruct_boundary_bubbles(flat) + reconstruct_interior_bubbles(flat)
-    return flat_domain(flat, anchors), anchors + fill_gaps(flat, anchors)
+    domain = flat_domain(flat, anchors)
+    return domain, anchors + fill_gaps(flat, anchors, domain)
 
 
 def remesh_planar(flat: PlanarMesh, cfg: PipelineConfig | None = None
@@ -159,6 +161,6 @@ def remesh_planar(flat: PlanarMesh, cfg: PipelineConfig | None = None
     Boundary bubbles never move; interior anchors move with fixed radii."""
     cfg = cfg or PipelineConfig()
     domain, bubbles = reconstruct_bubbles(flat)
-    relaxed, trace = relax_until_converged(bubbles, domain, **relax_params(cfg, bubbles))
+    relaxed, trace = relax_until_converged(bubbles, domain, cfg, strategy=f"{cfg.qc}-qc")
     mesh = delaunay_triangulate(relaxed, domain)
     return mesh, trace

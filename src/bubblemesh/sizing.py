@@ -53,13 +53,9 @@ def _require_regular(bad, u, v) -> None:
         raise SizingError(f"irregular surface point at (u,v)=({u},{v})")
 
 
-def fundamental_forms(surface, u, v):
-    """First (E,F,G) and second (L,M,N) fundamental form coefficients."""
-    return _fundamental_forms(surface, u, v, surface.du(u, v), surface.dv(u, v))
-
-
 def _fundamental_forms(surface, u, v, fu, fv):
-    """`fundamental_forms` from the partials fu, fv at (u, v)."""
+    """First (E,F,G) and second (L,M,N) fundamental form coefficients, from
+    the partials fu, fv at (u, v)."""
     E = _rowdot(fu, fu)
     F = _rowdot(fu, fv)
     G = _rowdot(fv, fv)
@@ -94,34 +90,18 @@ def _max_normal_curvature(forms):
     return np.maximum(np.abs(k1), np.abs(k2))
 
 
-def allowable_edge_3d(surface, u, v, params: SizingParams):
-    """Maximum allowable 3D edge length g(eps)/kappa_max; +inf on flat points."""
-    return _allowable_edge_3d(fundamental_forms(surface, u, v), params)
-
-
 def _allowable_edge_3d(forms, params: SizingParams):
+    """Maximum allowable 3D edge length g(eps)/kappa_max from the
+    fundamental forms; +inf on flat points."""
     kappa = _max_normal_curvature(forms)
     with np.errstate(divide="ignore"):
         return g_of_eps(params.epsilon) / kappa
 
 
-def jacobian(surface, u, v) -> np.ndarray:
-    """(..., 3, 2) Jacobian of the surface map."""
-    return _jacobian(surface.du(u, v), surface.dv(u, v))
-
-
-def _jacobian(fu, fv) -> np.ndarray:
-    return np.stack([fu, fv], axis=-1)
-
-
-def sigma1(surface, u, v):
-    """Largest singular value of the 3x2 Jacobian of the surface map."""
-    return _sigma1(jacobian(surface, u, v), u, v)
-
-
 def _sigma1(J, u, v):
-    """`sigma1` of the (..., 3, 2) Jacobians J by one batched SVD, which
-    runs LAPACK on each matrix alone, so a batch equals pointwise calls.
+    """Largest singular value of the (..., 3, 2) Jacobians J of the surface
+    map at (u, v), by one batched SVD, which runs LAPACK on each matrix
+    alone, so a batch equals pointwise calls.
 
     The closed form sqrt((E+G)/2 + sqrt(((E-G)/2)^2 + F^2)) from the first
     fundamental form differs in the last bit or two on about a third of
@@ -139,7 +119,7 @@ def radius_bound(surface, u, v, params: SizingParams):
     Jacobian."""
     fu, fv = surface.du(u, v), surface.dv(u, v)
     lp_param = (_allowable_edge_3d(_fundamental_forms(surface, u, v, fu, fv), params)
-                / _sigma1(_jacobian(fu, fv), u, v))
+                / _sigma1(np.stack([fu, fv], axis=-1), u, v))
     return np.minimum(np.maximum(lp_param, 2.0 * params.r_min), 2.0 * params.r_max) / 2.0
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from bubblemesh import packing, relaxation
+from bubblemesh import packing, relaxation, sizing
 from bubblemesh.mesh import MeshError, TriangleMesh, ValidationResult
 from bubblemesh.packing import MOBILE
 from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
@@ -270,7 +270,30 @@ def sphere_workload_mesh(tmp_path_factory):
     return initial_surface_mesh(cfg)[2]
 
 
-def scalar_pair_force(b_i, b_j, params, i=0, j=1, seed=0):
+# Pointwise views of the steps of `sizing.radius_bound`, over the private
+# forms it composes.
+
+def fundamental_forms(surface, u, v):
+    """First (E,F,G) and second (L,M,N) fundamental form coefficients."""
+    return sizing._fundamental_forms(surface, u, v, surface.du(u, v), surface.dv(u, v))
+
+
+def allowable_edge_3d(surface, u, v, params):
+    """Maximum allowable 3D edge length g(eps)/kappa_max; +inf on flat points."""
+    return sizing._allowable_edge_3d(fundamental_forms(surface, u, v), params)
+
+
+def jacobian(surface, u, v) -> np.ndarray:
+    """(..., 3, 2) Jacobian of the surface map, as `radius_bound` stacks it."""
+    return np.stack([surface.du(u, v), surface.dv(u, v)], axis=-1)
+
+
+def sigma1(surface, u, v):
+    """Largest singular value of the 3x2 Jacobian of the surface map."""
+    return sizing._sigma1(jacobian(surface, u, v), u, v)
+
+
+def scalar_pair_force(b_i, b_j, f0, i=0, j=1, seed=0):
     """Force exerted on bubble b_i by b_j along the centre line
     (`_coincident_push` when the centres coincide), one pair at a time in
     Python floats; i and j are their indices. The scalar reference for the
@@ -279,8 +302,8 @@ def scalar_pair_force(b_i, b_j, params, i=0, j=1, seed=0):
     dy = b_i.y - b_j.y
     l = math.hypot(dx, dy)
     if l < relaxation._COINCIDENT:
-        return np.array(relaxation._coincident_push(i, j, seed, params.f0))
-    mag = relaxation.force_magnitude(l, b_i.radius + b_j.radius, params)
+        return np.array(relaxation._coincident_push(i, j, seed, f0))
+    mag = relaxation.force_magnitude(l, b_i.radius + b_j.radius, f0)
     return np.array([mag * dx / l, mag * dy / l])
 
 

@@ -17,9 +17,9 @@ from bubblemesh.mapping import FaceGrid, locate_points
 from bubblemesh.mesh import PlanarMesh, hausdorff_estimate
 from bubblemesh.packing import BOUNDARY, MOBILE, Bubble, PackingDomain
 from bubblemesh.pipeline import (PipelineConfig, compare_initial_bubbles,
-                                 _relax, load_config, qc_speed, run_plane_pipeline,
+                                 load_config, qc_speed, run_plane_pipeline,
                                  run_surface_pipeline)
-from bubblemesh.relaxation import ForceParams, rk4_damped_step
+from bubblemesh.relaxation import relax_until_converged, rk4_damped_step
 from bubblemesh.surfaces import plane, sphere_patch
 
 from conftest import grid_mesh_on_surface, scalar_pair_force
@@ -118,7 +118,8 @@ def test_criterion_3_qc_speed():
     domain, bubbles = compare_initial_bubbles(cfg)
     traces = {}
     for label, strategy in (("new", "new-qc"), ("original", "original-qc")):
-        _, trace = _relax(cfg, domain, [replace(b) for b in bubbles], strategy=strategy)
+        _, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
+                                         strategy=strategy)
         traces[label] = trace
     new_t, orig_t = traces["new"], traces["original"]
     target = new_t.final_min_angle
@@ -164,15 +165,15 @@ def test_criterion_4_threshold_sensitivity():
     orig_sweeps, orig_stops = {}, {}
     for low, high in ((5.0, 8.0), (4.0, 10.0), (4.5, 9.0)):
         cfg = replace(base, qc_low=low, qc_high=high)
-        _, trace = _relax(cfg, domain, [replace(b) for b in bubbles],
-                          strategy="original-qc")
+        _, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
+                                         strategy="original-qc")
         orig_sweeps[(low, high)] = trace.sweeps
         orig_stops[(low, high)] = trace.stop_reason
     new_sweeps, new_stops = {}, {}
     for thr in (1.0, 1.2):
         cfg = replace(base, qc_threshold=thr)
-        _, trace = _relax(cfg, domain, [replace(b) for b in bubbles],
-                          strategy="new-qc")
+        _, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
+                                         strategy="new-qc")
         new_sweeps[thr] = trace.sweeps
         new_stops[thr] = trace.stop_reason
 
@@ -247,19 +248,19 @@ def test_criterion_6a_delaunay_oracle():
 
 
 def test_criterion_6b_force_law():
-    params = ForceParams(f0=1.0)
+    f0 = 1.0
     a = Bubble(0.0, 0.0, 0.6)
     b = Bubble(1.2, 0.0, 0.6)   # exactly tangent
-    tangent_mag = float(np.linalg.norm(scalar_pair_force(a, b, params)))
-    far = float(np.linalg.norm(scalar_pair_force(a, Bubble(1.9, 0.0, 0.6), params)))
+    tangent_mag = float(np.linalg.norm(scalar_pair_force(a, b, f0)))
+    far = float(np.linalg.norm(scalar_pair_force(a, Bubble(1.9, 0.0, 0.6), f0)))
 
     rng = np.random.RandomState(7)
     newton_exact = True
     for _ in range(100):
         p = Bubble(*rng.uniform(-1, 1, 2), rng.uniform(0.2, 0.8))
         q = Bubble(*rng.uniform(-1, 1, 2), rng.uniform(0.2, 0.8))
-        fpq = scalar_pair_force(p, q, params, i=0, j=1)
-        fqp = scalar_pair_force(q, p, params, i=1, j=0)
+        fpq = scalar_pair_force(p, q, f0, i=0, j=1)
+        fqp = scalar_pair_force(q, p, f0, i=1, j=0)
         if fpq[0] != -fqp[0] or fpq[1] != -fqp[1]:
             newton_exact = False
 

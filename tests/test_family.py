@@ -11,7 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from bubblemesh.pipeline import _relax, load_config, pack_plane
+from bubblemesh.pipeline import load_config, pack_plane
+from bubblemesh.relaxation import relax_until_converged
 
 # graded-qc's plate: 10 x 5, a hole of radius 1 at (5, 2.5), graded radii
 PLATE = {"plane_width": "10", "plane_height": "5", "r_min": "0.2", "r_max": "0.5",
@@ -39,7 +40,8 @@ def members():
 def test_no_member_stops_at_the_sweep_cap(strategy, x, y):
     cfg = load_config(None, {**PLATE, "holes": f"{x},{y},1.0"})
     domain, bubbles = pack_plane(cfg)
-    _, trace = _relax(cfg, domain, [replace(b) for b in bubbles], strategy=strategy)
+    _, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
+                                     strategy=strategy)
     print(f"\n[family] {strategy}, hole at ({x}, {y}): stopped by {trace.stop_reason} "
           f"after {trace.sweeps} sweeps, final min angle {trace.final_min_angle:.2f} deg")
     assert trace.stop_reason != "sweep-cap"

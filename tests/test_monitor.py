@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from bubblemesh import monitor, relaxation
+from bubblemesh.config import PipelineConfig
 from bubblemesh.monitor import triangulation_min_angle
 from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
-from bubblemesh.relaxation import DynamicsParams, ForceParams, relax_until_converged
-
-FORCE = ForceParams(f0=1.0)
+from bubblemesh.relaxation import relax_until_converged
 
 
 def plate_with_hole(sizing):
@@ -19,7 +18,7 @@ def plate_with_hole(sizing):
     return PackingDomain(outer=outer, holes=[hole], sizing=sizing)
 
 
-def sampled_relaxation(monkeypatch, bubbles, domain, **kwargs):
+def sampled_relaxation(monkeypatch, bubbles, domain, cfg, strategy):
     """relax_until_converged with a copy of the positions after every sweep's
     step, and the (sweep, changes) of every quantity-control pass."""
     positions, passes = [], []
@@ -37,11 +36,11 @@ def sampled_relaxation(monkeypatch, bubbles, domain, **kwargs):
 
     monkeypatch.setattr(relaxation, "relax_step", recorded_step)
     monkeypatch.setattr(relaxation, "_qc_original_state", recorded_qc)
-    _, trace = relax_until_converged(bubbles, domain, force=FORCE, **kwargs)
+    _, trace = relax_until_converged(bubbles, domain, cfg, strategy=strategy)
     return trace, positions, passes
 
 
-def stop_rule(rows, passes, dyn, qc_period=None):
+def stop_rule(rows, passes, force_tol, qc_period=None):
     """(stop reason, sweep) recomputed from the rows: the force test every
     sweep, and under quantity control (every qc_period sweeps, and again
     before a stop unless the last pass was clean) the stall test on the
@@ -65,7 +64,7 @@ def stop_rule(rows, passes, dyn, qc_period=None):
         if qc_period and sweep % qc_period == 0:
             clean = qc_pass(sweep)
         window = samples[-span:]
-        reason = "force" if max_f < dyn.force_tol else None
+        reason = "force" if max_f < force_tol else None
         if (reason is None and qc_period and sweep % 10 == 0 and len(window) == span
                 and max(window) - min(window) < relaxation._STALL_ANGLE):
             reason = "stall"
@@ -83,7 +82,7 @@ class TestMinAngleMonitor:
     def test_sampled_every_10_sweeps_and_last(self, monkeypatch, case):
         if case == "plate-new-qc":
             domain = plate_with_hole(lambda x, y: 0.3)
-            dyn, kwargs = DynamicsParams(max_sweeps=80), {}
+            cfg, strategy = PipelineConfig(max_sweeps=80), "new-qc"
         else:
             def sizing(x, y):
                 return 0.25 + 0.25 * np.minimum(np.abs(x - 4.0) / 4.0, 1.0)
@@ -93,27 +92,28 @@ class TestMinAngleMonitor:
             # shows where quantity control cleared the samples
             if case == "wide-stall":
                 monkeypatch.setattr(relaxation, "_STALL_ANGLE", 180.0)
-            dyn = DynamicsParams()
-            kwargs = dict(strategy="original-qc", qc_period=5)
+            cfg, strategy = PipelineConfig(qc_period=5), "original-qc"
         boundary = pack_boundary(domain)
         bubbles = boundary + pack_interior_quadtree(domain, boundary)
-        trace, positions, passes = sampled_relaxation(monkeypatch, bubbles, domain,
-                                                      dyn=dyn, **kwargs)
+        qc = strategy == "original-qc"
+        force_tol = cfg.force_tol_factor * np.mean([b.radius for b in bubbles])
+        trace, positions, passes = sampled_relaxation(monkeypatch, bubbles, domain, cfg,
+                                                      strategy)
         last = trace.sweeps
         assert [row[0] for row in trace.rows] == list(range(1, last + 1))
         assert len(positions) == last
         sampled = [row[0] for row in trace.rows if not math.isnan(row[3])]
-        if kwargs:  # the stall test reads every 10th sweep under quantity control
+        if qc:  # the stall test reads every 10th sweep under quantity control
             assert sampled == sorted({*range(10, last + 1, 10), last})
         else:
             assert sampled == [last]
         for sweep, _, _, angle, _ in trace.sampled_rows():
             assert angle == triangulation_min_angle(positions[sweep - 1], domain)
         assert trace.final_min_angle == trace.rows[-1][3] > 0.0
-        want = stop_rule(trace.rows, passes, dyn, kwargs.get("qc_period"))
+        want = stop_rule(trace.rows, passes, force_tol, cfg.qc_period if qc else None)
         assert (trace.stop_reason, trace.sweeps) == want
         assert trace.converged == (want[0] != "sweep-cap")
-        if kwargs:  # quantity control inserted or deleted bubbles on the way
+        if qc:  # quantity control inserted or deleted bubbles on the way
             assert sum(changes > 0 for _, changes in passes) >= 2
 
     def test_last_row_describes_the_population_before_its_pass(self, monkeypatch):
@@ -135,8 +135,8 @@ class TestMinAngleMonitor:
 
         monkeypatch.setattr(relaxation, "_qc_original_state", one_deleting_pass)
         trace, positions, passes = sampled_relaxation(
-            monkeypatch, bubbles, domain, dyn=DynamicsParams(force_tol=1e9),
-            strategy="original-qc", qc_period=1)
+            monkeypatch, bubbles, domain, PipelineConfig(force_tol_factor=1e9, qc_period=1),
+            "original-qc")
         assert (trace.sweeps, trace.stop_reason, passes) == (1, "force", [(1, 1), (1, 0)])
         assert trace.rows[-1][1] == len(positions[0]) > len(after[0])
         assert trace.final_min_angle == triangulation_min_angle(positions[0], domain)

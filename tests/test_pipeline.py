@@ -10,7 +10,7 @@ from bubblemesh.geometry import segment_table
 from bubblemesh.mesh import load_mesh, quality_report
 from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
                                  initial_surface_mesh, load_anchor_csv, load_config,
-                                 plane_domain, run, run_plane_pipeline,
+                                 plane_domain, run_plane_pipeline,
                                  run_remesh_pipeline, run_surface_pipeline)
 
 from conftest import bench_module
@@ -98,6 +98,52 @@ class TestConfig:
         anchors = load_anchor_csv(path)
         assert len(anchors) == 2
         assert anchors[0].x == 1.0 and anchors[0].radius == 0.25
+
+    @pytest.mark.parametrize("radius", ["0", "-0.3", "nan"])
+    def test_anchor_radius_must_be_positive(self, tmp_path, small_plane_cfg, radius):
+        # such an anchor would pass packing and fail only in relaxation;
+        # the plane pipeline stops before it writes a trace
+        path = tmp_path / "anchors.csv"
+        path.write_text(f"x,y,radius\n1.0, 2.0, 0.25\n3 4 {radius}\n")
+        message = rf"^\[config\] anchors line 3: radius {float(radius)} is not positive$"
+        with pytest.raises(PipelineError, match=message):
+            load_anchor_csv(path)
+        cfg = load_config(None, dict(small_plane_cfg, out=str(tmp_path / "run"),
+                                     anchors_file=str(path)))
+        with pytest.raises(PipelineError, match=message):
+            run_plane_pipeline(cfg)
+        assert not (tmp_path / "run" / "trace.csv").exists()
+
+
+# every out-of-range value PipelineConfig rejects, as (key, fields, message)
+BAD_CONFIGS = {
+    "negative-hole": ("holes", dict(holes=[(10.0, 5.0, -2.0)], r_min=0.5, r_max=0.5),
+                      r"hole \(10.0, 5.0, -2.0\) has a radius that is not positive"),
+    "zero-hole": ("holes", dict(holes=[(3.0, 3.0, 1.0), (7.0, 7.0, 0.0)]),
+                  r"hole \(7.0, 7.0, 0.0\) has a radius that is not positive"),
+    "qc": ("qc", dict(qc="orignal"), "'orignal' is not one of new, original"),
+    "compare-source": ("compare_source", dict(compare_source="bogus"),
+                       "'bogus' is not one of plane, surface"),
+    "max-sweeps": ("max_sweeps", dict(max_sweeps=0), "must be at least 1"),
+    "qc-period": ("qc_period", dict(qc_period=0), "must be at least 1"),
+    "force-tol-zero": ("force_tol_factor", dict(force_tol_factor=0.0), "must be positive"),
+    "force-tol-negative": ("force_tol_factor", dict(force_tol_factor=-0.01),
+                           "must be positive"),
+    "qc-low-above": ("qc_low", dict(qc_low=8.0, qc_high=5.0), "8.0 is not below qc_high 5.0"),
+    "qc-low-equal": ("qc_low", dict(qc_low=5.0, qc_high=5.0), "5.0 is not below qc_high 5.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_rejects_bad_values_when_built(case):
+    # an out-of-range value fails where the config is built, directly or by
+    # replace as from a file (TestConfig), before any stage runs
+    key, fields, why = BAD_CONFIGS[case]
+    message = rf"^\[config\] {key}: {why}"
+    with pytest.raises(PipelineError, match=message):
+        PipelineConfig(**fields)
+    with pytest.raises(PipelineError, match=message):
+        replace(PipelineConfig(), **fields)
 
 
 class TestPlaneDomain:
@@ -280,17 +326,18 @@ class TestSurfaceRelaxationKeys:
         seen = {}
         real = remesh.relax_until_converged
 
-        def capture(bubbles, domain, **kwargs):
-            seen.update(kwargs, r_mean=np.mean([b.radius for b in bubbles]))
-            return real(bubbles, domain, **kwargs)
+        def capture(bubbles, domain, cfg, **kwargs):
+            seen.update(kwargs, cfg=cfg)
+            return real(bubbles, domain, cfg, **kwargs)
 
         monkeypatch.setattr(remesh, "relax_until_converged", capture)
         cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path), max_sweeps="3",
                                      force_tol_factor="0.05", qc="original"))
-        run_surface_pipeline(cfg)
-        assert seen["dyn"].max_sweeps == 3
-        assert seen["dyn"].force_tol == pytest.approx(0.05 * seen["r_mean"])
+        result = run_surface_pipeline(cfg)
+        assert seen["cfg"] is cfg
+        assert (cfg.max_sweeps, cfg.force_tol_factor) == (3, 0.05)
         assert seen["strategy"] == "original-qc"
+        assert result["trace"].sweeps == 3
 
 
 @pytest.mark.parametrize("key, value, qc", [("qc_period", "0", "original"),
@@ -298,10 +345,9 @@ class TestSurfaceRelaxationKeys:
 def test_meaningless_relaxation_settings_rejected(tmp_path, small_plane_cfg, key, value, qc):
     # otherwise qc_period = 0 divides by zero and max_sweeps = 0
     # triangulates the raw packing
-    cfg = load_config(None, dict(small_plane_cfg, out=str(tmp_path), qc=qc, **{key: value}))
-    with pytest.raises(PipelineError, match=rf"^\[relax\] {key} must be at least"):
-        run(cfg)
-    assert not (tmp_path / "trace.csv").exists()
+    with pytest.raises(PipelineError, match=rf"^\[config\] {key}: must be at least 1$"):
+        load_config(None, dict(small_plane_cfg, out=str(tmp_path), qc=qc, **{key: value}))
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_plane_surface_degenerate_case(tmp_path):
@@ -350,13 +396,13 @@ class TestCompareQC:
         from bubblemesh import pipeline
         from bubblemesh.packing import INTERIOR_ANCHOR
         seen = {}
-        real = pipeline._relax
+        real = pipeline.relax_until_converged
 
-        def capture(cfg, domain, bubbles, strategy=None):
+        def capture(bubbles, domain, cfg, strategy):
             seen[strategy] = (domain, [(b.x, b.y, b.radius, b.kind) for b in bubbles])
-            return real(cfg, domain, bubbles, strategy=strategy)
+            return real(bubbles, domain, cfg, strategy=strategy)
 
-        monkeypatch.setattr(pipeline, "_relax", capture)
+        monkeypatch.setattr(pipeline, "relax_until_converged", capture)
         cfg = load_config(None, dict(SPHERE_PATCH, out=str(tmp_path / "cmp"),
                                      mode="compare-qc", compare_source="surface",
                                      epsilon="0.0005", max_sweeps="12"))
@@ -455,6 +501,20 @@ def test_bench_tracer_counts_the_qc_interpolation(tmp_path):
     assert any(name == "packing.interp" and parent >= 0 and spans[parent][0] == "relaxation.qc"
                for name, _, _, parent in spans)
     assert tracing.layer_metrics(tracer)["packing.interp_calls"][0] > 1
+
+
+def test_bench_tracer_labels_the_original_qc_sweeps(tmp_path):
+    # relaxation.sweeps.original counts the sweeps of the relaxations that
+    # the pipeline calls with strategy="original-qc": one the tracer could
+    # not label would add graded-qc's original-qc sweeps to the new ones
+    tracing, workloads = bench_module("tracing"), bench_module("workloads")
+    wl, cfg = workloads.load("graded-qc", 0, tmp_path)
+    tracer = tracing.Tracer("graded-qc")
+    with tracing.traced(tracer):
+        result = workloads.entry_point(wl)(cfg)
+    new, original = (result[label]["trace"].sweeps for label in ("new", "original"))
+    assert tracer.counts["relaxation.sweeps.original"] == original > 0
+    assert tracer.counts["relaxation.sweeps.new"] == new > 0
 
 
 def test_surface_workload_artifacts_are_deterministic(tmp_path):

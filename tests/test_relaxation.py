@@ -6,14 +6,14 @@ import pytest
 from scipy.spatial import cKDTree
 
 from bubblemesh import relaxation
+from bubblemesh.config import PipelineConfig, PipelineError
 from bubblemesh.geometry import (hashed_unit_direction, nearest_segments,
                                  segment_distances)
 from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                                 PackingDomain, interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
-from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, DynamicsParams,
-                                   FireState, ForceParams, RelaxationError,
-                                   RelaxState, SweepPairs, _overlap_sums,
+from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, FireState,
+                                   RelaxationError, RelaxState, SweepPairs, _overlap_sums,
                                    force_magnitude, relax_step,
                                    relax_until_converged, rk4_damped_step)
 from bubblemesh.walls import WALL_CLEARANCE, WallClamp
@@ -21,7 +21,8 @@ from bubblemesh.walls import WALL_CLEARANCE, WallClamp
 from conftest import (bench_module, closest_point_on_segment, loop_segments,
                       scalar_ball_query, scalar_pair_force, scalar_qc_boundary_region)
 
-FORCE = ForceParams(f0=1.0)
+F0 = 1.0  # the force law's f0 in the step-level tests
+DT = 0.4  # FIRE's start dt
 
 
 def sweep_neighbors(state, cutoff, margin):
@@ -56,7 +57,7 @@ def directed_view(pairs, state):
     return i[order], j[order]
 
 
-def directed_forces(state, force, members, i, j):
+def directed_forces(state, f0, members, i, j):
     """The (2, k) net forces on the members over the directed pairs (i, j),
     sorted by i, then j: each pair's force on i evaluated on its own, once
     per direction, and summed per member in that order. The sweep kernel of
@@ -71,9 +72,9 @@ def directed_forces(state, force, members, i, j):
     l = np.sqrt(dd[0] + dd[1])
     coincident = np.flatnonzero(l < 1e-12)
     l[coincident] = 1.0
-    f = force_magnitude(l, state.r[i] + state.r[j], force) * d / l
+    f = force_magnitude(l, state.r[i] + state.r[j], f0) * d / l
     for e in coincident.tolist():
-        f[:, e] = relaxation._coincident_push(int(i[e]), int(j[e]), state.seed, force.f0)
+        f[:, e] = relaxation._coincident_push(int(i[e]), int(j[e]), state.seed, f0)
     return np.bincount(bins, f.ravel(), 2 * k).reshape(2, k)
 
 
@@ -84,7 +85,7 @@ def euler_step(x, v, f, dt):
     return x + dt * v1, v1
 
 
-def jacobi_sweep(state, force, dyn, walls=None, fire=None):
+def jacobi_sweep(state, f0, walls=None, fire=None):
     """One sweep as a fresh all-pairs list gives it: every mobile bubble
     steps at once against every other alive bubble at its start-of-sweep
     position, its forces summed in ascending neighbour order, then FIRE
@@ -102,16 +103,16 @@ def jacobi_sweep(state, force, dyn, walls=None, fire=None):
     l = np.sqrt(dx * dx + dy * dy)
     coincident = l < 1e-12
     l = np.where(coincident, 1.0, l)
-    mag = force_magnitude(l, r[i] + r[j], force)
+    mag = force_magnitude(l, r[i] + r[j], f0)
     fx, fy = mag * dx / l, mag * dy / l
     for e in np.flatnonzero(coincident).tolist():
         a, b = int(i[e]), int(j[e])
         ux, uy = hashed_unit_direction(min(a, b), max(a, b), state.seed)
-        sign = force.f0 if a < b else -force.f0
+        sign = f0 if a < b else -f0
         fx[e], fy[e] = sign * ux, sign * uy
     f = np.column_stack([np.bincount(owner, fx, len(members)),
                          np.bincount(owner, fy, len(members))])
-    fire = FireState(dyn) if fire is None else fire
+    fire = FireState() if fire is None else fire
     v0 = fire.mix(np.stack([state.vx[members], state.vy[members]]), f.T).T
     p1, v1 = euler_step(p0, v0, f, fire.dt)
     if walls is not None:
@@ -122,7 +123,7 @@ def jacobi_sweep(state, force, dyn, walls=None, fire=None):
     return float(np.sqrt(f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]).max())
 
 
-def scalar_fire_mix(f, v, fire, dyn):
+def scalar_fire_mix(f, v, fire):
     """FIRE's mixing or restart in Python floats over the members' forces f
     and velocities v, lists of (x, y): the power and the norms summed
     bubble by bubble, then the mixed or zeroed velocities that the step
@@ -139,14 +140,14 @@ def scalar_fire_mix(f, v, fire, dyn):
              for (fx, fy), (vx, vy) in zip(f, v)]
         fire["positive"] += 1
         if fire["positive"] > 5:
-            fire["dt"] = min(1.1 * fire["dt"], 1.5 * dyn.dt)
+            fire["dt"] = min(1.1 * fire["dt"], 1.5 * DT)
             fire["alpha"] *= 0.99
         return v
     fire.update(dt=0.5 * fire["dt"], alpha=0.1, positive=0, restarts=fire["restarts"] + 1)
     return [(0.0, 0.0)] * len(v)
 
 
-def scalar_fire_sweep(state, force, dyn, walls, fire):
+def scalar_fire_sweep(state, f0, walls, fire):
     """One FIRE sweep in Python floats, one mobile bubble after another:
     each bubble's force summed over every other alive bubble in ascending
     order at the start positions, `scalar_fire_mix`, the damped
@@ -165,11 +166,11 @@ def scalar_fire_sweep(state, force, dyn, walls, fire):
                 continue
             dx, dy = x[i] - x[j], y[i] - y[j]
             l = math.sqrt(dx * dx + dy * dy)
-            mag = float(force_magnitude(l, r[i] + r[j], force))
+            mag = float(force_magnitude(l, r[i] + r[j], f0))
             fx += mag * dx / l
             fy += mag * dy / l
         f.append((fx, fy))
-    v = scalar_fire_mix(f, [(vx0[i], vy0[i]) for i in members], fire, dyn)
+    v = scalar_fire_mix(f, [(vx0[i], vy0[i]) for i in members], fire)
     dt, c, stopped = fire["dt"], 0.7, []
     for k, (i, (fx, fy), (vx, vy)) in enumerate(zip(members, f, v)):
         vx, vy = vx + dt * (fx - c * vx), vy + dt * (fy - c * vy)
@@ -434,18 +435,18 @@ class TestPairForce:
     def test_zero_at_tangency(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(1.0, 0.0, 0.5)
-        assert np.linalg.norm(scalar_pair_force(a, b, FORCE)) < 1e-12
+        assert np.linalg.norm(scalar_pair_force(a, b, F0)) < 1e-12
 
     def test_zero_beyond_cutoff(self):
         a = Bubble(0.0, 0.0, 0.5)
         for d in (1.5, 1.6, 4.0):
             b = Bubble(d, 0.0, 0.5)
-            assert np.linalg.norm(scalar_pair_force(a, b, FORCE)) == 0.0
+            assert np.linalg.norm(scalar_pair_force(a, b, F0)) == 0.0
 
     def test_repulsion_at_half_tangency(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(0.5, 0.0, 0.5)  # l = 0.5 * (r_i + r_j)
-        f = scalar_pair_force(a, b, FORCE)
+        f = scalar_pair_force(a, b, F0)
         assert f[0] < 0.0  # pushes a away from b
         assert abs(f[1]) == 0.0
         assert np.linalg.norm(f) > 0.0
@@ -453,7 +454,7 @@ class TestPairForce:
     def test_attraction_between_tangency_and_cutoff(self):
         a = Bubble(0.0, 0.0, 0.5)
         b = Bubble(1.25, 0.0, 0.5)
-        f = scalar_pair_force(a, b, FORCE)
+        f = scalar_pair_force(a, b, F0)
         assert f[0] > 0.0  # pulls a toward b
 
     def test_newtons_third_law_exact(self, rng):
@@ -462,23 +463,23 @@ class TestPairForce:
             ra, rb = rng.uniform(0.1, 1.0, 2)
             a = Bubble(xa, ya, ra)
             b = Bubble(xb, yb, rb)
-            fab = scalar_pair_force(a, b, FORCE, i=0, j=1)
-            fba = scalar_pair_force(b, a, FORCE, i=1, j=0)
+            fab = scalar_pair_force(a, b, F0, i=0, j=1)
+            fba = scalar_pair_force(b, a, F0, i=1, j=0)
             assert fab[0] == -fba[0] and fab[1] == -fba[1]
         # coincident centres push the two bubbles apart along one line
         a, b = Bubble(1.0, 1.0, 0.5), Bubble(1.0, 1.0, 0.3)
         for seed in range(8):
             for i in range(30):
                 for j in range(i + 1, 30):
-                    fab = scalar_pair_force(a, b, FORCE, i=i, j=j, seed=seed)
-                    fba = scalar_pair_force(b, a, FORCE, i=j, j=i, seed=seed)
+                    fab = scalar_pair_force(a, b, F0, i=i, j=j, seed=seed)
+                    fba = scalar_pair_force(b, a, F0, i=j, j=i, seed=seed)
                     assert fab[0] == -fba[0] and fab[1] == -fba[1]
                     assert (fab[0], fab[1]) == hashed_unit_direction(i, j, seed)
 
     def test_cubic_continuity(self):
         l0 = 1.2
         ws = np.linspace(0.0, 1.5, 3001)
-        vals = [force_magnitude(w * l0, l0, FORCE) for w in ws]
+        vals = [force_magnitude(w * l0, l0, F0) for w in ws]
         assert abs(vals[-1]) < 1e-12  # exactly zero at the cutoff
         jumps = np.abs(np.diff(vals))
         assert jumps.max() < 0.02  # smooth on [0, 1.5]
@@ -486,10 +487,10 @@ class TestPairForce:
     def test_coincident_centers_deterministic(self):
         a = Bubble(1.0, 1.0, 0.5)
         b = Bubble(1.0, 1.0, 0.5)
-        f1 = scalar_pair_force(a, b, FORCE, i=3, j=7, seed=42)
-        f2 = scalar_pair_force(a, b, FORCE, i=3, j=7, seed=42)
+        f1 = scalar_pair_force(a, b, F0, i=3, j=7, seed=42)
+        f2 = scalar_pair_force(a, b, F0, i=3, j=7, seed=42)
         assert np.array_equal(f1, f2)
-        assert np.linalg.norm(f1) == pytest.approx(FORCE.f0, rel=1e-12)
+        assert np.linalg.norm(f1) == pytest.approx(F0, rel=1e-12)
 
 
 class TestStep:
@@ -509,15 +510,14 @@ class TestStep:
     def test_sweep_matches_reference_integrator(self):
         # a mobile bubble among frozen ones advances exactly like the
         # reference single-bubble semi-implicit Euler step; FIRE's first
-        # sweep starts at rest and restarts, so the step takes dyn.dt / 2
+        # sweep starts at rest and restarts, so the step takes DT / 2
         frozen = [Bubble(0.0, 0.0, 0.5, BOUNDARY), Bubble(1.4, 0.0, 0.5, BOUNDARY)]
         mobile = Bubble(0.6, 0.4, 0.5, MOBILE)
-        dyn = DynamicsParams()
         state = RelaxState(frozen + [mobile])
-        relax_step(state, FORCE, dyn)
+        relax_step(state, F0)
 
-        net = sum((scalar_pair_force(mobile, b, FORCE) for b in frozen), np.zeros(2))
-        x1, v1 = euler_step(np.array([0.6, 0.4]), np.zeros(2), net, 0.5 * dyn.dt)
+        net = sum((scalar_pair_force(mobile, b, F0) for b in frozen), np.zeros(2))
+        x1, v1 = euler_step(np.array([0.6, 0.4]), np.zeros(2), net, 0.5 * DT)
         assert state.x[2] == pytest.approx(x1[0], abs=1e-14)
         assert state.y[2] == pytest.approx(x1[1], abs=1e-14)
 
@@ -531,9 +531,8 @@ class TestStep:
         radii = rng.uniform(0.2, 0.5, size=n)
         kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE)[k % 3] for k in range(n)]
         bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
-        dyn = DynamicsParams()
         state = RelaxState(bubbles)
-        max_f = relax_step(state, FORCE, dyn)
+        max_f = relax_step(state, F0)
 
         ref = [(b.x, b.y) for b in bubbles]
         ref_max_f = 0.0
@@ -541,10 +540,10 @@ class TestStep:
             if b.kind == BOUNDARY:
                 continue
 
-            net = sum((scalar_pair_force(b, other, FORCE, i, j)
+            net = sum((scalar_pair_force(b, other, F0, i, j)
                        for j, other in enumerate(bubbles) if j != i), np.zeros(2))
             ref_max_f = max(ref_max_f, float(np.linalg.norm(net)))
-            x1, _ = euler_step(np.array([b.x, b.y]), np.zeros(2), net, 0.5 * dyn.dt)
+            x1, _ = euler_step(np.array([b.x, b.y]), np.zeros(2), net, 0.5 * DT)
             ref[i] = tuple(x1)
         assert max_f == pytest.approx(ref_max_f, abs=1e-12)
         moved = sum(math.hypot(s - b.x, t - b.y) > 1e-3
@@ -559,13 +558,12 @@ class TestStep:
         # once, so they end on that line, on opposite sides of their start
         seed = 5
         bubbles = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
-        dyn = DynamicsParams()
         state = RelaxState(bubbles, seed=seed)
-        relax_step(state, FORCE, dyn)
+        relax_step(state, F0)
 
         ref = [euler_step(np.array([2.0, 2.0]), np.zeros(2),
-                          scalar_pair_force(bubbles[i], bubbles[j], FORCE, i, j, seed),
-                          0.5 * dyn.dt)[0]
+                          scalar_pair_force(bubbles[i], bubbles[j], F0, i, j, seed),
+                          0.5 * DT)[0]
                for i, j in ((0, 1), (1, 0))]
         assert state.x == pytest.approx([x for x, _ in ref], abs=1e-12)
         assert state.y == pytest.approx([y for _, y in ref], abs=1e-12)
@@ -586,7 +584,7 @@ class TestStep:
             return law(*args)
 
         monkeypatch.setattr(relaxation, "force_magnitude", counted)
-        traces = graded_plate_runs(DynamicsParams())
+        traces = graded_plate_runs()
         assert len(calls) == sum(trace.sweeps for trace in traces) > 100
         assert min(calls) > 0
 
@@ -611,9 +609,8 @@ class TestStep:
         state = RelaxState(bubbles, seed=seed)
         velocity = [(0.3, -0.2), (-0.1, 0.25), (0.05, 0.4)]
         state.vx[:], state.vy[:] = np.transpose(velocity[:len(bubbles)])
-        dyn = DynamicsParams()
-        fire = FireState(dyn)
-        max_f = relax_step(state, FORCE, dyn, fire=fire)
+        fire = FireState()
+        max_f = relax_step(state, F0, fire=fire)
 
         members = [i for i, b in enumerate(bubbles) if b.kind != BOUNDARY]
         nets = []
@@ -621,11 +618,11 @@ class TestStep:
             net = np.zeros(2)
             for j, other in enumerate(bubbles):
                 if j != i:
-                    net = net + scalar_pair_force(bubbles[i], other, FORCE, i, j, seed)
+                    net = net + scalar_pair_force(bubbles[i], other, F0, i, j, seed)
             nets.append(net)
-        want = dict(dt=dyn.dt, alpha=0.1, positive=0, restarts=0)
+        want = dict(dt=DT, alpha=0.1, positive=0, restarts=0)
         mixed = scalar_fire_mix([tuple(net.tolist()) for net in nets],
-                                [velocity[i] for i in members], want, dyn)
+                                [velocity[i] for i in members], want)
         assert (fire.dt, fire.restarts) == (want["dt"], want["restarts"])
         for i, net, v in zip(members, nets, mixed):
             x0 = np.array([bubbles[i].x, bubbles[i].y])
@@ -639,15 +636,17 @@ class TestStep:
         assert max_f == max(math.sqrt(net[0] * net[0] + net[1] * net[1]) for net in nets) > 0.0
 
 
-def graded_plate_runs(dyn):
+def graded_plate_runs(**keys):
     """A new-qc relaxation of the graded holed plate, and an original-qc one
     whose passes insert and delete, one deletion (of the one large bubble)
-    shrinking the largest radius: their traces."""
+    shrinking the largest radius, both with the config keys given (the
+    original-qc one at qc_period 5 and seed 3 unless given): their traces."""
     domain, bubbles = graded_holed_plate()
-    _, new = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn)
-    _, original = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)],
-                                        domain, force=FORCE, dyn=dyn,
-                                        strategy="original-qc", qc_period=5, seed=3)
+    _, new = relax_until_converged(bubbles(), domain, PipelineConfig(**keys),
+                                   strategy="new-qc")
+    _, original = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)], domain,
+                                        PipelineConfig(**{"qc_period": 5, "seed": 3, **keys}),
+                                        strategy="original-qc")
     return new, original
 
 
@@ -667,8 +666,8 @@ def unlisted_within_reach(pairs, state, cutoff):
 
 
 def listing_at_evaluations(monkeypatch, verdict=None,
-                           runs=lambda: graded_plate_runs(DynamicsParams())):
-    """Calls `runs` (`graded_plate_runs` at the default dynamics unless
+                           runs=graded_plate_runs):
+    """Calls `runs` (`graded_plate_runs` at the default config unless
     given) and returns the traces it returns, the certificate's verdicts at
     every sweep start and the count of `unlisted_within_reach` at every
     force evaluation, when the sweep's bubbles are still at their start
@@ -677,9 +676,9 @@ def listing_at_evaluations(monkeypatch, verdict=None,
     moves, certified = SweepPairs.moves, SweepPairs.certified
     law = relaxation.force_magnitude
 
-    def kept(self, state, force):
+    def kept(self, state, f0):
         at.update(pairs=self, state=state, cutoff=relaxation._CUTOFF)
-        return moves(self, state, force)
+        return moves(self, state, f0)
 
     def judged(self, moved):
         verdicts.append(certified(self, moved))
@@ -705,8 +704,8 @@ class TestSweepPairs:
         seen, verdicts = [], []
         moves, build, certified = SweepPairs.moves, SweepPairs._build, SweepPairs.certified
 
-        def checked_build(self, state, force):
-            build(self, state, force)
+        def checked_build(self, state, f0):
+            build(self, state, f0)
             assert self.margin == state.max_radius()
             want = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
             i, j = directed_view(self, state)
@@ -716,9 +715,9 @@ class TestSweepPairs:
             assert len(held) == len(self.a)
             assert held == {(min(i, j), max(i, j)) for i, j in zip(*want)}
 
-        def kept(self, state, force):
+        def kept(self, state, f0):
             seen.append((frozenset(state.alive_indices().tolist()), state.max_radius()))
-            return moves(self, state, force)
+            return moves(self, state, f0)
 
         def judged(self, moved):
             verdicts.append(certified(self, moved))
@@ -727,8 +726,9 @@ class TestSweepPairs:
         monkeypatch.setattr(SweepPairs, "_build", checked_build)
         monkeypatch.setattr(SweepPairs, "moves", kept)
         monkeypatch.setattr(SweepPairs, "certified", judged)
-        dyn = DynamicsParams(max_sweeps=40, force_tol=1e-9)
-        new, original = graded_plate_runs(dyn)
+        # at f0 = the smallest radius, original-qc's moves fail the
+        # certificate within 40 sweeps with a pass every 10 sweeps, not 5
+        new, original = graded_plate_runs(max_sweeps=40, force_tol_factor=1e-9, qc_period=10)
         assert len(seen) == len(verdicts) == new.sweeps + original.sweeps == 80
         new_fails = verdicts[:40].count(False)
         assert new.pair_rebuilds == 1 + new_fails < new.sweeps
@@ -762,8 +762,7 @@ class TestSweepPairs:
         # with the certificate evaluates no unlisted pair within reach
         def runs():
             _, trace = relax_until_converged(random_population(0), square_domain(),
-                                             force=FORCE, dyn=DynamicsParams(max_sweeps=60),
-                                             strategy="none")
+                                             PipelineConfig(max_sweeps=60), strategy="none")
             return [trace]
 
         traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, True, runs)
@@ -785,18 +784,17 @@ class TestSweepPairs:
         bubbles = [Bubble(0.0, 0.0, 0.55, MOBILE), Bubble(1.85, 0.0, 0.55, MOBILE)]
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
         pairs = SweepPairs()
-        pairs.moves(kept, FORCE)
+        pairs.moves(kept, F0)
         assert pairs.a.tolist() == [0] and pairs.b.tolist() == [1]
         for state in (kept, ref, free):
             state.x[:] = [0.125, 1.725]
             state.vx[0] = speed
-        dyn = DynamicsParams()
-        assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn) > 0.0
+        assert relax_step(kept, F0, pairs=pairs) == jacobi_sweep(ref, F0) > 0.0
         assert pairs.rebuilds == 1
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         free.alive[1] = False  # bubble 0 alone
-        relax_step(free, FORCE, dyn)
+        relax_step(free, F0)
         assert ref.vx[0] != free.vx[0]
 
     def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
@@ -812,10 +810,9 @@ class TestSweepPairs:
         kept.vx[0] = ref.vx[0] = free.vx[0] = 11.3
         free.alive[1] = False
         pairs = SweepPairs()
-        dyn = DynamicsParams()
         for sweep in range(2):
-            assert relax_step(kept, FORCE, dyn, pairs=pairs) == jacobi_sweep(ref, FORCE, dyn)
-            relax_step(free, FORCE, dyn)
+            assert relax_step(kept, F0, pairs=pairs) == jacobi_sweep(ref, F0)
+            relax_step(free, F0)
             if sweep == 0:
                 assert pairs.a.tolist() == [0] and pairs.b.tolist() == [3]
                 assert 3.25 < kept.x[0] < 2.5 + 0.78
@@ -835,19 +832,18 @@ class TestSweepPairs:
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(2.02, 0.0, 0.5, BOUNDARY)]
         kept, ref, free = (RelaxState(bubbles) for _ in range(3))
         pairs = SweepPairs()
-        pairs.moves(kept, FORCE)
+        pairs.moves(kept, F0)
         assert pairs.a.tolist() == []
         for state in (kept, ref, free):
             state.x[:] = [0.05, 1.52]
         assert 2 * 0.05 <= pairs.margin < 0.05 + 0.5
-        dyn = DynamicsParams()
-        relax_step(kept, FORCE, dyn, pairs=pairs)
-        jacobi_sweep(ref, FORCE, dyn)
+        relax_step(kept, F0, pairs=pairs)
+        jacobi_sweep(ref, F0)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert pairs.rebuilds == 2 and pairs.a.tolist() == [0]
         free.alive[1] = False
-        relax_step(free, FORCE, dyn)
+        relax_step(free, F0)
         assert ref.vx[0] != free.vx[0]
 
     def test_kept_bookkeeping_sweeps_as_the_mask_reference(self):
@@ -857,18 +853,17 @@ class TestSweepPairs:
         kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
         walls, ref_walls = WallClamp(domain), WallClamp(domain)
         pairs = SweepPairs()
-        dyn = DynamicsParams()
-        fire, ref_fire = FireState(dyn), FireState(dyn)
+        fire, ref_fire = FireState(), FireState()
         dts = []
         for _ in range(40):
-            assert relax_step(kept, FORCE, dyn, walls, pairs, fire) == jacobi_sweep(
-                ref, FORCE, dyn, ref_walls, ref_fire)
+            assert relax_step(kept, F0, walls, pairs, fire) == jacobi_sweep(
+                ref, F0, ref_walls, ref_fire)
             dts.append(fire.dt)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert (fire.dt, fire.alpha, fire.restarts) == (ref_fire.dt, ref_fire.alpha,
                                                          ref_fire.restarts)
-        assert 1 < pairs.rebuilds < 40 and max(dts) > dyn.dt
+        assert 1 < pairs.rebuilds < 40 and max(dts) > DT
 
 
     @pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
@@ -881,13 +876,13 @@ class TestSweepPairs:
         build, forces = SweepPairs._build, SweepPairs.forces
         listed, compared = {}, []
 
-        def built(self, state, force):
-            build(self, state, force)
+        def built(self, state, f0):
+            build(self, state, f0)
             listed[self] = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
 
-        def checked(self, state, force):
-            got = forces(self, state, force)
-            want = directed_forces(state, force, state.mobile_indices(), *listed[self])
+        def checked(self, state, f0):
+            got = forces(self, state, f0)
+            want = directed_forces(state, f0, state.mobile_indices(), *listed[self])
             assert got.tobytes() == want.tobytes()
             compared.append(len(directed_view(self, state)[0]) - len(self.a))
             return got
@@ -928,14 +923,13 @@ class TestFire:
         # max force, dt, alpha, positive sweeps and restarts
         domain, bubbles = walled_fire_system()
         state, ref = RelaxState(bubbles, seed=5), RelaxState(bubbles, seed=5)
-        walls, ref_walls, pairs, dyn = WallClamp(domain), WallClamp(domain), SweepPairs(), \
-            DynamicsParams()
-        fire = FireState(dyn)
-        want = dict(dt=dyn.dt, alpha=0.1, positive=0, restarts=0)
+        walls, ref_walls, pairs = WallClamp(domain), WallClamp(domain), SweepPairs()
+        fire = FireState()
+        want = dict(dt=DT, alpha=0.1, positive=0, restarts=0)
         dts, stops = [], 0
         for _ in range(40):
-            max_f = relax_step(state, FORCE, dyn, walls, pairs, fire)
-            ref_max_f, stopped = scalar_fire_sweep(ref, FORCE, dyn, ref_walls, want)
+            max_f = relax_step(state, F0, walls, pairs, fire)
+            ref_max_f, stopped = scalar_fire_sweep(ref, F0, ref_walls, want)
             assert max_f == ref_max_f
             for name in ("x", "y", "vx", "vy"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name))
@@ -944,14 +938,13 @@ class TestFire:
             dts.append(fire.dt)
             stops += len(stopped)
         assert fire.restarts >= 2 and stops > 0 and pairs.rebuilds > 1
-        assert max(dts) == 1.5 * dyn.dt
+        assert max(dts) == 1.5 * DT
 
     def test_restart_zeroes_velocities_halves_dt_and_resets_alpha(self):
         # eight sweeps whose velocities point along the forces (P > 0) grow
         # dt from the sixth on and decay alpha; one against them (P < 0),
         # and one at rest (P = 0), restart
-        dyn = DynamicsParams()
-        fire = FireState(dyn)
+        fire = FireState()
         f = np.array([[1.0, -0.5, 0.25], [0.5, 0.0, -1.0]])
         for _ in range(8):
             fire.mix(0.3 * f, f)
@@ -966,19 +959,19 @@ class TestFire:
     @pytest.mark.parametrize("strategy", ["new-qc", "none"])
     def test_dt_never_exceeds_one_and_a_half_dyn_dt(self, monkeypatch, strategy):
         # FIRE grows dt only after five positive sweeps in a row, by 1.1 a
-        # sweep, never past 1.5 dyn.dt, which the graded plate's fixed
-        # population reaches; a restart halves it
+        # sweep, never past 1.5 times its start dt, which the graded plate's
+        # fixed population reaches; a restart halves it
         step, seen = relaxation.relax_step, []
 
-        def watched(state, force, dyn, walls, pairs, fire):
+        def watched(state, f0, walls, pairs, fire):
             before = fire.dt, fire.restarts
-            max_f = step(state, force, dyn, walls, pairs, fire)
-            seen.append((before, (fire.dt, fire.restarts, fire.positive), dyn.dt))
+            max_f = step(state, f0, walls, pairs, fire)
+            seen.append((before, (fire.dt, fire.restarts, fire.positive), DT))
             return max_f
 
         monkeypatch.setattr(relaxation, "relax_step", watched)
         domain, bubbles = graded_holed_plate()
-        _, trace = relax_until_converged(bubbles(), domain, force=FORCE, strategy=strategy)
+        _, trace = relax_until_converged(bubbles(), domain, strategy=strategy)
         assert trace.converged and len(seen) == trace.sweeps
         for (dt0, restarts0), (dt1, restarts1, positive), base in seen:
             assert dt1 <= 1.5 * base
@@ -986,21 +979,21 @@ class TestFire:
                 assert dt1 == 0.5 * dt0 and positive == 0
             else:
                 assert dt1 == (min(1.1 * dt0, 1.5 * base) if positive > 5 else dt0)
-        assert max(dt for (_, (dt, _, _), _) in seen) == 1.5 * DynamicsParams().dt
+        assert max(dt for (_, (dt, _, _), _) in seen) == 1.5 * DT
         assert trace.fire_restarts == seen[-1][1][1] >= 1
 
     def test_original_qc_starts_fire_again_after_a_population_change(self, monkeypatch):
         # in an original-qc run whose passes insert and delete, the sweep
         # after a pass that changed the population starts from FIRE's start
-        # values, dt = dyn.dt, alpha 0.1 and no positive sweeps, with the
+        # values, dt = DT, alpha 0.1 and no positive sweeps, with the
         # velocities and the restart count carried over; every other sweep
         # starts where the last one left FIRE
         step, qc, events = relaxation.relax_step, relaxation._qc_original_state, []
 
-        def watched(state, force, dyn, walls, pairs, fire):
+        def watched(state, f0, walls, pairs, fire):
             before = (fire.dt, fire.alpha, fire.positive, fire.restarts)
             moving = bool(state.vx.any() or state.vy.any())
-            max_f = step(state, force, dyn, walls, pairs, fire)
+            max_f = step(state, f0, walls, pairs, fire)
             events.append(("step", before, (fire.dt, fire.alpha, fire.positive,
                                             fire.restarts), moving))
             return max_f
@@ -1013,19 +1006,18 @@ class TestFire:
         monkeypatch.setattr(relaxation, "relax_step", watched)
         monkeypatch.setattr(relaxation, "_qc_original_state", counted)
         domain, bubbles = graded_holed_plate()
-        dyn = DynamicsParams(max_sweeps=60, force_tol=1e-9)
+        cfg = PipelineConfig(max_sweeps=60, force_tol_factor=1e-9, qc_period=5, seed=3)
         _, trace = relax_until_converged(bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)], domain,
-                                         force=FORCE, dyn=dyn, strategy="original-qc",
-                                         qc_period=5, seed=3)
-        last, changed, starts = (dyn.dt, 0.1, 0, 0), False, 0
+                                         cfg, strategy="original-qc")
+        last, changed, starts = (DT, 0.1, 0, 0), False, 0
         for event in events:
             if event[0] == "qc":
                 changed |= event[1] > 0
                 continue
             _, before, after, moving = event
             if changed:
-                assert before == (dyn.dt, 0.1, 0, last[3]) and moving
-                starts += last[:2] != (dyn.dt, 0.1)
+                assert before == (DT, 0.1, 0, last[3]) and moving
+                starts += last[:2] != (DT, 0.1)
             else:
                 assert before == last
             last, changed = after, False
@@ -1037,7 +1029,7 @@ class TestFire:
 class TestRelaxStep:
     def test_equilibrium_is_fixed_point(self):
         state = RelaxState([Bubble(3.0, 3.0, 0.5, MOBILE)])
-        relax_step(state, FORCE, DynamicsParams())
+        relax_step(state, F0)
         assert state.x[0] == 3.0 and state.y[0] == 3.0
 
     def test_tangent_pair_unmoved(self):
@@ -1045,7 +1037,7 @@ class TestRelaxStep:
         # holds to rounding, not bitwise
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.0, 0.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
-        relax_step(state, FORCE, DynamicsParams())
+        relax_step(state, F0)
         assert state.x[0] == pytest.approx(0.0, abs=1e-12)
         assert state.x[1] == pytest.approx(1.0, abs=1e-12)
         assert state.y == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -1055,41 +1047,44 @@ class TestRelaxStep:
                    Bubble(0.5, 0.1, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         for _ in range(25):
-            relax_step(state, FORCE, DynamicsParams())
+            relax_step(state, F0)
         assert state.x[0] == 0.123456 and state.y[0] == 0.654321
 
     def test_overlapping_pair_separates(self):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.6, 0.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         for _ in range(40):
-            relax_step(state, FORCE, DynamicsParams())
+            relax_step(state, F0)
         d = math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0])
         assert d == pytest.approx(1.0, abs=0.05)
 
-    def test_huge_time_step_diverges(self):
+    def test_huge_time_step_diverges(self, monkeypatch):
         # no walls to project them back: an overlapping pair stepped with a
         # huge dt leaves the floats, and the sweep says so
+        monkeypatch.setattr(relaxation, "_FIRE_DT", 1e200)
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.6, 0.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(RelaxationError, match="diverged"):
-            relax_step(state, FORCE, DynamicsParams(dt=1e200))
+            relax_step(state, F0)
         assert state.x.tolist() == [0.0, 0.6]  # nothing written
 
     @pytest.mark.parametrize("dt", [1e80, 1e100, 1e150, 1e155, 1e200])
-    def test_unstable_time_step_diverges_with_a_kept_list(self, dt):
+    def test_unstable_time_step_diverges_with_a_kept_list(self, monkeypatch, dt):
         # an overlapping pair stepped over and over with a huge dt and a
         # kept pair list: the relaxation says it diverged, whatever step
         # first meets the floats' limits. From 1e80 the first sweep throws
         # the pair to finite positions whose squared extent overflows, and
         # the next sweep's list build says so; from 1e155 the first step
-        # leaves the floats itself and says so before it writes
+        # leaves the floats itself and says so before it writes. Each sweep
+        # takes a fresh FIRE state, which starts at dt.
+        monkeypatch.setattr(relaxation, "_FIRE_DT", dt)
         state = RelaxState([Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.3, 0.0, 0.5, MOBILE)])
-        pairs, dyn, done = SweepPairs(), DynamicsParams(dt=dt), []
+        pairs, done = SweepPairs(), []
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(RelaxationError, match="diverged"):
             for _ in range(1000):
-                relax_step(state, FORCE, dyn, pairs=pairs)
+                relax_step(state, F0, pairs=pairs)
                 done.append(state.x.tolist())
         sweeps = 1 if dt < 1e155 else 0
         assert len(done) == sweeps and np.isfinite(state.x).all()
@@ -1100,7 +1095,7 @@ class TestRelaxStep:
         # a k-d tree; building the pair list over them says they diverged
         state = RelaxState([Bubble(-1e154, 0.0, 0.5, MOBILE), Bubble(1e154, 0.0, 0.5, MOBILE)])
         with np.errstate(over="ignore"), pytest.raises(RelaxationError, match="diverged"):
-            SweepPairs().moves(state, FORCE)
+            SweepPairs().moves(state, F0)
 
     @pytest.mark.parametrize("outer,hole", [
         (RECTANGLE, SQUARE_HOLE),
@@ -1154,7 +1149,7 @@ class TestRelaxStep:
                                sizing=lambda x, y: np.full(np.shape(x), 0.4))
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        out, trace = relax_until_converged(boundary + interior, domain, force=FORCE)
+        out, trace = relax_until_converged(boundary + interior, domain)
         assert trace.converged
         mobile = [b for b in out if b.kind != BOUNDARY]
         assert trace.wall_checks < 0.2 * trace.sweeps * len(mobile)
@@ -1338,9 +1333,8 @@ class TestQCOriginal:
         assert not any(b.x == 0.0 and b.y == 0.0 for b in state.to_bubbles())
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            relax_until_converged([Bubble(0, 0, 0.5)], square_domain(), strategy="original-qc",
-                                  qc_low=8.0, qc_high=5.0)
+        with pytest.raises(PipelineError, match=r"^\[config\] qc_low: "):
+            PipelineConfig(qc_low=8.0, qc_high=5.0)
 
     def test_insertions_visible_within_pass(self):
         # each under-dense bubble's only wide neighbor sits 1.2 away on its
@@ -1422,8 +1416,9 @@ def relaxed_graded_square():
     as in the graded-qc benchmark workload (one list shared by the callers,
     as graded_holed_square's)."""
     domain, bubbles = graded_holed_square()
-    out, _ = relax_until_converged(bubbles, domain, force=FORCE, strategy="none",
-                                   dyn=DynamicsParams(max_sweeps=12, force_tol=1e-12))
+    out, _ = relax_until_converged(bubbles, domain,
+                                   PipelineConfig(max_sweeps=12, force_tol_factor=1e-12),
+                                   strategy="none")
     return domain, out
 
 
@@ -1587,8 +1582,8 @@ class TestQCBoundaryRegion:
 class TestRelaxUntilConverged:
     def test_already_converged_hexagonal(self):
         domain = square_domain(side=8.0, radius=0.5)
-        out, trace = relax_until_converged(hex_lattice(origin=(1.0, 1.0)), domain, force=FORCE,
-                                           dyn=DynamicsParams(force_tol=1e-6),
+        out, trace = relax_until_converged(hex_lattice(origin=(1.0, 1.0)), domain,
+                                           PipelineConfig(force_tol_factor=1e-6),
                                            strategy="none")
         assert trace.converged
         assert trace.sweeps == 1
@@ -1604,28 +1599,28 @@ class TestRelaxUntilConverged:
         # population has no stall test and runs to the sweep cap
         monkeypatch.setattr(relaxation, "_STALL_WINDOW", 10)
         monkeypatch.setattr(relaxation, "_STALL_ANGLE", 180.0)
-        stall = DynamicsParams(max_sweeps=40, force_tol=1e-9)
-        cases = [(DynamicsParams(max_sweeps=4, force_tol=1e-9), "none", ("sweep-cap", False, 4)),
-                 (DynamicsParams(force_tol=1e9), "none", ("force", True, 1)),
+        keys = dict(qc_low=0.0, qc_high=1e9)
+        stall = PipelineConfig(max_sweeps=40, force_tol_factor=1e-9, **keys)
+        cases = [(PipelineConfig(max_sweeps=4, force_tol_factor=1e-9, **keys), "none",
+                  ("sweep-cap", False, 4)),
+                 (PipelineConfig(force_tol_factor=1e9, **keys), "none", ("force", True, 1)),
                  (stall, "original-qc", ("stall", True, 20)),
                  (stall, "none", ("sweep-cap", False, 40)),
                  (stall, "new-qc", ("sweep-cap", False, 40))]
-        for dyn, strategy, expected in cases:
+        for cfg, strategy, expected in cases:
             bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
-            _, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
-                                             strategy=strategy, qc_low=0.0, qc_high=1e9)
+            _, trace = relax_until_converged(bubbles, domain, cfg, strategy=strategy)
             assert (trace.stop_reason, trace.converged, trace.sweeps) == expected
 
     def test_deterministic_traces(self):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        dyn = DynamicsParams(max_sweeps=25, force_tol=1e-9)
+        cfg = PipelineConfig(max_sweeps=25, force_tol_factor=1e-9, seed=7)
         runs = []
         for _ in range(2):
             bubbles = [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
-            out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
-                                               strategy="new-qc", seed=7)
+            out, trace = relax_until_converged(bubbles, domain, cfg, strategy="new-qc")
             runs.append((tuple((b.x, b.y, b.radius) for b in out),
                          tuple(r[:4] for r in trace.rows),
                          (trace.pair_rebuilds, trace.fire_restarts)))
@@ -1637,11 +1632,10 @@ class TestRelaxUntilConverged:
         # two runs end at the same positions bit for bit with the same trace
         # apart from wall time, and the same bookkeeping counts
         domain, bubbles = graded_holed_plate()
-        dyn = DynamicsParams(max_sweeps=30, force_tol=1e-9)
+        cfg = PipelineConfig(max_sweeps=30, force_tol_factor=1e-9, qc_period=5, seed=3)
         runs = []
         for _ in range(2):
-            out, trace = relax_until_converged(bubbles(), domain, force=FORCE, dyn=dyn,
-                                               strategy="original-qc", qc_period=5, seed=3)
+            out, trace = relax_until_converged(bubbles(), domain, cfg, strategy="original-qc")
             runs.append((tuple((b.x, b.y, b.radius, b.kind) for b in out),
                          tuple(r[:4] for r in trace.rows),
                          (trace.pair_rebuilds, trace.wall_checks, trace.qc_insert_attempts,
@@ -1653,7 +1647,7 @@ class TestRelaxUntilConverged:
         assert 1 < rebuilds < 30 and wall_checks > 0 and restarts >= 1
         assert attempts > inserts > 0 and attempts > redone
 
-    def test_energy_dissipation_proxy(self):
+    def test_energy_dissipation_proxy(self, monkeypatch):
         # no QC, small dt: the decay envelope of the max net force (running
         # 20-sweep maximum) is non-increasing after the first 10 sweeps,
         # within a 5% transient-violation allowance. The raw per-sweep max
@@ -1661,9 +1655,10 @@ class TestRelaxUntilConverged:
         domain = square_domain(side=8.0, radius=0.5)
         boundary = pack_boundary(domain)
         interior = pack_interior_quadtree(domain, boundary)
-        dyn = DynamicsParams(dt=0.1, max_sweeps=120, force_tol=1e-12)
-        out, trace = relax_until_converged(boundary + interior, domain,
-                                           force=FORCE, dyn=dyn, strategy="none")
+        monkeypatch.setattr(relaxation, "_FIRE_DT", 0.1)
+        out, trace = relax_until_converged(
+            boundary + interior, domain, PipelineConfig(max_sweeps=120, force_tol_factor=1e-12),
+            strategy="none")
         forces = [row[2] for row in trace.rows]
         window = 30
         envelope = [max(forces[i:i + window]) for i in range(10, len(forces) - window)]
@@ -1671,12 +1666,41 @@ class TestRelaxUntilConverged:
         assert violations <= max(1, int(0.05 * len(envelope)))
         assert forces[-1] < 0.25 * max(forces[10:])  # net decay happened
 
+    def test_force_and_tolerance_scale_with_the_input_bubbles(self, monkeypatch):
+        # f0 is the smallest input radius and the force tolerance
+        # force_tol_factor times the mean input radius, both taken before
+        # new-qc prunes: here it prunes the smallest bubble, concentric with
+        # an anchor. A max force just under the tolerance stops the run by
+        # force at its first sweep; one at the tolerance runs to the cap.
+        bubbles = [Bubble(1.0, 1.0, 0.5, BOUNDARY), Bubble(1.0, 1.0, 0.2, MOBILE),
+                   Bubble(4.0, 4.0, 0.4, MOBILE), Bubble(7.0, 3.0, 0.6, MOBILE)]
+        cfg = PipelineConfig(max_sweeps=3, force_tol_factor=0.1)
+        force_tol = 0.1 * float(np.mean([0.5, 0.2, 0.4, 0.6]))
+        for max_f, expected in ((np.nextafter(force_tol, 0.0), ("force", 1)),
+                                (force_tol, ("sweep-cap", 3))):
+            seen = []
+
+            def step(state, f0, *args):
+                seen.append((f0, state.count))
+                return max_f
+
+            monkeypatch.setattr(relaxation, "relax_step", step)
+            _, trace = relax_until_converged(bubbles, square_domain(), cfg)
+            assert (trace.stop_reason, trace.sweeps) == expected
+            assert set(seen) == {(0.2, 3)}
+
+    @pytest.mark.parametrize("radius", [0.0, -0.3, math.nan])
+    def test_non_positive_radius_rejected(self, radius):
+        bubbles = [Bubble(1.0, 1.0, 0.5, BOUNDARY), Bubble(3.0, 3.0, radius, MOBILE)]
+        with pytest.raises(RelaxationError, match="smallest radius.* must be positive"):
+            relax_until_converged(bubbles, square_domain())
+
     def test_nonconverged_flag(self):
         bubbles = [Bubble(4.0, 4.0, 0.5, MOBILE), Bubble(4.4, 4.0, 0.5, MOBILE)]
         domain = square_domain(side=8.0, radius=0.5)
-        dyn = DynamicsParams(max_sweeps=1, force_tol=1e-15)
-        out, trace = relax_until_converged(bubbles, domain, force=FORCE, dyn=dyn,
-                                           strategy="none")
+        out, trace = relax_until_converged(
+            bubbles, domain, PipelineConfig(max_sweeps=1, force_tol_factor=1e-15),
+            strategy="none")
         assert not trace.converged
 
     def test_trace_csv(self, tmp_path):

@@ -240,19 +240,24 @@ def equilateral_flat(rows=9, cols=12, r=0.25):
     return PlanarMesh(np.array(verts), np.array(faces))
 
 
+def filled(flat, anchors):
+    """`fill_gaps` in the domain of the flat mesh and the anchors."""
+    return fill_gaps(flat, anchors, flat_domain(flat, anchors))
+
+
 class TestFillGaps:
     def test_uniform_flat_mesh_few_insertions(self):
         flat = equilateral_flat()
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
-        added = fill_gaps(flat, anchors)
+        added = filled(flat, anchors)
         assert len(added) <= 0.05 * len(anchors)
 
     def test_single_triangle_no_insertions(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
         flat = PlanarMesh(verts, np.array([[0, 1, 2]]))
         anchors = reconstruct_boundary_bubbles(flat)
-        assert fill_gaps(flat, anchors) == []
+        assert filled(flat, anchors) == []
 
     def test_gapless_mesh_does_not_warn(self):
         # finding no gap is gap filling's normal outcome, not a warning
@@ -261,7 +266,7 @@ class TestFillGaps:
                    + reconstruct_interior_bubbles(flat))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fill_gaps(flat, anchors) == []
+            assert filled(flat, anchors) == []
 
     def test_stretched_center_gets_insertions(self):
         # fillers appear where edge lengths exceed the reconstructed bubble
@@ -269,7 +274,7 @@ class TestFillGaps:
         flat = stretched_flat()
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
-        added = fill_gaps(flat, anchors)
+        added = filled(flat, anchors)
         assert added
         assert all(b.kind == MOBILE and 0.75 < b.x < 1.75 for b in added)
 
@@ -379,7 +384,7 @@ class TestFaceCoverCertificate:
             def no_search(*args):
                 raise AssertionError("quadtree searched with every face covered")
             monkeypatch.setattr(packing, "_quadtree_corners", no_search)
-        got = np.array([(b.x, b.y, b.radius) for b in fill_gaps(flat, anchors)]).reshape(-1, 3)
+        got = np.array([(b.x, b.y, b.radius) for b in filled(flat, anchors)]).reshape(-1, 3)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if case in ("boundary-anchors", "shrunk-anchors", "holed", "small-anchors-nearby"):
             assert len(got)
@@ -432,7 +437,7 @@ class TestRemeshPlanar:
         flat = stretched_flat()
         anchors = (reconstruct_boundary_bubbles(flat)
                    + reconstruct_interior_bubbles(flat))
-        fillers = fill_gaps(flat, anchors)
+        fillers = filled(flat, anchors)
         for threshold in (1.0, 0.2, 0.0, -0.2):
             state, ref = RelaxState(anchors + fillers), RelaxState(anchors + fillers)
             removed = _qc_boundary_region_state(state, threshold)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bubblemesh.sizing import (SizingError, SizingParams, _max_normal_curvature,
-                               _principal_curvatures, allowable_edge_3d,
-                               fundamental_forms, g_of_eps, jacobian, radius_bound,
-                               radius_bound_evaluator, sigma1)
+                               _principal_curvatures, g_of_eps, radius_bound,
+                               radius_bound_evaluator)
 from bubblemesh.surfaces import (cylinder_patch, make_surface, plane,
                                  sphere_patch, torus_patch, wavy_patch)
+
+from conftest import allowable_edge_3d, fundamental_forms, jacobian, sigma1
 
 # frozen by direct numeric evaluation of (1-eps)*sqrt(40*(1-sqrt(1-1.2*eps)))
 G_OF_0_01 = 0.4857303141213317
