@@ -5,7 +5,7 @@ with boundary-region quantity control, triangulates, and maps the result
 back with curvature-adaptive sizing.
 """
 
-from .conformal import FlattenResult, conformal_factors, flatten
+from .conformal import FlattenResult, flatten
 from .delaunay import TriangulationError, delaunay_triangulate
 from .mapping import FaceGrid, MappingError, inverse_map, locate_points
 from .mesh import (MeshError, MeshQualityReport, PlanarMesh, TriangleMesh,

@@ -24,7 +24,7 @@ Holes = list[tuple[float, float, float]]
 
 @dataclass
 class PipelineConfig:
-    mode: str = "plane"
+    mode: Literal["plane", "surface", "remesh", "compare-qc"] = "plane"
     seed: int = 0
     out: Path = Path("out")
     # plane mode
@@ -67,8 +67,11 @@ class PipelineConfig:
         for key in ("max_sweeps", "qc_period"):
             if getattr(self, key) < 1:
                 _reject(key, "must be at least 1")
-        if not self.force_tol_factor > 0.0:
-            _reject("force_tol_factor", "must be positive")
+        # NaN fails too; r_min may exceed r_max, which uniform plane mode ignores
+        for key in ("plane_width", "plane_height", "r_max", "r_min", "grade_band",
+                    "force_tol_factor"):
+            if not getattr(self, key) > 0.0:
+                _reject(key, "must be positive")
         if not self.qc_low < self.qc_high:
             _reject("qc_low", f"{self.qc_low} is not below qc_high {self.qc_high}")
 

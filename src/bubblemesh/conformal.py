@@ -21,11 +21,9 @@ from .mesh import (DEGENERATE_AREA_FACTOR, MeshError, PlanarMesh,
 
 @dataclass
 class FlattenResult:
-    """Planar image of a surface mesh plus per-edge conformal scale factors."""
+    """Planar image of a surface mesh plus its per-face distortion."""
 
     flat: PlanarMesh
-    edges: np.ndarray         # (E,2), i<j, lexicographic
-    edge_scale: np.ndarray    # flat length / surface length per edge
     qc_distortion: np.ndarray  # per-face quasi-conformal ratio, >= 1
 
     @property
@@ -118,25 +116,8 @@ def flatten(mesh: TriangleMesh) -> FlattenResult:
     flat_pts = (flat_pts - flat_pts.mean(axis=0)) * scale
     flat = PlanarMesh(flat_pts, mesh.faces.copy())
 
-    edges, edge_scale = conformal_factors(mesh, flat)
     qc = _quasi_conformal_distortion(mesh.vertices, flat.vertices, mesh.faces)
-    return FlattenResult(flat=flat, edges=edges, edge_scale=edge_scale, qc_distortion=qc)
-
-
-def conformal_factors(mesh: TriangleMesh, flat: PlanarMesh):
-    """Per-edge ratio of flat length to surface length.
-
-    Returns (edges, factors) with edges sorted lexicographically, i<j.
-    """
-    if mesh.faces.shape != flat.faces.shape or np.any(mesh.faces != flat.faces):
-        raise MeshError("conformal factors need identical connectivity")
-    edges = mesh.undirected_edges()
-    surf_len = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
-    if np.any(surf_len <= 0.0):
-        bad = int(np.flatnonzero(surf_len <= 0.0)[0])
-        raise MeshError(f"zero-length surface edge {tuple(edges[bad])}")
-    flat_len = np.linalg.norm(flat.vertices[edges[:, 0]] - flat.vertices[edges[:, 1]], axis=1)
-    return edges, flat_len / surf_len
+    return FlattenResult(flat=flat, qc_distortion=qc)
 
 
 def _quasi_conformal_distortion(verts3d: np.ndarray, verts2d: np.ndarray,

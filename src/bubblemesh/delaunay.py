@@ -127,18 +127,17 @@ def _boundary_constraints(bubbles: list[Bubble], domain: PackingDomain) -> list[
     boundary_ids = [i for i, b in enumerate(bubbles) if b.kind == BOUNDARY]
     if not boundary_ids:
         return []
-    loops = domain.loops()
     segs = domain.segments
+    bounds = [*domain.loop_start, len(segs.ax)]
     # loop of every segment, and the arc length along it where the segment starts
-    loop_of, arc_at, first = [], [], 0
-    for li, loop in enumerate(loops):
-        loop_of += [li] * len(loop)
-        arc_at += [0.0, *accumulate(segs.length[first:first + len(loop) - 1].tolist())]
-        first += len(loop)
+    loop_of, arc_at = [], []
+    for li, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        loop_of += [li] * (end - first)
+        arc_at += [0.0, *accumulate(segs.length[first:end - 1].tolist())]
     seg, t, _ = nearest_segments([(bubbles[i].x, bubbles[i].y) for i in boundary_ids], segs)
     ax, ay = segs.ax[seg], segs.ay[seg]
     qx, qy = ax + t * segs.vx[seg], ay + t * segs.vy[seg]
-    per_loop: list[list[tuple[float, int]]] = [[] for _ in loops]
+    per_loop: list[list[tuple[float, int]]] = [[] for _ in domain.loop_start]
     for i, k, x0, y0, x1, y1 in zip(boundary_ids, seg.tolist(), ax, ay, qx, qy):
         per_loop[loop_of[k]].append((arc_at[k] + math.hypot(x1 - x0, y1 - y0), i))
     segments = []

@@ -7,9 +7,10 @@ Their array forms (`orient2d_array`, `incircle_array`) run the same filter
 on whole columns and send only the uncertain rows to the exact fallback.
 `segment_table` derives the start, direction, length and inward normal of
 segments once, as the columns of a `Segments` table (each domain keeps
-one). `segment_distances` is the one projection of points onto a table's
-segments and `nearest_segments` picks each point's nearest; every
-wall-distance query goes through them.
+one). Every boundary query reads a table: `segment_distances` is the one
+projection of points onto its segments, `nearest_segments` picks each
+point's nearest, and `odd_crossings` is the even-odd inside test over the
+loops it holds.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
 # largest (points x anchors) or (points x segments) block one vectorized
-# distance pass holds in memory; rows are independent, so the chunking
-# never changes a value
+# distance or crossing pass holds in memory; rows are independent, so the
+# chunking never changes a value
 _CHUNK_ELEMENTS = 200_000
 
 # a distance bound is cut by this share of the coordinate scale (the largest
@@ -148,33 +149,12 @@ def polygon_signed_area(pts) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def points_in_polygon(points: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd test for an (n,2) array of query points: each
-    point is tested against every edge at once, and is inside when the
-    number of edges crossed by its rightward ray is odd. Boundary points are
-    unreliable."""
-    points = np.asarray(points, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x0, y0 = np.roll(pts, 1, axis=0).T
-    inside = np.zeros(len(points), dtype=bool)
-    # points x edges temporaries, a bounded number of elements at a time
-    chunk = max(1, 1_000_000 // max(len(pts), 1))
-    for start in range(0, len(points), chunk):
-        px = points[start:start + chunk, :1]
-        py = points[start:start + chunk, 1:]
-        crosses = (y1 > py) != (y0 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hits = crosses & (px < x0 + (py - y0) / (y1 - y0) * (x1 - x0))
-        inside[start:start + chunk] = np.count_nonzero(hits, axis=1) % 2 == 1
-    return inside
-
-
 class Segments(NamedTuple):
     """A table of S boundary segments, one length-S array per column: start
     (ax, ay), direction (vx, vy) = b - a, squared length vx * vx + vy * vy,
-    length (`math.hypot`) and inward (left) unit normal (nx, ny) =
-    (-vy, vx) / length. The unit direction is (ny, -nx)."""
+    length (`math.hypot`), inward (left) unit normal (nx, ny) =
+    (-vy, vx) / length and end y `by` (ay + vy need not round back to it).
+    The unit direction is (ny, -nx)."""
 
     ax: np.ndarray
     ay: np.ndarray
@@ -184,6 +164,7 @@ class Segments(NamedTuple):
     length: np.ndarray
     nx: np.ndarray
     ny: np.ndarray
+    by: np.ndarray
 
 
 def segment_table(segments) -> Segments:
@@ -192,7 +173,32 @@ def segment_table(segments) -> Segments:
     ax, ay, bx, by = np.asarray(segments, dtype=float).reshape(-1, 4).T
     vx, vy = bx - ax, by - ay
     length = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())), dtype=float)
-    return Segments(ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length)
+    return Segments(ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length, by)
+
+
+def odd_crossings(points, segments: Segments, loop_start) -> np.ndarray:
+    """Even-odd test of (n,2) points against closed loops whose segments
+    lie in the table, loop k's from loop_start[k] on: an (n,L) mask of the
+    loops whose edges a point's rightward ray crosses an odd number of
+    times. Boundary points are unreliable; NaN points cross nothing."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    odd = np.empty((len(points), len(loop_start)), dtype=bool)
+    # points x segments temporaries, a bounded number of elements at a time
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(segments.ax), 1))
+    for start in range(0, len(points), chunk):
+        px = points[start:start + chunk, :1]
+        py = points[start:start + chunk, 1:]
+        hits = (segments.by > py) != (segments.ay > py)
+        # x = ax + (py - ay) / vy * vx, the crossing of each edge's line, in
+        # place; a horizontal edge divides by zero here, and `hits` masks it
+        x = np.subtract(py, segments.ay)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x /= segments.vy
+            x *= segments.vx
+            x += segments.ax
+        hits &= px < x
+        odd[start:start + chunk] = np.add.reduceat(hits, loop_start, axis=1) % 2 == 1
+    return odd
 
 
 def segment_distances(points, segments: Segments):

@@ -14,9 +14,10 @@ once, one per boundary loop for the boundary radii and one per quadtree
 level.
 A domain derives its boundary segments once, at construction, as the
 `geometry.Segments` table `PackingDomain.segments`: the march takes its
-edges' lengths and directions from it, and distances to the walls come
-from `geometry.nearest_segments` over it. No loop may repeat a vertex, so
-no segment has zero length.
+edges' lengths and directions from it, distances to the walls come from
+`geometry.nearest_segments` over it, and the inside test from one
+`geometry.odd_crossings` pass over it. No loop may repeat a vertex, so no
+segment has zero length.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
-                       points_in_polygon, polygon_signed_area, segment_table)
+                       odd_crossings, polygon_signed_area, segment_table)
 
 BOUNDARY = "boundary"
 INTERIOR_ANCHOR = "interior-anchor"
@@ -67,7 +68,8 @@ class PackingDomain:
     """Planar region bounded by a CCW outer polyline and CW hole polylines,
     none of which repeats a vertex, with an array-valued bubble-radius bound
     `sizing(xs, ys) -> ndarray`. `segments` is the `geometry.Segments` table
-    of every loop's edges, from each corner to the next, built once."""
+    of every loop's edges, from each corner to the next, built once, and
+    loop k's edges start at row `loop_start[k]`."""
 
     outer: np.ndarray
     holes: list[np.ndarray] = field(default_factory=list)
@@ -90,6 +92,7 @@ class PackingDomain:
                 raise PackingError("holes must be clockwise")
         self.segments = s = segment_table(np.concatenate(
             [np.column_stack([loop, np.roll(loop, -1, axis=0)]) for loop in self.loops()]))
+        self.loop_start = np.cumsum([0] + [len(loop) for loop in self.loops()[:-1]]).tolist()
         if not s.length2.all():  # distinct vertices whose squared distance underflows
             k = int(np.argmin(s.length2))
             raise PackingError(f"boundary segment {k} at {(float(s.ax[k]), float(s.ay[k]))} "
@@ -100,11 +103,11 @@ class PackingDomain:
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Which of the (n,2) points lie inside the outer loop and outside
-        every hole (even-odd tests; boundary points are unreliable)."""
-        inside = points_in_polygon(points, self.outer)
-        for h in self.holes:
-            inside &= ~points_in_polygon(points, h)
-        return inside
+        every hole: one even-odd pass over the segment table, with an odd
+        crossing count of the outer loop and an even one of every hole
+        (boundary points are unreliable)."""
+        odd = odd_crossings(points, self.segments, self.loop_start)
+        return odd[:, 0] & ~odd[:, 1:].any(axis=1)
 
     def bbox(self):
         lo = self.outer.min(axis=0)
@@ -187,23 +190,21 @@ def pack_boundary(domain: PackingDomain) -> list[Bubble]:
     # each edge's unit direction: its inward normal turned back clockwise
     ux, uy = segs.ny, -segs.nx
     out: list[Bubble] = []
-    first = 0
-    for loop in domain.loops():
-        n = len(loop)
-        if segs.length[first:first + n].sum() < 2.0 * start_r[first]:
+    bounds = [*domain.loop_start, len(segs.ax)]
+    for first, end in zip(bounds, bounds[1:]):
+        if segs.length[first:end].sum() < 2.0 * start_r[first]:
             raise PackingError("boundary too small for sizing")
-        edges = marched[first:first + n]
+        edges = marched[first:end]
         _limit_loop_gradation(edges)
         # corners and march positions in loop order, then one sizing call
         pos = []
-        for i in range(n):
-            ax, ay = float(loop[i, 0]), float(loop[i, 1])
+        for k, (_, steps) in zip(range(first, end), edges):
+            ax, ay = float(segs.ax[k]), float(segs.ay[k])
             pos.append((ax, ay))
             s = 0.0
-            for step in edges[i][1][:-1]:
+            for step in steps[:-1]:
                 s += step
-                pos.append((ax + ux[first + i] * s, ay + uy[first + i] * s))
-        first += n
+                pos.append((ax + ux[k] * s, ay + uy[k] * s))
         radii = _sizing_at(domain, *np.array(pos).T)
         out += [Bubble(x, y, float(r), BOUNDARY) for (x, y), r in zip(pos, radii)]
     return out

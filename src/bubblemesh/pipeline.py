@@ -312,12 +312,9 @@ def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
 
 
 def run(cfg: PipelineConfig) -> dict:
-    runner = {
+    return {
         "plane": run_plane_pipeline,
         "surface": run_surface_pipeline,
         "remesh": run_remesh_pipeline,
         "compare-qc": run_compare_qc,
-    }.get(cfg.mode)
-    if runner is None:
-        raise PipelineError(f"[config] unknown mode '{cfg.mode}'")
-    return runner(cfg)
+    }[cfg.mode](cfg)

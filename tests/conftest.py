@@ -37,7 +37,7 @@ def loop_segments(domain) -> list[list[float]]:
 
 def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:
     """Even-odd test of one point against a closed polyline: the scalar
-    reference for geometry.points_in_polygon. Boundary points are unreliable."""
+    reference for geometry.odd_crossings. Boundary points are unreliable."""
     inside = False
     n = len(pts)
     x0, y0 = pts[-1]
@@ -49,6 +49,16 @@ def point_in_polygon(x: float, y: float, pts: np.ndarray) -> bool:
                 inside = not inside
         x0, y0 = x1, y1
     return inside
+
+
+def conformal_factors(mesh, flat):
+    """Per-edge ratio of flat length to surface length over the mesh's
+    undirected edges, which `flat` shares: (edges, factors), edges sorted
+    lexicographically, i < j."""
+    edges = mesh.undirected_edges()
+    surf_len = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
+    flat_len = np.linalg.norm(flat.vertices[edges[:, 0]] - flat.vertices[edges[:, 1]], axis=1)
+    return edges, flat_len / surf_len
 
 
 def grid_mesh_on_surface(surface, nu, nv):

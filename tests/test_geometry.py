@@ -6,9 +6,10 @@ import pytest
 
 from bubblemesh import geometry
 from bubblemesh.geometry import (hashed_unit_direction, incircle,
-                                 nearest_segments, orient2d, points_in_polygon,
+                                 nearest_segments, odd_crossings, orient2d,
                                  polygon_signed_area, segment_distances,
                                  segment_table)
+from bubblemesh.packing import PackingDomain
 
 from conftest import closest_point_on_segment, point_in_polygon
 
@@ -81,17 +82,22 @@ def test_polygon_area_and_perimeter():
     assert segment_table(edges).length.sum() == 8.0
 
 
+def loop_table(loop):
+    """The segment table of one closed loop, from each corner to the next."""
+    return segment_table(np.column_stack([loop, np.roll(loop, -1, axis=0)]))
+
+
 def test_point_in_polygon_agrees_with_batch(rng):
     poly = np.array([[0.0, 0.0], [4.0, 1.0], [5.0, 4.0], [2.0, 5.0], [-1.0, 3.0]])
     pts = rng.uniform(-2, 6, size=(500, 2))
-    batch = points_in_polygon(pts, poly)
+    batch = odd_crossings(pts, loop_table(poly), [0])[:, 0]
     single = np.array([point_in_polygon(x, y, poly) for x, y in pts])
     assert np.array_equal(batch, single)
 
 
 def points_in_polygon_edge_loop(points, pts):
     """One vector pass per polygon edge, flipping the points it crosses:
-    the reference for the broadcast points_in_polygon."""
+    the reference for the even-odd pass `odd_crossings`."""
     px = points[:, 0]
     py = points[:, 1]
     inside = np.zeros(len(points), dtype=bool)
@@ -107,6 +113,12 @@ def points_in_polygon_edge_loop(points, pts):
     return inside
 
 
+def on_edges(loop, count=9):
+    """`count` points along every edge of the loop, both corners included."""
+    return np.array([a + t * (b - a) for a, b in zip(loop, np.roll(loop, -1, axis=0))
+                     for t in np.linspace(0.0, 1.0, count)])
+
+
 def test_points_in_polygon_matches_edge_loop(rng):
     # a non-convex polygon with horizontal and vertical edges and a CW hole
     # loop; the probes include every vertex and points on every edge
@@ -114,12 +126,45 @@ def test_points_in_polygon_matches_edge_loop(rng):
                      [1.0, 4.0], [-1.0, 2.5]])
     hole = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
     for loop in (poly, hole):
-        on_edges = [a + t * (b - a) for a, b in zip(loop, np.roll(loop, -1, axis=0))
-                    for t in np.linspace(0.0, 1.0, 9)]
         pts = np.concatenate([rng.uniform(-2.0, 5.0, size=(150_000, 2)), loop,
-                              np.array(on_edges), np.mgrid[-2:6, -2:6].reshape(2, -1).T])
-        assert np.array_equal(points_in_polygon(pts, loop),
+                              on_edges(loop), np.mgrid[-2:6, -2:6].reshape(2, -1).T])
+        assert np.array_equal(odd_crossings(pts, loop_table(loop), [0])[:, 0],
                               points_in_polygon_edge_loop(pts, loop))
+
+
+def test_contains_points_matches_per_loop_composition(rng):
+    # a non-convex outer loop with a notch, and three CW holes: a triangle,
+    # a square with horizontal edges and a 16-gon; one pass over the
+    # domain's table against the even-odd test of each loop on its own.
+    # The triangle's edges from y 0.7 to 2.9 and back have ay + vy != by
+    angles = -2.0 * np.pi * np.arange(16) / 16
+    holes = [np.array([[1.0, 0.7], [1.0, 2.9], [3.0, 0.7]]),
+             np.array([[7.0, 1.0], [7.0, 3.0], [9.0, 3.0], [9.0, 1.0]]),
+             np.column_stack([2.1 + 0.9 * np.cos(angles), 5.3 + 0.9 * np.sin(angles)])]
+    outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [6.0, 8.0], [5.0, 4.0],
+                      [4.0, 8.0], [0.0, 8.0]])
+    domain = PackingDomain(outer=outer, holes=holes)
+    s = domain.segments
+    assert not np.array_equal(s.ay + s.vy, s.by)
+    corners = np.concatenate(domain.loops())
+    rows = np.array([(x, y) for y in np.unique(corners[:, 1]).tolist()
+                     for x in np.linspace(-1.0, 11.0, 25).tolist()])
+    nan = [[np.nan, 4.0], [5.0, np.nan], [np.nan, np.nan]]
+    pts = np.concatenate([rng.uniform(-1.0, 11.0, size=(30_000, 2)), corners, rows,
+                          *map(on_edges, domain.loops()), nan])
+    assert len(pts) > geometry._CHUNK_ELEMENTS // len(s.ax)
+    want = points_in_polygon_edge_loop(pts, outer)
+    for h in holes:
+        want &= ~points_in_polygon_edge_loop(pts, h)
+    got = domain.contains_points(pts)
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < len(pts) and not got[-3:].any()
+    # the scalar test, one point at a time, on a subset
+    pick = rng.choice(len(pts), 2000, replace=False)
+    single = [point_in_polygon(x, y, outer)
+              and not any(point_in_polygon(x, y, h) for h in holes)
+              for x, y in pts[pick].tolist()]
+    assert np.array_equal(got[pick], single)
 
 
 def test_hashed_direction_unit_and_stable():
@@ -208,7 +253,8 @@ def test_segment_table_columns_match_scalar_terms(segment_case):
     for ax, ay, bx, by in segs.tolist():
         vx, vy = bx - ax, by - ay
         length = math.hypot(vx, vy)
-        want.append((ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length))
+        want.append((ax, ay, vx, vy, vx * vx + vy * vy, length, -vy / length, vx / length,
+                     by))
     assert all(same_bits(col, np.array(w)) for col, w in zip(table, zip(*want)))
     assert same_bits(table.ny, (segs[:, 2] - segs[:, 0]) / table.length)
     assert same_bits(-table.nx, (segs[:, 3] - segs[:, 1]) / table.length)

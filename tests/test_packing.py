@@ -585,9 +585,13 @@ class TestDomainValidation:
             PackingDomain(outer=outer)
 
     def test_segment_table_of_every_loop(self):
-        # one row per edge, the outer loop first, each from a corner to the next
+        # one row per edge, the outer loop first, each from a corner to the
+        # next; each loop's rows start where the loops before it end
         domain = plane_domain(PipelineConfig(holes=[(5.0, 5.0, 2.0), (14.0, 4.0, 1.5)]))
         a, b = loop_edges(domain)
         s = domain.segments
         assert np.array_equal(np.column_stack([s.ax, s.ay]), a)
         assert np.array_equal(np.column_stack([s.vx, s.vy]), b - a)
+        assert np.array_equal(s.by, b[:, 1])
+        sizes = [len(loop) for loop in domain.loops()]
+        assert domain.loop_start == [0, sizes[0], sizes[0] + sizes[1]]

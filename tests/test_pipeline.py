@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,6 +132,13 @@ BAD_CONFIGS = {
                            "must be positive"),
     "qc-low-above": ("qc_low", dict(qc_low=8.0, qc_high=5.0), "8.0 is not below qc_high 5.0"),
     "qc-low-equal": ("qc_low", dict(qc_low=5.0, qc_high=5.0), "5.0 is not below qc_high 5.0"),
+    "mode": ("mode", dict(mode="bogus"), "'bogus' is not one of plane, surface, remesh, compare-qc"),
+    "r-min-zero": ("r_min", dict(r_min=0.0), "must be positive"),
+    "r-nan": ("r_max", dict(r_min=math.nan, r_max=math.nan), "must be positive"),
+    "r-max-negative": ("r_max", dict(r_max=-0.5), "must be positive"),
+    "grade-band-zero": ("grade_band", dict(graded=True, grade_band=0.0), "must be positive"),
+    "plane-width-zero": ("plane_width", dict(plane_width=0.0), "must be positive"),
+    "plane-height-nan": ("plane_height", dict(plane_height=math.nan), "must be positive"),
 }
 
 
@@ -448,6 +456,15 @@ class TestCLI:
         assert code == 0
         assert ("warning: relaxation stopped at the sweep cap (2 sweeps)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("r", ["0", "nan"])
+    def test_bad_radius_fails_before_any_output(self, tmp_path, capsys, r):
+        # the config rejects it when built, so no stage runs and no
+        # directory is made
+        code = cli_main(["plane", "--out", str(tmp_path / "o"), "--r", r])
+        assert code == 1
+        assert "error: [config] r_max: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = cli_main(["remesh", "--input", "/nonexistent.obj",

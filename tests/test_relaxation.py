@@ -232,7 +232,7 @@ def two_pass_clamp(walls, slots, p, radius):
     if not len(near):
         return p, fix
     seg, t, d2 = nearest_segments(p[near], walls.segments)
-    ax, ay, vx, vy, _, _, nx, ny = walls.segments
+    ax, ay, vx, vy, _, _, nx, ny = walls.segments[:8]
     clearance = WALL_CLEARANCE * radius[near]
     inside = vx[seg] * (p[near, 1] - ay[seg]) - vy[seg] * (p[near, 0] - ax[seg]) > 0.0
     clear = (d2 >= clearance * clearance) & inside
