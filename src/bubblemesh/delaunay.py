@@ -11,7 +11,8 @@ flips end at one triangulation, whatever diagonals Qhull picked at ties.
 `delaunay_triangulate` repairs Qhull's triangulation of the bubble centres
 this way, flips the boundary segments in (Sloan 1993) and culls the faces
 outside the domain. It is the only user of the engine; the min-angle
-monitor takes Qhull's triangulation as it is.
+monitor `triangulation_min_angle`, which relaxation samples, takes Qhull's
+triangulation as it is.
 """
 from __future__ import annotations
 
@@ -174,6 +175,24 @@ def _qhull_delaunay(xy: np.ndarray):
     if bad.any() and not lawson_flip(faces, nbr, xy, edge_faces[bad], quads[:, bad]):
         raise TriangulationError("Delaunay repair did not converge")
     return faces, nbr
+
+
+def triangulation_min_angle(points: np.ndarray, domain: PackingDomain) -> float:
+    """Minimum interior angle (degrees) of Qhull's Delaunay triangulation of
+    the points, ignoring triangles whose centroid lies outside the domain;
+    0 when no triangle is left, there are fewer than 3 points or Qhull
+    fails. The angle is `math.acos` of the largest corner cosine."""
+    if len(points) < 3:
+        return 0.0
+    try:
+        faces = Delaunay(points).simplices
+    except QhullError:
+        return 0.0
+    faces = faces[domain.contains_points(points[faces].mean(axis=1))]
+    if not len(faces):
+        return 0.0
+    cos = float(PlanarMesh(points, faces).face_corner_cosines().max())
+    return math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
 
 def _crossed_edges(faces, nbr, pts: list, a: int, b: int) -> list[tuple[int, int]]:

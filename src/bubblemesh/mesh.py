@@ -148,21 +148,21 @@ class _MeshBase:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edge_table.undirected) + self.n_faces
 
+    def face_corner_cosines(self) -> np.ndarray:
+        """(F,3) corner cosines, corner k opposite edge k. With e_k = v[k+1] -
+        v[k], corner k's cosine is -e_k . e_{k+2} / max(|e_k| |e_{k+2}|,
+        1e-300), so a corner at a zero-length edge reads 0. A face's
+        cosines do not depend on its vertex order."""
+        v = self.vertices[self.faces]
+        e = v[:, [1, 2, 0]] - v
+        prev = e[:, [2, 0, 1]]
+        norm = np.sqrt((e * e).sum(-1))
+        dot = np.einsum("fkd,fkd->fk", e, prev)
+        return -dot / np.maximum(norm * norm[:, [2, 0, 1]], 1e-300)
+
     def face_corner_angles(self) -> np.ndarray:
         """(F,3) corner angles in degrees, corner k opposite edge k."""
-        v = self.vertices[self.faces]
-        angles = np.empty((len(self.faces), 3))
-        for k in range(3):
-            a = v[:, k]
-            b = v[:, (k + 1) % 3]
-            c = v[:, (k + 2) % 3]
-            e1 = b - a
-            e2 = c - a
-            n1 = np.linalg.norm(e1, axis=1)
-            n2 = np.linalg.norm(e2, axis=1)
-            cosang = np.einsum("ij,ij->i", e1, e2) / (n1 * n2)
-            angles[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return angles
+        return np.degrees(np.arccos(np.clip(self.face_corner_cosines(), -1.0, 1.0)))
 
     def face_areas(self) -> np.ndarray:
         v = self.vertices[self.faces]
@@ -383,15 +383,14 @@ def save_mesh(path, mesh) -> None:
     path.write_text(text or "\n")  # an empty OBJ is one empty line
 
 
-def write_svg(path, mesh: PlanarMesh, stroke_width: float | None = None) -> None:
+def write_svg(path, mesh: PlanarMesh) -> None:
     """Render the edges of a planar mesh as SVG line segments."""
     path = Path(path)
     v = mesh.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)
     span = hi - lo
-    if stroke_width is None:
-        stroke_width = 0.002 * max(float(span[0]), float(span[1]), 1e-12)
+    stroke_width = 0.002 * max(float(span[0]), float(span[1]), 1e-12)
     # SVG y axis points down; flip about the bbox midline so the image is upright
     ymid = 0.5 * (lo[1] + hi[1])
     a, b = mesh.undirected_edges().T

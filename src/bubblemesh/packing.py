@@ -302,19 +302,14 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     skipped when there are none. A pruned cell has no surviving corner, so
     the survivors and their order are those of the full search.
     """
-    lo, hi = domain.bbox()
-    width = float(hi[0] - lo[0])
-    height = float(hi[1] - lo[1])
-    if width <= 0 or height <= 0:
-        warnings.warn("domain has empty interior")
-        return []
     if gaps is not None and not len(gaps):
         return _no_room(max_anchor_overlap)
     pts = _quadtree_corners(domain, gaps)
     keep = domain.contains_points(pts)
     if anchors:
         keep &= ~_inside_any_anchor(pts, anchors)
-    edge_eps = 1e-9 * math.hypot(width, height)
+    lo, hi = domain.bbox()
+    edge_eps = 1e-9 * math.hypot(*(hi - lo).tolist())
     keep &= nearest_segments(pts, domain.segments)[2] >= edge_eps ** 2
     kept = pts[keep]
 

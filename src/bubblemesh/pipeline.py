@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -230,8 +229,7 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
     results = {}
     for label, strategy in (("new", "new-qc"), ("original", "original-qc")):
         with _stage(f"relax-{label}"):
-            initial = [replace(b) for b in bubbles]
-            relaxed, trace = relax_until_converged(initial, domain, cfg, strategy=strategy)
+            relaxed, trace = relax_until_converged(bubbles, domain, cfg, strategy=strategy)
             mesh = delaunay_triangulate(relaxed, domain)
             report = quality_report(mesh)
             trace.write_csv(out / f"trace_{label}.csv")

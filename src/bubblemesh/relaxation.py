@@ -16,15 +16,15 @@ boundary-region pass that prunes bubbles overlapping anchors once, before
 any relaxation.
 
 The convergence loop carries each sweep's bookkeeping over from the last,
-with the same result: a `SweepPairs` Verlet list, which holds each pair once
-and has the force terms laid out over it, and the wall clamp's room per
-bubble (`walls.WallClamp`). Each sweep is certified before its force
-evaluation: unless every bubble's move since the list was built stays
-within the list's margin, an unlisted pair may have come within reach, and
-the list is built again first.
+with the same result: a `SweepPairs` Verlet list of one population, which
+holds each pair once and has the force terms laid out over it, and the wall
+clamp's room per bubble (`walls.WallClamp`). Each sweep is certified before
+its force evaluation: unless the list was built since the population last
+changed and every bubble's move since then stays within the list's margin,
+an unlisted pair may have come within reach, and the list is built first.
 
 The force test runs after every sweep. The min-angle monitor
-(`monitor.triangulation_min_angle`, one Qhull call, looked up here at call
+(`delaunay.triangulation_min_angle`, one Qhull call, looked up here at call
 time) runs only where a reader needs it: at every run's last sweep, and
 under original-qc, whose population changes while it relaxes, every
 `_ANGLE_EVERY` sweeps for the stall test. A fixed population (new-qc, none)
@@ -41,8 +41,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
+from .delaunay import triangulation_min_angle
 from .geometry import hashed_unit_direction
-from .monitor import triangulation_min_angle
 from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
                       PackingDomain, _anchor_pairs, interpolate_radius,
                       overlap_ratio)
@@ -254,11 +254,12 @@ _QUERY_PAD = 1.0 + 1e-9
 # One relaxation sweep
 
 class SweepPairs:
-    """Verlet pair list (Verlet 1967) of one relaxation, with the sweep's
-    force terms laid out over it, kept from sweep to sweep. It holds each
-    undirected pair (a, b) of slots once, a < b and at least one of them
-    mobile, within force reach _CUTOFF * (r_a + r_b) plus a `margin` at the
-    positions of its build. The margin is the largest radius.
+    """Verlet pair list (Verlet 1967) of one relaxation at the force law's
+    f0, with the sweep's force terms laid out over it, kept from sweep to
+    sweep while the population stays the same. It holds each undirected
+    pair (a, b) of slots once, a < b and at least one of them mobile, within
+    force reach _CUTOFF * (r_a + r_b) plus a `margin` at the positions of
+    its build. The margin is the largest radius.
 
     Laid out with the list, the pairs sorted by a * n + b over the n slots:
     `members` (the alive mobile slots, ascending), `bins` (the slots b, a,
@@ -266,37 +267,39 @@ class SweepPairs:
     forces on b and on a go), rest length l0 = r_a + r_b and the
     `_cubic_law` terms `law`.
 
-    It is built again when f0 or the alive set (and with it the radii)
-    changes, and when a sweep starts without being `certified`.
-    `rebuilds` counts the builds."""
+    A sweep builds it when it is not `certified`: before the first build,
+    after `expire` (a population change) and when the moves since the build
+    exceed the margin. `rebuilds` counts the builds."""
 
-    def __init__(self):
+    def __init__(self, f0: float):
+        self.f0 = f0
         self.rebuilds = 0
-        self._key = None
+        self.expire()
 
-    def moves(self, state: RelaxState, f0: float) -> np.ndarray:
-        """Each slot's distance from where the list's build found it, after
-        building the list again if f0 or the alive set changed."""
-        if (self._key is not None and self._key[0] == f0
-                and np.array_equal(self._key[1], state.alive)):
-            return np.hypot(state.x - self._x, state.y - self._y)
-        self._build(state, f0)
-        return np.zeros(len(state.alive))
+    def expire(self):
+        """Withdraw the certificate, as a population change does: the next
+        sweep builds the list again."""
+        self._at = None
 
-    def certified(self, moved: np.ndarray) -> bool:
-        """Whether no unlisted pair can have come within force reach, from
-        each slot's `moves` at the start of a sweep. The sweep evaluates its
-        forces at those positions only, so a pair has closed by at most its
-        member's move plus its neighbour's move."""
+    def certified(self, state: RelaxState) -> bool:
+        """Whether no unlisted pair can have come within force reach at the
+        start of a sweep: the list was built since it last expired, and each
+        slot's distance from where the build found it, a member's plus the
+        largest, stays within the margin. The sweep evaluates its forces at
+        those positions only, so a pair has closed by at most its member's
+        move plus its neighbour's move."""
+        if self._at is None:
+            return False
+        moved = np.hypot(state.x - self._at[0], state.y - self._at[1])
         return moved.take(self.members).max(initial=0.0) + moved.max(initial=0.0) <= self.margin
 
-    def forces(self, state: RelaxState, f0: float) -> np.ndarray:
+    def forces(self, state: RelaxState) -> np.ndarray:
         """The (2, k) net forces on the k members at the current positions.
         Each pair's force on a is evaluated once, 0 beyond its reach, and
         its force on b is its exact negation; each slot sums its forces from
         its lower neighbours, then its higher ones, each group in ascending
         order, so in ascending neighbour order."""
-        a, b, x, y = self.a, self.b, state.x, state.y
+        a, b, x, y, f0 = self.a, self.b, state.x, state.y, self.f0
         d = np.stack([x.take(a) - x.take(b), y.take(a) - y.take(b)])
         dd = d * d
         l = np.sqrt(dd[0] + dd[1])
@@ -308,7 +311,7 @@ class SweepPairs:
         f = np.bincount(self.bins, np.concatenate([-f, f], axis=1).ravel(), 2 * len(x))
         return f.reshape(2, -1).take(self.members, axis=1)
 
-    def _build(self, state: RelaxState, f0: float):
+    def _build(self, state: RelaxState):
         r_max = state.max_radius()
         margin = r_max
         ids = state.alive_indices()
@@ -330,10 +333,9 @@ class SweepPairs:
         self.members = state.mobile_indices()
         self.bins = np.concatenate([b, a, b + n, a + n])
         self.l0 = state.r[a] + state.r[b]
-        self.law = _cubic_law(self.l0, f0)
+        self.law = _cubic_law(self.l0, self.f0)
         self.margin = margin
-        self._key = (f0, state.alive.copy())
-        self._x, self._y = state.x.copy(), state.y.copy()
+        self._at = state.x.copy(), state.y.copy()
         self.rebuilds += 1
 
 
@@ -401,45 +403,37 @@ def _running_sum(a: np.ndarray) -> float:
     return float(np.cumsum(a)[-1])
 
 
-def relax_step(state: RelaxState, f0: float,
-               walls: WallClamp | None = None,
-               pairs: SweepPairs | None = None,
-               fire: FireState | None = None) -> float:
+def relax_step(state: RelaxState, walls: WallClamp, pairs: SweepPairs,
+               fire: FireState) -> float:
     """Integrate every mobile bubble over one time step at once (a Jacobi
     sweep), each against every other bubble frozen at its start-of-sweep
     position; returns the max net-force magnitude at the start positions.
-    With `walls`, a bubble that ends its step without a radius of clearance
-    from the domain boundary is projected back and stopped.
+    A bubble that ends its step without a radius of clearance from the
+    domain boundary is projected back and stopped (`walls.clamp`).
 
     The members take one FIRE step on (2,k) arrays, with f the forces at
-    the start positions (`SweepPairs.forces` over `pairs`, a fresh
-    `SweepPairs` when None): FIRE mixes or zeroes v0 and sets dt
-    (`FireState.mix` of `fire`, a fresh `FireState` when None), then the
-    damped semi-implicit Euler step v1 = v0 + dt (f - c v0) / m, p1 = p0 +
-    dt v1, takes c = `_FIRE_DAMPING`. The list is built again first when
-    the bubbles' moves since its build fail its certificate.
+    the start positions (`SweepPairs.forces` over `pairs`, built first when
+    it is not certified): FIRE mixes or zeroes v0 and sets dt
+    (`FireState.mix` of `fire`), then the damped semi-implicit Euler step
+    v1 = v0 + dt (f - c v0) / m, p1 = p0 + dt v1, takes c = `_FIRE_DAMPING`.
     """
-    pairs = SweepPairs() if pairs is None else pairs
-    fire = FireState() if fire is None else fire
-    if not pairs.certified(pairs.moves(state, f0)):
-        pairs._build(state, f0)
+    if not pairs.certified(state):
+        pairs._build(state)
     members = pairs.members
     if not len(members):
         return 0.0
     x, y = state.x, state.y
     p0 = np.stack([x.take(members), y.take(members)])
     v0 = np.stack([state.vx.take(members), state.vy.take(members)])
-    f = pairs.forces(state, f0)
+    f = pairs.forces(state)
     v0 = fire.mix(v0, f)
     v1 = v0 + fire.dt * (f - _FIRE_DAMPING * v0)
     p1 = p0 + fire.dt * v1
     if not (np.isfinite(p1).all() and np.isfinite(v1).all()):
         raise RelaxationError("dynamics diverged")
-    if walls is not None:
-        p1, stopped = walls.clamp(members, p1.T, state.r[members])
-        p1 = p1.T
-        v1[:, stopped] = 0.0
-    x[members], y[members] = p1
+    p1, stopped = walls.clamp(members, p1.T, state.r[members])
+    v1[:, stopped] = 0.0
+    x[members], y[members] = p1.T
     state.vx[members], state.vy[members] = v1
     return float(np.sqrt(f[0] * f[0] + f[1] * f[1]).max())
 
@@ -483,7 +477,7 @@ def _pass_queries(state: RelaxState):
 
 
 def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: list[Bubble],
-                          walls: WallClamp | None, max_r: float):
+                          walls: WallClamp, max_r: float):
     """The original-qc insertion candidate of each mobile slot in `rows`,
     each row derived on its own, so a batch equals one-row calls bit for
     bit: the new bubble's centre x and y, its radius, whether the wall check
@@ -522,14 +516,13 @@ def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: li
     ca = np.array(list(map(math.cos, direction.tolist())))
     sa = np.array(list(map(math.sin, direction.tolist())))
     if anchors:
-        sizing = walls.domain.sizing if walls is not None else None
-        r_new = interpolate_radius(x0 + 2.0 * r0 * ca, y0 + 2.0 * r0 * sa, anchors, sizing)
+        r_new = interpolate_radius(x0 + 2.0 * r0 * ca, y0 + 2.0 * r0 * sa, anchors,
+                                   walls.domain.sizing)
     else:
         r_new = r0
     nx = x0 + (r0 + r_new) * ca
     ny = y0 + (r0 + r_new) * sa
-    clear = (np.ones(len(rows), dtype=bool) if walls is None
-             else walls.clear(np.column_stack([nx, ny]), r_new))
+    clear = walls.clear(np.column_stack([nx, ny]), r_new)
     # block only severe collisions; milder crowding is the original
     # method's own churn and gets resolved by its delete branch
     own, j = near(nx, ny, r_new + max_r)
@@ -540,8 +533,8 @@ def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: li
 
 
 def _qc_original_state(state: RelaxState, low: float, high: float,
-                       anchors: list[Bubble], walls: WallClamp | None,
-                       trace: ConvergenceTrace | None = None) -> int:
+                       anchors: list[Bubble], walls: WallClamp,
+                       trace: ConvergenceTrace) -> int:
     """Single pass over bubble indices: insert into the largest angular gap
     (`_insertion_candidates`) when the summed overlap is below `low`, delete
     when above `high`; returns the number of changes, and adds the
@@ -604,10 +597,9 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
         fresh &= np.hypot(state.x[want] - at[0], state.y[want] - at[1]) > wide_reach
         # a deletion or insertion moves the sums of the bubbles within 2 r_max
         stale[ids[tree.query_ball_point(at, window)]] = True
-    if trace is not None:
-        trace.qc_insert_attempts += attempts
-        trace.qc_inserts += len(state.alive) - n0
-        trace.qc_candidates_redone += redone
+    trace.qc_insert_attempts += attempts
+    trace.qc_inserts += len(state.alive) - n0
+    trace.qc_candidates_redone += redone
     return changes
 
 
@@ -652,7 +644,8 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     new-qc: one boundary-region pruning pass before the sweeps.
     original-qc: a quantity-control pass every `qc_period` sweeps; a pass
     that changes the population puts FIRE's dt, alpha and positive sweeps
-    back to their start (`FireState.start`), keeping the velocities. It
+    back to their start (`FireState.start`), keeping the velocities, and
+    expires the pair list (`SweepPairs.expire`). It
     converges only when the force/stall tests pass and a pass makes zero
     changes.
 
@@ -680,13 +673,13 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     if strategy == "new-qc":
         _qc_boundary_region_state(state, cfg.qc_threshold)
 
-    walls = None if domain is None else WallClamp(domain)
+    walls = WallClamp(domain)
     anchors = [b for b in bubbles if b.kind != MOBILE]
     original = strategy == "original-qc"
     history: list[float] = []  # min-angle samples since the last population change
     span = _STALL_WINDOW // _ANGLE_EVERY + 1
     qc_clean = not original
-    pairs = SweepPairs()
+    pairs = SweepPairs(f0)
     fire = FireState()
 
     def quantity_control() -> bool:
@@ -697,10 +690,11 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         if not qc_clean:
             history.clear()
             fire.start()
+            pairs.expire()
         return qc_clean
 
     for sweep in range(1, cfg.max_sweeps + 1):
-        max_f = relax_step(state, f0, walls, pairs, fire)
+        max_f = relax_step(state, walls, pairs, fire)
         count, ang = state.count, math.nan
         sample = original and sweep % _ANGLE_EVERY == 0
         qc_due = original and sweep % cfg.qc_period == 0
@@ -733,5 +727,5 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
 
     trace.pair_rebuilds = pairs.rebuilds
     trace.fire_restarts = fire.restarts
-    trace.wall_checks = 0 if walls is None else walls.checks
+    trace.wall_checks = walls.checks
     return state.to_bubbles(), trace

@@ -137,10 +137,8 @@ def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
     vertex_reach[on] = reach[at[on]]
     tri = flat.vertices[flat.faces]
     a, b, c = (np.hypot(*(tri[:, (k + 1) % 3] - tri[:, k]).T) for k in range(3))
-    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    area2 = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        circumradius = a * b * c / (2.0 * area2)
+        circumradius = a * b * c / (4.0 * flat.face_areas())
     margin = ROUNDING_MARGIN * max(float(np.abs(flat.vertices).max()),
                                    float(np.abs(ax).max()), float(np.abs(ay).max()))
     return circumradius < vertex_reach[flat.faces].min(axis=1) - margin

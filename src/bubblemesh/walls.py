@@ -18,9 +18,6 @@ from .geometry import (_CHUNK_ELEMENTS, ROUNDING_MARGIN, nearest_segments,
                        segment_distances)
 from .packing import PackingDomain
 
-WALL_CLEARANCE = 1.0  # a bubble's disk must stay inside the wall: its center
-                      # keeps a full radius of clearance, or it is projected
-
 
 class WallClamp:
     """The wall check of one relaxation's bubbles, kept per slot (bubble
@@ -49,17 +46,16 @@ class WallClamp:
         segment seg, is clear: a full radius of clearance and strictly on
         the segment's inner side."""
         ax, ay, vx, vy = (c[seg] for c in self.segments[:4])
-        clearance = WALL_CLEARANCE * radius
         # interior is to the left of the nearest directed segment
         inside = vx * (p[:, 1] - ay) - vy * (p[:, 0] - ax) > 0.0
-        return (d2 >= clearance * clearance) & inside
+        return (d2 >= radius * radius) & inside
 
     def _check(self, p: np.ndarray, radius: np.ndarray):
         """The full check of each row of p from one distance pass over
         every segment: whether it is clear, its room (0 unless clear), and
         its nearest segment (the first of equals) and t on it. The room is
         how far it can move before the verdict could change: the smaller of
-        its clearance beyond WALL_CLEARANCE * radius and, for every segment,
+        its clearance beyond its radius and, for every segment,
         the larger of its signed distance to the segment's line (inward
         positive) and half its distance beyond the nearest (the move after
         which the segment could become the nearest). Less the rounding
@@ -80,7 +76,7 @@ class WallClamp:
             line = s.nx * (pr[ok, :1] - s.ax) + s.ny * (pr[ok, 1:] - s.ay)
             reach = np.maximum(line, 0.5 * (dist - d[:, None])).min(axis=1)
             room[start + np.flatnonzero(ok)] = np.minimum(
-                d - WALL_CLEARANCE * radius[rows][ok], reach) - self.margin
+                d - radius[rows][ok], reach) - self.margin
         return clear, room, seg, t
 
     def clamp(self, slots: np.ndarray, p: np.ndarray, radius: np.ndarray):

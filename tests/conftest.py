@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from bubblemesh import packing, relaxation, sizing
 from bubblemesh.mesh import MeshError, TriangleMesh, ValidationResult
-from bubblemesh.packing import MOBILE
+from bubblemesh.packing import MOBILE, PackingDomain
 from bubblemesh.relaxation import _KIND_CODE, _QUERY_PAD
 
 
@@ -315,6 +315,19 @@ def scalar_pair_force(b_i, b_j, f0, i=0, j=1, seed=0):
         return np.array(relaxation._coincident_push(i, j, seed, f0))
     mag = relaxation.force_magnitude(l, b_i.radius + b_j.radius, f0)
     return np.array([mag * dx / l, mag * dy / l])
+
+
+def far_box(bubbles) -> PackingDomain:
+    """A square domain 10 r_max beyond the bubbles on every side, whose
+    sizing is inf: for the relaxation tests whose bubbles neither the wall
+    clamp nor the radius bound may reach."""
+    xy = np.array([(b.x, b.y) for b in bubbles])
+    pad = 10.0 * max(b.radius for b in bubbles)
+    lo = xy.min(axis=0) - pad
+    side = float((xy.max(axis=0) + pad - lo).max())
+    return PackingDomain(outer=lo + side * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                                     [0.0, 1.0]]),
+                         sizing=lambda x, y: np.full(np.broadcast(x, y).shape, np.inf))
 
 
 # Scalar quantity-control helpers: the oracles of the pair-array passes in

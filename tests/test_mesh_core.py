@@ -248,6 +248,29 @@ class TestQualityReport:
         with pytest.raises(MeshError, match="face 1"):
             quality_report(mesh)
 
+    def test_corner_angles_equal_the_per_corner_form(self, rng):
+        # one pass over the (F,3) corner cosines gives, bit for bit, the
+        # angles of the per-corner einsum and np.linalg.norm form it
+        # replaced, on 2-D and 3-D meshes at scales far apart
+        def per_corner(vertices, faces):
+            v = vertices[faces]
+            angles = np.empty((len(faces), 3))
+            for k in range(3):
+                e1 = v[:, (k + 1) % 3] - v[:, k]
+                e2 = v[:, (k + 2) % 3] - v[:, k]
+                cosang = np.einsum("ij,ij->i", e1, e2) / (np.linalg.norm(e1, axis=1)
+                                                          * np.linalg.norm(e2, axis=1))
+                angles[:, k] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+            return angles
+
+        for mesh_type, dim in ((PlanarMesh, 2), (TriangleMesh, 3)):
+            for scale in (1e-6, 1.0, 1e4):
+                for _ in range(20):
+                    pts = rng.uniform(-1.0, 1.0, size=(100, dim)) * scale + rng.uniform(-50, 50, dim)
+                    faces = np.array([rng.choice(100, size=3, replace=False) for _ in range(150)])
+                    got = mesh_type(pts, faces).face_corner_angles()
+                    assert got.tobytes() == per_corner(pts, faces).tobytes()
+
     def test_fraction_at_least(self):
         mesh = PlanarMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                           np.array([[0, 1, 2]]))

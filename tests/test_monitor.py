@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bubblemesh import monitor, relaxation
+from bubblemesh import delaunay, relaxation
 from bubblemesh.config import PipelineConfig
-from bubblemesh.monitor import triangulation_min_angle
+from bubblemesh.delaunay import triangulation_min_angle
 from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
 from bubblemesh.relaxation import relax_until_converged
 
@@ -142,9 +143,12 @@ class TestMinAngleMonitor:
         assert trace.final_min_angle == triangulation_min_angle(positions[0], domain)
         assert trace.final_min_angle != triangulation_min_angle(after[0], domain)
 
-    def test_angle_pass_equals_per_corner_arithmetic(self, rng):
-        # the angle pass takes each corner's cosine from the face's three
-        # edge vectors; the per-corner form it replaced is kept here
+    def test_min_angle_equals_per_corner_arithmetic(self, monkeypatch, rng):
+        # the monitor takes every corner's cosine from the mesh's angle
+        # kernel and the angle of the largest from math.acos; the per-corner
+        # form of its first kernel is kept here. Qhull is stood in for by
+        # random faces, coincident corners among them, inside a domain that
+        # keeps them all
         def per_corner(points, faces):
             v = points[faces]
             min_cos = -1.0
@@ -160,8 +164,11 @@ class TestMinAngleMonitor:
 
         for scale in (1e-6, 1.0, 1e4):
             pts = rng.uniform(-1.0, 1.0, size=(300, 2)) * scale + rng.uniform(-50, 50, 2)
+            lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
+            domain = PackingDomain(outer=[lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
             for _ in range(20):
                 faces = rng.randint(0, 300, size=(200, 3))
                 faces[:5, 1] = faces[:5, 0]  # coincident corners
-                got = monitor._min_angle(pts[:, 0][faces.T], pts[:, 1][faces.T])
-                assert got == per_corner(pts, faces)
+                monkeypatch.setattr(delaunay, "Delaunay",
+                                    lambda points: SimpleNamespace(simplices=faces))
+                assert triangulation_min_angle(pts, domain) == per_corner(pts, faces)

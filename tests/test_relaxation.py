@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, FireState,
                                    RelaxationError, RelaxState, SweepPairs, _overlap_sums,
                                    force_magnitude, relax_step,
                                    relax_until_converged, rk4_damped_step)
-from bubblemesh.walls import WALL_CLEARANCE, WallClamp
+from bubblemesh.walls import WallClamp
 
-from conftest import (bench_module, closest_point_on_segment, loop_segments,
+from conftest import (bench_module, closest_point_on_segment, far_box, loop_segments,
                       scalar_ball_query, scalar_pair_force, scalar_qc_boundary_region)
 
 F0 = 1.0  # the force law's f0 in the step-level tests
@@ -208,9 +209,8 @@ def enforce_clearance(walls, x, y, radius):
             best_d2 = d2
             best = (qx, qy, ax, ay, bx, by)
     qx, qy, ax, ay, bx, by = best
-    clearance = WALL_CLEARANCE * radius
     inside = (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0
-    if best_d2 >= clearance * clearance and inside:
+    if best_d2 >= radius * radius and inside:
         return None
     ln = math.hypot(bx - ax, by - ay)
     nx, ny = -(by - ay) / ln, (bx - ax) / ln
@@ -233,16 +233,15 @@ def two_pass_clamp(walls, slots, p, radius):
         return p, fix
     seg, t, d2 = nearest_segments(p[near], walls.segments)
     ax, ay, vx, vy, _, _, nx, ny = walls.segments[:8]
-    clearance = WALL_CLEARANCE * radius[near]
     inside = vx[seg] * (p[near, 1] - ay[seg]) - vy[seg] * (p[near, 0] - ax[seg]) > 0.0
-    clear = (d2 >= clearance * clearance) & inside
+    clear = (d2 >= radius[near] * radius[near]) & inside
     c = near[clear]
     d = np.sqrt(d2[clear])
     dist = np.sqrt(segment_distances(p[c], walls.segments)[1])
     line = nx * (p[c, :1] - ax) + ny * (p[c, 1:] - ay)
     reach = np.fmax(line, 0.5 * (dist - d[:, None])).min(axis=1)
     room = np.zeros(len(near))
-    room[clear] = np.minimum(d - WALL_CLEARANCE * radius[c], reach) - walls.margin
+    room[clear] = np.minimum(d - radius[c], reach) - walls.margin
     walls.at[slots[near]] = p[near]
     walls.room2[slots[near]] = np.square(np.maximum(room, 0.0))
     bad = near[~clear]
@@ -354,10 +353,9 @@ def scalar_summed_overlap(state, near, i, hypot=math.hypot):
     return total
 
 
-def scalar_qc_original(state, low, high, anchors, walls, trace=None):
+def scalar_qc_original(state, low, high, anchors, walls, trace):
     near = scalar_ball_query(state)
     max_r = state.max_radius()
-    sizing = walls.domain.sizing if walls is not None else None
     changes = 0
     for i in range(len(state.alive)):
         if not state.alive[i] or state.kind[i] != relaxation._KIND_CODE[MOBILE]:
@@ -369,8 +367,7 @@ def scalar_qc_original(state, low, high, anchors, walls, trace=None):
             state.alive[i] = False
             changes += 1
         elif total < low:
-            if trace is not None:
-                trace.qc_insert_attempts += 1
+            trace.qc_insert_attempts += 1
             wide = [j for j in near(x0, y0, 3.0 * r0)
                     if j != i and math.hypot(state.x[j] - x0, state.y[j] - y0) <= 3.0 * r0]
             if wide:
@@ -388,10 +385,11 @@ def scalar_qc_original(state, low, high, anchors, walls, trace=None):
             ca, sa = math.cos(direction), math.sin(direction)
             probe_x = x0 + 2.0 * r0 * ca
             probe_y = y0 + 2.0 * r0 * sa
-            r_new = interpolate_radius(probe_x, probe_y, anchors, sizing) if anchors else r0
+            r_new = (interpolate_radius(probe_x, probe_y, anchors, walls.domain.sizing)
+                     if anchors else r0)
             nx = x0 + (r0 + r_new) * ca
             ny = y0 + (r0 + r_new) * sa
-            if walls is not None and not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
+            if not walls.clear(np.array([[nx, ny]]), np.array([r_new]))[0]:
                 continue
             if any((r_new + state.r[j] - math.hypot(state.x[j] - nx, state.y[j] - ny))
                    / min(r_new, state.r[j]) > 1.0
@@ -400,19 +398,21 @@ def scalar_qc_original(state, low, high, anchors, walls, trace=None):
             state.append(nx, ny, r_new, MOBILE)
             near = scalar_ball_query(state)
             changes += 1
-            if trace is not None:
-                trace.qc_inserts += 1
+            trace.qc_inserts += 1
     return changes
 
 
 def qc_original(bubbles, low=5.0, high=8.0, anchors=None, domain=None, seed=0,
                 qc=relaxation._qc_original_state, trace=None):
-    """One original-qc pass over fresh state: (state, change count)."""
+    """One original-qc pass over fresh state: (state, change count). The
+    walls are `domain`'s, `far_box(bubbles)`'s when None, and the counters
+    go to `trace`, a fresh `ConvergenceTrace` when None."""
     state = RelaxState(bubbles, seed=seed)
     if anchors is None:
         anchors = [b for b in bubbles if b.kind != MOBILE]
-    return state, qc(state, low, high, anchors, None if domain is None else WallClamp(domain),
-                     trace)
+    walls = WallClamp(far_box(bubbles) if domain is None else domain)
+    return state, qc(state, low, high, anchors, walls,
+                     ConvergenceTrace() if trace is None else trace)
 
 
 def qc_boundary_region(bubbles, threshold=1.0, qc=relaxation._qc_boundary_region_state):
@@ -514,7 +514,7 @@ class TestStep:
         frozen = [Bubble(0.0, 0.0, 0.5, BOUNDARY), Bubble(1.4, 0.0, 0.5, BOUNDARY)]
         mobile = Bubble(0.6, 0.4, 0.5, MOBILE)
         state = RelaxState(frozen + [mobile])
-        relax_step(state, F0)
+        relax_step(state, WallClamp(far_box(frozen + [mobile])), SweepPairs(F0), FireState())
 
         net = sum((scalar_pair_force(mobile, b, F0) for b in frozen), np.zeros(2))
         x1, v1 = euler_step(np.array([0.6, 0.4]), np.zeros(2), net, 0.5 * DT)
@@ -532,7 +532,7 @@ class TestStep:
         kinds = [(BOUNDARY, INTERIOR_ANCHOR, MOBILE)[k % 3] for k in range(n)]
         bubbles = [Bubble(x, y, r, kind) for (x, y), r, kind in zip(xy, radii, kinds)]
         state = RelaxState(bubbles)
-        max_f = relax_step(state, F0)
+        max_f = relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
 
         ref = [(b.x, b.y) for b in bubbles]
         ref_max_f = 0.0
@@ -559,7 +559,7 @@ class TestStep:
         seed = 5
         bubbles = [Bubble(2.0, 2.0, 0.5, MOBILE), Bubble(2.0, 2.0, 0.5, MOBILE)]
         state = RelaxState(bubbles, seed=seed)
-        relax_step(state, F0)
+        relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
 
         ref = [euler_step(np.array([2.0, 2.0]), np.zeros(2),
                           scalar_pair_force(bubbles[i], bubbles[j], F0, i, j, seed),
@@ -610,7 +610,7 @@ class TestStep:
         velocity = [(0.3, -0.2), (-0.1, 0.25), (0.05, 0.4)]
         state.vx[:], state.vy[:] = np.transpose(velocity[:len(bubbles)])
         fire = FireState()
-        max_f = relax_step(state, F0, fire=fire)
+        max_f = relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), fire)
 
         members = [i for i, b in enumerate(bubbles) if b.kind != BOUNDARY]
         nets = []
@@ -669,26 +669,27 @@ def listing_at_evaluations(monkeypatch, verdict=None,
                            runs=graded_plate_runs):
     """Calls `runs` (`graded_plate_runs` at the default config unless
     given) and returns the traces it returns, the certificate's verdicts at
-    every sweep start and the count of `unlisted_within_reach` at every
-    force evaluation, when the sweep's bubbles are still at their start
-    positions. `verdict`, when given, replaces the certificate's verdict."""
+    every sweep start (None where the list had expired or was never built,
+    so the sweep builds it) and the count of `unlisted_within_reach` at
+    every force evaluation, when the sweep's bubbles are still at their
+    start positions. `verdict`, when given, replaces the verdict on a built
+    list."""
     at, verdicts, unlisted = {}, [], []
-    moves, certified = SweepPairs.moves, SweepPairs.certified
+    certified = SweepPairs.certified
     law = relaxation.force_magnitude
 
-    def kept(self, state, f0):
+    def judged(self, state):
         at.update(pairs=self, state=state, cutoff=relaxation._CUTOFF)
-        return moves(self, state, f0)
-
-    def judged(self, moved):
-        verdicts.append(certified(self, moved))
+        if self._at is None:  # the sweep builds the list
+            verdicts.append(None)
+            return False
+        verdicts.append(certified(self, state))
         return verdicts[-1] if verdict is None else verdict
 
     def evaluated(*args):
         unlisted.append(unlisted_within_reach(at["pairs"], at["state"], at["cutoff"]))
         return law(*args)
 
-    monkeypatch.setattr(SweepPairs, "moves", kept)
     monkeypatch.setattr(SweepPairs, "certified", judged)
     monkeypatch.setattr(relaxation, "force_magnitude", evaluated)
     return runs(), verdicts, unlisted
@@ -699,13 +700,13 @@ class TestSweepPairs:
         # in a new-qc run and an original-qc run, a list just built holds,
         # in its directed view, the pairs within reach and the largest
         # radius of a fresh k-d tree query, and holds each of them once; it
-        # is built at the start, when the alive set changes and when a sweep
-        # starts without the certificate, and only then
+        # is built at the start, after a pass that changes the alive set and
+        # when a sweep starts without the certificate, and only then
         seen, verdicts = [], []
-        moves, build, certified = SweepPairs.moves, SweepPairs._build, SweepPairs.certified
+        build, certified = SweepPairs._build, SweepPairs.certified
 
-        def checked_build(self, state, f0):
-            build(self, state, f0)
+        def checked_build(self, state):
+            build(self, state)
             assert self.margin == state.max_radius()
             want = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
             i, j = directed_view(self, state)
@@ -715,22 +716,19 @@ class TestSweepPairs:
             assert len(held) == len(self.a)
             assert held == {(min(i, j), max(i, j)) for i, j in zip(*want)}
 
-        def kept(self, state, f0):
+        def judged(self, state):
             seen.append((frozenset(state.alive_indices().tolist()), state.max_radius()))
-            return moves(self, state, f0)
-
-        def judged(self, moved):
-            verdicts.append(certified(self, moved))
-            return verdicts[-1]
+            verdicts.append(None if self._at is None else certified(self, state))
+            return bool(verdicts[-1])
 
         monkeypatch.setattr(SweepPairs, "_build", checked_build)
-        monkeypatch.setattr(SweepPairs, "moves", kept)
         monkeypatch.setattr(SweepPairs, "certified", judged)
         # at f0 = the smallest radius, original-qc's moves fail the
         # certificate within 40 sweeps with a pass every 10 sweeps, not 5
         new, original = graded_plate_runs(max_sweeps=40, force_tol_factor=1e-9, qc_period=10)
         assert len(seen) == len(verdicts) == new.sweeps + original.sweeps == 80
         new_fails = verdicts[:40].count(False)
+        assert verdicts[:40].count(None) == 1 and verdicts[0] is None
         assert new.pair_rebuilds == 1 + new_fails < new.sweeps
         assert new_fails > 0
         seen = seen[40:]
@@ -741,6 +739,7 @@ class TestSweepPairs:
         population_changes = sum(a != b for a, b in zip(seen, seen[1:]))
         original_fails = verdicts[40:].count(False)
         assert original_fails > 0
+        assert verdicts[40:].count(None) == 1 + population_changes
         assert original.pair_rebuilds == 1 + population_changes + original_fails
 
     def test_no_unlisted_pair_within_reach_at_any_stage(self, monkeypatch):
@@ -752,7 +751,7 @@ class TestSweepPairs:
         traces, verdicts, unlisted = listing_at_evaluations(monkeypatch)
         assert len(unlisted) == len(verdicts) == sum(trace.sweeps for trace in traces)
         assert not any(unlisted)
-        assert not all(verdicts)
+        assert False in verdicts
 
     def test_unlisted_pairs_come_within_reach_without_the_certificate(self, monkeypatch):
         # a scattered population whose deep overlaps throw bubbles far, run
@@ -771,7 +770,25 @@ class TestSweepPairs:
         monkeypatch.undo()
         traces, verdicts, unlisted = listing_at_evaluations(monkeypatch, None, runs)
         assert len(unlisted) == 60 and not any(unlisted)
-        assert not all(verdicts)
+        assert False in verdicts
+
+    def test_certified_only_between_a_build_and_its_expiry(self):
+        # a list is not certified before its first build nor after expire(),
+        # whatever the moves; in between, moves within the margin keep it
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.2, 0.0, 0.5, MOBILE)]
+        state = RelaxState(bubbles)
+        pairs = SweepPairs(F0)
+        assert not pairs.certified(state) and pairs.rebuilds == 0
+        pairs._build(state)
+        assert pairs.certified(state) and pairs.rebuilds == 1
+        state.x[0] += 0.2
+        assert pairs.certified(state)
+        pairs.expire()
+        assert not pairs.certified(state)
+        state.x[0] -= 0.2  # back where the build found it
+        assert not pairs.certified(state)
+        pairs._build(state)
+        assert pairs.certified(state) and pairs.rebuilds == 2
 
     @pytest.mark.parametrize("speed", [18.5, 10.0])
     def test_listed_pair_closing_mid_sweep_gets_its_force(self, speed):
@@ -783,18 +800,19 @@ class TestSweepPairs:
         # reference gives it
         bubbles = [Bubble(0.0, 0.0, 0.55, MOBILE), Bubble(1.85, 0.0, 0.55, MOBILE)]
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
-        pairs = SweepPairs()
-        pairs.moves(kept, F0)
+        pairs = SweepPairs(F0)
+        pairs._build(kept)
         assert pairs.a.tolist() == [0] and pairs.b.tolist() == [1]
         for state in (kept, ref, free):
             state.x[:] = [0.125, 1.725]
             state.vx[0] = speed
-        assert relax_step(kept, F0, pairs=pairs) == jacobi_sweep(ref, F0) > 0.0
+        walls = WallClamp(far_box(bubbles))
+        assert relax_step(kept, walls, pairs, FireState()) == jacobi_sweep(ref, F0) > 0.0
         assert pairs.rebuilds == 1
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         free.alive[1] = False  # bubble 0 alone
-        relax_step(free, F0)
+        relax_step(free, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
         assert ref.vx[0] != free.vx[0]
 
     def test_fast_bubble_sweep_is_redone_over_a_wider_list(self):
@@ -809,10 +827,11 @@ class TestSweepPairs:
         kept, ref, free = (RelaxState(bubbles, seed=2) for _ in range(3))
         kept.vx[0] = ref.vx[0] = free.vx[0] = 11.3
         free.alive[1] = False
-        pairs = SweepPairs()
+        pairs = SweepPairs(F0)
+        walls, free_walls = WallClamp(far_box(bubbles)), WallClamp(far_box(bubbles))
         for sweep in range(2):
-            assert relax_step(kept, F0, pairs=pairs) == jacobi_sweep(ref, F0)
-            relax_step(free, F0)
+            assert relax_step(kept, walls, pairs, FireState()) == jacobi_sweep(ref, F0)
+            relax_step(free, free_walls, SweepPairs(F0), FireState())
             if sweep == 0:
                 assert pairs.a.tolist() == [0] and pairs.b.tolist() == [3]
                 assert 3.25 < kept.x[0] < 2.5 + 0.78
@@ -831,19 +850,19 @@ class TestSweepPairs:
         # and the sweep ends as the reference does
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(2.02, 0.0, 0.5, BOUNDARY)]
         kept, ref, free = (RelaxState(bubbles) for _ in range(3))
-        pairs = SweepPairs()
-        pairs.moves(kept, F0)
+        pairs = SweepPairs(F0)
+        pairs._build(kept)
         assert pairs.a.tolist() == []
         for state in (kept, ref, free):
             state.x[:] = [0.05, 1.52]
         assert 2 * 0.05 <= pairs.margin < 0.05 + 0.5
-        relax_step(kept, F0, pairs=pairs)
+        relax_step(kept, WallClamp(far_box(bubbles)), pairs, FireState())
         jacobi_sweep(ref, F0)
         for name in ("x", "y", "vx", "vy"):
             assert np.array_equal(getattr(kept, name), getattr(ref, name))
         assert pairs.rebuilds == 2 and pairs.a.tolist() == [0]
         free.alive[1] = False
-        relax_step(free, F0)
+        relax_step(free, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
         assert ref.vx[0] != free.vx[0]
 
     def test_kept_bookkeeping_sweeps_as_the_mask_reference(self):
@@ -852,11 +871,11 @@ class TestSweepPairs:
         domain, bubbles = graded_holed_plate()
         kept, ref = RelaxState(bubbles()), RelaxState(bubbles())
         walls, ref_walls = WallClamp(domain), WallClamp(domain)
-        pairs = SweepPairs()
+        pairs = SweepPairs(F0)
         fire, ref_fire = FireState(), FireState()
         dts = []
         for _ in range(40):
-            assert relax_step(kept, F0, walls, pairs, fire) == jacobi_sweep(
+            assert relax_step(kept, walls, pairs, fire) == jacobi_sweep(
                 ref, F0, ref_walls, ref_fire)
             dts.append(fire.dt)
         for name in ("x", "y", "vx", "vy"):
@@ -876,13 +895,13 @@ class TestSweepPairs:
         build, forces = SweepPairs._build, SweepPairs.forces
         listed, compared = {}, []
 
-        def built(self, state, f0):
-            build(self, state, f0)
+        def built(self, state):
+            build(self, state)
             listed[self] = sweep_neighbors(state, relaxation._CUTOFF, self.margin)
 
-        def checked(self, state, f0):
-            got = forces(self, state, f0)
-            want = directed_forces(state, f0, state.mobile_indices(), *listed[self])
+        def checked(self, state):
+            got = forces(self, state)
+            want = directed_forces(state, self.f0, state.mobile_indices(), *listed[self])
             assert got.tobytes() == want.tobytes()
             compared.append(len(directed_view(self, state)[0]) - len(self.a))
             return got
@@ -923,12 +942,12 @@ class TestFire:
         # max force, dt, alpha, positive sweeps and restarts
         domain, bubbles = walled_fire_system()
         state, ref = RelaxState(bubbles, seed=5), RelaxState(bubbles, seed=5)
-        walls, ref_walls, pairs = WallClamp(domain), WallClamp(domain), SweepPairs()
+        walls, ref_walls, pairs = WallClamp(domain), WallClamp(domain), SweepPairs(F0)
         fire = FireState()
         want = dict(dt=DT, alpha=0.1, positive=0, restarts=0)
         dts, stops = [], 0
         for _ in range(40):
-            max_f = relax_step(state, F0, walls, pairs, fire)
+            max_f = relax_step(state, walls, pairs, fire)
             ref_max_f, stopped = scalar_fire_sweep(ref, F0, ref_walls, want)
             assert max_f == ref_max_f
             for name in ("x", "y", "vx", "vy"):
@@ -963,9 +982,9 @@ class TestFire:
         # fixed population reaches; a restart halves it
         step, seen = relaxation.relax_step, []
 
-        def watched(state, f0, walls, pairs, fire):
+        def watched(state, walls, pairs, fire):
             before = fire.dt, fire.restarts
-            max_f = step(state, f0, walls, pairs, fire)
+            max_f = step(state, walls, pairs, fire)
             seen.append((before, (fire.dt, fire.restarts, fire.positive), DT))
             return max_f
 
@@ -990,10 +1009,10 @@ class TestFire:
         # starts where the last one left FIRE
         step, qc, events = relaxation.relax_step, relaxation._qc_original_state, []
 
-        def watched(state, f0, walls, pairs, fire):
+        def watched(state, walls, pairs, fire):
             before = (fire.dt, fire.alpha, fire.positive, fire.restarts)
             moving = bool(state.vx.any() or state.vy.any())
-            max_f = step(state, f0, walls, pairs, fire)
+            max_f = step(state, walls, pairs, fire)
             events.append(("step", before, (fire.dt, fire.alpha, fire.positive,
                                             fire.restarts), moving))
             return max_f
@@ -1028,8 +1047,9 @@ class TestFire:
 
 class TestRelaxStep:
     def test_equilibrium_is_fixed_point(self):
-        state = RelaxState([Bubble(3.0, 3.0, 0.5, MOBILE)])
-        relax_step(state, F0)
+        bubbles = [Bubble(3.0, 3.0, 0.5, MOBILE)]
+        state = RelaxState(bubbles)
+        relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
         assert state.x[0] == 3.0 and state.y[0] == 3.0
 
     def test_tangent_pair_unmoved(self):
@@ -1037,7 +1057,7 @@ class TestRelaxStep:
         # holds to rounding, not bitwise
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(1.0, 0.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
-        relax_step(state, F0)
+        relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
         assert state.x[0] == pytest.approx(0.0, abs=1e-12)
         assert state.x[1] == pytest.approx(1.0, abs=1e-12)
         assert state.y == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -1045,28 +1065,28 @@ class TestRelaxStep:
     def test_fixed_bubbles_bitwise_stationary(self):
         bubbles = [Bubble(0.123456, 0.654321, 0.5, BOUNDARY),
                    Bubble(0.5, 0.1, 0.5, MOBILE)]
-        state = RelaxState(bubbles)
+        state, walls = RelaxState(bubbles), WallClamp(far_box(bubbles))
         for _ in range(25):
-            relax_step(state, F0)
+            relax_step(state, walls, SweepPairs(F0), FireState())
         assert state.x[0] == 0.123456 and state.y[0] == 0.654321
 
     def test_overlapping_pair_separates(self):
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.6, 0.0, 0.5, MOBILE)]
-        state = RelaxState(bubbles)
+        state, walls = RelaxState(bubbles), WallClamp(far_box(bubbles))
         for _ in range(40):
-            relax_step(state, F0)
+            relax_step(state, walls, SweepPairs(F0), FireState())
         d = math.hypot(state.x[1] - state.x[0], state.y[1] - state.y[0])
         assert d == pytest.approx(1.0, abs=0.05)
 
     def test_huge_time_step_diverges(self, monkeypatch):
-        # no walls to project them back: an overlapping pair stepped with a
-        # huge dt leaves the floats, and the sweep says so
+        # an overlapping pair stepped with a huge dt leaves the floats, and
+        # the sweep says so before the walls see the step
         monkeypatch.setattr(relaxation, "_FIRE_DT", 1e200)
         bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.6, 0.0, 0.5, MOBILE)]
         state = RelaxState(bubbles)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(RelaxationError, match="diverged"):
-            relax_step(state, F0)
+            relax_step(state, WallClamp(far_box(bubbles)), SweepPairs(F0), FireState())
         assert state.x.tolist() == [0.0, 0.6]  # nothing written
 
     @pytest.mark.parametrize("dt", [1e80, 1e100, 1e150, 1e155, 1e200])
@@ -1079,12 +1099,13 @@ class TestRelaxStep:
         # leaves the floats itself and says so before it writes. Each sweep
         # takes a fresh FIRE state, which starts at dt.
         monkeypatch.setattr(relaxation, "_FIRE_DT", dt)
-        state = RelaxState([Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.3, 0.0, 0.5, MOBILE)])
-        pairs, done = SweepPairs(), []
+        bubbles = [Bubble(0.0, 0.0, 0.5, MOBILE), Bubble(0.3, 0.0, 0.5, MOBILE)]
+        state, walls = RelaxState(bubbles), WallClamp(far_box(bubbles))
+        pairs, done = SweepPairs(F0), []
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(RelaxationError, match="diverged"):
             for _ in range(1000):
-                relax_step(state, F0, pairs=pairs)
+                relax_step(state, walls, pairs, FireState())
                 done.append(state.x.tolist())
         sweeps = 1 if dt < 1e155 else 0
         assert len(done) == sweeps and np.isfinite(state.x).all()
@@ -1095,7 +1116,7 @@ class TestRelaxStep:
         # a k-d tree; building the pair list over them says they diverged
         state = RelaxState([Bubble(-1e154, 0.0, 0.5, MOBILE), Bubble(1e154, 0.0, 0.5, MOBILE)])
         with np.errstate(over="ignore"), pytest.raises(RelaxationError, match="diverged"):
-            SweepPairs().moves(state, F0)
+            SweepPairs(F0)._build(state)
 
     @pytest.mark.parametrize("outer,hole", [
         (RECTANGLE, SQUARE_HOLE),
@@ -1355,9 +1376,14 @@ class TestQCOriginal:
         assert loose < tight
 
 
+def boxed(bubbles):
+    """(far_box(bubbles), bubbles): a case whose walls never bind."""
+    return far_box(bubbles), bubbles
+
+
 def insertions_visible_case():
-    return None, [Bubble(-2.2, 0.0, 0.5, BOUNDARY), Bubble(-1.0, 0.0, 0.5, MOBILE),
-                  Bubble(1.0, 0.0, 0.5, MOBILE), Bubble(2.2, 0.0, 0.5, BOUNDARY)]
+    return boxed([Bubble(-2.2, 0.0, 0.5, BOUNDARY), Bubble(-1.0, 0.0, 0.5, MOBILE),
+                  Bubble(1.0, 0.0, 0.5, MOBILE), Bubble(2.2, 0.0, 0.5, BOUNDARY)])
 
 
 def random_case(seed):
@@ -1379,34 +1405,34 @@ def deleted_blocker_case():
     # the crowded bubble at (1, 0) is deleted first; it blocked the
     # candidate of the small bubble at the origin, aimed away from the
     # anchor at (-0.55, 0) to (0.7, 0), and lies beyond that bubble's 3 r0
-    return None, (crowd(1.0, 0.0, range(-80, 81, 20))
-                  + [Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 0.0, 0.5, MOBILE),
-                     Bubble(0.0, 0.0, 0.2, MOBILE)])
+    return boxed(crowd(1.0, 0.0, range(-80, 81, 20))
+                 + [Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 0.0, 0.5, MOBILE),
+                    Bubble(0.0, 0.0, 0.2, MOBILE)])
 
 
 def deleted_wide_neighbour_case():
     # the crowded bubble at the origin is deleted first; it lies 1.4 from
     # the bubble at (1.4, 0), inside that bubble's 3 r0 and beyond its 2 r_max
     # stale window, and was one of the two neighbours that set its gap
-    return None, (crowd(0.0, 0.0, range(100, 261, 20))
-                  + [Bubble(1.4, 1.2, 0.5, BOUNDARY), Bubble(0.0, 0.0, 0.5, MOBILE),
-                     Bubble(1.4, 0.0, 0.5, MOBILE)])
+    return boxed(crowd(0.0, 0.0, range(100, 261, 20))
+                 + [Bubble(1.4, 1.2, 0.5, BOUNDARY), Bubble(0.0, 0.0, 0.5, MOBILE),
+                    Bubble(1.4, 0.0, 0.5, MOBILE)])
 
 
 def inserted_in_wide_window_case():
     # the bubble at (-0.5, 2.2) inserts at (-0.5, 1.2), 1.3 from the bubble at
     # the origin: inside its 3 r0 and beyond the 2 r_max stale window, and 2
     # from the candidate it aimed at (1, 0) away from the anchor at (-1.2, 0)
-    return None, [Bubble(-1.2, 0.0, 0.5, BOUNDARY), Bubble(-0.5, 3.4, 0.5, BOUNDARY),
-                  Bubble(-0.5, 2.2, 0.5, MOBILE), Bubble(0.0, 0.0, 0.5, MOBILE)]
+    return boxed([Bubble(-1.2, 0.0, 0.5, BOUNDARY), Bubble(-0.5, 3.4, 0.5, BOUNDARY),
+                  Bubble(-0.5, 2.2, 0.5, MOBILE), Bubble(0.0, 0.0, 0.5, MOBILE)])
 
 
 def inserted_blocker_case():
     # the bubble at (1, 1.15) inserts at (1, 0.15), 1.01 from the small bubble
     # at the origin (beyond its 3 r0 and the stale window) and 0.34 from
     # that bubble's candidate at (0.7, 0), which it blocks
-    return None, [Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 2.35, 0.5, BOUNDARY),
-                  Bubble(1.0, 1.15, 0.5, MOBILE), Bubble(0.0, 0.0, 0.2, MOBILE)]
+    return boxed([Bubble(-0.55, 0.0, 0.5, BOUNDARY), Bubble(1.0, 2.35, 0.5, BOUNDARY),
+                  Bubble(1.0, 1.15, 0.5, MOBILE), Bubble(0.0, 0.0, 0.2, MOBILE)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -1422,10 +1448,10 @@ def relaxed_graded_square():
     return domain, out
 
 
-# (domain or None, bubbles) on which the pair-array and scalar passes are compared
+# (domain, bubbles) on which the pair-array and scalar passes are compared
 QC_CASES = {
-    "hex-lattice": lambda: (None, hex_lattice()),
-    "hex-lattice-crowded": lambda: (None, hex_lattice() + hex_neighbors(9, center=(2.0, 1.7))),
+    "hex-lattice": lambda: boxed(hex_lattice()),
+    "hex-lattice-crowded": lambda: boxed(hex_lattice() + hex_neighbors(9, center=(2.0, 1.7))),
     "graded": graded_holed_square,
     "graded-relaxed": relaxed_graded_square,
     "insertions-visible": insertions_visible_case,
@@ -1497,7 +1523,7 @@ class TestInsertionCandidates:
         domain, bubbles = QC_CASES[case]()
         state = RelaxState(bubbles, seed=4)
         anchors = [b for b in bubbles if b.kind != MOBILE]
-        walls = None if domain is None else WallClamp(domain)
+        walls = WallClamp(domain)
         _, _, near = relaxation._pass_queries(state)
         rows = state.mobile_indices()
 
@@ -1680,14 +1706,28 @@ class TestRelaxUntilConverged:
                                 (force_tol, ("sweep-cap", 3))):
             seen = []
 
-            def step(state, f0, *args):
-                seen.append((f0, state.count))
+            def step(state, walls, pairs, fire):
+                seen.append((pairs.f0, state.count))
                 return max_f
 
             monkeypatch.setattr(relaxation, "relax_step", step)
             _, trace = relax_until_converged(bubbles, square_domain(), cfg)
             assert (trace.stop_reason, trace.sweeps) == expected
             assert set(seen) == {(0.2, 3)}
+
+    @pytest.mark.parametrize("strategy", ["new-qc", "original-qc", "none"])
+    def test_input_bubbles_left_as_they_were(self, strategy):
+        # run_compare_qc hands both strategies the same list: a relaxation
+        # that prunes, inserts, deletes and moves bubbles reads its input
+        # and leaves every bubble of it as it was, field by field
+        domain, bubbles = graded_holed_plate()
+        given = bubbles() + [Bubble(1.2, 2.0, 0.9, MOBILE)]
+        before = [replace(b) for b in given]
+        out, trace = relax_until_converged(given, domain,
+                                           PipelineConfig(max_sweeps=30, qc_period=5, seed=3),
+                                           strategy=strategy)
+        assert [vars(b) for b in given] == [vars(b) for b in before]
+        assert trace.sweeps > 1 and out != before
 
     @pytest.mark.parametrize("radius", [0.0, -0.3, math.nan])
     def test_non_positive_radius_rejected(self, radius):

@@ -193,6 +193,32 @@ class TestArrayRadiusBound:
                          SizingParams(0.01, 0.05, 0.2))
 
 
+@pytest.mark.parametrize("name,params", [
+    ("plane", {}), ("sphere", {"radius": 1.7}), ("cylinder", {"radius": 1.4}),
+    ("torus", {"major": 2.0, "minor": 0.7}),
+    ("wavy", {"amplitude": 0.7, "freq_u": 1.3, "freq_v": 0.8})])
+def test_partials_equal_central_differences(name, params, rng):
+    # the closed-form partials against central differences at random
+    # interior points: the first of `position`, the second of `du` and `dv`
+    # (duv both ways). The parameters are not 1, so a missing radius or
+    # frequency factor shows; the differences are good to ~1e-10, and a
+    # sign or factor error in any component moves it by far more than 1e-6
+    surf = make_surface(name, **params)
+    u0, u1, v0, v1 = surf.domain
+    u = rng.uniform(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0), size=50)
+    v = rng.uniform(v0 + 0.05 * (v1 - v0), v1 - 0.05 * (v1 - v0), size=50)
+    h = 1e-5
+
+    def central(f):
+        return ((f(u + h, v) - f(u - h, v)) / (2.0 * h),
+                (f(u, v + h) - f(u, v - h)) / (2.0 * h))
+
+    (fu, fv), (fuu, fuv), (fvu, fvv) = central(surf.position), central(surf.du), central(surf.dv)
+    for closed, numeric in ((surf.du, fu), (surf.dv, fv), (surf.duu, fuu), (surf.duv, fuv),
+                            (surf.duv, fvu), (surf.dvv, fvv)):
+        assert np.abs(closed(u, v) - numeric).max() < 1e-6
+
+
 def test_make_surface_registry():
     surf = make_surface("cylinder", radius=2.0)
     assert surf.name == "cylinder"
