@@ -8,6 +8,7 @@ its file syntax follows the field type. CLI flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +63,8 @@ class PipelineConfig:
             if typing.get_origin(tp) is Literal and getattr(self, key) not in allowed:
                 _reject(key, f"'{getattr(self, key)}' is not one of {', '.join(allowed)}")
         for hole in self.holes:
+            if not all(map(math.isfinite, hole)):
+                _reject("holes", f"hole {hole} is not finite")
             if not hole[2] > 0.0:
                 _reject("holes", f"hole {hole} has a radius that is not positive")
         for key in ("max_sweeps", "qc_period"):

@@ -10,9 +10,9 @@ corner: a symbolic perturbation (Edelsbrunner & Mücke 1990) under which the
 flips end at one triangulation, whatever diagonals Qhull picked at ties.
 `delaunay_triangulate` repairs Qhull's triangulation of the bubble centres
 this way, flips the boundary segments in (Sloan 1993) and culls the faces
-outside the domain. It is the only user of the engine; the min-angle
-monitor `triangulation_min_angle`, which relaxation samples, takes Qhull's
-triangulation as it is.
+outside the domain: the only user of the engine, and the only triangulation
+of a relaxed state. The monitor `triangulation_min_angle`, sampled only for
+original-qc's stall test, takes Qhull's triangulation as it is.
 """
 from __future__ import annotations
 
@@ -181,7 +181,8 @@ def triangulation_min_angle(points: np.ndarray, domain: PackingDomain) -> float:
     """Minimum interior angle (degrees) of Qhull's Delaunay triangulation of
     the points, ignoring triangles whose centroid lies outside the domain;
     0 when no triangle is left, there are fewer than 3 points or Qhull
-    fails. The angle is `math.acos` of the largest corner cosine."""
+    fails: `math.acos` of the largest corner cosine, read by original-qc's
+    stall test only."""
     if len(points) < 3:
         return 0.0
     try:

@@ -83,6 +83,8 @@ class PackingDomain:
         for name, loop in zip(names, self.loops()):
             seen: dict[tuple[float, float], int] = {}
             for i, vertex in enumerate(map(tuple, loop.tolist())):
+                if not all(map(math.isfinite, vertex)):  # NaN passes the area checks
+                    raise PackingError(f"{name} vertex {i} at {vertex} is not finite")
                 if (j := seen.setdefault(vertex, i)) != i:
                     raise PackingError(f"{name} repeats vertex {j} at {vertex} as vertex {i}")
         if polygon_signed_area(self.outer) <= 0:

@@ -205,14 +205,14 @@ def compare_initial_bubbles(cfg: PipelineConfig):
     return reconstruct_bubbles(flatten(initial).flat)
 
 
-def qc_speed(new_t: ConvergenceTrace,
-             orig_t: ConvergenceTrace) -> tuple[float, float | None, float]:
-    """Criterion 3's measure: new-qc's time to its converged min angle,
-    original-qc's time to sustain that angle (None if never: the ratio is 0
-    when it plateaued below by its own tests, else bounded by its sweep-cap
-    time) and the ratio of the two."""
+def qc_speed(new_t: ConvergenceTrace, orig_t: ConvergenceTrace,
+             target: float) -> tuple[float, float | None, float]:
+    """Criterion 3's measure: new-qc's time to its converged min angle
+    `target` (its mesh's), original-qc's time to sustain that angle (None if
+    never: the ratio is 0 when it plateaued below by its own tests, else
+    bounded by its sweep-cap time) and the ratio of the two."""
     time_new = new_t.elapsed
-    reach_time = orig_t.time_to_sustain_angle(new_t.final_min_angle)
+    reach_time = orig_t.time_to_sustain_angle(target)
     if reach_time is None and orig_t.converged:
         return time_new, None, 0.0
     slower = orig_t.elapsed if reach_time is None else reach_time
@@ -236,11 +236,12 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
             results[label] = {"trace": trace, "report": report, "mesh": mesh}
 
     new_t, orig_t = results["new"]["trace"], results["original"]["trace"]
-    time_new, reach_time, ratio = qc_speed(new_t, orig_t)
+    target = results["new"]["report"].min_angle
+    time_new, reach_time, ratio = qc_speed(new_t, orig_t, target)
     if reach_time is not None:
         orig_note = f"{reach_time:.3f} s"
     elif orig_t.converged:
-        orig_note = (f"never (plateaued at {orig_t.final_min_angle:.4f} deg "
+        orig_note = (f"never (plateaued at {results['original']['report'].min_angle:.4f} deg "
                      f"after {orig_t.elapsed:.3f} s)")
     else:
         orig_note = f">= {orig_t.elapsed:.3f} s (sweep cap hit; ratio is an upper bound)"
@@ -253,28 +254,27 @@ def run_compare_qc(cfg: PipelineConfig) -> dict:
         r = results[label]["report"]
         summary_lines.append(
             f"{label:<9} {t.sweeps:>6} {str(t.converged):>9} {t.elapsed:>8.3f} "
-            f"{t.final_min_angle:>15.4f}  {r.min_angle_histogram}")
+            f"{r.min_angle:>15.4f}  {r.min_angle_histogram}")
     summary_lines.append("")
-    summary_lines.append(f"new-qc converged min angle: {new_t.final_min_angle:.4f} deg")
+    summary_lines.append(f"new-qc converged min angle: {target:.4f} deg")
     summary_lines.append(f"new-qc time to convergence: {time_new:.3f} s")
     summary_lines.append(f"original-qc time to equal quality: {orig_note}")
     summary_lines.append(f"time ratio (new / original-to-equal-quality): {ratio:.3f}")
     summary = "\n".join(summary_lines) + "\n"
     (out / "compare_summary.txt").write_text(summary)
-    _write_chart_svg(out / "compare_chart.svg",
-                     {"new": new_t, "original": orig_t})
+    _write_chart_svg(out / "compare_chart.svg", results)
     results["ratio"] = ratio
     results["summary"] = summary
     results["out"] = out
     return results
 
 
-def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
-    """Minimal line chart of min angle vs sweep for each trace's sampled rows,
-    the last one marked with a dot: a one-point polyline draws nothing."""
+def _write_chart_svg(path, results: dict[str, dict]) -> None:
+    """Line chart of min angle vs sweep per strategy: its trace's samples
+    before its last sweep, then its mesh's min angle there, dotted."""
     width, height, margin = 640, 400, 46
-    max_sweep = max((t.sweeps for t in traces.values()), default=1) or 1
     colors = {"new": "#1563c0", "original": "#c03a15"}
+    max_sweep = max(results[label]["trace"].sweeps for label in colors)
 
     def sx(s):
         return margin + (width - 2 * margin) * s / max_sweep
@@ -295,14 +295,15 @@ def _write_chart_svg(path, traces: dict[str, ConvergenceTrace]) -> None:
     for gy in range(0, 61, 15):
         parts.append(f'<text x="{margin - 6}" y="{sy(gy) + 4:.1f}" font-size="11" '
                      f'text-anchor="end">{gy}</text>')
-    for k, (label, trace) in enumerate(sorted(traces.items())):
-        color = colors.get(label, "black")
-        pts = [(sx(row[0]), sy(row[3])) for row in trace.sampled_rows()]
+    for k, (label, color) in enumerate(colors.items()):
+        trace = results[label]["trace"]
+        pts = [(sx(row[0]), sy(row[3])) for row in trace.sampled_rows()
+               if row[0] < trace.sweeps]
+        pts.append((sx(trace.sweeps), sy(results[label]["report"].min_angle)))
         line = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
         parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if pts:
-            parts.append(f'<circle cx="{pts[-1][0]:.1f}" cy="{pts[-1][1]:.1f}" r="3" '
-                         f'fill="{color}"/>')
+        parts.append(f'<circle cx="{pts[-1][0]:.1f}" cy="{pts[-1][1]:.1f}" r="3" '
+                     f'fill="{color}"/>')
         parts.append(f'<text x="{width - margin - 4}" y="{margin + 16 * (k + 1)}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")

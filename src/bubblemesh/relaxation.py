@@ -25,10 +25,10 @@ an unlisted pair may have come within reach, and the list is built first.
 
 The force test runs after every sweep. The min-angle monitor
 (`delaunay.triangulation_min_angle`, one Qhull call, looked up here at call
-time) runs only where a reader needs it: at every run's last sweep, and
-under original-qc, whose population changes while it relaxes, every
-`_ANGLE_EVERY` sweeps for the stall test. A fixed population (new-qc, none)
-stops by the force test or at the sweep cap.
+time) runs only for the stall test: every `_ANGLE_EVERY` sweeps under
+original-qc, whose population changes while it relaxes. A fixed population
+(new-qc, none) never calls it, and stops by the force test or at the sweep
+cap. The relaxed state's min angle is its mesh's (`mesh.quality_report`).
 """
 from __future__ import annotations
 
@@ -67,8 +67,9 @@ class RelaxationError(Exception):
 
 class ConvergenceTrace:
     """Per-sweep record: bubble count, max net force, min mesh angle, wall time.
-    The angle is NaN on the sweeps the monitor did not sample: the last row
-    is always sampled, and under original-qc every `_ANGLE_EVERY`-th too.
+    The angle is NaN on the sweeps the monitor did not sample: all under
+    new-qc and none, the last included, and all but each `_ANGLE_EVERY`-th
+    under original-qc.
 
     `stop_reason` says why the relaxation ended: "force" (max net force
     under tolerance), "stall" (original-qc only: min angle flat over the
@@ -107,10 +108,6 @@ class ConvergenceTrace:
     @property
     def sweeps(self) -> int:
         return self.rows[-1][0] if self.rows else 0
-
-    @property
-    def final_min_angle(self) -> float:
-        return self.rows[-1][3] if self.rows else 0.0
 
     @property
     def elapsed(self) -> float:
@@ -654,8 +651,7 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     min-angle samples, taken every `_ANGLE_EVERY` sweeps: it passes when the
     samples spanning the last `_STALL_WINDOW` sweeps lie within
     `_STALL_ANGLE` degrees, and a quantity-control pass that changes the
-    population clears them. Every run samples its last sweep for
-    `final_min_angle`.
+    population clears them. No other sweep calls the monitor.
     """
     cfg = PipelineConfig() if cfg is None else cfg
     strategy = strategy or f"{cfg.qc}-qc"
@@ -696,16 +692,14 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     for sweep in range(1, cfg.max_sweeps + 1):
         max_f = relax_step(state, walls, pairs, fire)
         count, ang = state.count, math.nan
-        sample = original and sweep % _ANGLE_EVERY == 0
-        qc_due = original and sweep % cfg.qc_period == 0
         # a row describes the population before the sweep's quantity control
-        points = state.positions() if sample or qc_due or sweep == cfg.max_sweeps else None
+        sample = original and sweep % _ANGLE_EVERY == 0
         if sample:
-            ang = triangulation_min_angle(points, domain)
+            ang = triangulation_min_angle(state.positions(), domain)
             history.append(ang)
         elapsed = time.perf_counter() - t0
 
-        if qc_due:
+        if original and sweep % cfg.qc_period == 0:
             quantity_control()
 
         reason = "force" if max_f < force_tol else None
@@ -716,11 +710,6 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
         # original-qc stops only after a pass that changes nothing
         if reason and (qc_clean or quantity_control()):
             trace.stop_reason = reason
-        if math.isnan(ang) and (trace.converged or sweep == cfg.max_sweeps):
-            # without a due pass, only a pass that changed nothing ran
-            ang = triangulation_min_angle(state.positions() if points is None else points,
-                                          domain)
-            elapsed = time.perf_counter() - t0
         trace.add(sweep, count, max_f, ang, elapsed)
         if trace.converged:
             break

@@ -4,13 +4,16 @@ a 3 x 3 grid of offsets, relaxed under every quantity-control strategy.
 Where a relaxation stops is chaotic in the geometry: a hole shifted by a
 tenth can take a run from a force stop to the sweep cap, so one geometry can
 neither show a regression of the stop rules nor a fix. Each member prints
-its stop reason, sweeps and final min angle (run with `-s`).
+its stop reason, sweeps and the min angle of the mesh triangulated from its
+relaxed bubbles (run with `-s`).
 """
 import itertools
 from dataclasses import replace
 
 import pytest
 
+from bubblemesh.delaunay import delaunay_triangulate
+from bubblemesh.mesh import quality_report
 from bubblemesh.pipeline import load_config, pack_plane
 from bubblemesh.relaxation import relax_until_converged
 
@@ -23,7 +26,7 @@ HOLE_Y = ("2.4", "2.5", "2.6")
 # With the hole at (5, 2.6), original-qc's passes repeat a three-pass cycle:
 # one inserts a bubble, the next changes nothing, the third deletes it. Each
 # change clears the stall samples and blocks the force stop, so the run goes
-# to the sweep cap (ROADMAP item 3).
+# to the sweep cap (ROADMAP item 4).
 CYCLES = {("original-qc", "5", "2.6")}
 
 
@@ -31,7 +34,7 @@ def members():
     for strategy in ("new-qc", "none", "original-qc"):
         for x, y in itertools.product(HOLE_X, HOLE_Y):
             marks = ([pytest.mark.xfail(strict=True, reason="quantity-control insert/delete "
-                                        "cycle (ROADMAP item 3)")]
+                                        "cycle (ROADMAP item 4)")]
                      if (strategy, x, y) in CYCLES else [])
             yield pytest.param(strategy, x, y, id=f"{strategy}-{x},{y}", marks=marks)
 
@@ -40,8 +43,9 @@ def members():
 def test_no_member_stops_at_the_sweep_cap(strategy, x, y):
     cfg = load_config(None, {**PLATE, "holes": f"{x},{y},1.0"})
     domain, bubbles = pack_plane(cfg)
-    _, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
-                                     strategy=strategy)
+    relaxed, trace = relax_until_converged([replace(b) for b in bubbles], domain, cfg,
+                                           strategy=strategy)
+    min_angle = quality_report(delaunay_triangulate(relaxed, domain)).min_angle
     print(f"\n[family] {strategy}, hole at ({x}, {y}): stopped by {trace.stop_reason} "
-          f"after {trace.sweeps} sweeps, final min angle {trace.final_min_angle:.2f} deg")
+          f"after {trace.sweeps} sweeps, mesh min angle {min_angle:.2f} deg")
     assert trace.stop_reason != "sweep-cap"

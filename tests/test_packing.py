@@ -577,6 +577,18 @@ class TestDomainValidation:
         with pytest.raises(PackingError, match=re.escape(named)):
             PackingDomain(outer=np.array(outer), holes=[] if hole is None else [np.array(hole)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("loop", ["outer loop", "hole 0"])
+    def test_non_finite_vertex_rejected(self, loop, value):
+        # a NaN vertex passes the orientation checks, whose areas compare
+        # False both ways, and the repeated-vertex check
+        outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 8.0], [0.0, 8.0]])
+        hole = np.array([[3.0, 2.0], [3.0, 6.0], [7.0, 6.0], [7.0, 2.0]])
+        (outer if loop == "outer loop" else hole)[2, 1] = value
+        named = f"{loop} vertex 2 at {(10.0 if loop == 'outer loop' else 7.0, value)} is not finite"
+        with pytest.raises(PackingError, match=re.escape(named)):
+            PackingDomain(outer=outer, holes=[hole])
+
     def test_segment_too_short_to_square_rejected(self):
         # distinct vertices 1e-170 apart: the segment's squared length
         # underflows to 0, which every distance pass would divide by

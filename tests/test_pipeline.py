@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubblemesh import packing
+from bubblemesh import delaunay, packing
 from bubblemesh.cli import main as cli_main
 from bubblemesh.geometry import segment_table
 from bubblemesh.mesh import load_mesh, quality_report
 from bubblemesh.pipeline import (PipelineConfig, PipelineError, _stage,
                                  initial_surface_mesh, load_anchor_csv, load_config,
-                                 plane_domain, run_plane_pipeline,
+                                 plane_domain, run, run_plane_pipeline,
                                  run_remesh_pipeline, run_surface_pipeline)
 
 from conftest import bench_module
@@ -89,6 +89,14 @@ class TestConfig:
         with pytest.raises(PipelineError, match=r"^\[config\] holes: .* not positive"):
             load_config(None, {"holes": f"10,5,{radius}"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_hole_rejected_before_any_output(self, tmp_path, value):
+        # else a NaN centre fails only at packing, after the output exists
+        out = tmp_path / "run"
+        with pytest.raises(PipelineError, match=rf"^\[config\] holes: .* is not finite"):
+            run(load_config(None, {"out": str(out), "holes": f"10,{value},2"}))
+        assert not out.exists()
+
     def test_missing_anchors_file(self):
         with pytest.raises(PipelineError, match="anchors file"):
             load_config(None, {"anchors_file": "/nonexistent/anchors.csv"})
@@ -122,6 +130,10 @@ BAD_CONFIGS = {
                       r"hole \(10.0, 5.0, -2.0\) has a radius that is not positive"),
     "zero-hole": ("holes", dict(holes=[(3.0, 3.0, 1.0), (7.0, 7.0, 0.0)]),
                   r"hole \(7.0, 7.0, 0.0\) has a radius that is not positive"),
+    "hole-nan-centre": ("holes", dict(holes=[(10.0, math.nan, 2.0)]),
+                        r"hole \(10.0, nan, 2.0\) is not finite"),
+    "hole-inf-radius": ("holes", dict(holes=[(10.0, 5.0, math.inf)]),
+                        r"hole \(10.0, 5.0, inf\) is not finite"),
     "qc": ("qc", dict(qc="orignal"), "'orignal' is not one of new, original"),
     "compare-source": ("compare_source", dict(compare_source="bogus"),
                        "'bogus' is not one of plane, surface"),
@@ -393,8 +405,8 @@ class TestCompareQC:
         # quantity-control pass, on the trajectory new-qc follows too)
         budget = new_t.elapsed
         later = [row[3] for row in orig_t.sampled_rows() if row[4] >= budget]
-        orig_at_budget = later[0] if later else orig_t.final_min_angle
-        assert new_t.final_min_angle >= orig_at_budget - 1e-9
+        orig_at_budget = later[0] if later else result["original"]["report"].min_angle
+        assert result["new"]["report"].min_angle >= orig_at_budget - 1e-9
         assert "time ratio" in result["summary"]
 
     def test_surface_source_gives_both_strategies_the_same_bubbles(self, tmp_path,
@@ -488,8 +500,8 @@ def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
     # relaxation.monitor_s is the self time of the spans the tracer puts
     # around relaxation.triangulation_min_angle, one per sampled sweep: a
     # monitor that stopped looking the name up at call time would read 0
-    # without failing. A fixed population samples only its last sweep;
-    # original-qc samples every 10th for its stall test too.
+    # without failing. Only original-qc samples, every 10th sweep for its
+    # stall test; a fixed population never calls the monitor.
     tracing, workloads = bench_module("tracing"), bench_module("workloads")
     wl, cfg = workloads.load("tiny", 3, tmp_path)
     counts = {}
@@ -499,9 +511,9 @@ def test_bench_tracer_times_the_min_angle_monitor_every_sweep(tmp_path):
             result = workloads.entry_point(wl)(replace(cfg, qc=qc, out=tmp_path / qc))
         spans = [span for span in tracer.spans if span[0] == "relaxation.monitor"]
         assert len(spans) == len(result["trace"].sampled_rows())
-        assert tracing.layer_metrics(tracer)["relaxation.monitor_s"][0] > 0.0
-        counts[qc] = len(spans)
-    assert counts["new"] == 1 and counts["original"] > 1
+        counts[qc] = len(spans), tracing.layer_metrics(tracer)["relaxation.monitor_s"][0]
+    assert counts["new"] == (0, 0.0)
+    assert counts["original"][0] > 0 and counts["original"][1] > 0.0
 
 
 def test_bench_tracer_counts_the_qc_interpolation(tmp_path):
@@ -563,15 +575,32 @@ def test_benchmark_workloads_converge(tmp_path, monkeypatch, name):
     monkeypatch.syspath_prepend(str(Path(workloads.__file__).parent))
     errors, _ = bench_module("child").check(wl, result)
     assert errors == []
-    # the min-angle monitor runs where it is read: on the last sweep of a
-    # new-qc run, and for the stall test every 10th sweep of original-qc
-    # (graded-qc's second trace)
+    # the min-angle monitor runs only for original-qc's stall test (graded-qc's
+    # second trace), every 10th sweep; a new-qc run never samples it
     for k, t in enumerate(traces):
         sampled = [row[0] for row in t.sampled_rows()]
-        if k == 0:
-            assert sampled == [t.sweeps]
-        else:
-            assert sampled == sorted({*range(10, t.sweeps + 1, 10), t.sweeps})
+        assert sampled == (list(range(10, t.sweeps + 1, 10)) if k else [])
+
+
+@pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
+def test_each_relaxed_state_is_triangulated_once(tmp_path, monkeypatch, name):
+    # Qhull runs once per CDT (the sphere's parametric mesh, and the mesh of
+    # every relaxation) and once per min-angle sample of original-qc's stall
+    # test (graded-qc's second trace), on every 10th sweep: never on a final
+    # state a second time
+    workloads = bench_module("workloads")
+    calls = []
+    qhull = delaunay.Delaunay
+
+    def counted(points):
+        calls.append(len(points))
+        return qhull(points)
+
+    monkeypatch.setattr(delaunay, "Delaunay", counted)
+    wl, cfg = workloads.load(name, 0, tmp_path)
+    result = workloads.entry_point(wl)(cfg)
+    stall_samples = sum(t.sweeps // 10 for t in workloads.traces(wl, result)[1:])
+    assert len(calls) == {"plate": 1, "sphere": 2, "graded-qc": 2 + stall_samples}[name]
 
 
 def test_criterion_1_plate_at_half_the_radius_converges_under_the_default_cap(tmp_path):
