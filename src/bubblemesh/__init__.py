@@ -11,9 +11,9 @@ from .mapping import FaceGrid, MappingError, inverse_map, locate_points
 from .mesh import (MeshError, MeshQualityReport, PlanarMesh, TriangleMesh,
                    ValidationResult, hausdorff_estimate, load_mesh,
                    quality_report, save_mesh, validate_disk_topology, write_svg)
-from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble, PackingDomain,
-                      PackingError, interpolate_radius, overlap_ratio, pack_boundary,
-                      pack_interior_quadtree)
+from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, AnchorField, Bubble,
+                      PackingDomain, PackingError, interpolate_radius, overlap_ratio,
+                      pack_boundary, pack_interior_quadtree)
 from .pipeline import (PipelineConfig, PipelineError, load_config,
                        run_compare_qc, run_plane_pipeline, run_remesh_pipeline,
                        run_surface_pipeline)

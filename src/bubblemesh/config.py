@@ -73,8 +73,8 @@ class PipelineConfig:
         # NaN fails too; r_min may exceed r_max, which uniform plane mode ignores
         for key in ("plane_width", "plane_height", "r_max", "r_min", "grade_band",
                     "force_tol_factor"):
-            if not getattr(self, key) > 0.0:
-                _reject(key, "must be positive")
+            if not 0.0 < getattr(self, key) < math.inf:
+                _reject(key, "must be positive and finite")
         if not self.qc_low < self.qc_high:
             _reject("qc_low", f"{self.qc_low} is not below qc_high {self.qc_high}")
 

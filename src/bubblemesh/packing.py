@@ -1,6 +1,8 @@
 """Initial bubble placement: boundary packing, interior quadtree packing and
 anchor-based radius interpolation.
 
+Every query of an anchor set reads its one table, an `AnchorField`.
+
 Interior candidates come from a quadtree over rhombic (60-degree sheared)
 coordinates whose leaf corners tile a triangular lattice, so a uniformly
 sized region packs tangentially with vertex degree 6.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -117,54 +120,100 @@ class PackingDomain:
         return lo, hi
 
 
-def interpolate_radius(x, y, anchors: list[Bubble],
+class AnchorField:
+    """One anchor set's table, built once from its `Bubble` list: the
+    anchors' x, y and radius arrays `x`, `y`, `r`, the largest magnitude of
+    a centre coordinate `scale`, and `tree`, a k-d tree over the centres
+    built on first use."""
+
+    def __init__(self, anchors: list[Bubble]):
+        self.x = np.array([a.x for a in anchors])
+        self.y = np.array([a.y for a in anchors])
+        self.r = np.array([a.radius for a in anchors])
+        self.scale = float(np.abs([self.x, self.y]).max(initial=0.0))
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(np.column_stack([self.x, self.y]))
+
+    def radii(self, points: np.ndarray) -> np.ndarray:
+        """Inverse-square-distance interpolation of the anchor radii at (n,2)
+        points (the radius of the first anchor a point hits). The
+        (points x anchors) terms of a chunk live in two buffers that every
+        chunk reuses."""
+        ax, ay, ar = self.x, self.y, self.r
+        out = np.empty(len(points))
+        chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
+        buf = np.empty((2, min(chunk, len(points)), len(ax)))
+        for start in range(0, len(points), chunk):
+            p = points[start:start + chunk]
+            w, t = buf[:, :len(p)]
+            # d2 = dx ** 2 + dy ** 2, then w = 1 / max(d2, 1e-24)
+            np.square(np.subtract(p[:, :1], ax, out=w), out=w)
+            np.square(np.subtract(p[:, 1:], ay, out=t), out=t)
+            np.add(w, t, out=w)
+            hit = w < 1e-24
+            np.divide(1.0, np.maximum(w, 1e-24, out=w), out=w)
+            vals = np.multiply(w, ar, out=t).sum(axis=1) / w.sum(axis=1)
+            rows = np.any(hit, axis=1)
+            if np.any(rows):
+                vals[rows] = ar[np.argmax(hit[rows], axis=1)]
+            out[start:start + chunk] = vals
+        return out
+
+    def pairs(self, pts: np.ndarray, reach: float):
+        """Index pairs (point, anchor) of the (n,2) points and the anchors
+        whose centres lie within `reach`, widened by the rounding margin on
+        the coordinate scale: a superset of the pairs an exact per-pair test
+        within `reach` can pick."""
+        if not len(pts) or not len(self):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        scale = max(float(np.abs(pts).max()), self.scale)
+        m = cKDTree(pts).sparse_distance_matrix(self.tree, reach + ROUNDING_MARGIN * scale,
+                                                output_type="ndarray")
+        return m["i"], m["j"]
+
+    def inside(self, pts: np.ndarray) -> np.ndarray:
+        """Whether each point lies strictly inside an anchor's disk."""
+        hit = np.zeros(len(pts), dtype=bool)
+        i, a = self.pairs(pts, float(self.r.max(initial=0.0)))
+        d2 = (pts[i, 0] - self.x[a]) ** 2 + (pts[i, 1] - self.y[a]) ** 2
+        hit[i[d2 < self.r[a] ** 2]] = True
+        return hit
+
+    def overlap_at_most(self, pts: np.ndarray, radii: np.ndarray, limit: float) -> np.ndarray:
+        """Whether the overlap ratio of each bubble (centre, radius) with
+        every anchor stays at or below `limit`, tested on the k-d tree pairs
+        that can exceed it: an overlap above the limit needs
+        l < r + r_a - limit * min(r, r_a)."""
+        ok = np.ones(len(pts), dtype=bool)
+        r_max, a_max = float(radii.max(initial=0.0)), float(self.r.max(initial=0.0))
+        i, a = self.pairs(pts, r_max + a_max + max(-limit, 0.0) * min(r_max, a_max))
+        d = np.sqrt((pts[i, 0] - self.x[a]) ** 2 + (pts[i, 1] - self.y[a]) ** 2)
+        ok[i[~(overlap_ratio(d, radii[i], self.r[a]) <= limit)]] = False
+        return ok
+
+
+def interpolate_radius(x, y, anchors: AnchorField,
                        bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
     """Inverse-square-distance weighted anchor radius (the radius of the first
     anchor a point hits), clamped by the radius bound. Takes scalars or
     equal-shape arrays and returns values of their shape: the rows of
-    `_interpolate_radii`, so a batch gives exactly the pointwise results."""
+    `AnchorField.radii`, so a batch gives exactly the pointwise results."""
     if not anchors:
         raise PackingError("no anchor bubbles to interpolate from")
     x, y = np.broadcast_arrays(x, y)
     pts = np.column_stack([np.ravel(x), np.ravel(y)])
-    r = _interpolate_radii(pts, *_anchor_arrays(anchors)).reshape(x.shape)[()]
+    r = anchors.radii(pts).reshape(x.shape)[()]
     return r if bound is None else np.minimum(r, bound(x, y))
 
 
-def _anchor_arrays(anchors: list[Bubble]):
-    """The anchors' x, y and radius as three arrays."""
-    return (np.array([a.x for a in anchors]), np.array([a.y for a in anchors]),
-            np.array([a.radius for a in anchors]))
-
-
-def _interpolate_radii_batch(points: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
+def _interpolate_radii_batch(points: np.ndarray, anchors: AnchorField) -> np.ndarray:
     """Vectorized inverse-square-distance interpolation at (n,2) points."""
-    return _interpolate_radii(points, *_anchor_arrays(anchors))
-
-
-def _interpolate_radii(points: np.ndarray, ax: np.ndarray, ay: np.ndarray,
-                       ar: np.ndarray) -> np.ndarray:
-    """`_interpolate_radii_batch` over anchors given as x, y and radius arrays.
-    The (points x anchors) terms of a chunk live in two buffers that every
-    chunk reuses."""
-    out = np.empty(len(points))
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(ax), 1))
-    buf = np.empty((2, min(chunk, len(points)), len(ax)))
-    for start in range(0, len(points), chunk):
-        p = points[start:start + chunk]
-        w, t = buf[:, :len(p)]
-        # d2 = dx ** 2 + dy ** 2, then w = 1 / max(d2, 1e-24)
-        np.square(np.subtract(p[:, :1], ax, out=w), out=w)
-        np.square(np.subtract(p[:, 1:], ay, out=t), out=t)
-        np.add(w, t, out=w)
-        hit = w < 1e-24
-        np.divide(1.0, np.maximum(w, 1e-24, out=w), out=w)
-        vals = np.multiply(w, ar, out=t).sum(axis=1) / w.sum(axis=1)
-        rows = np.any(hit, axis=1)
-        if np.any(rows):
-            vals[rows] = ar[np.argmax(hit[rows], axis=1)]
-        out[start:start + chunk] = vals
-    return out
+    return anchors.radii(points)
 
 
 # an edge stops marching after this many steps, even short of its far corner
@@ -280,7 +329,7 @@ def _limit_loop_gradation(edges) -> None:
             steps[:] = [step * factor for step in steps]
 
 
-def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
+def pack_interior_quadtree(domain: PackingDomain, anchors: AnchorField,
                            max_anchor_overlap: float | None = None,
                            gaps: np.ndarray | None = None) -> list[Bubble]:
     """Fill the domain interior with mobile bubbles on an adaptive rhombic lattice.
@@ -307,9 +356,7 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     if gaps is not None and not len(gaps):
         return _no_room(max_anchor_overlap)
     pts = _quadtree_corners(domain, gaps)
-    keep = domain.contains_points(pts)
-    if anchors:
-        keep &= ~_inside_any_anchor(pts, anchors)
+    keep = domain.contains_points(pts) & ~anchors.inside(pts)
     lo, hi = domain.bbox()
     edge_eps = 1e-9 * math.hypot(*(hi - lo).tolist())
     keep &= nearest_segments(pts, domain.segments)[2] >= edge_eps ** 2
@@ -318,12 +365,12 @@ def pack_interior_quadtree(domain: PackingDomain, anchors: list[Bubble],
     if not len(kept):
         return _no_room(max_anchor_overlap)
     radii = _sizing_at(domain, kept[:, 0], kept[:, 1])
-    if anchors and max_anchor_overlap is None:
-        radii = np.minimum(_interpolate_radii_batch(kept, anchors), radii)
-    elif anchors:
-        ok = _anchor_overlap_below(kept, radii, anchors, max_anchor_overlap)
+    if max_anchor_overlap is not None:
+        ok = anchors.overlap_at_most(kept, radii, max_anchor_overlap)
         kept = kept[ok]
         radii = radii[ok]
+    elif anchors:
+        radii = np.minimum(_interpolate_radii_batch(kept, anchors), radii)
     kept, radii = _self_thin(kept, radii)
     if not len(kept):
         return _no_room(max_anchor_overlap)
@@ -487,42 +534,3 @@ def _self_thin(pts: np.ndarray, radii: np.ndarray):
             rejected[b] = True
     accepted = [k for k, r in enumerate(rejected) if not r]
     return pts[accepted], radii[accepted]
-
-
-def _anchor_pairs(pts: np.ndarray, ax: np.ndarray, ay: np.ndarray, reach: float):
-    """Index pairs (point, anchor) of the (n,2) points and the anchors at
-    (ax, ay) whose centres lie within `reach`, widened by the rounding margin
-    on the coordinate scale: a superset of the pairs an exact per-pair test
-    within `reach` can pick."""
-    if not len(pts):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    centres = np.column_stack([ax, ay])
-    scale = max(float(np.abs(pts).max()), float(np.abs(centres).max()))
-    m = cKDTree(pts).sparse_distance_matrix(cKDTree(centres), reach + ROUNDING_MARGIN * scale,
-                                            output_type="ndarray")
-    return m["i"], m["j"]
-
-
-def _anchor_overlap_below(pts: np.ndarray, radii: np.ndarray,
-                          anchors: list[Bubble], limit: float) -> np.ndarray:
-    """Whether each candidate's overlap ratio with every anchor stays at or
-    below limit, tested on the k-d tree pairs that can exceed it."""
-    ax, ay, ar = _anchor_arrays(anchors)
-    ok = np.ones(len(pts), dtype=bool)
-    if not len(pts):
-        return ok
-    r_max, a_max = float(radii.max()), float(ar.max())
-    i, a = _anchor_pairs(pts, ax, ay, r_max + a_max + max(-limit, 0.0) * min(r_max, a_max))
-    d = np.sqrt((pts[i, 0] - ax[a]) ** 2 + (pts[i, 1] - ay[a]) ** 2)
-    ok[i[~(overlap_ratio(d, radii[i], ar[a]) <= limit)]] = False
-    return ok
-
-
-def _inside_any_anchor(pts: np.ndarray, anchors: list[Bubble]) -> np.ndarray:
-    """Whether each point lies strictly inside an anchor's disk."""
-    ax, ay, ar = _anchor_arrays(anchors)
-    hit = np.zeros(len(pts), dtype=bool)
-    i, a = _anchor_pairs(pts, ax, ay, float(ar.max()))
-    d2 = (pts[i, 0] - ax[a]) ** 2 + (pts[i, 1] - ay[a]) ** 2
-    hit[i[d2 < ar[a] ** 2]] = True
-    return hit

@@ -21,7 +21,7 @@ from .conformal import flatten
 from .mapping import inverse_map
 from .mesh import (TriangleMesh, load_mesh, quality_report, save_mesh,
                    write_svg)
-from .packing import (INTERIOR_ANCHOR, Bubble, PackingDomain,
+from .packing import (INTERIOR_ANCHOR, AnchorField, Bubble, PackingDomain,
                       pack_boundary, pack_interior_quadtree)
 from .relaxation import ConvergenceTrace, relax_until_converged
 from .remesh import reconstruct_bubbles, remesh_planar
@@ -65,7 +65,7 @@ def plane_domain(cfg: PipelineConfig) -> PackingDomain:
 
 def load_anchor_csv(path) -> list[Bubble]:
     """Pre-inserted interior anchors from a CSV of x,y,radius rows, each
-    radius positive."""
+    value a finite number and each radius positive."""
     out = []
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -76,9 +76,14 @@ def load_anchor_csv(path) -> list[Bubble]:
             continue
         if len(parts) != 3:
             raise PipelineError(f"[config] anchors line {ln}: expected x,y,radius")
-        x, y, radius = map(float, parts)
+        try:
+            x, y, radius = map(float, parts)
+        except ValueError as exc:
+            raise PipelineError(f"[config] anchors line {ln}: {exc}") from None
         if not radius > 0.0:
             raise PipelineError(f"[config] anchors line {ln}: radius {radius} is not positive")
+        if not all(map(math.isfinite, (x, y, radius))):
+            raise PipelineError(f"[config] anchors line {ln}: {(x, y, radius)} is not finite")
         out.append(Bubble(x, y, radius, INTERIOR_ANCHOR))
     return out
 
@@ -88,7 +93,7 @@ def pack_plane(cfg: PipelineConfig) -> tuple[PackingDomain, list[Bubble]]:
     boundary = pack_boundary(domain)
     pre = load_anchor_csv(cfg.anchors_file) if cfg.anchors_file else []
     anchors = boundary + pre
-    interior = pack_interior_quadtree(domain, anchors)
+    interior = pack_interior_quadtree(domain, AnchorField(anchors))
     return domain, anchors + interior
 
 
@@ -136,7 +141,7 @@ def initial_surface_mesh(cfg: PipelineConfig):
     domain = PackingDomain(outer=outer, holes=[],
                            sizing=radius_bound_evaluator(surface, params))
     boundary = pack_boundary(domain)
-    interior = pack_interior_quadtree(domain, boundary)
+    interior = pack_interior_quadtree(domain, AnchorField(boundary))
     param_mesh = delaunay_triangulate(boundary + interior, domain)
     positions = surface.position(param_mesh.vertices[:, 0], param_mesh.vertices[:, 1])
     mesh = TriangleMesh(positions, param_mesh.faces.copy(), uv=param_mesh.vertices.copy())

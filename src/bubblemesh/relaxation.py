@@ -43,9 +43,8 @@ from scipy.spatial import cKDTree
 from .config import PipelineConfig
 from .delaunay import triangulation_min_angle
 from .geometry import hashed_unit_direction
-from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
-                      PackingDomain, _anchor_pairs, interpolate_radius,
-                      overlap_ratio)
+from .packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, AnchorField, Bubble,
+                      PackingDomain, interpolate_radius, overlap_ratio)
 from .walls import WallClamp
 
 _KIND_CODE = {BOUNDARY: 0, INTERIOR_ANCHOR: 1, MOBILE: 2}
@@ -473,7 +472,7 @@ def _pass_queries(state: RelaxState):
     return ids, tree, near
 
 
-def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: list[Bubble],
+def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: AnchorField,
                           walls: WallClamp, max_r: float):
     """The original-qc insertion candidate of each mobile slot in `rows`,
     each row derived on its own, so a batch equals one-row calls bit for
@@ -530,7 +529,7 @@ def _insertion_candidates(state: RelaxState, rows: np.ndarray, near, anchors: li
 
 
 def _qc_original_state(state: RelaxState, low: float, high: float,
-                       anchors: list[Bubble], walls: WallClamp,
+                       anchors: AnchorField, walls: WallClamp,
                        trace: ConvergenceTrace) -> int:
     """Single pass over bubble indices: insert into the largest angular gap
     (`_insertion_candidates`) when the summed overlap is below `low`, delete
@@ -600,20 +599,15 @@ def _qc_original_state(state: RelaxState, low: float, high: float,
     return changes
 
 
-def _qc_boundary_region_state(state: RelaxState, threshold: float) -> int:
-    """Remove every mobile bubble whose overlap ratio with some anchor (any
-    other kind) exceeds the threshold; return how many went. A removal moves
-    no other pair's overlap, so one pass over k-d tree pairs decides all."""
-    anchors = np.flatnonzero(state.alive & (state.kind != _KIND_CODE[MOBILE]))
+def _qc_boundary_region_state(state: RelaxState, anchors: AnchorField,
+                              threshold: float) -> int:
+    """Remove every mobile bubble whose overlap ratio with an anchor (the
+    state's other bubbles, none moved yet) exceeds the threshold, by gap
+    filling's test `AnchorField.overlap_at_most`; return how many went. A
+    removal moves no other pair's overlap, so one pass decides all."""
     mobiles = np.flatnonzero(state.alive & (state.kind == _KIND_CODE[MOBILE]))
-    if not len(anchors) or not len(mobiles):
-        return 0
-    # an overlap above the threshold needs l < r_a + r_j - threshold * min(r_a, r_j)
-    reach = state.r[anchors].max() * (1.0 + max(-threshold, 0.0)) + state.max_radius()
-    j, a = _anchor_pairs(state.positions(mobiles), state.x[anchors], state.y[anchors], reach)
-    j, a = mobiles[j], anchors[a]
-    l = np.hypot(state.x[j] - state.x[a], state.y[j] - state.y[a])
-    gone = np.unique(j[overlap_ratio(l, state.r[a], state.r[j]) > threshold])
+    gone = mobiles[~anchors.overlap_at_most(state.positions(mobiles), state.r[mobiles],
+                                            threshold)]
     state.alive[gone] = False
     return len(gone)
 
@@ -666,11 +660,11 @@ def relax_until_converged(bubbles: list[Bubble], domain: PackingDomain,
     trace = ConvergenceTrace()
 
     state = RelaxState(bubbles, seed=cfg.seed)
+    anchors = AnchorField([b for b in bubbles if b.kind != MOBILE])
     if strategy == "new-qc":
-        _qc_boundary_region_state(state, cfg.qc_threshold)
+        _qc_boundary_region_state(state, anchors, cfg.qc_threshold)
 
     walls = WallClamp(domain)
-    anchors = [b for b in bubbles if b.kind != MOBILE]
     original = strategy == "original-qc"
     history: list[float] = []  # min-angle samples since the last population change
     span = _STALL_WINDOW // _ANGLE_EVERY + 1

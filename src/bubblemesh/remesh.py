@@ -8,14 +8,13 @@ original mesh's size distribution.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
 from .delaunay import delaunay_triangulate
 from .geometry import ROUNDING_MARGIN
 from .mesh import MeshError, PlanarMesh
-from .packing import (BOUNDARY, INTERIOR_ANCHOR, Bubble, PackingDomain,
-                      _anchor_arrays, _interpolate_radii, pack_interior_quadtree)
+from .packing import (BOUNDARY, INTERIOR_ANCHOR, AnchorField, Bubble, PackingDomain,
+                      interpolate_radius, pack_interior_quadtree)
 from .relaxation import ConvergenceTrace, relax_until_converged
 
 
@@ -32,14 +31,9 @@ def reconstruct_boundary_bubbles(flat: PlanarMesh) -> list[Bubble]:
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     if np.any(seg <= 0.0):
         raise MeshError("zero-length boundary edge")
-    out = []
-    n = len(loop)
-    for k in range(n):
-        l_prev = seg[(k - 1) % n]
-        l_next = seg[k]
-        out.append(Bubble(float(pts[k, 0]), float(pts[k, 1]),
-                          float((l_prev + l_next) / 4.0), BOUNDARY))
-    return out
+    radius = (np.roll(seg, 1) + seg) / 4.0
+    x, y = pts.T
+    return [Bubble(*b, BOUNDARY) for b in zip(x.tolist(), y.tolist(), radius.tolist())]
 
 
 def reconstruct_interior_bubbles(flat: PlanarMesh) -> list[Bubble]:
@@ -71,15 +65,10 @@ def reconstruct_interior_bubbles(flat: PlanarMesh) -> list[Bubble]:
 
 def anchor_sizing(anchors: list[Bubble]):
     """Inverse-square-distance interpolation of anchor radii as a sizing
-    field `bound(xs, ys)` over equal-shape arrays (or scalars)."""
-    ax, ay, ar = _anchor_arrays(anchors)
-
-    def bound(x, y) -> np.ndarray:
-        x, y = np.broadcast_arrays(x, y)
-        pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        return _interpolate_radii(pts, ax, ay, ar).reshape(x.shape)
-
-    return bound
+    field `bound(xs, ys)` over equal-shape arrays (or scalars), read from
+    the anchors' own table."""
+    table = AnchorField(anchors)
+    return lambda x, y: interpolate_radius(x, y, table)
 
 
 def flat_domain(flat: PlanarMesh, anchors: list[Bubble]) -> PackingDomain:
@@ -100,15 +89,16 @@ def fill_gaps(flat: PlanarMesh, anchors: list[Bubble],
 
     The quadtree searches only the faces that `_covered_faces` cannot
     certify, and is skipped when it certifies every face; the fillers are
-    those of a search over the whole domain."""
-    covered = _covered_faces(flat, anchors, len(domain.outer))
+    those of a search over the whole domain. Both read the anchors' table."""
+    table = AnchorField(anchors)
+    covered = _covered_faces(flat, table, len(domain.outer))
     gaps = None if covered is None else flat.vertices[flat.faces[~covered]]
-    return pack_interior_quadtree(domain, anchors,
+    return pack_interior_quadtree(domain, table,
                                   max_anchor_overlap=FILL_MAX_ANCHOR_OVERLAP,
                                   gaps=gaps)
 
 
-def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
+def _covered_faces(flat: PlanarMesh, anchors: AnchorField,
                    loop_length: int) -> np.ndarray | None:
     """Which flat faces hold no gap filler; None when there are no anchors
     or the faces need not cover the fill domain, whose boundary is a loop of
@@ -117,7 +107,9 @@ def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
     loop's crossing parity at every point).
 
     The face-cover certificate: a candidate's radius is the anchor
-    interpolation, a convex combination of anchor radii, so it is at least
+    interpolation `AnchorField.radii`, whose inverse-square weights are
+    positive and sum to one (a point on an anchor takes that anchor's
+    radius), so it is a convex combination of the anchor radii and at least
     r_lo, the smallest of them. A candidate closer than
     R_a = r_a + (1 - FILL_MAX_ANCHOR_OVERLAP) min(r_lo, r_a) to anchor a
     overlaps it by more than FILL_MAX_ANCHOR_OVERLAP and is rejected. Every
@@ -128,10 +120,10 @@ def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
     that has no anchor is never covered."""
     if not anchors or np.count_nonzero(flat.edge_table.faces % 2) != loop_length:
         return None
-    ax, ay, ar = _anchor_arrays(anchors)
+    ar = anchors.r
     reach = ar + (1.0 - FILL_MAX_ANCHOR_OVERLAP) * np.minimum(ar.min(), ar)
     # the anchor centred on each vertex, if any
-    dist, at = cKDTree(np.column_stack([ax, ay])).query(flat.vertices)
+    dist, at = anchors.tree.query(flat.vertices)
     vertex_reach = np.full(flat.n_vertices, -np.inf)
     on = dist == 0.0
     vertex_reach[on] = reach[at[on]]
@@ -139,8 +131,7 @@ def _covered_faces(flat: PlanarMesh, anchors: list[Bubble],
     a, b, c = (np.hypot(*(tri[:, (k + 1) % 3] - tri[:, k]).T) for k in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
         circumradius = a * b * c / (4.0 * flat.face_areas())
-    margin = ROUNDING_MARGIN * max(float(np.abs(flat.vertices).max()),
-                                   float(np.abs(ax).max()), float(np.abs(ay).max()))
+    margin = ROUNDING_MARGIN * max(float(np.abs(flat.vertices).max()), anchors.scale)
     return circumradius < vertex_reach[flat.faces].min(axis=1) - margin
 
 

@@ -7,7 +7,7 @@ import pytest
 from bubblemesh import delaunay, relaxation
 from bubblemesh.config import PipelineConfig
 from bubblemesh.delaunay import triangulation_min_angle
-from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
+from bubblemesh.packing import AnchorField, PackingDomain, pack_boundary, pack_interior_quadtree
 from bubblemesh.relaxation import relax_until_converged
 
 
@@ -95,7 +95,7 @@ class TestMinAngleMonitor:
                 monkeypatch.setattr(relaxation, "_STALL_ANGLE", 180.0)
             cfg, strategy = PipelineConfig(qc_period=5), "original-qc"
         boundary = pack_boundary(domain)
-        bubbles = boundary + pack_interior_quadtree(domain, boundary)
+        bubbles = boundary + pack_interior_quadtree(domain, AnchorField(boundary))
         qc = strategy == "original-qc"
         force_tol = cfg.force_tol_factor * np.mean([b.radius for b in bubbles])
         trace, positions, passes = sampled_relaxation(monkeypatch, bubbles, domain, cfg,
@@ -121,7 +121,7 @@ class TestMinAngleMonitor:
         # the row's count is that of the sweep's step, not that after the pass
         domain = plate_with_hole(lambda x, y: 0.3)
         boundary = pack_boundary(domain)
-        bubbles = boundary + pack_interior_quadtree(domain, boundary)
+        bubbles = boundary + pack_interior_quadtree(domain, AnchorField(boundary))
         after = []
 
         def one_deleting_pass(state, *args):

@@ -10,9 +10,8 @@ from bubblemesh.conformal import flatten
 from bubblemesh.delaunay import delaunay_triangulate
 from bubblemesh.geometry import nearest_segments
 from bubblemesh.packing import (_MAX_DEPTH, _SHEAR, _SPLIT_SLACK, BOUNDARY,
-                                MOBILE, SELF_OVERLAP_LIMIT, Bubble, PackingDomain,
-                                PackingError, _anchor_overlap_below,
-                                _inside_any_anchor, _interpolate_radii_batch,
+                                MOBILE, SELF_OVERLAP_LIMIT, AnchorField, Bubble,
+                                PackingDomain, PackingError, _interpolate_radii_batch,
                                 _quadtree_corners, _self_thin,
                                 interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
@@ -210,28 +209,28 @@ def sequential_interpolation(x, y, anchors):
 class TestInterpolateRadius:
     def test_coincident_anchor(self):
         anchors = [Bubble(1.0, 2.0, 0.3, BOUNDARY), Bubble(5.0, 5.0, 0.9, BOUNDARY)]
-        assert interpolate_radius(1.0, 2.0, anchors) == 0.3
+        assert interpolate_radius(1.0, 2.0, AnchorField(anchors)) == 0.3
 
     def test_midpoint_symmetry(self):
         anchors = [Bubble(0.0, 0.0, 0.2, BOUNDARY), Bubble(2.0, 0.0, 0.4, BOUNDARY)]
-        assert interpolate_radius(1.0, 0.0, anchors) == pytest.approx(0.3, rel=1e-12)
+        assert interpolate_radius(1.0, 0.0, AnchorField(anchors)) == pytest.approx(0.3, rel=1e-12)
 
     def test_constant_field(self, rng):
         anchors = [Bubble(0.0, 0.0, 1.0, BOUNDARY), Bubble(3.0, 1.0, 1.0, BOUNDARY),
                    Bubble(1.0, 4.0, 1.0, BOUNDARY)]
         for _ in range(20):
             x, y = rng.uniform(-5, 5, 2)
-            assert interpolate_radius(x, y, anchors) == pytest.approx(1.0, rel=1e-12)
+            assert interpolate_radius(x, y, AnchorField(anchors)) == pytest.approx(1.0, rel=1e-12)
 
     def test_clamped_by_bound(self):
         anchors = [Bubble(0.0, 0.0, 1.0, BOUNDARY)]
-        assert interpolate_radius(2.0, 0.0, anchors, bound=lambda x, y: 0.25) == 0.25
+        assert interpolate_radius(2.0, 0.0, AnchorField(anchors), bound=lambda x, y: 0.25) == 0.25
 
     def test_no_anchors(self):
         with pytest.raises(PackingError):
-            interpolate_radius(0.0, 0.0, [])
+            interpolate_radius(0.0, 0.0, AnchorField([]))
         with pytest.raises(PackingError):
-            interpolate_radius(np.zeros(3), np.zeros(3), [])
+            interpolate_radius(np.zeros(3), np.zeros(3), AnchorField([]))
 
     @pytest.mark.parametrize("bound", [None, lambda x, y: 0.3,
                                        lambda x, y: 0.2 + 0.02 * np.asarray(x)],
@@ -244,8 +243,9 @@ class TestInterpolateRadius:
         anchors.append(Bubble(anchors[3].x, anchors[3].y, 0.77, BOUNDARY))
         xs, ys = rng.uniform(-1, 11, (2, 5, 7))
         xs[0, :2], ys[0, :2] = (anchors[3].x, anchors[9].x), (anchors[3].y, anchors[9].y)
-        got = interpolate_radius(xs, ys, anchors, bound)
-        want = [[interpolate_radius(x, y, anchors, bound) for x, y in zip(*row)]
+        table = AnchorField(anchors)
+        got = interpolate_radius(xs, ys, table, bound)
+        want = [[interpolate_radius(x, y, table, bound) for x, y in zip(*row)]
                 for row in zip(xs.tolist(), ys.tolist())]
         assert got.shape == xs.shape and got.tolist() == want
         if bound is None:
@@ -262,12 +262,12 @@ class TestPackInterior:
         giant = [Bubble(1.0, 1.0, 10.0, BOUNDARY)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert pack_interior_quadtree(domain, giant) == []
+            assert pack_interior_quadtree(domain, AnchorField(giant)) == []
 
     def test_hexagonal_degree_six(self):
         domain = square_domain(side=10.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         assert len(interior) > 50
         mesh = delaunay_triangulate(boundary + interior, domain)
         nbrs = loop_vertex_neighbors(mesh)
@@ -281,7 +281,7 @@ class TestPackInterior:
         # uniform lattice: all neighbor pairs tangent, never gapped > 1 radius
         domain = square_domain(side=10.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         pts = np.array([[b.x, b.y] for b in interior])
         for k, b in enumerate(interior):
             d = np.hypot(pts[:, 0] - b.x, pts[:, 1] - b.y)
@@ -292,7 +292,7 @@ class TestPackInterior:
         # convex domain, constant sizing: pairwise overlap of kept bubbles <= 1
         domain = square_domain(side=7.0, radius=0.4)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         pts = np.array([[b.x, b.y] for b in interior])
         radii = np.array([b.radius for b in interior])
         i, j = np.triu_indices(len(interior), 1)
@@ -305,7 +305,7 @@ class TestPackInterior:
         hole = np.column_stack([5 + 2 * np.cos(angles), 5 + 2 * np.sin(angles)])
         domain = PackingDomain(outer=outer, holes=[hole], sizing=lambda x, y: 0.4)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         assert interior
         for b in interior:
             assert point_in_polygon(b.x, b.y, outer)
@@ -314,7 +314,7 @@ class TestPackInterior:
     def test_no_center_inside_anchor(self):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         for b in interior:
             for a in boundary:
                 assert math.hypot(b.x - a.x, b.y - a.y) >= a.radius
@@ -326,7 +326,7 @@ class TestPackInterior:
         outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
         domain = PackingDomain(outer=outer, holes=[], sizing=sizing)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         assert interior
         for b in interior:
             assert b.radius <= sizing(b.x, b.y) + 1e-12
@@ -334,8 +334,8 @@ class TestPackInterior:
     def test_deterministic(self):
         domain = square_domain(side=9.0, radius=0.5)
         boundary = pack_boundary(domain)
-        a = pack_interior_quadtree(domain, boundary)
-        b = pack_interior_quadtree(domain, boundary)
+        a = pack_interior_quadtree(domain, AnchorField(boundary))
+        b = pack_interior_quadtree(domain, AnchorField(boundary))
         assert [(p.x, p.y, p.radius) for p in a] == [(p.x, p.y, p.radius) for p in b]
         assert all(p.kind == MOBILE for p in a)
 
@@ -474,7 +474,7 @@ class TestQuadtreeCorners:
                                             lo[1] + ty * (hi[1] - lo[1]))))
         rows = np.unique(_quadtree_corners(domain)[:, 1])
         assert np.diff(rows) == pytest.approx(2.0 * rb_ref * _SHEAR[1], rel=1e-9)
-        interior = pack_interior_quadtree(domain, pack_boundary(domain))
+        interior = pack_interior_quadtree(domain, AnchorField(pack_boundary(domain)))
         assert thin_counts == [(len(interior), len(interior))]
 
     def test_a_dip_beyond_the_slack_still_splits(self):
@@ -497,9 +497,9 @@ class TestQuadtreeCorners:
         segs = square_domain(side=5.0).segments
 
         def run():
-            return (_interpolate_radii_batch(pts, anchors),
-                    _anchor_overlap_below(pts, radii, anchors, 0.4),
-                    _inside_any_anchor(pts, anchors),
+            return (_interpolate_radii_batch(pts, AnchorField(anchors)),
+                    AnchorField(anchors).overlap_at_most(pts, radii, 0.4),
+                    AnchorField(anchors).inside(pts),
                     *nearest_segments(pts, segs))
 
         whole = run()
@@ -516,7 +516,8 @@ class TestQuadtreeCorners:
         ov = (radii[:, None] + ar[None, :] - np.sqrt(d2)) / np.minimum(radii[:, None], ar[None, :])
         for limit, k in ((0.4, 90), (-1.0, 10)):
             want = ov[:, :k].max(axis=1) <= limit
-            assert np.array_equal(_anchor_overlap_below(pts, radii, anchors[:k], limit), want)
+            assert np.array_equal(AnchorField(anchors[:k]).overlap_at_most(pts, radii, limit),
+                                  want)
             assert 0 < want.sum() < len(pts)
 
 

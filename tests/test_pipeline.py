@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -123,6 +124,36 @@ class TestConfig:
             run_plane_pipeline(cfg)
         assert not (tmp_path / "run" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("row, why", [
+        ("5,nan,0.3", r"\(5.0, nan, 0.3\) is not finite"),
+        ("5,abc,0.3", "could not convert string to float: 'abc'"),
+        ("5,1,inf", r"\(5.0, 1.0, inf\) is not finite"),
+    ], ids=["nan-centre", "word", "inf-radius"])
+    def test_anchor_values_must_be_finite_numbers(self, tmp_path, small_plane_cfg, row, why):
+        # else a NaN centre fails in the k-d tree, a word fails without its
+        # line, and an infinite radius fails only in relaxation
+        path = tmp_path / "anchors.csv"
+        path.write_text(f"x,y,radius\n1.0, 2.0, 0.25\n{row}\n")
+        message = rf"^\[config\] anchors line 3: {why}$"
+        with pytest.raises(PipelineError, match=message):
+            load_anchor_csv(path)
+        cfg = load_config(None, dict(small_plane_cfg, out=str(tmp_path / "run"),
+                                     anchors_file=str(path)))
+        with pytest.raises(PipelineError, match=message):
+            run_plane_pipeline(cfg)
+        assert not (tmp_path / "run" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key", ["plane_width", "r_max", "grade_band", "force_tol_factor"])
+    def test_infinite_value_rejected_before_any_output(self, tmp_path, key):
+        # else r_max = inf fails at packing, after the output exists, and
+        # plane_width = inf at the outer loop; grade_band = inf meshes
+        # uniformly at r_min, and force_tol_factor = inf stops at sweep 1
+        out = tmp_path / "run"
+        message = rf"^\[config\] {key}: must be positive and finite$"
+        with pytest.raises(PipelineError, match=message):
+            run(load_config(None, {"out": str(out), "graded": "true", key: "inf"}))
+        assert not out.exists()
+
 
 # every out-of-range value PipelineConfig rejects, as (key, fields, message)
 BAD_CONFIGS = {
@@ -151,6 +182,15 @@ BAD_CONFIGS = {
     "grade-band-zero": ("grade_band", dict(graded=True, grade_band=0.0), "must be positive"),
     "plane-width-zero": ("plane_width", dict(plane_width=0.0), "must be positive"),
     "plane-height-nan": ("plane_height", dict(plane_height=math.nan), "must be positive"),
+    "plane-width-inf": ("plane_width", dict(plane_width=math.inf), "must be positive and finite"),
+    "plane-height-inf": ("plane_height", dict(plane_height=math.inf),
+                         "must be positive and finite"),
+    "r-inf": ("r_max", dict(r_min=math.inf, r_max=math.inf), "must be positive and finite"),
+    "r-min-inf": ("r_min", dict(r_min=math.inf), "must be positive and finite"),
+    "grade-band-inf": ("grade_band", dict(graded=True, grade_band=math.inf),
+                       "must be positive and finite"),
+    "force-tol-inf": ("force_tol_factor", dict(force_tol_factor=math.inf),
+                      "must be positive and finite"),
 }
 
 
@@ -276,13 +316,14 @@ class TestGradedPlane:
 
     def test_thin_domain_warns_or_errors_cleanly(self):
         import warnings as _w
-        from bubblemesh.packing import PackingDomain, pack_boundary, pack_interior_quadtree
+        from bubblemesh.packing import (AnchorField, PackingDomain, pack_boundary,
+                                        pack_interior_quadtree)
         outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 0.3], [0.0, 0.3]])
         domain = PackingDomain(outer=outer, holes=[], sizing=lambda x, y: 0.5)
         boundary = pack_boundary(domain)
         with _w.catch_warnings(record=True) as caught:
             _w.simplefilter("always")
-            interior = pack_interior_quadtree(domain, boundary)
+            interior = pack_interior_quadtree(domain, AnchorField(boundary))
         assert interior == []
         assert any("interior" in str(c.message) for c in caught)
 
@@ -601,6 +642,36 @@ def test_each_relaxed_state_is_triangulated_once(tmp_path, monkeypatch, name):
     result = workloads.entry_point(wl)(cfg)
     stall_samples = sum(t.sweeps // 10 for t in workloads.traces(wl, result)[1:])
     assert len(calls) == {"plate": 1, "sphere": 2, "graded-qc": 2 + stall_samples}[name]
+
+
+@pytest.mark.parametrize("name", ["plate", "sphere", "graded-qc"])
+def test_one_anchor_table_per_anchor_set(tmp_path, monkeypatch, name):
+    # every query of an anchor set reads its one AnchorField: pack_plane's
+    # boundary and pre-inserted anchors, initial_surface_mesh's boundary,
+    # fill_gaps' reconstructed anchors and each relaxation's non-mobile
+    # input, plus anchor_sizing's own table; a table builds its centre
+    # tree at most once, on first use. Converting the anchor list per query
+    # made 2 / 6 / 87 sets of arrays and 2 / 4 / 2 trees.
+    tables, trees = [], []
+    init, build = packing.AnchorField.__init__, packing.AnchorField.tree.func
+
+    def counted_init(self, anchors):
+        tables.append(self)
+        init(self, anchors)
+
+    def counted_tree(self):
+        trees.append(self)
+        return build(self)
+
+    tree = functools.cached_property(counted_tree)
+    tree.__set_name__(packing.AnchorField, "tree")
+    monkeypatch.setattr(packing.AnchorField, "__init__", counted_init)
+    monkeypatch.setattr(packing.AnchorField, "tree", tree)
+    workloads = bench_module("workloads")
+    wl, cfg = workloads.load(name, 0, tmp_path)
+    workloads.entry_point(wl)(cfg)
+    assert len(tables) == {"plate": 2, "sphere": 4, "graded-qc": 3}[name]
+    assert len(trees) == len(set(map(id, trees))) == 2
 
 
 def test_criterion_1_plate_at_half_the_radius_converges_under_the_default_cap(tmp_path):

@@ -10,7 +10,7 @@ from bubblemesh import relaxation
 from bubblemesh.config import PipelineConfig, PipelineError
 from bubblemesh.geometry import (hashed_unit_direction, nearest_segments,
                                  segment_distances)
-from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
+from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, AnchorField, Bubble,
                                 PackingDomain, interpolate_radius, overlap_ratio,
                                 pack_boundary, pack_interior_quadtree)
 from bubblemesh.relaxation import (_QUERY_PAD, ConvergenceTrace, FireState,
@@ -284,7 +284,7 @@ def graded_holed_plate():
     hole = np.array([[2.5, 1.5], [2.5, 2.5], [3.5, 2.5], [3.5, 1.5]])
     domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
     boundary = pack_boundary(domain)
-    interior = pack_interior_quadtree(domain, boundary)
+    interior = pack_interior_quadtree(domain, AnchorField(boundary))
     return domain, lambda: [Bubble(b.x, b.y, b.radius, b.kind) for b in boundary + interior]
 
 
@@ -320,7 +320,7 @@ def graded_holed_square():
     hole = np.column_stack([10 + 2 * np.cos(angles), 5 + 2 * np.sin(angles)])
     domain = PackingDomain(outer=outer, holes=[hole], sizing=sizing)
     boundary = pack_boundary(domain)
-    return domain, boundary + pack_interior_quadtree(domain, boundary)
+    return domain, boundary + pack_interior_quadtree(domain, AnchorField(boundary))
 
 
 def random_population(seed, n=300, side=10.0):
@@ -405,19 +405,25 @@ def scalar_qc_original(state, low, high, anchors, walls, trace):
 def qc_original(bubbles, low=5.0, high=8.0, anchors=None, domain=None, seed=0,
                 qc=relaxation._qc_original_state, trace=None):
     """One original-qc pass over fresh state: (state, change count). The
-    walls are `domain`'s, `far_box(bubbles)`'s when None, and the counters
-    go to `trace`, a fresh `ConvergenceTrace` when None."""
+    anchors' table is built from `anchors`, the non-mobile bubbles when
+    None, the walls are `domain`'s, `far_box(bubbles)`'s when None, and the
+    counters go to `trace`, a fresh `ConvergenceTrace` when None."""
     state = RelaxState(bubbles, seed=seed)
     if anchors is None:
         anchors = [b for b in bubbles if b.kind != MOBILE]
     walls = WallClamp(far_box(bubbles) if domain is None else domain)
-    return state, qc(state, low, high, anchors, walls,
+    return state, qc(state, low, high, AnchorField(anchors), walls,
                      ConvergenceTrace() if trace is None else trace)
 
 
-def qc_boundary_region(bubbles, threshold=1.0, qc=relaxation._qc_boundary_region_state):
-    """One boundary-region pass over fresh state: (state, removal count)."""
+def qc_boundary_region(bubbles, threshold=1.0, qc=None):
+    """One boundary-region pass over fresh state: (state, removal count).
+    `qc(state, threshold)` makes it; None is `_qc_boundary_region_state`
+    over the table of the non-mobile bubbles."""
     state = RelaxState(bubbles)
+    if qc is None:
+        anchors = AnchorField([b for b in bubbles if b.kind != MOBILE])
+        return state, relaxation._qc_boundary_region_state(state, anchors, threshold)
     return state, qc(state, threshold)
 
 
@@ -1169,7 +1175,7 @@ class TestRelaxStep:
         domain = PackingDomain(outer=np.array(RECTANGLE), holes=[np.array(SQUARE_HOLE)],
                                sizing=lambda x, y: np.full(np.shape(x), 0.4))
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         out, trace = relax_until_converged(boundary + interior, domain)
         assert trace.converged
         mobile = [b for b in out if b.kind != BOUNDARY]
@@ -1522,7 +1528,7 @@ class TestInsertionCandidates:
         and a function deriving the candidates of some of its rows."""
         domain, bubbles = QC_CASES[case]()
         state = RelaxState(bubbles, seed=4)
-        anchors = [b for b in bubbles if b.kind != MOBILE]
+        anchors = AnchorField([b for b in bubbles if b.kind != MOBILE])
         walls = WallClamp(domain)
         _, _, near = relaxation._pass_queries(state)
         rows = state.mobile_indices()
@@ -1618,7 +1624,7 @@ class TestRelaxUntilConverged:
     def test_stop_reason_names_the_test_that_ended_the_run(self, monkeypatch):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         # at 180 degrees every full stall window stalls: under original-qc
         # with passes that never change the population (no sum is below 0
         # or above 1e9) the run stops at the second sample; a fixed
@@ -1641,7 +1647,7 @@ class TestRelaxUntilConverged:
     def test_deterministic_traces(self):
         domain = square_domain(side=6.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         cfg = PipelineConfig(max_sweeps=25, force_tol_factor=1e-9, seed=7)
         runs = []
         for _ in range(2):
@@ -1680,7 +1686,7 @@ class TestRelaxUntilConverged:
         # oscillates as the damped bubbles overshoot and swing back.
         domain = square_domain(side=8.0, radius=0.5)
         boundary = pack_boundary(domain)
-        interior = pack_interior_quadtree(domain, boundary)
+        interior = pack_interior_quadtree(domain, AnchorField(boundary))
         monkeypatch.setattr(relaxation, "_FIRE_DT", 0.1)
         out, trace = relax_until_converged(
             boundary + interior, domain, PipelineConfig(max_sweeps=120, force_tol_factor=1e-12),

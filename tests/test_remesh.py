@@ -8,8 +8,8 @@ from bubblemesh import packing
 from bubblemesh.conformal import flatten
 from bubblemesh.geometry import nearest_segments
 from bubblemesh.mesh import MeshError, PlanarMesh, quality_report
-from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, Bubble,
-                                _interpolate_radii_batch, _quadtree_corners,
+from bubblemesh.packing import (BOUNDARY, INTERIOR_ANCHOR, MOBILE, AnchorField,
+                                Bubble, _interpolate_radii_batch, _quadtree_corners,
                                 _self_thin)
 from bubblemesh.pipeline import initial_surface_mesh
 from bubblemesh.relaxation import RelaxState, _qc_boundary_region_state
@@ -305,7 +305,7 @@ def brute_force_fill(flat, anchors):
     keep = (domain.contains_points(pts)
             & (nearest_segments(pts, domain.segments)[2] >= edge_eps ** 2))
     kept = pts[keep]
-    radii = np.minimum(_interpolate_radii_batch(kept, anchors),
+    radii = np.minimum(_interpolate_radii_batch(kept, AnchorField(anchors)),
                        domain.sizing(kept[:, 0], kept[:, 1]))
     ok = brute_force_anchor_tests(kept, radii, anchors)
     kept, radii = _self_thin(kept[ok], radii[ok])
@@ -373,7 +373,7 @@ class TestFaceCoverCertificate:
         make_flat, make_anchors, cover = FILL_CASES[case]
         flat = make_flat()
         anchors = make_anchors(flat)
-        covered = _covered_faces(flat, anchors, len(flat.boundary_loop))
+        covered = _covered_faces(flat, AnchorField(anchors), len(flat.boundary_loop))
         if cover is None:
             assert covered is None
         else:
@@ -394,7 +394,7 @@ class TestFaceCoverCertificate:
         make_flat, make_anchors, cover = FILL_CASES[case]
         flat = make_flat()
         anchors = make_anchors(flat)
-        covered = _covered_faces(flat, anchors, len(flat.boundary_loop))
+        covered = _covered_faces(flat, AnchorField(anchors), len(flat.boundary_loop))
         # a face with a corner that has no anchor is never covered
         anchored = np.zeros(flat.n_vertices, dtype=bool)
         ax, ay, _ = anchor_arrays(anchors)
@@ -440,7 +440,7 @@ class TestRemeshPlanar:
         fillers = filled(flat, anchors)
         for threshold in (1.0, 0.2, 0.0, -0.2):
             state, ref = RelaxState(anchors + fillers), RelaxState(anchors + fillers)
-            removed = _qc_boundary_region_state(state, threshold)
+            removed = _qc_boundary_region_state(state, AnchorField(anchors), threshold)
             assert removed == scalar_qc_boundary_region(ref, threshold)
             assert np.array_equal(state.alive, ref.alive)
             assert state.count == len(state.alive) - removed
